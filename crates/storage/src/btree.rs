@@ -8,14 +8,23 @@
 //! new root. Crash recovery is a sequential scan: the last valid commit
 //! wins, and a torn trailing write simply rolls back to the previous
 //! commit. Reads are wait-free against concurrent writers because old
-//! roots are immutable.
+//! roots are immutable; writers queue on a FIFO lock.
+//!
+//! The I/O budget (DESIGN.md "Storage I/O budget and cache policy"): a node
+//! costs one log read, a mutation costs one log append — the copied path
+//! and its commit record travel as one batch, commit record last — and
+//! decoded *interior* nodes are kept in a small bounded cache, so a lookup
+//! pays for its leaf and nothing else. Leaves are never cached: caching
+//! data is the application's policy ([`crate::cache::BufferCache`]).
 //!
 //! Deletion removes keys without rebalancing (nodes may underflow); this
 //! matches the log-structured design where space is reclaimed by
 //! compaction ([`Tree::compact`]) rather than in-place merging.
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use mirage_runtime::channel::{self, Sender};
 use mirage_testkit::sync::Mutex;
 
 use crate::block::{BlockError, BlockIo, BoxFuture};
@@ -26,6 +35,19 @@ const MAX_KEYS: usize = 16;
 const TAG_LEAF: u8 = 1;
 const TAG_NODE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
+
+/// A record is `tag(1) | payload length(4) | payload | crc32(4)`.
+const HEADER: usize = 5;
+const FRAMING: usize = HEADER + 4;
+/// Largest payload a record header may claim.
+const MAX_PAYLOAD: usize = 1 << 24;
+/// Bytes fetched by the one read that loads a record (a full leaf of
+/// 128-byte values is 2.4 KB); a longer record costs a second read. Seven
+/// sectors, so that a [`BlockLog`] read at any alignment covers at most
+/// eight — one page-sized ring request.
+const READ_SPAN: usize = 7 * SECTOR;
+/// Bound on cached interior nodes (at most ~1 KB each).
+const CACHE_NODES: usize = 1024;
 
 /// Errors from tree operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,15 +75,28 @@ impl From<BlockError> for TreeError {
     }
 }
 
-/// CRC-32 (IEEE), bitwise implementation — guards every log record.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE), one table lookup per byte — guards every log record.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -79,7 +114,7 @@ pub trait AppendLog: Send + Sync {
     /// Current end-of-log offset.
     fn tail(&self) -> u64;
 
-    /// Truncates the log to `len` bytes (fault injection / compaction).
+    /// Truncates the log to `len` bytes (recovery, fault injection).
     fn truncate(&self, len: u64);
 }
 
@@ -134,24 +169,43 @@ impl AppendLog for MemLog {
     }
 }
 
-/// A log over a [`BlockIo`] device (sector read-modify-write at the tail).
+struct LogState {
+    len: u64,
+    /// The `len % SECTOR` bytes of the partial last sector, so an append
+    /// can write it back whole without reading it first. `None` when they
+    /// are not known — after a remount or truncate that ends mid-sector —
+    /// until the next append reads them back, once.
+    tail: Option<Vec<u8>>,
+}
+
+impl LogState {
+    fn ending_at(len: u64) -> LogState {
+        LogState {
+            len,
+            tail: len.is_multiple_of(SECTOR as u64).then(Vec::new),
+        }
+    }
+}
+
+/// A log over a [`BlockIo`] device: an append is one device write. Appends
+/// must not overlap one another ([`Tree`] serialises its writers).
 pub struct BlockLog<B> {
     dev: Arc<B>,
-    len: Arc<Mutex<u64>>,
+    state: Arc<Mutex<LogState>>,
 }
 
 impl<B> Clone for BlockLog<B> {
     fn clone(&self) -> Self {
         BlockLog {
             dev: Arc::clone(&self.dev),
-            len: Arc::clone(&self.len),
+            state: Arc::clone(&self.state),
         }
     }
 }
 
 impl<B: BlockIo> std::fmt::Debug for BlockLog<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BlockLog({} bytes)", *self.len.lock())
+        write!(f, "BlockLog({} bytes)", self.state.lock().len)
     }
 }
 
@@ -163,7 +217,7 @@ impl<B: BlockIo + 'static> BlockLog<B> {
     pub fn new(dev: B, len: u64) -> BlockLog<B> {
         BlockLog {
             dev: Arc::new(dev),
-            len: Arc::new(Mutex::new(len)),
+            state: Arc::new(Mutex::new(LogState::ending_at(len))),
         }
     }
 }
@@ -171,26 +225,40 @@ impl<B: BlockIo + 'static> BlockLog<B> {
 impl<B: BlockIo + 'static> AppendLog for BlockLog<B> {
     fn append(&self, data: Vec<u8>) -> BoxFuture<Result<u64, BlockError>> {
         let dev = Arc::clone(&self.dev);
-        let len = Arc::clone(&self.len);
+        let state = Arc::clone(&self.state);
         Box::pin(async move {
-            let offset = *len.lock();
+            let (offset, known_tail) = {
+                let st = state.lock();
+                (st.len, st.tail.clone())
+            };
             let start_sector = offset / SECTOR as u64;
-            let end = offset + data.len() as u64;
-            let end_sector = end.div_ceil(SECTOR as u64);
-            let span = (end_sector - start_sector) as u32;
-            // Read-modify-write the covering sectors.
-            let mut buf = dev.read(start_sector, span).await?;
             let within = (offset % SECTOR as u64) as usize;
-            buf[within..within + data.len()].copy_from_slice(&data);
+            let head = match known_tail {
+                Some(tail) => tail,
+                None => {
+                    let mut sector = dev.read(start_sector, 1).await?;
+                    sector.truncate(within);
+                    sector
+                }
+            };
+            let end = offset + data.len() as u64;
+            let mut buf = Vec::with_capacity((within + data.len()).next_multiple_of(SECTOR));
+            buf.extend_from_slice(&head);
+            buf.extend_from_slice(&data);
+            let tail = buf[buf.len() - (end % SECTOR as u64) as usize..].to_vec();
+            buf.resize(buf.len().next_multiple_of(SECTOR), 0);
             dev.write(start_sector, buf).await?;
-            *len.lock() = end;
+            *state.lock() = LogState {
+                len: end,
+                tail: Some(tail),
+            };
             Ok(offset)
         })
     }
 
     fn read_at(&self, offset: u64, len: usize) -> BoxFuture<Result<Vec<u8>, BlockError>> {
         let dev = Arc::clone(&self.dev);
-        let log_len = *self.len.lock();
+        let log_len = self.state.lock().len;
         Box::pin(async move {
             if offset + len as u64 > log_len {
                 return Err(BlockError::OutOfRange);
@@ -206,13 +274,13 @@ impl<B: BlockIo + 'static> AppendLog for BlockLog<B> {
     }
 
     fn tail(&self) -> u64 {
-        *self.len.lock()
+        self.state.lock().len
     }
 
     fn truncate(&self, len: u64) {
-        let mut cur = self.len.lock();
-        if len < *cur {
-            *cur = len;
+        let mut st = self.state.lock();
+        if len < st.len {
+            *st = LogState::ending_at(len);
         }
     }
 }
@@ -245,14 +313,13 @@ fn get_bytes(data: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
 }
 
 impl Node {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Node::Leaf { keys, vals } => {
                 out.extend_from_slice(&(keys.len() as u16).to_le_bytes());
                 for (k, v) in keys.iter().zip(vals) {
-                    put_bytes(&mut out, k);
-                    put_bytes(&mut out, v);
+                    put_bytes(out, k);
+                    put_bytes(out, v);
                 }
             }
             Node::Internal { seps, children } => {
@@ -261,14 +328,17 @@ impl Node {
                     out.extend_from_slice(&c.to_le_bytes());
                 }
                 for s in seps {
-                    put_bytes(&mut out, s);
+                    put_bytes(out, s);
                 }
             }
         }
-        out
     }
 
-    fn decode(tag: u8, data: &[u8]) -> Option<Node> {
+    /// Decodes the node stored at `at`. An interior node routes every key
+    /// somewhere, and its children were appended before it: one with no
+    /// child, or a child pointer that does not go backwards, is corrupt
+    /// (and could loop a reader).
+    fn decode(tag: u8, data: &[u8], at: u64) -> Option<Node> {
         let mut pos = 0usize;
         let count = u16::from_le_bytes(data.get(0..2)?.try_into().ok()?) as usize;
         pos += 2;
@@ -282,7 +352,7 @@ impl Node {
                 }
                 Some(Node::Leaf { keys, vals })
             }
-            TAG_NODE => {
+            TAG_NODE if count > 0 => {
                 let mut children = Vec::with_capacity(count);
                 for _ in 0..count {
                     children.push(u64::from_le_bytes(
@@ -290,11 +360,14 @@ impl Node {
                     ));
                     pos += 8;
                 }
-                let mut seps = Vec::with_capacity(count.saturating_sub(1));
-                for _ in 0..count.saturating_sub(1) {
+                let mut seps = Vec::with_capacity(count - 1);
+                for _ in 0..count - 1 {
                     seps.push(get_bytes(data, &mut pos)?);
                 }
-                Some(Node::Internal { seps, children })
+                children
+                    .iter()
+                    .all(|child| *child < at)
+                    .then_some(Node::Internal { seps, children })
             }
             _ => None,
         }
@@ -308,6 +381,63 @@ impl Node {
     }
 }
 
+/// The child of an interior node that owns `key`: its index and offset.
+fn child_for(seps: &[Vec<u8>], children: &[u64], key: &[u8]) -> (usize, u64) {
+    let idx = seps.iter().take_while(|s| key >= s.as_slice()).count();
+    (idx, children[idx])
+}
+
+/// Appends one checksummed record to `buf`.
+fn put_record(buf: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.push(tag);
+    buf.extend_from_slice(&[0; 4]);
+    payload(buf);
+    let len = (buf.len() - start - HEADER) as u32;
+    buf[start + 1..start + HEADER].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// The bytes of a record read back from the log, checksum verified.
+struct Record(Vec<u8>);
+
+impl Record {
+    fn tag(&self) -> u8 {
+        self.0[0]
+    }
+
+    fn payload(&self) -> &[u8] {
+        &self.0[HEADER..self.0.len() - 4]
+    }
+}
+
+/// Reads the record at `at` in one `read_at`: a bounded span that the
+/// header is then parsed out of. Nothing a header claims is trusted beyond
+/// the log's tail or [`MAX_PAYLOAD`].
+async fn read_record<L: AppendLog>(log: &L, at: u64) -> Result<Record, TreeError> {
+    let room = log
+        .tail()
+        .checked_sub(at)
+        .filter(|room| *room >= FRAMING as u64)
+        .ok_or(TreeError::Corrupt)?;
+    let mut bytes = log.read_at(at, room.min(READ_SPAN as u64) as usize).await?;
+    let len = u32::from_le_bytes(bytes[1..HEADER].try_into().expect("4 bytes")) as usize;
+    let total = FRAMING + len;
+    if len > MAX_PAYLOAD || total as u64 > room {
+        return Err(TreeError::Corrupt);
+    }
+    if total > bytes.len() {
+        bytes = log.read_at(at, total).await?;
+    }
+    bytes.truncate(total);
+    let stored = u32::from_le_bytes(bytes[total - 4..].try_into().expect("4 bytes"));
+    if crc32(&bytes[..total - 4]) != stored {
+        return Err(TreeError::Corrupt);
+    }
+    Ok(Record(bytes))
+}
+
 /// Tree statistics (Figure 12 harness introspection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TreeStats {
@@ -317,126 +447,389 @@ pub struct TreeStats {
     pub nodes_written: u64,
     /// Log bytes at last commit.
     pub log_bytes: u64,
+    /// Node records read from the log: every leaf, and interior nodes the
+    /// cache did not hold.
+    pub node_reads: u64,
+    /// Interior-node loads served from the cache.
+    pub cache_hits: u64,
+    /// Log appends issued: one per committed mutation.
+    pub appends: u64,
 }
 
-/// The append-only B-tree over any [`AppendLog`].
+/// Decoded interior nodes by log offset. Records are immutable, so an
+/// entry is never wrong, only unwanted. Two generations approximate LRU in
+/// O(1): a hit in `old` moves the node to `young`, and when `young` holds
+/// half the bound `old` is dropped and `young` takes its place.
+#[derive(Default)]
+struct NodeCache {
+    young: HashMap<u64, Arc<Node>>,
+    old: HashMap<u64, Arc<Node>>,
+}
+
+impl NodeCache {
+    fn get(&mut self, at: u64) -> Option<Arc<Node>> {
+        if let Some(node) = self.young.get(&at) {
+            return Some(Arc::clone(node));
+        }
+        let node = self.old.remove(&at)?;
+        self.insert(at, &node);
+        Some(node)
+    }
+
+    /// Caches `node` if it is an interior node; leaves are the
+    /// application's to cache.
+    fn insert(&mut self, at: u64, node: &Arc<Node>) {
+        if matches!(**node, Node::Leaf { .. }) {
+            return;
+        }
+        if self.young.len() >= CACHE_NODES / 2 {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(at, Arc::clone(node));
+    }
+
+    fn remove(&mut self, at: u64) {
+        if self.young.remove(&at).is_none() {
+            self.old.remove(&at);
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.young.len() + self.old.len()
+    }
+}
+
+#[derive(Default)]
+struct LockState {
+    held: bool,
+    waiters: VecDeque<Sender<WriterGuard>>,
+}
+
+/// FIFO mutual exclusion for writers. A waiter parks on a channel and the
+/// releasing writer sends it the guard itself, so the lock is handed over
+/// rather than raced for, and a waiter that gave up — its receiver
+/// dropped, before or after the hand-over — drops the guard, which passes
+/// the lock on.
+#[derive(Default)]
+struct WriterLock {
+    state: Arc<Mutex<LockState>>,
+}
+
+struct WriterGuard {
+    state: Arc<Mutex<LockState>>,
+}
+
+impl WriterLock {
+    async fn acquire(&self) -> WriterGuard {
+        let mut turn = {
+            let mut st = self.state.lock();
+            if !st.held {
+                st.held = true;
+                return WriterGuard {
+                    state: Arc::clone(&self.state),
+                };
+            }
+            let (tx, rx) = channel::channel();
+            st.waiters.push_back(tx);
+            rx
+        };
+        turn.recv()
+            .await
+            .expect("a queued waiter is sent the guard or is next in line for it")
+    }
+}
+
+impl Drop for WriterGuard {
+    fn drop(&mut self) {
+        let next = {
+            let mut st = self.state.lock();
+            let next = st.waiters.pop_front();
+            st.held = next.is_some();
+            next
+        };
+        if let Some(waiter) = next {
+            // A refused guard comes back in the `Err` and is dropped here,
+            // which offers the lock to the waiter after.
+            let _ = waiter.send(WriterGuard {
+                state: Arc::clone(&self.state),
+            });
+        }
+    }
+}
+
+struct State {
+    root: Option<u64>,
+    generation: u64,
+    stats: TreeStats,
+    cache: NodeCache,
+}
+
+struct Shared<L> {
+    log: L,
+    state: Mutex<State>,
+    writer: WriterLock,
+}
+
+/// The append-only B-tree over any [`AppendLog`]. The tree must be its
+/// log's only writer: it lays a batch out at offsets computed from the
+/// tail before appending it.
 pub struct Tree<L> {
-    log: Arc<L>,
-    root: Arc<Mutex<Option<u64>>>,
-    generation: Arc<Mutex<u64>>,
-    stats: Arc<Mutex<TreeStats>>,
+    shared: Arc<Shared<L>>,
 }
 
 impl<L> Clone for Tree<L> {
     fn clone(&self) -> Self {
         Tree {
-            log: Arc::clone(&self.log),
-            root: Arc::clone(&self.root),
-            generation: Arc::clone(&self.generation),
-            stats: Arc::clone(&self.stats),
+            shared: Arc::clone(&self.shared),
         }
     }
 }
 
 impl<L: AppendLog> std::fmt::Debug for Tree<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Tree(root={:?})", *self.root.lock())
+        write!(f, "Tree(root={:?})", self.shared.state.lock().root)
     }
 }
 
-fn record(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(9 + payload.len());
-    rec.push(tag);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(payload);
-    rec.extend_from_slice(&crc32(&rec).to_le_bytes());
-    rec
+/// One interior node on a root-to-leaf walk.
+struct Step {
+    at: u64,
+    node: Arc<Node>,
+    /// Index of the child the walk took.
+    idx: usize,
+}
+
+/// A root-to-leaf walk: the interior nodes passed, and the leaf's contents.
+#[derive(Default)]
+struct Walk {
+    path: Vec<Step>,
+    keys: Vec<Vec<u8>>,
+    vals: Vec<Vec<u8>>,
+}
+
+/// What a rewritten child hands its parent.
+enum Carry {
+    One(u64),
+    Split(u64, Vec<u8>, u64),
+}
+
+/// The records of one mutation, laid out at the offsets they will have
+/// once appended at `base`.
+struct Batch {
+    base: u64,
+    buf: Vec<u8>,
+    nodes: u64,
+    interior: Vec<(u64, Arc<Node>)>,
+}
+
+impl Batch {
+    fn new(base: u64) -> Batch {
+        Batch {
+            base,
+            buf: Vec::new(),
+            nodes: 0,
+            interior: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, node: Node) -> u64 {
+        let at = self.base + self.buf.len() as u64;
+        put_record(&mut self.buf, node.tag(), |out| node.encode(out));
+        self.nodes += 1;
+        if matches!(node, Node::Internal { .. }) {
+            self.interior.push((at, Arc::new(node)));
+        }
+        at
+    }
+
+    /// Pushes a leaf, as two halves if it outgrew [`MAX_KEYS`].
+    fn push_leaf(&mut self, mut keys: Vec<Vec<u8>>, mut vals: Vec<Vec<u8>>) -> Carry {
+        if keys.len() <= MAX_KEYS {
+            return Carry::One(self.push(Node::Leaf { keys, vals }));
+        }
+        let mid = keys.len() / 2;
+        let (rkeys, rvals) = (keys.split_off(mid), vals.split_off(mid));
+        let sep = rkeys[0].clone();
+        let left = self.push(Node::Leaf { keys, vals });
+        let right = self.push(Node::Leaf {
+            keys: rkeys,
+            vals: rvals,
+        });
+        Carry::Split(left, sep, right)
+    }
+
+    /// Rewrites the interior nodes of `path`, leaf end first, around the
+    /// rewritten child `carry`; returns the new root's offset.
+    fn push_path(&mut self, path: &[Step], mut carry: Carry) -> u64 {
+        for step in path.iter().rev() {
+            let Node::Internal {
+                mut seps,
+                mut children,
+            } = Node::clone(&step.node)
+            else {
+                unreachable!("a walk records interior nodes only");
+            };
+            match carry {
+                Carry::One(child) => children[step.idx] = child,
+                Carry::Split(left, sep, right) => {
+                    children[step.idx] = left;
+                    children.insert(step.idx + 1, right);
+                    seps.insert(step.idx, sep);
+                }
+            }
+            carry = if children.len() <= MAX_KEYS {
+                Carry::One(self.push(Node::Internal { seps, children }))
+            } else {
+                let mid = children.len() / 2;
+                let rchildren = children.split_off(mid);
+                let rseps = seps.split_off(mid);
+                let sep = seps.pop().expect("non-empty separators");
+                let left = self.push(Node::Internal { seps, children });
+                let right = self.push(Node::Internal {
+                    seps: rseps,
+                    children: rchildren,
+                });
+                Carry::Split(left, sep, right)
+            };
+        }
+        match carry {
+            Carry::One(root) => root,
+            Carry::Split(left, sep, right) => self.push(Node::Internal {
+                seps: vec![sep],
+                children: vec![left, right],
+            }),
+        }
+    }
 }
 
 impl<L: AppendLog + 'static> Tree<L> {
     /// An empty tree over a fresh log.
     pub fn new(log: L) -> Tree<L> {
         Tree {
-            log: Arc::new(log),
-            root: Arc::new(Mutex::new(None)),
-            generation: Arc::new(Mutex::new(0)),
-            stats: Arc::new(Mutex::new(TreeStats::default())),
+            shared: Arc::new(Shared {
+                log,
+                state: Mutex::new(State {
+                    root: None,
+                    generation: 0,
+                    stats: TreeStats::default(),
+                    cache: NodeCache::default(),
+                }),
+                writer: WriterLock::default(),
+            }),
         }
     }
 
     /// Recovers a tree from an existing log by scanning for the last valid
-    /// commit record; trailing torn writes are ignored.
+    /// commit record. Whatever follows it — a torn batch — is cut off, so
+    /// that the next commit lands where the next recovery's scan reaches
+    /// it.
     ///
     /// # Errors
     ///
     /// Device errors only — an empty or fully-torn log recovers to an
     /// empty tree.
     pub async fn recover(log: L) -> Result<Tree<L>, TreeError> {
-        let tree = Tree::new(log);
-        let tail = tree.log.tail();
         let mut pos = 0u64;
-        let mut last_commit: Option<(u64, u64)> = None; // (root offset, generation)
-        while pos + 9 <= tail {
-            let header = tree.log.read_at(pos, 5).await?;
-            let tag = header[0];
-            let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as u64;
-            let total = 5 + len + 4;
-            if pos + total > tail || len > 1 << 24 {
-                break; // torn tail
+        let mut last_commit = None; // (root offset, generation, end of record)
+        loop {
+            let rec = match read_record(&log, pos).await {
+                Ok(rec) => rec,
+                Err(TreeError::Corrupt) => break, // torn or corrupt: stop scanning
+                Err(e) => return Err(e),
+            };
+            pos += rec.0.len() as u64;
+            if let (TAG_COMMIT, Ok(payload)) = (rec.tag(), <[u8; 16]>::try_from(rec.payload())) {
+                let root = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
+                let generation = u64::from_le_bytes(payload[8..].try_into().expect("8 bytes"));
+                last_commit = Some((root, generation, pos));
             }
-            let rec = tree.log.read_at(pos, total as usize).await?;
-            let body = &rec[..(5 + len) as usize];
-            let stored = u32::from_le_bytes(rec[(5 + len) as usize..].try_into().expect("4"));
-            if crc32(body) != stored {
-                break; // corrupt record: stop scanning
-            }
-            if tag == TAG_COMMIT && len == 16 {
-                let root = u64::from_le_bytes(rec[5..13].try_into().expect("8"));
-                let generation = u64::from_le_bytes(rec[13..21].try_into().expect("8"));
-                last_commit = Some((root, generation));
-            }
-            pos += total;
         }
-        if let Some((root, generation)) = last_commit {
-            *tree.root.lock() = Some(root);
-            *tree.generation.lock() = generation;
+        log.truncate(last_commit.map_or(0, |(_, _, end)| end));
+        let tree = Tree::new(log);
+        if let Some((root, generation, _)) = last_commit {
+            let mut st = tree.shared.state.lock();
+            st.root = Some(root);
+            st.generation = generation;
         }
         Ok(tree)
     }
 
-    async fn load(&self, offset: u64) -> Result<Node, TreeError> {
-        let header = self.log.read_at(offset, 5).await?;
-        let tag = header[0];
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes")) as usize;
-        let rec = self.log.read_at(offset, 5 + len + 4).await?;
-        let stored = u32::from_le_bytes(rec[5 + len..].try_into().expect("4"));
-        if crc32(&rec[..5 + len]) != stored {
+    fn root(&self) -> Option<u64> {
+        self.shared.state.lock().root
+    }
+
+    async fn load(&self, at: u64) -> Result<Arc<Node>, TreeError> {
+        {
+            let mut st = self.shared.state.lock();
+            if let Some(node) = st.cache.get(at) {
+                st.stats.cache_hits += 1;
+                return Ok(node);
+            }
+        }
+        let rec = read_record(&self.shared.log, at).await?;
+        let node = Node::decode(rec.tag(), rec.payload(), at).ok_or(TreeError::Corrupt)?;
+        let node = Arc::new(node);
+        let mut st = self.shared.state.lock();
+        st.stats.node_reads += 1;
+        st.cache.insert(at, &node);
+        Ok(node)
+    }
+
+    /// Walks from `root` to the leaf that owns `key`.
+    async fn descend(&self, root: u64, key: &[u8]) -> Result<Walk, TreeError> {
+        let mut path = Vec::new();
+        let mut at = root;
+        loop {
+            let node = self.load(at).await?;
+            if let Node::Internal { seps, children } = &*node {
+                let (idx, child) = child_for(seps, children, key);
+                path.push(Step { at, node, idx });
+                at = child;
+                continue;
+            }
+            let Node::Leaf { keys, vals } = Arc::unwrap_or_clone(node) else {
+                unreachable!("a node is interior or a leaf");
+            };
+            return Ok(Walk { path, keys, vals });
+        }
+    }
+
+    /// Appends `batch` and a commit record for `root` in one write — the
+    /// commit record last, so a batch torn anywhere recovers to the
+    /// previous commit — then publishes the new root.
+    async fn commit(
+        &self,
+        mut batch: Batch,
+        root: u64,
+        superseded: &[Step],
+    ) -> Result<(), TreeError> {
+        let shared = &*self.shared;
+        let generation = shared.state.lock().generation + 1;
+        put_record(&mut batch.buf, TAG_COMMIT, |out| {
+            out.extend_from_slice(&root.to_le_bytes());
+            out.extend_from_slice(&generation.to_le_bytes());
+        });
+        let at = shared.log.append(batch.buf).await?;
+        if at != batch.base {
+            // Another writer moved the tail: every offset in the batch is
+            // wrong, and so must not be found by a recovery.
+            shared.log.truncate(at);
             return Err(TreeError::Corrupt);
         }
-        Node::decode(tag, &rec[5..5 + len]).ok_or(TreeError::Corrupt)
-    }
-
-    async fn store(&self, node: &Node) -> Result<u64, TreeError> {
-        let payload = node.encode();
-        let rec = record(node.tag(), &payload);
-        self.stats.lock().nodes_written += 1;
-        Ok(self.log.append(rec).await?)
-    }
-
-    async fn commit(&self, root: u64) -> Result<(), TreeError> {
-        let generation = {
-            let mut g = self.generation.lock();
-            *g += 1;
-            *g
-        };
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&root.to_le_bytes());
-        payload.extend_from_slice(&generation.to_le_bytes());
-        self.log.append(record(TAG_COMMIT, &payload)).await?;
-        *self.root.lock() = Some(root);
-        let mut st = self.stats.lock();
-        st.commits += 1;
-        st.log_bytes = self.log.tail();
+        let mut st = shared.state.lock();
+        st.root = Some(root);
+        st.generation = generation;
+        for step in superseded {
+            st.cache.remove(step.at);
+        }
+        for (at, node) in &batch.interior {
+            st.cache.insert(*at, node);
+        }
+        st.stats.commits += 1;
+        st.stats.appends += 1;
+        st.stats.nodes_written += batch.nodes;
+        st.stats.log_bytes = shared.log.tail();
         Ok(())
     }
 
@@ -446,21 +839,18 @@ impl<L: AppendLog + 'static> Tree<L> {
     ///
     /// [`TreeError::Corrupt`] if a referenced record fails its checksum.
     pub async fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, TreeError> {
-        let Some(mut at) = *self.root.lock() else {
+        let Some(mut at) = self.root() else {
             return Ok(None);
         };
         loop {
-            match self.load(at).await? {
+            match &*self.load(at).await? {
                 Node::Leaf { keys, vals } => {
                     return Ok(keys
-                        .iter()
-                        .position(|k| k.as_slice() == key)
+                        .binary_search_by(|k| k.as_slice().cmp(key))
+                        .ok()
                         .map(|i| vals[i].clone()));
                 }
-                Node::Internal { seps, children } => {
-                    let idx = seps.iter().take_while(|s| key >= s.as_slice()).count();
-                    at = children[idx];
-                }
+                Node::Internal { seps, children } => at = child_for(seps, children, key).1,
             }
         }
     }
@@ -472,104 +862,26 @@ impl<L: AppendLog + 'static> Tree<L> {
     /// Propagates log failures; the tree is unchanged if the commit record
     /// never lands (crash atomicity).
     pub async fn set(&self, key: &[u8], value: &[u8]) -> Result<(), TreeError> {
-        let root = *self.root.lock();
-        let new_root = match root {
-            None => {
-                let leaf = Node::Leaf {
-                    keys: vec![key.to_vec()],
-                    vals: vec![value.to_vec()],
-                };
-                self.store(&leaf).await?
-            }
-            Some(at) => match self.insert_rec(at, key, value).await? {
-                InsertResult::Single(off) => off,
-                InsertResult::Split(left, sep, right) => {
-                    self.store(&Node::Internal {
-                        seps: vec![sep],
-                        children: vec![left, right],
-                    })
-                    .await?
-                }
-            },
+        let _writer = self.shared.writer.acquire().await;
+        let Walk {
+            path,
+            mut keys,
+            mut vals,
+        } = match self.root() {
+            Some(root) => self.descend(root, key).await?,
+            None => Walk::default(),
         };
-        self.commit(new_root).await
-    }
-
-    fn insert_rec<'a>(
-        &'a self,
-        at: u64,
-        key: &'a [u8],
-        value: &'a [u8],
-    ) -> BoxFuture<Result<InsertResult, TreeError>>
-    where
-        L: 'static,
-    {
-        let this = self.clone();
-        let key = key.to_vec();
-        let value = value.to_vec();
-        Box::pin(async move {
-            match this.load(at).await? {
-                Node::Leaf { mut keys, mut vals } => {
-                    match keys.binary_search_by(|k| k.as_slice().cmp(&key[..])) {
-                        Ok(i) => vals[i] = value,
-                        Err(i) => {
-                            keys.insert(i, key);
-                            vals.insert(i, value);
-                        }
-                    }
-                    if keys.len() > MAX_KEYS {
-                        let mid = keys.len() / 2;
-                        let rkeys = keys.split_off(mid);
-                        let rvals = vals.split_off(mid);
-                        let sep = rkeys[0].clone();
-                        let left = this.store(&Node::Leaf { keys, vals }).await?;
-                        let right = this
-                            .store(&Node::Leaf {
-                                keys: rkeys,
-                                vals: rvals,
-                            })
-                            .await?;
-                        Ok(InsertResult::Split(left, sep, right))
-                    } else {
-                        Ok(InsertResult::Single(
-                            this.store(&Node::Leaf { keys, vals }).await?,
-                        ))
-                    }
-                }
-                Node::Internal {
-                    mut seps,
-                    mut children,
-                } => {
-                    let idx = seps.iter().take_while(|s| key >= **s).count();
-                    match this.insert_rec(children[idx], &key, &value).await? {
-                        InsertResult::Single(off) => children[idx] = off,
-                        InsertResult::Split(left, sep, right) => {
-                            children[idx] = left;
-                            children.insert(idx + 1, right);
-                            seps.insert(idx, sep);
-                        }
-                    }
-                    if children.len() > MAX_KEYS {
-                        let mid = children.len() / 2;
-                        let rchildren = children.split_off(mid);
-                        let rseps = seps.split_off(mid);
-                        let sep = seps.pop().expect("non-empty separators");
-                        let left = this.store(&Node::Internal { seps, children }).await?;
-                        let right = this
-                            .store(&Node::Internal {
-                                seps: rseps,
-                                children: rchildren,
-                            })
-                            .await?;
-                        Ok(InsertResult::Split(left, sep, right))
-                    } else {
-                        Ok(InsertResult::Single(
-                            this.store(&Node::Internal { seps, children }).await?,
-                        ))
-                    }
-                }
+        match keys.binary_search_by(|k| k.as_slice().cmp(key)) {
+            Ok(i) => vals[i] = value.to_vec(),
+            Err(i) => {
+                keys.insert(i, key.to_vec());
+                vals.insert(i, value.to_vec());
             }
-        })
+        }
+        let mut batch = Batch::new(self.shared.log.tail());
+        let carry = batch.push_leaf(keys, vals);
+        let new_root = batch.push_path(&path, carry);
+        self.commit(batch, new_root, &path).await
     }
 
     /// Removes a key (no-op if absent). Nodes may underflow by design.
@@ -578,51 +890,25 @@ impl<L: AppendLog + 'static> Tree<L> {
     ///
     /// Propagates log failures.
     pub async fn delete(&self, key: &[u8]) -> Result<bool, TreeError> {
-        let Some(root) = *self.root.lock() else {
+        let _writer = self.shared.writer.acquire().await;
+        let Some(root) = self.root() else {
             return Ok(false);
         };
-        let (new_root, removed) = self.delete_rec(root, key).await?;
-        if removed {
-            self.commit(new_root).await?;
-        }
-        Ok(removed)
-    }
-
-    fn delete_rec<'a>(
-        &'a self,
-        at: u64,
-        key: &'a [u8],
-    ) -> BoxFuture<Result<(u64, bool), TreeError>>
-    where
-        L: 'static,
-    {
-        let this = self.clone();
-        let key = key.to_vec();
-        Box::pin(async move {
-            match this.load(at).await? {
-                Node::Leaf { mut keys, mut vals } => {
-                    match keys.binary_search_by(|k| k.as_slice().cmp(&key[..])) {
-                        Ok(i) => {
-                            keys.remove(i);
-                            vals.remove(i);
-                            let off = this.store(&Node::Leaf { keys, vals }).await?;
-                            Ok((off, true))
-                        }
-                        Err(_) => Ok((at, false)),
-                    }
-                }
-                Node::Internal { seps, mut children } => {
-                    let idx = seps.iter().take_while(|s| key >= **s).count();
-                    let (child, removed) = this.delete_rec(children[idx], &key).await?;
-                    if !removed {
-                        return Ok((at, false));
-                    }
-                    children[idx] = child;
-                    let off = this.store(&Node::Internal { seps, children }).await?;
-                    Ok((off, true))
-                }
-            }
-        })
+        let Walk {
+            path,
+            mut keys,
+            mut vals,
+        } = self.descend(root, key).await?;
+        let Ok(i) = keys.binary_search_by(|k| k.as_slice().cmp(key)) else {
+            return Ok(false);
+        };
+        keys.remove(i);
+        vals.remove(i);
+        let mut batch = Batch::new(self.shared.log.tail());
+        let leaf = batch.push(Node::Leaf { keys, vals });
+        let new_root = batch.push_path(&path, Carry::One(leaf));
+        self.commit(batch, new_root, &path).await?;
+        Ok(true)
     }
 
     /// Every key/value pair in key order.
@@ -631,22 +917,18 @@ impl<L: AppendLog + 'static> Tree<L> {
     ///
     /// Propagates log failures.
     pub async fn scan(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>, TreeError> {
-        let Some(root) = *self.root.lock() else {
+        let Some(root) = self.root() else {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
         let mut stack = vec![root];
         // Depth-first, children pushed in reverse for in-order output.
         while let Some(at) = stack.pop() {
-            match self.load(at).await? {
+            match Arc::unwrap_or_clone(self.load(at).await?) {
                 Node::Leaf { keys, vals } => {
                     out.extend(keys.into_iter().zip(vals));
                 }
-                Node::Internal { children, .. } => {
-                    for c in children.into_iter().rev() {
-                        stack.push(c);
-                    }
-                }
+                Node::Internal { children, .. } => stack.extend(children.into_iter().rev()),
             }
         }
         Ok(out)
@@ -668,18 +950,13 @@ impl<L: AppendLog + 'static> Tree<L> {
 
     /// Counters.
     pub fn stats(&self) -> TreeStats {
-        *self.stats.lock()
+        self.shared.state.lock().stats
     }
 
     /// Exposes the log for fault injection in tests.
     pub fn log(&self) -> &L {
-        &self.log
+        &self.shared.log
     }
-}
-
-enum InsertResult {
-    Single(u64),
-    Split(u64, Vec<u8>, u64),
 }
 
 #[cfg(test)]
@@ -866,5 +1143,526 @@ mod tests {
                 0
             });
         }
+    }
+
+    /// The bit-at-a-time CRC-32 the table is built from, as the reference.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    mirage_testkit::property! {
+        #![cases(64)]
+        /// The table-driven CRC equals the bitwise reference.
+        fn prop_crc32_table_matches_bitwise(data in collection::vec(any::<u8>(), 0..3000)) {
+            assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+    }
+
+    // ------------------------------------------------------- the I/O budget
+
+    /// A `MemDisk` that counts device reads and writes and, given a
+    /// runtime, yields before each so that tasks interleave inside an I/O.
+    #[derive(Clone)]
+    struct Probe {
+        disk: MemDisk,
+        io: Arc<Mutex<(u64, u64)>>,
+        yield_with: Option<Runtime>,
+    }
+
+    impl Probe {
+        fn new(yield_with: Option<Runtime>) -> Probe {
+            Probe {
+                disk: MemDisk::new(1 << 16),
+                io: Arc::default(),
+                yield_with,
+            }
+        }
+
+        /// `(reads, writes)` since the last call.
+        fn take(&self) -> (u64, u64) {
+            std::mem::take(&mut *self.io.lock())
+        }
+
+        fn counted<T: Send + 'static>(
+            &self,
+            count: fn(&mut (u64, u64)),
+            io: BoxFuture<T>,
+        ) -> BoxFuture<T> {
+            count(&mut self.io.lock());
+            let yield_with = self.yield_with.clone();
+            Box::pin(async move {
+                if let Some(rt) = yield_with {
+                    rt.yield_now().await;
+                }
+                io.await
+            })
+        }
+    }
+
+    impl BlockIo for Probe {
+        fn sector_count(&self) -> u64 {
+            self.disk.sector_count()
+        }
+
+        fn read(&self, sector: u64, count: u32) -> BoxFuture<Result<Vec<u8>, BlockError>> {
+            self.counted(|io| io.0 += 1, self.disk.read(sector, count))
+        }
+
+        fn write(&self, sector: u64, data: Vec<u8>) -> BoxFuture<Result<(), BlockError>> {
+            self.counted(|io| io.1 += 1, self.disk.write(sector, data))
+        }
+    }
+
+    fn key(k: u32) -> Vec<u8> {
+        format!("key{k:08}").into_bytes()
+    }
+
+    /// The benchmark's tree: 3 000 keys of 128-byte values, preloaded in
+    /// key order.
+    async fn preload<L: AppendLog + 'static>(log: L) -> Tree<L> {
+        let tree = Tree::new(log);
+        for k in 0..3000 {
+            tree.set(&key(k), &[k as u8; 128]).await.unwrap();
+        }
+        tree
+    }
+
+    #[test]
+    fn get_costs_one_read_and_set_one_read_one_write() {
+        run_case(|_rt| async move {
+            let probe = Probe::new(None);
+            let tree = preload(BlockLog::new(probe.clone(), 0)).await;
+            let st = tree.stats();
+            assert_eq!(
+                probe.take(),
+                (st.node_reads, st.appends),
+                "every device read loaded a node: none was made by an append"
+            );
+            assert_eq!(st.appends, st.commits);
+
+            for k in [0, 1499, 2999] {
+                let before = tree.stats();
+                assert_eq!(tree.get(&key(k)).await.unwrap(), Some(vec![k as u8; 128]));
+                assert_eq!(
+                    probe.take(),
+                    (1, 0),
+                    "a get reads its leaf and nothing else"
+                );
+                let after = tree.stats();
+                assert_eq!(after.node_reads - before.node_reads, 1);
+                assert_eq!(after.cache_hits - before.cache_hits, 3, "a height-4 tree");
+            }
+
+            tree.set(&key(1499), b"replaced").await.unwrap();
+            assert_eq!(
+                probe.take(),
+                (1, 1),
+                "a set reads its leaf and writes its batch"
+            );
+
+            // New keys into one leaf until it splits.
+            let mut split = false;
+            for i in 0..10u8 {
+                let before = tree.stats().nodes_written;
+                let mut k = key(100);
+                k.push(b'a' + i);
+                tree.set(&k, b"new").await.unwrap();
+                assert_eq!(probe.take(), (1, 1));
+                split |= tree.stats().nodes_written - before > 4;
+            }
+            assert!(split, "ten keys into a half-full leaf split it");
+            0
+        });
+    }
+
+    #[test]
+    fn a_remount_mid_sector_reads_the_tail_back_once_and_keeps_it() {
+        run_case(|_rt| async move {
+            let probe = Probe::new(None);
+            let first: Vec<u8> = (0..700u32).map(|i| i as u8).collect();
+            BlockLog::new(probe.clone(), 0)
+                .append(first.clone())
+                .await
+                .unwrap();
+            assert_eq!(probe.take(), (0, 1), "an aligned tail needs no read");
+
+            let log = BlockLog::new(probe.clone(), 700);
+            assert_eq!(log.append(vec![0xB0; 300]).await.unwrap(), 700);
+            assert_eq!(probe.take(), (1, 1), "the tail sector is read back, once");
+            assert_eq!(log.append(vec![0xC0; 100]).await.unwrap(), 1000);
+            assert_eq!(probe.take(), (0, 1), "and kept in memory from then on");
+            let expect = [first.clone(), vec![0xB0; 300], vec![0xC0; 100]].concat();
+            assert_eq!(log.read_at(0, 1100).await.unwrap(), expect);
+
+            log.truncate(900);
+            probe.take();
+            assert_eq!(log.append(vec![0xD0; 50]).await.unwrap(), 900);
+            assert_eq!(probe.take(), (1, 1), "a truncate forgets the tail");
+            let expect = [&expect[..900], &[0xD0; 50]].concat();
+            assert_eq!(log.read_at(0, 950).await.unwrap(), expect);
+            0
+        });
+    }
+
+    async fn live_interior_nodes<L: AppendLog + 'static>(tree: &Tree<L>) -> usize {
+        let mut count = 0;
+        let mut stack: Vec<u64> = tree.root().into_iter().collect();
+        while let Some(at) = stack.pop() {
+            let rec = read_record(tree.log(), at).await.unwrap();
+            if let Some(Node::Internal { children, .. }) =
+                Node::decode(rec.tag(), rec.payload(), at)
+            {
+                count += 1;
+                stack.extend(children);
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn the_cache_holds_the_live_interior_nodes_and_no_more() {
+        run_case(|_rt| async move {
+            let tree = preload(MemLog::new()).await;
+            let mut rng =
+                mirage_testkit::rng::Rng::for_stream(mirage_testkit::test_seed(), "btree-cache");
+            for _ in 0..10_000 {
+                let k = key(rng.gen_range(0u32..3500));
+                match rng.gen_range(0u32..10) {
+                    0..=5 => drop(tree.get(&k).await.unwrap()),
+                    6..=8 => tree.set(&k, &[7; 128]).await.unwrap(),
+                    _ => drop(tree.delete(&k).await.unwrap()),
+                }
+                assert!(tree.shared.state.lock().cache.len() <= CACHE_NODES);
+            }
+            // Every commit evicted the path it superseded, so nothing dead
+            // is left, and nothing live has had to be read twice.
+            let cached = tree.shared.state.lock().cache.len();
+            assert_eq!(cached, live_interior_nodes(&tree).await);
+            0
+        });
+    }
+
+    #[test]
+    fn the_cache_is_bounded_keeps_what_is_used_and_refuses_leaves() {
+        let interior = |child| {
+            Arc::new(Node::Internal {
+                seps: Vec::new(),
+                children: vec![child],
+            })
+        };
+        let mut cache = NodeCache::default();
+        cache.insert(
+            0,
+            &Arc::new(Node::Leaf {
+                keys: Vec::new(),
+                vals: Vec::new(),
+            }),
+        );
+        assert_eq!(cache.len(), 0, "leaves are not cached");
+        for at in 1..=10 * CACHE_NODES as u64 {
+            cache.insert(at, &interior(at));
+            assert!(cache.len() <= CACHE_NODES);
+            // Offset 1 is looked up throughout, offset 2 never again.
+            assert!(cache.get(1).is_some(), "a node in use survives");
+        }
+        assert!(cache.get(2).is_none(), "an unused node ages out");
+        cache.remove(1);
+        assert!(cache.get(1).is_none());
+    }
+
+    // ------------------------------------------------------------- writers
+
+    #[test]
+    fn interleaved_writers_lose_no_update() {
+        run_case(|rt| async move {
+            let tree = Tree::new(BlockLog::new(Probe::new(Some(rt.clone())), 0));
+            let writers: Vec<_> = (0..2u32)
+                .map(|w| {
+                    let (tree, rt2) = (tree.clone(), rt.clone());
+                    rt.spawn(async move {
+                        for i in 0..200u32 {
+                            tree.set(&key(i * 2 + w), &[w as u8; 16]).await.unwrap();
+                            rt2.yield_now().await;
+                        }
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.await;
+            }
+            assert_eq!(tree.stats().commits, 400);
+            let model: std::collections::BTreeMap<_, _> = (0..400u32)
+                .map(|k| (key(k), vec![(k % 2) as u8; 16]))
+                .collect();
+            for (k, v) in &model {
+                assert_eq!(tree.get(k).await.unwrap().as_ref(), Some(v));
+            }
+            assert_eq!(
+                tree.scan().await.unwrap(),
+                model.into_iter().collect::<Vec<_>>()
+            );
+            0
+        });
+    }
+
+    #[test]
+    fn the_writer_lock_is_fifo_and_skips_waiters_that_gave_up() {
+        use std::future::Future;
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        let lock = WriterLock::default();
+        let mut first = Box::pin(lock.acquire());
+        let std::task::Poll::Ready(holder) = first.as_mut().poll(&mut cx) else {
+            panic!("a free lock is taken at once");
+        };
+        let mut gave_up_early = Box::pin(lock.acquire());
+        let mut gave_up_late = Box::pin(lock.acquire());
+        let mut patient = Box::pin(lock.acquire());
+        assert!(gave_up_early.as_mut().poll(&mut cx).is_pending());
+        assert!(gave_up_late.as_mut().poll(&mut cx).is_pending());
+        assert!(patient.as_mut().poll(&mut cx).is_pending());
+
+        drop(gave_up_early); // before the hand-over: its sender finds no receiver
+        drop(holder);
+        assert!(
+            patient.as_mut().poll(&mut cx).is_pending(),
+            "FIFO: not its turn yet"
+        );
+        drop(gave_up_late); // after the hand-over: the guard dies in its channel
+        let std::task::Poll::Ready(guard) = patient.as_mut().poll(&mut cx) else {
+            panic!("the lock passed over both waiters that gave up");
+        };
+        drop(guard);
+        assert!(!lock.state.lock().held);
+    }
+
+    /// A log with a second writer: every append finds a stray byte has
+    /// been appended first.
+    struct ContendedLog(MemLog);
+
+    impl AppendLog for ContendedLog {
+        fn append(&self, data: Vec<u8>) -> BoxFuture<Result<u64, BlockError>> {
+            let log = self.0.clone();
+            Box::pin(async move {
+                log.append(vec![0xEE]).await?;
+                log.append(data).await
+            })
+        }
+        fn read_at(&self, offset: u64, len: usize) -> BoxFuture<Result<Vec<u8>, BlockError>> {
+            self.0.read_at(offset, len)
+        }
+        fn tail(&self) -> u64 {
+            self.0.tail()
+        }
+        fn truncate(&self, len: u64) {
+            self.0.truncate(len)
+        }
+    }
+
+    #[test]
+    fn a_batch_that_lands_off_its_offsets_is_refused_and_removed() {
+        run_case(|_rt| async move {
+            let log = MemLog::new();
+            Tree::new(log.clone()).set(b"kept", b"1").await.unwrap();
+            let tree = Tree::recover(ContendedLog(log.clone())).await.unwrap();
+            assert_eq!(tree.set(b"lost", b"2").await, Err(TreeError::Corrupt));
+            assert_eq!(tree.get(b"lost").await.unwrap(), None);
+            let tree = Tree::recover(log).await.unwrap();
+            assert_eq!(
+                tree.scan().await.unwrap(),
+                vec![(b"kept".to_vec(), b"1".to_vec())]
+            );
+            0
+        });
+    }
+
+    // ------------------------------------------------- crash consistency
+
+    fn mem_log_of(bytes: &[u8]) -> MemLog {
+        MemLog {
+            data: Arc::new(Mutex::new(bytes.to_vec())),
+        }
+    }
+
+    /// A disk holding `bytes` and zeroes after, mounted as after a crash:
+    /// with no knowledge of where the log ends.
+    fn disk_log_of(bytes: &[u8]) -> BlockLog<MemDisk> {
+        let disk = MemDisk::new(1 << 12);
+        disk.patch(0, bytes);
+        let mounted = (bytes.len() as u64).next_multiple_of(SECTOR as u64) + 2 * SECTOR as u64;
+        BlockLog::new(disk, mounted)
+    }
+
+    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Runs `ops` against a tree and a model that is snapshotted at every
+    /// acknowledged commit, then crashes the log at each cut — every
+    /// `granule`-aligned offset inside the last batch, its two ends, and
+    /// seeded offsets elsewhere — and requires recovery to yield exactly
+    /// the snapshot of the last commit record that lies wholly below the
+    /// cut, and a tree that a further commit and crash leave intact.
+    async fn crash_oracle<L: AppendLog + 'static>(
+        ops: Vec<(bool, u16, Vec<u8>)>,
+        cut_seed: u64,
+        granule: u64,
+        log_of: fn(&[u8]) -> L,
+    ) {
+        let tree = Tree::recover(log_of(&[])).await.unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        let mut commits: Vec<(u64, Pairs)> = vec![(0, Vec::new())];
+        for (is_set, keyid, val) in ops {
+            let key = format!("key{keyid}").into_bytes();
+            let before = tree.stats().commits;
+            if is_set {
+                tree.set(&key, &val).await.unwrap();
+                model.insert(key, val);
+            } else {
+                assert_eq!(
+                    tree.delete(&key).await.unwrap(),
+                    model.remove(&key).is_some()
+                );
+            }
+            if tree.stats().commits > before {
+                commits.push((tree.log().tail(), model.clone().into_iter().collect()));
+            }
+        }
+        let end = tree.log().tail();
+        let image = tree.log().read_at(0, end as usize).await.unwrap();
+        let last_batch = commits[commits.len().saturating_sub(2)].0;
+
+        let mut cuts = vec![last_batch, end];
+        cuts.extend((last_batch + 1..end).filter(|c| c % granule == 0));
+        let mut rng = mirage_testkit::rng::Rng::new(cut_seed);
+        cuts.extend((0..16).map(|_| rng.gen_range(0..=end) / granule * granule));
+
+        for cut in cuts {
+            let (_, expect) = commits
+                .iter()
+                .rev()
+                .find(|(at, _)| *at <= cut)
+                .expect("commit 0");
+            let tree = Tree::recover(log_of(&image[..cut as usize])).await.unwrap();
+            assert_eq!(&tree.scan().await.unwrap(), expect, "cut at {cut} of {end}");
+
+            tree.set(b"zz-after-crash", b"!").await.unwrap();
+            let tail = tree.log().tail();
+            let image = tree.log().read_at(0, tail as usize).await.unwrap();
+            let tree = Tree::recover(log_of(&image)).await.unwrap();
+            let mut expect = expect.clone();
+            expect.push((b"zz-after-crash".to_vec(), b"!".to_vec()));
+            assert_eq!(
+                tree.scan().await.unwrap(),
+                expect,
+                "second crash, first cut at {cut}"
+            );
+        }
+    }
+
+    mirage_testkit::property! {
+        #![cases(12)]
+        /// A log cut at any byte recovers to a commit, never to a mix.
+        fn prop_crash_oracle_mem_log(
+            ops in collection::vec((any::<bool>(), 0u16..40, collection::vec(any::<u8>(), 0..40)), 1..60),
+            cut_seed in any::<u64>(),
+        ) {
+            run_case(move |_rt| async move {
+                crash_oracle(ops, cut_seed, 1, mem_log_of).await;
+                0
+            });
+        }
+
+        /// The same for a disk that persists whole sectors of a write, in
+        /// order, and is remounted without a known length.
+        fn prop_crash_oracle_block_log(
+            ops in collection::vec((any::<bool>(), 0u16..40, collection::vec(any::<u8>(), 0..200)), 1..60),
+            cut_seed in any::<u64>(),
+        ) {
+            run_case(move |_rt| async move {
+                crash_oracle(ops, cut_seed, SECTOR as u64, disk_log_of).await;
+                0
+            });
+        }
+    }
+
+    #[test]
+    fn hostile_pointers_and_lengths_are_corrupt_not_panics() {
+        run_case(|_rt| async move {
+            // Values that read as record headers claiming more than the log
+            // holds, more than any record may, and everything.
+            let claims = [1000u32, MAX_PAYLOAD as u32 + 1, u32::MAX];
+            let header = |claimed: u32| [&[TAG_LEAF][..], &claimed.to_le_bytes()].concat();
+            let base = {
+                let tree = Tree::new(MemLog::new());
+                for claimed in claims {
+                    let value = [header(claimed), vec![0; 40]].concat();
+                    tree.set(&claimed.to_le_bytes(), &value).await.unwrap();
+                }
+                let tail = tree.log().tail();
+                tree.log().read_at(0, tail as usize).await.unwrap()
+            };
+            let at = base.len() as u64;
+            // `base` and then a commit record naming `root`.
+            let rooted_at = |root: u64| {
+                let mut log = base.clone();
+                put_record(&mut log, TAG_COMMIT, |out| {
+                    out.extend_from_slice(&root.to_le_bytes());
+                    out.extend_from_slice(&9u64.to_le_bytes());
+                });
+                log
+            };
+            let mut hostile: Vec<Vec<u8>> = Vec::new();
+
+            // A root inside a value, where such a header is.
+            for claimed in claims {
+                let header = header(claimed);
+                let inside = base
+                    .windows(HEADER)
+                    .position(|w| w == header)
+                    .expect("stored");
+                hostile.push(rooted_at(inside as u64));
+            }
+            // A root within a record's framing of the tail, at it, past it.
+            let tail = at + (FRAMING + 16) as u64;
+            hostile.extend([tail - 8, tail, tail + 100].map(rooted_at));
+            // A root that is not a node: the commit record itself.
+            hostile.push(rooted_at(at));
+            // An interior node whose child pointer does not go backwards,
+            // and one with no children.
+            let mut forward = Vec::new();
+            Node::Internal {
+                seps: Vec::new(),
+                children: vec![at],
+            }
+            .encode(&mut forward);
+            for payload in [forward, 0u16.to_le_bytes().to_vec()] {
+                let mut log = base.clone();
+                put_record(&mut log, TAG_NODE, |out| out.extend_from_slice(&payload));
+                log.extend_from_slice(&rooted_at(at)[base.len()..]);
+                hostile.push(log);
+            }
+
+            for (i, log) in hostile.into_iter().enumerate() {
+                let tree = Tree::recover(mem_log_of(&log)).await.unwrap();
+                assert!(
+                    tree.root().is_some_and(|r| r != 0),
+                    "case {i}: the hostile commit is found"
+                );
+                assert_eq!(tree.get(b"k").await, Err(TreeError::Corrupt), "case {i}");
+                assert_eq!(tree.scan().await, Err(TreeError::Corrupt), "case {i}");
+                assert_eq!(
+                    tree.set(b"k", b"w").await,
+                    Err(TreeError::Corrupt),
+                    "case {i}"
+                );
+            }
+            0
+        });
     }
 }

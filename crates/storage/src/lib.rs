@@ -13,7 +13,8 @@
 //!   baseline.
 //! * [`fat`] — the FAT-32 filesystem with sector-at-a-time read iterators.
 //! * [`btree`] — the append-only copy-on-write B-tree (Baardskeerder port)
-//!   with checksummed commits and torn-write recovery.
+//!   with checksummed commits and torn-write recovery: one log read per
+//!   node, one append per commit, interior nodes cached.
 //! * [`kv`] — the simple key-value store.
 //! * [`memcache`] — the memcache text protocol over the KV store.
 //! * [`memo`] — the response-memoization library behind the paper's DNS
