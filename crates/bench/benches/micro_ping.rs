@@ -6,7 +6,8 @@
 
 use mirage_baseline::TcpEndpoint;
 use mirage_bench::report;
-use mirage_devices::netfront::{CopyDiscipline, Netfront};
+use mirage_devices::netfront::CopyDiscipline;
+use mirage_devices::Backend;
 use mirage_devices::{DriverDomain, Tap, Xenstore};
 use mirage_hypervisor::{CostTable, Dur, Hypervisor, Time};
 use mirage_net::{ethernet, icmp, ipv4, Ipv4Addr, Mac, Stack, StackConfig};
@@ -24,7 +25,7 @@ fn flood_ping(n: usize) -> usize {
     dom0.add_tap(tap.clone());
     let d0 = hv.create_domain("dom0", 512, Box::new(dom0));
 
-    let (front, nh) = Netfront::new(xs.clone(), "target", Mac::local(1).0, CopyDiscipline::ZeroCopy);
+    let (front, nh) = Backend::XenRing.net(xs.clone(), "target", Mac::local(1).0, CopyDiscipline::ZeroCopy);
     let mut guest = UnikernelGuest::new(move |_env, rt| {
         let _stack = Stack::spawn(rt, nh, StackConfig::static_ip(TARGET_IP));
         rt.spawn(async move {
@@ -33,7 +34,7 @@ fn flood_ping(n: usize) -> usize {
             0i64
         })
     });
-    guest.add_device(Box::new(front));
+    guest.add_device(front);
     hv.create_domain("target", 64, Box::new(guest));
     hv.run_until(Time::ZERO + Dur::millis(50));
 

@@ -5,7 +5,8 @@
 //! evidence the paper's design depends on.
 
 use mirage_cstruct::{copy_counters, reset_copy_counters, CopyCounters, PagePool};
-use mirage_devices::netfront::{CopyDiscipline, Netfront};
+use mirage_devices::netfront::CopyDiscipline;
+use mirage_devices::Backend;
 use mirage_devices::{DriverDomain, NetProfile, Xenstore};
 use mirage_http::{HandlerFuture, HttpConnection, HttpServer, Request, Response, Router};
 use mirage_hypervisor::{Dur, Hypervisor, Time};
@@ -30,7 +31,7 @@ fn transfer(discipline: CopyDiscipline, bytes: usize) -> (f64, u64) {
         )),
     );
 
-    let (front_rx, nh_rx) = Netfront::new(xs.clone(), "rx", Mac::local(2).0, discipline);
+    let (front_rx, nh_rx) = Backend::XenRing.net(xs.clone(), "rx", Mac::local(2).0, discipline);
     let mut rx = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_rx, StackConfig::static_ip(RX_IP));
         let rt2 = rt.clone();
@@ -45,10 +46,10 @@ fn transfer(discipline: CopyDiscipline, bytes: usize) -> (f64, u64) {
             rt2.now().as_nanos() as i64
         })
     });
-    rx.add_device(Box::new(front_rx));
+    rx.add_device(front_rx);
     let rx_dom = hv.create_domain("rx", 64, Box::new(rx));
 
-    let (front_tx, nh_tx) = Netfront::new(xs.clone(), "tx", Mac::local(1).0, discipline);
+    let (front_tx, nh_tx) = Backend::XenRing.net(xs.clone(), "tx", Mac::local(1).0, discipline);
     let mut tx = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_tx, StackConfig::static_ip(TX_IP));
         let rt2 = rt.clone();
@@ -68,7 +69,7 @@ fn transfer(discipline: CopyDiscipline, bytes: usize) -> (f64, u64) {
             0i64
         })
     });
-    tx.add_device(Box::new(front_tx));
+    tx.add_device(front_tx);
     hv.create_domain("tx", 64, Box::new(tx));
 
     hv.run_until(Time::ZERO + Dur::secs(300));
@@ -97,7 +98,7 @@ fn http_static_copy_audit(file_len: usize, requests: usize) -> (CopyCounters, u6
     let file: Vec<u8> = (0..file_len).map(|i| (i % 251) as u8).collect();
     let expect = file.clone();
 
-    let (front_s, nh_s) = Netfront::new(
+    let (front_s, nh_s) = Backend::XenRing.net(
         xs.clone(),
         "static",
         Mac::local(80).0,
@@ -116,10 +117,10 @@ fn http_static_copy_audit(file_len: usize, requests: usize) -> (CopyCounters, u6
             server.serve(rt2, listener).await
         })
     });
-    appliance.add_device(Box::new(front_s));
+    appliance.add_device(front_s);
     hv.create_domain("static-web", 64, Box::new(appliance));
 
-    let (front_c, nh_c) = Netfront::new(
+    let (front_c, nh_c) = Backend::XenRing.net(
         xs.clone(),
         "fetch",
         Mac::local(99).0,
@@ -140,7 +141,7 @@ fn http_static_copy_audit(file_len: usize, requests: usize) -> (CopyCounters, u6
             0
         })
     });
-    client.add_device(Box::new(front_c));
+    client.add_device(front_c);
     let cdom = hv.create_domain("fetcher", 64, Box::new(client));
 
     reset_copy_counters();

@@ -2,7 +2,7 @@
 //! through the real blkfront ring against the PCIe-SSD disk model, with
 //! and without a kernel-style buffer cache.
 
-use mirage_devices::{Blkfront, DriverDomain, Xenstore};
+use mirage_devices::{Backend, DriverDomain, Xenstore};
 use mirage_hypervisor::{Dur, Hypervisor, Time};
 use mirage_runtime::UnikernelGuest;
 use mirage_storage::{BlkDevice, BlockIo, BufferCache};
@@ -61,7 +61,7 @@ pub fn random_read_throughput_seeded(
     let mut hv = Hypervisor::new();
     hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
-    let (front, handle) = Blkfront::new(xs.clone(), "vda", disk_sectors);
+    let (front, handle) = Backend::XenRing.blk(xs.clone(), "vda", disk_sectors);
     let mut guest = UnikernelGuest::new(move |_env, rt| {
         let rt2 = rt.clone();
         rt.spawn(async move {
@@ -93,7 +93,7 @@ pub fn random_read_throughput_seeded(
             0i64
         })
     });
-    guest.add_device(Box::new(front));
+    guest.add_device(front);
     let dom = hv.create_domain("fio", 128, Box::new(guest));
 
     let t0 = hv.now();

@@ -1,28 +1,27 @@
-//! Blkfront and the simulated disk (paper §3.4, §4.1.3).
+//! blkfront and the simulated disk (paper §3.4, §4.1.3).
 //!
 //! "Mirage block devices share the same Ring abstraction as network
 //! devices, using the same I/O pages to provide efficient block-level
 //! access, with filesystems and caching provided as OCaml libraries"
 //! (§3.5.2). The frontend here is deliberately minimal: sector-addressed
 //! reads and writes, one page per request, all writes direct — "the only
-//! built-in policy being that all writes are guaranteed to be direct".
+//! built-in policy being that all writes are guaranteed to be direct". Like
+//! the NIC it is written once over `transport::FrontTransport`.
 //!
 //! The backend's storage is a [`SimulatedDisk`] parameterised by a
 //! [`DiskProfile`]; the default profile models the paper's "fast
 //! PCI-express SSD storage device" from Figure 9.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use mirage_testkit::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
 
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId, Dur};
-use mirage_ring::FrontRing;
 use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
+use crate::driver::{Backend, BlkDriver};
+use crate::transport::{find_backend, DataBuf, Dir, FrontTransport, Link};
 use crate::xenstore::Xenstore;
 
 /// Bytes per disk sector.
@@ -192,23 +191,22 @@ impl std::fmt::Debug for BlkHandle {
 }
 
 pub(crate) mod wire {
-    //! Block descriptor encoding (rides in ring slots).
+    //! Block request header encoding (the transport names the data page).
 
     pub const OP_READ: u8 = 0;
     pub const OP_WRITE: u8 = 1;
 
-    pub fn req(op: u8, id: u64, sector: u64, count: u16, gref: u32) -> Vec<u8> {
-        let mut d = Vec::with_capacity(23);
-        d.push(op);
-        d.extend_from_slice(&id.to_le_bytes());
-        d.extend_from_slice(&sector.to_le_bytes());
-        d.extend_from_slice(&count.to_le_bytes());
-        d.extend_from_slice(&gref.to_le_bytes());
+    pub fn req(op: u8, id: u64, sector: u64, count: u16) -> [u8; 19] {
+        let mut d = [0u8; 19];
+        d[0] = op;
+        d[1..9].copy_from_slice(&id.to_le_bytes());
+        d[9..17].copy_from_slice(&sector.to_le_bytes());
+        d[17..19].copy_from_slice(&count.to_le_bytes());
         d
     }
 
-    pub fn parse_req(d: &[u8]) -> Option<(u8, u64, u64, u16, u32)> {
-        if d.len() != 23 {
+    pub fn parse_req(d: &[u8]) -> Option<(u8, u64, u64, u16)> {
+        if d.len() != 19 {
             return None;
         }
         Some((
@@ -216,34 +214,8 @@ pub(crate) mod wire {
             u64::from_le_bytes(d[1..9].try_into().ok()?),
             u64::from_le_bytes(d[9..17].try_into().ok()?),
             u16::from_le_bytes(d[17..19].try_into().ok()?),
-            u32::from_le_bytes(d[19..23].try_into().ok()?),
         ))
     }
-
-    pub fn rsp(id: u64, ok: bool, gref: u32) -> Vec<u8> {
-        let mut d = Vec::with_capacity(13);
-        d.extend_from_slice(&id.to_le_bytes());
-        d.push(ok as u8);
-        d.extend_from_slice(&gref.to_le_bytes());
-        d
-    }
-
-    pub fn parse_rsp(d: &[u8]) -> Option<(u64, bool, u32)> {
-        if d.len() != 13 {
-            return None;
-        }
-        Some((
-            u64::from_le_bytes(d[0..8].try_into().ok()?),
-            d[8] != 0,
-            u32::from_le_bytes(d[9..13].try_into().ok()?),
-        ))
-    }
-}
-
-enum BlkFrontState {
-    Init,
-    WaitPort,
-    Connected,
 }
 
 struct Inflight {
@@ -254,153 +226,115 @@ struct Inflight {
     read_bytes: usize,
 }
 
-/// The blkfront device driver ([`DeviceService`]).
-pub struct Blkfront {
-    xs: Xenstore,
-    name: String,
+/// The block frontend ([`DeviceService`]), created through
+/// [`Backend::blk`](crate::driver::Backend::blk).
+pub(crate) struct Blkif<T> {
+    dir: Dir,
     disk_sectors: u64,
-    state: BlkFrontState,
-    registered_watch: bool,
-    ring: Option<FrontRing>,
+    link: Link,
+    queue: Option<T>,
     port: Option<Port>,
-    backend: Option<DomainId>,
     free_pages: Vec<(GrantRef, SharedPage)>,
+    /// Requests out with the backend, by request token.
     inflight: HashMap<u32, Inflight>,
     from_stack: Receiver<BlkRequest>,
     to_stack: Sender<BlkCompletion>,
-    backlog: std::collections::VecDeque<BlkRequest>,
-    requests_done: Arc<Mutex<u64>>,
+    backlog: VecDeque<BlkRequest>,
 }
 
-impl Blkfront {
+impl<T: FrontTransport> Blkif<T> {
     /// Creates the driver and its stack-facing handle, requesting a virtual
     /// disk of `disk_sectors` sectors from the backend.
-    pub fn new(
+    pub(crate) fn create(
         xs: Xenstore,
-        name: impl Into<String>,
+        name: String,
         disk_sectors: u64,
-    ) -> (Blkfront, BlkHandle) {
+    ) -> (Box<dyn BlkDriver>, BlkHandle) {
         let (submit_tx, submit_rx) = channel::channel();
         let (comp_tx, comp_rx) = channel::channel();
-        let front = Blkfront {
-            xs,
-            name: name.into(),
+        let front = Blkif::<T> {
+            dir: Dir {
+                xs,
+                base: format!("device/{}/{name}", T::BLK_DIR),
+            },
             disk_sectors,
-            state: BlkFrontState::Init,
-            registered_watch: false,
-            ring: None,
+            link: Link::Init,
+            queue: None,
             port: None,
-            backend: None,
             free_pages: Vec::new(),
             inflight: HashMap::new(),
             from_stack: submit_rx,
             to_stack: comp_tx,
-            backlog: std::collections::VecDeque::new(),
-            requests_done: Arc::new(Mutex::new(0)),
+            backlog: VecDeque::new(),
         };
         let handle = BlkHandle {
             submit: submit_tx,
             complete: comp_rx,
             sectors: disk_sectors,
         };
-        (front, handle)
+        (Box::new(front), handle)
     }
 
-    fn base(&self) -> String {
-        format!("device/blk/{}", self.name)
-    }
-
-    fn step_init(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        if !self.registered_watch {
-            self.xs.register_watcher(env.domid());
-            self.registered_watch = true;
-        }
-        let Some(backend) = self
-            .xs
-            .read(env, "backend-domid")
-            .and_then(|s| s.parse().ok())
-            .map(DomainId)
-        else {
+    fn advertise(&mut self, env: &mut DomainEnv<'_>) -> bool {
+        let Some(backend) = find_backend(env, &self.dir.xs) else {
             return false;
         };
-        self.backend = Some(backend);
-        let base = self.base();
-        let ring_page = SharedPage::new();
-        let gref = env.grant(backend, ring_page.clone(), true);
-        self.ring = Some(FrontRing::attach(ring_page));
-        let domid = env.domid().0.to_string();
-        self.xs.write(env, &format!("{base}/frontend-domid"), &domid);
-        self.xs.write(env, &format!("{base}/ring"), &gref.0.to_string());
-        self.xs
-            .write(env, &format!("{base}/sectors"), &self.disk_sectors.to_string());
-        self.xs.write(env, &format!("{base}/state"), "initialising");
-        self.state = BlkFrontState::WaitPort;
+        self.queue = Some(T::advertise_blk(env, &self.dir, backend));
+        self.dir.write(env, "sectors", self.disk_sectors);
+        self.dir.write(env, "state", "initialising");
+        self.link = Link::Advertised(backend);
         true
     }
 
-    fn step_wait_port(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let base = self.base();
-        let Some(port) = self
-            .xs
-            .read(env, &format!("{base}/event-port"))
-            .and_then(|s| s.parse().ok())
-            .map(Port)
-        else {
+    fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool {
+        let queue = self.queue.as_mut().expect("advertised");
+        let Some(port) = queue.attach_blk(env, &self.dir, backend, BLK_BUFFERS) else {
             return false;
         };
-        let backend = self.backend.expect("set in Init");
-        let local = env.evtchn_bind(backend, port).expect("backend allocated");
-        self.port = Some(local);
+        self.port = Some(port);
         for _ in 0..BLK_BUFFERS {
             let page = SharedPage::new();
-            let gref = env.grant(backend, page.clone(), true);
-            self.free_pages.push((gref, page));
+            self.free_pages
+                .push((env.grant(backend, page.clone(), true), page));
         }
-        self.xs.write(env, &format!("{base}/state"), "connected");
-        env.observe(&format!("blk-connected:{}", self.name));
-        self.state = BlkFrontState::Connected;
+        self.dir.write(env, "state", "connected");
+        env.observe(&format!("connected:{}", self.dir.base));
+        self.link = Link::Connected;
         true
     }
 
-    fn step_connected(&mut self, env: &mut DomainEnv<'_>) -> bool {
+    fn pass(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
         let port = self.port.expect("connected");
+        let queue = self.queue.as_mut().expect("connected");
         let _ = env.evtchn_consume(port);
 
-        // Completions.
-        let mut completions = Vec::new();
-        if let Some(ring) = self.ring.as_mut() {
-            while let Some(rsp) = ring.take_response() {
-                if let Some((_id, ok, gref)) = wire::parse_rsp(&rsp) {
-                    if let Some(inflight) = self.inflight.remove(&gref) {
-                        completions.push((inflight, ok));
-                    }
-                }
-            }
-        }
-        for (inflight, ok) in completions {
-            let data = if ok && inflight.op == BlkOp::Read {
-                let mut buf = vec![0u8; inflight.read_bytes];
-                inflight.page.read(|b| buf.copy_from_slice(&b[..inflight.read_bytes]));
-                Some(buf)
-            } else {
-                None
+        // Completions: for a read the device filled the data page first.
+        while let Some(done) = queue.reap() {
+            let Some(inflight) = self.inflight.remove(&done.token) else {
+                continue;
             };
+            let data = (done.ok && inflight.op == BlkOp::Read).then(|| {
+                let mut buf = vec![0u8; inflight.read_bytes];
+                inflight
+                    .page
+                    .read(|b| buf.copy_from_slice(&b[..inflight.read_bytes]));
+                buf
+            });
             let _ = self.to_stack.send(BlkCompletion {
                 id: inflight.id,
-                ok,
+                ok: done.ok,
                 data,
             });
             self.free_pages.push((inflight.gref, inflight.page));
-            *self.requests_done.lock() += 1;
             progressed = true;
         }
 
-        // Submissions.
+        // Submissions, one doorbell per pass.
         while let Some(req) = self.from_stack.try_recv() {
             self.backlog.push_back(req);
         }
-        let mut notify = false;
+        let mut bell = false;
         while let Some(req) = self.backlog.front() {
             if req.count > MAX_SECTORS_PER_REQ || req.count == 0 {
                 let req = self.backlog.pop_front().expect("peeked");
@@ -411,14 +345,12 @@ impl Blkfront {
                 });
                 continue;
             }
+            if !queue.room() {
+                break;
+            }
             let Some((gref, page)) = self.free_pages.pop() else {
                 break;
             };
-            let ring = self.ring.as_mut().expect("connected");
-            if ring.free_slots() == 0 {
-                self.free_pages.push((gref, page));
-                break;
-            }
             let req = self.backlog.pop_front().expect("peeked");
             let bytes = req.count as usize * SECTOR_SIZE;
             let op = match req.op {
@@ -433,57 +365,52 @@ impl Blkfront {
                     wire::OP_WRITE
                 }
             };
-            let desc = wire::req(op, req.id, req.sector, req.count, gref.0);
-            match ring.push_request(&desc) {
-                Ok(n) => {
-                    notify |= n;
-                    self.inflight.insert(
-                        gref.0,
-                        Inflight {
-                            id: req.id,
-                            op: req.op,
-                            gref,
-                            page,
-                            read_bytes: bytes,
-                        },
-                    );
-                    progressed = true;
-                }
-                Err(_) => {
-                    self.free_pages.push((gref, page));
-                    self.backlog.push_front(req);
-                    break;
-                }
-            }
+            let header = wire::req(op, req.id, req.sector, req.count);
+            let (token, b) = queue.post(&header, DataBuf::page(gref, bytes, req.op == BlkOp::Read));
+            bell |= b;
+            let read_bytes = bytes;
+            self.inflight.insert(
+                token,
+                Inflight {
+                    id: req.id,
+                    op: req.op,
+                    gref,
+                    page,
+                    read_bytes,
+                },
+            );
+            progressed = true;
         }
-        if notify {
+        if bell {
             let _ = env.evtchn_notify(port);
         }
-        if let Some(ring) = self.ring.as_mut() {
-            progressed |= ring.enable_response_notifications();
-        }
+        progressed |= queue.arm();
         progressed
     }
 }
 
-impl DeviceService for Blkfront {
+impl<T: FrontTransport> DeviceService for Blkif<T> {
     fn service(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
-        match self.state {
-            BlkFrontState::Init => self.step_init(env),
-            BlkFrontState::WaitPort => {
-                let p = self.step_wait_port(env);
-                if matches!(self.state, BlkFrontState::Connected) {
-                    self.step_connected(env) || p
-                } else {
-                    p
+        match self.link {
+            Link::Init => self.advertise(env),
+            Link::Advertised(backend) => {
+                self.connect(env, backend) && {
+                    self.pass(env);
+                    true
                 }
             }
-            BlkFrontState::Connected => self.step_connected(env),
+            Link::Connected => self.pass(env),
         }
     }
 
     fn watch_ports(&self) -> Vec<Port> {
         self.port.into_iter().collect()
+    }
+}
+
+impl<T: FrontTransport> BlkDriver for Blkif<T> {
+    fn backend(&self) -> Backend {
+        T::BACKEND
     }
 }
 
@@ -497,7 +424,11 @@ mod tests {
         let data = vec![0xAB; 2 * SECTOR_SIZE];
         disk.write(10, &data);
         assert_eq!(disk.read(10, 2), data);
-        assert_eq!(disk.read(12, 1), vec![0u8; SECTOR_SIZE], "unwritten is zero");
+        assert_eq!(
+            disk.read(12, 1),
+            vec![0u8; SECTOR_SIZE],
+            "unwritten is zero"
+        );
         assert_eq!(disk.written_sectors(), 2);
     }
 
@@ -525,10 +456,8 @@ mod tests {
 
     #[test]
     fn wire_round_trip() {
-        let d = wire::req(wire::OP_WRITE, 42, 1000, 8, 7);
-        assert_eq!(wire::parse_req(&d), Some((wire::OP_WRITE, 42, 1000, 8, 7)));
-        let r = wire::rsp(42, true, 7);
-        assert_eq!(wire::parse_rsp(&r), Some((42, true, 7)));
-        assert_eq!(wire::parse_req(&r), None, "length-discriminated");
+        let d = wire::req(wire::OP_WRITE, 42, 1000, 8);
+        assert_eq!(wire::parse_req(&d), Some((wire::OP_WRITE, 42, 1000, 8)));
+        assert_eq!(wire::parse_req(&d[..18]), None, "length-discriminated");
     }
 }

@@ -1,0 +1,208 @@
+//! Blkback: the driver domain's block service.
+//!
+//! One [`BlkBackend`] per virtual disk, over [`BackTransport`] — the same
+//! [`SimulatedDisk`], fault plan and NCQ-pipelined timing whichever ring
+//! ABI the frontend speaks.
+//!
+//! A request is the guest's word until validated: the header must parse,
+//! `0 < count <= MAX_SECTORS_PER_REQ`, `sector + count` must neither
+//! overflow nor pass the end of the disk, the data buffer must hold
+//! `count` sectors, and a read needs a device-writable buffer. Anything
+//! else is completed failed and counted in
+//! [`DriverStats::requests_rejected`].
+
+use std::collections::{BinaryHeap, HashMap};
+
+use mirage_testkit::rng::Rng;
+use mirage_testkit::sync::Mutex;
+
+use mirage_hypervisor::event::Port;
+use mirage_hypervisor::grant::SharedPage;
+use mirage_hypervisor::{DomainEnv, Time};
+
+use crate::blk::{wire, DiskProfile, SimulatedDisk, MAX_SECTORS_PER_REQ, SECTOR_SIZE};
+use crate::netback::DriverStats;
+use crate::netem::DiskFaultPlan;
+use crate::transport::{map_cached, BackQueue, DataBuf, Request};
+
+/// A request in service, completing at `done_at`. Its buffer stays owned
+/// by the device until then.
+struct Pending {
+    done_at: Time,
+    token: u32,
+    id: u64,
+    data: DataBuf,
+    is_read: bool,
+    ok: bool,
+    sector: u64,
+    count: u16,
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.done_at == other.done_at && self.id == other.id
+    }
+}
+impl Eq for Pending {}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Min-heap by completion time.
+        other
+            .done_at
+            .cmp(&self.done_at)
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
+
+/// The backend half of one virtual disk.
+pub(crate) struct BlkBackend {
+    port: Port,
+    queue: BackQueue,
+    /// Guest data pages mapped so far, by grant ref.
+    mapped: HashMap<u32, SharedPage>,
+    disk: SimulatedDisk,
+    busy_until: Time,
+    pending: BinaryHeap<Pending>,
+}
+
+impl BlkBackend {
+    pub(crate) fn new(port: Port, queue: BackQueue, profile: DiskProfile, sectors: u64) -> Self {
+        BlkBackend {
+            port,
+            queue,
+            mapped: HashMap::new(),
+            disk: SimulatedDisk::new(profile, sectors),
+            busy_until: Time::ZERO,
+            pending: BinaryHeap::new(),
+        }
+    }
+
+    pub(crate) fn event_port(&self) -> Port {
+        self.port
+    }
+
+    /// When the earliest request in service completes.
+    pub(crate) fn next_deadline(&self) -> Option<Time> {
+        self.pending.peek().map(|p| p.done_at)
+    }
+
+    /// Arms the queue before the driver domain blocks.
+    pub(crate) fn arm(&mut self) -> bool {
+        self.queue.arm()
+    }
+
+    /// `(is_read, id, sector, count)` of a request this disk can execute.
+    fn validate(&self, req: &Request) -> Option<(bool, u64, u64, u16)> {
+        let (op, id, sector, count) = wire::parse_req(&req.header)?;
+        let is_read = op == wire::OP_READ;
+        let end = sector.checked_add(u64::from(count))?;
+        let valid = (1..=MAX_SECTORS_PER_REQ).contains(&count)
+            && end <= self.disk.sectors()
+            && usize::from(count) * SECTOR_SIZE <= req.data.len as usize
+            && (req.data.device_writes || !is_read);
+        valid.then_some((is_read, id, sector, count))
+    }
+
+    /// One pass: accept new requests, scheduling their completion times,
+    /// then complete those whose service time has elapsed. At most one
+    /// interrupt.
+    pub(crate) fn service(
+        &mut self,
+        env: &mut DomainEnv<'_>,
+        rng: &mut Rng,
+        stats: &Mutex<DriverStats>,
+    ) -> bool {
+        let mut progressed = false;
+        let mut bell = false;
+        let _ = env.evtchn_consume(self.port);
+        while let Some(taken) = self.queue.take(env) {
+            progressed = true;
+            let accepted = taken.and_then(|req| {
+                let fields = self.validate(&req).ok_or(req.token)?;
+                Ok((req, fields))
+            });
+            let (req, (is_read, id, sector, count)) = match accepted {
+                Ok(accepted) => accepted,
+                Err(token) => {
+                    bell |= self.queue.complete(env, token, 0, false);
+                    stats.lock().requests_rejected += 1;
+                    continue;
+                }
+            };
+            let bytes = usize::from(count) * SECTOR_SIZE;
+            let faults = self.disk.profile().faults.unwrap_or_default();
+            let mut ok = true;
+            if is_read {
+                if DiskFaultPlan::hit(rng, faults.read_error_ppm) {
+                    // Transient read failure: data stays intact, the
+                    // completion reports failure.
+                    ok = false;
+                    stats.lock().blk_read_errors += 1;
+                }
+            } else {
+                // Writes capture the data now (the page may be reused).
+                let mut data = vec![0u8; bytes];
+                if let Some(page) = map_cached(env, &mut self.mapped, req.data.gref, false) {
+                    page.read(|b| data.copy_from_slice(&b[req.data.range(bytes)]));
+                }
+                if DiskFaultPlan::hit(rng, faults.write_error_ppm) {
+                    // Transient write failure: nothing persists.
+                    ok = false;
+                    stats.lock().blk_write_errors += 1;
+                } else if DiskFaultPlan::hit(rng, faults.torn_write_ppm) {
+                    // Torn write: only a sector prefix persists — the
+                    // on-disk state a power cut mid-request would leave.
+                    ok = false;
+                    let keep = rng.gen_range(0..count) as usize * SECTOR_SIZE;
+                    self.disk.write(sector, &data[..keep]);
+                    stats.lock().blk_torn_writes += 1;
+                } else {
+                    self.disk.write(sector, &data);
+                }
+            }
+            // The device pipelines: occupancy is the transfer time only,
+            // while the fixed latency overlaps across queued requests
+            // (NCQ on the paper's PCIe SSD).
+            let start = self.busy_until.max(env.now());
+            let transfer = self.disk.profile().transfer_time(bytes);
+            let done_at = start + transfer + self.disk.profile().latency;
+            self.busy_until = start + transfer;
+            let (token, data) = (req.token, req.data);
+            self.pending.push(Pending {
+                done_at,
+                token,
+                id,
+                data,
+                is_read,
+                ok,
+                sector,
+                count,
+            });
+        }
+        // Complete requests whose service time has elapsed.
+        let now = env.now();
+        while self.pending.peek().is_some_and(|p| p.done_at <= now) {
+            let p = self.pending.pop().expect("peeked");
+            let mut written = 0;
+            if p.is_read && p.ok {
+                let data = self.disk.read(p.sector, p.count);
+                if let Some(page) = map_cached(env, &mut self.mapped, p.data.gref, true) {
+                    page.write(|b| b[p.data.range(data.len())].copy_from_slice(&data));
+                }
+                written = data.len() as u32;
+            }
+            bell |= self.queue.complete(env, p.token, written, p.ok);
+            stats.lock().blk_completed += 1;
+            progressed = true;
+        }
+        if bell {
+            let _ = env.evtchn_notify(self.port);
+        }
+        progressed
+    }
+}

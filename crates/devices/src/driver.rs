@@ -4,11 +4,11 @@
 //! and swaps implementations underneath (functor-driven development);
 //! this module is that seam for the two ring ABIs. Consumers hold a
 //! [`NetDriver`] or [`BlkDriver`] trait object and a stack-facing handle;
-//! which transport carries the bytes — the Xen-style descriptor ring
-//! ([`crate::netfront::Netfront`], [`crate::blk::Blkfront`]) or the
-//! virtio split virtqueue ([`crate::virtio::VirtioNet`],
-//! [`crate::virtio::VirtioBlk`]) — is a [`Backend`] value chosen per
-//! device at domain-creation time, one flag end to end:
+//! which transport carries the bytes — the Xen-style descriptor ring or
+//! the virtio split virtqueue, the two impls of
+//! `transport`'s signature under the one NIC and the one block
+//! frontend — is a [`Backend`] value chosen per device at domain-creation
+//! time, one flag end to end:
 //!
 //! ```ignore
 //! let backend = Backend::from_env(); // MIRAGE_BACKEND=xen|virtio
@@ -21,9 +21,9 @@
 
 use mirage_runtime::DeviceService;
 
-use crate::blk::{BlkHandle, Blkfront};
-use crate::netfront::{CopyDiscipline, NetHandle, Netfront};
-use crate::virtio::{VirtioBlk, VirtioNet};
+use crate::blk::{BlkHandle, Blkif};
+use crate::netfront::{CopyDiscipline, NetHandle, Netif};
+use crate::transport::{RingFront, VirtqFront};
 use crate::xenstore::Xenstore;
 
 /// Which ring ABI a device speaks to the driver domain.
@@ -90,7 +90,14 @@ impl Backend {
 
     /// Creates a multi-queue network device over this backend: one
     /// stack-facing handle per queue, for `Stack::spawn_sharded`-style
-    /// per-core consumers.
+    /// per-core consumers. Received IPv4 TCP frames are classified by
+    /// Toeplitz flow hash ([`crate::rss`]) into `shard % queues`;
+    /// everything else rides queue 0. Pass each handle to the stack
+    /// worker that owns the matching shard slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queues` is zero.
     pub fn net_multiqueue(
         self,
         xs: Xenstore,
@@ -99,17 +106,10 @@ impl Backend {
         discipline: CopyDiscipline,
         queues: usize,
     ) -> (Box<dyn NetDriver>, Vec<NetHandle>) {
+        let name = name.into();
         match self {
-            Backend::XenRing => {
-                let (front, handles) =
-                    Netfront::new_multiqueue(xs, name, mac, discipline, queues);
-                (Box::new(front), handles)
-            }
-            Backend::Virtio => {
-                let (front, handles) =
-                    VirtioNet::new_multiqueue(xs, name, mac, discipline, queues);
-                (Box::new(front), handles)
-            }
+            Backend::XenRing => Netif::<RingFront>::create(xs, name, mac, discipline, queues),
+            Backend::Virtio => Netif::<VirtqFront>::create(xs, name, mac, discipline, queues),
         }
     }
 
@@ -120,15 +120,10 @@ impl Backend {
         name: impl Into<String>,
         sectors: u64,
     ) -> (Box<dyn BlkDriver>, BlkHandle) {
+        let name = name.into();
         match self {
-            Backend::XenRing => {
-                let (front, handle) = Blkfront::new(xs, name, sectors);
-                (Box::new(front), handle)
-            }
-            Backend::Virtio => {
-                let (front, handle) = VirtioBlk::new(xs, name, sectors);
-                (Box::new(front), handle)
-            }
+            Backend::XenRing => Blkif::<RingFront>::create(xs, name, sectors),
+            Backend::Virtio => Blkif::<VirtqFront>::create(xs, name, sectors),
         }
     }
 }
@@ -148,33 +143,6 @@ pub trait NetDriver: DeviceService {
     fn backend(&self) -> Backend;
     /// The interface MAC address.
     fn mac(&self) -> [u8; 6];
-    /// Steers the device's event channel(s) — and service charging — to
-    /// vCPU `v` (the affinity base for multi-queue devices).
-    fn set_service_vcpu(&mut self, v: usize);
-}
-
-impl NetDriver for Netfront {
-    fn backend(&self) -> Backend {
-        Backend::XenRing
-    }
-    fn mac(&self) -> [u8; 6] {
-        Netfront::mac(self)
-    }
-    fn set_service_vcpu(&mut self, v: usize) {
-        Netfront::set_service_vcpu(self, v)
-    }
-}
-
-impl NetDriver for VirtioNet {
-    fn backend(&self) -> Backend {
-        Backend::Virtio
-    }
-    fn mac(&self) -> [u8; 6] {
-        VirtioNet::mac(self)
-    }
-    fn set_service_vcpu(&mut self, v: usize) {
-        VirtioNet::set_service_vcpu(self, v)
-    }
 }
 
 /// A block device frontend, independent of ring ABI.
@@ -183,15 +151,22 @@ pub trait BlkDriver: DeviceService {
     fn backend(&self) -> Backend;
 }
 
-impl BlkDriver for Blkfront {
-    fn backend(&self) -> Backend {
-        Backend::XenRing
-    }
-}
-
-impl BlkDriver for VirtioBlk {
-    fn backend(&self) -> Backend {
-        Backend::Virtio
+#[cfg(test)]
+impl Backend {
+    /// A scripted frontend over this backend that posts whatever it is
+    /// told (see `netback::raw`).
+    pub(crate) fn raw(
+        self,
+        xs: Xenstore,
+        kind: crate::netback::raw::Kind,
+        script: Vec<crate::netback::raw::Post>,
+        done: std::sync::Arc<mirage_testkit::sync::Mutex<Vec<crate::transport::Completion>>>,
+    ) -> Box<dyn DeviceService> {
+        use crate::netback::raw::Raw;
+        match self {
+            Backend::XenRing => Box::new(Raw::<RingFront>::new(xs, kind, script, done)),
+            Backend::Virtio => Box::new(Raw::<VirtqFront>::new(xs, kind, script, done)),
+        }
     }
 }
 
@@ -214,8 +189,12 @@ mod tests {
     fn factory_produces_the_requested_backend() {
         let xs = Xenstore::new();
         for b in Backend::ALL {
-            let (net, handle) =
-                b.net(xs.clone(), format!("nic-{b}"), [2, 0, 0, 0, 0, 1], CopyDiscipline::ZeroCopy);
+            let (net, handle) = b.net(
+                xs.clone(),
+                format!("nic-{b}"),
+                [2, 0, 0, 0, 0, 1],
+                CopyDiscipline::ZeroCopy,
+            );
             assert_eq!(net.backend(), b);
             assert_eq!(NetDriver::mac(&*net), handle.mac);
             let (blk, bh) = b.blk(xs.clone(), format!("vda-{b}"), 1024);

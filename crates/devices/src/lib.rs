@@ -7,13 +7,18 @@
 //!
 //! * [`xenstore::Xenstore`] — the out-of-band store the halves handshake
 //!   through (grant refs, event ports, connection states), with watches.
-//! * [`netfront::Netfront`] / [`netback::DriverDomain`] — Ethernet: grant
-//!   based zero-copy rings on the guest side, a learning switch plus
-//!   bandwidth model in the driver domain.
-//! * [`blk::Blkfront`] — block storage over the same ring abstraction
-//!   ("Mirage block devices share the same Ring abstraction as network
-//!   devices", §3.5.2), serviced against a [`blk::SimulatedDisk`] with a
-//!   PCIe-SSD timing profile (Figure 9).
+//! * `transport` — the one request/completion signature every device
+//!   rides, with exactly two impls per half: the Xen descriptor ring
+//!   (`mirage-ring`) and the virtio split virtqueue ([`virtio`]).
+//! * [`netfront`] / [`netback::DriverDomain`] + [`switch`] — Ethernet:
+//!   grant based zero-copy queues on the guest side, a learning switch
+//!   plus bandwidth model in the driver domain.
+//! * [`blk`] — block storage over the same abstraction ("Mirage block
+//!   devices share the same Ring abstraction as network devices",
+//!   §3.5.2), serviced against a [`blk::SimulatedDisk`] with a PCIe-SSD
+//!   timing profile (Figure 9).
+//! * [`driver::Backend`] — the factory: `Backend::{XenRing, Virtio}` is
+//!   the only way to make a NIC or a disk.
 //! * [`vchan::VchanEndpoint`] — the fast shared-memory inter-VM byte
 //!   transport (§3.5.1).
 //!
@@ -21,22 +26,25 @@
 //! baseline pays its syscall + user/kernel copy on the identical data path.
 
 pub mod blk;
+mod blkback;
 pub mod driver;
 pub mod netback;
 pub mod netem;
 pub mod netfront;
 pub mod rss;
+pub mod switch;
+mod transport;
 pub mod vchan;
 pub mod virtio;
 pub mod xenstore;
 
-pub use blk::{BlkCompletion, BlkHandle, BlkOp, BlkRequest, Blkfront, DiskProfile, SimulatedDisk};
+pub use blk::{BlkCompletion, BlkHandle, BlkOp, BlkRequest, DiskProfile, SimulatedDisk};
 pub use driver::{Backend, BlkDriver, NetDriver};
-pub use netback::{DriverDomain, DriverStats, NetProfile, Tap};
+pub use netback::{DriverDomain, DriverStats};
 pub use netem::{DiskFaultPlan, Netem, NetemConfig, NetemStats};
-pub use netfront::{CopyDiscipline, NetHandle, Netfront};
+pub use netfront::{CopyDiscipline, NetHandle};
+pub use switch::{NetProfile, Tap};
 pub use vchan::{VchanEndpoint, VchanHandle};
-pub use virtio::{VirtioBlk, VirtioNet};
 pub use xenstore::Xenstore;
 
 #[cfg(test)]
@@ -58,45 +66,58 @@ mod tests {
     const MAC_A: [u8; 6] = [0x02, 0, 0, 0, 0, 0xAA];
     const MAC_B: [u8; 6] = [0x02, 0, 0, 0, 0, 0xBB];
 
-    #[test]
-    fn two_guests_exchange_frames_through_the_switch() {
+    /// Guest A pings guest B through the switch and awaits the echo; A
+    /// rides `backend_a`, B rides `backend_b`.
+    fn ping_echo(backend_a: Backend, backend_b: Backend, payload: &'static [u8]) {
         let xs = Xenstore::new();
         let mut hv = Hypervisor::new();
         hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
         // Guest B: echo every frame back to its sender, then exit after one.
-        let (front_b, mut nh_b) = Netfront::new(xs.clone(), "b", MAC_B, CopyDiscipline::ZeroCopy);
+        let (front_b, mut nh_b) = backend_b.net(xs.clone(), "b", MAC_B, CopyDiscipline::ZeroCopy);
         let mut guest_b = UnikernelGuest::new(move |_env, rt| {
             rt.clone().spawn(async move {
                 let frame = nh_b.rx.recv().await.expect("frame arrives");
                 assert_eq!(&frame[0..6], &MAC_B, "addressed to us");
                 let payload = frame[14..].to_vec();
-                let reply = eth_frame(MAC_A, MAC_B, &payload);
-                nh_b.tx.send(PktBuf::from_vec(reply)).unwrap();
-                // Give the driver a chance to flush before exiting.
+                nh_b.tx.send(PktBuf::from_vec(eth_frame(MAC_A, MAC_B, &payload))).unwrap();
                 payload.len() as i64
             })
         });
-        guest_b.add_device(Box::new(front_b));
+        guest_b.add_device(front_b);
         hv.create_domain("guest-b", 64, Box::new(guest_b));
 
         // Guest A: send to B (first frame floods; B's reply teaches the
         // switch), await echo.
-        let (front_a, mut nh_a) = Netfront::new(xs.clone(), "a", MAC_A, CopyDiscipline::ZeroCopy);
+        let (front_a, mut nh_a) = backend_a.net(xs.clone(), "a", MAC_A, CopyDiscipline::ZeroCopy);
         let mut guest_a = UnikernelGuest::new(move |_env, rt| {
             rt.clone().spawn(async move {
-                nh_a.tx.send(PktBuf::from_vec(eth_frame(MAC_B, MAC_A, b"ping!"))).unwrap();
+                nh_a.tx.send(PktBuf::from_vec(eth_frame(MAC_B, MAC_A, payload))).unwrap();
                 let echo = nh_a.rx.recv().await.expect("echo arrives");
-                assert_eq!(&echo[14..], b"ping!");
+                assert_eq!(&echo[14..], payload);
                 0
             })
         });
-        guest_a.add_device(Box::new(front_a));
+        guest_a.add_device(front_a);
         let dom_a = hv.create_domain("guest-a", 64, Box::new(guest_a));
 
         let outcome = hv.run_until(Time::ZERO + Dur::secs(5));
         assert_eq!(outcome, RunOutcome::Idle, "dom0 keeps listening");
-        assert_eq!(hv.exit_code(dom_a), Some(0), "A saw its echo");
+        assert_eq!(hv.exit_code(dom_a), Some(0), "[{backend_a}->{backend_b}] A saw its echo");
+    }
+
+    #[test]
+    fn two_guests_exchange_frames_through_the_switch() {
+        for backend in Backend::ALL {
+            ping_echo(backend, backend, b"ping!");
+        }
+    }
+
+    #[test]
+    fn mixed_backends_interoperate_on_one_switch() {
+        // A Xen-ring guest and a virtio guest share the learning switch:
+        // the MAC table addresses ports of either family.
+        ping_echo(Backend::XenRing, Backend::Virtio, b"cross-abi");
     }
 
     #[test]
@@ -108,7 +129,7 @@ mod tests {
         dom0.add_tap(tap.clone());
         let d0 = hv.create_domain("dom0", 512, Box::new(dom0));
 
-        let (front, mut nh) = Netfront::new(xs.clone(), "g", MAC_A, CopyDiscipline::ZeroCopy);
+        let (front, mut nh) = Backend::XenRing.net(xs.clone(), "g", MAC_A, CopyDiscipline::ZeroCopy);
         let mut guest = UnikernelGuest::new(move |_env, rt| {
             rt.clone().spawn(async move {
                 let frame = nh.rx.recv().await.expect("frame from tap");
@@ -122,7 +143,7 @@ mod tests {
                 0
             })
         });
-        guest.add_device(Box::new(front));
+        guest.add_device(front);
         let gdom = hv.create_domain("guest", 64, Box::new(guest));
 
         // Let everything connect.
@@ -138,204 +159,68 @@ mod tests {
 
     #[test]
     fn blk_write_then_read_round_trips_with_latency() {
-        let xs = Xenstore::new();
-        let mut hv = Hypervisor::new();
-        hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
+        for backend in Backend::ALL {
+            let xs = Xenstore::new();
+            let mut hv = Hypervisor::new();
+            hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
-        let (front, bh) = Blkfront::new(xs.clone(), "vda", 1 << 20);
-        let mut guest = UnikernelGuest::new(move |_env, rt| {
-            let mut bh = bh;
-            rt.clone().spawn(async move {
-                let payload = vec![0x5A; 4096];
-                bh.submit
-                    .send(BlkRequest {
-                        id: 1,
-                        op: BlkOp::Write,
-                        sector: 64,
-                        count: 8,
-                        data: Some(payload.clone()),
-                    })
-                    .unwrap();
-                let done = bh.complete.recv().await.unwrap();
-                assert!(done.ok);
-                bh.submit
-                    .send(BlkRequest {
-                        id: 2,
-                        op: BlkOp::Read,
-                        sector: 64,
-                        count: 8,
-                        data: None,
-                    })
-                    .unwrap();
-                let read = bh.complete.recv().await.unwrap();
-                assert!(read.ok);
-                assert_eq!(read.data.as_deref(), Some(payload.as_slice()));
-                0
-            })
-        });
-        guest.add_device(Box::new(front));
-        let gdom = hv.create_domain("guest", 64, Box::new(guest));
-        hv.run_until(Time::ZERO + Dur::secs(5));
-        assert_eq!(hv.exit_code(gdom), Some(0));
-        // Two requests through an 18 us device: virtual time reflects it.
-        assert!(hv.now() >= Time::ZERO + Dur::micros(36));
+            let (front, bh) = backend.blk(xs.clone(), "vda", 1 << 20);
+            let mut guest = UnikernelGuest::new(move |_env, rt| {
+                let mut bh = bh;
+                rt.clone().spawn(async move {
+                    let payload = vec![0x5A; 4096];
+                    bh.submit
+                        .send(BlkRequest {
+                            id: 1,
+                            op: BlkOp::Write,
+                            sector: 64,
+                            count: 8,
+                            data: Some(payload.clone()),
+                        })
+                        .unwrap();
+                    let done = bh.complete.recv().await.unwrap();
+                    assert!(done.ok);
+                    bh.submit
+                        .send(BlkRequest { id: 2, op: BlkOp::Read, sector: 64, count: 8, data: None })
+                        .unwrap();
+                    let read = bh.complete.recv().await.unwrap();
+                    assert!(read.ok);
+                    assert_eq!(read.data.as_deref(), Some(payload.as_slice()));
+                    0
+                })
+            });
+            guest.add_device(front);
+            let gdom = hv.create_domain("guest", 64, Box::new(guest));
+            hv.run_until(Time::ZERO + Dur::secs(5));
+            assert_eq!(hv.exit_code(gdom), Some(0), "[{backend}]");
+            // Two requests through an 18 us device: virtual time reflects it.
+            assert!(hv.now() >= Time::ZERO + Dur::micros(36), "[{backend}] disk latency charged");
+        }
     }
 
     #[test]
     fn blk_out_of_range_request_fails_cleanly() {
-        let xs = Xenstore::new();
-        let mut hv = Hypervisor::new();
-        hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
-        let (front, bh) = Blkfront::new(xs.clone(), "vda", 100);
-        let mut guest = UnikernelGuest::new(move |_env, rt| {
-            let mut bh = bh;
-            rt.clone().spawn(async move {
-                bh.submit
-                    .send(BlkRequest {
-                        id: 9,
-                        op: BlkOp::Read,
-                        sector: 99,
-                        count: 8,
-                        data: None,
-                    })
-                    .unwrap();
-                let done = bh.complete.recv().await.unwrap();
-                assert!(!done.ok, "read past end must fail");
-                0
-            })
-        });
-        guest.add_device(Box::new(front));
-        let gdom = hv.create_domain("guest", 64, Box::new(guest));
-        hv.run_until(Time::ZERO + Dur::secs(5));
-        assert_eq!(hv.exit_code(gdom), Some(0));
-    }
-
-    #[test]
-    fn virtio_guests_exchange_frames_through_the_switch() {
-        // Same ping/echo workload as the Xen-ring test above, but both
-        // NICs ride split virtqueues — the switch serves either ABI.
-        let xs = Xenstore::new();
-        let mut hv = Hypervisor::new();
-        hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
-
-        let (front_b, mut nh_b) =
-            Backend::Virtio.net(xs.clone(), "b", MAC_B, CopyDiscipline::ZeroCopy);
-        let mut guest_b = UnikernelGuest::new(move |_env, rt| {
-            rt.clone().spawn(async move {
-                let frame = nh_b.rx.recv().await.expect("frame arrives");
-                assert_eq!(&frame[0..6], &MAC_B, "addressed to us");
-                let payload = frame[14..].to_vec();
-                nh_b.tx.send(PktBuf::from_vec(eth_frame(MAC_A, MAC_B, &payload))).unwrap();
-                payload.len() as i64
-            })
-        });
-        guest_b.add_device(front_b);
-        hv.create_domain("guest-b", 64, Box::new(guest_b));
-
-        let (front_a, mut nh_a) =
-            Backend::Virtio.net(xs.clone(), "a", MAC_A, CopyDiscipline::ZeroCopy);
-        let mut guest_a = UnikernelGuest::new(move |_env, rt| {
-            rt.clone().spawn(async move {
-                nh_a.tx.send(PktBuf::from_vec(eth_frame(MAC_B, MAC_A, b"ping!"))).unwrap();
-                let echo = nh_a.rx.recv().await.expect("echo arrives");
-                assert_eq!(&echo[14..], b"ping!");
-                0
-            })
-        });
-        guest_a.add_device(front_a);
-        let dom_a = hv.create_domain("guest-a", 64, Box::new(guest_a));
-
-        let outcome = hv.run_until(Time::ZERO + Dur::secs(5));
-        assert_eq!(outcome, RunOutcome::Idle, "dom0 keeps listening");
-        assert_eq!(hv.exit_code(dom_a), Some(0), "A saw its echo");
-    }
-
-    #[test]
-    fn mixed_backends_interoperate_on_one_switch() {
-        // A Xen-ring guest and a virtio guest share the learning switch:
-        // the MAC table addresses ports of either family.
-        let xs = Xenstore::new();
-        let mut hv = Hypervisor::new();
-        hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
-
-        let (front_b, mut nh_b) =
-            Backend::Virtio.net(xs.clone(), "b", MAC_B, CopyDiscipline::ZeroCopy);
-        let mut guest_b = UnikernelGuest::new(move |_env, rt| {
-            rt.clone().spawn(async move {
-                let frame = nh_b.rx.recv().await.expect("frame arrives");
-                let payload = frame[14..].to_vec();
-                nh_b.tx.send(PktBuf::from_vec(eth_frame(MAC_A, MAC_B, &payload))).unwrap();
-                0
-            })
-        });
-        guest_b.add_device(front_b);
-        hv.create_domain("guest-b", 64, Box::new(guest_b));
-
-        let (front_a, mut nh_a) =
-            Backend::XenRing.net(xs.clone(), "a", MAC_A, CopyDiscipline::ZeroCopy);
-        let mut guest_a = UnikernelGuest::new(move |_env, rt| {
-            rt.clone().spawn(async move {
-                nh_a.tx.send(PktBuf::from_vec(eth_frame(MAC_B, MAC_A, b"cross-abi"))).unwrap();
-                let echo = nh_a.rx.recv().await.expect("echo arrives");
-                assert_eq!(&echo[14..], b"cross-abi");
-                0
-            })
-        });
-        guest_a.add_device(front_a);
-        let dom_a = hv.create_domain("guest-a", 64, Box::new(guest_a));
-
-        hv.run_until(Time::ZERO + Dur::secs(5));
-        assert_eq!(hv.exit_code(dom_a), Some(0), "echo crossed the ABI boundary");
-    }
-
-    #[test]
-    fn virtio_blk_write_then_read_round_trips() {
-        let xs = Xenstore::new();
-        let mut hv = Hypervisor::new();
-        hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
-
-        let (front, bh) = Backend::Virtio.blk(xs.clone(), "vda", 1 << 20);
-        let mut guest = UnikernelGuest::new(move |_env, rt| {
-            let mut bh = bh;
-            rt.clone().spawn(async move {
-                let payload = vec![0xC3; 4096];
-                bh.submit
-                    .send(BlkRequest {
-                        id: 1,
-                        op: BlkOp::Write,
-                        sector: 64,
-                        count: 8,
-                        data: Some(payload.clone()),
-                    })
-                    .unwrap();
-                let done = bh.complete.recv().await.unwrap();
-                assert!(done.ok);
-                bh.submit
-                    .send(BlkRequest { id: 2, op: BlkOp::Read, sector: 64, count: 8, data: None })
-                    .unwrap();
-                let read = bh.complete.recv().await.unwrap();
-                assert!(read.ok);
-                assert_eq!(read.data.as_deref(), Some(payload.as_slice()));
-                // Out-of-range read fails with a clean IOERR status.
-                bh.submit
-                    .send(BlkRequest {
-                        id: 3,
-                        op: BlkOp::Read,
-                        sector: (1 << 20) - 1,
-                        count: 8,
-                        data: None,
-                    })
-                    .unwrap();
-                let bad = bh.complete.recv().await.unwrap();
-                assert!(!bad.ok, "read past end must fail");
-                0
-            })
-        });
-        guest.add_device(front);
-        let gdom = hv.create_domain("guest", 64, Box::new(guest));
-        hv.run_until(Time::ZERO + Dur::secs(5));
-        assert_eq!(hv.exit_code(gdom), Some(0));
-        assert!(hv.now() >= Time::ZERO + Dur::micros(36), "disk latency charged");
+        for backend in Backend::ALL {
+            let xs = Xenstore::new();
+            let mut hv = Hypervisor::new();
+            hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
+            let (front, bh) = backend.blk(xs.clone(), "vda", 100);
+            let mut guest = UnikernelGuest::new(move |_env, rt| {
+                let mut bh = bh;
+                rt.clone().spawn(async move {
+                    bh.submit
+                        .send(BlkRequest { id: 9, op: BlkOp::Read, sector: 99, count: 8, data: None })
+                        .unwrap();
+                    let done = bh.complete.recv().await.unwrap();
+                    assert!(!done.ok, "read past end must fail");
+                    0
+                })
+            });
+            guest.add_device(front);
+            let gdom = hv.create_domain("guest", 64, Box::new(guest));
+            hv.run_until(Time::ZERO + Dur::secs(5));
+            assert_eq!(hv.exit_code(gdom), Some(0), "[{backend}]");
+        }
     }
 
     #[test]
@@ -384,7 +269,7 @@ mod tests {
         let xs = Xenstore::new();
         let mut hv = Hypervisor::new();
         hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
-        let (front, nh) = Netfront::new(xs.clone(), "g", MAC_A, CopyDiscipline::ZeroCopy);
+        let (front, nh) = Backend::XenRing.net(xs.clone(), "g", MAC_A, CopyDiscipline::ZeroCopy);
         let mut guest = UnikernelGuest::new(move |_env, rt| {
             let rt2 = rt.clone();
             rt.spawn(async move {
@@ -398,7 +283,7 @@ mod tests {
                 0
             })
         });
-        guest.add_device(Box::new(front));
+        guest.add_device(front);
         hv.create_domain("guest", 64, Box::new(guest));
         hv.run_until(Time::ZERO + Dur::secs(5));
         // 100 x 1500B at 1 Gb/s = 1.2 ms of wire time minimum.

@@ -5,295 +5,31 @@
 //! blkback services block rings from physical storage (§3.4). The
 //! [`DriverDomain`] guest reproduces that role over the simulated
 //! substrate: it discovers frontends through xenstore, maps their granted
-//! rings, switches Ethernet frames between guests (learning by source MAC),
-//! and services block requests against per-VBD [`SimulatedDisk`]s with the
-//! device's timing profile.
+//! rings, and hands each to the one piece of code that serves its kind —
+//! NICs to the learning switch ([`crate::switch`]), disks to a block backend
+//! (`blkback`) with the device's timing profile.
 //!
-//! The switch speaks both ring ABIs. A port is either a Xen-ring NIC
-//! (`device/net/...`, one TX/RX descriptor-ring pair) or a virtio NIC
-//! (`device/vnet/...`, one TX/RX split-virtqueue pair *per queue*, RSS
-//! classification on delivery); block service likewise covers Xen rings
-//! (`device/blk/...`) and virtio queues (`device/vblk/...`). Frames and
-//! requests from both families flow through the same forwarding, link
-//! conditioning, fault injection and timing paths, so a differential run
-//! only varies the transport.
+//! Both ring ABIs are served: a frontend advertises under `device/net`,
+//! `device/blk` (Xen rings) or `device/vnet`, `device/vblk` (virtio), the
+//! matching transport attaches it, and from there on frames and requests
+//! flow through the same forwarding, link conditioning, fault injection
+//! and timing paths, so a differential run only varies the transport.
 
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use mirage_testkit::rng::Rng;
 use mirage_testkit::sync::Mutex;
 
-use mirage_cstruct::PktBuf;
 use mirage_hypervisor::event::Port;
-use mirage_hypervisor::grant::{GrantRef, SharedPage};
-use mirage_hypervisor::{DomainEnv, DomainId, Dur, Guest, Step, Time, Wake};
-use mirage_ring::BackRing;
+use mirage_hypervisor::{DomainEnv, Guest, Step, Wake};
 
-use crate::blk::{wire as blkwire, DiskProfile, SimulatedDisk, SECTOR_SIZE};
-use crate::netem::{DiskFaultPlan, Netem};
-use crate::netfront::{gref_only, parse_gref, parse_tx_req, rx_rsp, MAX_FRAME};
-use crate::virtio::virtqueue::{split_addr, DeviceQueue};
-use crate::virtio::blk::{STATUS_IOERR, STATUS_OK};
+use crate::blk::DiskProfile;
+use crate::blkback::BlkBackend;
+use crate::netem::Netem;
+use crate::switch::{NetProfile, Switch, Tap};
+use crate::transport::{Dir, Probe, PROBES};
 use crate::xenstore::Xenstore;
-
-/// A switch port, across both ring ABIs. Taps inject as
-/// [`PortRef::External`]: no MAC learning, no flood self-exclusion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PortRef {
-    /// Index into the Xen-ring NIC table.
-    Xen(usize),
-    /// Index into the virtio NIC table.
-    Vnet(usize),
-    /// A host-side tap.
-    External,
-}
-
-/// Broadcast MAC.
-pub const MAC_BROADCAST: [u8; 6] = [0xFF; 6];
-
-/// Frames queued for a congested guest before tail drop.
-const OUT_QUEUE_CAP: usize = 512;
-
-/// A host-side endpoint on the virtual switch — the harness's way to
-/// source and sink raw frames without booting a guest (a tap device).
-#[derive(Clone, Default)]
-pub struct Tap {
-    inner: Arc<Mutex<TapInner>>,
-}
-
-#[derive(Default)]
-struct TapInner {
-    mac: [u8; 6],
-    to_switch: VecDeque<PktBuf>,
-    from_switch: VecDeque<PktBuf>,
-}
-
-impl std::fmt::Debug for Tap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Tap({:02x?})", self.inner.lock().mac)
-    }
-}
-
-impl Tap {
-    /// A tap with the given MAC.
-    pub fn new(mac: [u8; 6]) -> Tap {
-        Tap {
-            inner: Arc::new(Mutex::new(TapInner {
-                mac,
-                ..TapInner::default()
-            })),
-        }
-    }
-
-    /// Queues a frame for injection into the switch. Call
-    /// [`Hypervisor::wake_external`](mirage_hypervisor::Hypervisor::wake_external)
-    /// on the driver domain afterwards so it notices.
-    pub fn inject(&self, frame: impl Into<PktBuf>) {
-        self.inner.lock().to_switch.push_back(frame.into());
-    }
-
-    /// Takes every frame the switch delivered to this tap.
-    pub fn harvest(&self) -> Vec<PktBuf> {
-        self.inner.lock().from_switch.drain(..).collect()
-    }
-
-    /// The tap's MAC address.
-    pub fn mac(&self) -> [u8; 6] {
-        self.inner.lock().mac
-    }
-}
-
-struct NetBackendInst {
-    base: String,
-    frontend: DomainId,
-    port: Port,
-    tx_ring: BackRing,
-    rx_ring: BackRing,
-    mapped: HashMap<u32, SharedPage>,
-    out_queue: VecDeque<PktBuf>,
-    out_drops: u64,
-    /// Set while the frontend has frames queued but no posted rx buffer —
-    /// lets tail drops be attributed to a dead/stalled guest rather than
-    /// ordinary congestion.
-    rx_starved: bool,
-}
-
-/// A frame the link conditioner is holding until `release_at`.
-struct DelayedFrame {
-    release_at: Time,
-    seq: u64,
-    src: PortRef,
-    frame: PktBuf,
-}
-
-impl PartialEq for DelayedFrame {
-    fn eq(&self, other: &Self) -> bool {
-        self.release_at == other.release_at && self.seq == other.seq
-    }
-}
-impl Eq for DelayedFrame {}
-impl PartialOrd for DelayedFrame {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedFrame {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (release time, offer order): ties release in the
-        // order the conditioner saw them, keeping runs deterministic.
-        other
-            .release_at
-            .cmp(&self.release_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct PendingBlk {
-    done_at: Time,
-    gref: GrantRef,
-    id: u64,
-    is_read: bool,
-    ok: bool,
-    sector: u64,
-    count: u16,
-}
-
-impl PartialEq for PendingBlk {
-    fn eq(&self, other: &Self) -> bool {
-        self.done_at == other.done_at && self.id == other.id
-    }
-}
-impl Eq for PendingBlk {}
-impl PartialOrd for PendingBlk {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingBlk {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by completion time.
-        other
-            .done_at
-            .cmp(&self.done_at)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-struct BlkBackendInst {
-    base: String,
-    frontend: DomainId,
-    port: Port,
-    ring: BackRing,
-    mapped: HashMap<u32, SharedPage>,
-    disk: SimulatedDisk,
-    busy_until: Time,
-    pending: BinaryHeap<PendingBlk>,
-}
-
-/// One virtqueue pair of a virtio NIC port, with its own event channel
-/// and per-queue output queue (frames already RSS-classified to it).
-struct VnetQueueBack {
-    port: Port,
-    tx: DeviceQueue,
-    rx: DeviceQueue,
-    out_queue: VecDeque<PktBuf>,
-}
-
-struct VnetBackendInst {
-    base: String,
-    frontend: DomainId,
-    queues: Vec<VnetQueueBack>,
-    mapped: HashMap<u32, SharedPage>,
-    out_drops: u64,
-    /// Set while the frontend has frames queued but no posted RX chain
-    /// (same dead-guest attribution as the Xen path).
-    rx_starved: bool,
-}
-
-/// A virtio block request in service, completing at `done_at`. The
-/// descriptor chain stays owned by the device until then; `data_addr` /
-/// `status_addr` are where the completion writes back.
-struct PendingVBlk {
-    done_at: Time,
-    head: u16,
-    id: u64,
-    is_read: bool,
-    ok: bool,
-    sector: u64,
-    count: u16,
-    data_addr: u64,
-    status_addr: u64,
-}
-
-impl PartialEq for PendingVBlk {
-    fn eq(&self, other: &Self) -> bool {
-        self.done_at == other.done_at && self.id == other.id
-    }
-}
-impl Eq for PendingVBlk {}
-impl PartialOrd for PendingVBlk {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingVBlk {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by completion time.
-        other
-            .done_at
-            .cmp(&self.done_at)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-struct VblkBackendInst {
-    base: String,
-    frontend: DomainId,
-    port: Port,
-    queue: DeviceQueue,
-    mapped: HashMap<u32, SharedPage>,
-    disk: SimulatedDisk,
-    busy_until: Time,
-    pending: BinaryHeap<PendingVBlk>,
-}
-
-/// Network fabric parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetProfile {
-    /// Link bandwidth in bits per second (default: gigabit Ethernet, as in
-    /// the paper's Figure 8 testbed).
-    pub bandwidth_bps: u64,
-}
-
-impl Default for NetProfile {
-    fn default() -> Self {
-        NetProfile {
-            bandwidth_bps: 1_000_000_000,
-        }
-    }
-}
-
-impl NetProfile {
-    /// A 10 GbE fabric (for the "expect 10 Gb/s with offload" discussion).
-    pub fn ten_gbe() -> NetProfile {
-        NetProfile {
-            bandwidth_bps: 10_000_000_000,
-        }
-    }
-
-    /// A 40 GbE fabric: the SMP scaling bench uses it so the throughput
-    /// matrix measures CPU scaling, not NIC line rate.
-    pub fn forty_gbe() -> NetProfile {
-        NetProfile {
-            bandwidth_bps: 40_000_000_000,
-        }
-    }
-
-    fn wire_time(&self, bytes: usize) -> Dur {
-        Dur::nanos((bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps)
-    }
-}
 
 /// Counters for the whole driver domain.
 ///
@@ -318,12 +54,21 @@ pub struct DriverStats {
     pub blk_write_errors: u64,
     /// Injected torn writes (a prefix persisted, completion failed).
     pub blk_torn_writes: u64,
+    /// Frames over `MAX_FRAME` (only a tap can source one), dropped
+    /// before switching.
+    pub frames_dropped_oversize: u64,
+    /// Guest requests — net or block, either ABI — that failed validation
+    /// and were completed with an error instead of executed.
+    pub requests_rejected: u64,
 }
 
 impl DriverStats {
     /// Total frames dropped for any reason.
     pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped_congestion + self.frames_dropped_netem + self.frames_dropped_no_rx_buffer
+        self.frames_dropped_congestion
+            + self.frames_dropped_netem
+            + self.frames_dropped_no_rx_buffer
+            + self.frames_dropped_oversize
     }
 }
 
@@ -331,19 +76,11 @@ impl DriverStats {
 pub struct DriverDomain {
     xs: Xenstore,
     registered: bool,
-    net_profile: NetProfile,
     disk_profile: DiskProfile,
-    nics: Vec<NetBackendInst>,
-    blks: Vec<BlkBackendInst>,
-    vnets: Vec<VnetBackendInst>,
-    vblks: Vec<VblkBackendInst>,
+    switch: Switch,
+    blks: Vec<BlkBackend>,
     seen: HashSet<String>,
-    mac_table: HashMap<[u8; 6], PortRef>,
-    taps: Vec<Tap>,
     stats: Arc<Mutex<DriverStats>>,
-    netem: Option<Netem>,
-    delayed: BinaryHeap<DelayedFrame>,
-    delay_seq: u64,
     disk_rng: Rng,
 }
 
@@ -360,40 +97,34 @@ impl DriverDomain {
         net_profile: NetProfile,
         disk_profile: DiskProfile,
     ) -> DriverDomain {
+        let stats = Arc::new(Mutex::new(DriverStats::default()));
         DriverDomain {
             xs,
             registered: false,
-            net_profile,
             disk_profile,
-            nics: Vec::new(),
+            switch: Switch::new(net_profile, Arc::clone(&stats)),
             blks: Vec::new(),
-            vnets: Vec::new(),
-            vblks: Vec::new(),
             seen: HashSet::new(),
-            mac_table: HashMap::new(),
-            taps: Vec::new(),
-            stats: Arc::new(Mutex::new(DriverStats::default())),
-            netem: None,
-            delayed: BinaryHeap::new(),
-            delay_seq: 0,
+            stats,
             disk_rng: Rng::for_stream(mirage_testkit::DEFAULT_SEED, "netback-disk-faults"),
         }
     }
 
     /// Attaches a host-side tap endpoint to the switch.
     pub fn add_tap(&mut self, tap: Tap) {
-        self.taps.push(tap);
+        self.switch.taps.push(tap);
     }
 
     /// Installs a [`Netem`] link conditioner on the switch's forwarding
     /// path. Without one (the default) the link is a perfect wire and the
     /// forwarding path is unchanged.
     pub fn set_netem(&mut self, netem: Netem) {
-        self.netem = Some(netem);
+        self.switch.netem = Some(netem);
     }
 
-    /// Replaces the PRNG that drives [`DiskFaultPlan`] draws, so storage
-    /// faults follow the caller's `MIRAGE_TEST_SEED` stream discipline.
+    /// Replaces the PRNG that drives [`DiskFaultPlan`](crate::netem::DiskFaultPlan)
+    /// draws, so storage faults follow the caller's `MIRAGE_TEST_SEED`
+    /// stream discipline.
     pub fn set_disk_fault_rng(&mut self, rng: Rng) {
         self.disk_rng = rng;
     }
@@ -403,803 +134,49 @@ impl DriverDomain {
         Arc::clone(&self.stats)
     }
 
+    /// Attaches every frontend that has advertised itself since the last
+    /// pass: NICs become switch ports, disks get a block backend.
     fn discover(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
-        // Network frontends.
-        for key in self.xs.keys_with_prefix("device/net/") {
-            let Some(base) = key.strip_suffix("/state").map(str::to_owned) else {
-                continue;
-            };
-            if self.seen.contains(&base) {
-                continue;
-            }
-            if self.xs.read(env, &key).as_deref() != Some("initialising") {
-                continue;
-            }
-            let read_u32 = |env: &mut DomainEnv<'_>, xs: &Xenstore, k: &str| {
-                xs.read(env, k).and_then(|s| s.parse::<u32>().ok())
-            };
-            let (Some(dom), Some(txg), Some(rxg)) = (
-                read_u32(env, &self.xs.clone(), &format!("{base}/frontend-domid")),
-                read_u32(env, &self.xs.clone(), &format!("{base}/tx-ring")),
-                read_u32(env, &self.xs.clone(), &format!("{base}/rx-ring")),
-            ) else {
-                continue;
-            };
-            let frontend = DomainId(dom);
-            let Ok(tx_page) = env.grant_map(GrantRef(txg), true) else {
-                continue;
-            };
-            let Ok(rx_page) = env.grant_map(GrantRef(rxg), true) else {
-                continue;
-            };
-            let port = env.evtchn_alloc_unbound(frontend);
-            self.xs
-                .write(env, &format!("{base}/event-port"), &port.0.to_string());
-            self.nics.push(NetBackendInst {
-                base: base.clone(),
-                frontend,
-                port,
-                tx_ring: BackRing::attach(tx_page),
-                rx_ring: BackRing::attach(rx_page),
-                mapped: HashMap::new(),
-                out_queue: VecDeque::new(),
-                out_drops: 0,
-                rx_starved: false,
-            });
-            self.seen.insert(base);
-            progressed = true;
-        }
-        // Block frontends.
-        for key in self.xs.keys_with_prefix("device/blk/") {
-            let Some(base) = key.strip_suffix("/state").map(str::to_owned) else {
-                continue;
-            };
-            if self.seen.contains(&base) {
-                continue;
-            }
-            if self.xs.read(env, &key).as_deref() != Some("initialising") {
-                continue;
-            }
-            let (Some(dom), Some(ring_gref), Some(sectors)) = (
-                self.xs
-                    .read(env, &format!("{base}/frontend-domid"))
-                    .and_then(|s| s.parse::<u32>().ok()),
-                self.xs
-                    .read(env, &format!("{base}/ring"))
-                    .and_then(|s| s.parse::<u32>().ok()),
-                self.xs
-                    .read(env, &format!("{base}/sectors"))
-                    .and_then(|s| s.parse::<u64>().ok()),
-            ) else {
-                continue;
-            };
-            let frontend = DomainId(dom);
-            let Ok(ring_page) = env.grant_map(GrantRef(ring_gref), true) else {
-                continue;
-            };
-            let port = env.evtchn_alloc_unbound(frontend);
-            self.xs
-                .write(env, &format!("{base}/event-port"), &port.0.to_string());
-            self.blks.push(BlkBackendInst {
-                base: base.clone(),
-                frontend,
-                port,
-                ring: BackRing::attach(ring_page),
-                mapped: HashMap::new(),
-                disk: SimulatedDisk::new(self.disk_profile, sectors),
-                busy_until: Time::ZERO,
-                pending: BinaryHeap::new(),
-            });
-            self.seen.insert(base);
-            progressed = true;
-        }
-        // Virtio network frontends: one split-virtqueue pair per queue,
-        // one event channel per queue.
-        for key in self.xs.keys_with_prefix("device/vnet/") {
-            let Some(base) = key.strip_suffix("/state").map(str::to_owned) else {
-                continue;
-            };
-            if self.seen.contains(&base) {
-                continue;
-            }
-            if self.xs.read(env, &key).as_deref() != Some("initialising") {
-                continue;
-            }
-            let (Some(dom), Some(queues)) = (
-                self.xs
-                    .read(env, &format!("{base}/frontend-domid"))
-                    .and_then(|s| s.parse::<u32>().ok()),
-                self.xs
-                    .read(env, &format!("{base}/queues"))
-                    .and_then(|s| s.parse::<usize>().ok()),
-            ) else {
-                continue;
-            };
-            if queues == 0 {
-                continue;
-            }
-            let frontend = DomainId(dom);
-            let Some(backs) = self.attach_vnet_queues(env, &base, queues) else {
-                continue;
-            };
-            let mut inst = VnetBackendInst {
-                base: base.clone(),
-                frontend,
-                queues: Vec::with_capacity(queues),
-                mapped: HashMap::new(),
-                out_drops: 0,
-                rx_starved: false,
-            };
-            for (q, (tx, rx)) in backs.into_iter().enumerate() {
-                let port = env.evtchn_alloc_unbound(frontend);
-                self.xs.write(
-                    env,
-                    &format!("{base}/q{q}/event-port"),
-                    &port.0.to_string(),
-                );
-                inst.queues.push(VnetQueueBack {
-                    port,
-                    tx,
-                    rx,
-                    out_queue: VecDeque::new(),
-                });
-            }
-            self.vnets.push(inst);
-            self.seen.insert(base);
-            progressed = true;
-        }
-        // Virtio block frontends: one queue, three-descriptor chains.
-        for key in self.xs.keys_with_prefix("device/vblk/") {
-            let Some(base) = key.strip_suffix("/state").map(str::to_owned) else {
-                continue;
-            };
-            if self.seen.contains(&base) {
-                continue;
-            }
-            if self.xs.read(env, &key).as_deref() != Some("initialising") {
-                continue;
-            }
-            let (Some(dom), Some(sectors)) = (
-                self.xs
-                    .read(env, &format!("{base}/frontend-domid"))
-                    .and_then(|s| s.parse::<u32>().ok()),
-                self.xs
-                    .read(env, &format!("{base}/sectors"))
-                    .and_then(|s| s.parse::<u64>().ok()),
-            ) else {
-                continue;
-            };
-            let frontend = DomainId(dom);
-            let Some(queue) = self.attach_device_queue(env, &base, "") else {
-                continue;
-            };
-            let port = env.evtchn_alloc_unbound(frontend);
-            self.xs
-                .write(env, &format!("{base}/event-port"), &port.0.to_string());
-            self.vblks.push(VblkBackendInst {
-                base: base.clone(),
-                frontend,
-                port,
-                queue,
-                mapped: HashMap::new(),
-                disk: SimulatedDisk::new(self.disk_profile, sectors),
-                busy_until: Time::ZERO,
-                pending: BinaryHeap::new(),
-            });
-            self.seen.insert(base);
-            progressed = true;
-        }
-        progressed
-    }
-
-    /// Maps one queue's three granted areas (`{prefix}desc/avail/used`
-    /// under `base`) and attaches the device half. The used area is the
-    /// only one mapped writable — the device never touches descriptors or
-    /// the avail ring.
-    fn attach_device_queue(
-        &self,
-        env: &mut DomainEnv<'_>,
-        base: &str,
-        prefix: &str,
-    ) -> Option<DeviceQueue> {
-        let read_gref = |env: &mut DomainEnv<'_>, area: &str| {
-            self.xs
-                .read(env, &format!("{base}/{prefix}{area}"))
-                .and_then(|s| s.parse::<u32>().ok())
-        };
-        let desc = read_gref(env, "desc")?;
-        let avail = read_gref(env, "avail")?;
-        let used = read_gref(env, "used")?;
-        let pages = crate::virtio::virtqueue::QueuePages {
-            desc: env.grant_map(GrantRef(desc), false).ok()?,
-            avail: env.grant_map(GrantRef(avail), false).ok()?,
-            used: env.grant_map(GrantRef(used), true).ok()?,
-        };
-        Some(DeviceQueue::attach(pages))
-    }
-
-    /// Maps every queue pair of a vnet frontend, or `None` if any grant
-    /// is not yet visible (the frontend writes them all before flipping
-    /// its state, so a partial read means a malformed handshake).
-    fn attach_vnet_queues(
-        &self,
-        env: &mut DomainEnv<'_>,
-        base: &str,
-        queues: usize,
-    ) -> Option<Vec<(DeviceQueue, DeviceQueue)>> {
-        let mut out = Vec::with_capacity(queues);
-        for q in 0..queues {
-            let tx = self.attach_device_queue(env, base, &format!("q{q}/tx-"))?;
-            let rx = self.attach_device_queue(env, base, &format!("q{q}/rx-"))?;
-            out.push((tx, rx));
-        }
-        Some(out)
-    }
-
-    fn map_cached(
-        env: &mut DomainEnv<'_>,
-        cache: &mut HashMap<u32, SharedPage>,
-        gref: u32,
-        writable: bool,
-    ) -> Option<SharedPage> {
-        if let Some(p) = cache.get(&gref) {
-            return Some(p.clone());
-        }
-        let page = env.grant_map(GrantRef(gref), writable).ok()?;
-        cache.insert(gref, page.clone());
-        Some(page)
-    }
-
-    /// Route `frame` from `src` to its destination queue(s), across both
-    /// port families. Multi-port delivery (taps, floods) clones the
-    /// `PktBuf` — a refcount bump, never a byte copy.
-    fn route(&mut self, src: PortRef, frame: PktBuf) {
-        if frame.len() < 14 {
-            return;
-        }
-        let dst: [u8; 6] = frame[0..6].try_into().expect("checked length");
-        let src_mac: [u8; 6] = frame[6..12].try_into().expect("checked length");
-        if src != PortRef::External {
-            self.mac_table.insert(src_mac, src);
-        }
-        self.stats.lock().frames_switched += 1;
-
-        // Tap delivery by exact MAC or broadcast.
-        let mut tap_hit = false;
-        for tap in &self.taps {
-            let mut inner = tap.inner.lock();
-            if inner.mac == dst || dst == MAC_BROADCAST {
-                inner.from_switch.push_back(frame.clone());
-                tap_hit = true;
-            }
-        }
-
-        match self.mac_table.get(&dst) {
-            Some(&port) if dst != MAC_BROADCAST => {
-                self.deliver(port, frame);
-            }
-            _ => {
-                if tap_hit && dst != MAC_BROADCAST {
-                    return;
-                }
-                // Flood to every other port, both families.
-                for idx in 0..self.nics.len() {
-                    if PortRef::Xen(idx) != src {
-                        self.deliver(PortRef::Xen(idx), frame.clone());
-                    }
-                }
-                for idx in 0..self.vnets.len() {
-                    if PortRef::Vnet(idx) != src {
-                        self.deliver(PortRef::Vnet(idx), frame.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Queues `frame` at a port, tail-dropping when its output queue is
-    /// full. Virtio ports classify into a per-queue output queue with the
-    /// same RSS hash the stack's demux uses, so every flow lands on the
-    /// virtqueue — and vCPU — owning its shard.
-    fn deliver(&mut self, port: PortRef, frame: PktBuf) {
-        let (queue, drops, starved) = match port {
-            PortRef::Xen(idx) => {
-                let nic = &mut self.nics[idx];
-                (&mut nic.out_queue, &mut nic.out_drops, nic.rx_starved)
-            }
-            PortRef::Vnet(idx) => {
-                let vnet = &mut self.vnets[idx];
-                let q = crate::rss::rx_queue(&frame, vnet.queues.len());
-                (
-                    &mut vnet.queues[q].out_queue,
-                    &mut vnet.out_drops,
-                    vnet.rx_starved,
-                )
-            }
-            PortRef::External => return,
-        };
-        if queue.len() >= OUT_QUEUE_CAP {
-            *drops += 1;
-            let mut s = self.stats.lock();
-            if starved {
-                s.frames_dropped_no_rx_buffer += 1;
-            } else {
-                s.frames_dropped_congestion += 1;
-            }
-            return;
-        }
-        queue.push_back(frame);
-    }
-
-    /// Offer a frame to the link conditioner (if any) before switching it.
-    /// Conditioned frames may be dropped, duplicated, corrupted or held in
-    /// the delay heap until their release time.
-    fn offer(&mut self, now: Time, src: PortRef, frame: PktBuf) {
-        let outs = match self.netem.as_mut() {
-            None => {
-                self.route(src, frame);
-                return;
-            }
-            Some(nm) => nm.apply(now, frame),
-        };
-        if outs.is_empty() {
-            self.stats.lock().frames_dropped_netem += 1;
-            return;
-        }
-        for (release_at, frame) in outs {
-            if release_at <= now {
-                self.route(src, frame);
-            } else {
-                self.delay_seq += 1;
-                self.delayed.push(DelayedFrame {
-                    release_at,
-                    seq: self.delay_seq,
-                    src,
-                    frame,
-                });
-            }
-        }
-    }
-
-    fn service_net(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let mut progressed = false;
-        // Release frames whose conditioner-imposed delay has elapsed.
-        let now = env.now();
-        while self
-            .delayed
-            .peek()
-            .map(|d| d.release_at <= now)
-            .unwrap_or(false)
-        {
-            let d = self.delayed.pop().expect("peeked");
-            self.route(d.src, d.frame);
-            progressed = true;
-        }
-        // Ingest frames from guests. On a multi-vCPU driver domain each
-        // NIC's wire serialisation is charged on its own lane (a
-        // multi-queue switch port), so two saturated ports don't
-        // serialise behind one core; a 1-vCPU dom0 behaves as before.
-        let entry_lane = env.current_vcpu();
-        let mut routed: Vec<(PortRef, PktBuf)> = Vec::new();
-        for (idx, nic) in self.nics.iter_mut().enumerate() {
-            env.on_vcpu(idx % env.vcpus());
-            let _ = env.evtchn_consume(nic.port);
-            let mut notify = false;
-            while let Some(req) = nic.tx_ring.take_request() {
-                let Some((gref, len)) = parse_tx_req(&req) else {
+        for (dir, probe) in &PROBES {
+            for key in self.xs.keys_with_prefix(dir) {
+                let Some(base) = key.strip_suffix("/state") else {
                     continue;
                 };
-                let Some(page) = Self::map_cached(env, &mut nic.mapped, gref, false) else {
+                if self.seen.contains(base) {
                     continue;
+                }
+                if self.xs.read(env, &key).as_deref() != Some("initialising") {
+                    continue;
+                }
+                let xs = self.xs.clone();
+                let dir = Dir {
+                    xs,
+                    base: base.to_owned(),
                 };
-                // Reading the granted page models the NIC's DMA; once off
-                // the wire the frame travels through the switch by
-                // reference.
-                let mut frame = vec![0u8; len as usize];
-                page.read(|b| frame.copy_from_slice(&b[..len as usize]));
-                // Wire serialisation time for this NIC.
-                env.consume(self.net_profile.wire_time(frame.len()));
-                routed.push((PortRef::Xen(idx), PktBuf::from_vec(frame)));
-                notify |= nic.tx_ring.push_response(&gref_only(gref)).unwrap_or(false);
-                progressed = true;
-            }
-            if notify {
-                let _ = env.evtchn_notify(nic.port);
-            }
-        }
-        // Ingest frames from virtio TX virtqueues: pop the chain, read
-        // the (single readable) buffer, return the chain with a used
-        // entry. Doorbell discipline mirrors the frontend: at most one
-        // interrupt per queue per pass.
-        for (idx, vnet) in self.vnets.iter_mut().enumerate() {
-            env.on_vcpu(idx % env.vcpus());
-            for qb in vnet.queues.iter_mut() {
-                let _ = env.evtchn_consume(qb.port);
-                let mut notify = false;
-                while let Some(chain) = qb.tx.pop_avail() {
-                    let mut frame = Vec::new();
-                    for &(addr, len, device_writes) in &chain.bufs {
-                        if device_writes {
-                            continue; // TX payloads are read-only buffers
-                        }
-                        let (gref, off) = split_addr(addr);
-                        let len = len as usize;
-                        let Some(page) = Self::map_cached(env, &mut vnet.mapped, gref, false)
-                        else {
+                match probe {
+                    Probe::Nic(attach) => {
+                        let Some(pairs) = attach(env, &dir) else {
                             continue;
                         };
-                        if off + len > mirage_hypervisor::PAGE_SIZE {
+                        self.switch.add_port(pairs);
+                    }
+                    Probe::Disk(attach) => {
+                        let Some(sectors) = dir.read(env, "sectors") else {
                             continue;
-                        }
-                        let start = frame.len();
-                        frame.resize(start + len, 0);
-                        page.read(|b| frame[start..].copy_from_slice(&b[off..off + len]));
+                        };
+                        let Some((port, queue)) = attach(env, &dir) else {
+                            continue;
+                        };
+                        self.blks
+                            .push(BlkBackend::new(port, queue, self.disk_profile, sectors));
                     }
-                    notify |= qb.tx.push_used(chain.head, 0);
-                    if frame.is_empty() || frame.len() > MAX_FRAME {
-                        continue;
-                    }
-                    env.consume(self.net_profile.wire_time(frame.len()));
-                    routed.push((PortRef::Vnet(idx), PktBuf::from_vec(frame)));
-                    progressed = true;
                 }
-                if notify {
-                    let _ = env.evtchn_notify(qb.port);
-                }
-            }
-        }
-        env.on_vcpu(entry_lane);
-        for (src, frame) in routed {
-            let now = env.now();
-            self.offer(now, src, frame);
-        }
-        // Ingest frames from taps.
-        let taps: Vec<Tap> = self.taps.clone();
-        for tap in taps {
-            loop {
-                let frame = tap.inner.lock().to_switch.pop_front();
-                let Some(frame) = frame else { break };
-                env.consume(self.net_profile.wire_time(frame.len()));
-                let now = env.now();
-                self.offer(now, PortRef::External, frame);
+                self.seen.insert(dir.base);
                 progressed = true;
-            }
-        }
-        // Deliver queued frames into posted rx buffers.
-        for nic in &mut self.nics {
-            let mut notify = false;
-            while nic.out_queue.front().is_some() {
-                let Some(req) = nic.rx_ring.take_request() else {
-                    nic.rx_starved = true;
-                    break;
-                };
-                nic.rx_starved = false;
-                let Some(gref) = parse_gref(&req) else {
-                    continue;
-                };
-                let Some(page) = Self::map_cached(env, &mut nic.mapped, gref, true) else {
-                    continue;
-                };
-                let frame = nic.out_queue.pop_front().expect("peeked");
-                page.write(|b| b[..frame.len()].copy_from_slice(&frame));
-                notify |= nic
-                    .rx_ring
-                    .push_response(&rx_rsp(gref, frame.len() as u16))
-                    .unwrap_or(false);
-                progressed = true;
-            }
-            if notify {
-                let _ = env.evtchn_notify(nic.port);
-            }
-        }
-        // Deliver queued frames into posted virtio RX chains, per queue.
-        for vnet in &mut self.vnets {
-            for qb in vnet.queues.iter_mut() {
-                let mut notify = false;
-                while let Some(frame) = qb.out_queue.front() {
-                    let flen = frame.len();
-                    let Some(chain) = qb.rx.pop_avail() else {
-                        vnet.rx_starved = true;
-                        break;
-                    };
-                    vnet.rx_starved = false;
-                    // The frontend posts single-page writable chains; take
-                    // the first device-writable buffer with capacity.
-                    let target = chain.bufs.iter().copied().find(|&(addr, len, w)| {
-                        let (_, off) = split_addr(addr);
-                        w && len as usize >= flen
-                            && off + flen <= mirage_hypervisor::PAGE_SIZE
-                    });
-                    let Some((addr, _, _)) = target else {
-                        // Undeliverable chain (too small / read-only):
-                        // return it empty and keep the frame queued.
-                        notify |= qb.rx.push_used(chain.head, 0);
-                        continue;
-                    };
-                    let (gref, off) = split_addr(addr);
-                    let Some(page) = Self::map_cached(env, &mut vnet.mapped, gref, true)
-                    else {
-                        notify |= qb.rx.push_used(chain.head, 0);
-                        continue;
-                    };
-                    let frame = qb.out_queue.pop_front().expect("peeked");
-                    page.write(|b| b[off..off + flen].copy_from_slice(&frame));
-                    notify |= qb.rx.push_used(chain.head, flen as u32);
-                    progressed = true;
-                }
-                if notify {
-                    let _ = env.evtchn_notify(qb.port);
-                }
             }
         }
         progressed
-    }
-
-    fn service_blk(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let mut progressed = false;
-        for blk in &mut self.blks {
-            let _ = env.evtchn_consume(blk.port);
-            // Accept new requests, scheduling their completion times.
-            while let Some(req) = blk.ring.take_request() {
-                let Some((op, id, sector, count, gref)) = blkwire::parse_req(&req) else {
-                    continue;
-                };
-                let bytes = count as usize * SECTOR_SIZE;
-                let in_range = sector + count as u64 <= blk.disk.sectors();
-                if !in_range {
-                    // Fail immediately.
-                    let notify = blk
-                        .ring
-                        .push_response(&blkwire::rsp(id, false, gref))
-                        .unwrap_or(false);
-                    if notify {
-                        let _ = env.evtchn_notify(blk.port);
-                    }
-                    continue;
-                }
-                let is_read = op == blkwire::OP_READ;
-                let faults = blk.disk.profile().faults.unwrap_or_default();
-                let mut ok = true;
-                if is_read {
-                    if DiskFaultPlan::hit(&mut self.disk_rng, faults.read_error_ppm) {
-                        // Transient read failure: data stays intact, the
-                        // completion reports failure.
-                        ok = false;
-                        self.stats.lock().blk_read_errors += 1;
-                    }
-                } else {
-                    // Writes capture the data now (the page may be reused).
-                    let mut data = vec![0u8; bytes];
-                    if let Some(page) =
-                        Self::map_cached(env, &mut blk.mapped, gref, false)
-                    {
-                        page.read(|b| data.copy_from_slice(&b[..bytes]));
-                    }
-                    if DiskFaultPlan::hit(&mut self.disk_rng, faults.write_error_ppm) {
-                        // Transient write failure: nothing persists.
-                        ok = false;
-                        self.stats.lock().blk_write_errors += 1;
-                    } else if DiskFaultPlan::hit(&mut self.disk_rng, faults.torn_write_ppm) {
-                        // Torn write: only a sector prefix persists — the
-                        // on-disk state a power cut mid-request would leave.
-                        ok = false;
-                        let keep =
-                            self.disk_rng.gen_range(0..count) as usize * SECTOR_SIZE;
-                        blk.disk.write(sector, &data[..keep]);
-                        self.stats.lock().blk_torn_writes += 1;
-                    } else {
-                        blk.disk.write(sector, &data);
-                    }
-                }
-                // The device pipelines: occupancy is the transfer time
-                // only, while the fixed latency overlaps across queued
-                // requests (NCQ on the paper's PCIe SSD).
-                let start = blk.busy_until.max(env.now());
-                let transfer = blk.disk.profile().transfer_time(bytes);
-                let done_at = start + transfer + blk.disk.profile().latency;
-                blk.busy_until = start + transfer;
-                blk.pending.push(PendingBlk {
-                    done_at,
-                    gref: GrantRef(gref),
-                    id,
-                    is_read,
-                    ok,
-                    sector,
-                    count,
-                });
-                progressed = true;
-            }
-            // Complete requests whose service time has elapsed.
-            let now = env.now();
-            let mut notify = false;
-            while blk
-                .pending
-                .peek()
-                .map(|p| p.done_at <= now)
-                .unwrap_or(false)
-            {
-                let p = blk.pending.pop().expect("peeked");
-                if p.is_read && p.ok {
-                    let data = blk.disk.read(p.sector, p.count);
-                    if let Some(page) =
-                        Self::map_cached(env, &mut blk.mapped, p.gref.0, true)
-                    {
-                        page.write(|b| b[..data.len()].copy_from_slice(&data));
-                    }
-                }
-                notify |= blk
-                    .ring
-                    .push_response(&blkwire::rsp(p.id, p.ok, p.gref.0))
-                    .unwrap_or(false);
-                self.stats.lock().blk_completed += 1;
-                progressed = true;
-            }
-            if notify {
-                let _ = env.evtchn_notify(blk.port);
-            }
-        }
-        progressed
-    }
-
-    /// Writes a virtio-blk status byte through the grant cache.
-    fn write_status(
-        env: &mut DomainEnv<'_>,
-        mapped: &mut HashMap<u32, SharedPage>,
-        addr: u64,
-        status: u8,
-    ) {
-        let (gref, off) = split_addr(addr);
-        if off >= mirage_hypervisor::PAGE_SIZE {
-            return;
-        }
-        if let Some(page) = Self::map_cached(env, mapped, gref, true) {
-            page.write(|b| b[off] = status);
-        }
-    }
-
-    /// Services virtio block queues: the same disk, fault plan and
-    /// NCQ-pipelined timing as [`Self::service_blk`], over
-    /// header/data/status descriptor chains instead of ring slots.
-    fn service_vblk(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let mut progressed = false;
-        for vblk in &mut self.vblks {
-            let _ = env.evtchn_consume(vblk.port);
-            let mut notify = false;
-            // Accept new chains, scheduling their completion times.
-            while let Some(chain) = vblk.queue.pop_avail() {
-                progressed = true;
-                // Expected shape: [header ro][data][status wo, 1 byte].
-                let shaped = chain.bufs.len() == 3
-                    && !chain.bufs[0].2
-                    && chain.bufs[0].1 == 23
-                    && chain.bufs[2].2
-                    && chain.bufs[2].1 == 1;
-                if !shaped {
-                    notify |= vblk.queue.push_used(chain.head, 0);
-                    continue;
-                }
-                let (hdr_addr, _, _) = chain.bufs[0];
-                let (data_addr, data_len, data_writable) = chain.bufs[1];
-                let (status_addr, _, _) = chain.bufs[2];
-                let (hgref, hoff) = split_addr(hdr_addr);
-                let header = Self::map_cached(env, &mut vblk.mapped, hgref, false)
-                    .filter(|_| hoff + 23 <= mirage_hypervisor::PAGE_SIZE)
-                    .map(|page| page.read(|b| b[hoff..hoff + 23].to_vec()));
-                let Some(header) = header else {
-                    notify |= vblk.queue.push_used(chain.head, 0);
-                    continue;
-                };
-                let Some((op, id, sector, count, _gref)) = blkwire::parse_req(&header)
-                else {
-                    Self::write_status(env, &mut vblk.mapped, status_addr, STATUS_IOERR);
-                    notify |= vblk.queue.push_used(chain.head, 1);
-                    continue;
-                };
-                let bytes = count as usize * SECTOR_SIZE;
-                let (_, doff) = split_addr(data_addr);
-                let is_read = op == blkwire::OP_READ;
-                let in_range = sector + count as u64 <= vblk.disk.sectors();
-                let data_fits = bytes <= data_len as usize
-                    && doff + bytes <= mirage_hypervisor::PAGE_SIZE;
-                if !in_range || !data_fits || (is_read && !data_writable) {
-                    Self::write_status(env, &mut vblk.mapped, status_addr, STATUS_IOERR);
-                    notify |= vblk.queue.push_used(chain.head, 1);
-                    continue;
-                }
-                let faults = vblk.disk.profile().faults.unwrap_or_default();
-                let mut ok = true;
-                if is_read {
-                    if DiskFaultPlan::hit(&mut self.disk_rng, faults.read_error_ppm) {
-                        ok = false;
-                        self.stats.lock().blk_read_errors += 1;
-                    }
-                } else {
-                    // Writes capture the data now (the page may be reused).
-                    let mut data = vec![0u8; bytes];
-                    let (dgref, doff) = split_addr(data_addr);
-                    if let Some(page) =
-                        Self::map_cached(env, &mut vblk.mapped, dgref, false)
-                    {
-                        page.read(|b| data.copy_from_slice(&b[doff..doff + bytes]));
-                    }
-                    if DiskFaultPlan::hit(&mut self.disk_rng, faults.write_error_ppm) {
-                        ok = false;
-                        self.stats.lock().blk_write_errors += 1;
-                    } else if DiskFaultPlan::hit(&mut self.disk_rng, faults.torn_write_ppm) {
-                        ok = false;
-                        let keep =
-                            self.disk_rng.gen_range(0..count) as usize * SECTOR_SIZE;
-                        vblk.disk.write(sector, &data[..keep]);
-                        self.stats.lock().blk_torn_writes += 1;
-                    } else {
-                        vblk.disk.write(sector, &data);
-                    }
-                }
-                // Same NCQ pipelining as the Xen path: occupancy is the
-                // transfer time, fixed latency overlaps queued requests.
-                let start = vblk.busy_until.max(env.now());
-                let transfer = vblk.disk.profile().transfer_time(bytes);
-                let done_at = start + transfer + vblk.disk.profile().latency;
-                vblk.busy_until = start + transfer;
-                vblk.pending.push(PendingVBlk {
-                    done_at,
-                    head: chain.head,
-                    id,
-                    is_read,
-                    ok,
-                    sector,
-                    count,
-                    data_addr,
-                    status_addr,
-                });
-            }
-            // Complete chains whose service time has elapsed.
-            let now = env.now();
-            while vblk
-                .pending
-                .peek()
-                .map(|p| p.done_at <= now)
-                .unwrap_or(false)
-            {
-                let p = vblk.pending.pop().expect("peeked");
-                let mut written = 1u32; // the status byte
-                if p.is_read && p.ok {
-                    let data = vblk.disk.read(p.sector, p.count);
-                    let (gref, off) = split_addr(p.data_addr);
-                    if let Some(page) =
-                        Self::map_cached(env, &mut vblk.mapped, gref, true)
-                    {
-                        page.write(|b| b[off..off + data.len()].copy_from_slice(&data));
-                    }
-                    written += data.len() as u32;
-                }
-                let status = if p.ok { STATUS_OK } else { STATUS_IOERR };
-                Self::write_status(env, &mut vblk.mapped, p.status_addr, status);
-                notify |= vblk.queue.push_used(p.head, written);
-                self.stats.lock().blk_completed += 1;
-                progressed = true;
-            }
-            if notify {
-                let _ = env.evtchn_notify(vblk.port);
-            }
-        }
-        progressed
-    }
-
-    fn next_deadline(&self) -> Option<Time> {
-        let blk = self
-            .blks
-            .iter()
-            .filter_map(|b| b.pending.peek().map(|p| p.done_at))
-            .min();
-        let vblk = self
-            .vblks
-            .iter()
-            .filter_map(|b| b.pending.peek().map(|p| p.done_at))
-            .min();
-        let net = self.delayed.peek().map(|d| d.release_at);
-        [blk, vblk, net].into_iter().flatten().min()
     }
 }
 
@@ -1213,87 +190,360 @@ impl Guest for DriverDomain {
         }
         loop {
             let mut progressed = self.discover(env);
-            progressed |= self.service_net(env);
-            progressed |= self.service_blk(env);
-            progressed |= self.service_vblk(env);
+            progressed |= self.switch.service(env);
+            for blk in &mut self.blks {
+                progressed |= blk.service(env, &mut self.disk_rng, &self.stats);
+            }
             // Arm request notifications before blocking; any race means
             // another pass instead of a sleep.
-            for nic in &mut self.nics {
-                progressed |= nic.tx_ring.enable_request_notifications();
-                if !nic.out_queue.is_empty() {
-                    progressed |= nic.rx_ring.enable_request_notifications();
-                }
-            }
-            for vnet in &mut self.vnets {
-                for qb in vnet.queues.iter_mut() {
-                    progressed |= qb.tx.enable_avail_notifications();
-                    if !qb.out_queue.is_empty() {
-                        progressed |= qb.rx.enable_avail_notifications();
-                    }
-                }
-            }
+            progressed |= self.switch.arm();
             for blk in &mut self.blks {
-                progressed |= blk.ring.enable_request_notifications();
-            }
-            for vblk in &mut self.vblks {
-                progressed |= vblk.queue.enable_avail_notifications();
+                progressed |= blk.arm();
             }
             if !progressed {
                 break;
             }
         }
         let ports: Vec<Port> = self
-            .nics
-            .iter()
-            .map(|n| n.port)
-            .chain(self.vnets.iter().flat_map(|v| v.queues.iter().map(|q| q.port)))
-            .chain(self.blks.iter().map(|b| b.port))
-            .chain(self.vblks.iter().map(|b| b.port))
+            .switch
+            .event_ports()
+            .chain(self.blks.iter().map(|b| b.event_port()))
             .collect();
-        Step::Yield(Wake {
-            deadline: self.next_deadline(),
-            ports,
-        })
+        let deadline = self
+            .blks
+            .iter()
+            .filter_map(|b| b.next_deadline())
+            .chain(self.switch.next_deadline())
+            .min();
+        Step::Yield(Wake { deadline, ports })
     }
 }
 
 impl std::fmt::Debug for DriverDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DriverDomain")
-            .field("nics", &self.nics.len())
-            .field("vnets", &self.vnets.len())
+            .field("nic_queues", &self.switch.event_ports().count())
             .field("blks", &self.blks.len())
-            .field("vblks", &self.vblks.len())
-            .field("taps", &self.taps.len())
+            .field("taps", &self.switch.taps.len())
             .finish()
     }
 }
 
-// Silence dead-code warnings on fields kept for debugging/telemetry.
-impl NetBackendInst {
-    #[allow(dead_code)]
-    fn describe(&self) -> (&str, DomainId, u64) {
-        (&self.base, self.frontend, self.out_drops)
+/// A frontend with no scruples, for the hostile-guest tests: it completes
+/// the xenstore handshake like the real ones, then posts exactly the
+/// requests it is told to — however malformed — and records what comes
+/// back. Made per ABI by `Backend::raw`.
+#[cfg(test)]
+pub(crate) mod raw {
+    use std::sync::Arc;
+
+    use mirage_hypervisor::event::Port;
+    use mirage_hypervisor::grant::SharedPage;
+    use mirage_hypervisor::DomainEnv;
+    use mirage_runtime::{DeviceService, Runtime};
+    use mirage_testkit::sync::Mutex;
+
+    use crate::netfront::MAX_FRAME;
+    use crate::transport::{find_backend, Completion, DataBuf, Dir, FrontTransport, Link};
+    use crate::xenstore::Xenstore;
+
+    /// One request to post: its header, the length and direction its
+    /// buffer claims, and what the buffer's page holds.
+    pub(crate) struct Post {
+        pub header: Vec<u8>,
+        pub len: u32,
+        pub device_writes: bool,
+        pub payload: Vec<u8>,
+    }
+
+    pub(crate) enum Kind {
+        /// A NIC; the script goes out on its TX queue.
+        Nic,
+        /// A disk of this many sectors.
+        Disk(u64),
+    }
+
+    pub(crate) struct Raw<T> {
+        dir: Dir,
+        kind: Kind,
+        script: Vec<Post>,
+        /// Completions of the scripted requests, in arrival order.
+        done: Arc<Mutex<Vec<Completion>>>,
+        link: Link,
+        /// `[tx, rx]` for a NIC, `[queue]` for a disk.
+        queues: Vec<T>,
+        port: Option<Port>,
+    }
+
+    impl<T: FrontTransport> Raw<T> {
+        pub(crate) fn new(
+            xs: Xenstore,
+            kind: Kind,
+            script: Vec<Post>,
+            done: Arc<Mutex<Vec<Completion>>>,
+        ) -> Raw<T> {
+            let kind_dir = match kind {
+                Kind::Nic => T::NET_DIR,
+                Kind::Disk(_) => T::BLK_DIR,
+            };
+            let base = format!("device/{kind_dir}/raw");
+            let (link, queues, port) = (Link::Init, Vec::new(), None);
+            Raw {
+                dir: Dir { xs, base },
+                kind,
+                script,
+                done,
+                link,
+                queues,
+                port,
+            }
+        }
+    }
+
+    impl<T: FrontTransport> DeviceService for Raw<T> {
+        fn service(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
+            let dir = &self.dir;
+            match self.link {
+                Link::Init => {
+                    let Some(backend) = find_backend(env, &dir.xs) else {
+                        return false;
+                    };
+                    match self.kind {
+                        Kind::Nic => {
+                            let (tx, rx) = T::advertise_net(env, dir, backend, 1).remove(0);
+                            self.queues = vec![tx, rx];
+                        }
+                        Kind::Disk(sectors) => {
+                            self.queues = vec![T::advertise_blk(env, dir, backend)];
+                            dir.write(env, "sectors", sectors);
+                        }
+                    }
+                    dir.write(env, "state", "initialising");
+                    self.link = Link::Advertised(backend);
+                    true
+                }
+                Link::Advertised(backend) => {
+                    let port = match self.kind {
+                        Kind::Nic => {
+                            let rx = &mut self.queues[1];
+                            let mut fill = |env: &mut DomainEnv<'_>, _pair: usize| {
+                                let gref = env.grant(backend, SharedPage::new(), true);
+                                rx.post(&[], DataBuf::page(gref, MAX_FRAME, true));
+                            };
+                            T::attach_net(env, dir, backend, 1, &mut fill).map(|ports| ports[0])
+                        }
+                        Kind::Disk(_) => {
+                            let depth = self.script.len();
+                            self.queues[0].attach_blk(env, dir, backend, depth)
+                        }
+                    };
+                    let Some(port) = port else {
+                        return false;
+                    };
+                    self.port = Some(port);
+                    // The whole script at once, ill-formed entries and all.
+                    for post in self.script.drain(..) {
+                        let page = SharedPage::new();
+                        page.write(|b| b[..post.payload.len()].copy_from_slice(&post.payload));
+                        let gref = env.grant(backend, page, true);
+                        let data = DataBuf {
+                            gref: gref.0,
+                            off: 0,
+                            len: post.len,
+                            device_writes: post.device_writes,
+                        };
+                        self.queues[0].post(&post.header, data);
+                    }
+                    env.evtchn_notify(port).expect("bound");
+                    self.link = Link::Connected;
+                    true
+                }
+                Link::Connected => {
+                    let _ = env.evtchn_consume(self.port.expect("connected"));
+                    let mut progressed = false;
+                    while let Some(done) = self.queues[0].reap() {
+                        self.done.lock().push(done);
+                        progressed = true;
+                    }
+                    progressed | self.queues[0].arm()
+                }
+            }
+        }
+
+        fn watch_ports(&self) -> Vec<Port> {
+            self.port.into_iter().collect()
+        }
     }
 }
 
-impl BlkBackendInst {
-    #[allow(dead_code)]
-    fn describe(&self) -> (&str, DomainId) {
-        (&self.base, self.frontend)
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::raw::{Kind, Post};
+    use super::*;
+    use crate::blk::wire;
+    use crate::driver::Backend;
+    use crate::netem::DiskFaultPlan;
+    use crate::netfront::CopyDiscipline;
+    use crate::transport::Completion;
+    use mirage_hypervisor::{Dur, Hypervisor, Time};
+    use mirage_runtime::UnikernelGuest;
 
-impl VnetBackendInst {
-    #[allow(dead_code)]
-    fn describe(&self) -> (&str, DomainId, u64) {
-        (&self.base, self.frontend, self.out_drops)
-    }
-}
+    const TAP_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x01];
+    const GUEST_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0xAA];
 
-impl VblkBackendInst {
-    #[allow(dead_code)]
-    fn describe(&self) -> (&str, DomainId) {
-        (&self.base, self.frontend)
+    fn eth_frame(dst: [u8; 6], src: [u8; 6], len: usize) -> Vec<u8> {
+        let mut f = vec![0x5A; len];
+        f[0..6].copy_from_slice(&dst);
+        f[6..12].copy_from_slice(&src);
+        f[12..14].copy_from_slice(&[0x08, 0x00]);
+        f
+    }
+
+    /// Boots `dom0` beside a guest whose only device is a raw frontend
+    /// posting `script`, runs to quiescence — the driver domain must
+    /// survive whatever arrives — and returns the completions and the
+    /// driver's counters.
+    fn run_raw(
+        backend: Backend,
+        dom0: DriverDomain,
+        kind: Kind,
+        script: Vec<Post>,
+    ) -> (Vec<Completion>, DriverStats) {
+        let xs = dom0.xs.clone();
+        let stats = dom0.stats_handle();
+        let mut hv = Hypervisor::new();
+        hv.create_domain("dom0", 512, Box::new(dom0));
+        let done = Arc::new(Mutex::new(Vec::new()));
+        let mut guest = UnikernelGuest::new(|_env, rt| {
+            let rt2 = rt.clone();
+            rt.spawn(async move {
+                rt2.sleep(Dur::millis(50)).await;
+                0
+            })
+        });
+        guest.add_device(backend.raw(xs, kind, script, Arc::clone(&done)));
+        let gdom = hv.create_domain("hostile", 64, Box::new(guest));
+        hv.run_until(Time::ZERO + Dur::secs(1));
+        assert_eq!(hv.exit_code(gdom), Some(0), "[{backend}] ran to completion");
+        let done = done.lock().clone();
+        let stats = *stats.lock();
+        (done, stats)
+    }
+
+    fn blk_post(op: u8, sector: u64, count: u16, len: u32) -> Post {
+        let header =
+            wire::req(op, u64::from(count) << 32 | sector & 0xFFFF, sector, count).to_vec();
+        Post {
+            header,
+            len,
+            device_writes: op == wire::OP_READ,
+            payload: vec![0xC3; 4096],
+        }
+    }
+
+    /// One hostile block request, then a well-formed one: the first must
+    /// complete failed and be counted, the second must still succeed.
+    fn hostile_blk(dom0: impl Fn(Xenstore) -> DriverDomain, hostile: fn() -> Post) {
+        for backend in Backend::ALL {
+            let script = vec![hostile(), blk_post(wire::OP_READ, 8, 1, 512)];
+            let (done, stats) = run_raw(backend, dom0(Xenstore::new()), Kind::Disk(64), script);
+            let ok: Vec<bool> = done.iter().map(|c| c.ok).collect();
+            assert_eq!(
+                ok,
+                [false, true],
+                "[{backend}] hostile fails, well-formed succeeds"
+            );
+            assert_eq!(stats.requests_rejected, 1, "[{backend}]");
+            assert_eq!(
+                stats.blk_completed, 1,
+                "[{backend}] only the well-formed one ran"
+            );
+        }
+    }
+
+    #[test]
+    fn blk_count_over_a_page_is_rejected() {
+        // Nine sectors are in range on a 64-sector disk but overrun the
+        // one-page buffer.
+        hostile_blk(DriverDomain::new, || blk_post(wire::OP_WRITE, 0, 9, 4096));
+    }
+
+    #[test]
+    fn blk_count_zero_is_rejected_before_the_fault_plan_draws() {
+        // Every write torn: a zero count would reach `gen_range(0..0)`.
+        let torn = |xs| {
+            let faults = DiskFaultPlan {
+                torn_write_ppm: 1_000_000,
+                ..DiskFaultPlan::default()
+            };
+            let disk = DiskProfile::pcie_ssd().with_faults(faults);
+            DriverDomain::with_profiles(xs, NetProfile::default(), disk)
+        };
+        hostile_blk(torn, || blk_post(wire::OP_WRITE, 0, 0, 0));
+    }
+
+    #[test]
+    fn blk_sector_overflow_is_rejected() {
+        hostile_blk(DriverDomain::new, || {
+            blk_post(wire::OP_READ, u64::MAX, 1, 512)
+        });
+    }
+
+    #[test]
+    fn net_tx_length_past_the_page_is_rejected() {
+        for backend in Backend::ALL {
+            let tap = Tap::new(TAP_MAC);
+            let mut dom0 = DriverDomain::new(Xenstore::new());
+            dom0.add_tap(tap.clone());
+            let frame = eth_frame(TAP_MAC, GUEST_MAC, 64);
+            let post = |len| Post {
+                header: vec![],
+                len,
+                device_writes: false,
+                payload: frame.clone(),
+            };
+            let (done, stats) = run_raw(backend, dom0, Kind::Nic, vec![post(5000), post(64)]);
+            assert_eq!(done.len(), 2, "[{backend}] both requests came back");
+            assert_eq!(stats.requests_rejected, 1, "[{backend}]");
+            let frames = tap.harvest();
+            assert_eq!(
+                frames.len(),
+                1,
+                "[{backend}] the well-formed frame was switched"
+            );
+            assert_eq!(&frames[0][..], &frame[..]);
+        }
+    }
+
+    #[test]
+    fn oversize_tap_frame_is_dropped_and_the_port_keeps_flowing() {
+        for backend in Backend::ALL {
+            let xs = Xenstore::new();
+            let tap = Tap::new(TAP_MAC);
+            let mut dom0 = DriverDomain::new(xs.clone());
+            dom0.add_tap(tap.clone());
+            let stats = dom0.stats_handle();
+            let mut hv = Hypervisor::new();
+            let d0 = hv.create_domain("dom0", 512, Box::new(dom0));
+            let (front, mut nh) = backend.net(xs, "g", GUEST_MAC, CopyDiscipline::ZeroCopy);
+            let mut guest = UnikernelGuest::new(move |_env, rt| {
+                rt.clone()
+                    .spawn(async move { nh.rx.recv().await.expect("frame from tap").len() as i64 })
+            });
+            guest.add_device(front);
+            let gdom = hv.create_domain("guest", 64, Box::new(guest));
+            hv.run_until(Time::ZERO + Dur::millis(100));
+            // Over a page: no posted buffer could ever take it.
+            tap.inject(eth_frame(GUEST_MAC, TAP_MAC, 5000));
+            tap.inject(eth_frame(GUEST_MAC, TAP_MAC, 100));
+            hv.wake_external(d0);
+            hv.run_until(Time::ZERO + Dur::secs(1));
+            assert_eq!(
+                hv.exit_code(gdom),
+                Some(100),
+                "[{backend}] the next frame got through"
+            );
+            assert_eq!(stats.lock().frames_dropped_oversize, 1, "[{backend}]");
+        }
     }
 }

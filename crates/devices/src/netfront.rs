@@ -1,11 +1,13 @@
-//! Netfront — the guest-side Ethernet driver (paper §3.4).
+//! netfront — the guest-side Ethernet driver (paper §3.4).
 //!
 //! "Xen devices consist of a frontend driver in the guest VM, and a backend
-//! driver that multiplexes frontend requests." The frontend owns two
-//! descriptor rings (transmit and receive), a pool of granted I/O pages,
-//! and an event channel. Descriptors never carry packet data — only grant
+//! driver that multiplexes frontend requests." The frontend owns transmit
+//! and receive queues, a pool of granted I/O pages per queue pair, and an
+//! event channel per pair. Requests never carry packet data — only grant
 //! references — so the data path is the zero-copy page-passing scheme of
-//! §3.4.1.
+//! §3.4.1. It is written once over `transport::FrontTransport`; which ring ABI
+//! carries the requests is the type parameter
+//! [`Backend::net`](crate::driver::Backend::net) picks.
 //!
 //! The [`CopyDiscipline`] knob prices the two architectures the paper
 //! compares: a unikernel writes wire bytes straight into the granted I/O
@@ -13,7 +15,7 @@
 //! plus a user↔kernel copy on every packet
 //! ([`CopyDiscipline::UserKernelCopy`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mirage_testkit::sync::Mutex;
@@ -22,17 +24,18 @@ use mirage_cstruct::PktBuf;
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId};
-use mirage_ring::FrontRing;
 use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
+use crate::driver::{Backend, NetDriver};
+use crate::transport::{find_backend, DataBuf, Dir, FrontTransport, Link};
 use crate::xenstore::Xenstore;
 
-/// Receive buffers posted to the backend.
+/// Receive buffers posted per RX queue.
 pub const RX_BUFFERS: usize = 24;
-/// Transmit pages in the recycled pool.
+/// Transmit pages pooled per TX queue.
 pub const TX_BUFFERS: usize = 24;
-/// Frames queued towards the ring before tail-drop.
+/// Frames one stack queue may have waiting for a TX buffer before tail-drop.
 pub const TX_BACKLOG_CAP: usize = 256;
 /// Maximum frame size (one page; jumbo frames are not modelled).
 pub const MAX_FRAME: usize = 4096;
@@ -63,9 +66,9 @@ pub struct NetifStats {
     /// Frames dropped at the transmit backlog.
     pub tx_drops: u64,
     /// Frontend→backend event-channel notifications on the data plane.
-    /// Both ring ABIs batch: one service pass rings at most once per
-    /// queue, and only when the backend's announced event mark asks for
-    /// it — so this grows O(bursts), not O(frames).
+    /// One service pass rings at most once per queue pair, and only when
+    /// the backend's announced event mark asks for it — so this grows
+    /// O(bursts), not O(frames).
     pub doorbells: u64,
 }
 
@@ -90,66 +93,15 @@ impl std::fmt::Debug for NetHandle {
 }
 
 impl NetHandle {
-    /// Assembles a handle around a driver's queue endpoints (shared by
-    /// the Xen and virtio frontends).
-    pub(crate) fn new(
-        mac: [u8; 6],
-        tx: Sender<PktBuf>,
-        rx: Receiver<PktBuf>,
-        stats: Arc<Mutex<NetifStats>>,
-    ) -> NetHandle {
-        NetHandle { mac, tx, rx, stats }
-    }
-
     /// Current interface counters.
     pub fn stats(&self) -> NetifStats {
         *self.stats.lock()
     }
 }
 
-mod desc {
-    //! Descriptor encodings (they ride in ring slots, never payload).
-
-    pub fn tx_req(gref: u32, len: u16) -> Vec<u8> {
-        let mut d = Vec::with_capacity(6);
-        d.extend_from_slice(&gref.to_le_bytes());
-        d.extend_from_slice(&len.to_le_bytes());
-        d
-    }
-
-    pub fn parse_tx_req(d: &[u8]) -> Option<(u32, u16)> {
-        if d.len() != 6 {
-            return None;
-        }
-        Some((
-            u32::from_le_bytes(d[0..4].try_into().ok()?),
-            u16::from_le_bytes(d[4..6].try_into().ok()?),
-        ))
-    }
-
-    pub fn gref_only(gref: u32) -> Vec<u8> {
-        gref.to_le_bytes().to_vec()
-    }
-
-    pub fn parse_gref(d: &[u8]) -> Option<u32> {
-        Some(u32::from_le_bytes(d.try_into().ok()?))
-    }
-
-    pub fn rx_rsp(gref: u32, len: u16) -> Vec<u8> {
-        tx_req(gref, len)
-    }
-
-    pub fn parse_rx_rsp(d: &[u8]) -> Option<(u32, u16)> {
-        parse_tx_req(d)
-    }
-}
-
-pub(crate) use desc::*;
-
 /// Prices moving `len` payload bytes from the stack into the granted I/O
-/// page, per the interface's [`CopyDiscipline`] — shared by both ring
-/// ABIs, so the architectural comparison is independent of the transport.
-pub(crate) fn charge_tx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
+/// page, per the interface's [`CopyDiscipline`].
+fn charge_tx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
     match discipline {
         CopyDiscipline::ZeroCopy => {
             // The single serialise-into-I/O-page write.
@@ -164,7 +116,7 @@ pub(crate) fn charge_tx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len
 }
 
 /// Prices receiving `len` payload bytes, per the [`CopyDiscipline`].
-pub(crate) fn charge_rx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
+fn charge_rx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
     match discipline {
         CopyDiscipline::ZeroCopy => {
             // Page is mapped and sliced; no copy ("received pages are
@@ -177,86 +129,98 @@ pub(crate) fn charge_rx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len
     }
 }
 
-enum FrontState {
-    /// Advertise rings + domid in xenstore.
-    Init,
-    /// Waiting for the backend to publish an event-channel port.
-    WaitPort,
-    /// Data plane running.
-    Connected,
+/// Pages out with the backend, keyed by request token. A pool's worth at
+/// most (tens), where a scan beats hashing on every frame.
+#[derive(Default)]
+struct Outstanding(Vec<(u32, (GrantRef, SharedPage))>);
+
+impl Outstanding {
+    fn insert(&mut self, token: u32, buf: (GrantRef, SharedPage)) {
+        self.0.push((token, buf));
+    }
+
+    fn remove(&mut self, token: u32) -> Option<(GrantRef, SharedPage)> {
+        let at = self.0.iter().position(|(t, _)| *t == token)?;
+        Some(self.0.swap_remove(at).1)
+    }
 }
 
-/// The netfront device driver; plugs into a
+/// One TX/RX queue pair with its page pools.
+struct Pair<T> {
+    tx: T,
+    rx: T,
+    /// TX pages not out with the backend.
+    tx_free: Vec<(GrantRef, SharedPage)>,
+    /// TX pages out with the backend, by request token.
+    tx_inflight: Outstanding,
+    /// Posted RX buffers, by request token.
+    rx_bufs: Outstanding,
+    /// Frames awaiting a TX buffer; each remembers its stack queue so its
+    /// serialise-into-I/O-page charge lands on the owning vCPU's lane.
+    backlog: VecDeque<(usize, PktBuf)>,
+}
+
+impl<T: FrontTransport> Pair<T> {
+    fn post_rx(&mut self, gref: GrantRef, page: SharedPage) -> bool {
+        let (token, bell) = self.rx.post(&[], DataBuf::page(gref, MAX_FRAME, true));
+        self.rx_bufs.insert(token, (gref, page));
+        bell
+    }
+
+    /// Posts the receive buffers and pre-grants the transmit pool
+    /// (read-only: the backend only reads TX payloads).
+    fn fill(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) {
+        for _ in 0..RX_BUFFERS {
+            let page = SharedPage::new();
+            let gref = env.grant(backend, page.clone(), true);
+            self.post_rx(gref, page);
+        }
+        for _ in 0..TX_BUFFERS {
+            let page = SharedPage::new();
+            self.tx_free
+                .push((env.grant(backend, page.clone(), false), page));
+        }
+    }
+}
+
+/// The NIC frontend; plugs into a
 /// [`UnikernelGuest`](mirage_runtime::UnikernelGuest) as a
-/// [`DeviceService`].
+/// [`DeviceService`], created through
+/// [`Backend::net`](crate::driver::Backend::net).
 ///
-/// A multi-queue instance ([`Netfront::new_multiqueue`]) keeps one ring
-/// pair and one event channel but fans received frames out to per-queue
-/// ingress channels by RSS flow hash ([`crate::rss`]), so each stack
-/// worker — and therefore each vCPU — sees only its own flows. Cross-core
-/// handoff moves `PktBuf` views (refcount bumps), never bytes.
-pub struct Netfront {
-    xs: Xenstore,
-    name: String,
+/// The stack sees one handle per queue whatever the ABI. Underneath, the
+/// transport decides how many ring pairs the queues share: a Xen NIC
+/// multiplexes them all over one pair and classifies received frames here
+/// by RSS flow hash ([`crate::rss`]); a virtio NIC has a pair — and an
+/// event channel steered to the owning vCPU — per queue, classified by
+/// the backend. Either way each stack worker sees only its own flows, and
+/// cross-core handoff moves `PktBuf` views (refcount bumps), never bytes.
+pub(crate) struct Netif<T> {
+    dir: Dir,
     mac: [u8; 6],
     discipline: CopyDiscipline,
-    state: FrontState,
-    registered_watch: bool,
-    tx_ring: Option<FrontRing>,
-    rx_ring: Option<FrontRing>,
-    port: Option<Port>,
-    backend: Option<DomainId>,
-    /// Recycled transmit pages: (gref, page).
-    tx_free: Vec<(GrantRef, SharedPage)>,
-    /// Pages travelling through the backend, keyed by gref.
-    tx_inflight: HashMap<u32, (GrantRef, SharedPage)>,
-    /// Posted receive buffers, keyed by gref.
-    rx_bufs: HashMap<u32, SharedPage>,
+    link: Link,
+    pairs: Vec<Pair<T>>,
+    /// One event channel per pair, once connected.
+    ports: Vec<Port>,
     /// Per-queue TX intake (stack workers -> driver), drained in fixed
     /// queue order each service pass.
     from_stack: Vec<Receiver<PktBuf>>,
-    /// Per-queue RX fan-out (driver -> stack workers), indexed by
-    /// [`crate::rss::rx_queue`] of the incoming frame.
+    /// Per-queue RX hand-off (driver -> stack workers).
     to_stack: Vec<Sender<PktBuf>>,
-    /// Merged TX backlog; each frame remembers its source queue so its
-    /// serialise-into-I/O-page charge lands on the owning vCPU's lane.
-    tx_backlog: VecDeque<(usize, PktBuf)>,
     stats: Arc<Mutex<NetifStats>>,
-    /// vCPU this device's event channel is steered to
-    /// (`EVTCHNOP_bind_vcpu`); the run-loop charges service work there.
-    service_vcpu: usize,
 }
 
-impl Netfront {
-    /// Creates the driver and its stack-facing handle.
-    ///
-    /// `name` keys the xenstore handshake and must be unique per interface.
-    pub fn new(
+impl<T: FrontTransport> Netif<T> {
+    /// Creates the driver and one stack-facing handle per queue. `name`
+    /// keys the xenstore handshake and must be unique per interface.
+    pub(crate) fn create(
         xs: Xenstore,
-        name: impl Into<String>,
-        mac: [u8; 6],
-        discipline: CopyDiscipline,
-    ) -> (Netfront, NetHandle) {
-        let (front, mut handles) = Netfront::new_multiqueue(xs, name, mac, discipline, 1);
-        (front, handles.remove(0))
-    }
-
-    /// Creates a multi-queue driver: one stack-facing handle per RX/TX
-    /// queue. Received IPv4 TCP frames are classified by Toeplitz flow
-    /// hash into `shard % queues`; everything else rides queue 0. Pass
-    /// each handle to the stack worker that owns the matching shard
-    /// slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queues` is zero.
-    pub fn new_multiqueue(
-        xs: Xenstore,
-        name: impl Into<String>,
+        name: String,
         mac: [u8; 6],
         discipline: CopyDiscipline,
         queues: usize,
-    ) -> (Netfront, Vec<NetHandle>) {
+    ) -> (Box<dyn NetDriver>, Vec<NetHandle>) {
         assert!(queues > 0, "a NIC needs at least one queue");
         let stats = Arc::new(Mutex::new(NetifStats::default()));
         let mut from_stack = Vec::with_capacity(queues);
@@ -274,262 +238,283 @@ impl Netfront {
                 stats: Arc::clone(&stats),
             });
         }
-        let front = Netfront {
-            xs,
-            name: name.into(),
+        let front = Netif::<T> {
+            dir: Dir {
+                xs,
+                base: format!("device/{}/{name}", T::NET_DIR),
+            },
             mac,
             discipline,
-            state: FrontState::Init,
-            registered_watch: false,
-            tx_ring: None,
-            rx_ring: None,
-            port: None,
-            backend: None,
-            tx_free: Vec::new(),
-            tx_inflight: HashMap::new(),
-            rx_bufs: HashMap::new(),
+            link: Link::Init,
+            pairs: Vec::new(),
+            ports: Vec::new(),
             from_stack,
             to_stack,
-            tx_backlog: VecDeque::new(),
             stats,
-            service_vcpu: 0,
         };
-        (front, handles)
+        (Box::new(front), handles)
     }
 
-    /// Steers this device's event channel — and with it the run-loop's
-    /// service charging — to vCPU `v` once connected.
-    pub fn set_service_vcpu(&mut self, v: usize) {
-        self.service_vcpu = v;
-    }
-
-    /// The interface MAC address.
-    pub fn mac(&self) -> [u8; 6] {
-        self.mac
-    }
-
-    fn base(&self) -> String {
-        format!("device/net/{}", self.name)
-    }
-
-    fn step_init(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        if !self.registered_watch {
-            self.xs.register_watcher(env.domid());
-            self.registered_watch = true;
-        }
-        let Some(backend) = self
-            .xs
-            .read(env, "backend-domid")
-            .and_then(|s| s.parse().ok())
-            .map(DomainId)
-        else {
-            return false; // driver domain not up yet; its write will wake us
-        };
-        self.backend = Some(backend);
-        let base = self.base();
-        let tx_page = SharedPage::new();
-        let rx_page = SharedPage::new();
-        let tx_gref = env.grant(backend, tx_page.clone(), true);
-        let rx_gref = env.grant(backend, rx_page.clone(), true);
-        self.tx_ring = Some(FrontRing::attach(tx_page));
-        self.rx_ring = Some(FrontRing::attach(rx_page));
-        let domid = env.domid().0.to_string();
-        self.xs.write(env, &format!("{base}/frontend-domid"), &domid);
-        self.xs
-            .write(env, &format!("{base}/tx-ring"), &tx_gref.0.to_string());
-        self.xs
-            .write(env, &format!("{base}/rx-ring"), &rx_gref.0.to_string());
-        self.xs.write(
-            env,
-            &format!("{base}/mac"),
-            &self.mac.map(|b| format!("{b:02x}")).join(":"),
-        );
-        self.xs.write(env, &format!("{base}/state"), "initialising");
-        self.state = FrontState::WaitPort;
-        true
-    }
-
-    fn step_wait_port(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let base = self.base();
-        let Some(port) = self
-            .xs
-            .read(env, &format!("{base}/event-port"))
-            .and_then(|s| s.parse().ok())
-            .map(Port)
-        else {
+    fn advertise(&mut self, env: &mut DomainEnv<'_>) -> bool {
+        let Some(backend) = find_backend(env, &self.dir.xs) else {
             return false;
         };
-        let backend = self.backend.expect("set in Init");
-        let local = env.evtchn_bind(backend, port).expect("backend allocated");
-        self.port = Some(local);
-
-        // Post receive buffers.
-        let rx_ring = self.rx_ring.as_mut().expect("attached in Init");
-        for _ in 0..RX_BUFFERS {
-            let page = SharedPage::new();
-            let gref = env.grant(backend, page.clone(), true);
-            self.rx_bufs.insert(gref.0, page);
-            let _ = rx_ring.push_request(&gref_only(gref.0));
-        }
-        // Pre-grant the transmit pool (read-only: the backend only reads).
-        for _ in 0..TX_BUFFERS {
-            let page = SharedPage::new();
-            let gref = env.grant(backend, page.clone(), false);
-            self.tx_free.push((gref, page));
-        }
-        if self.service_vcpu != 0 {
-            let _ = env.evtchn_set_vcpu(local, self.service_vcpu);
-        }
-        self.xs.write(env, &format!("{base}/state"), "connected");
-        env.evtchn_notify(local).expect("bound");
-        env.observe(&format!("net-connected:{}", self.name));
-        self.state = FrontState::Connected;
+        let queues = T::advertise_net(env, &self.dir, backend, self.from_stack.len());
+        self.pairs = queues
+            .into_iter()
+            .map(|(tx, rx)| Pair {
+                tx,
+                rx,
+                tx_free: Vec::new(),
+                tx_inflight: Outstanding::default(),
+                rx_bufs: Outstanding::default(),
+                backlog: VecDeque::new(),
+            })
+            .collect();
+        let mac = self.mac.map(|b| format!("{b:02x}")).join(":");
+        self.dir.write(env, "mac", mac);
+        self.dir.write(env, "state", "initialising");
+        self.link = Link::Advertised(backend);
         true
     }
 
-    fn step_connected(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
+    fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool {
+        let (count, pairs) = (self.pairs.len(), &mut self.pairs);
+        let mut fill = |env: &mut DomainEnv<'_>, p: usize| pairs[p].fill(env, backend);
+        let Some(ports) = T::attach_net(env, &self.dir, backend, count, &mut fill) else {
+            return false;
+        };
+        self.ports = ports;
+        env.observe(&format!("connected:{}", self.dir.base));
+        self.link = Link::Connected;
+        true
+    }
+
+    fn pass(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
-        let port = self.port.expect("connected");
-        let _ = env.evtchn_consume(port);
-
-        // Reclaim completed transmit pages.
-        if let Some(tx_ring) = self.tx_ring.as_mut() {
-            while let Some(rsp) = tx_ring.take_response() {
-                if let Some(gref) = parse_gref(&rsp) {
-                    if let Some(entry) = self.tx_inflight.remove(&gref) {
-                        self.tx_free.push(entry);
-                        progressed = true;
-                    }
-                }
-            }
-        }
-
-        // Deliver received frames and repost buffers. The fan-out moves
-        // only an owned `PktBuf` (an `Arc` refcount once the stack slices
-        // it), never bytes, and each frame's RX cost is charged on the
-        // lane of the vCPU owning its queue — the per-core ingress-ring
-        // model: classification on the service lane, payload work on the
-        // owning core.
         let entry_lane = env.current_vcpu();
-        let mut notify_rx = false;
-        if let Some(rx_ring) = self.rx_ring.as_mut() {
-            while let Some(rsp) = rx_ring.take_response() {
-                let Some((gref, len)) = parse_rx_rsp(&rsp) else {
-                    continue;
-                };
-                if let Some(page) = self.rx_bufs.get(&gref) {
-                    // Reading the granted page models the DMA transfer, so
-                    // it is priced by charge_rx, not counted as a software
-                    // copy; from here the frame travels by reference.
-                    let mut frame = vec![0u8; len as usize];
-                    page.read(|b| frame.copy_from_slice(&b[..len as usize]));
-                    let frame = PktBuf::from_vec(frame);
-                    let q = crate::rss::rx_queue(&frame, self.to_stack.len());
-                    env.on_vcpu(q % env.vcpus());
-                    charge_rx(self.discipline, env, len as usize);
-                    env.on_vcpu(entry_lane);
-                    {
-                        let mut st = self.stats.lock();
-                        st.rx_frames += 1;
-                        st.rx_bytes += len as u64;
-                    }
-                    let _ = self.to_stack[q].send(frame);
-                    // Repost the same buffer.
-                    if let Ok(n) = rx_ring.push_request(&gref_only(gref)) {
-                        notify_rx |= n;
-                    }
-                    progressed = true;
-                }
-            }
-        }
-
-        // Transmit queued frames, draining the per-queue intakes in
-        // fixed order (queue id, then FIFO) for a deterministic merge.
-        // The cap scales with the queue count: each stack worker gets its
-        // own burst quota, so eight cores flushing at once don't tail-drop
-        // each other's segments.
-        let backlog_cap = TX_BACKLOG_CAP * self.from_stack.len();
+        let (pairs, queues) = (self.pairs.len(), self.to_stack.len());
+        // Queue q's frames ride pair q % pairs; each stack worker gets its
+        // own burst quota, so eight cores flushing at once over one pair
+        // don't tail-drop each other's segments.
+        let backlog_cap = TX_BACKLOG_CAP * queues.div_ceil(pairs);
         for (q, intake) in self.from_stack.iter_mut().enumerate() {
+            let backlog = &mut self.pairs[q % pairs].backlog;
             while let Some(frame) = intake.try_recv() {
-                self.tx_backlog.push_back((q, frame));
-                if self.tx_backlog.len() > backlog_cap {
-                    self.tx_backlog.pop_front();
+                backlog.push_back((q, frame));
+                if backlog.len() > backlog_cap {
+                    backlog.pop_front();
                     self.stats.lock().tx_drops += 1;
                 }
             }
         }
-        let mut notify_tx = false;
-        while let Some((_, frame)) = self.tx_backlog.front() {
-            if frame.len() > MAX_FRAME {
-                self.tx_backlog.pop_front();
-                self.stats.lock().tx_drops += 1;
-                continue;
-            }
-            let Some((gref, page)) = self.tx_free.pop() else {
-                break;
-            };
-            let tx_ring = self.tx_ring.as_mut().expect("connected");
-            if tx_ring.free_slots() == 0 {
-                self.tx_free.push((gref, page));
-                break;
-            }
-            let (src_q, frame) = self.tx_backlog.pop_front().expect("peeked");
-            page.write(|b| b[..frame.len()].copy_from_slice(&frame));
-            // Serialisation into the I/O page is the sending core's work.
-            env.on_vcpu(src_q % env.vcpus());
-            charge_tx(self.discipline, env, frame.len());
-            env.on_vcpu(entry_lane);
-            match tx_ring.push_request(&tx_req(gref.0, frame.len() as u16)) {
-                Ok(n) => {
-                    notify_tx |= n;
-                    {
-                        let mut st = self.stats.lock();
-                        st.tx_frames += 1;
-                        st.tx_bytes += frame.len() as u64;
-                    }
-                    self.tx_inflight.insert(gref.0, (gref, page));
+        for (p, (pair, &port)) in self.pairs.iter_mut().zip(&self.ports).enumerate() {
+            let _ = env.evtchn_consume(port);
+            let mut bell = false;
+
+            // Reclaim completed transmit pages.
+            while let Some(done) = pair.tx.reap() {
+                if let Some(buf) = pair.tx_inflight.remove(done.token) {
+                    pair.tx_free.push(buf);
                     progressed = true;
                 }
-                Err(_) => {
-                    self.tx_free.push((gref, page));
+            }
+
+            // Deliver received frames and repost their buffers. Reading
+            // the granted page models the DMA transfer, so it is priced by
+            // charge_rx, not counted as a software copy; from here the
+            // frame travels by reference. Its cost is charged on the lane
+            // of the vCPU owning its queue — the per-core ingress model.
+            while let Some(done) = pair.rx.reap() {
+                let Some((gref, page)) = pair.rx_bufs.remove(done.token) else {
+                    continue;
+                };
+                // The length is the backend's word: never past the page.
+                let len = (done.len as usize).min(MAX_FRAME);
+                let mut frame = vec![0u8; len];
+                page.read(|b| frame.copy_from_slice(&b[..len]));
+                let frame = PktBuf::from_vec(frame);
+                // A pair per queue arrives classified; a shared pair is
+                // classified here.
+                let q = if pairs == queues {
+                    p
+                } else {
+                    crate::rss::rx_queue(&frame, queues)
+                };
+                env.on_vcpu(q % env.vcpus());
+                charge_rx(self.discipline, env, len);
+                env.on_vcpu(entry_lane);
+                {
+                    let mut st = self.stats.lock();
+                    st.rx_frames += 1;
+                    st.rx_bytes += len as u64;
+                }
+                let _ = self.to_stack[q].send(frame);
+                bell |= pair.post_rx(gref, page);
+                progressed = true;
+            }
+
+            // Transmit queued frames.
+            while let Some((_, frame)) = pair.backlog.front() {
+                if frame.len() > MAX_FRAME {
+                    pair.backlog.pop_front();
+                    self.stats.lock().tx_drops += 1;
+                    continue;
+                }
+                if !pair.tx.room() {
                     break;
                 }
+                let Some((gref, page)) = pair.tx_free.pop() else {
+                    break;
+                };
+                let (src_q, frame) = pair.backlog.pop_front().expect("peeked");
+                page.write(|b| b[..frame.len()].copy_from_slice(&frame));
+                // Serialisation into the I/O page is the sending core's work.
+                env.on_vcpu(src_q % env.vcpus());
+                charge_tx(self.discipline, env, frame.len());
+                env.on_vcpu(entry_lane);
+                let (token, b) = pair.tx.post(&[], DataBuf::page(gref, frame.len(), false));
+                bell |= b;
+                pair.tx_inflight.insert(token, (gref, page));
+                {
+                    let mut st = self.stats.lock();
+                    st.tx_frames += 1;
+                    st.tx_bytes += frame.len() as u64;
+                }
+                progressed = true;
             }
-        }
-        if notify_tx || notify_rx {
-            let _ = env.evtchn_notify(port);
-            self.stats.lock().doorbells += 1;
-        }
-        // Arm notifications before blocking; if responses raced in, go
-        // around again instead of sleeping (the §3.5.1 footnote protocol).
-        if let Some(tx_ring) = self.tx_ring.as_mut() {
-            progressed |= tx_ring.enable_response_notifications();
-        }
-        if let Some(rx_ring) = self.rx_ring.as_mut() {
-            progressed |= rx_ring.enable_response_notifications();
+
+            // One doorbell per pair per pass, and only if a post crossed
+            // the backend's event mark.
+            if bell {
+                let _ = env.evtchn_notify(port);
+                self.stats.lock().doorbells += 1;
+            }
+            // Arm notifications before blocking; if completions raced in,
+            // go around again instead of sleeping (the §3.5.1 footnote
+            // protocol).
+            progressed |= pair.tx.arm();
+            progressed |= pair.rx.arm();
         }
         progressed
     }
 }
 
-impl DeviceService for Netfront {
-    fn service(&mut self, env: &mut DomainEnv<'_>, rt: &Runtime) -> bool {
-        match self.state {
-            FrontState::Init => self.step_init(env),
-            FrontState::WaitPort => {
-                let p = self.step_wait_port(env);
-                if matches!(self.state, FrontState::Connected) {
-                    // Run the data plane immediately after connecting.
-                    self.step_connected(env, rt) || p
-                } else {
-                    p
+impl<T: FrontTransport> DeviceService for Netif<T> {
+    fn service(&mut self, env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
+        match self.link {
+            Link::Init => self.advertise(env),
+            Link::Advertised(backend) => {
+                // Run the data plane immediately after connecting.
+                self.connect(env, backend) && {
+                    self.pass(env);
+                    true
                 }
             }
-            FrontState::Connected => self.step_connected(env, rt),
+            Link::Connected => self.pass(env),
         }
     }
 
     fn watch_ports(&self) -> Vec<Port> {
-        self.port.into_iter().collect()
+        self.ports.clone()
+    }
+}
+
+impl<T: FrontTransport> NetDriver for Netif<T> {
+    fn backend(&self) -> Backend {
+        T::BACKEND
+    }
+
+    fn mac(&self) -> [u8; 6] {
+        self.mac
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{BackQueue, Probe, PROBES};
+    use mirage_hypervisor::{Dur, Guest, Hypervisor, Step, Time, Wake};
+    use mirage_runtime::UnikernelGuest;
+
+    /// A driver domain that attaches the first NIC it finds and completes
+    /// one of its RX buffers claiming far more bytes than a page holds.
+    struct LyingBackend {
+        xs: Xenstore,
+        registered: bool,
+        nic: Option<(Port, BackQueue, BackQueue)>,
+        lied: bool,
+    }
+
+    impl Guest for LyingBackend {
+        fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
+            if !self.registered {
+                self.xs.register_watcher(env.domid());
+                self.xs
+                    .write(env, "backend-domid", &env.domid().0.to_string());
+                self.registered = true;
+            }
+            for (dir, probe) in &PROBES {
+                let Probe::Nic(attach) = probe else { continue };
+                for key in self.xs.keys_with_prefix(dir) {
+                    let Some(base) = key.strip_suffix("/state") else {
+                        continue;
+                    };
+                    if self.nic.is_none() {
+                        let dir = Dir {
+                            xs: self.xs.clone(),
+                            base: base.to_owned(),
+                        };
+                        self.nic = attach(env, &dir).map(|mut pairs| pairs.remove(0));
+                    }
+                }
+            }
+            let mut ports = Vec::new();
+            if let Some((port, _tx, rx)) = &mut self.nic {
+                ports.push(*port);
+                let _ = env.evtchn_consume(*port);
+                if !self.lied {
+                    if let Some(Ok(req)) = rx.take(env) {
+                        rx.complete(env, req.token, 60_000, true);
+                        env.evtchn_notify(*port).expect("bound by the frontend");
+                        self.lied = true;
+                    }
+                }
+                rx.arm();
+            }
+            Step::Yield(Wake {
+                deadline: None,
+                ports,
+            })
+        }
+    }
+
+    #[test]
+    fn rx_length_from_the_backend_is_clamped_to_the_page() {
+        for backend in Backend::ALL {
+            let xs = Xenstore::new();
+            let mut hv = Hypervisor::new();
+            let dom0 = LyingBackend {
+                xs: xs.clone(),
+                registered: false,
+                nic: None,
+                lied: false,
+            };
+            hv.create_domain("dom0", 512, Box::new(dom0));
+            let (front, mut nh) =
+                backend.net(xs, "g", [2, 0, 0, 0, 0, 1], CopyDiscipline::ZeroCopy);
+            let mut guest = UnikernelGuest::new(move |_env, rt| {
+                rt.clone()
+                    .spawn(async move { nh.rx.recv().await.expect("a frame").len() as i64 })
+            });
+            guest.add_device(front);
+            let gdom = hv.create_domain("guest", 64, Box::new(guest));
+            hv.run_until(Time::ZERO + Dur::secs(1));
+            assert_eq!(
+                hv.exit_code(gdom),
+                Some(MAX_FRAME as i64),
+                "[{backend}] clamped, not trusted"
+            );
+        }
     }
 }

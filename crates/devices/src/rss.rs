@@ -1,35 +1,38 @@
 //! Receive-side scaling: Toeplitz classification of raw Ethernet frames
 //! into netfront RX queues.
 //!
-//! A multi-queue [`Netfront`](crate::netfront::Netfront) fans received
-//! frames out to per-core ingress rings by flow hash, so every TCP flow
-//! lands on exactly one queue — and therefore one vCPU — before the stack
-//! ever sees it. The hash here MUST agree with the connection-table shard
-//! hash in `mirage-net` (`net::tcp::demux::flow_hash`): the net crate
-//! depends on this one, so the key and kernel are duplicated rather than
-//! shared, and a cross-crate property test over a seeded corpus of
-//! 4-tuples pins the two implementations together.
+//! A multi-queue NIC fans received frames out to per-core ingress queues
+//! by flow hash — in the frontend when the queues share one ring pair, in
+//! the switch when each has its own — so every TCP flow lands on exactly
+//! one queue, and therefore one vCPU, before the stack ever sees it. The
+//! connection-table shard hash in `mirage-net`
+//! (`net::tcp::demux::flow_hash`) is this module's [`toeplitz`]: one
+//! kernel, one key, so classifier and demux cannot disagree.
 //!
 //! The input tuple is taken from the *receiver's* perspective —
 //! `(src_ip, src_port, dst_port)` of the incoming segment is the
 //! `(peer_ip, peer_port, local_port)` the stack's demux hashes — so a
 //! frame is steered to the very shard its TCB lives in.
 
-/// Shard-space width shared with `mirage-net`'s connection demux: 64
-/// shards, a disjoint slice of which each vCPU owns.
+/// Shard-space width of `mirage-net`'s connection demux: 64 shards, a
+/// disjoint slice of which each vCPU owns.
 pub const SHARD_BITS: u32 = 6;
 /// Number of RSS shards.
 pub const SHARDS: u32 = 1 << SHARD_BITS;
 
-/// The fixed 16-byte Toeplitz key (same constant as the net demux; the
-/// classic Microsoft RSS key truncated to our 8-byte input width).
+/// The fixed 16-byte Toeplitz key: the classic Microsoft RSS key
+/// truncated to our 8-byte input width. Fixed, like real NICs configure it
+/// once at init — determinism comes free.
 const RSS_KEY: [u8; 16] = [
     0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f,
     0xb0,
 ];
 
-/// Toeplitz hash over `(src_ip, src_port, dst_port)` — 8 bytes of input,
-/// bit-for-bit identical to `mirage-net`'s `flow_hash`.
+/// Toeplitz hash over `(src_ip, src_port, dst_port)` — 8 bytes of input.
+/// Bit `i` of the input XORs a 32-bit window of the key into the hash,
+/// exactly the scheme NIC receive-side scaling uses to spread flows
+/// across queues.
+#[inline]
 pub fn toeplitz(src_ip: [u8; 4], src_port: u16, dst_port: u16) -> u32 {
     let mut input = [0u8; 8];
     input[0..4].copy_from_slice(&src_ip);
@@ -110,6 +113,16 @@ mod tests {
         f[34..36].copy_from_slice(&src_port.to_be_bytes());
         f[36..38].copy_from_slice(&dst_port.to_be_bytes());
         f
+    }
+
+    #[test]
+    fn toeplitz_known_answers() {
+        // Recorded from the two kernels this one replaced (they agreed):
+        // the flow→shard mapping must never drift between builds — the
+        // C1M shard-occupancy figures depend on it.
+        assert_eq!(toeplitz([10, 0, 0, 2], 40000, 80), 0xdba0_27c6);
+        assert_eq!(toeplitz([192, 168, 1, 77], 51515, 443), 0xf7bc_ef7c);
+        assert_eq!(toeplitz([203, 0, 113, 9], 1, 65535), 0xb9ef_deda);
     }
 
     #[test]

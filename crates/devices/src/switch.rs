@@ -1,0 +1,472 @@
+//! The virtual switch: netback's data path in the driver domain.
+//!
+//! Every guest NIC is a `SwitchPort` — a `Vec` of TX/RX queue pairs
+//! over `transport::BackTransport`, one pair for a Xen NIC, one per queue for a
+//! virtio NIC — and every port, whatever its ABI, goes through the same
+//! ingest, MAC learning, link conditioning, forwarding and delivery code.
+//! A multi-pair port classifies each delivered frame to a pair with the
+//! RSS hash the stack's demux uses ([`crate::rss`]), so every flow lands
+//! on the queue — and vCPU — owning its shard.
+//!
+//! Whatever a guest posts is hostile until checked: a TX request must be
+//! a device-readable buffer of `1..=MAX_FRAME` bytes, an RX buffer must be
+//! device-writable and large enough for the frame at hand. Anything else
+//! is completed failed and counted in
+//! [`DriverStats::requests_rejected`]; the switch never indexes a page by
+//! a guest-supplied length it has not bounded.
+
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::Arc;
+
+use mirage_testkit::sync::Mutex;
+
+use mirage_cstruct::PktBuf;
+use mirage_hypervisor::event::Port;
+use mirage_hypervisor::grant::SharedPage;
+use mirage_hypervisor::{DomainEnv, Dur, Time};
+
+use crate::netback::DriverStats;
+use crate::netem::Netem;
+use crate::netfront::MAX_FRAME;
+use crate::transport::{map_cached, BackQueue, DataBuf, NicQueues, Request};
+
+/// Broadcast MAC.
+pub const MAC_BROADCAST: [u8; 6] = [0xFF; 6];
+
+/// Frames queued for a congested guest before tail drop.
+const OUT_QUEUE_CAP: usize = 512;
+
+/// A host-side endpoint on the virtual switch — the harness's way to
+/// source and sink raw frames without booting a guest (a tap device).
+#[derive(Clone, Default)]
+pub struct Tap {
+    inner: Arc<Mutex<TapInner>>,
+}
+
+#[derive(Default)]
+struct TapInner {
+    mac: [u8; 6],
+    to_switch: VecDeque<PktBuf>,
+    from_switch: VecDeque<PktBuf>,
+}
+
+impl std::fmt::Debug for Tap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Tap({:02x?})", self.inner.lock().mac)
+    }
+}
+
+impl Tap {
+    /// A tap with the given MAC.
+    pub fn new(mac: [u8; 6]) -> Tap {
+        Tap {
+            inner: Arc::new(Mutex::new(TapInner {
+                mac,
+                ..TapInner::default()
+            })),
+        }
+    }
+
+    /// Queues a frame for injection into the switch. Call
+    /// [`Hypervisor::wake_external`](mirage_hypervisor::Hypervisor::wake_external)
+    /// on the driver domain afterwards so it notices.
+    pub fn inject(&self, frame: impl Into<PktBuf>) {
+        self.inner.lock().to_switch.push_back(frame.into());
+    }
+
+    /// Takes every frame the switch delivered to this tap.
+    pub fn harvest(&self) -> Vec<PktBuf> {
+        self.inner.lock().from_switch.drain(..).collect()
+    }
+
+    /// The tap's MAC address.
+    pub fn mac(&self) -> [u8; 6] {
+        self.inner.lock().mac
+    }
+}
+
+/// Admits a request the transport took: its buffer must satisfy `accept`
+/// and its page must map. `Err` carries the token to complete failed.
+fn admit(
+    env: &mut DomainEnv<'_>,
+    mapped: &mut HashMap<u32, SharedPage>,
+    taken: Result<Request, u32>,
+    writable: bool,
+    accept: impl Fn(&DataBuf) -> bool,
+) -> Result<(Request, SharedPage), u32> {
+    let req = taken?;
+    if !accept(&req.data) {
+        return Err(req.token);
+    }
+    let page = map_cached(env, mapped, req.data.gref, writable).ok_or(req.token)?;
+    Ok((req, page))
+}
+
+/// One TX/RX queue pair of a port, with its event channel and the frames
+/// already classified to it.
+struct QueuePair {
+    port: Port,
+    tx: BackQueue,
+    rx: BackQueue,
+    out_queue: VecDeque<PktBuf>,
+}
+
+/// A guest NIC's attachment to the switch.
+struct SwitchPort {
+    queues: Vec<QueuePair>,
+    /// Guest data pages mapped so far, by grant ref.
+    mapped: HashMap<u32, SharedPage>,
+    /// Set while the frontend has frames queued but no posted RX buffer —
+    /// lets tail drops be attributed to a dead/stalled guest rather than
+    /// ordinary congestion.
+    rx_starved: bool,
+}
+
+/// A frame the link conditioner is holding until `release_at`.
+struct DelayedFrame {
+    release_at: Time,
+    seq: u64,
+    /// Ingress port; `None` for a tap.
+    src: Option<usize>,
+    frame: PktBuf,
+}
+
+impl PartialEq for DelayedFrame {
+    fn eq(&self, other: &Self) -> bool {
+        self.release_at == other.release_at && self.seq == other.seq
+    }
+}
+impl Eq for DelayedFrame {}
+impl PartialOrd for DelayedFrame {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for DelayedFrame {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Min-heap by (release time, offer order): ties release in the
+        // order the conditioner saw them, keeping runs deterministic.
+        other
+            .release_at
+            .cmp(&self.release_at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// Network fabric parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetProfile {
+    /// Link bandwidth in bits per second (default: gigabit Ethernet, as in
+    /// the paper's Figure 8 testbed).
+    pub bandwidth_bps: u64,
+}
+
+impl Default for NetProfile {
+    fn default() -> Self {
+        NetProfile {
+            bandwidth_bps: 1_000_000_000,
+        }
+    }
+}
+
+impl NetProfile {
+    /// A 10 GbE fabric (for the "expect 10 Gb/s with offload" discussion).
+    pub fn ten_gbe() -> NetProfile {
+        NetProfile {
+            bandwidth_bps: 10_000_000_000,
+        }
+    }
+
+    /// A 40 GbE fabric: the SMP scaling bench uses it so the throughput
+    /// matrix measures CPU scaling, not NIC line rate.
+    pub fn forty_gbe() -> NetProfile {
+        NetProfile {
+            bandwidth_bps: 40_000_000_000,
+        }
+    }
+
+    fn wire_time(&self, bytes: usize) -> Dur {
+        Dur::nanos((bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps)
+    }
+}
+
+/// The switch proper: ports, MAC table, taps and the link conditioner.
+pub(crate) struct Switch {
+    profile: NetProfile,
+    ports: Vec<SwitchPort>,
+    mac_table: HashMap<[u8; 6], usize>,
+    pub(crate) taps: Vec<Tap>,
+    /// The link conditioner; `None` is a perfect wire.
+    pub(crate) netem: Option<Netem>,
+    delayed: BinaryHeap<DelayedFrame>,
+    delay_seq: u64,
+    stats: Arc<Mutex<DriverStats>>,
+}
+
+impl Switch {
+    pub(crate) fn new(profile: NetProfile, stats: Arc<Mutex<DriverStats>>) -> Switch {
+        Switch {
+            profile,
+            ports: Vec::new(),
+            mac_table: HashMap::new(),
+            taps: Vec::new(),
+            netem: None,
+            delayed: BinaryHeap::new(),
+            delay_seq: 0,
+            stats,
+        }
+    }
+
+    /// Plugs in a freshly attached NIC: one queue pair per event port.
+    pub(crate) fn add_port(&mut self, pairs: NicQueues) {
+        let queues = pairs
+            .into_iter()
+            .map(|(port, tx, rx)| QueuePair {
+                port,
+                tx,
+                rx,
+                out_queue: VecDeque::new(),
+            })
+            .collect();
+        self.ports.push(SwitchPort {
+            queues,
+            mapped: HashMap::new(),
+            rx_starved: false,
+        });
+    }
+
+    /// Every event channel the switch listens on.
+    pub(crate) fn event_ports(&self) -> impl Iterator<Item = Port> + '_ {
+        self.ports
+            .iter()
+            .flat_map(|p| p.queues.iter().map(|q| q.port))
+    }
+
+    /// Arms every queue before the driver domain blocks; `true` if a
+    /// request raced in (another pass instead of a sleep).
+    pub(crate) fn arm(&mut self) -> bool {
+        let mut raced = false;
+        for pair in self.ports.iter_mut().flat_map(|p| &mut p.queues) {
+            raced |= pair.tx.arm();
+            // Fresh RX buffers only matter while frames wait for one.
+            if !pair.out_queue.is_empty() {
+                raced |= pair.rx.arm();
+            }
+        }
+        raced
+    }
+
+    /// When the link conditioner next releases a held frame.
+    pub(crate) fn next_deadline(&self) -> Option<Time> {
+        self.delayed.peek().map(|d| d.release_at)
+    }
+
+    /// Route `frame` from port `src` (`None`: a tap — no MAC learning, no
+    /// flood self-exclusion) to its destination queue(s). Multi-port
+    /// delivery (taps, floods) clones the `PktBuf` — a refcount bump,
+    /// never a byte copy.
+    fn route(&mut self, src: Option<usize>, frame: PktBuf) {
+        if frame.len() < 14 {
+            return;
+        }
+        let dst: [u8; 6] = frame[0..6].try_into().expect("checked length");
+        let src_mac: [u8; 6] = frame[6..12].try_into().expect("checked length");
+        if let Some(port) = src {
+            self.mac_table.insert(src_mac, port);
+        }
+        self.stats.lock().frames_switched += 1;
+
+        // Tap delivery by exact MAC or broadcast.
+        let mut tap_hit = false;
+        for tap in &self.taps {
+            let mut inner = tap.inner.lock();
+            if inner.mac == dst || dst == MAC_BROADCAST {
+                inner.from_switch.push_back(frame.clone());
+                tap_hit = true;
+            }
+        }
+
+        match self.mac_table.get(&dst) {
+            Some(&port) if dst != MAC_BROADCAST => {
+                self.deliver(port, frame);
+            }
+            _ => {
+                if tap_hit && dst != MAC_BROADCAST {
+                    return;
+                }
+                // Flood to every other port.
+                for idx in 0..self.ports.len() {
+                    if Some(idx) != src {
+                        self.deliver(idx, frame.clone());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Queues `frame` at the pair of port `idx` its flow hashes to,
+    /// tail-dropping when that output queue is full.
+    fn deliver(&mut self, idx: usize, frame: PktBuf) {
+        let port = &mut self.ports[idx];
+        let pair = crate::rss::rx_queue(&frame, port.queues.len());
+        let queue = &mut port.queues[pair].out_queue;
+        if queue.len() >= OUT_QUEUE_CAP {
+            let mut s = self.stats.lock();
+            if port.rx_starved {
+                s.frames_dropped_no_rx_buffer += 1;
+            } else {
+                s.frames_dropped_congestion += 1;
+            }
+            return;
+        }
+        queue.push_back(frame);
+    }
+
+    /// Offer a frame to the link conditioner (if any) before switching it.
+    /// Conditioned frames may be dropped, duplicated, corrupted or held in
+    /// the delay heap until their release time. No port could ever
+    /// receive a frame over [`MAX_FRAME`], so those stop here.
+    fn offer(&mut self, now: Time, src: Option<usize>, frame: PktBuf) {
+        if frame.len() > MAX_FRAME {
+            self.stats.lock().frames_dropped_oversize += 1;
+            return;
+        }
+        let outs = match self.netem.as_mut() {
+            None => {
+                self.route(src, frame);
+                return;
+            }
+            Some(nm) => nm.apply(now, frame),
+        };
+        if outs.is_empty() {
+            self.stats.lock().frames_dropped_netem += 1;
+            return;
+        }
+        for (release_at, frame) in outs {
+            if release_at <= now {
+                self.route(src, frame);
+            } else {
+                self.delay_seq += 1;
+                self.delayed.push(DelayedFrame {
+                    release_at,
+                    seq: self.delay_seq,
+                    src,
+                    frame,
+                });
+            }
+        }
+    }
+
+    /// One pass over the data path: release held frames, ingest from
+    /// guests and taps, deliver into posted RX buffers. At most one
+    /// interrupt per queue per direction.
+    pub(crate) fn service(&mut self, env: &mut DomainEnv<'_>) -> bool {
+        let mut progressed = false;
+        // Release frames whose conditioner-imposed delay has elapsed.
+        let now = env.now();
+        while self.delayed.peek().is_some_and(|d| d.release_at <= now) {
+            let d = self.delayed.pop().expect("peeked");
+            self.route(d.src, d.frame);
+            progressed = true;
+        }
+        // Ingest frames from guests. On a multi-vCPU driver domain each
+        // NIC's wire serialisation is charged on its own lane (a
+        // multi-queue switch port), so two saturated ports don't
+        // serialise behind one core; a 1-vCPU dom0 behaves as before.
+        let entry_lane = env.current_vcpu();
+        let mut routed: Vec<(usize, PktBuf)> = Vec::new();
+        let mut rejected = 0;
+        for (idx, port) in self.ports.iter_mut().enumerate() {
+            env.on_vcpu(idx % env.vcpus());
+            for pair in &mut port.queues {
+                let _ = env.evtchn_consume(pair.port);
+                let mut bell = false;
+                while let Some(taken) = pair.tx.take(env) {
+                    progressed = true;
+                    let sendable = |d: &DataBuf| {
+                        !d.device_writes && (1..=MAX_FRAME).contains(&(d.len as usize))
+                    };
+                    let (req, page) = match admit(env, &mut port.mapped, taken, false, sendable) {
+                        Ok(admitted) => admitted,
+                        Err(token) => {
+                            bell |= pair.tx.complete(env, token, 0, false);
+                            rejected += 1;
+                            continue;
+                        }
+                    };
+                    // Reading the granted page models the NIC's DMA; once
+                    // off the wire the frame travels through the switch
+                    // by reference.
+                    let len = req.data.len as usize;
+                    let mut frame = vec![0u8; len];
+                    page.read(|b| frame.copy_from_slice(&b[req.data.range(len)]));
+                    // Wire serialisation time for this NIC.
+                    env.consume(self.profile.wire_time(len));
+                    routed.push((idx, PktBuf::from_vec(frame)));
+                    bell |= pair.tx.complete(env, req.token, 0, true);
+                }
+                if bell {
+                    let _ = env.evtchn_notify(pair.port);
+                }
+            }
+        }
+        env.on_vcpu(entry_lane);
+        for (src, frame) in routed {
+            let now = env.now();
+            self.offer(now, Some(src), frame);
+        }
+        // Ingest frames from taps.
+        let taps: Vec<Tap> = self.taps.clone();
+        for tap in taps {
+            loop {
+                let frame = tap.inner.lock().to_switch.pop_front();
+                let Some(frame) = frame else { break };
+                env.consume(self.profile.wire_time(frame.len()));
+                let now = env.now();
+                self.offer(now, None, frame);
+                progressed = true;
+            }
+        }
+        // Deliver queued frames into posted RX buffers.
+        for SwitchPort {
+            queues,
+            mapped,
+            rx_starved,
+        } in &mut self.ports
+        {
+            for pair in queues {
+                let mut bell = false;
+                while let Some(frame) = pair.out_queue.front() {
+                    let Some(taken) = pair.rx.take(env) else {
+                        *rx_starved = true;
+                        break;
+                    };
+                    *rx_starved = false;
+                    progressed = true;
+                    let flen = frame.len();
+                    let fits = |d: &DataBuf| d.device_writes && d.len as usize >= flen;
+                    let (req, page) = match admit(env, mapped, taken, true, fits) {
+                        Ok(admitted) => admitted,
+                        Err(token) => {
+                            // Not a buffer this frame can go in: hand it
+                            // back empty and keep the frame queued.
+                            bell |= pair.rx.complete(env, token, 0, false);
+                            rejected += 1;
+                            continue;
+                        }
+                    };
+                    let frame = pair.out_queue.pop_front().expect("peeked");
+                    page.write(|b| b[req.data.range(flen)].copy_from_slice(&frame));
+                    bell |= pair.rx.complete(env, req.token, flen as u32, true);
+                }
+                if bell {
+                    let _ = env.evtchn_notify(pair.port);
+                }
+            }
+        }
+        if rejected > 0 {
+            self.stats.lock().requests_rejected += rejected;
+        }
+        progressed
+    }
+}

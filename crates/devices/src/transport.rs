@@ -1,0 +1,468 @@
+//! The device transport: the one signature every device rides (§3.4).
+//!
+//! "Mirage block devices share the same Ring abstraction as network
+//! devices, using the same I/O pages" — so the NIC and block frontends
+//! ([`crate::netfront`], [`crate::blk`]) and the driver domain's switch and
+//! block service ([`crate::switch`], [`crate::blkback`]) are each written
+//! once, against the two halves declared here, and the ring ABI is swapped
+//! underneath (the functor discipline of Radanne et al.):
+//!
+//! * [`FrontTransport`], the guest half — `room`, `post`, `reap`, `arm` —
+//!   over a Xen [`FrontRing`](mirage_ring::FrontRing) ([`RingFront`]) or a
+//!   virtio [`SplitQueue`](crate::virtio::SplitQueue) ([`VirtqFront`]);
+//! * [`BackTransport`], the dom0 half — `take`, `complete`, `arm` — over a
+//!   [`BackRing`](mirage_ring::BackRing) ([`RingBack`]) or a
+//!   [`DeviceQueue`](crate::virtio::DeviceQueue) ([`VirtqBack`]).
+//!
+//! A request is an optional small header plus one [`DataBuf`], a window
+//! of a granted page. How that is laid out in shared memory is the
+//! impl's business ([`ring`], [`virtq`]): the Xen ring packs it into one
+//! slot and answers in place; the virtqueue publishes a descriptor chain
+//! — `[data]`, or the virtio-blk shape `[header][data][status]` with
+//! header and status byte on a page of the transport's own. Each impl
+//! also owns its half of the xenstore handshake (`advertise_*` /
+//! `attach_*`), because key names and hypercall order are ABI too.
+//!
+//! The dom0 half treats everything it reads as hostile: a request whose
+//! shape is wrong or whose buffer does not lie inside its page comes out
+//! of [`BackTransport::take`] as `Err(token)`, to be completed failed.
+
+use std::collections::HashMap;
+
+use mirage_hypervisor::event::Port;
+use mirage_hypervisor::grant::{GrantRef, SharedPage};
+use mirage_hypervisor::{DomainEnv, DomainId};
+
+use crate::driver::Backend;
+use crate::xenstore::Xenstore;
+
+mod ring;
+mod virtq;
+
+pub(crate) use ring::{RingBack, RingFront};
+pub(crate) use virtq::{VirtqBack, VirtqFront};
+
+/// Longest request header either ABI carries (what a Xen slot has room
+/// for beside the buffer description).
+pub(crate) const HEADER_MAX: usize = mirage_ring::desc::SLOT_PAYLOAD - ring::REQ_FIXED;
+
+/// One data buffer of a request: `len` bytes at `off` in the page granted
+/// as `gref`, written by the device (`device_writes`) or only read by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DataBuf {
+    pub gref: u32,
+    pub off: usize,
+    pub len: u32,
+    pub device_writes: bool,
+}
+
+impl DataBuf {
+    /// The first `len` bytes of a granted page — what the frontends post.
+    pub(crate) fn page(gref: GrantRef, len: usize, device_writes: bool) -> DataBuf {
+        DataBuf {
+            gref: gref.0,
+            off: 0,
+            len: len as u32,
+            device_writes,
+        }
+    }
+
+    /// Where the buffer's first `len` bytes lie within its page.
+    pub(crate) fn range(&self, len: usize) -> std::ops::Range<usize> {
+        self.off..self.off + len
+    }
+}
+
+/// What the guest reaps: the token [`FrontTransport::post`] returned, the
+/// bytes the device wrote, and whether it executed the request. A
+/// header-less virtqueue chain has no status byte, so it always reads ok.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Completion {
+    pub token: u32,
+    pub len: u32,
+    pub ok: bool,
+}
+
+/// What dom0 takes: a request whose buffer is known to lie inside one
+/// page. `header` is empty for header-less requests (network frames).
+#[derive(Debug)]
+pub(crate) struct Request {
+    pub token: u32,
+    pub header: Vec<u8>,
+    pub data: DataBuf,
+}
+
+/// A device's xenstore directory, `device/<kind>/<name>`.
+pub(crate) struct Dir {
+    pub xs: Xenstore,
+    pub base: String,
+}
+
+impl Dir {
+    pub(crate) fn write(&self, env: &mut DomainEnv<'_>, leaf: &str, value: impl ToString) {
+        self.xs
+            .write(env, &format!("{}/{leaf}", self.base), &value.to_string());
+    }
+
+    pub(crate) fn read<N: std::str::FromStr>(
+        &self,
+        env: &mut DomainEnv<'_>,
+        leaf: &str,
+    ) -> Option<N> {
+        self.xs
+            .read(env, &format!("{}/{leaf}", self.base))?
+            .parse()
+            .ok()
+    }
+}
+
+/// The guest half of one request/response queue.
+pub(crate) trait FrontTransport: Send + Sized + 'static {
+    /// The ABI this transport speaks.
+    const BACKEND: Backend;
+    /// xenstore kind of this ABI's NICs (`device/<kind>/<name>`).
+    const NET_DIR: &'static str;
+    /// xenstore kind of this ABI's disks.
+    const BLK_DIR: &'static str;
+
+    /// Whether one more request can be posted now; [`Self::post`] may only
+    /// follow a `true`.
+    fn room(&self) -> bool;
+    /// Publishes one request and returns its token — unique among the
+    /// requests outstanding on this queue — and whether the device asked
+    /// for a doorbell.
+    fn post(&mut self, header: &[u8], data: DataBuf) -> (u32, bool);
+    /// Takes the next completion, if any.
+    fn reap(&mut self) -> Option<Completion>;
+    /// Asks to be interrupted at the next completion; `true` if one raced
+    /// in already (poll again instead of blocking).
+    fn arm(&mut self) -> bool;
+
+    /// Allocates the rings of a NIC with `stack_queues` stack queues,
+    /// grants them to `backend` and advertises them in `dir`: one
+    /// `(tx, rx)` per ring pair this ABI gives such a NIC.
+    fn advertise_net(
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        stack_queues: usize,
+    ) -> Vec<(Self, Self)>;
+    /// Once the backend has published a port per pair: binds them, has
+    /// `fill(env, p)` stock pair `p`, kicks the backend and marks the
+    /// device connected. `None` while the backend has not answered.
+    fn attach_net(
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        pairs: usize,
+        fill: &mut dyn FnMut(&mut DomainEnv<'_>, usize),
+    ) -> Option<Vec<Port>>;
+    /// Allocates, grants and advertises a disk's single queue.
+    fn advertise_blk(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId) -> Self;
+    /// Binds the port the backend published and readies the queue for
+    /// `depth` outstanding requests. `None` while there is no port.
+    fn attach_blk(
+        &mut self,
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        depth: usize,
+    ) -> Option<Port>;
+}
+
+/// The dom0 half of one request/response queue.
+pub(crate) trait BackTransport: Send {
+    /// Takes the next request. `Err(token)`: it was malformed — complete
+    /// it failed and move on.
+    fn take(&mut self, env: &mut DomainEnv<'_>) -> Option<Result<Request, u32>>;
+    /// Returns a request with `len` bytes written; `true` if the guest
+    /// asked for an interrupt.
+    fn complete(&mut self, env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool) -> bool;
+    /// Asks for a doorbell at the next request; `true` if one raced in.
+    fn arm(&mut self) -> bool;
+
+    /// Maps the ring pairs a NIC frontend advertised in `dir`, allocating
+    /// and publishing an event port for each.
+    fn attach_nic(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<NicQueues>
+    where
+        Self: Sized;
+    /// Maps the queue a block frontend advertised in `dir`.
+    fn attach_disk(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<(Port, BackQueue)>
+    where
+        Self: Sized;
+}
+
+/// A dom0 queue of either ABI.
+pub(crate) type BackQueue = Box<dyn BackTransport>;
+/// A NIC as attached: per ring pair its event port, TX and RX queue.
+pub(crate) type NicQueues = Vec<(Port, BackQueue, BackQueue)>;
+
+// ------------------------------------------------------ shared plumbing
+
+/// Maps `gref` once and remembers the mapping, as a backend keeps guest
+/// frames mapped across requests.
+pub(crate) fn map_cached(
+    env: &mut DomainEnv<'_>,
+    cache: &mut HashMap<u32, SharedPage>,
+    gref: u32,
+    writable: bool,
+) -> Option<SharedPage> {
+    if let Some(p) = cache.get(&gref) {
+        return Some(p.clone());
+    }
+    let page = env.grant_map(GrantRef(gref), writable).ok()?;
+    cache.insert(gref, page.clone());
+    Some(page)
+}
+
+/// Where a frontend stands in the xenstore handshake.
+pub(crate) enum Link {
+    /// Nothing advertised yet: the driver domain may not be up.
+    Init,
+    /// Rings advertised to this backend domain; waiting for its port(s).
+    Advertised(DomainId),
+    /// Data plane running.
+    Connected,
+}
+
+/// The first half of [`Link::Init`]: subscribes the domain to xenstore
+/// (idempotent) and looks the driver domain up; its write wakes us if
+/// it is not there yet.
+pub(crate) fn find_backend(env: &mut DomainEnv<'_>, xs: &Xenstore) -> Option<DomainId> {
+    xs.register_watcher(env.domid());
+    xs.read(env, "backend-domid")?.parse().ok().map(DomainId)
+}
+
+// ------------------------------------------------------ dom0 discovery
+
+/// How to attach one kind of frontend found in xenstore.
+pub(crate) enum Probe {
+    Nic(fn(&mut DomainEnv<'_>, &Dir) -> Option<NicQueues>),
+    Disk(fn(&mut DomainEnv<'_>, &Dir) -> Option<(Port, BackQueue)>),
+}
+
+/// Every xenstore directory frontends advertise under, in the order the
+/// driver domain scans them.
+pub(crate) const PROBES: [(&str, Probe); 4] = [
+    ("device/net/", Probe::Nic(RingBack::attach_nic)),
+    ("device/blk/", Probe::Disk(RingBack::attach_disk)),
+    ("device/vnet/", Probe::Nic(VirtqBack::attach_nic)),
+    ("device/vblk/", Probe::Disk(VirtqBack::attach_disk)),
+];
+
+#[cfg(test)]
+mod tests {
+    use super::virtq::HeaderPages;
+    use super::*;
+    use crate::virtio::virtqueue::{DeviceQueue, QueuePages, SplitQueue};
+    use mirage_hypervisor::{Guest, Hypervisor, Step};
+    use mirage_testkit::prop::collection;
+    use std::collections::VecDeque;
+
+    /// Runs `body` inside a domain: hypercalls need an environment.
+    fn in_domain(body: impl FnOnce(&mut DomainEnv<'_>) + Send + 'static) {
+        struct Once<F>(Option<F>);
+        impl<F: FnOnce(&mut DomainEnv<'_>) + Send> Guest for Once<F> {
+            fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
+                self.0.take().expect("steps once")(env);
+                Step::Exit(0)
+            }
+        }
+        let mut hv = Hypervisor::new();
+        let dom = hv.create_domain("loopback", 16, Box::new(Once(Some(body))));
+        hv.run();
+        assert_eq!(hv.exit_code(dom), Some(0));
+    }
+
+    /// Data buffers per queue: few enough to exhaust, and to recycle often.
+    const BUFFERS: usize = 6;
+
+    fn self_grant(env: &mut DomainEnv<'_>) -> (GrantRef, SharedPage) {
+        let page = SharedPage::new();
+        (env.grant(env.domid(), page.clone(), true), page)
+    }
+
+    fn virtq_pair(env: &mut DomainEnv<'_>, headers: bool) -> (VirtqFront, VirtqBack) {
+        let pages = QueuePages::new();
+        let idle = (0..BUFFERS).map(|_| self_grant(env)).collect();
+        let headers = headers.then(|| HeaderPages {
+            idle,
+            busy: HashMap::new(),
+        });
+        let back = VirtqBack {
+            q: DeviceQueue::attach(pages.clone()),
+            header_pages: HashMap::new(),
+            status: HashMap::new(),
+        };
+        (
+            VirtqFront {
+                q: SplitQueue::new(pages),
+                headers,
+            },
+            back,
+        )
+    }
+
+    /// One front/back pair under test beside the `VecDeque` model of it:
+    /// what was posted and not yet taken, what dom0 holds, what was
+    /// completed and not yet reaped.
+    struct Harness<F, B> {
+        front: F,
+        back: B,
+        headers: bool,
+        free: Vec<GrantRef>,
+        serial: u32,
+        posted: VecDeque<(u32, Vec<u8>, DataBuf)>,
+        held: Vec<u32>,
+        completed: VecDeque<Completion>,
+        /// The buffer behind each outstanding token.
+        bufs: HashMap<u32, GrantRef>,
+        /// Set when an `arm` found the queue quiet: the next post
+        /// (completion) must ask for a doorbell (interrupt).
+        back_armed: bool,
+        front_armed: bool,
+    }
+
+    impl<F: FrontTransport, B: BackTransport> Harness<F, B> {
+        /// One scripted operation, checked against the model: requests
+        /// come out of `take` in posting order with header and buffer
+        /// intact, every token is outstanding exactly once, completions
+        /// come out of `reap` in completion order with length and status
+        /// intact, `room()` never lies, a quiet `arm` earns the next
+        /// doorbell and a raced one says so.
+        fn step(&mut self, env: &mut DomainEnv<'_>, op: u8) {
+            match op % 8 {
+                0..=2 => {
+                    if !self.front.room() {
+                        assert!(!self.bufs.is_empty(), "an idle queue has room");
+                        return;
+                    }
+                    let Some(gref) = self.free.pop() else { return };
+                    self.serial += 1;
+                    let n = self.serial as usize;
+                    let header = match self.headers {
+                        true => self.serial.to_le_bytes().repeat(n % 4 + 1),
+                        false => Vec::new(),
+                    };
+                    let data = DataBuf::page(gref, 64 * (n % 60 + 1), n.is_multiple_of(2));
+                    let (token, bell) = self.front.post(&header, data);
+                    assert!(
+                        self.bufs.insert(token, gref).is_none(),
+                        "token {token} issued twice"
+                    );
+                    if std::mem::take(&mut self.back_armed) {
+                        assert!(bell, "a quiet arm earns the next doorbell");
+                    }
+                    self.posted.push_back((token, header, data));
+                }
+                3 | 4 => match (self.back.take(env), self.posted.pop_front()) {
+                    (None, None) => {}
+                    (Some(Ok(req)), Some((token, header, data))) => {
+                        assert_eq!((req.token, &req.header, req.data), (token, &header, data));
+                        self.held.push(token);
+                    }
+                    (got, want) => panic!("take gave {got:?}, the model {want:?}"),
+                },
+                5 if !self.held.is_empty() => {
+                    let token = self.held.swap_remove(op as usize / 8 % self.held.len());
+                    // Without a header a virtqueue has no status channel.
+                    let ok = !self.headers || !self.serial.is_multiple_of(3);
+                    let done = Completion {
+                        token,
+                        len: self.serial * 7 % 4000,
+                        ok,
+                    };
+                    let irq = self.back.complete(env, done.token, done.len, done.ok);
+                    if std::mem::take(&mut self.front_armed) {
+                        assert!(irq, "a quiet arm earns the next interrupt");
+                    }
+                    self.completed.push_back(done);
+                }
+                6 => {
+                    let want = self.completed.pop_front();
+                    assert_eq!(self.front.reap(), want);
+                    let buf = want.map(|done| self.bufs.remove(&done.token).expect("outstanding"));
+                    self.free.extend(buf);
+                }
+                7 => {
+                    let raced = self.back.arm();
+                    assert_eq!(raced, !self.posted.is_empty(), "back arm reports a race");
+                    self.back_armed = !raced;
+                    let raced = self.front.arm();
+                    assert_eq!(
+                        raced,
+                        !self.completed.is_empty(),
+                        "front arm reports a race"
+                    );
+                    self.front_armed = !raced;
+                }
+                _ => {}
+            }
+        }
+
+        /// Takes, completes and reaps until nothing is outstanding.
+        fn drain(&mut self, env: &mut DomainEnv<'_>) {
+            for op in [3u8, 5, 6].repeat(BUFFERS) {
+                self.step(env, op);
+            }
+            assert!(
+                self.bufs.is_empty() && self.free.len() == BUFFERS,
+                "drained"
+            );
+            assert!(self.front.reap().is_none() && self.back.take(env).is_none());
+        }
+    }
+
+    /// `script`, then a drain, then a full round: every slot, descriptor
+    /// and header page the queue ever held must have come back.
+    fn contract<F: FrontTransport, B: BackTransport>(
+        env: &mut DomainEnv<'_>,
+        (front, back): (F, B),
+        headers: bool,
+        script: &[u8],
+    ) {
+        let mut h = Harness {
+            front,
+            back,
+            headers,
+            free: (0..BUFFERS).map(|_| self_grant(env).0).collect(),
+            serial: 0,
+            posted: VecDeque::new(),
+            held: Vec::new(),
+            completed: VecDeque::new(),
+            bufs: HashMap::new(),
+            back_armed: false,
+            front_armed: false,
+        };
+        for &op in script {
+            h.step(env, op);
+        }
+        h.drain(env);
+        for _ in 0..BUFFERS {
+            h.step(env, 0);
+        }
+        assert_eq!(
+            h.posted.len(),
+            BUFFERS,
+            "nothing leaked: a full set posts again"
+        );
+        h.drain(env);
+    }
+
+    mirage_testkit::property! {
+        /// Both impl pairs meet the transport contract, with and without
+        /// request headers, under any post/take/complete/reap/arm schedule.
+        fn transport_contract_holds_for_both_abis(
+            script in collection::vec(0u8..=255, 1..160),
+            headers in 0u8..2,
+        ) {
+            in_domain(move |env| {
+                let headers = headers == 1;
+                let (front, back) = mirage_ring::desc::pair();
+                contract(env, (RingFront(front), RingBack(back)), headers, &script);
+                let pair = virtq_pair(env, headers);
+                contract(env, pair, headers, &script);
+            });
+        }
+    }
+}

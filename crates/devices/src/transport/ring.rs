@@ -1,0 +1,205 @@
+//! The Xen descriptor ring as a transport. A request is one slot,
+//! `gref:u32 off:u16 len:u32 writes:u8 header…`; the response overwrites
+//! it in place as `token:u32 len:u32 ok:u8`. The token is the data
+//! buffer's grant reference.
+
+use mirage_hypervisor::event::Port;
+use mirage_hypervisor::grant::{GrantRef, SharedPage};
+use mirage_hypervisor::{DomainEnv, DomainId, PAGE_SIZE};
+use mirage_ring::desc::SLOT_PAYLOAD;
+use mirage_ring::{BackRing, FrontRing};
+
+use super::{
+    BackQueue, BackTransport, Completion, DataBuf, Dir, FrontTransport, NicQueues, Request,
+    HEADER_MAX,
+};
+use crate::driver::Backend;
+
+/// Fixed part of a request slot: gref, offset, length, direction.
+pub(super) const REQ_FIXED: usize = 11;
+/// A response slot: token, length, status.
+const RSP_LEN: usize = 9;
+
+fn le32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
+/// [`FrontTransport`] over a Xen descriptor ring.
+pub(crate) struct RingFront(pub(super) FrontRing);
+
+impl RingFront {
+    fn granted(env: &mut DomainEnv<'_>, backend: DomainId) -> (RingFront, GrantRef) {
+        let page = SharedPage::new();
+        let gref = env.grant(backend, page.clone(), true);
+        (RingFront(FrontRing::attach(page)), gref)
+    }
+
+    fn bind(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId) -> Option<Port> {
+        let remote = Port(dir.read(env, "event-port")?);
+        Some(env.evtchn_bind(backend, remote).expect("backend allocated"))
+    }
+}
+
+impl FrontTransport for RingFront {
+    const BACKEND: Backend = Backend::XenRing;
+    const NET_DIR: &'static str = "net";
+    const BLK_DIR: &'static str = "blk";
+
+    fn room(&self) -> bool {
+        self.0.free_slots() > 0
+    }
+
+    fn post(&mut self, header: &[u8], data: DataBuf) -> (u32, bool) {
+        assert!(
+            header.len() <= HEADER_MAX,
+            "request header exceeds the slot"
+        );
+        let mut slot = [0u8; SLOT_PAYLOAD];
+        slot[0..4].copy_from_slice(&data.gref.to_le_bytes());
+        slot[4..6].copy_from_slice(&(data.off as u16).to_le_bytes());
+        slot[6..10].copy_from_slice(&data.len.to_le_bytes());
+        slot[10] = data.device_writes as u8;
+        slot[REQ_FIXED..REQ_FIXED + header.len()].copy_from_slice(header);
+        // The free-slot count reads an index the backend can scribble on;
+        // a push refused after `room()` loses the request, never panics.
+        let bell = self
+            .0
+            .push_request(&slot[..REQ_FIXED + header.len()])
+            .unwrap_or(false);
+        (data.gref, bell)
+    }
+
+    fn reap(&mut self) -> Option<Completion> {
+        let rsp = self.0.take_response()?;
+        let mut fixed = [0u8; RSP_LEN];
+        let n = rsp.len().min(RSP_LEN);
+        fixed[..n].copy_from_slice(&rsp[..n]);
+        Some(Completion {
+            token: le32(&fixed[0..4]),
+            len: le32(&fixed[4..8]),
+            ok: fixed[8] != 0,
+        })
+    }
+
+    fn arm(&mut self) -> bool {
+        self.0.enable_response_notifications()
+    }
+
+    fn advertise_net(
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        _stack_queues: usize,
+    ) -> Vec<(Self, Self)> {
+        // One ring pair however many stack queues: the frontend fans out.
+        let (tx, tx_gref) = RingFront::granted(env, backend);
+        let (rx, rx_gref) = RingFront::granted(env, backend);
+        dir.write(env, "frontend-domid", env.domid().0);
+        dir.write(env, "tx-ring", tx_gref.0);
+        dir.write(env, "rx-ring", rx_gref.0);
+        vec![(tx, rx)]
+    }
+
+    fn attach_net(
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        _pairs: usize,
+        fill: &mut dyn FnMut(&mut DomainEnv<'_>, usize),
+    ) -> Option<Vec<Port>> {
+        let local = RingFront::bind(env, dir, backend)?;
+        fill(env, 0);
+        dir.write(env, "state", "connected");
+        env.evtchn_notify(local).expect("bound");
+        Some(vec![local])
+    }
+
+    fn advertise_blk(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId) -> Self {
+        let (ring, gref) = RingFront::granted(env, backend);
+        dir.write(env, "frontend-domid", env.domid().0);
+        dir.write(env, "ring", gref.0);
+        ring
+    }
+
+    fn attach_blk(
+        &mut self,
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        _depth: usize,
+    ) -> Option<Port> {
+        RingFront::bind(env, dir, backend)
+    }
+}
+
+/// [`BackTransport`] over a Xen descriptor ring.
+pub(crate) struct RingBack(pub(super) BackRing);
+
+impl RingBack {
+    fn mapped(env: &mut DomainEnv<'_>, dir: &Dir, leaf: &str) -> Option<BackQueue> {
+        let gref = GrantRef(dir.read(env, leaf)?);
+        Some(Box::new(RingBack(BackRing::attach(
+            env.grant_map(gref, true).ok()?,
+        ))))
+    }
+
+    fn publish_port(env: &mut DomainEnv<'_>, dir: &Dir, frontend: DomainId) -> Port {
+        let port = env.evtchn_alloc_unbound(frontend);
+        dir.write(env, "event-port", port.0);
+        port
+    }
+}
+
+impl BackTransport for RingBack {
+    fn take(&mut self, _env: &mut DomainEnv<'_>) -> Option<Result<Request, u32>> {
+        let mut slot = self.0.take_request()?;
+        let mut fixed = [0u8; REQ_FIXED];
+        let n = slot.len().min(REQ_FIXED);
+        fixed[..n].copy_from_slice(&slot[..n]);
+        let gref = le32(&fixed[0..4]);
+        let off = usize::from(u16::from_le_bytes([fixed[4], fixed[5]]));
+        let len = le32(&fixed[6..10]);
+        if slot.len() < REQ_FIXED || off + len as usize > PAGE_SIZE {
+            return Some(Err(gref));
+        }
+        slot.drain(..REQ_FIXED);
+        let data = DataBuf {
+            gref,
+            off,
+            len,
+            device_writes: fixed[10] != 0,
+        };
+        Some(Ok(Request {
+            token: gref,
+            header: slot,
+            data,
+        }))
+    }
+
+    fn complete(&mut self, _env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool) -> bool {
+        let mut rsp = [0u8; RSP_LEN];
+        rsp[0..4].copy_from_slice(&token.to_le_bytes());
+        rsp[4..8].copy_from_slice(&len.to_le_bytes());
+        rsp[8] = ok as u8;
+        self.0
+            .push_response(&rsp)
+            .expect("a response fits its slot")
+    }
+
+    fn arm(&mut self) -> bool {
+        self.0.enable_request_notifications()
+    }
+
+    fn attach_nic(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<NicQueues> {
+        let frontend = DomainId(dir.read(env, "frontend-domid")?);
+        let tx = RingBack::mapped(env, dir, "tx-ring")?;
+        let rx = RingBack::mapped(env, dir, "rx-ring")?;
+        Some(vec![(RingBack::publish_port(env, dir, frontend), tx, rx)])
+    }
+
+    fn attach_disk(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<(Port, BackQueue)> {
+        let frontend = DomainId(dir.read(env, "frontend-domid")?);
+        let ring = RingBack::mapped(env, dir, "ring")?;
+        Some((RingBack::publish_port(env, dir, frontend), ring))
+    }
+}

@@ -1,0 +1,313 @@
+//! The virtio split virtqueue as a transport. A header-less queue (a
+//! NIC's) publishes one-descriptor chains `[data]`; a queue attached
+//! with header pages (a disk's) publishes the virtio-blk chain
+//! `[header ro][data][status wo]`, header at offset 0 and status byte at
+//! [`STATUS_OFF`] of one transport-owned page per outstanding request.
+//! Any other shape is malformed. The token is the chain head.
+
+use std::collections::HashMap;
+
+use mirage_hypervisor::event::Port;
+use mirage_hypervisor::grant::{GrantRef, SharedPage};
+use mirage_hypervisor::{DomainEnv, DomainId, PAGE_SIZE};
+
+use super::{
+    map_cached, BackQueue, BackTransport, Completion, DataBuf, Dir, FrontTransport, NicQueues,
+    Request, HEADER_MAX,
+};
+use crate::driver::Backend;
+use crate::virtio::virtqueue::{
+    buf_addr, split_addr, ChainBuf, DeviceQueue, QueuePages, SplitQueue,
+};
+
+/// Offset of the status byte within a header page.
+const STATUS_OFF: usize = 2048;
+const STATUS_OK: u8 = 0;
+const STATUS_IOERR: u8 = 1;
+
+/// [`FrontTransport`] over a split virtqueue.
+pub(crate) struct VirtqFront {
+    pub(super) q: SplitQueue,
+    /// `None` on a header-less queue.
+    pub(super) headers: Option<HeaderPages>,
+}
+
+#[derive(Default)]
+pub(super) struct HeaderPages {
+    pub(super) idle: Vec<(GrantRef, SharedPage)>,
+    /// Pages out with the device, by chain head.
+    pub(super) busy: HashMap<u16, (GrantRef, SharedPage)>,
+}
+
+impl VirtqFront {
+    /// Allocates a queue's three areas, grants them to `backend` and
+    /// writes their refs to `{prefix}desc|avail|used`. Only the used area
+    /// is device-writable.
+    fn granted(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId, prefix: &str) -> VirtqFront {
+        let pages = QueuePages::new();
+        let desc = env.grant(backend, pages.desc.clone(), false);
+        let avail = env.grant(backend, pages.avail.clone(), false);
+        let used = env.grant(backend, pages.used.clone(), true);
+        for (area, gref) in [("desc", desc), ("avail", avail), ("used", used)] {
+            dir.write(env, &format!("{prefix}{area}"), gref.0);
+        }
+        VirtqFront {
+            q: SplitQueue::new(pages),
+            headers: None,
+        }
+    }
+}
+
+impl FrontTransport for VirtqFront {
+    const BACKEND: Backend = Backend::Virtio;
+    const NET_DIR: &'static str = "vnet";
+    const BLK_DIR: &'static str = "vblk";
+
+    fn room(&self) -> bool {
+        match &self.headers {
+            None => self.q.free_descriptors() >= 1,
+            Some(h) => self.q.free_descriptors() >= 3 && !h.idle.is_empty(),
+        }
+    }
+
+    fn post(&mut self, header: &[u8], data: DataBuf) -> (u32, bool) {
+        let buf = |addr, len, device_writes| ChainBuf {
+            addr,
+            len,
+            device_writes,
+        };
+        let data = buf(buf_addr(data.gref, data.off), data.len, data.device_writes);
+        let (head, bell) = match &mut self.headers {
+            None => self.q.add_chain(&[data]).expect("room() checked"),
+            Some(h) => {
+                assert!(
+                    header.len() <= HEADER_MAX,
+                    "request header exceeds the slot"
+                );
+                let (gref, page) = h.idle.pop().expect("room() checked");
+                page.write(|b| {
+                    b[..header.len()].copy_from_slice(header);
+                    b[STATUS_OFF] = STATUS_IOERR; // the device must overwrite it
+                });
+                let hdr = buf(buf_addr(gref.0, 0), header.len() as u32, false);
+                let status = buf(buf_addr(gref.0, STATUS_OFF), 1, true);
+                let posted = self
+                    .q
+                    .add_chain(&[hdr, data, status])
+                    .expect("room() checked");
+                h.busy.insert(posted.0, (gref, page));
+                posted
+            }
+        };
+        (u32::from(head), bell)
+    }
+
+    fn reap(&mut self) -> Option<Completion> {
+        let (head, len) = self.q.take_used()?;
+        let mut done = Completion {
+            token: u32::from(head),
+            len,
+            ok: true,
+        };
+        if let Some(h) = &mut self.headers {
+            if let Some(page) = h.busy.remove(&head) {
+                done.ok = page.1.read(|b| b[STATUS_OFF]) == STATUS_OK;
+                done.len = len.saturating_sub(1); // the used length counts the status byte
+                h.idle.push(page);
+            }
+        }
+        Some(done)
+    }
+
+    fn arm(&mut self) -> bool {
+        self.q.enable_used_notifications()
+    }
+
+    fn advertise_net(
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        stack_queues: usize,
+    ) -> Vec<(Self, Self)> {
+        // One pair per stack queue: multi-queue all the way down.
+        let pairs = (0..stack_queues)
+            .map(|q| {
+                let tx = VirtqFront::granted(env, dir, backend, &format!("q{q}/tx-"));
+                let rx = VirtqFront::granted(env, dir, backend, &format!("q{q}/rx-"));
+                (tx, rx)
+            })
+            .collect();
+        dir.write(env, "frontend-domid", env.domid().0);
+        dir.write(env, "queues", stack_queues);
+        pairs
+    }
+
+    fn attach_net(
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        pairs: usize,
+        fill: &mut dyn FnMut(&mut DomainEnv<'_>, usize),
+    ) -> Option<Vec<Port>> {
+        // The backend publishes every port in one pass.
+        let remotes = (0..pairs)
+            .map(|q| dir.read(env, &format!("q{q}/event-port")).map(Port))
+            .collect::<Option<Vec<_>>>()?;
+        let mut ports = Vec::with_capacity(pairs);
+        for (q, remote) in remotes.into_iter().enumerate() {
+            let local = env.evtchn_bind(backend, remote).expect("backend allocated");
+            // Each pair's channel interrupts the vCPU owning its queue.
+            let affinity = q % env.vcpus();
+            if affinity != 0 {
+                let _ = env.evtchn_set_vcpu(local, affinity);
+            }
+            fill(env, q);
+            env.evtchn_notify(local).expect("bound");
+            ports.push(local);
+        }
+        dir.write(env, "state", "connected");
+        Some(ports)
+    }
+
+    fn advertise_blk(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId) -> Self {
+        let queue = VirtqFront::granted(env, dir, backend, "");
+        dir.write(env, "frontend-domid", env.domid().0);
+        queue
+    }
+
+    fn attach_blk(
+        &mut self,
+        env: &mut DomainEnv<'_>,
+        dir: &Dir,
+        backend: DomainId,
+        depth: usize,
+    ) -> Option<Port> {
+        let remote = Port(dir.read(env, "event-port")?);
+        let local = env.evtchn_bind(backend, remote).expect("backend allocated");
+        // Device-writable for the status byte.
+        let idle = (0..depth)
+            .map(|_| {
+                let page = SharedPage::new();
+                (env.grant(backend, page.clone(), true), page)
+            })
+            .collect();
+        self.headers = Some(HeaderPages {
+            idle,
+            busy: HashMap::new(),
+        });
+        Some(local)
+    }
+}
+
+/// [`BackTransport`] over a split virtqueue.
+pub(crate) struct VirtqBack {
+    pub(super) q: DeviceQueue,
+    /// Header pages mapped so far, by grant ref.
+    pub(super) header_pages: HashMap<u32, SharedPage>,
+    /// Where each header-carrying chain in service wants its status byte.
+    pub(super) status: HashMap<u16, u64>,
+}
+
+impl VirtqBack {
+    /// Maps the three areas granted as `{prefix}desc|avail|used`; the used
+    /// area is the only one mapped writable.
+    fn mapped(env: &mut DomainEnv<'_>, dir: &Dir, prefix: &str) -> Option<BackQueue> {
+        let desc = GrantRef(dir.read(env, &format!("{prefix}desc"))?);
+        let avail = GrantRef(dir.read(env, &format!("{prefix}avail"))?);
+        let used = GrantRef(dir.read(env, &format!("{prefix}used"))?);
+        let pages = QueuePages {
+            desc: env.grant_map(desc, false).ok()?,
+            avail: env.grant_map(avail, false).ok()?,
+            used: env.grant_map(used, true).ok()?,
+        };
+        Some(Box::new(VirtqBack {
+            q: DeviceQueue::attach(pages),
+            header_pages: HashMap::new(),
+            status: HashMap::new(),
+        }))
+    }
+}
+
+impl BackTransport for VirtqBack {
+    fn take(&mut self, env: &mut DomainEnv<'_>) -> Option<Result<Request, u32>> {
+        let chain = self.q.pop_avail()?;
+        let token = u32::from(chain.head);
+        let (header, (addr, len, device_writes)) = match chain.bufs[..] {
+            [data] => (Vec::new(), data),
+            [(hdr_addr, hdr_len, false), data, (status_addr, 1, true)]
+                if (1..=HEADER_MAX).contains(&(hdr_len as usize)) =>
+            {
+                let (gref, off) = split_addr(hdr_addr);
+                let hdr = off..off + hdr_len as usize;
+                if hdr.end > PAGE_SIZE {
+                    return Some(Err(token));
+                }
+                let Some(page) = map_cached(env, &mut self.header_pages, gref, false) else {
+                    return Some(Err(token));
+                };
+                self.status.insert(chain.head, status_addr);
+                (page.read(|b| b[hdr].to_vec()), data)
+            }
+            _ => return Some(Err(token)),
+        };
+        let (gref, off) = split_addr(addr);
+        if off + len as usize > PAGE_SIZE {
+            return Some(Err(token));
+        }
+        Some(Ok(Request {
+            token,
+            header,
+            data: DataBuf {
+                gref,
+                off,
+                len,
+                device_writes,
+            },
+        }))
+    }
+
+    fn complete(&mut self, env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool) -> bool {
+        let head = token as u16; // tokens are chain heads handed out by `take`
+        let mut written = len;
+        if let Some(addr) = self.status.remove(&head) {
+            let (gref, off) = split_addr(addr);
+            if let Some(page) = map_cached(env, &mut self.header_pages, gref, true) {
+                page.write(|b| b[off] = if ok { STATUS_OK } else { STATUS_IOERR });
+            }
+            written += 1;
+        }
+        self.q.push_used(head, written)
+    }
+
+    fn arm(&mut self) -> bool {
+        self.q.enable_avail_notifications()
+    }
+
+    fn attach_nic(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<NicQueues> {
+        let frontend = DomainId(dir.read(env, "frontend-domid")?);
+        let queues: usize = dir.read(env, "queues").filter(|&q| q > 0)?;
+        // The frontend writes every grant before flipping its state, so a
+        // partial read is a malformed handshake: map all or nothing.
+        let mapped = (0..queues)
+            .map(|q| {
+                let tx = VirtqBack::mapped(env, dir, &format!("q{q}/tx-"))?;
+                let rx = VirtqBack::mapped(env, dir, &format!("q{q}/rx-"))?;
+                Some((tx, rx))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let pairs = mapped.into_iter().enumerate().map(|(q, (tx, rx))| {
+            let port = env.evtchn_alloc_unbound(frontend);
+            dir.write(env, &format!("q{q}/event-port"), port.0);
+            (port, tx, rx)
+        });
+        Some(pairs.collect())
+    }
+
+    fn attach_disk(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<(Port, BackQueue)> {
+        let frontend = DomainId(dir.read(env, "frontend-domid")?);
+        let queue = VirtqBack::mapped(env, dir, "")?;
+        let port = env.evtchn_alloc_unbound(frontend);
+        dir.write(env, "event-port", port.0);
+        Some((port, queue))
+    }
+}

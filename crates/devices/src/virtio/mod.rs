@@ -1,32 +1,19 @@
-//! Virtio-style split-virtqueue transport — the second device ABI.
+//! Virtio-style split virtqueues — the second device ABI.
 //!
 //! The paper's device claims (grants, shared-memory rings, bounded copy
 //! counts, §3.4) are about mechanisms, not about the Xen ring layout
-//! specifically. This module provides the same frontends over virtio 1.0
-//! split virtqueues — descriptor table + avail/used rings with EVENT_IDX
-//! doorbell suppression — so the identical appliance can run over either
-//! ABI and the conformance suite can diff them workload-by-workload:
-//!
-//! * [`virtqueue`] — the ring primitive: [`virtqueue::SplitQueue`]
-//!   (driver half) and [`virtqueue::DeviceQueue`] (device half);
-//! * [`net::VirtioNet`] — the Ethernet frontend: one TX/RX virtqueue
-//!   pair per stack queue (and therefore per vCPU), per-queue event
-//!   channels with vCPU affinity, batched doorbells;
-//! * [`blk::VirtioBlk`] — the block frontend: three-descriptor
-//!   header/data/status chains, the classic virtio-blk shape.
-//!
-//! Backend halves live with the Xen ones in [`crate::netback`]: the
-//! driver domain's switch and disk service frames and requests from both
-//! ABIs through the same forwarding, conditioning and timing paths.
+//! specifically. [`virtqueue`] is the virtio 1.0 ring primitive —
+//! descriptor table + avail/used rings with EVENT_IDX doorbell
+//! suppression, [`virtqueue::SplitQueue`] (driver half) and
+//! [`virtqueue::DeviceQueue`] (device half) — that `crate::transport`
+//! wraps as its second impl, so the one NIC frontend, the one block
+//! frontend and the driver domain run unchanged over either ABI and the
+//! conformance suite can diff them workload-by-workload.
 //!
 //! Selection is a [`crate::driver::Backend`] value at device-creation
 //! time; consumers program against the [`crate::driver::NetDriver`] /
 //! [`crate::driver::BlkDriver`] traits and never name an ABI.
 
-pub mod blk;
-pub mod net;
 pub mod virtqueue;
 
-pub use blk::VirtioBlk;
-pub use net::VirtioNet;
 pub use virtqueue::{DeviceQueue, QueuePages, SplitQueue, QUEUE_SIZE};

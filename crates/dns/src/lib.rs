@@ -22,7 +22,8 @@ mod tests {
     //! The full DNS appliance: zone file → server → UDP → stack → switch.
 
     use super::*;
-    use mirage_devices::netfront::{CopyDiscipline, Netfront};
+    use mirage_devices::netfront::CopyDiscipline;
+    use mirage_devices::Backend;
     use mirage_devices::{DriverDomain, Xenstore};
     use mirage_hypervisor::{Dur, Hypervisor, Time};
     use mirage_net::{Ipv4Addr, Mac, Stack, StackConfig};
@@ -39,7 +40,7 @@ mod tests {
 
         // The DNS appliance.
         let (front_s, nh_s) =
-            Netfront::new(xs.clone(), "dns", Mac::local(53).0, CopyDiscipline::ZeroCopy);
+            Backend::XenRing.net(xs.clone(), "dns", Mac::local(53).0, CopyDiscipline::ZeroCopy);
         let mut appliance = UnikernelGuest::new(move |env, rt| {
             env.observe("boot-start");
             let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SERVER_IP));
@@ -51,12 +52,12 @@ mod tests {
                 server.serve_udp(rt2, sock).await
             })
         });
-        appliance.add_device(Box::new(front_s));
+        appliance.add_device(front_s);
         hv.create_domain("dns-appliance", 32, Box::new(appliance));
 
         // A resolver client.
         let (front_c, nh_c) =
-            Netfront::new(xs.clone(), "cli", Mac::local(9).0, CopyDiscipline::ZeroCopy);
+            Backend::XenRing.net(xs.clone(), "cli", Mac::local(9).0, CopyDiscipline::ZeroCopy);
         let mut client = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
             let rt2 = rt.clone();
@@ -90,7 +91,7 @@ mod tests {
                 0
             })
         });
-        client.add_device(Box::new(front_c));
+        client.add_device(front_c);
         let cdom = hv.create_domain("resolver", 32, Box::new(client));
 
         hv.run_until(Time::ZERO + Dur::secs(30));

@@ -20,7 +20,8 @@ mod tests {
     //! End-to-end appliance test: HTTP server + client over the full stack.
 
     use super::*;
-    use mirage_devices::netfront::{CopyDiscipline, Netfront};
+    use mirage_devices::netfront::CopyDiscipline;
+    use mirage_devices::Backend;
     use mirage_devices::{DriverDomain, Xenstore};
     use mirage_hypervisor::{Dur, Hypervisor, Time};
     use mirage_net::{Ipv4Addr, Mac, Stack, StackConfig};
@@ -36,7 +37,7 @@ mod tests {
         hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
         let (front_s, nh_s) =
-            Netfront::new(xs.clone(), "web", Mac::local(80).0, CopyDiscipline::ZeroCopy);
+            Backend::XenRing.net(xs.clone(), "web", Mac::local(80).0, CopyDiscipline::ZeroCopy);
         let mut appliance = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SERVER_IP));
             let rt2 = rt.clone();
@@ -53,11 +54,11 @@ mod tests {
                 server.serve(rt2, listener).await
             })
         });
-        appliance.add_device(Box::new(front_s));
+        appliance.add_device(front_s);
         hv.create_domain("web-appliance", 32, Box::new(appliance));
 
         let (front_c, nh_c) =
-            Netfront::new(xs.clone(), "cli", Mac::local(99).0, CopyDiscipline::ZeroCopy);
+            Backend::XenRing.net(xs.clone(), "cli", Mac::local(99).0, CopyDiscipline::ZeroCopy);
         let mut client_guest = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
             let rt2 = rt.clone();
@@ -84,7 +85,7 @@ mod tests {
                 0
             })
         });
-        client_guest.add_device(Box::new(front_c));
+        client_guest.add_device(front_c);
         let cdom = hv.create_domain("httperf", 32, Box::new(client_guest));
 
         hv.run_until(Time::ZERO + Dur::secs(30));

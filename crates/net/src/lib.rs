@@ -45,7 +45,8 @@ mod tests {
     //! netfront → driver-domain switch → netfront.
 
     use super::*;
-    use mirage_devices::netfront::{CopyDiscipline, Netfront};
+    use mirage_devices::netfront::CopyDiscipline;
+    use mirage_devices::Backend;
     use mirage_devices::{DriverDomain, Xenstore};
     use mirage_hypervisor::{Dur, Hypervisor, Time};
     use mirage_runtime::UnikernelGuest;
@@ -67,20 +68,20 @@ mod tests {
         let mut hv = Hypervisor::new();
         hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
-        let (front_a, nh_a) = Netfront::new(xs.clone(), "a", Mac::local(1).0, CopyDiscipline::ZeroCopy);
+        let (front_a, nh_a) = Backend::XenRing.net(xs.clone(), "a", Mac::local(1).0, CopyDiscipline::ZeroCopy);
         let mut ga = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_a, StackConfig::static_ip(IP_A));
             guest_a(stack, rt.clone())
         });
-        ga.add_device(Box::new(front_a));
+        ga.add_device(front_a);
         let dom_a = hv.create_domain("guest-a", 64, Box::new(ga));
 
-        let (front_b, nh_b) = Netfront::new(xs.clone(), "b", Mac::local(2).0, CopyDiscipline::ZeroCopy);
+        let (front_b, nh_b) = Backend::XenRing.net(xs.clone(), "b", Mac::local(2).0, CopyDiscipline::ZeroCopy);
         let mut gb = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_b, StackConfig::static_ip(IP_B));
             guest_b(stack, rt.clone())
         });
-        gb.add_device(Box::new(front_b));
+        gb.add_device(front_b);
         let dom_b = hv.create_domain("guest-b", 64, Box::new(gb));
 
         (hv, dom_a, dom_b)
@@ -203,7 +204,7 @@ mod tests {
         hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
         // DHCP server appliance with a static address.
-        let (front_s, nh_s) = Netfront::new(xs.clone(), "srv", Mac::local(10).0, CopyDiscipline::ZeroCopy);
+        let (front_s, nh_s) = Backend::XenRing.net(xs.clone(), "srv", Mac::local(10).0, CopyDiscipline::ZeroCopy);
         let mut server = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(Ipv4Addr::new(10, 0, 0, 1)));
             rt.spawn(async move {
@@ -226,11 +227,11 @@ mod tests {
                 0i64
             })
         });
-        server.add_device(Box::new(front_s));
+        server.add_device(front_s);
         hv.create_domain("dhcp-server", 64, Box::new(server));
 
         // Client with dynamic configuration.
-        let (front_c, nh_c) = Netfront::new(xs.clone(), "cli", Mac::local(11).0, CopyDiscipline::ZeroCopy);
+        let (front_c, nh_c) = Backend::XenRing.net(xs.clone(), "cli", Mac::local(11).0, CopyDiscipline::ZeroCopy);
         let mut client = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_c, StackConfig::dhcp());
             rt.clone().spawn(async move {
@@ -239,7 +240,7 @@ mod tests {
                 0
             })
         });
-        client.add_device(Box::new(front_c));
+        client.add_device(front_c);
         let cdom = hv.create_domain("dhcp-client", 64, Box::new(client));
 
         hv.run_until(Time::ZERO + Dur::secs(30));

@@ -511,8 +511,8 @@ impl Stack {
     /// core `v` and owns exactly the connection shards with
     /// `shard % workers == v`, so a flow's TCB is only ever touched by
     /// one core. Pair the handles with
-    /// [`Netfront::new_multiqueue`](mirage_devices::netfront::Netfront::new_multiqueue)
-    /// so the driver fans frames out by the same Toeplitz hash. Control
+    /// [`Backend::net_multiqueue`](mirage_devices::Backend::net_multiqueue)
+    /// so the device fans frames out by the same Toeplitz hash. Control
     /// plane (ARP replies, DHCP, UDP, ping) rides queue 0 and is handled
     /// by worker 0; the ARP cache and listener map are the only shared
     /// state, behind short mutexes.

@@ -7,45 +7,23 @@
 //! be maintained on insert/remove.
 
 use crate::addr::Ipv4Addr;
+use mirage_devices::rss;
 use mirage_testkit::hash::DetHashMap;
 
 /// Shard count for the connection table: a power of two so the low bits
 /// of a connection id name its shard. 64 shards keeps each sub-table at
 /// ~16k entries even at a million connections, and is the seam the SMP
-/// work will later pin per-vCPU.
-pub const SHARD_BITS: u32 = 6;
+/// work pins per-vCPU. The NIC's RSS classifier folds the same space.
+pub const SHARD_BITS: u32 = rss::SHARD_BITS;
 /// `1 << SHARD_BITS`.
-pub const SHARDS: usize = 1 << SHARD_BITS;
+pub const SHARDS: usize = rss::SHARDS as usize;
 
-/// The symmetric RSS hash key (Microsoft's canonical 40-byte Toeplitz key
-/// truncated to the 12 bytes a v4 3-tuple consumes, plus slack). Fixed,
-/// like real NICs configure it once at init — determinism comes free.
-const RSS_KEY: [u8; 16] = [
-    0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f,
-    0xb0,
-];
-
-/// RSS-style Toeplitz hash over the flow tuple (peer ip, peer port, local
-/// port — the local ip is fixed per interface). Bit `i` of the input
-/// XORs a 32-bit window of the key into the hash, exactly the scheme NIC
-/// receive-side scaling uses to spread flows across queues.
+/// The flow hash over (peer ip, peer port, local port) — the local ip is
+/// fixed per interface. It is the NIC classifier's Toeplitz kernel, so a
+/// frame is steered to the very core that owns its TCB's shard.
+#[inline]
 pub fn flow_hash(peer: Ipv4Addr, peer_port: u16, local_port: u16) -> u32 {
-    let mut input = [0u8; 8];
-    input[..4].copy_from_slice(&peer.octets());
-    input[4..6].copy_from_slice(&peer_port.to_be_bytes());
-    input[6..8].copy_from_slice(&local_port.to_be_bytes());
-    let mut hash = 0u32;
-    let mut window = u32::from_be_bytes(RSS_KEY[..4].try_into().expect("4 bytes"));
-    for (i, byte) in input.into_iter().enumerate() {
-        for bit in 0..8u32 {
-            if byte & (0x80 >> bit) != 0 {
-                hash ^= window;
-            }
-            let next_bit = RSS_KEY[i + 4] & (0x80 >> bit) != 0;
-            window = (window << 1) | u32::from(next_bit);
-        }
-    }
-    hash
+    rss::toeplitz(peer.octets(), peer_port, local_port)
 }
 
 /// A table entry that can name the flow it belongs to:
@@ -171,12 +149,14 @@ mod tests {
     }
 
     #[test]
-    fn toeplitz_hash_is_stable() {
-        // Pinned values: the RSS key is fixed at init like real NICs, so
-        // the flow→shard mapping must never drift between builds (the C1M
-        // shard-occupancy figures depend on it).
-        let h = flow_hash(Ipv4Addr::new(10, 0, 0, 2), 40000, 80);
-        assert_eq!(h, flow_hash(Ipv4Addr::new(10, 0, 0, 2), 40000, 80));
+    fn flow_hash_known_answers_and_spread() {
+        // Pinned values, recorded before the demux and the NIC classifier
+        // shared one kernel: the RSS key is fixed at init like real NICs,
+        // so the flow→shard mapping must never drift between builds (the
+        // C1M shard-occupancy figures depend on it).
+        assert_eq!(flow_hash(Ipv4Addr::new(10, 0, 0, 2), 40000, 80), 0xdba0_27c6);
+        assert_eq!(flow_hash(Ipv4Addr::new(192, 168, 1, 77), 51515, 443), 0xf7bc_ef7c);
+        assert_eq!(flow_hash(Ipv4Addr::new(203, 0, 113, 9), 1, 65535), 0xb9ef_deda);
         let mut distinct = std::collections::BTreeSet::new();
         for port in 0..SHARDS as u16 * 4 {
             distinct.insert(flow_hash(Ipv4Addr::new(10, 0, 0, 2), 40000 + port, 80) & (SHARDS as u32 - 1));
@@ -233,30 +213,6 @@ mod tests {
             for vcpus in [1usize, 2, 4, 8] {
                 assert_eq!(shard % vcpus, (flow_hash(ip, pp, lp) as usize & (SHARDS - 1)) % vcpus);
             }
-        }
-    }
-
-    #[test]
-    fn devices_rss_classifier_matches_stack_demux_hash() {
-        // The netfront RX classifier (mirage-devices, which mirage-net
-        // depends on and therefore cannot import from) duplicates this
-        // module's Toeplitz kernel. Pin the two together over a seeded
-        // corpus so they can never drift: a disagreement would steer a
-        // frame to a core that does not own its TCB.
-        use mirage_testkit::rng::Rng;
-        use mirage_testkit::test_seed;
-        assert_eq!(SHARDS, mirage_devices::rss::SHARDS as usize);
-        assert_eq!(SHARD_BITS, mirage_devices::rss::SHARD_BITS);
-        let mut rng = Rng::for_stream(test_seed(), "rss-equivalence");
-        for _ in 0..4096 {
-            let ip = Ipv4Addr::from(rng.next_u32());
-            let peer_port = rng.next_u32() as u16;
-            let local_port = rng.next_u32() as u16;
-            assert_eq!(
-                flow_hash(ip, peer_port, local_port),
-                mirage_devices::rss::toeplitz(ip.octets(), peer_port, local_port),
-                "hash kernels drifted for ({ip}, {peer_port}, {local_port})"
-            );
         }
     }
 

@@ -32,7 +32,8 @@ mod tests {
     //! appliance over TCP through the simulated network.
 
     use super::*;
-    use mirage_devices::netfront::{CopyDiscipline, Netfront};
+    use mirage_devices::netfront::CopyDiscipline;
+    use mirage_devices::Backend;
     use mirage_devices::{DriverDomain, Xenstore};
     use mirage_hypervisor::{Dur, Hypervisor, Time};
     use mirage_net::{Ipv4Addr, Mac, Stack, StackConfig};
@@ -49,7 +50,7 @@ mod tests {
 
         // Controller appliance.
         let (front_c, nh_c) =
-            Netfront::new(xs.clone(), "ctrl", Mac::local(6).0, CopyDiscipline::ZeroCopy);
+            Backend::XenRing.net(xs.clone(), "ctrl", Mac::local(6).0, CopyDiscipline::ZeroCopy);
         let mut ctrl_guest = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CTRL_IP));
             rt.spawn(async move {
@@ -72,12 +73,12 @@ mod tests {
                 conn.stats().packet_ins as i64
             })
         });
-        ctrl_guest.add_device(Box::new(front_c));
+        ctrl_guest.add_device(front_c);
         let cdom = hv.create_domain("controller", 32, Box::new(ctrl_guest));
 
         // Switch appliance: punts two frames, expects replies.
         let (front_s, nh_s) =
-            Netfront::new(xs.clone(), "sw", Mac::local(7).0, CopyDiscipline::ZeroCopy);
+            Backend::XenRing.net(xs.clone(), "sw", Mac::local(7).0, CopyDiscipline::ZeroCopy);
         let mut sw_guest = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SW_IP));
             let rt2 = rt.clone();
@@ -135,7 +136,7 @@ mod tests {
                 sw.flows().len() as i64
             })
         });
-        sw_guest.add_device(Box::new(front_s));
+        sw_guest.add_device(front_s);
         let sdom = hv.create_domain("switch", 32, Box::new(sw_guest));
 
         hv.run_until(Time::ZERO + Dur::secs(30));

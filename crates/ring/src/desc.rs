@@ -64,16 +64,6 @@ fn slot_range(idx: u32) -> std::ops::Range<usize> {
     start..start + SLOT_BYTES
 }
 
-#[allow(dead_code)]
-fn write_slot(page: &SharedPage, idx: u32, data: &[u8]) {
-    page.write(|bytes| {
-        let r = slot_range(idx);
-        let slot = &mut bytes[r];
-        slot[0..2].copy_from_slice(&(data.len() as u16).to_le_bytes());
-        slot[2..2 + data.len()].copy_from_slice(data);
-    });
-}
-
 fn read_slot(page: &SharedPage, idx: u32) -> Vec<u8> {
     page.read(|bytes| {
         let r = slot_range(idx);

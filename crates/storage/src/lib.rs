@@ -42,7 +42,7 @@ mod tests {
     //! driver domain.
 
     use super::*;
-    use mirage_devices::{Blkfront, DriverDomain, Xenstore};
+    use mirage_devices::{Backend, DriverDomain, Xenstore};
     use mirage_hypervisor::{Dur, Hypervisor, Time};
     use mirage_runtime::UnikernelGuest;
 
@@ -52,7 +52,7 @@ mod tests {
         let mut hv = Hypervisor::new();
         hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
-        let (front, handle) = Blkfront::new(xs.clone(), "vda", 1 << 16);
+        let (front, handle) = Backend::XenRing.blk(xs.clone(), "vda", 1 << 16);
         let mut guest = UnikernelGuest::new(move |_env, rt| {
             let rt2 = rt.clone();
             rt.spawn(async move {
@@ -66,7 +66,7 @@ mod tests {
                 0
             })
         });
-        guest.add_device(Box::new(front));
+        guest.add_device(front);
         let dom = hv.create_domain("guest", 64, Box::new(guest));
         hv.run_until(Time::ZERO + Dur::secs(60));
         assert_eq!(hv.exit_code(dom), Some(0));
@@ -78,7 +78,7 @@ mod tests {
         let mut hv = Hypervisor::new();
         hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
-        let (front, handle) = Blkfront::new(xs.clone(), "vdb", 1 << 16);
+        let (front, handle) = Backend::XenRing.blk(xs.clone(), "vdb", 1 << 16);
         let mut guest = UnikernelGuest::new(move |_env, rt| {
             let rt2 = rt.clone();
             rt.spawn(async move {
@@ -100,7 +100,7 @@ mod tests {
                 0
             })
         });
-        guest.add_device(Box::new(front));
+        guest.add_device(front);
         let dom = hv.create_domain("guest", 64, Box::new(guest));
         hv.run_until(Time::ZERO + Dur::secs(60));
         assert_eq!(hv.exit_code(dom), Some(0));

@@ -28,7 +28,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mirage::core::{Appliance, Library};
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Xenstore};
 use mirage::hypervisor::toolstack::{BuildMode, DomainSpec, Toolstack};
 use mirage::hypervisor::{Dur, Hypervisor, Time};
@@ -166,7 +167,7 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
     // The appliance under load: one stack, one listener, a million table
     // entries. Idle handlers park their stream and exit, so live tasks
     // stay bounded by the in-flight batch plus the hot subset.
-    let (netf, nh) = Netfront::new(xs.clone(), "c1m-srv", Mac::local(80).0, CopyDiscipline::ZeroCopy);
+    let (netf, nh) = Backend::XenRing.net(xs.clone(), "c1m-srv", Mac::local(80).0, CopyDiscipline::ZeroCopy);
     let sh = Arc::clone(&shared);
     let mut server = UnikernelGuest::new(move |_env, rt: &Runtime| {
         // Full batches from every client may be half-open at once; keep
@@ -203,7 +204,7 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
             }
         })
     });
-    server.add_device(Box::new(netf));
+    server.add_device(netf);
     hv.create_domain("c1m-server", 2048, Box::new(server));
 
     // Client fleet: each domain owns one stack (16k ephemeral ports) and
@@ -213,7 +214,7 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
     let rem = conns % clients;
     for d in 0..clients {
         let name = format!("c1m-c{d}");
-        let (front, nh_c) = Netfront::new(
+        let (front, nh_c) = Backend::XenRing.net(
             xs.clone(),
             &name,
             Mac::local(100 + d as u32).0,
@@ -306,7 +307,7 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
                 0
             })
         });
-        guest.add_device(Box::new(front));
+        guest.add_device(front);
         hv.create_domain(&name, 64, Box::new(guest));
     }
 

@@ -22,7 +22,9 @@
 
 use std::sync::Arc;
 
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Netem, NetemConfig, Xenstore};
 use mirage::hypervisor::{Dur, Hypervisor, RunOutcome, Time};
 use mirage::net::{tcp, Ipv4Addr, Mac, Stack, StackConfig};
@@ -90,7 +92,7 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
     // Receiver: accept, absorb the payload, send a 1-byte receipt, park.
     let rx_done: Arc<Mutex<Option<usize>>> = Arc::new(Mutex::new(None));
     let rx_out = Arc::clone(&rx_done);
-    let (front_rx, nh_rx) = Netfront::new(xs.clone(), "cc-rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
+    let (front_rx, nh_rx) = Backend::XenRing.net(xs.clone(), "cc-rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
     let mut rx_guest = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_rx, rx_cfg);
         let rt2 = rt.clone();
@@ -112,7 +114,7 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
             }
         })
     });
-    rx_guest.add_device(Box::new(front_rx));
+    rx_guest.add_device(front_rx);
     hv.create_domain("cc-rx", 128, Box::new(rx_guest));
 
     // Sender: connect, stream, sample cwnd on a virtual-time cadence,
@@ -121,7 +123,7 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
     let tx_done: Arc<Mutex<Option<TxReport>>> = Arc::new(Mutex::new(None));
     let tx_out = Arc::clone(&tx_done);
     let tx_payload = Arc::clone(&payload);
-    let (front_tx, nh_tx) = Netfront::new(xs.clone(), "cc-tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
+    let (front_tx, nh_tx) = Backend::XenRing.net(xs.clone(), "cc-tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
     let mut tx_guest = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_tx, tx_cfg);
         let rt2 = rt.clone();
@@ -177,7 +179,7 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
             }
         })
     });
-    tx_guest.add_device(Box::new(front_tx));
+    tx_guest.add_device(front_tx);
     hv.create_domain("cc-tx", 128, Box::new(tx_guest));
 
     let deadline = Time::ZERO + Dur::secs(300);

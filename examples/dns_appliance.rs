@@ -6,7 +6,9 @@
 //! cargo run --example dns_appliance
 //! ```
 
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Xenstore};
 use mirage::dns::{DnsName, DnsServer, Message, RType, ServerConfig, Zone};
 use mirage::hypervisor::{Dur, Hypervisor, Time};
@@ -34,7 +36,7 @@ fn main() {
     hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
     // The DNS appliance: zone file + server + UDP loop, one unikernel.
-    let (front, nh) = Netfront::new(xs.clone(), "dns0", Mac::local(53).0, CopyDiscipline::ZeroCopy);
+    let (front, nh) = Backend::XenRing.net(xs.clone(), "dns0", Mac::local(53).0, CopyDiscipline::ZeroCopy);
     let mut appliance = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh, StackConfig::static_ip(SERVER_IP));
         let rt2 = rt.clone();
@@ -46,11 +48,11 @@ fn main() {
             server.serve_udp(rt2, sock).await
         })
     });
-    appliance.add_device(Box::new(front));
+    appliance.add_device(front);
     hv.create_domain("dns-appliance", 32, Box::new(appliance));
 
     // A resolver asking a few questions.
-    let (front_c, nh_c) = Netfront::new(xs.clone(), "cli0", Mac::local(9).0, CopyDiscipline::ZeroCopy);
+    let (front_c, nh_c) = Backend::XenRing.net(xs.clone(), "cli0", Mac::local(9).0, CopyDiscipline::ZeroCopy);
     let mut client = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
         let rt2 = rt.clone();
@@ -81,7 +83,7 @@ fn main() {
             0
         })
     });
-    client.add_device(Box::new(front_c));
+    client.add_device(front_c);
     let cdom = hv.create_domain("resolver", 32, Box::new(client));
 
     hv.run_until(Time::ZERO + Dur::secs(10));

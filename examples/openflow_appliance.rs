@@ -6,7 +6,9 @@
 //! cargo run --example openflow_appliance
 //! ```
 
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Xenstore};
 use mirage::hypervisor::{Dur, Hypervisor, Time};
 use mirage::net::{Ipv4Addr, Mac, Stack, StackConfig};
@@ -28,7 +30,7 @@ fn main() {
     hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
     // Controller appliance.
-    let (front_c, nh_c) = Netfront::new(xs.clone(), "ctrl", Mac::local(6).0, CopyDiscipline::ZeroCopy);
+    let (front_c, nh_c) = Backend::XenRing.net(xs.clone(), "ctrl", Mac::local(6).0, CopyDiscipline::ZeroCopy);
     let mut ctrl = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CTRL_IP));
         rt.spawn(async move {
@@ -55,11 +57,11 @@ fn main() {
             0i64
         })
     });
-    ctrl.add_device(Box::new(front_c));
+    ctrl.add_device(front_c);
     hv.create_domain("controller", 32, Box::new(ctrl));
 
     // Datapath appliance.
-    let (front_s, nh_s) = Netfront::new(xs.clone(), "dp", Mac::local(7).0, CopyDiscipline::ZeroCopy);
+    let (front_s, nh_s) = Backend::XenRing.net(xs.clone(), "dp", Mac::local(7).0, CopyDiscipline::ZeroCopy);
     let mut dp = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SW_IP));
         let rt2 = rt.clone();
@@ -122,7 +124,7 @@ fn main() {
             0i64
         })
     });
-    dp.add_device(Box::new(front_s));
+    dp.add_device(front_s);
     let ddom = hv.create_domain("datapath", 32, Box::new(dp));
 
     hv.run_until(Time::ZERO + Dur::secs(10));

@@ -76,6 +76,31 @@ if grep -rEn '=\s*\{?\s*"[~^]?[0-9]' Cargo.toml crates/*/Cargo.toml \
 fi
 echo "   ok"
 
+echo "== gate: one device data path, one flow hash, no dead code"
+# One Toeplitz key for the NIC classifier and the stack demux alike.
+keys="$(grep -rEn '^\s*(pub(\([a-z]+\))? )?(const|static) RSS_KEY\b' crates --include='*.rs' | wc -l)"
+if [[ "$keys" -ne 1 ]]; then
+    echo "FAIL: expected exactly one RSS_KEY definition under crates/, found $keys" >&2
+    exit 1
+fi
+if grep -rn --include='*.rs' '#\[allow(dead_code)\]' crates tests; then
+    echo "FAIL: #[allow(dead_code)] is back (lines above): delete the code instead" >&2
+    exit 1
+fi
+# Backend::{net, net_multiqueue, blk} is the only way to make a device.
+if grep -rnE --include='*.rs' '(Netfront|VirtioNet|Blkfront|VirtioBlk)::new' \
+    crates tests examples src benchmark/src; then
+    echo "FAIL: per-ABI device constructor used (lines above)" >&2
+    exit 1
+fi
+long="$(find crates/devices/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 700')"
+if [[ -n "$long" ]]; then
+    echo "FAIL: file over 700 lines in crates/devices/src:" >&2
+    echo "$long" >&2
+    exit 1
+fi
+echo "   ok"
+
 echo "== build (release, offline, all targets)"
 cargo build --release --offline --workspace --all-targets
 

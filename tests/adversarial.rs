@@ -19,7 +19,8 @@
 use std::sync::{Arc, OnceLock};
 
 use mirage::core::{Appliance, DceLevel, Library};
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Tap, Xenstore};
 use mirage::dns::{DnsName, DnsServer, Message, RType, ServerConfig, Zone};
 use mirage::http::{
@@ -129,7 +130,7 @@ fn flood_rig() -> FloodRig {
     let stats_out: Arc<Mutex<Option<StackStats>>> = Arc::new(Mutex::new(None));
     let stats_in = Arc::clone(&stats_out);
     let (front_s, nh_s) =
-        Netfront::new(xs.clone(), "web", Mac::local(80).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(xs.clone(), "web", Mac::local(80).0, CopyDiscipline::ZeroCopy);
     let mut server = UnikernelGuest::new(move |_env, rt| {
         let cfg = StackConfig::builder(SERVER_IP)
             .listen_backlog(BACKLOG)
@@ -155,7 +156,7 @@ fn flood_rig() -> FloodRig {
             HttpServer::new(router).serve(rt2, listener).await
         })
     });
-    server.add_device(Box::new(front_s));
+    server.add_device(front_s);
     hv.create_domain("web-appliance", 32, Box::new(server));
 
     FloodRig {
@@ -180,7 +181,7 @@ fn syn_flood_cannot_starve_a_legitimate_client() {
     let result_out: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
     let result_in = Arc::clone(&result_out);
     let (front_c, nh_c) =
-        Netfront::new(rig.xs.clone(), "cli", Mac::local(99).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(rig.xs.clone(), "cli", Mac::local(99).0, CopyDiscipline::ZeroCopy);
     let mut client = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
         let rt2 = rt.clone();
@@ -204,7 +205,7 @@ fn syn_flood_cannot_starve_a_legitimate_client() {
             }
         })
     });
-    client.add_device(Box::new(front_c));
+    client.add_device(front_c);
     let cdom = rig.hv.create_domain("legit-client", 32, Box::new(client));
 
     // Boot the stacks, then flood: 16 fresh-quad SYNs every 2 ms for

@@ -14,9 +14,9 @@
 use std::sync::{Arc, OnceLock};
 
 use mirage::cstruct::{copy_counters, reset_copy_counters};
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
 use mirage::devices::{
-    BlkOp, BlkRequest, Blkfront, DiskFaultPlan, DiskProfile, DriverDomain, DriverStats, Netem,
+    Backend, BlkOp, BlkRequest, DiskFaultPlan, DiskProfile, DriverDomain, DriverStats, Netem,
     NetemConfig, NetemStats, NetProfile, Tap, Xenstore,
 };
 use mirage::dns::{DnsName, DnsServer, Message, RData, RType, Rcode, ServerConfig, Zone};
@@ -101,7 +101,7 @@ fn run_lossy_tcp(seed: u64, cell: &'static str, cfg: NetemConfig, bytes: usize) 
     let rx_result: Arc<Mutex<Option<(Vec<u8>, u64)>>> = Arc::new(Mutex::new(None));
     let rx_out = Arc::clone(&rx_result);
     let (front_rx, nh_rx) =
-        Netfront::new(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
     let mut rx_guest = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_rx, rx_cfg);
         let rt2 = rt.clone();
@@ -126,7 +126,7 @@ fn run_lossy_tcp(seed: u64, cell: &'static str, cfg: NetemConfig, bytes: usize) 
             }
         })
     });
-    rx_guest.add_device(Box::new(front_rx));
+    rx_guest.add_device(front_rx);
     hv.create_domain("chaos-rx", 128, Box::new(rx_guest));
 
     // Sender: connect (retrying through SYN loss), stream the payload,
@@ -135,7 +135,7 @@ fn run_lossy_tcp(seed: u64, cell: &'static str, cfg: NetemConfig, bytes: usize) 
     let tx_out = Arc::clone(&tx_result);
     let tx_payload = Arc::clone(&payload);
     let (front_tx, nh_tx) =
-        Netfront::new(xs.clone(), "tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(xs.clone(), "tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
     let mut tx_guest = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_tx, tx_cfg);
         let rt2 = rt.clone();
@@ -170,7 +170,7 @@ fn run_lossy_tcp(seed: u64, cell: &'static str, cfg: NetemConfig, bytes: usize) 
             }
         })
     });
-    tx_guest.add_device(Box::new(front_tx));
+    tx_guest.add_device(front_tx);
     hv.create_domain("chaos-tx", 128, Box::new(tx_guest));
 
     // Run in slices until both sides report (the guests deliberately
@@ -358,7 +358,7 @@ fn http_completes_over_a_lossy_link_within_the_zero_copy_budget() {
     hv.create_domain("dom0", 512, Box::new(dom0));
 
     let (front_s, nh_s) =
-        Netfront::new(xs.clone(), "web", Mac::local(80).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(xs.clone(), "web", Mac::local(80).0, CopyDiscipline::ZeroCopy);
     let mut appliance = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SERVER_IP));
         let rt2 = rt.clone();
@@ -370,13 +370,13 @@ fn http_completes_over_a_lossy_link_within_the_zero_copy_budget() {
             HttpServer::new(router).serve(rt2, listener).await
         })
     });
-    appliance.add_device(Box::new(front_s));
+    appliance.add_device(front_s);
     hv.create_domain("web-appliance", 32, Box::new(appliance));
 
     reset_copy_counters();
 
     let (front_c, nh_c) =
-        Netfront::new(xs.clone(), "cli", Mac::local(99).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(xs.clone(), "cli", Mac::local(99).0, CopyDiscipline::ZeroCopy);
     let mut client = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
         let rt2 = rt.clone();
@@ -398,7 +398,7 @@ fn http_completes_over_a_lossy_link_within_the_zero_copy_budget() {
             0
         })
     });
-    client.add_device(Box::new(front_c));
+    client.add_device(front_c);
     let cdom = hv.create_domain("httperf", 32, Box::new(client));
 
     hv.run_until(Time::ZERO + Dur::secs(120));
@@ -450,7 +450,7 @@ fn dns_resolves_through_a_partition_that_heals() {
     hv.create_domain("dom0", 512, Box::new(dom0));
 
     let (front_s, nh_s) =
-        Netfront::new(xs.clone(), "dns", Mac::local(53).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(xs.clone(), "dns", Mac::local(53).0, CopyDiscipline::ZeroCopy);
     let mut appliance = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SERVER_IP));
         let rt2 = rt.clone();
@@ -461,13 +461,13 @@ fn dns_resolves_through_a_partition_that_heals() {
             server.serve_udp(rt2, sock).await
         })
     });
-    appliance.add_device(Box::new(front_s));
+    appliance.add_device(front_s);
     hv.create_domain("dns-appliance", 32, Box::new(appliance));
 
     let attempts_out: Arc<Mutex<u32>> = Arc::new(Mutex::new(0));
     let attempts_in = Arc::clone(&attempts_out);
     let (front_c, nh_c) =
-        Netfront::new(xs.clone(), "cli", Mac::local(9).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(xs.clone(), "cli", Mac::local(9).0, CopyDiscipline::ZeroCopy);
     let mut client = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
         let rt2 = rt.clone();
@@ -509,7 +509,7 @@ fn dns_resolves_through_a_partition_that_heals() {
             0
         })
     });
-    client.add_device(Box::new(front_c));
+    client.add_device(front_c);
     let cdom = hv.create_domain("resolver", 32, Box::new(client));
 
     hv.run_until(Time::ZERO + Dur::secs(30));
@@ -560,7 +560,7 @@ fn disk_faults_are_transient_and_survivable() {
     let dstats = dom0.stats_handle();
     hv.create_domain("dom0", 512, Box::new(dom0));
 
-    let (front, bh) = Blkfront::new(xs.clone(), "vda", 1 << 20);
+    let (front, bh) = Backend::XenRing.blk(xs.clone(), "vda", 1 << 20);
     let mut guest = UnikernelGuest::new(move |_env, rt| {
         let mut bh = bh;
         rt.spawn(async move {
@@ -614,7 +614,7 @@ fn disk_faults_are_transient_and_survivable() {
             0
         })
     });
-    guest.add_device(Box::new(front));
+    guest.add_device(front);
     let gdom = hv.create_domain("chaos-blk", 64, Box::new(guest));
 
     hv.run_until(Time::ZERO + Dur::secs(60));
@@ -655,7 +655,7 @@ fn killed_server_domain_restarts_and_the_client_recovers() {
     // incarnation pings the client first so the switch relearns which
     // backend port now owns the server MAC.
     fn server_guest(xs: Xenstore, nf_name: &'static str, announce: bool) -> UnikernelGuest {
-        let (front, nh) = Netfront::new(xs, nf_name, Mac::local(1).0, CopyDiscipline::ZeroCopy);
+        let (front, nh) = Backend::XenRing.net(xs, nf_name, Mac::local(1).0, CopyDiscipline::ZeroCopy);
         let mut guest = UnikernelGuest::new(move |_env, rt| {
             let stack = Stack::spawn(rt, nh, StackConfig::static_ip(SRV_IP));
             let rt2 = rt.clone();
@@ -681,7 +681,7 @@ fn killed_server_domain_restarts_and_the_client_recovers() {
                 }
             })
         });
-        guest.add_device(Box::new(front));
+        guest.add_device(front);
         guest
     }
 
@@ -702,7 +702,7 @@ fn killed_server_domain_restarts_and_the_client_recovers() {
     let result_out: Arc<Mutex<Option<(bool, u32)>>> = Arc::new(Mutex::new(None));
     let result_in = Arc::clone(&result_out);
     let (front_c, nh_c) =
-        Netfront::new(xs.clone(), "cli", Mac::local(2).0, CopyDiscipline::ZeroCopy);
+        Backend::XenRing.net(xs.clone(), "cli", Mac::local(2).0, CopyDiscipline::ZeroCopy);
     let mut client = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLI_IP));
         let rt2 = rt.clone();
@@ -736,7 +736,7 @@ fn killed_server_domain_restarts_and_the_client_recovers() {
             1
         })
     });
-    client.add_device(Box::new(front_c));
+    client.add_device(front_c);
     let cli_dom = hv.create_domain("chaos-cli", 128, Box::new(client));
 
     // Let the first transfer get going, then kill the server mid-stream.

@@ -1,9 +1,8 @@
 //! Cross-backend differential conformance suite: the same appliance
-//! workloads run over both ring ABIs — the Xen-style descriptor rings
-//! ([`mirage::devices::Netfront`]) and the virtio split virtqueues
-//! ([`mirage::devices::VirtioNet`]) — behind the [`Backend`] driver-trait
-//! factory, and every application-level transcript must come out
-//! byte-identical.
+//! workloads run over both ring ABIs — the Xen-style descriptor rings and
+//! the virtio split virtqueues, the two transports under the one set of
+//! frontends the [`Backend`] factory hands out — and every
+//! application-level transcript must come out byte-identical.
 //!
 //! The transport is the experiment's only variable: seeds, payloads,
 //! stacks, netem schedules and disk-fault draws are all held fixed, so a
@@ -32,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 
 use mirage::cstruct::{copy_counters, reset_copy_counters, PktBuf};
 use mirage::devices::netfront::{CopyDiscipline, NetifStats};
-use mirage::devices::{Backend, DriverDomain, DriverStats, Netem, NetemConfig, Xenstore};
+use mirage::devices::{Backend, DriverDomain, Netem, NetemConfig, Xenstore};
 use mirage::dns::{DnsName, DnsServer, Message, RType, ServerConfig, Zone};
 use mirage::http::{HandlerFuture, HttpConnection, HttpServer, Request, Response, Router};
 use mirage::hypervisor::{Dur, Hypervisor, RunOutcome, Time};
@@ -608,11 +607,4 @@ fn same_seed_double_runs_are_byte_identical_per_backend() {
              reproduce with MIRAGE_TEST_SEED={seed}"
         );
     }
-}
-
-// A compile-time reminder that the suite exercises the same DriverStats
-// surface the chaos suite gates on.
-#[allow(dead_code)]
-fn _driver_stats_is_shared(d: DriverStats) -> DriverStats {
-    d
 }

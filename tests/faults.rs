@@ -2,7 +2,9 @@
 //! B-tree, corrupted superblocks under FAT-32, grant-table misuse, and a
 //! hostile packet flood against a live appliance.
 
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Tap, Xenstore};
 use mirage::hypervisor::grant::{GrantError, GrantTable, SharedPage};
 use mirage::hypervisor::{DomainId, Dur, Hypervisor, Time};
@@ -109,7 +111,7 @@ fn appliance_survives_garbage_frame_flood() {
     dom0.add_tap(tap.clone());
     let d0 = hv.create_domain("dom0", 512, Box::new(dom0));
 
-    let (front, nh) = Netfront::new(xs.clone(), "t", Mac::local(5).0, CopyDiscipline::ZeroCopy);
+    let (front, nh) = Backend::XenRing.net(xs.clone(), "t", Mac::local(5).0, CopyDiscipline::ZeroCopy);
     let mut guest = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh, StackConfig::static_ip(Ipv4Addr::new(10, 0, 0, 5)));
         rt.spawn(async move {
@@ -125,7 +127,7 @@ fn appliance_survives_garbage_frame_flood() {
             echoed
         })
     });
-    guest.add_device(Box::new(front));
+    guest.add_device(front);
     let gdom = hv.create_domain("target", 32, Box::new(guest));
     hv.run_until(Time::ZERO + Dur::millis(50));
 

@@ -3,8 +3,8 @@
 //! message-passing" — vchan between a unikernel and a conventional-VM
 //! model — plus dynamic (DHCP) boot and mixed net+block appliances.
 
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
-use mirage::devices::{Blkfront, DriverDomain, VchanEndpoint, Xenstore};
+use mirage::devices::netfront::CopyDiscipline;
+use mirage::devices::{Backend, DriverDomain, VchanEndpoint, Xenstore};
 use mirage::hypervisor::{Dur, Hypervisor, Time};
 use mirage::net::{dhcp, Ipv4Addr, Mac, Stack, StackConfig};
 use mirage::runtime::UnikernelGuest;
@@ -68,7 +68,7 @@ fn dhcp_configured_appliance_serves_after_lease() {
     hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
     // DHCP server appliance.
-    let (front_s, nh_s) = Netfront::new(xs.clone(), "dhcpd", Mac::local(1).0, CopyDiscipline::ZeroCopy);
+    let (front_s, nh_s) = Backend::XenRing.net(xs.clone(), "dhcpd", Mac::local(1).0, CopyDiscipline::ZeroCopy);
     let mut dhcpd = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(Ipv4Addr::new(10, 0, 0, 1)));
         rt.spawn(async move {
@@ -90,14 +90,14 @@ fn dhcp_configured_appliance_serves_after_lease() {
             }
         })
     });
-    dhcpd.add_device(Box::new(front_s));
+    dhcpd.add_device(front_s);
     hv.create_domain("dhcpd", 32, Box::new(dhcpd));
 
     // Two cloned appliances boot with identical images and diverge only
     // in their dynamic leases.
     let mut clone_doms = Vec::new();
     for i in 0..2u32 {
-        let (front, nh) = Netfront::new(
+        let (front, nh) = Backend::XenRing.net(
             xs.clone(),
             format!("clone{i}"),
             Mac::local(10 + i).0,
@@ -111,7 +111,7 @@ fn dhcp_configured_appliance_serves_after_lease() {
                 ip.octets()[3] as i64
             })
         });
-        guest.add_device(Box::new(front));
+        guest.add_device(front);
         clone_doms.push(hv.create_domain(format!("clone{i}"), 32, Box::new(guest)));
     }
 
@@ -134,8 +134,8 @@ fn appliance_combines_network_and_storage_stacks() {
     let mut hv = Hypervisor::new();
     hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
-    let (netf, nh) = Netfront::new(xs.clone(), "fs0", Mac::local(21).0, CopyDiscipline::ZeroCopy);
-    let (blkf, bhandle) = Blkfront::new(xs.clone(), "vda", 1 << 16);
+    let (netf, nh) = Backend::XenRing.net(xs.clone(), "fs0", Mac::local(21).0, CopyDiscipline::ZeroCopy);
+    let (blkf, bhandle) = Backend::XenRing.blk(xs.clone(), "vda", 1 << 16);
     let mut appliance = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh, StackConfig::static_ip(Ipv4Addr::new(10, 0, 0, 21)));
         let rt2 = rt.clone();
@@ -153,11 +153,11 @@ fn appliance_combines_network_and_storage_stacks() {
             0i64
         })
     });
-    appliance.add_device(Box::new(netf));
-    appliance.add_device(Box::new(blkf));
+    appliance.add_device(netf);
+    appliance.add_device(blkf);
     hv.create_domain("fileserver", 64, Box::new(appliance));
 
-    let (front_c, nh_c) = Netfront::new(xs.clone(), "cli", Mac::local(22).0, CopyDiscipline::ZeroCopy);
+    let (front_c, nh_c) = Backend::XenRing.net(xs.clone(), "cli", Mac::local(22).0, CopyDiscipline::ZeroCopy);
     let mut client = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(Ipv4Addr::new(10, 0, 0, 22)));
         let rt2 = rt.clone();
@@ -170,7 +170,7 @@ fn appliance_combines_network_and_storage_stacks() {
             0i64
         })
     });
-    client.add_device(Box::new(front_c));
+    client.add_device(front_c);
     let cdom = hv.create_domain("client", 32, Box::new(client));
 
     hv.run_until(Time::ZERO + Dur::secs(30));

@@ -1,7 +1,9 @@
 //! Table 1's memcache facility, end to end: a memcache appliance serving
 //! the text protocol over the live TCP stack, driven by a client guest.
 
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Xenstore};
 use mirage::hypervisor::{Dur, Hypervisor, Time};
 use mirage::net::{Ipv4Addr, Mac, Stack, StackConfig};
@@ -17,7 +19,7 @@ fn memcache_appliance_serves_the_text_protocol() {
     let mut hv = Hypervisor::new();
     hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
-    let (front_s, nh_s) = Netfront::new(xs.clone(), "mc", Mac::local(11).0, CopyDiscipline::ZeroCopy);
+    let (front_s, nh_s) = Backend::XenRing.net(xs.clone(), "mc", Mac::local(11).0, CopyDiscipline::ZeroCopy);
     let mut server = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SERVER_IP));
         let rt2 = rt.clone();
@@ -43,10 +45,10 @@ fn memcache_appliance_serves_the_text_protocol() {
             }
         })
     });
-    server.add_device(Box::new(front_s));
+    server.add_device(front_s);
     hv.create_domain("memcached", 32, Box::new(server));
 
-    let (front_c, nh_c) = Netfront::new(xs.clone(), "mcc", Mac::local(12).0, CopyDiscipline::ZeroCopy);
+    let (front_c, nh_c) = Backend::XenRing.net(xs.clone(), "mcc", Mac::local(12).0, CopyDiscipline::ZeroCopy);
     let mut client = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
         let rt2 = rt.clone();
@@ -75,7 +77,7 @@ fn memcache_appliance_serves_the_text_protocol() {
             0
         })
     });
-    client.add_device(Box::new(front_c));
+    client.add_device(front_c);
     let cdom = hv.create_domain("mc-client", 32, Box::new(client));
 
     hv.run_until(Time::ZERO + Dur::secs(30));

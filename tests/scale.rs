@@ -15,7 +15,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Xenstore};
 use mirage::hypervisor::{Dur, Hypervisor, Time};
 use mirage::net::{Ipv4Addr, Mac, NetError, Stack, StackConfig, StackStats, TcpStream};
@@ -42,7 +44,7 @@ fn idle_window_stats(n: usize) -> (StackStats, StackStats) {
     let parked: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
     let window: Arc<Mutex<Option<(StackStats, StackStats)>>> = Arc::new(Mutex::new(None));
 
-    let (netf, nh) = Netfront::new(xs.clone(), "scale-srv", Mac::local(80).0, CopyDiscipline::ZeroCopy);
+    let (netf, nh) = Backend::XenRing.net(xs.clone(), "scale-srv", Mac::local(80).0, CopyDiscipline::ZeroCopy);
     let accepted_srv = Arc::clone(&accepted);
     let parked_srv = Arc::clone(&parked);
     let window_srv = Arc::clone(&window);
@@ -82,7 +84,7 @@ fn idle_window_stats(n: usize) -> (StackStats, StackStats) {
             0
         })
     });
-    server.add_device(Box::new(netf));
+    server.add_device(netf);
     hv.create_domain("scale-server", 1024, Box::new(server));
 
     // Each client stack has ~16k ephemeral ports; shard the population.
@@ -91,7 +93,7 @@ fn idle_window_stats(n: usize) -> (StackStats, StackStats) {
     let rem = n % clients;
     for d in 0..clients {
         let name = format!("scale-c{d}");
-        let (front, nh_c) = Netfront::new(
+        let (front, nh_c) = Backend::XenRing.net(
             xs.clone(),
             &name,
             Mac::local(100 + d as u32).0,
@@ -128,7 +130,7 @@ fn idle_window_stats(n: usize) -> (StackStats, StackStats) {
                 0
             })
         });
-        guest.add_device(Box::new(front));
+        guest.add_device(front);
         hv.create_domain(&name, 64, Box::new(guest));
     }
 
@@ -169,7 +171,7 @@ fn ping_world(
 
     let result: Arc<Mutex<Option<(Option<Dur>, Dur)>>> = Arc::new(Mutex::new(None));
 
-    let (netf_b, nh_b) = Netfront::new(xs.clone(), "ping-b", Mac::local(2).0, CopyDiscipline::ZeroCopy);
+    let (netf_b, nh_b) = Backend::XenRing.net(xs.clone(), "ping-b", Mac::local(2).0, CopyDiscipline::ZeroCopy);
     let mut responder = UnikernelGuest::new(move |_env, rt: &Runtime| {
         let _stack = Stack::spawn(rt, nh_b, StackConfig::static_ip(Ipv4Addr::new(10, 0, 0, 2)));
         let rt2 = rt.clone();
@@ -178,10 +180,10 @@ fn ping_world(
             0
         })
     });
-    responder.add_device(Box::new(netf_b));
+    responder.add_device(netf_b);
     hv.create_domain("ping-responder", 64, Box::new(responder));
 
-    let (netf_a, nh_a) = Netfront::new(xs.clone(), "ping-a", Mac::local(1).0, CopyDiscipline::ZeroCopy);
+    let (netf_a, nh_a) = Backend::XenRing.net(xs.clone(), "ping-a", Mac::local(1).0, CopyDiscipline::ZeroCopy);
     let result_a = Arc::clone(&result);
     let mut pinger = UnikernelGuest::new(move |_env, rt: &Runtime| {
         let stack = Stack::spawn(rt, nh_a, StackConfig::static_ip(Ipv4Addr::new(10, 0, 0, 1)));
@@ -199,7 +201,7 @@ fn ping_world(
             0
         })
     });
-    pinger.add_device(Box::new(netf_a));
+    pinger.add_device(netf_a);
     hv.create_domain("pinger", 64, Box::new(pinger));
 
     hv.run_until(Time::ZERO + Dur::secs(60));

@@ -5,7 +5,9 @@
 //! then fetches the page over HTTP — every byte through the full
 //! Ethernet/IP/UDP/TCP stacks and the Xen device fabric.
 
-use mirage::devices::netfront::{CopyDiscipline, Netfront};
+use mirage::devices::netfront::CopyDiscipline;
+
+use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Xenstore};
 use mirage::dns::{DnsName, DnsServer, Message, RData, RType, Rcode, ServerConfig, Zone};
 use mirage::http::{client, HandlerFuture, HttpServer, Request, Response, Router};
@@ -24,7 +26,7 @@ fn resolve_then_fetch_through_two_appliances() {
     hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
 
     // DNS appliance: example.org with www -> 10.0.0.80.
-    let (front_d, nh_d) = Netfront::new(xs.clone(), "dns", Mac::local(53).0, CopyDiscipline::ZeroCopy);
+    let (front_d, nh_d) = Backend::XenRing.net(xs.clone(), "dns", Mac::local(53).0, CopyDiscipline::ZeroCopy);
     let mut dns = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_d, StackConfig::static_ip(DNS_IP));
         let rt2 = rt.clone();
@@ -38,11 +40,11 @@ fn resolve_then_fetch_through_two_appliances() {
             server.serve_udp(rt2, sock).await
         })
     });
-    dns.add_device(Box::new(front_d));
+    dns.add_device(front_d);
     hv.create_domain("dns", 32, Box::new(dns));
 
     // Web appliance serving the site.
-    let (front_w, nh_w) = Netfront::new(xs.clone(), "web", Mac::local(80).0, CopyDiscipline::ZeroCopy);
+    let (front_w, nh_w) = Backend::XenRing.net(xs.clone(), "web", Mac::local(80).0, CopyDiscipline::ZeroCopy);
     let mut web = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_w, StackConfig::static_ip(WEB_IP));
         let rt2 = rt.clone();
@@ -54,11 +56,11 @@ fn resolve_then_fetch_through_two_appliances() {
             HttpServer::new(router).serve(rt2, listener).await
         })
     });
-    web.add_device(Box::new(front_w));
+    web.add_device(front_w);
     hv.create_domain("web", 32, Box::new(web));
 
     // The visitor: DNS lookup, then HTTP GET from the resolved address.
-    let (front_c, nh_c) = Netfront::new(xs.clone(), "cli", Mac::local(9).0, CopyDiscipline::ZeroCopy);
+    let (front_c, nh_c) = Backend::XenRing.net(xs.clone(), "cli", Mac::local(9).0, CopyDiscipline::ZeroCopy);
     let mut visitor = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
         let rt2 = rt.clone();
@@ -82,7 +84,7 @@ fn resolve_then_fetch_through_two_appliances() {
             0
         })
     });
-    visitor.add_device(Box::new(front_c));
+    visitor.add_device(front_c);
     let vdom = hv.create_domain("visitor", 32, Box::new(visitor));
 
     hv.run_until(Time::ZERO + Dur::secs(30));
@@ -104,7 +106,7 @@ fn six_scaled_out_unikernels_serve_concurrently() {
 
     for i in 0..6u32 {
         let ip = Ipv4Addr::new(10, 0, 1, (10 + i) as u8);
-        let (front, nh) = Netfront::new(
+        let (front, nh) = Backend::XenRing.net(
             xs.clone(),
             format!("w{i}"),
             Mac::local(100 + i).0,
@@ -123,11 +125,11 @@ fn six_scaled_out_unikernels_serve_concurrently() {
                 HttpServer::new(router).serve(rt2, listener).await
             })
         });
-        web.add_device(Box::new(front));
+        web.add_device(front);
         hv.create_domain(format!("web{i}"), 32, Box::new(web));
     }
 
-    let (front_c, nh_c) = Netfront::new(xs.clone(), "lb", Mac::local(200).0, CopyDiscipline::ZeroCopy);
+    let (front_c, nh_c) = Backend::XenRing.net(xs.clone(), "lb", Mac::local(200).0, CopyDiscipline::ZeroCopy);
     let mut lb = UnikernelGuest::new(move |_env, rt| {
         let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(Ipv4Addr::new(10, 0, 1, 1)));
         let rt2 = rt.clone();
@@ -147,7 +149,7 @@ fn six_scaled_out_unikernels_serve_concurrently() {
             served
         })
     });
-    lb.add_device(Box::new(front_c));
+    lb.add_device(front_c);
     let lbdom = hv.create_domain("loadgen", 32, Box::new(lb));
 
     hv.run_until(Time::ZERO + Dur::secs(60));
