@@ -466,8 +466,10 @@ impl FlowKeyed for ConnEntry {
 /// `ConnEntry`, of which 392 B is the `Connection` TCB now carrying the
 /// pluggable congestion-control state enum, plus 32 B of index entries).
 /// The pre-split figure was 440 B; the 48 B delta is the boxed-out
-/// congestion algorithm state. `idle_conn_budget_stays_within_512` pins
-/// the ceiling so TCB growth can't land silently.
+/// congestion algorithm state. 496 B since ROD remembers a FIN that
+/// overtook a hole (8 B: sparing the peer an RTO per such close).
+/// `idle_conn_budget_stays_within_512` pins the ceiling so TCB growth
+/// can't land silently.
 pub fn idle_conn_bytes() -> usize {
     std::mem::size_of::<ConnEntry>()
         + std::mem::size_of::<u64>()                        // conns key
@@ -1727,8 +1729,8 @@ impl Inner {
 mod tests {
     use super::*;
 
-    /// Satellite audit: the per-idle-connection heap budget. 488 B today
-    /// (see [`idle_conn_bytes`]); the assert leaves 24 B of headroom to
+    /// Satellite audit: the per-idle-connection heap budget. 496 B today
+    /// (see [`idle_conn_bytes`]); the assert leaves 16 B of headroom to
     /// 512 so a PR that bloats the TCB trips this test and has to argue
     /// for the growth explicitly.
     #[test]

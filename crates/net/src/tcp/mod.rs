@@ -10,7 +10,12 @@
 //! * retransmission with RFC 6298 RTO estimation, Karn's rule and
 //!   exponential backoff;
 //! * fast retransmit on three duplicate ACKs with **New Reno** partial-ACK
-//!   recovery (RFC 6582);
+//!   recovery (RFC 6582), and **limited transmit** (RFC 3042): the first
+//!   two duplicates each release one new segment, so a window of three or
+//!   four full segments still produces the third;
+//! * sender-side **silly-window avoidance** (RFC 1122 §4.2.3.4): data
+//!   leaves in full-sized segments unless the segment empties the send
+//!   buffer or the pipe is empty;
 //! * slow start / congestion avoidance (RFC 5681), behind the pluggable
 //!   [`CongestionControl`] seam — RFC 8312 **CUBIC** ships as the
 //!   alternative, selected via [`TcpConfig::builder`];
@@ -27,7 +32,7 @@
 //! | Component | Module | Owns (writes) |
 //! |---|---|---|
 //! | ConnMgmt | [`conn`](self) | state machine, SYN/FIN flags, options, RTT/RTO, rtx + TIME-WAIT timers |
-//! | ROD | [`rod`](self) | `snd_una`/`snd_nxt`, send buffer, `rcv_nxt`, reassembly stash, dup-ack counting |
+//! | ROD | [`rod`](self) | `snd_una`/`snd_nxt`, send buffer, `rcv_nxt`, reassembly stash (and an early FIN), dup-ack counting |
 //! | FlowCtrl | [`flow`](self) | peer window `snd_wnd`, persist timer |
 //! | CongCtrl | [`cong`] | `cwnd`, `ssthresh`, per-algorithm epoch state |
 //! | Demux | [`demux`] | flow-hash shard indexes (used by the socket layer) |
@@ -44,8 +49,11 @@
 //!
 //! Simplifications (documented, deliberate): the send buffer is unbounded
 //! (the socket layer applies its own backpressure), the advertised receive
-//! window is fixed rather than tracking application reads, and ACKs are
-//! immediate (no delayed-ACK timer).
+//! window is fixed rather than tracking application reads, ACKs are
+//! immediate (no delayed-ACK timer), and there is no Nagle algorithm — a
+//! short write that empties the buffer is sent at once, whatever is in
+//! flight (the socket layer coalesces the writes of one poll iteration
+//! instead).
 
 use mirage_cstruct::PktBuf;
 use mirage_hypervisor::Time;
@@ -290,7 +298,11 @@ impl Connection {
         }
     }
 
-    /// Sends data allowed by the congestion and peer windows.
+    /// Sends data allowed by the congestion and peer windows, in full-sized
+    /// segments: a segment shorter than the MSS goes out only if it empties
+    /// the send buffer or nothing is in flight (sender-side silly-window
+    /// avoidance, RFC 1122 §4.2.3.4 — every ACK re-enters here, so a held
+    /// sliver leaves as part of a full segment once the window opens).
     pub fn transmit(&mut self, now: Time) -> Vec<SegmentOut> {
         let mut out = Vec::new();
         if !matches!(
@@ -301,14 +313,20 @@ impl Connection {
         }
         let mss = self.effective_mss();
         // The orchestrator intersects the two windows; neither component
-        // sees the other's.
-        let wnd = self.cc.cwnd().min(self.flow.snd_wnd());
+        // sees the other's. Duplicate ACKs below the fast-retransmit
+        // threshold widen the congestion side by a segment each (RFC 3042).
+        let wnd = (self.cc.cwnd() + self.rod.limited_transmit_segments() * mss)
+            .min(self.flow.snd_wnd());
         loop {
             let in_flight = self.rod.flight();
             if in_flight >= wnd {
                 break;
             }
             let budget = mss.min(wnd - in_flight);
+            let unsent = self.rod.unsent_bytes(self.cm.syn_unacked());
+            if budget < mss && budget < unsent && in_flight > 0 {
+                break;
+            }
             let Some((seq_no, payload, last)) = self.rod.carve_next(self.cm.syn_unacked(), budget)
             else {
                 break;

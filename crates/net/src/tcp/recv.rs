@@ -214,7 +214,12 @@ impl Connection {
                     self.cc.on_ack(self.ack_sample(AckKind::Dup, 0, now));
                     out.segments.extend(self.transmit(now));
                 }
-                DupSignal::Ignore => {}
+                DupSignal::LimitedTransmit => {
+                    // RFC 3042: the first two duplicates each release one
+                    // new segment (`transmit` widens its window by the
+                    // count), so a small window still produces the third.
+                    out.segments.extend(self.transmit(now));
+                }
             }
         }
         out
@@ -240,14 +245,14 @@ impl Connection {
                     self.stats.bytes_in += data.len() as u64;
                     out.events.push(Event::Data(data));
                 }
-                // FIN processing: only once all data up to the FIN arrived.
-                if seg.flags.fin {
-                    let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
-                    if fin_seq == self.rod.rcv_nxt() && !self.cm.peer_fin_seen() {
-                        self.rod.consume_fin();
-                        self.cm.on_peer_fin(now, self.cfg.time_wait);
-                        out.events.push(Event::PeerFin);
-                    }
+                // FIN processing: only once all data up to the FIN arrived,
+                // whether the FIN rides this segment or came early.
+                let fin_here = seg.flags.fin
+                    && seg.seq.wrapping_add(seg.payload.len() as u32) == self.rod.rcv_nxt();
+                if (fin_here || self.rod.stashed_fin_due()) && !self.cm.peer_fin_seen() {
+                    self.rod.consume_fin();
+                    self.cm.on_peer_fin(now, self.cfg.time_wait);
+                    out.events.push(Event::PeerFin);
                 }
                 out.segments.push(self.make_ack());
             }

@@ -104,8 +104,9 @@ pub(super) enum AckClass {
 /// What a duplicate ACK means right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum DupSignal {
-    /// Below the dup-ack threshold, outside recovery: ignore.
-    Ignore,
+    /// Below the dup-ack threshold, outside recovery: each one lets a new
+    /// segment out (limited transmit), `cwnd` untouched.
+    LimitedTransmit,
     /// Third duplicate: enter fast retransmit / fast recovery.
     EnterRecovery,
     /// Extra duplicate inside recovery: inflate and transmit.
@@ -149,6 +150,10 @@ pub(super) struct Rod {
     // Receive side.
     rcv_nxt: u32,
     ooo: BTreeMap<u32, PktBuf>,
+    /// Sequence number of a FIN that arrived beyond a hole: it takes
+    /// effect when `rcv_nxt` reaches it. Forgetting it instead costs the
+    /// peer a full RTO — a lone FIN draws no duplicate ACKs.
+    ooo_fin: Option<u32>,
     // Loss detection (sequence space).
     dup_acks: u32,
     in_recovery: bool,
@@ -164,6 +169,7 @@ impl Rod {
             snd_buf: SendBuf::default(),
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
+            ooo_fin: None,
             dup_acks: 0,
             in_recovery: false,
             recover: iss,
@@ -216,8 +222,25 @@ impl Rod {
     }
 
     /// Buffered bytes never sent.
+    pub fn unsent_bytes(&self, syn_unacked: bool) -> usize {
+        self.snd_buf.len().saturating_sub(self.sent_bytes(syn_unacked))
+    }
+
+    /// Any buffered bytes never sent?
     pub fn unsent(&self, syn_unacked: bool) -> bool {
-        self.snd_buf.len() > self.sent_bytes(syn_unacked)
+        self.unsent_bytes(syn_unacked) > 0
+    }
+
+    /// Segments of new data the duplicate ACKs seen so far entitle the
+    /// sender to beyond `cwnd` (RFC 3042 limited transmit): one per
+    /// duplicate below the fast-retransmit threshold. Inside recovery the
+    /// congestion window itself inflates instead.
+    pub fn limited_transmit_segments(&self) -> usize {
+        if self.in_recovery {
+            0
+        } else {
+            self.dup_acks as usize
+        }
     }
 
     // --- send-side writes --------------------------------------------------
@@ -231,7 +254,7 @@ impl Rod {
     /// `snd_nxt`. Returns `(seq, payload, is_last_buffered_byte)`.
     pub fn carve_next(&mut self, syn_unacked: bool, limit: usize) -> Option<(u32, PktBuf, bool)> {
         let sent = self.sent_bytes(syn_unacked);
-        let unsent = self.snd_buf.len().saturating_sub(sent);
+        let unsent = self.unsent_bytes(syn_unacked);
         if unsent == 0 || limit == 0 {
             return None;
         }
@@ -323,7 +346,7 @@ impl Rod {
         } else if self.in_recovery {
             DupSignal::Inflate
         } else {
-            DupSignal::Ignore
+            DupSignal::LimitedTransmit
         }
     }
 
@@ -353,6 +376,11 @@ impl Rod {
     /// Sets the initial receive sequence (SYN consumed).
     pub fn init_recv(&mut self, rcv_nxt: u32) {
         self.rcv_nxt = rcv_nxt;
+    }
+
+    /// Has in-order delivery caught up with a FIN that arrived early?
+    pub fn stashed_fin_due(&self) -> bool {
+        self.ooo_fin == Some(self.rcv_nxt)
     }
 
     /// The peer's FIN consumes one sequence number.
@@ -414,6 +442,11 @@ impl Rod {
             // window cannot come from a well-behaved peer.
             let in_window = seq_no.wrapping_sub(self.rcv_nxt) as usize <= recv_buf;
             let mut report = StashReport::default();
+            if in_window && fin {
+                // First-received wins, as for the bytes below.
+                self.ooo_fin
+                    .get_or_insert(seq_no.wrapping_add(payload.len() as u32));
+            }
             if in_window && !payload.is_empty() {
                 report = self.stash_ooo(seq_no, payload, ooo_max_segments, ooo_max_bytes);
             }
@@ -557,10 +590,13 @@ mod tests {
         rod.complete_syn(1);
         rod.buffer(PktBuf::from_vec(vec![0u8; 8000]));
         while rod.carve_next(false, 1460).is_some() {}
-        assert_eq!(rod.on_dup_ack(), DupSignal::Ignore);
-        assert_eq!(rod.on_dup_ack(), DupSignal::Ignore);
+        assert_eq!(rod.on_dup_ack(), DupSignal::LimitedTransmit);
+        assert_eq!(rod.limited_transmit_segments(), 1);
+        assert_eq!(rod.on_dup_ack(), DupSignal::LimitedTransmit);
+        assert_eq!(rod.limited_transmit_segments(), 2);
         assert_eq!(rod.on_dup_ack(), DupSignal::EnterRecovery);
         assert_eq!(rod.on_dup_ack(), DupSignal::Inflate);
+        assert_eq!(rod.limited_transmit_segments(), 0, "recovery inflates cwnd instead");
         // A partial ACK stays in recovery; covering `recover` exits.
         assert_eq!(rod.classify_ack(1460), AckClass::RecoveryPartial);
         assert_eq!(rod.classify_ack(8001), AckClass::RecoveryFull);

@@ -461,6 +461,359 @@ fn out_of_order_segments_reassemble() {
     drop(s_out.drain(..));
 }
 
+// --- sender silly-window avoidance + limited transmit ----------------------
+
+const MSS: usize = 1460;
+
+/// Both ends without window scaling, so a hand-written window field is a
+/// byte count. Client iss 100, server iss 9000: data starts at seq 101.
+fn handshake_unscaled() -> (
+    Connection,
+    Connection,
+    Vec<SegmentOut>,
+    Vec<SegmentOut>,
+    Time,
+) {
+    let cfg = TcpConfig::builder().window_scale(0).build().unwrap();
+    handshake_with(cfg.clone(), cfg)
+}
+
+/// Delivers one of the client's segments to the server over real
+/// serialisation.
+fn deliver_from_a(server: &mut Connection, seg: &SegmentOut, now: Time) -> Output {
+    let wire = PktBuf::from_vec(build_segment(A, 1000, B, 2000, seg));
+    let parsed = TcpSegment::parse(A, B, &wire).expect("valid segment");
+    server.on_segment(&parsed, now)
+}
+
+/// A bare ACK from the peer: cumulative `ack`, advertising `window` bytes.
+fn ack_from_b(client: &mut Connection, ack: u32, window: usize, now: Time) -> Vec<SegmentOut> {
+    let seg = SegmentOut {
+        seq: 9001,
+        ack,
+        flags: Flags::ACK,
+        window: window as u16,
+        mss: None,
+        wscale: None,
+        payload: PktBuf::empty(),
+    };
+    deliver_from_b(client, &seg, now).segments
+}
+
+fn payload_lens(segs: &[SegmentOut]) -> Vec<usize> {
+    segs.iter().map(|s| s.payload.len()).collect()
+}
+
+/// Collapses `cwnd` to `segs` full segments the way a timeout followed by
+/// a completed recovery would, without disturbing the retransmit stats.
+fn shrink_cwnd(client: &mut Connection, segs: usize, now: Time) {
+    client.cc.on_loss(LossEvent::Timeout {
+        flight: 2 * segs * MSS,
+        mss: MSS,
+    });
+    client.cc.on_ack(AckSample {
+        kind: AckKind::RecoveryExit,
+        newly_acked: 0,
+        mss: MSS,
+        now,
+        srtt: None,
+    });
+    assert_eq!(client.cwnd(), segs * MSS);
+}
+
+#[test]
+fn window_opening_by_less_than_an_mss_sends_nothing() {
+    let (mut client, _server, _c, _s, now) = handshake_unscaled();
+    assert!(ack_from_b(&mut client, 101, 4 * MSS, now).is_empty());
+    let out = client.app_send(vec![7u8; 10 * MSS], now);
+    assert_eq!(
+        payload_lens(&out.segments),
+        [MSS; 4],
+        "the window's worth, full-sized"
+    );
+
+    // First segment acked, window one sliver wider: 500 usable bytes,
+    // three segments in flight, six more queued — hold.
+    let una = 101 + MSS as u32;
+    assert!(
+        ack_from_b(&mut client, una, 3 * MSS + 500, now).is_empty(),
+        "a 500-byte sliver with data in flight and more queued must wait"
+    );
+    // Second segment acked too: MSS + 500 usable — one full segment, and
+    // the 500 left over wait again.
+    let una = una + MSS as u32;
+    let segs = ack_from_b(&mut client, una, 3 * MSS + 500, now);
+    assert_eq!(payload_lens(&segs), [MSS]);
+    assert_eq!(
+        segs[0].seq,
+        101 + 4 * MSS as u32,
+        "new data, not a retransmission"
+    );
+}
+
+#[test]
+fn short_writes_and_small_windows_are_never_held_forever() {
+    let (mut client, _server, _c, _s, now) = handshake_unscaled();
+    // No Nagle: with two segments in flight a 100-byte write that empties
+    // the buffer goes at once (the http_churn shape).
+    let out = client.app_send(vec![1u8; 2 * MSS], now);
+    assert_eq!(payload_lens(&out.segments), [MSS, MSS]);
+    let out = client.app_send(vec![2u8; 100], now);
+    assert_eq!(payload_lens(&out.segments), [100]);
+    assert!(out.segments[0].flags.psh);
+
+    // No deadlock: everything acked, the peer offers 700 bytes, 5000 are
+    // queued. Nothing is in flight, so the sliver is all there is to send
+    // — and the persist timer is not what sends it.
+    let una = 101 + 2 * MSS as u32 + 100;
+    assert!(ack_from_b(&mut client, una, 700, now).is_empty());
+    let out = client.app_send(vec![3u8; 5000], now);
+    assert_eq!(payload_lens(&out.segments), [700]);
+    assert_eq!(client.stats().persist_probes, 0);
+    // Acked with the same small window: the next 700 follow.
+    let segs = ack_from_b(&mut client, una + 700, 700, now);
+    assert_eq!(payload_lens(&segs), [700]);
+}
+
+#[test]
+fn first_two_duplicate_acks_each_release_one_new_segment() {
+    let (mut client, _server, _c, _s, now) = handshake_unscaled();
+    let cwnd = client.cwnd();
+    assert_eq!(cwnd, 10 * MSS);
+    let out = client.app_send(vec![9u8; 30 * MSS], now);
+    assert_eq!(out.segments.len(), 10, "a full congestion window in flight");
+    let window = u16::MAX as usize;
+
+    for dup in 1..=2u32 {
+        let segs = ack_from_b(&mut client, 101, window, now);
+        assert_eq!(
+            payload_lens(&segs),
+            [MSS],
+            "dup ack {dup} releases one segment"
+        );
+        assert_eq!(
+            segs[0].seq,
+            101 + (9 + dup) * MSS as u32,
+            "and it is new data"
+        );
+        assert_eq!(client.cwnd(), cwnd, "cwnd untouched by limited transmit");
+        assert!(client.rod.flight() <= cwnd + 2 * MSS);
+    }
+    assert_eq!(client.stats().fast_retransmits, 0);
+
+    // The third still enters recovery and retransmits the hole.
+    let segs = ack_from_b(&mut client, 101, window, now);
+    assert_eq!(client.stats().fast_retransmits, 1);
+    assert_eq!(segs[0].seq, 101, "fast retransmit of the first segment");
+
+    // `recover` covers the two limited-transmit segments: an ACK for the
+    // original ten is only partial (next hole retransmitted) …
+    let ten = 101 + 10 * MSS as u32;
+    let segs = ack_from_b(&mut client, ten, window, now);
+    assert_eq!(segs[0].seq, ten, "partial ack: still in recovery");
+    // … and the ACK covering all twelve ends it, deflating to ssthresh.
+    ack_from_b(&mut client, ten + 2 * MSS as u32, window, now);
+    assert_eq!(
+        client.cwnd(),
+        6 * MSS,
+        "ssthresh = flight / 2 at the third dup"
+    );
+    assert_eq!(client.stats().rto_retransmits, 0);
+}
+
+#[test]
+fn small_window_loss_recovers_by_fast_retransmit_not_rto() {
+    // RFC 3042's case: a window too small to produce three duplicate ACKs
+    // by itself. `in_flight` full segments out, the first lost, more data
+    // queued behind cwnd; a real receiver answers whatever arrives.
+    for in_flight in [3usize, 4] {
+        let (mut client, mut server, _c, _s, now) = handshake_unscaled();
+        shrink_cwnd(&mut client, in_flight, now);
+        let data: Vec<u8> = (0..20 * MSS).map(|i| (i % 251) as u8).collect();
+        let mut wire = client.app_send(&data, now).segments;
+        assert_eq!(wire.len(), in_flight);
+        wire.remove(0); // lost
+        let mut received = Vec::new();
+        for _ in 0..200 {
+            if wire.is_empty() {
+                break;
+            }
+            let mut acks = Vec::new();
+            for seg in wire.drain(..) {
+                let out = deliver_from_a(&mut server, &seg, now);
+                received.extend(collect_data(&out.events));
+                acks.extend(out.segments);
+            }
+            for ack in acks {
+                wire.extend(deliver_from_b(&mut client, &ack, now).segments);
+            }
+        }
+        assert_eq!(received, data, "{in_flight} in flight: stream delivered");
+        let st = client.stats();
+        assert_eq!(st.fast_retransmits, 1, "{in_flight} in flight: {st:?}");
+        assert_eq!(st.rto_retransmits, 0, "{in_flight} in flight: {st:?}");
+    }
+}
+
+#[test]
+fn fin_that_overtakes_a_hole_is_remembered() {
+    let (mut client, mut server, _c, _s, now) = handshake();
+    let mut segs = client.app_send(vec![5u8; 2 * MSS], now).segments;
+    segs.extend(client.app_close(now).segments);
+    assert_eq!(segs.len(), 3, "two data segments and the FIN");
+    // The first data segment is lost; the second and the FIN arrive.
+    assert!(deliver_from_a(&mut server, &segs[1], now).events.is_empty());
+    assert!(deliver_from_a(&mut server, &segs[2], now).events.is_empty());
+    assert_eq!(server.state(), State::Established, "FIN not yet in order");
+    // The retransmission fills the hole: data, then the early FIN.
+    let out = deliver_from_a(&mut server, &segs[0], now);
+    assert_eq!(collect_data(&out.events).len(), 2 * MSS);
+    assert_eq!(out.events.last(), Some(&Event::PeerFin));
+    assert_eq!(server.state(), State::CloseWait);
+    let fin_acked = segs[2].seq.wrapping_add(1);
+    assert_eq!(
+        out.segments.last().unwrap().ack,
+        fin_acked,
+        "the FIN is acked, no RTO needed"
+    );
+}
+
+/// What [`run_schedule`] saw: the sender's data segments `(seq, len)` in
+/// emission order, and the bytes written and delivered.
+#[derive(Debug, PartialEq)]
+struct ScheduleRun {
+    trace: Vec<(u32, usize)>,
+    written: Vec<u8>,
+    delivered: Vec<u8>,
+}
+
+/// Drives a sender against a real receiver with one schedule byte deciding
+/// each event: when the application writes (and how much), which segments
+/// and ACKs the network loses, and what window each surviving ACK claims
+/// (zero, one byte, either side of the MSS, or the truth). After the
+/// schedule's disruption budget the network turns faithful so every run
+/// ends. Asserts the silly-window invariant on every data segment as it
+/// is emitted.
+fn run_schedule(sched: &[u8]) -> ScheduleRun {
+    const DISRUPTIONS: usize = 600;
+    let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake_unscaled();
+    let mut cursor = 0usize;
+    let draw = |cursor: &mut usize| {
+        let b = if sched.is_empty() {
+            0
+        } else {
+            sched[*cursor % sched.len()]
+        };
+        *cursor += 1;
+        b
+    };
+    let mut writes: Vec<Vec<u8>> = (0..5)
+        .map(|w| {
+            let len = 1 + (draw(&mut cursor) as usize * 131 + w * 977) % 12_000;
+            (0..len).map(|i| ((i * 7 + w) % 251) as u8).collect()
+        })
+        .collect();
+    writes.reverse();
+    let mut run = ScheduleRun {
+        trace: Vec::new(),
+        written: Vec::new(),
+        delivered: Vec::new(),
+    };
+    // Highest sequence number any data segment has covered so far.
+    let mut high = 101u32;
+    let mut audit = |client: &Connection,
+                     segs: &[SegmentOut],
+                     written: usize,
+                     probe: bool,
+                     run: &mut ScheduleRun| {
+        for seg in segs.iter().filter(|s| !s.payload.is_empty()) {
+            let len = seg.payload.len();
+            let end = seg.seq.wrapping_add(len as u32);
+            let full = len == MSS;
+            let empties = end == 101u32.wrapping_add(written as u32);
+            let idle_pipe = seg.seq == client.rod.snd_una();
+            let retransmission = seq::lt(seg.seq, high);
+            assert!(
+                full || empties || idle_pipe || retransmission || (probe && len == 1),
+                "silly segment seq={} len={len} (una={}, high={high})",
+                seg.seq,
+                client.rod.snd_una(),
+            );
+            if seq::gt(end, high) {
+                high = end;
+            }
+            run.trace.push((seg.seq, len));
+        }
+    };
+    for _ in 0..20_000 {
+        now += Dur::micros(100);
+        let faithful = cursor > DISRUPTIONS;
+        let mut moved = false;
+        if !writes.is_empty() && (faithful || draw(&mut cursor) % 4 == 0) {
+            let chunk = writes.pop().expect("checked");
+            run.written.extend_from_slice(&chunk);
+            let out = client.app_send(chunk, now);
+            audit(&client, &out.segments, run.written.len(), false, &mut run);
+            c_out.extend(out.segments);
+            moved = true;
+        }
+        for seg in std::mem::take(&mut c_out) {
+            moved = true;
+            if !faithful && draw(&mut cursor) % 8 == 0 {
+                continue; // lost
+            }
+            let out = deliver_from_a(&mut server, &seg, now);
+            run.delivered.extend(collect_data(&out.events));
+            s_out.extend(out.segments);
+        }
+        for mut seg in std::mem::take(&mut s_out) {
+            moved = true;
+            if !faithful {
+                let b = draw(&mut cursor);
+                if b % 8 == 1 {
+                    continue; // lost
+                }
+                seg.window = match b >> 4 {
+                    0 => 0,
+                    1 => 1,
+                    2 => MSS as u16 - 1,
+                    3 => MSS as u16,
+                    4 => MSS as u16 + 1,
+                    5 => 3 * MSS as u16 + 500,
+                    _ => seg.window,
+                };
+            }
+            let out = deliver_from_b(&mut client, &seg, now);
+            audit(&client, &out.segments, run.written.len(), false, &mut run);
+            c_out.extend(out.segments);
+        }
+        if moved {
+            continue;
+        }
+        if writes.is_empty() && client.unacked_bytes() == 0 {
+            return run;
+        }
+        // Quiet: jump to the next timer on either side.
+        let next = [client.next_deadline(), server.next_deadline()]
+            .into_iter()
+            .flatten()
+            .min();
+        if let Some(t) = next {
+            now = now.max(t);
+            let probes = client.stats().persist_probes;
+            let out = client.poll(now).output;
+            let probe = client.stats().persist_probes > probes;
+            audit(&client, &out.segments, run.written.len(), probe, &mut run);
+            c_out.extend(out.segments);
+            s_out.extend(server.poll(now).output.segments);
+        }
+    }
+    panic!(
+        "schedule did not finish: {} bytes unacked",
+        client.unacked_bytes()
+    );
+}
+
 mirage_testkit::property! {
     /// Sequence-space comparisons behave like signed distance.
     fn prop_seq_order_is_antisymmetric(a in any::<u32>(), delta in 1u32..0x7FFF_FFFF) {
@@ -550,5 +903,25 @@ mirage_testkit::property! {
             events.extend(server.on_segment(&parsed, now).events);
         }
         assert_eq!(collect_data(&events), data);
+    }
+
+    /// Over seeded write/loss/window schedules every data segment is full,
+    /// or empties the buffer, or leaves into an empty pipe, or is a
+    /// retransmission or persist probe (asserted inside `run_schedule`);
+    /// the stream arrives exactly once; and the same schedule replays the
+    /// same segment trace.
+    fn prop_no_silly_segments_under_seeded_schedules(seed in any::<u64>()) {
+        // Exemplars: a clean network, periodic loss, and a window that
+        // keeps closing and reopening around the MSS.
+        let exemplars = [
+            vec![0xF7u8; 48],
+            (0..64u8).map(|i| if i % 5 == 0 { 0xF0 } else { 0xF7 }).collect(),
+            (0..64u8).map(|i| (i % 7) << 4 | 7).collect(),
+        ];
+        let sched = mirage_testkit::corpus::CorpusGen::for_stream(seed, "sws-schedule")
+            .case(&exemplars);
+        let run = run_schedule(&sched);
+        assert_eq!(run.delivered, run.written, "stream delivered exactly once");
+        assert_eq!(run, run_schedule(&sched), "same schedule, same trace");
     }
 }

@@ -6,6 +6,9 @@
 //! Here, lightweight threads are plain Rust `Future`s polled by a
 //! cooperative executor; "the VM is thus either executing OCaml code or
 //! blocked, with no internal preemption or asynchronous interrupts."
+//! It runs in *rounds* ([`CoreHandle::run_round`]): each task runnable at
+//! the start of a round is polled once, and the run-loop looks at its
+//! devices before the tasks that round woke get their turn.
 //!
 //! An SMP runtime holds one [`CoreState`] per vCPU — its own run queue,
 //! timer wheel and virtual clock — under a single scheduler lock (the
@@ -191,14 +194,14 @@ impl std::task::Wake for TaskWaker {
     }
 }
 
-/// Report from one executor drain (the state `domainpoll` needs).
+/// Report from one executor round (the state `domainpoll` needs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallReport {
     /// Earliest pending timer on any core, if any.
     pub next_deadline: Option<Time>,
     /// Tasks still alive (runnable or blocked).
     pub live_tasks: usize,
-    /// Futures polled during this drain (all cores).
+    /// Futures polled during this round (all cores).
     pub polls: u64,
 }
 
@@ -310,79 +313,81 @@ impl CoreHandle {
         }
     }
 
-    /// Polls runnable tasks on every core until none remain and no timer
-    /// has expired.
+    /// One executor round — the unit of Mirage's main loop (§3.3): fire
+    /// expired timers, then poll each task that is runnable *now* exactly
+    /// once. A task woken (or yielding) during the round lands behind the
+    /// round-start entries of its queue and runs in the next round, so the
+    /// caller gets control back — to service devices — after a bounded
+    /// amount of work however the tasks wake each other.
     ///
     /// `drain_charge(core, charge)` reports a core's virtual time as a
     /// function of the charge it accumulated, so CPU-bound work delays
     /// that core's timers exactly as it would on real silicon — and only
-    /// that core's: the lanes advance independently. Which non-empty core
-    /// polls next is a seeded draw, giving SMP runs a reproducible but
+    /// that core's: the lanes advance independently. Idle cores steal at
+    /// the round boundary; which core with round-start work left polls
+    /// next is a seeded draw, giving SMP runs a reproducible but
     /// adversarially shuffled interleaving.
-    pub(crate) fn run_until_stalled(
+    pub(crate) fn run_round(
         &self,
         thread_switch: Dur,
         mut drain_charge: impl FnMut(usize, Dur) -> Time,
     ) -> StallReport {
-        let mut polls = 0u64;
         let ncores = self.cores();
-        loop {
-            // Advance every core's clock, then fire its expired timers.
-            let mut any_fired = false;
-            for v in 0..ncores {
-                let pending = {
-                    let mut s = self.sched.lock();
-                    std::mem::replace(&mut s.cores[v].charge, Dur::ZERO)
-                };
+        // Advance every core's clock (device service and harness code
+        // charge outside tasks), then fire its expired timers: the tasks
+        // they wake belong to this round.
+        for v in 0..ncores {
+            let mut fired = Vec::new();
+            {
+                let mut s = self.sched.lock();
+                let pending = std::mem::replace(&mut s.cores[v].charge, Dur::ZERO);
                 let now = drain_charge(v, pending);
-                let mut fired = Vec::new();
-                {
-                    let mut s = self.sched.lock();
-                    s.cores[v].now = now;
-                    s.cores[v].timers.advance(now.as_nanos(), |_, w| fired.push(w));
-                }
-                // Wake outside the lock: TaskWaker::wake re-locks.
-                any_fired |= !fired.is_empty();
-                for w in fired {
-                    w.wake();
-                }
+                s.cores[v].now = now;
+                s.cores[v].timers.advance(now.as_nanos(), |_, w| fired.push(w));
             }
+            // Wake outside the lock: TaskWaker::wake re-locks.
+            for w in fired {
+                w.wake();
+            }
+        }
+        // What each core owes this round: its queue as it stands now.
+        let mut owed: Vec<usize> = {
+            let mut s = self.sched.lock();
+            s.steal_for_idle();
+            s.cores.iter().map(|c| c.run_queue.len()).collect()
+        };
 
-            let next = {
-                let mut s = self.sched.lock();
-                s.steal_for_idle();
-                let nonempty: Vec<usize> = (0..ncores)
-                    .filter(|&v| !s.cores[v].run_queue.is_empty())
-                    .collect();
-                match nonempty.len() {
-                    0 => None,
-                    1 => {
-                        let v = nonempty[0];
-                        Some((v, s.cores[v].run_queue.pop_front().expect("non-empty")))
-                    }
-                    n => {
-                        let v = nonempty[s.rng.gen_index(n)];
-                        Some((v, s.cores[v].run_queue.pop_front().expect("non-empty")))
-                    }
-                }
-            };
-            let Some((core, id)) = next else {
-                if any_fired {
-                    continue;
-                }
-                break;
-            };
-
+        let mut polls = 0u64;
+        loop {
             // Take the future out so polling happens without the lock.
-            let fut = {
+            let (core, id, fut) = {
                 let mut s = self.sched.lock();
-                match s.tasks.get_mut(&id) {
-                    Some(entry) => {
-                        entry.queued = false;
-                        entry.fut.take()
-                    }
-                    None => None,
+                let ready = owed.iter().filter(|&&n| n > 0).count();
+                let pick = match ready {
+                    0 => break,
+                    1 => 0,
+                    n => s.rng.gen_index(n),
+                };
+                let core = (0..ncores)
+                    .filter(|&v| owed[v] > 0)
+                    .nth(pick)
+                    .expect("picked among the ready cores");
+                owed[core] -= 1;
+                // Wakes only push behind the round-start entries, so the
+                // front of the queue is still one of them.
+                let id = s.cores[core]
+                    .run_queue
+                    .pop_front()
+                    .expect("owed entry queued");
+                let fut = s.tasks.get_mut(&id).and_then(|entry| {
+                    entry.queued = false;
+                    entry.fut.take()
+                });
+                if fut.is_some() {
+                    s.executing = Some(core);
+                    s.cores[core].charge += thread_switch;
                 }
+                (core, id, fut)
             };
             let Some(mut fut) = fut else { continue };
 
@@ -392,26 +397,22 @@ impl CoreHandle {
             }));
             let mut cx = Context::from_waker(&waker);
             polls += 1;
-            {
-                let mut s = self.sched.lock();
-                s.executing = Some(core);
-                s.cores[core].charge += thread_switch;
-            }
             let outcome = fut.as_mut().poll(&mut cx);
-            {
-                let mut s = self.sched.lock();
-                s.executing = None;
-                match outcome {
-                    Poll::Ready(()) => {
-                        s.tasks.remove(&id);
-                    }
-                    Poll::Pending => {
-                        if let Some(entry) = s.tasks.get_mut(&id) {
-                            entry.fut = Some(fut);
-                        }
+            let mut s = self.sched.lock();
+            s.executing = None;
+            match outcome {
+                Poll::Ready(()) => {
+                    s.tasks.remove(&id);
+                }
+                Poll::Pending => {
+                    if let Some(entry) = s.tasks.get_mut(&id) {
+                        entry.fut = Some(fut);
                     }
                 }
             }
+            // The next task on this core starts where this one stopped.
+            let pending = std::mem::replace(&mut s.cores[core].charge, Dur::ZERO);
+            s.cores[core].now = drain_charge(core, pending);
         }
         let mut s = self.sched.lock();
         let next_deadline = (0..ncores)

@@ -12,7 +12,8 @@
 //! * [`channel`] — MPSC streams, [`channel::Notify`] edge triggers and
 //!   [`channel::JoinHandle`]s.
 //! * [`UnikernelGuest`] — the run-loop: services device state machines,
-//!   drains the executor, and converts the stall state into a
+//!   runs one executor round (each runnable thread once), and repeats
+//!   until a round polls nothing; the stall state then becomes a
 //!   `domainpoll`-style [`mirage_hypervisor::Wake`].
 //!
 //! Thread construction can be charged against a
@@ -261,16 +262,18 @@ impl Runtime {
         self.core.sched.lock().heap.as_ref().map(|h| h.stats())
     }
 
-    /// Drives the executor until it stalls, charging all task work to
-    /// `env`. This is the Xen-specific run-loop of §3.3.
-    pub fn step_drive(&self, env: &mut DomainEnv<'_>) -> StallReport {
+    /// Runs one executor round — every task runnable now is polled once,
+    /// tasks it wakes wait for the next round — charging all task work to
+    /// `env`. [`UnikernelGuest`] services its devices between rounds; this
+    /// is the Xen-specific run-loop of §3.3.
+    pub fn run_round(&self, env: &mut DomainEnv<'_>) -> StallReport {
         *self.costs.lock() = env.costs().clone();
         let thread_switch = env.costs().thread_switch;
         // Route each executor core to its own vCPU charge lane; if the
         // domain has fewer vCPUs than the runtime has cores, the excess
         // cores stack onto the last lane (over-committed guest).
         let max_lane = env.vcpus() - 1;
-        self.core.run_until_stalled(thread_switch, |core, charge| {
+        self.core.run_round(thread_switch, |core, charge| {
             let lane = core.min(max_lane);
             env.consume_on(lane, charge);
             env.now_on(lane)
@@ -297,8 +300,13 @@ pub trait DeviceService: Send {
 type BootFn =
     Box<dyn FnOnce(&mut DomainEnv<'_>, &Runtime) -> JoinHandle<i64> + Send + 'static>;
 
-/// The standard Mirage guest: boot, then loop `{service devices; run
-/// threads}` until the main thread returns, exiting the VM with its value.
+/// The standard Mirage guest: boot, then loop `{service devices; run each
+/// runnable thread once}` until the main thread returns, exiting the VM
+/// with its value. Threads that yield or are woken mid-round resume only
+/// after the devices have been looked at again — Mirage's main loop runs
+/// the Lwt threads, handles event-channel activations, and only then
+/// resumes the yielded — so a frame written in one round is on the ring
+/// (and the backend running on its own pCPU) while the next round runs.
 pub struct UnikernelGuest {
     rt: Runtime,
     devices: Vec<Box<dyn DeviceService>>,
@@ -395,7 +403,7 @@ impl Guest for UnikernelGuest {
                 progressed |= dev.service(env, &self.rt);
             }
             env.on_vcpu(0);
-            report = self.rt.step_drive(env);
+            report = self.rt.run_round(env);
             if !progressed && report.polls == 0 {
                 break;
             }
@@ -758,5 +766,282 @@ mod tests {
             (hv.exit_code(dom), hv.now(), hv.stats().steps, rt_outer.steals())
         };
         assert_eq!(run(), run(), "identical SMP schedule on every run");
+    }
+
+    // --- executor rounds ---------------------------------------------------
+
+    type Log = Arc<Mutex<Vec<String>>>;
+
+    /// A device with nothing to do that writes down when it was asked.
+    struct Probe(Log);
+
+    impl DeviceService for Probe {
+        fn service(&mut self, _env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
+            self.0.lock().push("svc".to_owned());
+            false
+        }
+
+        fn watch_ports(&self) -> Vec<Port> {
+            Vec::new()
+        }
+    }
+
+    /// Runs `boot` on `rt` beside a [`Probe`]; returns the log of service
+    /// calls and whatever the tasks wrote, in order.
+    fn run_probed<F>(rt: Runtime, vcpus: usize, boot: F) -> Vec<String>
+    where
+        F: FnOnce(&Runtime, Log) -> JoinHandle<i64> + Send + 'static,
+    {
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let task_log = Arc::clone(&log);
+        let mut guest = UnikernelGuest::with_runtime(rt, move |_env, rt| boot(rt, task_log));
+        guest.add_device(Box::new(Probe(Arc::clone(&log))));
+        let mut hv = Hypervisor::new();
+        let dom = hv.create_domain_vcpus("rounds", 64, Box::new(guest), vcpus);
+        hv.run();
+        assert_eq!(hv.exit_code(dom), Some(0));
+        let out = log.lock().clone();
+        out
+    }
+
+    /// The task entries between consecutive service calls: one per round.
+    fn rounds(log: &[String]) -> Vec<Vec<String>> {
+        log.split(|e| e == "svc")
+            .filter(|r| !r.is_empty())
+            .map(<[String]>::to_vec)
+            .collect()
+    }
+
+    #[test]
+    fn devices_are_serviced_between_a_yielding_tasks_polls() {
+        const YIELDS: usize = 50;
+        let log = run_probed(Runtime::new(), 1, |rt, _log| {
+            let rt2 = rt.clone();
+            rt.spawn(async move {
+                for _ in 0..YIELDS {
+                    rt2.yield_now().await;
+                }
+                0
+            })
+        });
+        let services = log.iter().filter(|e| *e == "svc").count();
+        assert!(
+            services >= YIELDS,
+            "a yield hands the CPU to the run loop: {services} services for {YIELDS} yields"
+        );
+    }
+
+    #[test]
+    fn task_woken_mid_round_runs_in_the_next_round() {
+        let log = run_probed(Runtime::new(), 1, |rt, log| {
+            let rt2 = rt.clone();
+            rt.spawn(async move {
+                let bell = channel::Notify::new();
+                let (bell2, log2) = (bell.clone(), Arc::clone(&log));
+                let waiter = rt2.spawn(async move {
+                    log2.lock().push("waiter:parks".to_owned());
+                    bell2.notified().await;
+                    log2.lock().push("waiter:woken".to_owned());
+                });
+                // Let the waiter park first.
+                rt2.yield_now().await;
+                log.lock().push("ringer:rings".to_owned());
+                bell.notify_one();
+                rt2.yield_now().await;
+                log.lock().push("ringer:resumes".to_owned());
+                waiter.await;
+                0
+            })
+        });
+        let rounds = rounds(&log);
+        let ring = rounds
+            .iter()
+            .position(|r| r.contains(&"ringer:rings".to_owned()))
+            .expect("ringer ran");
+        assert!(
+            !rounds[ring].contains(&"waiter:woken".to_owned()),
+            "woken in round {ring}, must not run in it: {rounds:?}"
+        );
+        // Next round: the waiter (woken first) and then the yielded ringer.
+        assert_eq!(rounds[ring + 1], ["waiter:woken", "ringer:resumes"]);
+    }
+
+    #[test]
+    fn self_waking_task_starves_neither_device_nor_timer() {
+        const SPINS: usize = 1000;
+        let log = run_probed(Runtime::new(), 1, |rt, log| {
+            let rt2 = rt.clone();
+            rt.spawn(async move {
+                let (rt3, log3) = (rt2.clone(), Arc::clone(&log));
+                let sleeper = rt2.spawn(async move {
+                    rt3.sleep(Dur::micros(20)).await;
+                    log3.lock().push("timer".to_owned());
+                });
+                // A micro-second of work per poll, re-queued at once.
+                for _ in 0..SPINS {
+                    rt2.charge(Dur::micros(1));
+                    rt2.yield_now().await;
+                }
+                log.lock().push("spinner:done".to_owned());
+                sleeper.await;
+                0
+            })
+        });
+        let at = |what: &str| log.iter().position(|e| e == what).expect("logged");
+        assert!(
+            at("timer") < at("spinner:done"),
+            "the timer fired while the spinner spun"
+        );
+        let services_before_timer = log[..at("timer")].iter().filter(|e| *e == "svc").count();
+        assert!(
+            (15..=40).contains(&services_before_timer),
+            "20 us of 1 us rounds, each with a device service: {services_before_timer}"
+        );
+    }
+
+    #[test]
+    fn idle_guest_yields_after_one_empty_round() {
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let mut guest = UnikernelGuest::new(|_env, rt| {
+            // Parks forever: no timer, no port.
+            rt.spawn(async move {
+                channel::Notify::new().notified().await;
+                0
+            })
+        });
+        guest.add_device(Box::new(Probe(Arc::clone(&log))));
+        let rt = guest.runtime().clone();
+        let mut hv = Hypervisor::new();
+        let dom = hv.create_domain("idle", 64, Box::new(guest));
+        hv.run();
+        let (services, steps) = (log.lock().len(), hv.stats().steps);
+        hv.wake_external(dom);
+        hv.run();
+        assert_eq!(hv.stats().steps, steps + 1, "one quantum per spurious wake");
+        assert_eq!(
+            log.lock().len(),
+            services + 1,
+            "one device pass, one empty round"
+        );
+        assert_eq!(
+            rt.live_tasks(),
+            1,
+            "the parked task was not polled to completion"
+        );
+    }
+
+    /// Eight pinned yielders (two per core) beside a burst of stealable
+    /// tasks, everything logging `(task, core)` at each poll.
+    fn smp_round_log() -> (Vec<String>, u64) {
+        let rt = Runtime::smp(4);
+        let rt_outer = rt.clone();
+        let log = run_probed(rt, 4, |rt, log| {
+            let rt2 = rt.clone();
+            rt.spawn(async move {
+                let mut handles = Vec::new();
+                for t in 0..8usize {
+                    let (rt3, log3) = (rt2.clone(), Arc::clone(&log));
+                    handles.push(rt2.spawn_on(t % 4, async move {
+                        for _ in 0..6 {
+                            log3.lock().push(format!("pin{t}@{}", rt3.current_core()));
+                            rt3.yield_now().await;
+                        }
+                    }));
+                }
+                for t in 0..16usize {
+                    let (rt3, log3) = (rt2.clone(), Arc::clone(&log));
+                    handles.push(rt2.spawn(async move {
+                        // Outlive the pinned tasks: a core steals only
+                        // once its own queue is empty.
+                        for _ in 0..12 {
+                            log3.lock().push(format!("free{t}@{}", rt3.current_core()));
+                            rt3.charge(Dur::micros(5));
+                            rt3.yield_now().await;
+                        }
+                    }));
+                }
+                for h in handles {
+                    h.await;
+                }
+                0
+            })
+        });
+        (log, rt_outer.steals())
+    }
+
+    #[test]
+    fn smp_rounds_poll_each_task_once_on_its_core_and_replay() {
+        let (log, steals) = smp_round_log();
+        let mut pinned_polls = 0;
+        for round in rounds(&log) {
+            let mut seen = std::collections::HashSet::new();
+            for entry in &round {
+                let (task, core) = entry.split_once('@').expect("task@core");
+                assert!(
+                    seen.insert(task),
+                    "{task} polled twice in one round: {round:?}"
+                );
+                if let Some(t) = task.strip_prefix("pin") {
+                    let t: usize = t.parse().expect("task number");
+                    assert_eq!(
+                        core.parse::<usize>().expect("core"),
+                        t % 4,
+                        "{entry} off its core"
+                    );
+                    pinned_polls += 1;
+                }
+            }
+            // While any pinned task is alive they all are (same length):
+            // a round that polls one polls all eight.
+            let pinned = seen.iter().filter(|t| t.starts_with("pin")).count();
+            assert!(pinned == 0 || pinned == 8, "partial round: {round:?}");
+        }
+        assert_eq!(pinned_polls, 8 * 6);
+        assert!(steals > 0, "idle cores still steal the unpinned backlog");
+        assert_eq!((log, steals), smp_round_log(), "same seed, same poll order");
+    }
+
+    #[test]
+    fn smp1_polls_in_fifo_rounds_without_a_schedule_draw() {
+        let order = |rt: Runtime| {
+            let log = run_probed(rt, 1, |rt, log| {
+                let rt2 = rt.clone();
+                rt.spawn(async move {
+                    log.lock().push("main".to_owned());
+                    let mut handles = Vec::new();
+                    for t in 0..3usize {
+                        let (rt3, log3) = (rt2.clone(), Arc::clone(&log));
+                        handles.push(rt2.spawn(async move {
+                            for _ in 0..3 {
+                                log3.lock().push(format!("t{t}"));
+                                rt3.yield_now().await;
+                            }
+                        }));
+                    }
+                    for h in handles {
+                        h.await;
+                    }
+                    log.lock().push("main".to_owned());
+                    0
+                })
+            });
+            rounds(&log)
+        };
+        let fifo: Vec<Vec<String>> = [
+            &["main"][..],
+            &["t0", "t1", "t2"],
+            &["t0", "t1", "t2"],
+            &["t0", "t1", "t2"],
+            &["main"],
+        ]
+        .iter()
+        .map(|r| r.iter().map(|s| (*s).to_owned()).collect())
+        .collect();
+        assert_eq!(order(Runtime::smp(1)), fifo);
+        assert_eq!(
+            order(Runtime::new()),
+            fifo,
+            "the single-core executor is smp(1)"
+        );
     }
 }

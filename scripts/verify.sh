@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verify for mirage-rs: offline build + test, dependency gate,
-# and example smoke tests. Run from anywhere; operates on the repo root.
+# the fan-in lock, and example smoke tests. Run from anywhere; operates
+# on the repo root.
 #
 #   scripts/verify.sh                # build, test, gate, examples
 #   scripts/verify.sh --determinism  # additionally run the seeded
@@ -39,6 +40,9 @@
 #                                    # per-core executors and RSS-sharded
 #                                    # stacks must stay byte-deterministic
 #                                    # — then the gated BENCH_smp.json
+#                                    # (16-flow row: 1 vCPU >= 0.9x the
+#                                    # 1-flow cell, never falling with
+#                                    # vCPUs, 4 vCPUs >= 2x 1 vCPU)
 #   scripts/verify.sh --all          # every gate above, with a per-gate
 #                                    # wall-time summary at the end
 #
@@ -106,6 +110,11 @@ cargo build --release --offline --workspace --all-targets
 
 echo "== test (offline)"
 cargo test -q --offline --workspace
+
+echo "== fan-in lock: 16 flows on 1 vCPU keep one flow's goodput, in full-sized segments"
+# In the workspace run above too (debug); here in release, where the
+# virtual-time figures must come out the same.
+cargo test -q --offline --release --test fan
 
 echo "== examples"
 for ex in quickstart boot_storm dns_appliance web_appliance openflow_appliance; do
