@@ -1,6 +1,6 @@
 //! ARP — address resolution with a pending-queue cache (paper Table 1).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use mirage_hypervisor::{Dur, Time};
@@ -58,21 +58,28 @@ impl ArpPacket {
         })
     }
 
+    /// Writes the packet at the start of `buf` and returns its length —
+    /// the only code that knows the ARP layout.
+    pub fn write(&self, buf: &mut [u8]) -> usize {
+        let p = &mut buf[..ARP_LEN];
+        // htype=1 (Ethernet), ptype=0x0800, hlen=6, plen=4.
+        p[0..6].copy_from_slice(&[0, 1, 0x08, 0x00, 6, 4]);
+        let op: u16 = match self.op {
+            ArpOp::Request => 1,
+            ArpOp::Reply => 2,
+        };
+        p[6..8].copy_from_slice(&op.to_be_bytes());
+        p[8..14].copy_from_slice(self.sha.as_bytes());
+        p[14..18].copy_from_slice(&self.spa.octets());
+        p[18..24].copy_from_slice(self.tha.as_bytes());
+        p[24..28].copy_from_slice(&self.tpa.octets());
+        ARP_LEN
+    }
+
     /// Serialises to an Ethernet payload.
     pub fn build(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(ARP_LEN);
-        p.extend_from_slice(&[0, 1, 0x08, 0x00, 6, 4]);
-        p.extend_from_slice(
-            &match self.op {
-                ArpOp::Request => 1u16,
-                ArpOp::Reply => 2u16,
-            }
-            .to_be_bytes(),
-        );
-        p.extend_from_slice(self.sha.as_bytes());
-        p.extend_from_slice(&self.spa.octets());
-        p.extend_from_slice(self.tha.as_bytes());
-        p.extend_from_slice(&self.tpa.octets());
+        let mut p = vec![0; ARP_LEN];
+        self.write(&mut p);
         p
     }
 }
@@ -83,9 +90,15 @@ pub const ENTRY_TTL: Dur = Dur::secs(300);
 pub const REQUEST_RETRY: Dur = Dur::secs(1);
 /// Attempts before giving up and dropping queued packets.
 pub const MAX_RETRIES: u32 = 3;
+/// Frames held per unresolved neighbour; one more drops the oldest. A
+/// sender looping at a silent address would otherwise pin every frame for
+/// `MAX_RETRIES × REQUEST_RETRY`. Sized like Linux's `unres_qlen_bytes`
+/// (208 KiB): 64 frames of at most a page each, and twice the deepest
+/// burst a gate queues behind one resolution (c1m's 32 first SYNs).
+pub const MAX_QUEUED: usize = 64;
 
 struct Pending {
-    queued: Vec<Vec<u8>>, // IPv4 packets awaiting resolution
+    queued: VecDeque<Vec<u8>>, // assembled frames awaiting resolution
     retries: u32,
     next_retry: Time,
 }
@@ -97,54 +110,31 @@ pub struct ArpCache {
     pending: HashMap<Ipv4Addr, Pending>,
 }
 
-/// What the caller must do after a cache operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArpAction {
-    /// Resolved: transmit the returned packet to this MAC now.
-    Send(Mac, Vec<u8>),
-    /// Packet queued; broadcast a who-has for this IP.
-    RequestAndQueue(Ipv4Addr),
-    /// Packet queued behind an outstanding request; nothing to send.
-    Queued,
-}
-
 impl ArpCache {
     /// An empty cache.
     pub fn new() -> ArpCache {
         ArpCache::default()
     }
 
-    /// Looks up `ip` for transmitting `packet`; either resolves immediately
-    /// or queues the packet pending resolution.
-    pub fn lookup_or_queue(&mut self, ip: Ipv4Addr, packet: Vec<u8>, now: Time) -> ArpAction {
-        if let Some((mac, expiry)) = self.entries.get(&ip) {
-            if *expiry > now {
-                return ArpAction::Send(*mac, packet);
-            }
-            self.entries.remove(&ip);
+    /// Holds an assembled `frame` until `ip` resolves. True if it is the
+    /// first to wait, so the caller should broadcast a who-has for `ip`.
+    pub fn queue(&mut self, ip: Ipv4Addr, frame: Vec<u8>, now: Time) -> bool {
+        let first = !self.pending.contains_key(&ip);
+        let p = self.pending.entry(ip).or_insert_with(|| Pending {
+            queued: VecDeque::new(),
+            retries: 0,
+            next_retry: now + REQUEST_RETRY,
+        });
+        if p.queued.len() == MAX_QUEUED {
+            p.queued.pop_front();
         }
-        match self.pending.get_mut(&ip) {
-            Some(p) => {
-                p.queued.push(packet);
-                ArpAction::Queued
-            }
-            None => {
-                self.pending.insert(
-                    ip,
-                    Pending {
-                        queued: vec![packet],
-                        retries: 0,
-                        next_retry: now + REQUEST_RETRY,
-                    },
-                );
-                ArpAction::RequestAndQueue(ip)
-            }
-        }
+        p.queued.push_back(frame);
+        first
     }
 
     /// Learns a mapping (from any ARP packet — gratuitous included) and
-    /// returns any packets that were queued on it.
-    pub fn learn(&mut self, ip: Ipv4Addr, mac: Mac, now: Time) -> Vec<Vec<u8>> {
+    /// returns the frames that waited for it, oldest first.
+    pub fn learn(&mut self, ip: Ipv4Addr, mac: Mac, now: Time) -> VecDeque<Vec<u8>> {
         self.entries.insert(ip, (mac, now + ENTRY_TTL));
         self.pending
             .remove(&ip)
@@ -152,7 +142,7 @@ impl ArpCache {
             .unwrap_or_default()
     }
 
-    /// Direct lookup without queuing.
+    /// The MAC of `ip`, if learned and not expired.
     pub fn get(&self, ip: Ipv4Addr, now: Time) -> Option<Mac> {
         self.entries
             .get(&ip)
@@ -228,21 +218,18 @@ mod tests {
     fn cache_resolves_and_flushes_queue() {
         let mut cache = ArpCache::new();
         let now = Time::ZERO;
-        assert_eq!(
-            cache.lookup_or_queue(IP1, b"pkt1".to_vec(), now),
-            ArpAction::RequestAndQueue(IP1)
+        assert_eq!(cache.get(IP1, now), None);
+        assert!(
+            cache.queue(IP1, b"pkt1".to_vec(), now),
+            "first to wait: ask"
         );
-        assert_eq!(
-            cache.lookup_or_queue(IP1, b"pkt2".to_vec(), now),
-            ArpAction::Queued,
+        assert!(
+            !cache.queue(IP1, b"pkt2".to_vec(), now),
             "second packet does not re-request"
         );
         let flushed = cache.learn(IP1, Mac::local(9), now);
         assert_eq!(flushed, vec![b"pkt1".to_vec(), b"pkt2".to_vec()]);
-        assert_eq!(
-            cache.lookup_or_queue(IP1, b"pkt3".to_vec(), now),
-            ArpAction::Send(Mac::local(9), b"pkt3".to_vec())
-        );
+        assert_eq!(cache.get(IP1, now), Some(Mac::local(9)));
     }
 
     #[test]
@@ -251,16 +238,13 @@ mod tests {
         cache.learn(IP1, Mac::local(9), Time::ZERO);
         let later = Time::ZERO + ENTRY_TTL + Dur::secs(1);
         assert_eq!(cache.get(IP1, later), None);
-        assert!(matches!(
-            cache.lookup_or_queue(IP1, b"p".to_vec(), later),
-            ArpAction::RequestAndQueue(_)
-        ));
+        assert!(cache.queue(IP1, b"p".to_vec(), later), "asks again");
     }
 
     #[test]
     fn retries_then_gives_up() {
         let mut cache = ArpCache::new();
-        cache.lookup_or_queue(IP1, b"p".to_vec(), Time::ZERO);
+        cache.queue(IP1, b"p".to_vec(), Time::ZERO);
         let t1 = Time::ZERO + REQUEST_RETRY + Dur::millis(1);
         assert_eq!(cache.poll(t1), vec![IP1], "first retry");
         let t2 = t1 + REQUEST_RETRY + Dur::millis(1);
@@ -268,5 +252,29 @@ mod tests {
         let t3 = t2 + REQUEST_RETRY + Dur::millis(1);
         assert!(cache.poll(t3).is_empty(), "gave up");
         assert_eq!(cache.next_deadline(), None);
+    }
+
+    #[test]
+    fn pending_queue_is_bounded_and_keeps_the_newest() {
+        let frame = |i: u32| i.to_be_bytes().to_vec();
+        let mut cache = ArpCache::new();
+        for i in 0..1000 {
+            cache.queue(IP1, frame(i), Time::ZERO);
+        }
+        let released = cache.learn(IP1, Mac::local(9), Time::ZERO);
+        let newest: Vec<_> = (1000 - MAX_QUEUED as u32..1000).map(frame).collect();
+        assert_eq!(released, newest, "the oldest were dropped, order kept");
+
+        // An unanswered neighbour gives all of its queue up.
+        for i in 0..1000 {
+            cache.queue(IP2, frame(i), Time::ZERO);
+        }
+        let mut now = Time::ZERO;
+        for _ in 0..MAX_RETRIES {
+            now = now + REQUEST_RETRY + Dur::millis(1);
+            cache.poll(now);
+        }
+        assert_eq!(cache.next_deadline(), None);
+        assert!(cache.learn(IP2, Mac::local(9), now).is_empty());
     }
 }

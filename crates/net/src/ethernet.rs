@@ -65,13 +65,20 @@ impl<'a> Frame<'a> {
     }
 }
 
+/// Writes the header at the start of `buf` and returns its length — the
+/// only code that knows the Ethernet II layout.
+pub fn write_header(buf: &mut [u8], dst: Mac, src: Mac, ethertype: EtherType) -> usize {
+    buf[0..6].copy_from_slice(dst.as_bytes());
+    buf[6..12].copy_from_slice(src.as_bytes());
+    buf[12..14].copy_from_slice(&ethertype.to_u16().to_be_bytes());
+    HEADER_LEN
+}
+
 /// Serialises a frame.
 pub fn build(dst: Mac, src: Mac, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(HEADER_LEN + payload.len());
-    f.extend_from_slice(dst.as_bytes());
-    f.extend_from_slice(src.as_bytes());
-    f.extend_from_slice(&ethertype.to_u16().to_be_bytes());
-    f.extend_from_slice(payload);
+    let mut f = vec![0; HEADER_LEN + payload.len()];
+    write_header(&mut f, dst, src, ethertype);
+    f[HEADER_LEN..].copy_from_slice(payload);
     f
 }
 

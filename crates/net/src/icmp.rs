@@ -42,17 +42,31 @@ impl<'a> Echo<'a> {
         })
     }
 
+    /// Length on the wire.
+    pub fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
+    /// Writes the message, checksum included, at the start of `buf` and
+    /// returns its length — the only code that knows the echo layout.
+    pub fn write(&self, buf: &mut [u8]) -> usize {
+        let len = self.wire_len();
+        let p = &mut buf[..len];
+        p[0] = if self.is_request { 8 } else { 0 };
+        p[1] = 0;
+        p[2..4].copy_from_slice(&[0, 0]); // checksum, filled below
+        p[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        p[6..8].copy_from_slice(&self.seq.to_be_bytes());
+        p[HEADER_LEN..].copy_from_slice(self.payload);
+        let c = checksum::checksum(p);
+        p[2..4].copy_from_slice(&c.to_be_bytes());
+        len
+    }
+
     /// Serialises with checksum.
     pub fn build(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        p.push(if self.is_request { 8 } else { 0 });
-        p.push(0);
-        p.extend_from_slice(&[0, 0]); // checksum placeholder
-        p.extend_from_slice(&self.ident.to_be_bytes());
-        p.extend_from_slice(&self.seq.to_be_bytes());
-        p.extend_from_slice(self.payload);
-        let c = checksum::checksum(&p);
-        p[2..4].copy_from_slice(&c.to_be_bytes());
+        let mut p = vec![0; self.wire_len()];
+        self.write(&mut p);
         p
     }
 
@@ -86,6 +100,21 @@ mod tests {
         assert_eq!(reply.ident, 0x1234);
         assert_eq!(reply.seq, 7);
         assert_eq!(reply.payload, b"abcdefgh");
+    }
+
+    #[test]
+    fn write_owns_exactly_its_bytes() {
+        let echo = Echo {
+            is_request: true,
+            ident: 1,
+            seq: 2,
+            payload: b"ping",
+        };
+        // A buffer with stale bytes in it, longer than the message.
+        let mut buf = [0xAA; 32];
+        let len = echo.write(&mut buf);
+        assert_eq!(buf[..len], echo.build());
+        assert!(buf[len..].iter().all(|&b| b == 0xAA));
     }
 
     #[test]

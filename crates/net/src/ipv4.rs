@@ -6,6 +6,7 @@
 //! MSS-bounded traffic).
 
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use crate::checksum;
 
@@ -35,6 +36,8 @@ pub struct Ipv4Packet<'a> {
     pub ttl: u8,
     /// Transport payload.
     pub payload: &'a [u8],
+    /// Validated header length (IHL × 4): where the payload starts.
+    header_len: usize,
 }
 
 /// Why a packet was rejected.
@@ -101,27 +104,53 @@ impl<'a> Ipv4Packet<'a> {
             protocol: data[9],
             ttl: data[8],
             payload: &data[ihl..total_len],
+            header_len: ihl,
         })
+    }
+
+    /// Where the payload sits in the bytes that were parsed. It is not a
+    /// suffix of them: Ethernet padding may trail the total length.
+    pub fn payload_range(&self) -> Range<usize> {
+        self.header_len..self.header_len + self.payload.len()
     }
 }
 
-/// Serialises a packet with a fresh header (DF set, no options).
+/// Writes a fresh header (DF set, no options) for `payload_len` bytes of
+/// payload at the start of `buf`, checksum included, and returns its
+/// length — the only code that knows the IPv4 header layout. Panics if the
+/// total length does not fit its 16-bit field.
+pub fn write_header(
+    buf: &mut [u8],
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    protocol: u8,
+    ident: u16,
+    payload_len: usize,
+) -> usize {
+    let total_len =
+        u16::try_from(HEADER_LEN + payload_len).expect("IPv4 total length fits 16 bits");
+    let h = &mut buf[..HEADER_LEN];
+    h[0] = 0x45; // version 4, IHL 5
+    h[1] = 0; // DSCP/ECN
+    h[2..4].copy_from_slice(&total_len.to_be_bytes());
+    h[4..6].copy_from_slice(&ident.to_be_bytes());
+    h[6..8].copy_from_slice(&0x4000u16.to_be_bytes()); // DF
+    h[8] = 64; // TTL
+    h[9] = protocol;
+    h[10..12].copy_from_slice(&[0, 0]); // checksum, filled below
+    h[12..16].copy_from_slice(&src.octets());
+    h[16..20].copy_from_slice(&dst.octets());
+    let c = checksum::checksum(h);
+    h[10..12].copy_from_slice(&c.to_be_bytes());
+    HEADER_LEN
+}
+
+/// Serialises a packet with a fresh header (DF set, no options). Panics if
+/// header plus payload exceed 65 535 bytes.
 pub fn build(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, ident: u16, payload: &[u8]) -> Vec<u8> {
-    let total_len = (HEADER_LEN + payload.len()) as u16;
-    let mut p = Vec::with_capacity(total_len as usize);
-    p.push(0x45); // version 4, IHL 5
-    p.push(0); // DSCP/ECN
-    p.extend_from_slice(&total_len.to_be_bytes());
-    p.extend_from_slice(&ident.to_be_bytes());
-    p.extend_from_slice(&0x4000u16.to_be_bytes()); // DF
-    p.push(64); // TTL
-    p.push(protocol);
-    p.extend_from_slice(&[0, 0]); // checksum placeholder
-    p.extend_from_slice(&src.octets());
-    p.extend_from_slice(&dst.octets());
-    let c = checksum::checksum(&p[..HEADER_LEN]);
-    p[10..12].copy_from_slice(&c.to_be_bytes());
-    p.extend_from_slice(payload);
+    let mut p = vec![0; HEADER_LEN + payload.len()];
+    write_header(&mut p, src, dst, protocol, ident, payload.len());
+    p[HEADER_LEN..].copy_from_slice(payload);
     p
 }
 
@@ -142,6 +171,27 @@ mod tests {
         assert_eq!(pkt.protocol, protocol::UDP);
         assert_eq!(pkt.payload, b"datagram");
         assert_eq!(pkt.ttl, 64);
+    }
+
+    #[test]
+    fn write_header_owns_exactly_its_bytes() {
+        // A buffer with stale bytes in it, longer than the header.
+        let mut buf = [0xAA; 32];
+        assert_eq!(
+            write_header(&mut buf, SRC, DST, protocol::UDP, 42, 8),
+            HEADER_LEN
+        );
+        assert_eq!(
+            buf[..HEADER_LEN],
+            build(SRC, DST, protocol::UDP, 42, &[0; 8])[..HEADER_LEN]
+        );
+        assert!(buf[HEADER_LEN..].iter().all(|&b| b == 0xAA));
+    }
+
+    #[test]
+    #[should_panic(expected = "fits 16 bits")]
+    fn oversized_packet_is_not_built() {
+        build(SRC, DST, protocol::UDP, 1, &vec![0; 70_000]);
     }
 
     #[test]

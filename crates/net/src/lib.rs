@@ -47,7 +47,7 @@ mod tests {
     use super::*;
     use mirage_devices::netfront::CopyDiscipline;
     use mirage_devices::Backend;
-    use mirage_devices::{DriverDomain, Xenstore};
+    use mirage_devices::{DriverDomain, Tap, Xenstore};
     use mirage_hypervisor::{Dur, Hypervisor, Time};
     use mirage_runtime::UnikernelGuest;
 
@@ -64,9 +64,33 @@ mod tests {
             + Send
             + 'static,
     ) -> (Hypervisor, mirage_hypervisor::DomainId, mirage_hypervisor::DomainId) {
+        let (hv, _dom0, dom_a, dom_b) = tapped_world(None, guest_a, guest_b);
+        (hv, dom_a, dom_b)
+    }
+
+    /// [`two_stack_world`] with an optional tap on the switch; also returns
+    /// dom0, to wake after injecting through the tap.
+    fn tapped_world(
+        tap: Option<Tap>,
+        guest_a: impl FnOnce(Stack, mirage_runtime::Runtime) -> mirage_runtime::channel::JoinHandle<i64>
+            + Send
+            + 'static,
+        guest_b: impl FnOnce(Stack, mirage_runtime::Runtime) -> mirage_runtime::channel::JoinHandle<i64>
+            + Send
+            + 'static,
+    ) -> (
+        Hypervisor,
+        mirage_hypervisor::DomainId,
+        mirage_hypervisor::DomainId,
+        mirage_hypervisor::DomainId,
+    ) {
         let xs = Xenstore::new();
         let mut hv = Hypervisor::new();
-        hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
+        let mut dom0 = DriverDomain::new(xs.clone());
+        if let Some(tap) = tap {
+            dom0.add_tap(tap);
+        }
+        let dom0 = hv.create_domain("dom0", 512, Box::new(dom0));
 
         let (front_a, nh_a) = Backend::XenRing.net(xs.clone(), "a", Mac::local(1).0, CopyDiscipline::ZeroCopy);
         let mut ga = UnikernelGuest::new(move |_env, rt| {
@@ -84,7 +108,7 @@ mod tests {
         gb.add_device(front_b);
         let dom_b = hv.create_domain("guest-b", 64, Box::new(gb));
 
-        (hv, dom_a, dom_b)
+        (hv, dom0, dom_a, dom_b)
     }
 
     #[test]
@@ -136,6 +160,71 @@ mod tests {
         hv.run_until(Time::ZERO + Dur::secs(10));
         assert_eq!(hv.exit_code(dom_a), Some(0), "client finished");
         assert_eq!(hv.exit_code(dom_b), Some(0), "server finished");
+    }
+
+    /// A datagram no frame can carry (its UDP and IPv4 length fields would
+    /// wrap, or it would be built only for the device to drop it) never
+    /// reaches the wire, and does not disturb the datagram behind it.
+    #[test]
+    fn oversized_datagrams_never_reach_the_wire() {
+        const TAP_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 9);
+        let tap = Tap::new(Mac::local(9).0);
+        let (mut hv, dom0, dom_a, dom_b) = tapped_world(
+            Some(tap.clone()),
+            |stack, rt| {
+                rt.clone().spawn(async move {
+                    rt.sleep(Dur::millis(5)).await;
+                    let sock = stack.udp_bind(9999).await.unwrap();
+                    for dst in [TAP_IP, IP_B] {
+                        sock.send_to(dst, 53, vec![0; 70_000]);
+                        sock.send_to(dst, 53, vec![0; 5_000]);
+                        sock.send_to(dst, 53, vec![7; 100]);
+                    }
+                    rt.sleep(Dur::secs(1)).await;
+                    0
+                })
+            },
+            |stack, rt| {
+                rt.clone().spawn(async move {
+                    let mut sock = stack.udp_bind(53).await.unwrap();
+                    let (_, _, data) = sock.recv_from().await.unwrap();
+                    assert_eq!(
+                        data,
+                        vec![7; 100],
+                        "the first to arrive is the one that fits"
+                    );
+                    0
+                })
+            },
+        );
+        hv.run_until(Time::ZERO + Dur::millis(100));
+        // A asked who has the tap's address: answer, and see what A sends.
+        let is_ipv4 = |f: &PktBuf| {
+            ethernet::Frame::parse(f).is_some_and(|eth| eth.ethertype == ethernet::EtherType::Ipv4)
+        };
+        assert!(!tap.harvest().iter().any(is_ipv4), "nothing but ARP so far");
+        let is_at = arp::ArpPacket {
+            op: arp::ArpOp::Reply,
+            sha: Mac::local(9),
+            spa: TAP_IP,
+            tha: Mac::local(1),
+            tpa: IP_A,
+        };
+        tap.inject(ethernet::build(
+            Mac::local(1),
+            Mac::local(9),
+            ethernet::EtherType::Arp,
+            &is_at.build(),
+        ));
+        hv.wake_external(dom0);
+        hv.run_until(Time::ZERO + Dur::secs(2));
+        let datagrams: Vec<PktBuf> = tap.harvest().into_iter().filter(is_ipv4).collect();
+        assert_eq!(datagrams.len(), 1, "one datagram reached the wire");
+        let ip = ipv4::Ipv4Packet::parse(&datagrams[0][ethernet::HEADER_LEN..]).unwrap();
+        let dgram = udp::UdpDatagram::parse(ip.src, ip.dst, ip.payload).unwrap();
+        assert_eq!(dgram.payload, vec![7; 100]);
+        assert_eq!(hv.exit_code(dom_a), Some(0));
+        assert_eq!(hv.exit_code(dom_b), Some(0));
     }
 
     #[test]

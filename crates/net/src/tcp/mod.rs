@@ -75,7 +75,7 @@ pub use config::{ConfigError, TcpConfig, TcpConfigBuilder};
 pub use cong::{AckKind, AckSample, CongAlg, CongestionControl, Cubic, LossEvent, NewReno};
 pub use conn::State;
 pub use output::{seq, Event, Output, PollOutcome, TcpStats};
-pub use wire::{build_segment, Flags, SegmentOut, TcpSegment};
+pub use wire::{build_segment, segment_len, write_segment, Flags, SegmentOut, TcpSegment};
 
 use cong::Cong;
 use conn::{CloseAction, ConnMgmt};

@@ -33,6 +33,27 @@ impl Flags {
         rst: false,
         psh: false,
     };
+
+    /// The header's flag byte: FIN is bit 0, then SYN, RST, PSH, ACK.
+    fn to_byte(self) -> u8 {
+        u8::from(self.fin)
+            | u8::from(self.syn) << 1
+            | u8::from(self.rst) << 2
+            | u8::from(self.psh) << 3
+            | u8::from(self.ack) << 4
+    }
+
+    /// From the header's flag byte.
+    fn from_byte(byte: u8) -> Flags {
+        let bit = |n: u8| byte >> n & 1 != 0;
+        Flags {
+            fin: bit(0),
+            syn: bit(1),
+            rst: bit(2),
+            psh: bit(3),
+            ack: bit(4),
+        }
+    }
 }
 
 /// A parsed TCP segment. The payload is a [`PktBuf`] view over the received
@@ -77,7 +98,6 @@ impl TcpSegment {
         if data_off < 20 || data.len() < data_off {
             return None;
         }
-        let flags_byte = data[13];
         let mut mss = None;
         let mut wscale = None;
         let mut opts = &data[20..data_off];
@@ -107,13 +127,7 @@ impl TcpSegment {
             dst_port: u16::from_be_bytes([data[2], data[3]]),
             seq: u32::from_be_bytes(data[4..8].try_into().ok()?),
             ack: u32::from_be_bytes(data[8..12].try_into().ok()?),
-            flags: Flags {
-                fin: flags_byte & 0x01 != 0,
-                syn: flags_byte & 0x02 != 0,
-                rst: flags_byte & 0x04 != 0,
-                psh: flags_byte & 0x08 != 0,
-                ack: flags_byte & 0x10 != 0,
-            },
+            flags: Flags::from_byte(data[13]),
             window: u16::from_be_bytes([data[14], data[15]]),
             mss,
             wscale,
@@ -143,8 +157,59 @@ pub struct SegmentOut {
     pub payload: PktBuf,
 }
 
+/// Header length of `out` on the wire: the fixed 20 bytes plus its
+/// options (MSS: 4; window scale: 3 and a NOP pad).
+fn header_len(out: &SegmentOut) -> usize {
+    20 + 4 * usize::from(out.mss.is_some()) + 4 * usize::from(out.wscale.is_some())
+}
+
+/// Length of `out` on the wire, header and payload.
+pub fn segment_len(out: &SegmentOut) -> usize {
+    header_len(out) + out.payload.len()
+}
+
+/// Writes header, options, payload and pseudo-header checksum at the
+/// start of `buf` ([`segment_len`] bytes) and returns that length — the
+/// only code that knows the TCP layout, and the one place payload is
+/// serialised into a frame.
+pub fn write_segment(
+    buf: &mut [u8],
+    src: std::net::Ipv4Addr,
+    src_port: u16,
+    dst: std::net::Ipv4Addr,
+    dst_port: u16,
+    out: &SegmentOut,
+) -> usize {
+    let data_off = header_len(out);
+    let len = data_off + out.payload.len();
+    let d = &mut buf[..len];
+    d[0..2].copy_from_slice(&src_port.to_be_bytes());
+    d[2..4].copy_from_slice(&dst_port.to_be_bytes());
+    d[4..8].copy_from_slice(&out.seq.to_be_bytes());
+    d[8..12].copy_from_slice(&out.ack.to_be_bytes());
+    d[12] = ((data_off / 4) as u8) << 4;
+    d[13] = out.flags.to_byte();
+    d[14..16].copy_from_slice(&out.window.to_be_bytes());
+    d[16..20].copy_from_slice(&[0, 0, 0, 0]); // checksum (filled below) + urgent
+    let mut opts = &mut d[20..data_off];
+    if let Some(mss) = out.mss {
+        opts[..2].copy_from_slice(&[2, 4]);
+        opts[2..4].copy_from_slice(&mss.to_be_bytes());
+        opts = &mut opts[4..];
+    }
+    if let Some(ws) = out.wscale {
+        opts.copy_from_slice(&[3, 3, ws, 1]); // + NOP pad
+    }
+    d[data_off..].copy_from_slice(&out.payload);
+    if !out.payload.is_empty() {
+        mirage_cstruct::record_serialize(out.payload.len());
+    }
+    let c = checksum::pseudo_checksum(src, dst, protocol::TCP, d);
+    d[16..18].copy_from_slice(&c.to_be_bytes());
+    len
+}
+
 /// Serialises a segment into an IPv4 payload with checksum.
-#[allow(clippy::too_many_arguments)]
 pub fn build_segment(
     src: std::net::Ipv4Addr,
     src_port: u16,
@@ -152,50 +217,8 @@ pub fn build_segment(
     dst_port: u16,
     out: &SegmentOut,
 ) -> Vec<u8> {
-    let mut opts = Vec::new();
-    if let Some(mss) = out.mss {
-        opts.extend_from_slice(&[2, 4]);
-        opts.extend_from_slice(&mss.to_be_bytes());
-    }
-    if let Some(ws) = out.wscale {
-        opts.extend_from_slice(&[3, 3, ws, 1]); // + NOP pad
-    }
-    while opts.len() % 4 != 0 {
-        opts.push(0);
-    }
-    let data_off = 20 + opts.len();
-    let mut d = Vec::with_capacity(data_off + out.payload.len());
-    d.extend_from_slice(&src_port.to_be_bytes());
-    d.extend_from_slice(&dst_port.to_be_bytes());
-    d.extend_from_slice(&out.seq.to_be_bytes());
-    d.extend_from_slice(&out.ack.to_be_bytes());
-    d.push(((data_off / 4) as u8) << 4);
-    let mut fb = 0u8;
-    if out.flags.fin {
-        fb |= 0x01;
-    }
-    if out.flags.syn {
-        fb |= 0x02;
-    }
-    if out.flags.rst {
-        fb |= 0x04;
-    }
-    if out.flags.psh {
-        fb |= 0x08;
-    }
-    if out.flags.ack {
-        fb |= 0x10;
-    }
-    d.push(fb);
-    d.extend_from_slice(&out.window.to_be_bytes());
-    d.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
-    d.extend_from_slice(&opts);
-    d.extend_from_slice(&out.payload);
-    if !out.payload.is_empty() {
-        mirage_cstruct::record_serialize(out.payload.len());
-    }
-    let c = checksum::pseudo_checksum(src, dst, protocol::TCP, &d);
-    d[16..18].copy_from_slice(&c.to_be_bytes());
+    let mut d = vec![0; segment_len(out)];
+    write_segment(&mut d, src, src_port, dst, dst_port, out);
     d
 }
 
@@ -249,6 +272,40 @@ mod tests {
         let mut wire = build_segment(A, 80, B, 1234, &out);
         wire[22] ^= 0x40;
         assert!(TcpSegment::parse(A, B, &PktBuf::from_vec(wire)).is_none());
+    }
+
+    #[test]
+    fn flag_bits_are_rfc_793s_and_round_trip() {
+        let only = |byte| Flags::from_byte(byte);
+        assert!(only(0x01).fin && only(0x02).syn && only(0x04).rst);
+        assert!(only(0x08).psh && only(0x10).ack);
+        for byte in 0..0x20 {
+            assert_eq!(Flags::from_byte(byte).to_byte(), byte);
+        }
+        assert_eq!(
+            Flags::from_byte(0xE0),
+            Flags::default(),
+            "URG/ECE/CWR are ignored"
+        );
+    }
+
+    #[test]
+    fn write_segment_owns_exactly_its_bytes() {
+        let out = SegmentOut {
+            seq: 7,
+            ack: 9,
+            flags: Flags::ACK,
+            window: 512,
+            mss: Some(1460),
+            wscale: Some(3),
+            payload: PktBuf::from_vec(b"in place".to_vec()),
+        };
+        // A buffer with stale bytes in it, longer than the segment.
+        let mut buf = [0xAA; 64];
+        let len = write_segment(&mut buf, A, 80, B, 1234, &out);
+        assert_eq!(len, segment_len(&out));
+        assert_eq!(buf[..len], build_segment(A, 80, B, 1234, &out));
+        assert!(buf[len..].iter().all(|&b| b == 0xAA));
     }
 
     mirage_testkit::property! {

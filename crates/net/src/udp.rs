@@ -1,6 +1,7 @@
 //! UDP — the DNS appliance's transport (paper §4.2).
 
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use crate::checksum;
 use crate::ipv4::protocol;
@@ -40,9 +41,42 @@ impl<'a> UdpDatagram<'a> {
             payload: &data[HEADER_LEN..len],
         })
     }
+
+    /// Where the payload sits in the bytes that were parsed.
+    pub fn payload_range(&self) -> Range<usize> {
+        HEADER_LEN..HEADER_LEN + self.payload.len()
+    }
 }
 
-/// Serialises a datagram with its pseudo-header checksum.
+/// Writes header, payload and pseudo-header checksum at the start of
+/// `buf` and returns the datagram length — the only code that knows the
+/// UDP layout. Panics if that length does not fit its 16-bit field.
+pub fn write(
+    buf: &mut [u8],
+    src: Ipv4Addr,
+    src_port: u16,
+    dst: Ipv4Addr,
+    dst_port: u16,
+    payload: &[u8],
+) -> usize {
+    let len = HEADER_LEN + payload.len();
+    let d = &mut buf[..len];
+    d[0..2].copy_from_slice(&src_port.to_be_bytes());
+    d[2..4].copy_from_slice(&dst_port.to_be_bytes());
+    let len16 = u16::try_from(len).expect("UDP length fits 16 bits");
+    d[4..6].copy_from_slice(&len16.to_be_bytes());
+    d[6..8].copy_from_slice(&[0, 0]); // checksum, filled below
+    d[HEADER_LEN..].copy_from_slice(payload);
+    let mut c = checksum::pseudo_checksum(src, dst, protocol::UDP, d);
+    if c == 0 {
+        c = 0xFFFF; // 0 is reserved for "no checksum"
+    }
+    d[6..8].copy_from_slice(&c.to_be_bytes());
+    len
+}
+
+/// Serialises a datagram with its pseudo-header checksum. Panics if header
+/// plus payload exceed 65 535 bytes.
 pub fn build(
     src: Ipv4Addr,
     src_port: u16,
@@ -50,18 +84,8 @@ pub fn build(
     dst_port: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let len = (HEADER_LEN + payload.len()) as u16;
-    let mut d = Vec::with_capacity(len as usize);
-    d.extend_from_slice(&src_port.to_be_bytes());
-    d.extend_from_slice(&dst_port.to_be_bytes());
-    d.extend_from_slice(&len.to_be_bytes());
-    d.extend_from_slice(&[0, 0]);
-    d.extend_from_slice(payload);
-    let mut c = checksum::pseudo_checksum(src, dst, protocol::UDP, &d);
-    if c == 0 {
-        c = 0xFFFF; // 0 is reserved for "no checksum"
-    }
-    d[6..8].copy_from_slice(&c.to_be_bytes());
+    let mut d = vec![0; HEADER_LEN + payload.len()];
+    write(&mut d, src, src_port, dst, dst_port, payload);
     d
 }
 
@@ -80,6 +104,21 @@ mod tests {
         assert_eq!(d.src_port, 53);
         assert_eq!(d.dst_port, 1234);
         assert_eq!(d.payload, b"dns query");
+    }
+
+    #[test]
+    fn write_owns_exactly_its_bytes() {
+        // A buffer with stale bytes in it, longer than the datagram.
+        let mut buf = [0xAA; 32];
+        let len = write(&mut buf, SRC, 53, DST, 1234, b"dns query");
+        assert_eq!(buf[..len], build(SRC, 53, DST, 1234, b"dns query"));
+        assert!(buf[len..].iter().all(|&b| b == 0xAA));
+    }
+
+    #[test]
+    #[should_panic(expected = "fits 16 bits")]
+    fn oversized_datagram_is_not_built() {
+        build(SRC, 1, DST, 2, &vec![0; 70_000]);
     }
 
     #[test]

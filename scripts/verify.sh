@@ -97,12 +97,37 @@ if grep -rnE --include='*.rs' '(Netfront|VirtioNet|Blkfront|VirtioBlk)::new' \
     echo "FAIL: per-ABI device constructor used (lines above)" >&2
     exit 1
 fi
-long="$(find crates/devices/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 700')"
+long="$(find crates/devices/src crates/net/src -name '*.rs' ! -path '*/tcp/tests.rs' -exec wc -l {} + \
+    | awk '$2 != "total" && $1 > 700')"
 if [[ -n "$long" ]]; then
-    echo "FAIL: file over 700 lines in crates/devices/src:" >&2
+    echo "FAIL: file over 700 lines in crates/devices/src or crates/net/src:" >&2
     echo "$long" >&2
     exit 1
 fi
+echo "   ok"
+
+echo "== gate: one way out of the stack, each header layout written once"
+# Non-test lines of crates/net/src as file:line:text — everything above a
+# file's first column-0 #[cfg(test)].
+net_src() {
+    find crates/net/src -name '*.rs' ! -path '*/tcp/tests.rs' -print0 | sort -z \
+        | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ":" $0 }'
+}
+# exactly <n> <what>: <n> non-test lines match the extended regex <re>.
+exactly() {
+    local n="$1" what="$2" re="$3" hits
+    hits="$(net_src | grep -E -- "$re" || true)"
+    if [[ "$(grep -c . <<< "$hits")" -ne "$n" ]]; then
+        echo "FAIL: expected $n non-test site(s) of $what in crates/net/src, found:" >&2
+        echo "${hits:-(none)}" >&2
+        exit 1
+    fi
+}
+exactly 1 "record_serialize (payload written into a frame)" 'record_serialize\('
+exactly 1 "the IPv4 version/IHL byte" '\b0x45\b'
+exactly 1 "TCP flag-bit packing" 'u8::from\(self\.fin\)|\|= *0x(01|02|04|08|10)\b'
+exactly 0 "a too_many_arguments allow" 'too_many_arguments'
+exactly 0 "a second TX path" 'fn (build_tcp_frame|emit_frame|send_ipv4|broadcast_udp)\b'
 echo "   ok"
 
 echo "== build (release, offline, all targets)"
