@@ -33,7 +33,7 @@ fn main() {
     c.bench_function("fig13/real_http_parse_route_encode", |b| {
         b.iter(|| {
             let mut parser = RequestParser::new();
-            parser.feed(&wire);
+            parser.feed(&wire[..]);
             let req = parser.take().unwrap().unwrap();
             let _ = mirage_testkit::bench::black_box(req);
             let _ = mirage_testkit::bench::black_box(&server);

@@ -64,7 +64,7 @@ fn bench_tcp(c: &mut Criterion) {
     let payload = vec![0xABu8; 1460];
     c.bench_function("micro/tcp_segment_send_receive_ack", |b| {
         b.iter(|| {
-            let out = client.app_send(&payload, now);
+            let out = client.app_send(&payload[..], now);
             for seg in &out.segments {
                 let wire = build_segment(A, 1, B, 2, seg);
                 let parsed = TcpSegment::parse(A, B, &PktBuf::from_vec(wire)).unwrap();

@@ -2,10 +2,12 @@
 //! through the simulated switch, with the per-endpoint cost profiles of
 //! [`mirage_baseline::netperf`] charged on the data path.
 
+use std::future::Future;
+
 use mirage_baseline::netperf::{TcpEndpoint, MSS};
 use mirage_devices::netfront::CopyDiscipline;
-use mirage_devices::{Backend, DriverDomain, NetProfile, Xenstore};
-use mirage_hypervisor::{Dur, Hypervisor, Time};
+use mirage_devices::{Backend, DiskProfile, DriverDomain, NetProfile, Xenstore};
+use mirage_hypervisor::{DomainId, Dur, Hypervisor, Time};
 use mirage_net::{Ipv4Addr, Mac, Stack, StackConfig};
 use mirage_runtime::{Runtime, UnikernelGuest};
 
@@ -34,7 +36,9 @@ pub fn iperf(
 }
 
 /// [`iperf`], with the ring ABI an explicit axis: the same flows ride
-/// Xen-style rings or split virtqueues depending on `backend`.
+/// Xen-style rings or split virtqueues depending on `backend`. The host is
+/// the paper's Figure 8 testbed: six pCPUs, single-vCPU guests and dom0,
+/// and an inter-VM path the fabric does not bottleneck (10 GbE model).
 pub fn iperf_on(
     backend: Backend,
     tx: TcpEndpoint,
@@ -42,126 +46,8 @@ pub fn iperf_on(
     flows: usize,
     bytes_per_flow: usize,
 ) -> IperfResult {
-    let costs = mirage_hypervisor::CostTable::defaults();
-    // Charge the shared state-machine work plus the endpoint profile per
-    // segment — the same decomposition as the Figure 8 model, but here the
-    // segments actually flow through the live stack.
-    let shared = Dur::micros(5) + costs.copy(MSS / 8);
-    let tx_per_seg = shared + tx.profile(&costs).tx_per_segment;
-    let rx_per_seg = shared + rx.profile(&costs).rx_per_segment;
-
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::new();
-    // Inter-VM path: the fabric is not the bottleneck (10 GbE model).
-    hv.create_domain(
-        "dom0",
-        512,
-        Box::new(DriverDomain::with_profiles(
-            xs.clone(),
-            NetProfile::ten_gbe(),
-            mirage_devices::DiskProfile::pcie_ssd(),
-        )),
-    );
-
-    // Bound each flow's advertised window so aggregate in-flight data
-    // stays within the switch queueing budget (the paper's 64-slot rings
-    // impose the same back-pressure).
-    let tcp_cfg = mirage_net::tcp::TcpConfig::builder()
-        .recv_buf(64 * 1024)
-        .build()
-        .expect("valid tcp config");
-    let stack_cfg = |ip| {
-        StackConfig::builder(ip)
-            .tcp(tcp_cfg.clone())
-            .build()
-            .expect("valid stack config")
-    };
-    let rx_cfg = stack_cfg(RX_IP);
-    let tx_cfg = stack_cfg(TX_IP);
-
-    // Receiver.
-    let (front_rx, nh_rx) = backend.net(xs.clone(), "rx", Mac::local(2).0, CopyDiscipline::ZeroCopy);
-    let total_expected = (flows * bytes_per_flow) as u64;
-    let mut rx_guest = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_rx, rx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            let mut listener = stack.tcp_listen(5001).await.unwrap();
-            let mut handles = Vec::new();
-            for _ in 0..flows {
-                let mut stream = listener.accept().await.unwrap();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn(async move {
-                    let mut got = 0u64;
-                    while let Some(chunk) = stream.read().await {
-                        let segs = chunk.len().div_ceil(MSS) as u64;
-                        rt3.charge(Dur::nanos(rx_per_seg.as_nanos() * segs));
-                        got += chunk.len() as u64;
-                    }
-                    got
-                }));
-            }
-            let mut total = 0u64;
-            for h in handles {
-                total += h.await;
-            }
-            assert_eq!(total, total_expected, "all flow bytes delivered");
-            // Report the virtual completion instant (ns); the harness
-            // excludes connection teardown (TIME-WAIT) from goodput, as
-            // iperf does.
-            rt2.now().as_nanos() as i64
-        })
-    });
-    rx_guest.add_device(front_rx);
-    let rx_dom = hv.create_domain("iperf-rx", 128, Box::new(rx_guest));
-
-    // Sender.
-    let (front_tx, nh_tx) = backend.net(xs.clone(), "tx", Mac::local(1).0, CopyDiscipline::ZeroCopy);
-    let mut tx_guest = UnikernelGuest::new(move |_env, rt| {
-        let stack = Stack::spawn(rt, nh_tx, tx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
-            let mut handles = Vec::new();
-            for f in 0..flows {
-                let stack = stack.clone();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn(async move {
-                    let mut stream = stack.tcp_connect(RX_IP, 5001).await.expect("connect");
-                    let chunk = vec![(f % 251) as u8; 16 * 1024];
-                    let mut sent = 0usize;
-                    while sent < bytes_per_flow {
-                        let n = chunk.len().min(bytes_per_flow - sent);
-                        let segs = n.div_ceil(MSS) as u64;
-                        rt3.charge(Dur::nanos(tx_per_seg.as_nanos() * segs));
-                        stream.write(&chunk[..n]);
-                        sent += n;
-                        // Yield so TCP can drain under flow control.
-                        rt3.yield_now().await;
-                    }
-                    stream.close();
-                    stream.wait_closed().await;
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            0i64
-        })
-    });
-    tx_guest.add_device(front_tx);
-    hv.create_domain("iperf-tx", 128, Box::new(tx_guest));
-
-    hv.set_step_budget(400_000_000);
-    hv.run_until(Time::ZERO + Dur::secs(600));
-    let finished_ns = hv.exit_code(rx_dom).expect("receiver finished") as u64;
-    // Senders start after a 5 ms settle; goodput excludes that lead-in.
-    let start = Time::ZERO + Dur::millis(5);
-    let elapsed = Time::from_nanos(finished_ns).saturating_since(start);
-    IperfResult {
-        mbps: total_expected as f64 * 8.0 / elapsed.as_secs_f64() / 1e6,
-        bytes: total_expected,
-    }
+    let world = World::boot(6, NetProfile::ten_gbe(), 1, backend, 1);
+    run_iperf(world, tx, rx, flows, bytes_per_flow)
 }
 
 /// Runs `flows` bulk flows between two `vcpus`-wide SMP unikernels: each
@@ -191,29 +77,100 @@ pub fn iperf_smp_on(
     flows: usize,
     bytes_per_flow: usize,
 ) -> IperfResult {
-    assert!(vcpus > 0, "need at least one vCPU");
+    run_iperf(World::smp(backend, vcpus), tx, rx, flows, bytes_per_flow)
+}
+
+/// A booted host and the shape of the guests it carries.
+struct World {
+    xs: Xenstore,
+    hv: Hypervisor,
+    backend: Backend,
+    vcpus: usize,
+}
+
+impl World {
+    /// Boots `pcpus` physical CPUs and a `dom0_vcpus`-wide driver domain
+    /// switching at `fabric` speed; guests will be `vcpus` wide.
+    fn boot(
+        pcpus: usize,
+        fabric: NetProfile,
+        dom0_vcpus: usize,
+        backend: Backend,
+        vcpus: usize,
+    ) -> World {
+        assert!(vcpus > 0, "need at least one vCPU");
+        let xs = Xenstore::new();
+        let mut hv = Hypervisor::with_pcpus(pcpus);
+        let dom0 = DriverDomain::with_profiles(xs.clone(), fabric, DiskProfile::pcie_ssd());
+        hv.create_domain_vcpus("dom0", 512, Box::new(dom0), dom0_vcpus);
+        World {
+            xs,
+            hv,
+            backend,
+            vcpus,
+        }
+    }
+
+    /// The SMP-matrix host. It measures CPU scaling, so it is sized to stay
+    /// out of the way: enough pCPUs that no guest's vCPU gang ever waits, a
+    /// 40 GbE fabric and a switch lane per port.
+    fn smp(backend: Backend, vcpus: usize) -> World {
+        World::boot(2 + 2 * vcpus, NetProfile::forty_gbe(), 2, backend, vcpus)
+    }
+
+    /// Adds a unikernel: a NIC called `name` with one RX queue per vCPU,
+    /// one shard worker per queue, and `main` as its main thread.
+    fn guest<F, Fut>(
+        &mut self,
+        name: &str,
+        mac: u32,
+        mem_mib: u64,
+        cfg: StackConfig,
+        main: F,
+    ) -> DomainId
+    where
+        F: FnOnce(Stack, Runtime) -> Fut + Send + 'static,
+        Fut: Future<Output = i64> + Send + 'static,
+    {
+        let vcpus = self.vcpus;
+        let (front, handles) = self.backend.net_multiqueue(
+            self.xs.clone(),
+            name,
+            Mac::local(mac).0,
+            CopyDiscipline::ZeroCopy,
+            vcpus,
+        );
+        let mut guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
+            let stack = Stack::spawn_sharded(rt, handles, cfg);
+            rt.spawn(main(stack, rt.clone()))
+        });
+        guest.add_device(front);
+        let guest = Box::new(guest);
+        self.hv.create_domain_vcpus(name, mem_mib, guest, vcpus)
+    }
+}
+
+/// One iperf run between a sender and a receiver on `world`, flow tasks
+/// pinned round-robin across each guest's cores.
+fn run_iperf(
+    mut world: World,
+    tx: TcpEndpoint,
+    rx: TcpEndpoint,
+    flows: usize,
+    bytes_per_flow: usize,
+) -> IperfResult {
+    let vcpus = world.vcpus;
     let costs = mirage_hypervisor::CostTable::defaults();
+    // Charge the shared state-machine work plus the endpoint profile per
+    // segment — the same decomposition as the Figure 8 model, but here the
+    // segments actually flow through the live stack.
     let shared = Dur::micros(5) + costs.copy(MSS / 8);
     let tx_per_seg = shared + tx.profile(&costs).tx_per_segment;
     let rx_per_seg = shared + rx.profile(&costs).rx_per_segment;
 
-    let xs = Xenstore::new();
-    // Enough pCPUs that no guest's vCPU gang ever waits on the host.
-    let mut hv = Hypervisor::with_pcpus(2 + 2 * vcpus);
-    // A 40 GbE fabric and a switch lane per port: the matrix measures CPU
-    // scaling, so neither line rate nor a single-core dom0 may be the
-    // bottleneck.
-    hv.create_domain_vcpus(
-        "dom0",
-        512,
-        Box::new(DriverDomain::with_profiles(
-            xs.clone(),
-            NetProfile::forty_gbe(),
-            mirage_devices::DiskProfile::pcie_ssd(),
-        )),
-        2,
-    );
-
+    // Bound each flow's advertised window so aggregate in-flight data
+    // stays within the switch queueing budget (the paper's 64-slot rings
+    // impose the same back-pressure).
     let tcp_cfg = mirage_net::tcp::TcpConfig::builder()
         .recv_buf(64 * 1024)
         .build()
@@ -224,93 +181,69 @@ pub fn iperf_smp_on(
             .build()
             .expect("valid stack config")
     };
-    let rx_cfg = stack_cfg(RX_IP);
-    let tx_cfg = stack_cfg(TX_IP);
 
-    // Receiver: one RX queue per vCPU, one shard worker per queue.
-    let (front_rx, handles_rx) = backend.net_multiqueue(
-        xs.clone(),
-        "rx",
-        Mac::local(2).0,
-        CopyDiscipline::ZeroCopy,
-        vcpus,
-    );
     let total_expected = (flows * bytes_per_flow) as u64;
-    let mut rx_guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
-        let stack = Stack::spawn_sharded(rt, handles_rx, rx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            let mut listener = stack.tcp_listen(5001).await.unwrap();
-            let mut handles = Vec::new();
-            for f in 0..flows {
-                let mut stream = listener.accept().await.unwrap();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn_on(f % vcpus, async move {
-                    let mut got = 0u64;
-                    while let Some(chunk) = stream.read().await {
-                        let segs = chunk.len().div_ceil(MSS) as u64;
-                        rt3.charge(Dur::nanos(rx_per_seg.as_nanos() * segs));
-                        got += chunk.len() as u64;
-                    }
-                    got
-                }));
-            }
-            let mut total = 0u64;
-            for h in handles {
-                total += h.await;
-            }
-            assert_eq!(total, total_expected, "all flow bytes delivered");
-            rt2.now().as_nanos() as i64
-        })
-    });
-    rx_guest.add_device(front_rx);
-    let rx_dom = hv.create_domain_vcpus("iperf-smp-rx", 128, Box::new(rx_guest), vcpus);
+    let receiver = move |stack: Stack, rt: Runtime| async move {
+        let mut listener = stack.tcp_listen(5001).await.unwrap();
+        let mut handles = Vec::new();
+        for f in 0..flows {
+            let mut stream = listener.accept().await.unwrap();
+            let rt2 = rt.clone();
+            handles.push(rt.spawn_on(f % vcpus, async move {
+                let mut got = 0u64;
+                while let Some(chunk) = stream.read().await {
+                    let segs = chunk.len().div_ceil(MSS) as u64;
+                    rt2.charge(Dur::nanos(rx_per_seg.as_nanos() * segs));
+                    got += chunk.len() as u64;
+                }
+                got
+            }));
+        }
+        let mut total = 0u64;
+        for h in handles {
+            total += h.await;
+        }
+        assert_eq!(total, total_expected, "all flow bytes delivered");
+        // Report the virtual completion instant (ns); the harness
+        // excludes connection teardown (TIME-WAIT) from goodput, as
+        // iperf does.
+        rt.now().as_nanos() as i64
+    };
+    let rx_dom = world.guest("rx", 2, 128, stack_cfg(RX_IP), receiver);
+    let sender = move |stack: Stack, rt: Runtime| async move {
+        rt.sleep(Dur::millis(5)).await;
+        let mut handles = Vec::new();
+        for f in 0..flows {
+            let stack = stack.clone();
+            let rt2 = rt.clone();
+            handles.push(rt.spawn_on(f % vcpus, async move {
+                let mut stream = stack.tcp_connect(RX_IP, 5001).await.expect("connect");
+                let chunk = vec![(f % 251) as u8; 16 * 1024];
+                let mut sent = 0usize;
+                while sent < bytes_per_flow {
+                    let n = chunk.len().min(bytes_per_flow - sent);
+                    let segs = n.div_ceil(MSS) as u64;
+                    rt2.charge(Dur::nanos(tx_per_seg.as_nanos() * segs));
+                    stream.write(&chunk[..n]);
+                    sent += n;
+                    // Yield so TCP can drain under flow control.
+                    rt2.yield_now().await;
+                }
+                stream.close();
+                stream.wait_closed().await;
+            }));
+        }
+        for h in handles {
+            h.await;
+        }
+        0
+    };
+    world.guest("tx", 1, 128, stack_cfg(TX_IP), sender);
 
-    // Sender, mirrored: sharded stack, flow tasks pinned round-robin.
-    let (front_tx, handles_tx) = backend.net_multiqueue(
-        xs.clone(),
-        "tx",
-        Mac::local(1).0,
-        CopyDiscipline::ZeroCopy,
-        vcpus,
-    );
-    let mut tx_guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
-        let stack = Stack::spawn_sharded(rt, handles_tx, tx_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
-            let mut handles = Vec::new();
-            for f in 0..flows {
-                let stack = stack.clone();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn_on(f % vcpus, async move {
-                    let mut stream = stack.tcp_connect(RX_IP, 5001).await.expect("connect");
-                    let chunk = vec![(f % 251) as u8; 16 * 1024];
-                    let mut sent = 0usize;
-                    while sent < bytes_per_flow {
-                        let n = chunk.len().min(bytes_per_flow - sent);
-                        let segs = n.div_ceil(MSS) as u64;
-                        rt3.charge(Dur::nanos(tx_per_seg.as_nanos() * segs));
-                        stream.write(&chunk[..n]);
-                        sent += n;
-                        rt3.yield_now().await;
-                    }
-                    stream.close();
-                    stream.wait_closed().await;
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            0i64
-        })
-    });
-    tx_guest.add_device(front_tx);
-    hv.create_domain_vcpus("iperf-smp-tx", 128, Box::new(tx_guest), vcpus);
-
-    hv.set_step_budget(400_000_000);
-    hv.run_until(Time::ZERO + Dur::secs(600));
-    let finished_ns = hv.exit_code(rx_dom).expect("receiver finished") as u64;
+    world.hv.set_step_budget(400_000_000);
+    world.hv.run_until(Time::ZERO + Dur::secs(600));
+    let finished_ns = world.hv.exit_code(rx_dom).expect("receiver finished") as u64;
+    // Senders start after a 5 ms settle; goodput excludes that lead-in.
     let start = Time::ZERO + Dur::millis(5);
     let elapsed = Time::from_nanos(finished_ns).saturating_since(start);
     IperfResult {
@@ -340,103 +273,66 @@ pub struct IdleSmpReport {
 pub fn idle_smp(vcpus: usize, conns: usize, quiet: Dur) -> IdleSmpReport {
     use std::sync::{Arc, Mutex};
 
-    assert!(vcpus > 0, "need at least one vCPU");
-    let xs = Xenstore::new();
-    let mut hv = Hypervisor::with_pcpus(2 + 2 * vcpus);
-    hv.create_domain_vcpus(
-        "dom0",
-        512,
-        Box::new(DriverDomain::with_profiles(
-            xs.clone(),
-            NetProfile::forty_gbe(),
-            mirage_devices::DiskProfile::pcie_ssd(),
-        )),
-        2,
-    );
-
+    let mut world = World::smp(Backend::XenRing, vcpus);
     let report: Arc<Mutex<Option<IdleSmpReport>>> = Arc::new(Mutex::new(None));
 
-    // Server: sharded stack, parks every accepted stream for the duration.
-    let (front_srv, handles_srv) = Backend::XenRing.net_multiqueue(
-        xs.clone(),
-        "idle-srv",
-        Mac::local(2).0,
-        CopyDiscipline::ZeroCopy,
-        vcpus,
-    );
+    // Server: parks every accepted stream for the duration.
     let srv_cfg = StackConfig::builder(RX_IP).build().expect("valid config");
     let report_w = Arc::clone(&report);
-    let mut srv_guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
-        let stack = Stack::spawn_sharded(rt, handles_srv, srv_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            let mut listener = stack.tcp_listen(80).await.unwrap();
-            let mut parked = Vec::with_capacity(conns);
-            for _ in 0..conns {
-                parked.push(listener.accept().await.unwrap());
-            }
-            // Everything established and idle: measure the quiet window.
-            let before = stack.stack_stats_per_core().await.unwrap();
-            rt2.sleep(quiet).await;
-            let after = stack.stack_stats_per_core().await.unwrap();
-            *report_w.lock().unwrap() = Some(IdleSmpReport {
-                conns_per_core: after.iter().map(|s| s.conns).collect(),
-                quiet_polls_per_core: after
-                    .iter()
-                    .zip(&before)
-                    .map(|(a, b)| a.timer_polls - b.timer_polls)
-                    .collect(),
-                established: parked.len() as u64,
-            });
-            0i64
-        })
-    });
-    srv_guest.add_device(front_srv);
-    let srv_dom = hv.create_domain_vcpus("idle-smp-srv", 256, Box::new(srv_guest), vcpus);
+    let server = move |stack: Stack, rt: Runtime| async move {
+        let mut listener = stack.tcp_listen(80).await.unwrap();
+        let mut parked = Vec::with_capacity(conns);
+        for _ in 0..conns {
+            parked.push(listener.accept().await.unwrap());
+        }
+        // Everything established and idle: measure the quiet window.
+        let before = stack.stack_stats_per_core().await.unwrap();
+        rt.sleep(quiet).await;
+        let after = stack.stack_stats_per_core().await.unwrap();
+        *report_w.lock().unwrap() = Some(IdleSmpReport {
+            conns_per_core: after.iter().map(|s| s.conns).collect(),
+            quiet_polls_per_core: after
+                .iter()
+                .zip(&before)
+                .map(|(a, b)| a.timer_polls - b.timer_polls)
+                .collect(),
+            established: parked.len() as u64,
+        });
+        0
+    };
+    let srv_dom = world.guest("idle-srv", 2, 256, srv_cfg, server);
 
     // Client: same width, each core ramps its share of the connections
     // sequentially and parks them (keep-alive, no requests).
-    let (front_cli, handles_cli) = Backend::XenRing.net_multiqueue(
-        xs.clone(),
-        "idle-cli",
-        Mac::local(1).0,
-        CopyDiscipline::ZeroCopy,
-        vcpus,
-    );
     let cli_cfg = StackConfig::builder(TX_IP).build().expect("valid config");
-    let mut cli_guest = UnikernelGuest::with_runtime(Runtime::smp(vcpus), move |_env, rt| {
-        let stack = Stack::spawn_sharded(rt, handles_cli, cli_cfg);
-        let rt2 = rt.clone();
-        rt.spawn(async move {
-            rt2.sleep(Dur::millis(5)).await;
-            let mut handles = Vec::new();
-            for core in 0..vcpus {
-                let share = conns / vcpus + usize::from(core < conns % vcpus);
-                let stack = stack.clone();
-                let rt3 = rt2.clone();
-                handles.push(rt2.spawn_on(core, async move {
-                    let mut parked = Vec::with_capacity(share);
-                    for _ in 0..share {
-                        parked.push(stack.tcp_connect(RX_IP, 80).await.expect("connect"));
-                    }
-                    // Hold the connections open past the server's quiet
-                    // window; dropping them would tear the table down.
-                    rt3.sleep(Dur::secs(3600)).await;
-                    parked.len()
-                }));
-            }
-            for h in handles {
-                h.await;
-            }
-            0i64
-        })
-    });
-    cli_guest.add_device(front_cli);
-    hv.create_domain_vcpus("idle-smp-cli", 256, Box::new(cli_guest), vcpus);
+    let client = move |stack: Stack, rt: Runtime| async move {
+        rt.sleep(Dur::millis(5)).await;
+        let mut handles = Vec::new();
+        for core in 0..vcpus {
+            let share = conns / vcpus + usize::from(core < conns % vcpus);
+            let stack = stack.clone();
+            let rt2 = rt.clone();
+            handles.push(rt.spawn_on(core, async move {
+                let mut parked = Vec::with_capacity(share);
+                for _ in 0..share {
+                    parked.push(stack.tcp_connect(RX_IP, 80).await.expect("connect"));
+                }
+                // Hold the connections open past the server's quiet
+                // window; dropping them would tear the table down.
+                rt2.sleep(Dur::secs(3600)).await;
+                parked.len()
+            }));
+        }
+        for h in handles {
+            h.await;
+        }
+        0
+    };
+    world.guest("idle-cli", 1, 256, cli_cfg, client);
 
-    hv.set_step_budget(400_000_000);
-    hv.run_until(Time::ZERO + Dur::secs(3000));
-    assert_eq!(hv.exit_code(srv_dom), Some(0), "server finished its window");
+    world.hv.set_step_budget(400_000_000);
+    world.hv.run_until(Time::ZERO + Dur::secs(3000));
+    assert_eq!(world.hv.exit_code(srv_dom), Some(0), "server finished its window");
     let out = report.lock().unwrap().take().expect("server wrote report");
     out
 }

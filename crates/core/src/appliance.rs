@@ -9,7 +9,6 @@
 
 use mirage_hypervisor::{CostTable, DomainEnv, Dur};
 use mirage_pvboot::layout::MemoryLayout;
-use mirage_runtime::channel::JoinHandle;
 use mirage_runtime::{Runtime, UnikernelGuest};
 
 use crate::config::Config;
@@ -225,9 +224,6 @@ impl Appliance {
         })
     }
 }
-
-/// Blanket re-export so builders read naturally.
-pub type MainHandle = JoinHandle<i64>;
 
 #[cfg(test)]
 mod tests {

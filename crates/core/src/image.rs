@@ -103,11 +103,6 @@ impl Image {
         self.loc
     }
 
-    /// Elimination level this image was linked at.
-    pub fn dce_level(&self) -> DceLevel {
-        self.level
-    }
-
     /// Whether instances of this image may be cloned (no static
     /// instance-identity baked in, §2.3.1).
     pub fn is_cloneable(&self) -> bool {

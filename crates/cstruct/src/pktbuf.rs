@@ -1,11 +1,14 @@
-//! Reference-counted immutable packet buffers with copy accounting.
+//! The one representation of bytes in flight, with copy accounting.
 //!
-//! A [`PktBuf`] is the unit of ownership on the packet data path: an
-//! `Arc<[u8]>`-backed slice (a [`Buf`] view under the hood) that the device
-//! ring, the network stack, TCP reassembly and the application all share
-//! by reference. Cloning or slicing a `PktBuf` bumps a refcount; the bytes
-//! are never duplicated. This is the paper's "ext I/O data travels by
-//! reference" claim (§3.2, Figure 2/4) made into a type.
+//! A [`BufMut`] is an exclusively-owned page being filled in (a packet under
+//! construction, a block about to be written). Freezing it yields a
+//! [`PktBuf`]: an immutable, reference-counted *view* that the device ring,
+//! the network stack, TCP reassembly and the application all share by
+//! reference. Cloning or slicing a `PktBuf` bumps a refcount; the bytes are
+//! never duplicated, and the page returns to its pool when the last view
+//! drops — the paper's `Cstruct.sub` over an `Io_page` (§3.4.1), and its
+//! "ext I/O data travels by reference" claim (§3.2, Figure 2/4) made into a
+//! type.
 //!
 //! Every operation that *does* duplicate payload bytes in software funnels
 //! through [`record_copy`], and every serialisation of payload into a wire
@@ -17,8 +20,9 @@
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use crate::buf::{Buf, BufMut};
+use crate::pool::Page;
 
 static COPY_COUNT: AtomicU64 = AtomicU64::new(0);
 static COPY_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -74,65 +78,155 @@ pub fn record_serialize(bytes: usize) {
     SERIALIZE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
-/// A reference-counted immutable packet buffer.
+/// An exclusively-owned, writable I/O page.
 ///
-/// The packet-path counterpart of [`Buf`]: cheap to clone, cheap to slice,
-/// comparable by content, and explicit about the few operations that copy.
-#[derive(Clone, Eq)]
+/// Produced by [`crate::PagePool::alloc`]; turned into shareable read-only
+/// views by [`BufMut::freeze`]. Dropping it without freezing returns the
+/// page to its pool immediately.
+pub struct BufMut {
+    page: Page,
+    len: usize,
+}
+
+impl fmt::Debug for BufMut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "BufMut[{} of {} bytes]", self.len, self.page.data.len())
+    }
+}
+
+impl BufMut {
+    pub(crate) fn new(page: Page) -> BufMut {
+        let len = page.data.len();
+        BufMut { page, len }
+    }
+
+    /// Full writable contents of the page.
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        &mut self.page.data
+    }
+
+    /// Read-only contents.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.page.data
+    }
+
+    /// Restricts the extent that [`BufMut::freeze`] will expose.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the page capacity.
+    pub fn truncate(&mut self, len: usize) {
+        assert!(len <= self.page.data.len(), "truncate beyond page capacity");
+        self.len = len;
+    }
+
+    /// Length that will be exposed when frozen.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the exposed extent is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Copies `src` into the page starting at `offset` and, if the write
+    /// extends past the current exposed length, grows it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the write would run past the page capacity.
+    pub fn write_at(&mut self, offset: usize, src: &[u8]) {
+        let end = offset + src.len();
+        assert!(end <= self.page.data.len(), "write beyond page capacity");
+        self.page.data[offset..end].copy_from_slice(src);
+        if end > self.len {
+            self.len = end;
+        }
+    }
+
+    /// Seals the page and returns an immutable view over the exposed extent.
+    pub fn freeze(self) -> PktBuf {
+        PktBuf {
+            page: Arc::new(self.page),
+            off: 0,
+            len: self.len,
+        }
+    }
+}
+
+/// An immutable, reference-counted view over (part of) an I/O page.
+///
+/// Cheap to clone, cheap to slice, and explicit about the few operations
+/// that copy. Slicing produces further views over the same page; the page
+/// returns to its pool when the last view drops. Equality is by byte
+/// content, so protocol tests can compare packets structurally.
+///
+/// # Example
+///
+/// ```
+/// use mirage_cstruct::PagePool;
+///
+/// let pool = PagePool::new(1);
+/// let mut page = pool.alloc()?;
+/// page.write_at(0, b"headerpayload");
+/// page.truncate(13);
+/// let buf = page.freeze();
+/// let (hdr, payload) = buf.split_at(6);
+/// assert_eq!(hdr.as_slice(), b"header");
+/// assert_eq!(payload.as_slice(), b"payload");
+/// # Ok::<(), mirage_cstruct::PoolExhausted>(())
+/// ```
+#[derive(Clone)]
 pub struct PktBuf {
-    view: Buf,
+    page: Arc<Page>,
+    off: usize,
+    len: usize,
 }
 
 impl PktBuf {
     /// An empty buffer.
     pub fn empty() -> PktBuf {
-        PktBuf { view: Buf::empty() }
+        PktBuf::from_vec(Vec::new())
     }
 
-    /// Wraps a pool-page view without copying — the RX fast path.
-    pub fn from_pool(view: Buf) -> PktBuf {
-        PktBuf { view }
-    }
-
-    /// Seals a pool page under construction and wraps the result.
-    pub fn from_page(page: BufMut) -> PktBuf {
-        PktBuf { view: page.freeze() }
-    }
-
-    /// Takes ownership of an already-built vector without copying.
+    /// Takes ownership of an already-built vector without copying: the
+    /// vector itself, spare capacity included, becomes the backing store.
     ///
     /// Used where a packet is assembled with `Vec` machinery (control-plane
     /// builders, HTTP `encode()`): the allocation is adopted, not cloned.
     pub fn from_vec(data: Vec<u8>) -> PktBuf {
+        let len = data.len();
         PktBuf {
-            view: Buf::from_vec(data),
+            page: Arc::new(Page::heap(data)),
+            off: 0,
+            len,
         }
     }
 
     /// Builds a buffer by **copying** `data`. Counted.
     pub fn copy_from_slice(data: &[u8]) -> PktBuf {
         record_copy(data.len());
-        PktBuf {
-            view: Buf::copy_from_slice(data),
-        }
+        PktBuf::from_vec(data.to_vec())
     }
 
     /// The bytes this buffer covers.
     pub fn as_slice(&self) -> &[u8] {
-        self.view.as_slice()
+        &self.page.data[self.off..self.off + self.len]
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.view.len()
+        self.len
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.view.is_empty()
+        self.len == 0
     }
 
-    /// Sub-view over `range`, sharing the same backing page.
+    /// Sub-view over `range`, sharing the same backing page — the paper's
+    /// `Cstruct.sub`.
     ///
     /// # Panics
     ///
@@ -146,12 +240,23 @@ impl PktBuf {
         let end = match range.end_bound() {
             Bound::Included(&n) => n + 1,
             Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len(),
+            Bound::Unbounded => self.len,
         };
-        assert!(start <= end && end <= self.len(), "slice out of bounds");
+        assert!(start <= end && end <= self.len, "slice out of bounds");
         PktBuf {
-            view: self.view.sub(start, end - start),
+            page: Arc::clone(&self.page),
+            off: self.off + start,
+            len: end - start,
         }
+    }
+
+    /// Splits into `[0, mid)` and `[mid, len)` views.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mid > len`.
+    pub fn split_at(&self, mid: usize) -> (PktBuf, PktBuf) {
+        (self.slice(..mid), self.slice(mid..))
     }
 
     /// Splits off and returns the first `n` bytes; `self` keeps the rest.
@@ -162,7 +267,8 @@ impl PktBuf {
     /// Panics if `n > len`.
     pub fn split_to(&mut self, n: usize) -> PktBuf {
         let head = self.slice(..n);
-        self.view = self.view.skip(n);
+        self.off += n;
+        self.len -= n;
         head
     }
 
@@ -172,14 +278,9 @@ impl PktBuf {
         self.as_slice().to_vec()
     }
 
-    /// Number of views sharing the backing page (diagnostics).
+    /// Number of views (including this one) sharing the backing page.
     pub fn view_count(&self) -> usize {
-        self.view.view_count()
-    }
-
-    /// The underlying page view.
-    pub fn as_buf(&self) -> &Buf {
-        &self.view
+        Arc::strong_count(&self.page)
     }
 }
 
@@ -196,23 +297,13 @@ impl Deref for PktBuf {
     }
 }
 
-impl AsRef<[u8]> for PktBuf {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
 impl PartialEq for PktBuf {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
-impl std::hash::Hash for PktBuf {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
-    }
-}
+impl Eq for PktBuf {}
 
 impl PartialEq<[u8]> for PktBuf {
     fn eq(&self, other: &[u8]) -> bool {
@@ -223,12 +314,6 @@ impl PartialEq<[u8]> for PktBuf {
 impl PartialEq<&[u8]> for PktBuf {
     fn eq(&self, other: &&[u8]) -> bool {
         self.as_slice() == *other
-    }
-}
-
-impl<const N: usize> PartialEq<[u8; N]> for PktBuf {
-    fn eq(&self, other: &[u8; N]) -> bool {
-        self.as_slice() == other
     }
 }
 
@@ -244,22 +329,10 @@ impl PartialEq<Vec<u8>> for PktBuf {
     }
 }
 
-impl PartialEq<PktBuf> for Vec<u8> {
-    fn eq(&self, other: &PktBuf) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
 impl From<Vec<u8>> for PktBuf {
     /// Adopts the vector; no copy.
     fn from(data: Vec<u8>) -> PktBuf {
         PktBuf::from_vec(data)
-    }
-}
-
-impl From<Buf> for PktBuf {
-    fn from(view: Buf) -> PktBuf {
-        PktBuf::from_pool(view)
     }
 }
 
@@ -270,35 +343,39 @@ impl From<&[u8]> for PktBuf {
     }
 }
 
-impl<const N: usize> From<&[u8; N]> for PktBuf {
-    /// Copies the array. Counted.
-    fn from(data: &[u8; N]) -> PktBuf {
-        PktBuf::copy_from_slice(data)
-    }
-}
-
-impl From<&Vec<u8>> for PktBuf {
-    /// Copies the vector's contents. Counted.
-    fn from(data: &Vec<u8>) -> PktBuf {
-        PktBuf::copy_from_slice(data)
-    }
+/// Serialises the tests that assert on the process-wide copy counters.
+#[cfg(test)]
+pub(crate) fn audit_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PagePool;
+    use mirage_testkit::prop::{any, collection};
 
     #[test]
-    fn from_vec_adopts_without_counting() {
+    fn from_vec_adopts_the_allocation_without_counting() {
+        let _audit = audit_lock();
         let before = copy_counters();
-        let p = PktBuf::from_vec(vec![1, 2, 3, 4]);
+        let mut v = Vec::with_capacity(64);
+        v.extend_from_slice(&[1, 2, 3, 4]);
+        let ptr = v.as_ptr();
+        let p = PktBuf::from_vec(v);
         assert_eq!(p.as_slice(), &[1, 2, 3, 4]);
+        assert_eq!(
+            p.as_slice().as_ptr(),
+            ptr,
+            "spare capacity forces no realloc"
+        );
         assert_eq!(copy_counters().copies, before.copies, "adoption is free");
     }
 
     #[test]
     fn copy_from_slice_is_counted() {
+        let _audit = audit_lock();
         let before = copy_counters();
         let p = PktBuf::copy_from_slice(b"abcdef");
         let after = copy_counters();
@@ -308,21 +385,70 @@ mod tests {
     }
 
     #[test]
+    fn to_vec_and_slice_conversion_are_counted() {
+        let _audit = audit_lock();
+        let p = PktBuf::from_vec(b"abcdef".to_vec());
+        let before = copy_counters();
+        assert_eq!(p.to_vec(), b"abcdef");
+        let q: PktBuf = (&b"xyz"[..]).into();
+        assert_eq!(q, b"xyz");
+        let after = copy_counters();
+        assert_eq!(after.copies, before.copies + 2, "no silent copy behind a conversion");
+        assert_eq!(after.copy_bytes, before.copy_bytes + 9);
+    }
+
+    #[test]
     fn slicing_shares_the_page() {
+        let _audit = audit_lock();
         let pool = PagePool::new(1);
         let mut page = pool.alloc().unwrap();
         page.write_at(0, b"headerpayload");
         page.truncate(13);
-        let pkt = PktBuf::from_page(page);
+        let pkt = page.freeze();
         let before = copy_counters();
         let hdr = pkt.slice(..6);
         let body = pkt.slice(6..);
         assert_eq!(hdr, b"header");
         assert_eq!(body, b"payload");
+        assert_eq!(pkt.view_count(), 3);
         assert_eq!(copy_counters().copies, before.copies, "views are free");
         assert_eq!(pool.free_pages(), 0, "page still referenced");
         drop((pkt, hdr, body));
         assert_eq!(pool.free_pages(), 1, "page recycled after last view");
+    }
+
+    #[test]
+    fn unfrozen_bufmut_recycles_on_drop() {
+        let pool = PagePool::new(1);
+        let page = pool.alloc().unwrap();
+        drop(page);
+        assert_eq!(pool.free_pages(), 1);
+        assert_eq!(pool.stats().total_recycles, 1);
+    }
+
+    #[test]
+    fn write_at_grows_exposed_length() {
+        let pool = PagePool::new(1);
+        let mut page = pool.alloc().unwrap();
+        assert_eq!(page.len(), crate::PAGE_SIZE);
+        page.truncate(0);
+        page.write_at(0, b"abc");
+        assert_eq!(page.len(), 3);
+        page.write_at(1, b"z");
+        assert_eq!(page.len(), 3, "write inside extent does not grow");
+        assert_eq!(page.freeze().as_slice(), b"azc");
+    }
+
+    #[test]
+    fn equality_is_by_content() {
+        assert_eq!(
+            PktBuf::from_vec(b"hello".to_vec()),
+            PktBuf::from_vec(b"xhello".to_vec()).slice(1..)
+        );
+        assert_ne!(
+            PktBuf::from_vec(b"hello".to_vec()),
+            PktBuf::from_vec(b"world".to_vec())
+        );
     }
 
     #[test]
@@ -348,5 +474,55 @@ mod tests {
     fn slice_out_of_bounds_panics() {
         let p = PktBuf::from_vec(vec![0; 4]);
         let _ = p.slice(2..9);
+    }
+
+    mirage_testkit::property! {
+        /// The view algebra: any chain of in-bounds slice() calls observes
+        /// exactly the bytes of the corresponding slice range.
+        fn prop_slice_matches_slice(data in collection::vec(any::<u8>(), 1..256),
+                                    cuts in collection::vec((0usize..256, 0usize..256), 0..8)) {
+            let mut view = PktBuf::from_vec(data.clone());
+            let mut lo = 0usize;
+            let mut hi = data.len();
+            for (a, b) in cuts {
+                let len = hi - lo;
+                if len == 0 { break; }
+                let off = a % len;
+                let sub_len = b % (len - off + 1);
+                view = view.slice(off..off + sub_len);
+                lo += off;
+                hi = lo + sub_len;
+            }
+            assert_eq!(view.as_slice(), &data[lo..hi]);
+        }
+
+        /// split_at is a partition: concatenating the halves restores the view.
+        fn prop_split_partitions(data in collection::vec(any::<u8>(), 0..128),
+                                 mid_seed in any::<usize>()) {
+            let buf = PktBuf::from_vec(data.clone());
+            let mid = if data.is_empty() { 0 } else { mid_seed % (data.len() + 1) };
+            let (a, b) = buf.split_at(mid);
+            let mut joined = a.as_slice().to_vec();
+            joined.extend_from_slice(b.as_slice());
+            assert_eq!(joined, data);
+        }
+
+        /// Pages always return to the pool no matter how views are split.
+        fn prop_pages_always_recycle(splits in collection::vec(0usize..4096, 1..16)) {
+            let pool = PagePool::new(1);
+            {
+                let page = pool.alloc().unwrap();
+                let buf = page.freeze();
+                let mut views = vec![buf];
+                for s in splits {
+                    let last = views.last().unwrap().clone();
+                    let mid = s % (last.len() + 1);
+                    let (a, b) = last.split_at(mid);
+                    views.push(a);
+                    views.push(b);
+                }
+            }
+            assert_eq!(pool.free_pages(), 1);
+        }
     }
 }

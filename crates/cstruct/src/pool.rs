@@ -11,7 +11,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Mutex, Weak};
 
-use crate::buf::BufMut;
+use crate::pktbuf::BufMut;
 use crate::PAGE_SIZE;
 
 /// Error returned by [`PagePool::alloc`] when every page is in flight.
@@ -51,17 +51,44 @@ pub struct PoolStats {
     pub capacity: usize,
 }
 
-pub(crate) struct PoolInner {
-    free: Mutex<Vec<Box<[u8]>>>,
+struct PoolInner {
+    state: Mutex<PoolState>,
     capacity: usize,
-    counters: Mutex<(u64, u64)>, // (allocs, recycles)
 }
 
-impl PoolInner {
-    pub(crate) fn recycle(&self, page: Box<[u8]>) {
-        debug_assert_eq!(page.len(), PAGE_SIZE);
-        self.free.lock().expect("pool lock").push(page);
-        self.counters.lock().expect("pool lock").1 += 1;
+struct PoolState {
+    free: Vec<Vec<u8>>,
+    allocs: u64,
+    recycles: u64,
+}
+
+/// The bytes behind a view, and the whole page lifecycle: a page taken
+/// from a pool goes back to it when its owner — a [`BufMut`] still being
+/// written, or the last view over a frozen one — drops. A heap vector
+/// adopted at a system edge has no pool and is simply freed.
+pub(crate) struct Page {
+    pub(crate) data: Vec<u8>,
+    pool: Weak<PoolInner>,
+}
+
+impl Page {
+    /// Adopts `data` as a pool-less page, allocation and all.
+    pub(crate) fn heap(data: Vec<u8>) -> Page {
+        Page {
+            data,
+            pool: Weak::new(),
+        }
+    }
+}
+
+impl Drop for Page {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.upgrade() {
+            debug_assert_eq!(self.data.len(), PAGE_SIZE);
+            let mut state = pool.state.lock().expect("pool lock");
+            state.free.push(std::mem::take(&mut self.data));
+            state.recycles += 1;
+        }
     }
 }
 
@@ -99,14 +126,14 @@ impl fmt::Debug for PagePool {
 impl PagePool {
     /// Creates a pool holding `capacity` zeroed pages.
     pub fn new(capacity: usize) -> Self {
-        let pages = (0..capacity)
-            .map(|_| vec![0u8; PAGE_SIZE].into_boxed_slice())
-            .collect();
         PagePool {
             inner: Arc::new(PoolInner {
-                free: Mutex::new(pages),
+                state: Mutex::new(PoolState {
+                    free: (0..capacity).map(|_| vec![0u8; PAGE_SIZE]).collect(),
+                    allocs: 0,
+                    recycles: 0,
+                }),
                 capacity,
-                counters: Mutex::new((0, 0)),
             }),
         }
     }
@@ -121,23 +148,22 @@ impl PagePool {
     /// Returns [`PoolExhausted`] when every page is in flight; callers are
     /// expected to apply back-pressure and retry after views are dropped.
     pub fn alloc(&self) -> Result<BufMut, PoolExhausted> {
-        let mut page = self
-            .inner
-            .free
-            .lock()
-            .expect("pool lock")
-            .pop()
-            .ok_or(PoolExhausted {
-                capacity: self.inner.capacity,
-            })?;
-        page.fill(0);
-        self.inner.counters.lock().expect("pool lock").0 += 1;
-        Ok(BufMut::from_page(page, Arc::downgrade(&self.inner)))
+        let mut state = self.inner.state.lock().expect("pool lock");
+        let mut data = state.free.pop().ok_or(PoolExhausted {
+            capacity: self.inner.capacity,
+        })?;
+        state.allocs += 1;
+        drop(state);
+        data.fill(0);
+        Ok(BufMut::new(Page {
+            data,
+            pool: Arc::downgrade(&self.inner),
+        }))
     }
 
     /// Number of pages currently available.
     pub fn free_pages(&self) -> usize {
-        self.inner.free.lock().expect("pool lock").len()
+        self.inner.state.lock().expect("pool lock").free.len()
     }
 
     /// Pool capacity in pages.
@@ -147,17 +173,15 @@ impl PagePool {
 
     /// Lifetime counters plus current occupancy.
     pub fn stats(&self) -> PoolStats {
-        let (allocs, recycles) = *self.inner.counters.lock().expect("pool lock");
+        let state = self.inner.state.lock().expect("pool lock");
         PoolStats {
-            total_allocs: allocs,
-            total_recycles: recycles,
-            free: self.free_pages(),
+            total_allocs: state.allocs,
+            total_recycles: state.recycles,
+            free: state.free.len(),
             capacity: self.inner.capacity,
         }
     }
 }
-
-pub(crate) type PoolRef = Weak<PoolInner>;
 
 #[cfg(test)]
 mod tests {

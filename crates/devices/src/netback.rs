@@ -62,16 +62,6 @@ pub struct DriverStats {
     pub requests_rejected: u64,
 }
 
-impl DriverStats {
-    /// Total frames dropped for any reason.
-    pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped_congestion
-            + self.frames_dropped_netem
-            + self.frames_dropped_no_rx_buffer
-            + self.frames_dropped_oversize
-    }
-}
-
 /// The dom0 guest: hosts every backend plus the virtual switch.
 pub struct DriverDomain {
     xs: Xenstore,

@@ -56,17 +56,6 @@ impl NetemConfig {
             ..NetemConfig::default()
         }
     }
-
-    /// True when every fault knob is zero (the perfect wire).
-    pub fn is_perfect(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.corrupt == 0.0
-            && self.reorder == 0.0
-            && self.delay == Dur::ZERO
-            && self.jitter == Dur::ZERO
-            && self.partitions.is_empty()
-    }
 }
 
 /// Per-fault counters plus the full decision log.

@@ -399,11 +399,6 @@ impl SplitQueue {
         get_u16(&self.pages.used, 2) != self.last_used
     }
 
-    /// Used entries waiting to be consumed.
-    pub fn pending_used(&self) -> u16 {
-        get_u16(&self.pages.used, 2).wrapping_sub(self.last_used)
-    }
-
     /// Walks the free list (bounded), for invariant checks in tests: the
     /// returned ids must be unique and `num_free` long, and disjoint from
     /// every in-flight chain.

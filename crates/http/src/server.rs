@@ -113,30 +113,24 @@ impl HttpServer {
                         // stack slice segments out of it without re-copying.
                         stream.write_buf(PktBuf::from_vec(response.encode()));
                         if !keep {
-                            stream.close();
-                            stream.wait_closed().await;
                             break 'conn;
                         }
                     }
                     Ok(None) => break,
                     Err(_) => {
                         stream.write_buf(PktBuf::from_vec(Response::status(400).encode()));
-                        stream.close();
-                        stream.wait_closed().await;
                         break 'conn;
                     }
                 }
             }
             match stream.read().await {
                 Some(chunk) => parser.feed(chunk),
-                None => {
-                    // Peer closed; flush our side down cleanly.
-                    stream.close();
-                    stream.wait_closed().await;
-                    break;
-                }
+                None => break, // peer closed
             }
         }
+        // Whoever ended it, flush our side down cleanly.
+        stream.close();
+        stream.wait_closed().await;
     }
 }
 

@@ -6,13 +6,12 @@
 //! block and `Content-Length` body are in. Pipelined requests on one
 //! connection parse back-to-back.
 //!
-//! The parsers buffer [`PktBuf`] views rather than flat bytes, so feeding a
-//! chunk that arrived from the stack is a reference-count bump, not a copy.
-//! The only counted payload copy on the receive path is the final gather of
-//! the message body out of the buffered views.
+//! The parsers buffer [`PktBuf`] views in a [`PktQueue`] rather than flat
+//! bytes, so feeding a chunk that arrived from the stack is a reference-count
+//! bump, not a copy. The only counted payload copy on the receive path is
+//! the final gather of the message body out of the buffered views.
 
-use mirage_net::{record_copy, PktBuf};
-use std::collections::VecDeque;
+use mirage_net::{record_copy, PktBuf, PktQueue};
 
 /// Request methods the appliances use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +47,12 @@ impl Method {
     }
 }
 
+/// First value of the header called `name` (already lower-case).
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    let (_, value) = headers.iter().find(|(n, _)| n == name)?;
+    Some(value)
+}
+
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -66,11 +71,7 @@ pub struct Request {
 impl Request {
     /// First header value by (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, &name.to_ascii_lowercase())
     }
 
     /// Splits the path into (path, query).
@@ -168,11 +169,7 @@ impl Response {
 
     /// First header value by name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, &name.to_ascii_lowercase())
     }
 
     /// Serialises the response.
@@ -223,7 +220,7 @@ const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// Validates a claimed Content-Length before any buffering decision rides
 /// on it: unparseable values are malformed, absurd ones are rejected.
 fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
-    let Some((_, v)) = headers.iter().find(|(n, _)| n == "content-length") else {
+    let Some(v) = header(headers, "content-length") else {
         return Ok(0);
     };
     let n: usize = v.parse().map_err(|_| HttpError::Malformed)?;
@@ -233,89 +230,70 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
     Ok(n)
 }
 
-/// Received bytes held as a queue of [`PktBuf`] views. Feeding never copies
-/// payload; the views stay shared with the stack's receive buffers until a
-/// complete message is gathered out.
-#[derive(Debug, Default)]
-struct ChunkBuf {
-    chunks: VecDeque<PktBuf>,
-    len: usize,
+/// Offset of the first `\r\n\r\n`, scanned with a rolling window so the
+/// delimiter is found even when it straddles chunk boundaries.
+fn find_blank_line(buf: &PktQueue) -> Option<usize> {
+    let mut window = [0u8; 4];
+    let mut seen = 0usize;
+    for chunk in buf.chunks() {
+        for &b in chunk {
+            window.rotate_left(1);
+            window[3] = b;
+            seen += 1;
+            if seen >= 4 && window == *b"\r\n\r\n" {
+                return Some(seen - 4);
+            }
+        }
+    }
+    None
 }
 
-impl ChunkBuf {
-    fn push(&mut self, data: PktBuf) {
-        if !data.is_empty() {
-            self.len += data.len();
-            self.chunks.push_back(data);
+/// Takes one complete message off `buf`: the start line as `start` parsed
+/// it, the header pairs (names lower-cased) and the body. `None` while the
+/// header block or the `Content-Length` body is still arriving.
+fn take_message<T>(
+    buf: &mut PktQueue,
+    start: impl FnOnce(&str) -> Result<T, HttpError>,
+) -> Result<Option<(T, Vec<(String, String)>, Vec<u8>)>, HttpError> {
+    let Some(header_end) = find_blank_line(buf) else {
+        if buf.len() > MAX_HEADER_BYTES {
+            return Err(HttpError::TooLarge);
         }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Offset of the first `\r\n\r\n`, scanned with a rolling window so the
-    /// delimiter is found even when it straddles chunk boundaries.
-    fn find_blank_line(&self) -> Option<usize> {
-        let mut window = [0u8; 4];
-        let mut seen = 0usize;
-        for chunk in &self.chunks {
-            for &b in chunk.as_slice() {
-                window.rotate_left(1);
-                window[3] = b;
-                seen += 1;
-                if seen >= 4 && window == *b"\r\n\r\n" {
-                    return Some(seen - 4);
-                }
-            }
+        return Ok(None);
+    };
+    // Assembling the header block for parsing is not a counted copy:
+    // headers are protocol metadata, not delivered payload.
+    let head = buf.copy_range(0, header_end);
+    let header_text = std::str::from_utf8(&head).map_err(|_| HttpError::Malformed)?;
+    let mut lines = header_text.split("\r\n");
+    let start = start(lines.next().ok_or(HttpError::Malformed)?)?;
+    let mut headers = Vec::new();
+    for line in lines {
+        if line.is_empty() {
+            continue;
         }
-        None
+        let (name, value) = line.split_once(':').ok_or(HttpError::Malformed)?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
-
-    /// Copies `len` bytes starting at `start` into a fresh vector. Whether
-    /// this counts against the copy counters is the caller's call: header
-    /// blocks are protocol metadata, bodies are payload.
-    fn gather(&self, start: usize, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        let mut skip = start;
-        for chunk in &self.chunks {
-            if out.len() == len {
-                break;
-            }
-            let s = chunk.as_slice();
-            if skip >= s.len() {
-                skip -= s.len();
-                continue;
-            }
-            let take = (s.len() - skip).min(len - out.len());
-            out.extend_from_slice(&s[skip..skip + take]);
-            skip = 0;
-        }
-        out
+    let content_length = content_length(&headers)?;
+    let body_start = header_end + 4;
+    if buf.len() < body_start + content_length {
+        return Ok(None); // body still arriving
     }
-
-    /// Drops `n` bytes from the front, splitting the view at the boundary.
-    fn consume(&mut self, mut n: usize) {
-        self.len -= n;
-        while n > 0 {
-            let Some(front) = self.chunks.front_mut() else {
-                break;
-            };
-            if front.len() <= n {
-                n -= front.len();
-                self.chunks.pop_front();
-            } else {
-                let _ = front.split_to(n);
-                n = 0;
-            }
-        }
+    // The single counted copy on the receive path: the body leaves the
+    // shared views and becomes the application's owned bytes.
+    let body = buf.copy_range(body_start, content_length);
+    if !body.is_empty() {
+        record_copy(body.len());
     }
+    buf.advance(body_start + content_length);
+    Ok(Some((start, headers, body)))
 }
 
 /// An incremental request parser: feed bytes, take complete requests.
 #[derive(Debug, Default)]
 pub struct RequestParser {
-    buf: ChunkBuf,
+    buf: PktQueue,
 }
 
 impl RequestParser {
@@ -336,54 +314,27 @@ impl RequestParser {
     ///
     /// [`HttpError`] on malformed input; the connection should be closed.
     pub fn take(&mut self) -> Result<Option<Request>, HttpError> {
-        let Some(header_end) = self.buf.find_blank_line() else {
-            if self.buf.len() > MAX_HEADER_BYTES {
-                return Err(HttpError::TooLarge);
+        let message = take_message(&mut self.buf, |request_line| {
+            let mut parts = request_line.split_whitespace();
+            let method = Method::parse(parts.next().ok_or(HttpError::Malformed)?);
+            let path = parts.next().ok_or(HttpError::Malformed)?.to_owned();
+            let version = parts.next().ok_or(HttpError::Malformed)?;
+            if !version.starts_with("HTTP/1.") {
+                return Err(HttpError::Malformed);
             }
-            return Ok(None);
-        };
-        // Assembling the header block for parsing is not a counted copy:
-        // headers are protocol metadata, not delivered payload.
-        let head = self.buf.gather(0, header_end);
-        let header_text = std::str::from_utf8(&head).map_err(|_| HttpError::Malformed)?;
-        let mut lines = header_text.split("\r\n");
-        let request_line = lines.next().ok_or(HttpError::Malformed)?;
-        let mut parts = request_line.split_whitespace();
-        let method = Method::parse(parts.next().ok_or(HttpError::Malformed)?);
-        let path = parts.next().ok_or(HttpError::Malformed)?.to_owned();
-        let version = parts.next().ok_or(HttpError::Malformed)?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed);
-        }
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
+            Ok((method, path))
+        })?;
+        Ok(message.map(|((method, path), headers, body)| {
+            let keep_alive = !headers
+                .iter()
+                .any(|(n, v)| n == "connection" && v.eq_ignore_ascii_case("close"));
+            Request {
+                method,
+                path,
+                headers,
+                body,
+                keep_alive,
             }
-            let (name, value) = line.split_once(':').ok_or(HttpError::Malformed)?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-        }
-        let content_length = content_length(&headers)?;
-        let body_start = header_end + 4;
-        if self.buf.len() < body_start + content_length {
-            return Ok(None); // body still arriving
-        }
-        // The single counted copy on the receive path: the body leaves the
-        // shared views and becomes the application's owned bytes.
-        let body = self.buf.gather(body_start, content_length);
-        if !body.is_empty() {
-            record_copy(body.len());
-        }
-        self.buf.consume(body_start + content_length);
-        let keep_alive = !headers
-            .iter()
-            .any(|(n, v)| n == "connection" && v.eq_ignore_ascii_case("close"));
-        Ok(Some(Request {
-            method,
-            path,
-            headers,
-            body,
-            keep_alive,
         }))
     }
 }
@@ -391,7 +342,7 @@ impl RequestParser {
 /// An incremental response parser (client side).
 #[derive(Debug, Default)]
 pub struct ResponseParser {
-    buf: ChunkBuf,
+    buf: PktQueue,
 }
 
 impl ResponseParser {
@@ -411,45 +362,16 @@ impl ResponseParser {
     ///
     /// [`HttpError`] on malformed input.
     pub fn take(&mut self) -> Result<Option<Response>, HttpError> {
-        let Some(header_end) = self.buf.find_blank_line() else {
-            if self.buf.len() > MAX_HEADER_BYTES {
-                return Err(HttpError::TooLarge);
+        let message = take_message(&mut self.buf, |status_line| {
+            let mut parts = status_line.split_whitespace();
+            let version = parts.next().ok_or(HttpError::Malformed)?;
+            if !version.starts_with("HTTP/1.") {
+                return Err(HttpError::Malformed);
             }
-            return Ok(None);
-        };
-        let head = self.buf.gather(0, header_end);
-        let header_text = std::str::from_utf8(&head).map_err(|_| HttpError::Malformed)?;
-        let mut lines = header_text.split("\r\n");
-        let status_line = lines.next().ok_or(HttpError::Malformed)?;
-        let mut parts = status_line.split_whitespace();
-        let version = parts.next().ok_or(HttpError::Malformed)?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError::Malformed);
-        }
-        let status: u16 = parts
-            .next()
-            .ok_or(HttpError::Malformed)?
-            .parse()
-            .map_err(|_| HttpError::Malformed)?;
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line.split_once(':').ok_or(HttpError::Malformed)?;
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-        }
-        let content_length = content_length(&headers)?;
-        let body_start = header_end + 4;
-        if self.buf.len() < body_start + content_length {
-            return Ok(None);
-        }
-        let body = self.buf.gather(body_start, content_length);
-        if !body.is_empty() {
-            record_copy(body.len());
-        }
-        self.buf.consume(body_start + content_length);
-        Ok(Some(Response {
+            let status = parts.next().ok_or(HttpError::Malformed)?;
+            status.parse::<u16>().map_err(|_| HttpError::Malformed)
+        })?;
+        Ok(message.map(|(status, headers, body)| Response {
             status,
             headers,
             body,
@@ -467,7 +389,7 @@ mod tests {
         let req = Request::post("/tweet?user=7", b"hello world".to_vec());
         let wire = req.encode();
         let mut parser = RequestParser::new();
-        parser.feed(&wire);
+        parser.feed(wire);
         let parsed = parser.take().unwrap().unwrap();
         assert_eq!(parsed.method, Method::Post);
         assert_eq!(parsed.path, "/tweet?user=7");
@@ -481,7 +403,7 @@ mod tests {
         let resp = Response::ok("text/html", b"<h1>hi</h1>".to_vec());
         let wire = resp.encode();
         let mut parser = ResponseParser::new();
-        parser.feed(&wire);
+        parser.feed(wire);
         let parsed = parser.take().unwrap().unwrap();
         assert_eq!(parsed.status, 200);
         assert_eq!(parsed.body, b"<h1>hi</h1>");
@@ -497,7 +419,7 @@ mod tests {
             if let Some(done) = parser.take().unwrap() {
                 panic!("parsed early: {done:?}");
             }
-            parser.feed(chunk);
+            parser.feed(chunk.to_vec());
         }
         let parsed = parser.take().unwrap().unwrap();
         assert_eq!(parsed.body.len(), 100);
@@ -508,7 +430,7 @@ mod tests {
         let mut wire = Request::get("/a").encode();
         wire.extend(Request::get("/b").encode());
         let mut parser = RequestParser::new();
-        parser.feed(&wire);
+        parser.feed(wire);
         assert_eq!(parser.take().unwrap().unwrap().path, "/a");
         assert_eq!(parser.take().unwrap().unwrap().path, "/b");
         assert!(parser.take().unwrap().is_none());
@@ -520,21 +442,31 @@ mod tests {
         req.keep_alive = false;
         let wire = req.encode();
         let mut parser = RequestParser::new();
-        parser.feed(&wire);
+        parser.feed(wire);
         assert!(!parser.take().unwrap().unwrap().keep_alive);
     }
 
     #[test]
     fn malformed_inputs_rejected() {
         let mut parser = RequestParser::new();
-        parser.feed(b"NONSENSE\r\n\r\n");
+        parser.feed(b"NONSENSE\r\n\r\n".to_vec());
         assert_eq!(parser.take(), Err(HttpError::Malformed));
         let mut p2 = RequestParser::new();
-        p2.feed(b"GET / SPDY/9\r\n\r\n");
+        p2.feed(b"GET / SPDY/9\r\n\r\n".to_vec());
         assert_eq!(p2.take(), Err(HttpError::Malformed));
         let mut p3 = RequestParser::new();
-        p3.feed(&vec![b'x'; MAX_HEADER_BYTES + 1]);
+        p3.feed(vec![b'x'; MAX_HEADER_BYTES + 1]);
         assert_eq!(p3.take(), Err(HttpError::TooLarge));
+    }
+
+    #[test]
+    fn bad_start_line_is_rejected_before_the_body_arrives() {
+        let mut req = RequestParser::new();
+        req.feed(b"GET / SPDY/9\r\ncontent-length: 10\r\n\r\n".to_vec());
+        assert_eq!(req.take(), Err(HttpError::Malformed));
+        let mut resp = ResponseParser::new();
+        resp.feed(b"HTTP/1.1 abc OK\r\ncontent-length: 10\r\n\r\n".to_vec());
+        assert_eq!(resp.take(), Err(HttpError::Malformed));
     }
 
     mirage_testkit::property! {
@@ -547,7 +479,7 @@ mod tests {
             let mut parser = RequestParser::new();
             let mut result = None;
             for piece in wire.chunks(chunk) {
-                parser.feed(piece);
+                parser.feed(piece.to_vec());
             }
             if let Some(r) = parser.take().unwrap() {
                 result = Some(r);

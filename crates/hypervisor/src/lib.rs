@@ -113,23 +113,9 @@ impl Wake {
         }
     }
 
-    /// Block until any of `ports` is notified.
-    pub fn on_ports(ports: Vec<Port>) -> Wake {
-        Wake {
-            deadline: None,
-            ports,
-        }
-    }
-
     /// Block forever (only an exit or external wake ends the domain).
     pub fn never() -> Wake {
         Wake::default()
-    }
-
-    /// Adds a timeout to an event wait.
-    pub fn with_deadline(mut self, t: Time) -> Wake {
-        self.deadline = Some(t);
-        self
     }
 }
 
@@ -351,16 +337,6 @@ impl<'a> DomainEnv<'a> {
         self.sys.events.consume_pending(self.dom, port)
     }
 
-    /// Closes a local port.
-    ///
-    /// # Errors
-    ///
-    /// See [`EventSubsystem::close`].
-    pub fn evtchn_close(&mut self, port: Port) -> Result<(), EventError> {
-        self.hypercall();
-        self.sys.events.close(self.dom, port)
-    }
-
     /// Steers a local port's notifications to vCPU `v` (Xen's
     /// `EVTCHNOP_bind_vcpu`): the guest's per-core executors use the bit to
     /// decide which core services the port.
@@ -409,45 +385,6 @@ impl<'a> DomainEnv<'a> {
         self.hypercall();
         self.consumed[self.cur] += self.sys.costs.grant_map;
         self.sys.grants.map(self.dom, gref, writable)
-    }
-
-    /// Unmaps a previously mapped grant.
-    ///
-    /// # Errors
-    ///
-    /// See [`GrantTable::unmap`].
-    pub fn grant_unmap(&mut self, gref: GrantRef) -> Result<(), GrantError> {
-        self.hypercall();
-        self.sys.grants.unmap(self.dom, gref)
-    }
-
-    /// Copies out of a granted page via the hypervisor (the conventional
-    /// receive path; unikernels map instead).
-    ///
-    /// # Errors
-    ///
-    /// See [`GrantTable::copy_out`].
-    pub fn grant_copy_out(
-        &mut self,
-        gref: GrantRef,
-        offset: usize,
-        dst: &mut [u8],
-    ) -> Result<(), GrantError> {
-        self.hypercall();
-        self.consumed[self.cur] += self.sys.costs.grant_copy;
-        let copy_cost = self.sys.costs.copy(dst.len());
-        self.consumed[self.cur] += copy_cost;
-        self.sys.grants.copy_out(self.dom, gref, offset, dst)
-    }
-
-    /// Revokes a grant this domain issued.
-    ///
-    /// # Errors
-    ///
-    /// See [`GrantTable::revoke`].
-    pub fn grant_revoke(&mut self, gref: GrantRef) -> Result<(), GrantError> {
-        self.hypercall();
-        self.sys.grants.revoke(self.dom, gref)
     }
 
     // ----- memory / sealing ------------------------------------------------
@@ -588,11 +525,6 @@ impl Hypervisor {
             pcpu_free: vec![Time::ZERO; pcpus],
             step_budget: u64::MAX,
         }
-    }
-
-    /// Replaces the cost table (sensitivity experiments).
-    pub fn set_costs(&mut self, costs: CostTable) {
-        self.sys.costs = costs;
     }
 
     /// The active cost table.

@@ -34,7 +34,9 @@ pub mod tcp;
 pub mod udp;
 
 pub use addr::{Ipv4Addr, Mac};
-pub use mirage_cstruct::{copy_counters, record_copy, reset_copy_counters, CopyCounters, PktBuf};
+pub use mirage_cstruct::{
+    copy_counters, record_copy, reset_copy_counters, CopyCounters, PktBuf, PktQueue,
+};
 pub use stack::{
     idle_conn_bytes, NetError, Stack, StackConfig, StackStats, TcpListener, TcpStream, UdpSocket,
 };
@@ -260,6 +262,44 @@ mod tests {
         hv.run_until(Time::ZERO + Dur::secs(30));
         assert_eq!(hv.exit_code(dom_a), Some(0));
         assert_eq!(hv.exit_code(dom_b), Some(200_000));
+    }
+
+    #[test]
+    fn data_arriving_during_wait_closed_is_read_back_as_the_views_that_arrived() {
+        let payload: Vec<u8> = (0..5_000u32).map(|i| (i % 251) as u8).collect();
+        let expect = payload.clone();
+        let (mut hv, dom_a, _dom_b) = two_stack_world(
+            move |stack, rt| {
+                rt.clone().spawn(async move {
+                    rt.sleep(Dur::millis(5)).await;
+                    let mut stream = stack.tcp_connect(IP_B, 80).await.expect("connected");
+                    // Close first and wait out the teardown without reading:
+                    // everything the peer sends meanwhile is late data.
+                    stream.close();
+                    stream.wait_closed().await;
+                    let mut chunks = Vec::new();
+                    while let Some(chunk) = stream.read().await {
+                        chunks.push(chunk);
+                    }
+                    assert!(chunks.len() > 1, "one view per segment, not one merged buffer");
+                    let got: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
+                    assert_eq!(got, expect);
+                    0
+                })
+            },
+            move |stack, rt| {
+                rt.clone().spawn(async move {
+                    let mut listener = stack.tcp_listen(80).await.unwrap();
+                    let mut stream = listener.accept().await.unwrap();
+                    stream.write(&payload);
+                    stream.close();
+                    stream.wait_closed().await;
+                    0
+                })
+            },
+        );
+        hv.run_until(Time::ZERO + Dur::secs(30));
+        assert_eq!(hv.exit_code(dom_a), Some(0));
     }
 
     #[test]

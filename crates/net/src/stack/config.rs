@@ -47,13 +47,6 @@ impl StackConfig {
             cfg: StackConfig::static_ip(ip),
         }
     }
-
-    /// A validating builder seeded from [`StackConfig::dhcp`].
-    pub fn dhcp_builder() -> StackConfigBuilder {
-        StackConfigBuilder {
-            cfg: StackConfig::dhcp(),
-        }
-    }
 }
 
 /// Builder for [`StackConfig`]: chainable setters, invariants checked once

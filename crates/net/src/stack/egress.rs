@@ -211,7 +211,7 @@ impl Egress {
             Ok(mut page) => {
                 write(&mut page.as_mut_slice()[..len], dst);
                 page.truncate(len);
-                PktBuf::from_page(page)
+                page.freeze()
             }
             Err(_) => {
                 let mut heap = vec![0; len];

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mirage_testkit::sync::Mutex;
 
-use mirage_cstruct::PktBuf;
+use mirage_cstruct::{PktBuf, PktQueue};
 use mirage_devices::netfront::NetHandle;
 use mirage_hypervisor::Dur;
 use mirage_runtime::channel::{self, Notify, Receiver, Sender};
@@ -153,7 +153,9 @@ pub struct TcpStream {
     pub peer: (Ipv4Addr, u16),
     cmd: Sender<Cmd>,
     events: Receiver<StreamEvent>,
-    buffered: Vec<u8>,
+    /// Data that arrived while [`TcpStream::wait_closed`] was draining
+    /// events, still as views; [`TcpStream::read`] hands it back first.
+    late: PktQueue,
     eof: bool,
 }
 
@@ -176,7 +178,7 @@ impl TcpStream {
             peer,
             cmd,
             events,
-            buffered: Vec::new(),
+            late: PktQueue::new(),
             eof: false,
         }
     }
@@ -199,8 +201,8 @@ impl TcpStream {
     /// The chunk is a [`PktBuf`] view over the received page — reading
     /// never copies payload bytes.
     pub async fn read(&mut self) -> Option<PktBuf> {
-        if !self.buffered.is_empty() {
-            return Some(PktBuf::from_vec(std::mem::take(&mut self.buffered)));
+        if let Some(chunk) = self.late.pop() {
+            return Some(chunk);
         }
         if self.eof {
             return None;
@@ -212,24 +214,6 @@ impl TcpStream {
                 None
             }
         }
-    }
-
-    /// Reads exactly `n` bytes (buffering any excess), or `None` if the
-    /// stream ends first.
-    pub async fn read_exact(&mut self, n: usize) -> Option<Vec<u8>> {
-        let mut acc = std::mem::take(&mut self.buffered);
-        while acc.len() < n {
-            match self.read().await {
-                Some(chunk) => acc.extend_from_slice(&chunk),
-                None => {
-                    self.buffered = acc;
-                    return None;
-                }
-            }
-        }
-        let rest = acc.split_off(n);
-        self.buffered = rest;
-        Some(acc)
     }
 
     /// Reads until end-of-stream.
@@ -263,10 +247,8 @@ impl TcpStream {
     pub async fn wait_closed(&mut self) {
         loop {
             match self.events.recv().await {
-                Ok(StreamEvent::Data(d)) => {
-                    // Late data still counts as readable.
-                    self.buffered.extend_from_slice(&d);
-                }
+                // Late data still counts as readable.
+                Ok(StreamEvent::Data(d)) => self.late.push(d),
                 Ok(StreamEvent::Eof) => {
                     self.eof = true;
                 }

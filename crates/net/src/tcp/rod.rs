@@ -10,85 +10,10 @@
 //! orchestrator routes the classification to the right component.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
-use mirage_cstruct::PktBuf;
+use mirage_cstruct::{PktBuf, PktQueue};
 
 use super::seq;
-
-/// The unacknowledged-data buffer: a deque of refcounted [`PktBuf`] chunks
-/// rather than a flat byte queue, so queueing application data, carving
-/// MSS-sized segments and draining on ACK are all by-reference operations.
-/// Only a segment that straddles two chunks forces a (counted) gather copy.
-#[derive(Debug, Clone, Default)]
-struct SendBuf {
-    chunks: VecDeque<PktBuf>,
-    /// Bytes of the front chunk already acknowledged.
-    head_off: usize,
-    len: usize,
-}
-
-impl SendBuf {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Appends a chunk (refcount bump, no copy).
-    fn push(&mut self, data: PktBuf) {
-        if !data.is_empty() {
-            self.len += data.len();
-            self.chunks.push_back(data);
-        }
-    }
-
-    /// Drops the first `n` bytes (ACK advanced past them).
-    fn advance(&mut self, n: usize) {
-        let mut n = n.min(self.len);
-        self.len -= n;
-        while n > 0 {
-            let avail = self.chunks.front().expect("bytes remain").len() - self.head_off;
-            if n >= avail {
-                n -= avail;
-                self.head_off = 0;
-                self.chunks.pop_front();
-            } else {
-                self.head_off += n;
-                n = 0;
-            }
-        }
-    }
-
-    /// View of `len` bytes starting `start` bytes past the unacked base.
-    /// Zero-copy when the range lies within one chunk; gathers across
-    /// chunk boundaries otherwise (a counted copy).
-    fn range(&self, start: usize, len: usize) -> PktBuf {
-        debug_assert!(start + len <= self.len, "range beyond buffered data");
-        if len == 0 {
-            return PktBuf::empty();
-        }
-        let mut off = self.head_off + start;
-        let mut i = 0;
-        while self.chunks[i].len() <= off {
-            off -= self.chunks[i].len();
-            i += 1;
-        }
-        if off + len <= self.chunks[i].len() {
-            return self.chunks[i].slice(off..off + len);
-        }
-        let mut out = Vec::with_capacity(len);
-        let mut remaining = len;
-        while remaining > 0 {
-            let chunk = &self.chunks[i];
-            let take = remaining.min(chunk.len() - off);
-            out.extend_from_slice(&chunk.as_slice()[off..off + take]);
-            remaining -= take;
-            off = 0;
-            i += 1;
-        }
-        mirage_cstruct::record_copy(len);
-        PktBuf::from_vec(out)
-    }
-}
 
 /// How an acceptable forward ACK relates to an open recovery episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +71,10 @@ pub(super) struct Rod {
     iss: u32,
     snd_una: u32,
     snd_nxt: u32,
-    snd_buf: SendBuf,
+    /// Unacknowledged application data, by reference: queueing it, carving
+    /// MSS-sized segments and draining on ACK copy nothing; only a segment
+    /// that straddles two writes is gathered (a counted copy).
+    snd_buf: PktQueue,
     // Receive side.
     rcv_nxt: u32,
     ooo: BTreeMap<u32, PktBuf>,
@@ -166,7 +94,7 @@ impl Rod {
             iss,
             snd_una: iss,
             snd_nxt: iss.wrapping_add(1), // SYN occupies one sequence number
-            snd_buf: SendBuf::default(),
+            snd_buf: PktQueue::new(),
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             ooo_fin: None,
@@ -259,7 +187,7 @@ impl Rod {
             return None;
         }
         let chunk = limit.min(unsent);
-        let payload = self.snd_buf.range(sent, chunk);
+        let payload = self.snd_buf.view(sent, chunk);
         let seq_no = self.snd_nxt;
         self.snd_nxt = self.snd_nxt.wrapping_add(chunk as u32);
         Some((seq_no, payload, chunk == unsent))
@@ -271,7 +199,7 @@ impl Rod {
         if sent >= self.snd_buf.len() {
             return None;
         }
-        let payload = self.snd_buf.range(sent, 1);
+        let payload = self.snd_buf.view(sent, 1);
         let seq_no = self.snd_nxt;
         self.snd_nxt = self.snd_nxt.wrapping_add(1);
         Some((seq_no, payload))
@@ -298,7 +226,7 @@ impl Rod {
             let chunk = mss
                 .min(outstanding.max(1))
                 .min(self.snd_buf.len() - offset);
-            Some((self.snd_una, self.snd_buf.range(offset, chunk)))
+            Some((self.snd_una, self.snd_buf.view(offset, chunk)))
         } else {
             None
         }
@@ -560,21 +488,19 @@ mod tests {
     }
 
     #[test]
-    fn send_buffer_carves_exactly_the_queued_bytes() {
+    fn carving_follows_the_sequence_space() {
         let mut rod = Rod::new(100);
         rod.complete_syn(101); // SYN acked; data base == snd_una
         let data: Vec<u8> = (0..10_000u32).map(|i| i as u8).collect();
         rod.buffer(PktBuf::from_vec(data[..4000].to_vec()));
         rod.buffer(PktBuf::from_vec(data[4000..].to_vec()));
-        let mut carved = Vec::new();
-        let mut expect_seq = 101u32;
+        let mut carved = 0usize;
         while let Some((seq_no, payload, last)) = rod.carve_next(false, 1460) {
-            assert_eq!(seq_no, expect_seq, "segments carve in sequence order");
-            expect_seq = expect_seq.wrapping_add(payload.len() as u32);
-            carved.extend_from_slice(&payload);
-            assert_eq!(last, carved.len() == data.len());
+            assert_eq!(seq_no, 101 + carved as u32, "segments carve in sequence order");
+            assert_eq!(payload, data[carved..carved + payload.len()]);
+            carved += payload.len();
+            assert_eq!(last, carved == data.len());
         }
-        assert_eq!(carved, data, "carved segments tile the queued stream");
         assert_eq!(rod.flight(), data.len());
         // Ack half: the buffer drains, a retransmit view starts at snd_una.
         rod.ack_advance(101 + 5000, 5000);

@@ -225,7 +225,7 @@ fn options_are_negotiated() {
 fn bulk_transfer_delivers_in_order() {
     let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake();
     let data: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
-    c_out.extend(client.app_send(&data, now).segments);
+    c_out.extend(client.app_send(&data[..], now).segments);
     let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, _| true);
     assert_eq!(collect_data(&ev_s), data);
     assert!(client.stats().rto_retransmits == 0, "clean path, no RTOs");
@@ -242,7 +242,7 @@ fn bulk_transfer_under_cubic_delivers_in_order() {
     let (mut client, mut server, mut c_out, mut s_out, mut now) =
         handshake_with(cfg.clone(), cfg);
     let data: Vec<u8> = (0..100_000u32).map(|i| (i * 3) as u8).collect();
-    c_out.extend(client.app_send(&data, now).segments);
+    c_out.extend(client.app_send(&data[..], now).segments);
     let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |i, a2b| {
         !(a2b && i % 17 == 0) // some loss so CUBIC's recovery path runs
     });
@@ -253,8 +253,8 @@ fn bulk_transfer_under_cubic_delivers_in_order() {
 #[test]
 fn bidirectional_transfer() {
     let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake();
-    c_out.extend(client.app_send(b"request", now).segments);
-    s_out.extend(server.app_send(b"response", now).segments);
+    c_out.extend(client.app_send(&b"request"[..], now).segments);
+    s_out.extend(server.app_send(&b"response"[..], now).segments);
     let (ev_c, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, _| true);
     assert_eq!(collect_data(&ev_s), b"request");
     assert_eq!(collect_data(&ev_c), b"response");
@@ -264,7 +264,7 @@ fn bidirectional_transfer() {
 fn packet_loss_recovered_by_retransmission() {
     let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake();
     let data: Vec<u8> = (0..50_000u32).map(|i| (i * 7) as u8).collect();
-    c_out.extend(client.app_send(&data, now).segments);
+    c_out.extend(client.app_send(&data[..], now).segments);
     // Drop every 9th a->b segment.
     let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |i, a2b| {
         !(a2b && i % 9 == 0)
@@ -281,7 +281,7 @@ fn packet_loss_recovered_by_retransmission() {
 fn triple_dup_ack_triggers_fast_retransmit_not_rto() {
     let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake();
     let data = vec![0xAAu8; 20 * 1460];
-    c_out.extend(client.app_send(&data, now).segments);
+    c_out.extend(client.app_send(&data[..], now).segments);
     // Drop exactly the first data segment a->b; plenty of dupacks follow.
     let mut dropped = false;
     let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, a2b| {
@@ -380,13 +380,13 @@ fn cwnd_grows_in_slow_start_and_halves_on_loss() {
     let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake();
     let before = client.cwnd();
     let data = vec![1u8; 40 * 1460];
-    c_out.extend(client.app_send(&data, now).segments);
+    c_out.extend(client.app_send(&data[..], now).segments);
     pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, _| true);
     assert!(client.cwnd() > before, "slow start grew the window");
 
     // Now force an RTO and observe multiplicative decrease.
     let data2 = vec![2u8; 5 * 1460];
-    let segs = client.app_send(&data2, now).segments;
+    let segs = client.app_send(&data2[..], now).segments;
     assert!(!segs.is_empty());
     let deadline = client.next_deadline().expect("rtx armed");
     let out = client.poll(deadline).output;
@@ -408,7 +408,7 @@ fn window_scaling_disabled_still_interoperates() {
     assert!(!client.ws_enabled(), "client never offered scaling");
     assert!(!server.ws_enabled(), "server disabled scaling in response");
     let data: Vec<u8> = (0..40_000u32).map(|i| i as u8).collect();
-    c_out.extend(client.app_send(&data, now).segments);
+    c_out.extend(client.app_send(&data[..], now).segments);
     let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, _| true);
     assert_eq!(collect_data(&ev_s), data);
 }
@@ -416,7 +416,7 @@ fn window_scaling_disabled_still_interoperates() {
 #[test]
 fn duplicate_segments_do_not_duplicate_data() {
     let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake();
-    let out = client.app_send(b"exactly-once", now);
+    let out = client.app_send(&b"exactly-once"[..], now);
     let seg = &out.segments[0];
     let wire = PktBuf::from_vec(build_segment(A, 1000, B, 2000, seg));
     let parsed = TcpSegment::parse(A, B, &wire).unwrap();
@@ -438,8 +438,8 @@ fn duplicate_segments_do_not_duplicate_data() {
 fn out_of_order_segments_reassemble() {
     let (mut client, mut server, mut _c_out, mut s_out, now) = handshake();
     // Client produces two segments; deliver the second first.
-    let out = client.app_send(&vec![b'x'; 1460], now);
-    let out2 = client.app_send(&[b'y'; 100], now);
+    let out = client.app_send(vec![b'x'; 1460], now);
+    let out2 = client.app_send(&[b'y'; 100][..], now);
     let first = &out.segments[0];
     let second = &out2.segments[0];
     let w1 = PktBuf::from_vec(build_segment(A, 1000, B, 2000, first));
@@ -630,7 +630,7 @@ fn small_window_loss_recovers_by_fast_retransmit_not_rto() {
         let (mut client, mut server, _c, _s, now) = handshake_unscaled();
         shrink_cwnd(&mut client, in_flight, now);
         let data: Vec<u8> = (0..20 * MSS).map(|i| (i % 251) as u8).collect();
-        let mut wire = client.app_send(&data, now).segments;
+        let mut wire = client.app_send(&data[..], now).segments;
         assert_eq!(wire.len(), in_flight);
         wire.remove(0); // lost
         let mut received = Vec::new();
@@ -840,7 +840,7 @@ mirage_testkit::property! {
         let (mut client, mut server, mut c_out, mut s_out, mut now) =
             handshake_with(cfg.clone(), cfg);
         let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-        c_out.extend(client.app_send(&data, now).segments);
+        c_out.extend(client.app_send(&data[..], now).segments);
         let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |i, _| {
             // Drop per the mask bits, but never starve forever.
             (drop_mask >> (i % 64)) & 1 == 0 || i > 200

@@ -72,11 +72,6 @@ impl ByteRing {
         })
     }
 
-    /// Free space in bytes.
-    pub fn available_space(&self) -> u32 {
-        self.capacity - self.available_data()
-    }
-
     /// Writes as much of `data` as fits; returns `(written, notify)` where
     /// `notify` means the reader announced it was blocked and must receive
     /// an event-channel notification.

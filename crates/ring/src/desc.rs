@@ -151,12 +151,6 @@ impl FrontRing {
         })
     }
 
-    /// Number of responses waiting.
-    pub fn pending_responses(&self) -> u32 {
-        let rsp_prod = self.page.read(ring_hdr::get_rsp_prod);
-        rsp_prod.wrapping_sub(self.rsp_cons)
-    }
-
     /// The shared page (to grant to the backend domain).
     pub fn page(&self) -> &SharedPage {
         &self.page

@@ -429,4 +429,23 @@ impl CoreHandle {
     pub(crate) fn live_tasks(&self) -> usize {
         self.sched.lock().tasks.len()
     }
+
+    /// Drops every task, armed timer and queued wake. A parked task holds
+    /// clones of this handle and the scheduler holds the task, so without
+    /// this a dropped guest would keep itself — and every page, socket and
+    /// channel its tasks own — alive for the life of the process.
+    pub(crate) fn shutdown(&self) {
+        // Futures drop outside the lock: their destructors disarm timers
+        // and wake peers, both of which take it again.
+        loop {
+            let tasks = std::mem::take(&mut self.sched.lock().tasks);
+            if tasks.is_empty() {
+                break;
+            }
+        }
+        for core in &mut self.sched.lock().cores {
+            core.run_queue.clear();
+            core.timers = TimerWheel::new();
+        }
+    }
 }

@@ -257,11 +257,6 @@ impl Runtime {
         self.core.sched.lock().spawned_total
     }
 
-    /// GC statistics, if a heap model is attached.
-    pub fn gc_stats(&self) -> Option<mirage_pvboot::heap::GcStats> {
-        self.core.sched.lock().heap.as_ref().map(|h| h.stats())
-    }
-
     /// Runs one executor round — every task runnable now is polled once,
     /// tasks it wakes wait for the next round — charging all task work to
     /// `env`. [`UnikernelGuest`] services its devices between rounds; this
@@ -362,6 +357,12 @@ impl UnikernelGuest {
     }
 }
 
+impl Drop for UnikernelGuest {
+    fn drop(&mut self) {
+        self.rt.core.shutdown();
+    }
+}
+
 /// Conversion from a boot closure's return value into the main-thread
 /// handle. Implemented for [`JoinHandle`] and for plain exit codes.
 pub trait IntoMainHandle<T> {
@@ -436,6 +437,38 @@ mod tests {
         let dom = hv.create_domain("test", 64, Box::new(guest));
         hv.run();
         (hv, dom)
+    }
+
+    #[test]
+    fn dropping_the_hypervisor_reclaims_a_guest_parked_forever() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        struct Flag(Arc<AtomicBool>);
+        impl Drop for Flag {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+
+        let pool = mirage_cstruct::PagePool::new(2);
+        let page = pool.alloc().unwrap().freeze();
+        let dropped = Arc::new(AtomicBool::new(false));
+        let flag = Flag(Arc::clone(&dropped));
+        let guest = UnikernelGuest::new(move |_env, rt| {
+            let rt2 = rt.clone();
+            // The parked task owns a runtime clone: the cycle under test.
+            rt.spawn(async move {
+                let _held = (page, flag);
+                rt2.sleep_until(Time::MAX).await;
+                0
+            })
+        });
+        let (hv, dom) = run_guest(guest);
+        assert_eq!(hv.exit_code(dom), None, "still parked");
+        assert_eq!(pool.free_pages(), 1, "page pinned while the world lives");
+        drop(hv);
+        assert!(dropped.load(Ordering::SeqCst), "parked task was dropped");
+        assert_eq!(pool.free_pages(), pool.capacity());
     }
 
     #[test]

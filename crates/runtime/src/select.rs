@@ -6,15 +6,6 @@ use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
-/// The winner of a two-way race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either<A, B> {
-    /// The first future finished first.
-    Left(A),
-    /// The second future finished first.
-    Right(B),
-}
-
 /// The winner of a three-way race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Either3<A, B, C> {
@@ -24,32 +15,6 @@ pub enum Either3<A, B, C> {
     Second(B),
     /// The third future finished first.
     Third(C),
-}
-
-/// Future racing two futures; the loser is dropped (cancelled).
-#[derive(Debug)]
-pub struct Select2<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: Future + Unpin, B: Future + Unpin> Future for Select2<A, B> {
-    type Output = Either<A::Output, B::Output>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Poll::Ready(v) = Pin::new(&mut self.a).poll(cx) {
-            return Poll::Ready(Either::Left(v));
-        }
-        if let Poll::Ready(v) = Pin::new(&mut self.b).poll(cx) {
-            return Poll::Ready(Either::Right(v));
-        }
-        Poll::Pending
-    }
-}
-
-/// Races two futures, returning whichever completes first.
-pub fn select2<A: Future + Unpin, B: Future + Unpin>(a: A, b: B) -> Select2<A, B> {
-    Select2 { a, b }
 }
 
 /// Future racing three futures.

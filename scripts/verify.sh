@@ -45,6 +45,9 @@
 #                                    # vCPUs, 4 vCPUs >= 2x 1 vCPU)
 #   scripts/verify.sh --all          # every gate above, with a per-gate
 #                                    # wall-time summary at the end
+#   scripts/verify.sh --loc          # print non-test lines per crate and in
+#                                    # total (the number a simplicity PR
+#                                    # reports, before and after) and exit
 #
 # Flags combine: `verify.sh --chaos --adversarial` runs both extras.
 #
@@ -55,6 +58,33 @@
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Non-test lines under <dir> as file:line:text — everything above a file's
+# first column-0 #[cfg(test)], the tcp/tests.rs test module excluded.
+non_test_lines() {
+    find "$1" -name '*.rs' ! -path '*/tcp/tests.rs' -print0 | sort -z \
+        | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ":" $0 }'
+}
+
+want() {
+    local flag="$1"
+    shift
+    for arg in "$@"; do
+        [[ "$arg" == "$flag" ]] && return 0
+    done
+    return 1
+}
+
+if want --loc "$@"; then
+    total=0
+    for src in crates/*/src; do
+        n="$(non_test_lines "$src" | wc -l)"
+        total=$((total + n))
+        printf '%-24s %6d\n' "$src" "$n"
+    done
+    printf '%-24s %6d\n' total "$total"
+    exit 0
+fi
 
 # Per-gate wall-time bookkeeping (printed when more than the base tier
 # runs, always under --all).
@@ -80,7 +110,7 @@ if grep -rEn '=\s*\{?\s*"[~^]?[0-9]' Cargo.toml crates/*/Cargo.toml \
 fi
 echo "   ok"
 
-echo "== gate: one device data path, one flow hash, no dead code"
+echo "== gate: one device data path, one flow hash, one buffer type, no dead code"
 # One Toeplitz key for the NIC classifier and the stack demux alike.
 keys="$(grep -rEn '^\s*(pub(\([a-z]+\))? )?(const|static) RSS_KEY\b' crates --include='*.rs' | wc -l)"
 if [[ "$keys" -ne 1 ]]; then
@@ -104,19 +134,23 @@ if [[ -n "$long" ]]; then
     echo "$long" >&2
     exit 1
 fi
+# One view type (PktBuf) and one view queue (PktQueue): the types they
+# replaced stay gone, and adopting a Vec never shrinks (= may copy) it.
+if grep -rnE --include='*.rs' 'struct (Buf|BufList|SendBuf|ChunkBuf)\b' crates; then
+    echo "FAIL: a second buffer or queue type is back (lines above)" >&2
+    exit 1
+fi
+if grep -rn 'into_boxed_slice' crates/cstruct/src; then
+    echo "FAIL: into_boxed_slice in crates/cstruct/src may realloc an adopted Vec" >&2
+    exit 1
+fi
 echo "   ok"
 
 echo "== gate: one way out of the stack, each header layout written once"
-# Non-test lines of crates/net/src as file:line:text — everything above a
-# file's first column-0 #[cfg(test)].
-net_src() {
-    find crates/net/src -name '*.rs' ! -path '*/tcp/tests.rs' -print0 | sort -z \
-        | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ":" $0 }'
-}
 # exactly <n> <what>: <n> non-test lines match the extended regex <re>.
 exactly() {
     local n="$1" what="$2" re="$3" hits
-    hits="$(net_src | grep -E -- "$re" || true)"
+    hits="$(non_test_lines crates/net/src | grep -E -- "$re" || true)"
     if [[ "$(grep -c . <<< "$hits")" -ne "$n" ]]; then
         echo "FAIL: expected $n non-test site(s) of $what in crates/net/src, found:" >&2
         echo "${hits:-(none)}" >&2
@@ -148,15 +182,6 @@ for ex in quickstart boot_storm dns_appliance web_appliance openflow_appliance; 
 done
 
 lap tier1
-
-want() {
-    local flag="$1"
-    shift
-    for arg in "$@"; do
-        [[ "$arg" == "$flag" ]] && return 0
-    done
-    return 1
-}
 
 if want --all "$@"; then
     set -- --determinism --bench --chaos --adversarial --conformance --cc --scale --smp
