@@ -20,7 +20,7 @@
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::pool::Page;
 
@@ -185,9 +185,15 @@ pub struct PktBuf {
 }
 
 impl PktBuf {
-    /// An empty buffer.
+    /// An empty buffer: a view of nothing on one page every empty buffer
+    /// shares, so making one allocates nothing.
     pub fn empty() -> PktBuf {
-        PktBuf::from_vec(Vec::new())
+        static EMPTY: OnceLock<Arc<Page>> = OnceLock::new();
+        PktBuf {
+            page: Arc::clone(EMPTY.get_or_init(|| Arc::new(Page::heap(Vec::new())))),
+            off: 0,
+            len: 0,
+        }
     }
 
     /// Takes ownership of an already-built vector without copying: the

@@ -70,6 +70,10 @@ pub struct DriverDomain {
     switch: Switch,
     blks: Vec<BlkBackend>,
     seen: HashSet<String>,
+    /// The store version as of a scan that met no frontend still to
+    /// attach: until a write moves it, a rescan would find — and charge —
+    /// nothing, so it is skipped.
+    settled_at: Option<u64>,
     stats: Arc<Mutex<DriverStats>>,
     disk_rng: Rng,
 }
@@ -95,6 +99,7 @@ impl DriverDomain {
             switch: Switch::new(net_profile, Arc::clone(&stats)),
             blks: Vec::new(),
             seen: HashSet::new(),
+            settled_at: None,
             stats,
             disk_rng: Rng::for_stream(mirage_testkit::DEFAULT_SEED, "netback-disk-faults"),
         }
@@ -127,7 +132,12 @@ impl DriverDomain {
     /// Attaches every frontend that has advertised itself since the last
     /// pass: NICs become switch ports, disks get a block backend.
     fn discover(&mut self, env: &mut DomainEnv<'_>) -> bool {
+        let version = self.xs.version();
+        if self.settled_at == Some(version) {
+            return false;
+        }
         let mut progressed = false;
+        let mut settled = true;
         for (dir, probe) in &PROBES {
             for key in self.xs.keys_with_prefix(dir) {
                 let Some(base) = key.strip_suffix("/state") else {
@@ -136,6 +146,9 @@ impl DriverDomain {
                 if self.seen.contains(base) {
                     continue;
                 }
+                // An unattached frontend is polled (and its read charged)
+                // on every pass until it attaches.
+                settled = false;
                 if self.xs.read(env, &key).as_deref() != Some("initialising") {
                     continue;
                 }
@@ -166,6 +179,7 @@ impl DriverDomain {
                 progressed = true;
             }
         }
+        self.settled_at = settled.then_some(version);
         progressed
     }
 }

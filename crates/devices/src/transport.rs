@@ -32,6 +32,7 @@ use std::collections::HashMap;
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId};
+use mirage_ring::Slot;
 
 use crate::driver::Backend;
 use crate::xenstore::Xenstore;
@@ -84,11 +85,12 @@ pub(crate) struct Completion {
 }
 
 /// What dom0 takes: a request whose buffer is known to lie inside one
-/// page. `header` is empty for header-less requests (network frames).
+/// page. `header` — at most [`HEADER_MAX`] bytes, held inline — is empty
+/// for header-less requests (network frames).
 #[derive(Debug)]
 pub(crate) struct Request {
     pub token: u32,
-    pub header: Vec<u8>,
+    pub header: Slot,
     pub data: DataBuf,
 }
 
@@ -358,7 +360,10 @@ mod tests {
                 3 | 4 => match (self.back.take(env), self.posted.pop_front()) {
                     (None, None) => {}
                     (Some(Ok(req)), Some((token, header, data))) => {
-                        assert_eq!((req.token, &req.header, req.data), (token, &header, data));
+                        assert_eq!(
+                            (req.token, &*req.header, req.data),
+                            (token, &header[..], data)
+                        );
                         self.held.push(token);
                     }
                     (got, want) => panic!("take gave {got:?}, the model {want:?}"),

@@ -7,7 +7,7 @@ use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId, PAGE_SIZE};
 use mirage_ring::desc::SLOT_PAYLOAD;
-use mirage_ring::{BackRing, FrontRing};
+use mirage_ring::{BackRing, FrontRing, Slot};
 
 use super::{
     BackQueue, BackTransport, Completion, DataBuf, Dir, FrontTransport, NicQueues, Request,
@@ -152,7 +152,7 @@ impl RingBack {
 
 impl BackTransport for RingBack {
     fn take(&mut self, _env: &mut DomainEnv<'_>) -> Option<Result<Request, u32>> {
-        let mut slot = self.0.take_request()?;
+        let slot = self.0.take_request()?;
         let mut fixed = [0u8; REQ_FIXED];
         let n = slot.len().min(REQ_FIXED);
         fixed[..n].copy_from_slice(&slot[..n]);
@@ -162,7 +162,6 @@ impl BackTransport for RingBack {
         if slot.len() < REQ_FIXED || off + len as usize > PAGE_SIZE {
             return Some(Err(gref));
         }
-        slot.drain(..REQ_FIXED);
         let data = DataBuf {
             gref,
             off,
@@ -171,7 +170,7 @@ impl BackTransport for RingBack {
         };
         Some(Ok(Request {
             token: gref,
-            header: slot,
+            header: Slot::new(&slot[REQ_FIXED..]),
             data,
         }))
     }

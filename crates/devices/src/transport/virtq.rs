@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId, PAGE_SIZE};
+use mirage_ring::Slot;
 
 use super::{
     map_cached, BackQueue, BackTransport, Completion, DataBuf, Dir, FrontTransport, NicQueues,
@@ -233,7 +234,7 @@ impl BackTransport for VirtqBack {
         let chain = self.q.pop_avail()?;
         let token = u32::from(chain.head);
         let (header, (addr, len, device_writes)) = match chain.bufs[..] {
-            [data] => (Vec::new(), data),
+            [data] => (Slot::new(&[]), data),
             [(hdr_addr, hdr_len, false), data, (status_addr, 1, true)]
                 if (1..=HEADER_MAX).contains(&(hdr_len as usize)) =>
             {
@@ -246,7 +247,7 @@ impl BackTransport for VirtqBack {
                     return Some(Err(token));
                 };
                 self.status.insert(chain.head, status_addr);
-                (page.read(|b| b[hdr].to_vec()), data)
+                (page.read(|b| Slot::new(&b[hdr])), data)
             }
             _ => return Some(Err(token)),
         };

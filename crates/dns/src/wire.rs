@@ -220,7 +220,7 @@ impl Message {
 
     /// Serialises using a caller-supplied compression table flavour (for
     /// the §4.2 ablation bench).
-    pub fn encode_with(&self, table: &mut CompressionTable) -> Vec<u8> {
+    pub fn encode_with<'a>(&'a self, table: &mut CompressionTable<'a>) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
         out.extend_from_slice(&self.id.to_be_bytes());
         let mut flags = 0u16;
@@ -264,9 +264,9 @@ impl Message {
         }
         let id = u16::from_be_bytes([data[0], data[1]]);
         let flags = u16::from_be_bytes([data[2], data[3]]);
-        let counts: Vec<usize> = (0..4)
-            .map(|i| u16::from_be_bytes([data[4 + 2 * i], data[5 + 2 * i]]) as usize)
-            .collect();
+        let counts: [usize; 4] = std::array::from_fn(|i| {
+            u16::from_be_bytes([data[4 + 2 * i], data[5 + 2 * i]]) as usize
+        });
         // Count sanity: a question needs at least 5 wire bytes and a record
         // at least 11, so counts claiming more than the datagram could hold
         // are length-field lies — rejected before allocating or looping.
@@ -314,7 +314,7 @@ impl Message {
     }
 }
 
-fn encode_record(r: &Record, out: &mut Vec<u8>, table: &mut CompressionTable) {
+fn encode_record<'a>(r: &'a Record, out: &mut Vec<u8>, table: &mut CompressionTable<'a>) {
     r.name.encode(out, table);
     out.extend_from_slice(&r.rdata.rtype().to_u16().to_be_bytes());
     out.extend_from_slice(&1u16.to_be_bytes()); // IN

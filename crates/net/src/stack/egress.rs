@@ -225,7 +225,7 @@ impl Egress {
     /// Hands an assembled frame to the device, charging the one pass over
     /// its bytes.
     fn transmit(&mut self, frame: PktBuf) {
-        self.rt.charge(self.rt.costs().copy(frame.len()));
+        self.rt.charge_with(|costs| costs.copy(frame.len()));
         let _ = self.tx.send(frame);
     }
 

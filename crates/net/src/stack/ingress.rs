@@ -151,7 +151,7 @@ fn broadcast_dhcp(egress: &mut Egress, message: &[u8]) {
 
 impl Worker {
     pub(super) fn on_frame(&mut self, frame: &PktBuf) {
-        self.rt.charge(self.rt.costs().copy(frame.len().min(128)));
+        self.rt.charge_with(|costs| costs.copy(frame.len().min(128)));
         let Some(eth) = Frame::parse(frame.as_slice()) else {
             return;
         };

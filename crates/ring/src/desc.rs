@@ -64,13 +64,53 @@ fn slot_range(idx: u32) -> std::ops::Range<usize> {
     start..start + SLOT_BYTES
 }
 
-fn read_slot(page: &SharedPage, idx: u32) -> Vec<u8> {
-    page.read(|bytes| {
-        let r = slot_range(idx);
-        let slot = &bytes[r];
-        let len = u16::from_le_bytes([slot[0], slot[1]]) as usize;
-        slot[2..2 + len.min(SLOT_PAYLOAD)].to_vec()
-    })
+/// One descriptor, copied out of its slot onto the stack: it derefs to the
+/// descriptor's bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    bytes: [u8; SLOT_PAYLOAD],
+    len: u8,
+}
+
+impl Slot {
+    /// A descriptor holding `data`, or as much of it as a slot carries.
+    pub fn new(data: &[u8]) -> Slot {
+        let len = data.len().min(SLOT_PAYLOAD);
+        let mut bytes = [0; SLOT_PAYLOAD];
+        bytes[..len].copy_from_slice(&data[..len]);
+        Slot {
+            bytes,
+            len: len as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for Slot {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Slot({:02x?})", &**self)
+    }
+}
+
+/// Decodes slot `idx` where it lies. The length field is the peer's word:
+/// one larger than the slot is clamped to it.
+fn read_slot(bytes: &[u8], idx: u32) -> Slot {
+    let slot = &bytes[slot_range(idx)];
+    let len = usize::from(u16::from_le_bytes([slot[0], slot[1]]));
+    Slot::new(&slot[2..2 + len.min(SLOT_PAYLOAD)])
+}
+
+/// Writes `data` into slot `idx`.
+fn write_slot(bytes: &mut [u8], idx: u32, data: &[u8]) {
+    let slot = &mut bytes[slot_range(idx)];
+    slot[0..2].copy_from_slice(&(data.len() as u16).to_le_bytes());
+    slot[2..2 + data.len()].copy_from_slice(data);
 }
 
 /// The guest half of a device ring: pushes requests, consumes responses.
@@ -91,10 +131,10 @@ impl FrontRing {
     /// Free request slots (flow control: requests outstanding may not
     /// exceed the ring size).
     pub fn free_slots(&self) -> u32 {
-        let (req_prod, _) = self.page.read(|b| {
-            (ring_hdr::get_req_prod(b), ring_hdr::get_rsp_prod(b))
-        });
-        RING_SIZE - (req_prod.wrapping_sub(self.rsp_cons))
+        // The shared index is the peer's to scribble on: a count beyond
+        // the ring reads as no room, never as an underflow.
+        let req_prod = self.page.read(ring_hdr::get_req_prod);
+        RING_SIZE.saturating_sub(req_prod.wrapping_sub(self.rsp_cons))
     }
 
     /// Pushes one request descriptor; returns `true` when the backend must
@@ -108,36 +148,33 @@ impl FrontRing {
         if data.len() > SLOT_PAYLOAD {
             return Err(RingError::TooLarge);
         }
-        if self.free_slots() == 0 {
-            return Err(RingError::Full);
-        }
-        let notify = self.page.write(|bytes| {
+        let rsp_cons = self.rsp_cons;
+        // One access to the shared page: flow control, slot and index.
+        self.page.write(|bytes| {
             let old_prod = ring_hdr::get_req_prod(bytes);
+            if old_prod.wrapping_sub(rsp_cons) >= RING_SIZE {
+                return Err(RingError::Full);
+            }
             let new_prod = old_prod.wrapping_add(1);
             // Write the slot, then publish the producer index (the write
             // barrier the paper's inline assembly provides).
-            let r = slot_range(old_prod);
-            let slot = &mut bytes[r];
-            slot[0..2].copy_from_slice(&(data.len() as u16).to_le_bytes());
-            slot[2..2 + data.len()].copy_from_slice(data);
+            write_slot(bytes, old_prod, data);
             ring_hdr::set_req_prod(bytes, new_prod);
             let req_event = ring_hdr::get_req_event(bytes);
             // Notify iff the peer's announced wait point falls inside
             // (old_prod, new_prod].
-            new_prod.wrapping_sub(req_event) < new_prod.wrapping_sub(old_prod)
-        });
-        Ok(notify)
+            Ok(new_prod.wrapping_sub(req_event) < new_prod.wrapping_sub(old_prod))
+        })
     }
 
     /// Pops the next response, if any.
-    pub fn take_response(&mut self) -> Option<Vec<u8>> {
-        let rsp_prod = self.page.read(ring_hdr::get_rsp_prod);
-        if rsp_prod == self.rsp_cons {
-            return None;
-        }
-        let data = read_slot(&self.page, self.rsp_cons);
-        self.rsp_cons = self.rsp_cons.wrapping_add(1);
-        Some(data)
+    pub fn take_response(&mut self) -> Option<Slot> {
+        let cons = self.rsp_cons;
+        let rsp = self.page.read(|bytes| {
+            (ring_hdr::get_rsp_prod(bytes) != cons).then(|| read_slot(bytes, cons))
+        })?;
+        self.rsp_cons = cons.wrapping_add(1);
+        Some(rsp)
     }
 
     /// Announces the frontend is about to block until the next response.
@@ -172,14 +209,13 @@ impl BackRing {
     }
 
     /// Pops the next request, if any.
-    pub fn take_request(&mut self) -> Option<Vec<u8>> {
-        let req_prod = self.page.read(ring_hdr::get_req_prod);
-        if req_prod == self.req_cons {
-            return None;
-        }
-        let data = read_slot(&self.page, self.req_cons);
-        self.req_cons = self.req_cons.wrapping_add(1);
-        Some(data)
+    pub fn take_request(&mut self) -> Option<Slot> {
+        let cons = self.req_cons;
+        let req = self.page.read(|bytes| {
+            (ring_hdr::get_req_prod(bytes) != cons).then(|| read_slot(bytes, cons))
+        })?;
+        self.req_cons = cons.wrapping_add(1);
+        Some(req)
     }
 
     /// Pushes one response; returns `true` when the frontend must be
@@ -197,10 +233,7 @@ impl BackRing {
         let notify = self.page.write(|bytes| {
             let old_prod = ring_hdr::get_rsp_prod(bytes);
             let new_prod = old_prod.wrapping_add(1);
-            let r = slot_range(old_prod);
-            let slot = &mut bytes[r];
-            slot[0..2].copy_from_slice(&(data.len() as u16).to_le_bytes());
-            slot[2..2 + data.len()].copy_from_slice(data);
+            write_slot(bytes, old_prod, data);
             ring_hdr::set_rsp_prod(bytes, new_prod);
             let rsp_event = ring_hdr::get_rsp_event(bytes);
             new_prod.wrapping_sub(rsp_event) < new_prod.wrapping_sub(old_prod)
@@ -249,9 +282,9 @@ mod tests {
         front.push_request(b"read sector 7").unwrap();
         assert_eq!(back.pending_requests(), 1);
         let req = back.take_request().unwrap();
-        assert_eq!(req, b"read sector 7");
+        assert_eq!(&*req, b"read sector 7");
         back.push_response(b"sector 7 data").unwrap();
-        assert_eq!(front.take_response().unwrap(), b"sector 7 data");
+        assert_eq!(&*front.take_response().unwrap(), b"sector 7 data");
         assert_eq!(front.take_response(), None);
     }
 
@@ -268,6 +301,16 @@ mod tests {
         back.push_response(b"r").unwrap();
         assert!(front.take_response().is_some());
         assert!(front.push_request(b"x").is_ok());
+    }
+
+    #[test]
+    fn a_scribbled_producer_index_reads_as_a_full_ring() {
+        let (mut front, _back) = pair();
+        front
+            .page()
+            .write(|b| ring_hdr::set_req_prod(b, RING_SIZE + 7));
+        assert_eq!(front.free_slots(), 0);
+        assert_eq!(front.push_request(b"x"), Err(RingError::Full));
     }
 
     #[test]
@@ -314,9 +357,9 @@ mod tests {
         for round in 0..(RING_SIZE * 5) {
             front.push_request(&round.to_le_bytes()).unwrap();
             let req = back.take_request().unwrap();
-            assert_eq!(req, round.to_le_bytes());
+            assert_eq!(*req, round.to_le_bytes());
             back.push_response(&round.to_le_bytes()).unwrap();
-            assert_eq!(front.take_response().unwrap(), round.to_le_bytes());
+            assert_eq!(*front.take_response().unwrap(), round.to_le_bytes());
         }
     }
 
@@ -339,7 +382,7 @@ mod tests {
                     }
                     1 => {
                         if let Some(req) = back.take_request() {
-                            assert_eq!(req, expect_req.to_le_bytes().to_vec());
+                            assert_eq!(*req, expect_req.to_le_bytes());
                             expect_req += 1;
                             in_backend += 1;
                         }
@@ -350,7 +393,7 @@ mod tests {
                             next_rsp += 1;
                             in_backend -= 1;
                             let rsp = front.take_response().unwrap();
-                            assert_eq!(rsp, expect_rsp.to_le_bytes().to_vec());
+                            assert_eq!(*rsp, expect_rsp.to_le_bytes());
                             expect_rsp += 1;
                         }
                     }

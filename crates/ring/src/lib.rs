@@ -26,4 +26,4 @@ pub mod byte;
 pub mod desc;
 
 pub use byte::ByteRing;
-pub use desc::{BackRing, FrontRing, RingError, SLOT_BYTES};
+pub use desc::{BackRing, FrontRing, RingError, Slot, SLOT_BYTES};

@@ -35,7 +35,7 @@ use mirage_testkit::rng::Rng;
 use mirage_testkit::sync::Mutex;
 use mirage_testkit::wheel::{TimerId, TimerWheel};
 
-use mirage_hypervisor::{Dur, Time};
+use mirage_hypervisor::{CostTable, Dur, Time};
 use mirage_pvboot::heap::GcHeap;
 
 pub(crate) type TaskId = u64;
@@ -81,6 +81,10 @@ pub(crate) struct Sched {
     next_task: TaskId,
     pub(crate) spawned_total: u64,
     pub(crate) heap: Option<GcHeap>,
+    /// The hypervisor's cost table as of the last round: it lives under
+    /// the scheduler lock so that pricing work and charging it is one
+    /// acquisition ([`CoreHandle::charge_with`]).
+    pub(crate) costs: CostTable,
     /// Core currently polling a task — charges, `now()` reads and timer
     /// registrations from inside the task route here (the task may hold a
     /// handle homed elsewhere).
@@ -101,6 +105,7 @@ impl Sched {
             next_task: 0,
             spawned_total: 0,
             heap: None,
+            costs: CostTable::defaults(),
             executing: None,
             rng: Rng::for_stream(mirage_testkit::test_seed(), "smp-exec"),
             steals: 0,
@@ -296,13 +301,24 @@ impl CoreHandle {
         s.cores[v].charge += d;
     }
 
-    /// Charges a heap allocation against the GC model, if one is attached.
-    pub(crate) fn heap_alloc(&self, bytes: u64, long_lived: bool, costs: &mirage_hypervisor::CostTable) {
+    /// Charges what `price` makes of the cost table, which it sees by
+    /// reference.
+    pub(crate) fn charge_with(&self, price: impl FnOnce(&CostTable) -> Dur) {
         let mut s = self.sched.lock();
         let v = s.executing.unwrap_or(self.home);
-        if let Some(heap) = s.heap.as_mut() {
-            let cost = heap.alloc(bytes, long_lived, costs);
-            s.cores[v].charge += cost;
+        let d = price(&s.costs);
+        s.cores[v].charge += d;
+    }
+
+    /// Charges a heap allocation against the GC model, if one is attached.
+    pub(crate) fn heap_alloc(&self, bytes: u64, long_lived: bool) {
+        let mut s = self.sched.lock();
+        let v = s.executing.unwrap_or(self.home);
+        let Sched {
+            heap, costs, cores, ..
+        } = &mut *s;
+        if let Some(heap) = heap {
+            cores[v].charge += heap.alloc(bytes, long_lived, costs);
         }
     }
 
@@ -329,10 +345,15 @@ impl CoreHandle {
     /// adversarially shuffled interleaving.
     pub(crate) fn run_round(
         &self,
-        thread_switch: Dur,
+        costs: CostTable,
         mut drain_charge: impl FnMut(usize, Dur) -> Time,
     ) -> StallReport {
-        let ncores = self.cores();
+        let thread_switch = costs.thread_switch;
+        let ncores = {
+            let mut s = self.sched.lock();
+            s.costs = costs;
+            s.cores.len()
+        };
         // Advance every core's clock (device service and harness code
         // charge outside tasks), then fire its expired timers: the tasks
         // they wake belong to this round.

@@ -67,7 +67,6 @@ pub const THREAD_HEAP_BYTES: u64 = 2 * mirage_pvboot::heap::OBJ_BYTES;
 #[derive(Clone)]
 pub struct Runtime {
     core: CoreHandle,
-    costs: Arc<Mutex<CostTable>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -97,7 +96,6 @@ impl Runtime {
     pub fn smp(cores: usize) -> Runtime {
         Runtime {
             core: CoreHandle::new(cores),
-            costs: Arc::new(Mutex::new(CostTable::defaults())),
         }
     }
 
@@ -129,7 +127,6 @@ impl Runtime {
     pub fn on_core(&self, v: usize) -> Runtime {
         Runtime {
             core: self.core.on_core(v),
-            costs: Arc::clone(&self.costs),
         }
     }
 
@@ -171,10 +168,7 @@ impl Runtime {
         T: Send + 'static,
         F: Future<Output = T> + Send + 'static,
     {
-        {
-            let costs = self.costs.lock().clone();
-            self.core.heap_alloc(THREAD_HEAP_BYTES, true, &costs);
-        }
+        self.core.heap_alloc(THREAD_HEAP_BYTES, true);
         let state = Arc::new(Mutex::new(OneshotState {
             value: None,
             waker: None,
@@ -235,16 +229,22 @@ impl Runtime {
         self.core.charge(d);
     }
 
+    /// Charges the modelled CPU work `price` makes of the cost table (as
+    /// of the last scheduling quantum), read in place: what a per-packet
+    /// path uses instead of `charge(costs().…)`, which copies the table.
+    pub fn charge_with(&self, price: impl FnOnce(&CostTable) -> Dur) {
+        self.core.charge_with(price);
+    }
+
     /// The cost table as of the last scheduling quantum.
     pub fn costs(&self) -> CostTable {
-        self.costs.lock().clone()
+        self.core.sched.lock().costs.clone()
     }
 
     /// Charges a heap allocation of `bytes` against the GC model (no-op
     /// without one).
     pub fn alloc(&self, bytes: u64, long_lived: bool) {
-        let costs = self.costs.lock().clone();
-        self.core.heap_alloc(bytes, long_lived, &costs);
+        self.core.heap_alloc(bytes, long_lived);
     }
 
     /// Number of live (incomplete) threads.
@@ -262,13 +262,13 @@ impl Runtime {
     /// `env`. [`UnikernelGuest`] services its devices between rounds; this
     /// is the Xen-specific run-loop of §3.3.
     pub fn run_round(&self, env: &mut DomainEnv<'_>) -> StallReport {
-        *self.costs.lock() = env.costs().clone();
-        let thread_switch = env.costs().thread_switch;
+        // By value: `env` is borrowed again, mutably, by the charge lanes.
+        let costs = env.costs().clone();
         // Route each executor core to its own vCPU charge lane; if the
         // domain has fewer vCPUs than the runtime has cores, the excess
         // cores stack onto the last lane (over-committed guest).
         let max_lane = env.vcpus() - 1;
-        self.core.run_round(thread_switch, |core, charge| {
+        self.core.run_round(costs, |core, charge| {
             let lane = core.min(max_lane);
             env.consume_on(lane, charge);
             env.now_on(lane)

@@ -3,14 +3,15 @@
 //! "We found that our DNS server gained a dramatic speed increase by
 //! applying a memoization library to network responses" — a 20-line patch
 //! that took the appliance from ~40 k to 75–80 kqueries/s (Figure 10).
-//! This is that library: a bounded LRU memo table with hit statistics,
-//! usable by any service whose responses are a pure function of the
-//! request.
+//! This is that library: a bounded memo table (second-chance LRU, O(1)
+//! per lookup hit or miss) with hit statistics, usable by any service
+//! whose responses are a pure function of the request.
 
+use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use mirage_testkit::hash::DetHashMap;
 use mirage_testkit::sync::Mutex;
 
 /// Memo counters.
@@ -22,11 +23,30 @@ pub struct MemoStats {
     pub misses: u64,
     /// Entries evicted by the LRU bound.
     pub evictions: u64,
+    /// Entries the eviction hand passed over because they had been used
+    /// since it last came by. Each hit buys an entry at most one such
+    /// pass, so a miss costs O(1) entry visits amortised, however full
+    /// the table.
+    pub second_chances: u64,
 }
 
+struct Entry<K, V> {
+    key: K,
+    value: V,
+    /// Hit since the eviction hand last passed.
+    used: bool,
+}
+
+/// Second-chance (CLOCK) approximation of LRU: entries sit in a ring in
+/// insertion order; a hit marks its entry, and the hand evicts the first
+/// unmarked entry it meets, unmarking the ones it passes.
 struct MemoInner<K, V> {
-    map: DetHashMap<K, (V, u64)>, // value, last-used tick
-    tick: u64,
+    /// Key → position in `slots`. Keys come from whoever the caller
+    /// serves, so the std hasher's per-process random key stays: the
+    /// ring, not the map's iteration order, decides evictions.
+    index: HashMap<K, usize>,
+    slots: Vec<Entry<K, V>>,
+    hand: usize,
     capacity: usize,
     stats: MemoStats,
 }
@@ -59,7 +79,12 @@ impl<K, V> Clone for Memoizer<K, V> {
 impl<K: Eq + Hash, V> std::fmt::Debug for Memoizer<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
-        write!(f, "Memoizer({}/{} entries)", inner.map.len(), inner.capacity)
+        write!(
+            f,
+            "Memoizer({}/{} entries)",
+            inner.slots.len(),
+            inner.capacity
+        )
     }
 }
 
@@ -73,8 +98,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Memoizer<K, V> {
         assert!(capacity > 0, "memo table needs at least one slot");
         Memoizer {
             inner: Arc::new(Mutex::new(MemoInner {
-                map: DetHashMap::default(),
-                tick: 0,
+                index: HashMap::new(),
+                slots: Vec::new(),
+                hand: 0,
                 capacity,
                 stats: MemoStats::default(),
             })),
@@ -84,42 +110,70 @@ impl<K: Eq + Hash + Clone, V: Clone> Memoizer<K, V> {
     /// Returns the memoized value for `key`, computing and inserting it on
     /// first use.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce(&K) -> V) -> V {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some((v, used)) = inner.map.get_mut(&key) {
-            *used = tick;
-            let value = v.clone();
+        self.get_or_compute_by(&key, compute).0
+    }
+
+    /// [`Memoizer::get_or_compute`] by a borrowed form of the key — owned
+    /// only if it has to be inserted — also saying whether the value came
+    /// from the table (`true`) or was computed (`false`). A hit allocates
+    /// nothing but the clone of the value it returns.
+    pub fn get_or_compute_by<Q>(&self, key: &Q, compute: impl FnOnce(&Q) -> V) -> (V, bool)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some(&at) = inner.index.get(key) {
+            let entry = &mut inner.slots[at];
+            entry.used = true;
             inner.stats.hits += 1;
-            return value;
+            return (entry.value.clone(), true);
         }
         inner.stats.misses += 1;
-        // Compute outside the borrow of the map entry (still under the
-        // lock: callers' compute fns are cheap and pure).
-        let value = compute(&key);
-        if inner.map.len() >= inner.capacity {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&victim);
-                inner.stats.evictions += 1;
+        // Computed under the lock: callers' compute fns are cheap and pure.
+        let value = compute(key);
+        let key = key.to_owned();
+        let entry = Entry {
+            key: key.clone(),
+            value: value.clone(),
+            used: false,
+        };
+        let at = if inner.slots.len() < inner.capacity {
+            inner.slots.push(entry);
+            inner.slots.len() - 1
+        } else {
+            while inner.slots[inner.hand].used {
+                inner.slots[inner.hand].used = false;
+                inner.hand = (inner.hand + 1) % inner.capacity;
+                inner.stats.second_chances += 1;
             }
-        }
-        inner.map.insert(key, (value.clone(), tick));
-        value
+            let at = inner.hand;
+            let victim = std::mem::replace(&mut inner.slots[at], entry);
+            inner.index.remove::<K>(&victim.key);
+            inner.hand = (at + 1) % inner.capacity;
+            inner.stats.evictions += 1;
+            at
+        };
+        inner.index.insert(key, at);
+        (value, false)
     }
 
     /// Looks up without computing.
     pub fn peek(&self, key: &K) -> Option<V> {
-        self.inner.lock().map.get(key).map(|(v, _)| v.clone())
+        let inner = self.inner.lock();
+        inner
+            .index
+            .get(key)
+            .map(|&at| inner.slots[at].value.clone())
     }
 
     /// Drops every entry (e.g. on zone reload).
     pub fn invalidate_all(&self) {
-        self.inner.lock().map.clear();
+        let mut inner = self.inner.lock();
+        inner.index.clear();
+        inner.slots.clear();
+        inner.hand = 0;
     }
 
     /// Counters.
@@ -129,7 +183,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memoizer<K, V> {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().slots.len()
     }
 
     /// Whether the table is empty.
@@ -169,6 +223,50 @@ mod tests {
         assert!(memo.peek(&2).is_none(), "2 was least recently used");
         assert!(memo.peek(&3).is_some());
         assert_eq!(memo.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_full_table_visits_a_bounded_number_of_entries_per_miss() {
+        const CAP: u64 = 4096;
+        let memo: Memoizer<u64, u64> = Memoizer::new(CAP as usize);
+        for k in 0..CAP {
+            memo.get_or_compute(k, |&k| k);
+        }
+        // Every entry freshly used — the hand's worst case: the next
+        // miss sweeps the whole ring once, and that sweep is then paid for.
+        for k in 0..CAP {
+            memo.get_or_compute(k, |_| unreachable!("cached"));
+        }
+        const MISSES: u64 = 10_000;
+        for k in CAP..CAP + MISSES {
+            memo.get_or_compute(k, |&k| k);
+        }
+        let st = memo.stats();
+        assert_eq!(
+            (st.hits, st.misses, st.evictions),
+            (CAP, CAP + MISSES, MISSES)
+        );
+        // One visit to evict per miss, plus at most one pass per earlier
+        // hit — not `capacity` visits per miss.
+        assert!(st.second_chances <= st.hits, "{st:?}");
+        assert_eq!(memo.len(), CAP as usize);
+        // The table still answers for exactly the newest CAP keys.
+        assert_eq!(memo.peek(&(CAP + MISSES - 1)), Some(CAP + MISSES - 1));
+        assert_eq!(memo.peek(&0), None);
+    }
+
+    #[test]
+    fn borrowed_lookup_reports_hit_or_miss() {
+        let memo: Memoizer<Vec<u8>, usize> = Memoizer::new(4);
+        let key: &[u8] = b"question";
+        assert_eq!(memo.get_or_compute_by(key, |k| k.len()), (8, false));
+        assert_eq!(
+            memo.get_or_compute_by(key, |_| unreachable!("cached")),
+            (8, true)
+        );
+        assert_eq!(memo.peek(&key.to_vec()), Some(8));
+        let st = memo.stats();
+        assert_eq!((st.hits, st.misses), (1, 1));
     }
 
     #[test]

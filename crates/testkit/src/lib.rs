@@ -20,6 +20,8 @@
 //! * [`corpus`] — seeded structure-aware fuzz-case generation (truncation,
 //!   length-field lies, pointer loops, oversize claims) for the
 //!   adversarial parser suites.
+//! * [`alloc`] — a per-thread counting allocator a test binary installs to
+//!   hold a code path to an allocation budget.
 //!
 //! ## One seed to rule a run
 //!
@@ -28,6 +30,7 @@
 //! [`DEFAULT_SEED`]. Two test runs with the same seed produce identical
 //! results; a failing property test prints the seed to rerun it.
 
+pub mod alloc;
 pub mod bench;
 pub mod corpus;
 pub mod hash;

@@ -164,6 +164,26 @@ exactly 0 "a too_many_arguments allow" 'too_many_arguments'
 exactly 0 "a second TX path" 'fn (build_tcp_frame|emit_frame|send_ipv4|broadcast_udp)\b'
 echo "   ok"
 
+echo "== gate: nothing per label, per descriptor or per step on the packet path"
+# A name is one buffer; a ring slot is decoded where it lies; the driver
+# domain lists xenstore only after a write (tests/packet_budget.rs and
+# crates/dns/tests/alloc_budget.rs hold the counts these shapes give).
+if grep -n 'Vec<Vec<u8>>' crates/dns/src/name.rs; then
+    echo "FAIL: a vector of label vectors is back in crates/dns/src/name.rs" >&2
+    exit 1
+fi
+if grep -nE 'fn (read_slot|take_re(quest|sponse))\b.*Vec' crates/ring/src/desc.rs; then
+    echo "FAIL: a ring slot is copied into a Vec again (lines above)" >&2
+    exit 1
+fi
+if ! awk '/settled_at == Some\(version\)/ { gated = 1 }
+          /keys_with_prefix/ { calls++; if (!gated) early = 1 }
+          END { exit !(calls == 1 && !early) }' crates/devices/src/netback.rs; then
+    echo "FAIL: DriverDomain must list xenstore in one place, behind discover's version check" >&2
+    exit 1
+fi
+echo "   ok"
+
 echo "== build (release, offline, all targets)"
 cargo build --release --offline --workspace --all-targets
 

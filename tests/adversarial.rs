@@ -1262,3 +1262,112 @@ fn virtqueue_named_mutation_classes_are_counted_and_skipped() {
         "the descriptor loop was abandoned and counted"
     );
 }
+
+// ============================================ Xen descriptor ring fuzz
+
+use mirage::ring::desc::{self, RING_SIZE, SLOT_PAYLOAD};
+use mirage::ring::{BackRing, FrontRing};
+
+/// A connected descriptor ring mid-traffic: requests outstanding, some
+/// answered and reaped, so the shared page holds honest indices and slot
+/// images for the fuzzer to mutate.
+fn live_ring() -> (FrontRing, BackRing) {
+    let (mut front, mut back) = desc::pair();
+    for i in 0..6u8 {
+        front.push_request(&[i; 24]).expect("room for the setup requests");
+    }
+    for _ in 0..3 {
+        let req = back.take_request().expect("setup requests are queued");
+        back.push_response(&req[..9]).expect("a response fits its slot");
+    }
+    let _ = front.take_response();
+    (front, back)
+}
+
+/// The Xen ring gets what the virtqueue got: both halves decode slots
+/// where they lie in a page the peer can rewrite at any time — indices
+/// rewound or leapt ahead, length fields claiming more than a slot holds —
+/// and under `FUZZ_CASES` seeded mutations of an honest page image neither
+/// half may panic or hand out more than a slot's worth of bytes.
+#[test]
+fn descriptor_ring_survives_a_hostile_shared_page() {
+    let _guard = adversarial_lock().lock();
+    let seed = test_seed();
+    // The live part of the page — header and the slots in use — so the
+    // mutations land where the halves read.
+    let image = live_ring().0.page().read(|b| b[..64 + 8 * 64].to_vec());
+    let corpus = CorpusGen::for_stream(seed, "fuzz-xen-ring").corpus(&[image], FUZZ_CASES);
+    let bound = 2 * RING_SIZE as usize;
+    // One bounded service pass of both halves; what each half was handed.
+    let service = |front: &mut FrontRing, back: &mut BackRing| {
+        let mut seen = Vec::new();
+        for _ in 0..bound {
+            let Some(req) = back.take_request() else { break };
+            let _ = back.push_response(&req[..req.len().min(9)]);
+            seen.push(req.to_vec());
+        }
+        let _ = back.pending_requests();
+        let _ = back.enable_request_notifications();
+        for _ in 0..bound {
+            let Some(rsp) = front.take_response() else { break };
+            seen.push(rsp.to_vec());
+        }
+        let _ = front.free_slots();
+        let _ = front.push_request(b"after the storm");
+        let _ = front.enable_response_notifications();
+        seen
+    };
+    let honest = {
+        let (mut front, mut back) = live_ring();
+        service(&mut front, &mut back)
+    };
+    let mut panics = 0usize;
+    let mut hostile = 0usize;
+    let mut clamped = 0usize;
+    for case in &corpus {
+        let (mut front, mut back) = live_ring();
+        splat(front.page(), case);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service(&mut front, &mut back)
+        }));
+        match outcome {
+            Ok(seen) => {
+                assert!(
+                    seen.iter().all(|d| d.len() <= SLOT_PAYLOAD),
+                    "a descriptor never exceeds its slot"
+                );
+                clamped += usize::from(seen.iter().any(|d| d.len() == SLOT_PAYLOAD));
+                hostile += usize::from(seen != honest);
+            }
+            Err(_) => panics += 1,
+        }
+    }
+    assert_eq!(
+        panics, 0,
+        "zero panics across {FUZZ_CASES} hostile ring page images; \
+         reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+    assert!(
+        hostile > FUZZ_CASES / 2 && clamped > FUZZ_CASES / 20,
+        "the corpus was actually hostile ({hostile} cases changed what the \
+         halves were handed, {clamped} had a length field clamped to the \
+         slot); reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+}
+
+/// The named case: the peer rewrites a slot's length field after
+/// publishing the index and before the reader gets to it.
+#[test]
+fn descriptor_ring_clamps_a_length_rewritten_after_publish() {
+    let (mut front, mut back) = desc::pair();
+    front.push_request(b"request").expect("room");
+    // Slot 0 sits behind the 64-byte ring header; its first two bytes are
+    // the length.
+    front.page().write(|b| b[64..66].copy_from_slice(&0xFFFFu16.to_le_bytes()));
+    let req = back.take_request().expect("the index was published");
+    assert_eq!(req.len(), SLOT_PAYLOAD, "clamped to the slot, not trusted");
+    assert_eq!(&req[..7], b"request");
+    back.push_response(b"response").expect("fits");
+    front.page().write(|b| b[64..66].copy_from_slice(&(SLOT_PAYLOAD as u16 + 1).to_le_bytes()));
+    assert_eq!(front.take_response().expect("published").len(), SLOT_PAYLOAD);
+}
