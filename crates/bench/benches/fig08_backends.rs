@@ -1,7 +1,8 @@
 //! Figure 8 × ring ABI: the iperf pairings of `fig08_tcp`, with the
 //! device transport as an explicit axis — the same flows ride Xen-style
-//! descriptor rings or virtio split virtqueues, and a parity gate checks
-//! that neither transport distorts the endpoint-cost model.
+//! descriptor rings or virtio split virtqueues. That neither transport
+//! distorts the endpoint-cost model is gated on the cells of this table by
+//! `netsim`'s `every_fig08_cell_is_within_2x_across_backends`.
 
 use mirage_baseline::netperf::TcpEndpoint;
 use mirage_bench::netsim::{iperf_on, iperf_smp_on};

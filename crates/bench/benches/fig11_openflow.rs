@@ -5,7 +5,7 @@
 use mirage_baseline::openflow::{run_mirage_cbench, ControllerVariant};
 use mirage_bench::report;
 use mirage_hypervisor::CostTable;
-use mirage_openflow::{Cbench, CbenchMode, LearningSwitch};
+use mirage_openflow::{Cbench, CbenchMode, LearningSwitch, OfMessage, NO_BUFFER};
 
 fn print_figure() {
     report::banner(
@@ -45,6 +45,16 @@ fn main() {
             let bench = Cbench::new(2, 100, CbenchMode::Batch);
             mirage_testkit::bench::black_box(bench.run(1, LearningSwitch::new))
         })
+    });
+    let packet_in = OfMessage::PacketIn {
+        xid: 9,
+        buffer_id: NO_BUFFER,
+        in_port: 3,
+        data: vec![0xAA; 64],
+    }
+    .encode();
+    c.bench_function("fig11/packet_in_parse", |b| {
+        b.iter(|| mirage_testkit::bench::black_box(OfMessage::parse(&packet_in).unwrap()))
     });
     c.final_summary();
 }

@@ -47,14 +47,16 @@ fn flood_ping(n: usize) -> usize {
         spa: src_ip,
         tha: Mac::ZERO,
         tpa: TARGET_IP,
-    }
-    .build();
-    tap.inject(ethernet::build(
+    };
+    let mut frame = vec![0; ethernet::HEADER_LEN + mirage_net::arp::ARP_LEN];
+    ethernet::write_header(
+        &mut frame,
         Mac::BROADCAST,
         Mac(tap.mac()),
         ethernet::EtherType::Arp,
-        &arp,
-    ));
+    );
+    arp.write(&mut frame[ethernet::HEADER_LEN..]);
+    tap.inject(frame);
     hv.wake_external(d0);
     hv.run_for(Dur::millis(10));
     let _ = tap.harvest(); // drop the ARP reply
@@ -66,15 +68,19 @@ fn flood_ping(n: usize) -> usize {
                 ident: 0x7071,
                 seq: (batch * 64 + i) as u16,
                 payload: b"flood",
-            }
-            .build();
-            let packet = ipv4::build(src_ip, TARGET_IP, ipv4::protocol::ICMP, i as u16, &echo);
-            let frame = ethernet::build(
+            };
+            let len = echo.wire_len();
+            let mut frame = vec![0; ethernet::HEADER_LEN + ipv4::HEADER_LEN + len];
+            let (eth, ip) = frame.split_at_mut(ethernet::HEADER_LEN);
+            ethernet::write_header(
+                eth,
                 Mac::local(1),
                 Mac(tap.mac()),
                 ethernet::EtherType::Ipv4,
-                &packet,
             );
+            let (ip, body) = ip.split_at_mut(ipv4::HEADER_LEN);
+            ipv4::write_header(ip, src_ip, TARGET_IP, ipv4::protocol::ICMP, i as u16, len);
+            echo.write(body);
             tap.inject(frame);
         }
         hv.wake_external(d0);
@@ -127,17 +133,20 @@ fn main() {
     print_micro();
     let mut c = mirage_bench::criterion();
     // Real wall-clock cost of the type-safe echo path: parse + reply.
-    let echo_wire = icmp::Echo {
+    let mut echo_wire = [0u8; icmp::HEADER_LEN + 56];
+    icmp::Echo {
         is_request: true,
         ident: 1,
         seq: 1,
         payload: &[0u8; 56],
     }
-    .build();
+    .write(&mut echo_wire);
     c.bench_function("ping/real_icmp_parse_and_reply", |b| {
+        let mut reply = echo_wire;
         b.iter(|| {
             let echo = icmp::Echo::parse(&echo_wire).expect("valid");
-            mirage_testkit::bench::black_box(echo.reply().build())
+            echo.reply().write(&mut reply);
+            mirage_testkit::bench::black_box(&reply);
         })
     });
     c.final_summary();

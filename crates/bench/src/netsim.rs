@@ -348,34 +348,123 @@ mod tests {
         assert!(r.mbps > 50.0, "non-trivial goodput: {:.0} Mb/s", r.mbps);
     }
 
-    #[test]
-    fn virtio_iperf_delivers_comparable_goodput() {
-        let xen = iperf_on(Backend::XenRing, TcpEndpoint::Mirage, TcpEndpoint::Mirage, 1, 200_000);
-        let vio = iperf_on(Backend::Virtio, TcpEndpoint::Mirage, TcpEndpoint::Mirage, 1, 200_000);
-        assert_eq!(xen.bytes, vio.bytes);
-        // Both transports price the same data path; goodput must land in
-        // the same ballpark (well within 2x either way).
-        let ratio = vio.mbps / xen.mbps;
-        assert!(
-            (0.5..2.0).contains(&ratio),
-            "backends diverge: xen {:.0} vs virtio {:.0} Mb/s",
-            xen.mbps,
-            vio.mbps
-        );
+    /// The parity gate: both transports price the identical data path, so
+    /// a virtio cell moves the same bytes as its Xen twin at a goodput
+    /// within 2x of it, either way.
+    fn parity_gate(xen: IperfResult, virtio: IperfResult) -> Result<(), String> {
+        if xen.bytes != virtio.bytes {
+            return Err(format!(
+                "byte counts differ: xen {} vs virtio {}",
+                xen.bytes, virtio.bytes
+            ));
+        }
+        let ratio = virtio.mbps / xen.mbps;
+        if !(0.5..=2.0).contains(&ratio) {
+            return Err(format!(
+                "virtio {:.1} vs xen {:.1} Mb/s (x{ratio:.2} outside [0.5, 2.0])",
+                virtio.mbps, xen.mbps
+            ));
+        }
+        Ok(())
     }
 
     #[test]
-    fn smp_iperf_delivers_and_beats_single_core() {
-        let one = iperf_smp(TcpEndpoint::Mirage, TcpEndpoint::Mirage, 1, 8, 100_000);
-        let four = iperf_smp(TcpEndpoint::Mirage, TcpEndpoint::Mirage, 4, 8, 100_000);
-        assert_eq!(one.bytes, 800_000);
-        assert_eq!(four.bytes, 800_000);
+    fn every_fig08_cell_is_within_2x_across_backends() {
+        use TcpEndpoint::{Linux, Mirage};
+        for (tx, rx) in [(Linux, Linux), (Linux, Mirage), (Mirage, Linux)] {
+            for (flows, bytes) in [(1, 1_000_000), (4, 250_000)] {
+                let xen = iperf_on(Backend::XenRing, tx, rx, flows, bytes);
+                let virtio = iperf_on(Backend::Virtio, tx, rx, flows, bytes);
+                if let Err(why) = parity_gate(xen, virtio) {
+                    panic!("{tx:?} to {rx:?}, {flows} x {bytes} B: {why}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_parity_gate_can_fail() {
+        let cell = |mbps| IperfResult {
+            mbps,
+            bytes: 1_000_000,
+        };
         assert!(
-            four.mbps > one.mbps * 1.5,
-            "4 vCPUs should clearly beat 1: {:.0} vs {:.0} Mb/s",
-            four.mbps,
-            one.mbps
+            parity_gate(cell(700.0), cell(700.0 * 2.1)).is_err(),
+            "a 2.1x cell"
         );
+        assert!(
+            parity_gate(cell(700.0), cell(700.0 / 2.1)).is_err(),
+            "either way"
+        );
+        let short = IperfResult {
+            bytes: 999_999,
+            ..cell(700.0)
+        };
+        assert!(parity_gate(cell(700.0), short).is_err(), "a lost byte");
+        assert!(parity_gate(cell(995.0), cell(643.0)).is_ok());
+    }
+
+    /// The SMP gate, over the one-flow one-vCPU cell and the 16-flow row
+    /// at {1, 2, 4, 8} vCPUs (Mbit/s): sixteen flows on one vCPU get what
+    /// one flow gets (the core is the bottleneck either way; fan-in must
+    /// not collapse it), no added vCPU costs throughput, and four cores at
+    /// least double one.
+    fn smp_gate(one_flow: f64, row16: [f64; 4]) -> Result<(), String> {
+        if row16[0] < 0.9 * one_flow {
+            return Err(format!(
+                "16 flows on 1 vCPU get {:.1} Mb/s, below 0.9x the {one_flow:.1} one flow gets",
+                row16[0]
+            ));
+        }
+        if row16.windows(2).any(|w| w[1] < w[0]) {
+            return Err(format!(
+                "the 16-flow row falls as vCPUs are added: {row16:?}"
+            ));
+        }
+        if row16[2] < 2.0 * row16[0] {
+            return Err(format!(
+                "4 vCPUs get {:.1} Mb/s, below 2x the {:.1} of 1 vCPU on the 16-flow row",
+                row16[2], row16[0]
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn sixteen_flows_scale_with_vcpus() {
+        // The matrix of examples/smp, at its 1 MB per flow: at 200 kB a
+        // 16-flow cell lasts a tenth of the minimum RTO and measures slow
+        // start, not the steady state the gate is about.
+        let cell = |vcpus, flows| {
+            let r = iperf_smp(
+                TcpEndpoint::Mirage,
+                TcpEndpoint::Mirage,
+                vcpus,
+                flows,
+                1_000_000,
+            );
+            assert_eq!(r.bytes, flows as u64 * 1_000_000);
+            r.mbps
+        };
+        let one_flow = cell(1, 1);
+        let row16 = [1, 2, 4, 8].map(|vcpus| cell(vcpus, 16));
+        if let Err(why) = smp_gate(one_flow, row16) {
+            panic!("{why} (1 flow {one_flow:.1}, 16 flows {row16:.1?})");
+        }
+    }
+
+    #[test]
+    fn the_smp_gate_can_fail() {
+        // Each failing row is on the books: the 1-vCPU collapse PR 14
+        // found, the credit-blocking sender's row (EXPERIMENTS.md), and a
+        // row that falls from 2 to 4 vCPUs.
+        let collapsed = smp_gate(669.1, [112.5, 1155.4, 1723.9, 2337.5]);
+        assert!(collapsed.unwrap_err().contains("below 0.9x"));
+        let flat = smp_gate(920.1, [948.5, 1153.6, 1283.6, 1420.9]);
+        assert!(flat.unwrap_err().contains("below 2x"));
+        let falling = smp_gate(704.5, [703.6, 1671.6, 1186.4, 2341.9]);
+        assert!(falling.unwrap_err().contains("falls"));
+        assert!(smp_gate(704.5, [703.6, 1186.4, 1671.6, 2341.9]).is_ok());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! frame through [`record_serialize`]. The counters are plain process-wide
 //! atomics — no `cfg(feature)` gating — so the benchmarks can assert the
 //! zero-copy property instead of merely claiming it (see
-//! `benches/micro_zerocopy.rs` and `scripts/bench.sh`).
+//! `benches/micro_zerocopy.rs`, which `scripts/verify.sh` runs).
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};

@@ -75,13 +75,6 @@ impl ArpPacket {
         p[24..28].copy_from_slice(&self.tpa.octets());
         ARP_LEN
     }
-
-    /// Serialises to an Ethernet payload.
-    pub fn build(&self) -> Vec<u8> {
-        let mut p = vec![0; ARP_LEN];
-        self.write(&mut p);
-        p
-    }
 }
 
 /// How long a learned entry stays valid.
@@ -181,6 +174,14 @@ impl ArpCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArpPacket {
+        fn build(&self) -> Vec<u8> {
+            let mut p = vec![0; ARP_LEN];
+            self.write(&mut p);
+            p
+        }
+    }
 
     const IP1: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const IP2: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);

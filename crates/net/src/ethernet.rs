@@ -74,18 +74,17 @@ pub fn write_header(buf: &mut [u8], dst: Mac, src: Mac, ethertype: EtherType) ->
     HEADER_LEN
 }
 
-/// Serialises a frame.
-pub fn build(dst: Mac, src: Mac, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-    let mut f = vec![0; HEADER_LEN + payload.len()];
-    write_header(&mut f, dst, src, ethertype);
-    f[HEADER_LEN..].copy_from_slice(payload);
-    f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mirage_testkit::prop::{any, collection};
+
+    fn build(dst: Mac, src: Mac, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
+        let mut f = vec![0; HEADER_LEN + payload.len()];
+        write_header(&mut f, dst, src, ethertype);
+        f[HEADER_LEN..].copy_from_slice(payload);
+        f
+    }
 
     #[test]
     fn build_parse_round_trip() {

@@ -63,13 +63,6 @@ impl<'a> Echo<'a> {
         len
     }
 
-    /// Serialises with checksum.
-    pub fn build(&self) -> Vec<u8> {
-        let mut p = vec![0; self.wire_len()];
-        self.write(&mut p);
-        p
-    }
-
     /// The reply to this request (same ident/seq/payload).
     pub fn reply(&self) -> Echo<'a> {
         Echo {
@@ -82,6 +75,14 @@ impl<'a> Echo<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Echo<'_> {
+        fn build(&self) -> Vec<u8> {
+            let mut p = vec![0; self.wire_len()];
+            self.write(&mut p);
+            p
+        }
+    }
 
     #[test]
     fn round_trip_and_reply() {

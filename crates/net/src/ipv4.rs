@@ -145,15 +145,6 @@ pub fn write_header(
     HEADER_LEN
 }
 
-/// Serialises a packet with a fresh header (DF set, no options). Panics if
-/// header plus payload exceed 65 535 bytes.
-pub fn build(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, ident: u16, payload: &[u8]) -> Vec<u8> {
-    let mut p = vec![0; HEADER_LEN + payload.len()];
-    write_header(&mut p, src, dst, protocol, ident, payload.len());
-    p[HEADER_LEN..].copy_from_slice(payload);
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +152,13 @@ mod tests {
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+
+    fn build(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, ident: u16, payload: &[u8]) -> Vec<u8> {
+        let mut p = vec![0; HEADER_LEN + payload.len()];
+        write_header(&mut p, src, dst, protocol, ident, payload.len());
+        p[HEADER_LEN..].copy_from_slice(payload);
+        p
+    }
 
     #[test]
     fn build_parse_round_trip() {

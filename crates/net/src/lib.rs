@@ -212,12 +212,15 @@ mod tests {
             tha: Mac::local(1),
             tpa: IP_A,
         };
-        tap.inject(ethernet::build(
+        let mut reply = vec![0; ethernet::HEADER_LEN + arp::ARP_LEN];
+        ethernet::write_header(
+            &mut reply,
             Mac::local(1),
             Mac::local(9),
             ethernet::EtherType::Arp,
-            &is_at.build(),
-        ));
+        );
+        is_at.write(&mut reply[ethernet::HEADER_LEN..]);
+        tap.inject(reply);
         hv.wake_external(dom0);
         hv.run_until(Time::ZERO + Dur::secs(2));
         let datagrams: Vec<PktBuf> = tap.harvest().into_iter().filter(is_ipv4).collect();

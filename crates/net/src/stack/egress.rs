@@ -477,7 +477,9 @@ mod tests {
             let eth = Frame::parse(&frame).unwrap();
             let ip = Ipv4Packet::parse(eth.payload).unwrap();
             assert_eq!((ip.src, ip.dst, ip.protocol), (GUEST_IP, PEER_IP, protocol::UDP));
-            assert_eq!(ip.payload, udp::build(GUEST_IP, src_port, PEER_IP, dst_port, &payload));
+            let mut want = vec![0; udp::HEADER_LEN + payload.len()];
+            udp::write(&mut want, GUEST_IP, src_port, PEER_IP, dst_port, &payload);
+            assert_eq!(ip.payload, want);
             let dgram = UdpDatagram::parse(ip.src, ip.dst, ip.payload).unwrap();
             assert_eq!((dgram.src_port, dgram.dst_port), (src_port, dst_port));
             assert_eq!(dgram.payload, payload);

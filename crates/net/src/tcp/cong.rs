@@ -463,7 +463,7 @@ mod tests {
         // After the same loss at the same window, CUBIC's cubic re-probe
         // must regain the old operating point in fewer ACK-clock ticks
         // than New Reno's one-MSS-per-RTT climb — the premise of the
-        // BENCH_cc race.
+        // `cc_race` example.
         let w0 = 100 * MSS;
         let mut acked = 0u64;
         let recover = |cc: &mut dyn CongestionControl| -> u64 {

@@ -68,9 +68,6 @@ mod recv;
 mod rod;
 mod wire;
 
-#[cfg(test)]
-mod tests;
-
 pub use config::{ConfigError, TcpConfig, TcpConfigBuilder};
 pub use cong::{AckKind, AckSample, CongAlg, CongestionControl, Cubic, LossEvent, NewReno};
 pub use conn::State;
@@ -515,3 +512,6 @@ impl Connection {
     }
 
 }
+
+#[cfg(test)]
+mod tests;

@@ -103,7 +103,7 @@ pub struct TcpStats {
     /// sequence number, and data claiming to be from beyond the window.
     pub injections_dropped: u64,
     /// Congestion window in bytes at snapshot time (a gauge, not a
-    /// counter — the BENCH_cc trajectory samples read it).
+    /// counter — `cc_race`'s trajectory samples read it).
     pub cwnd: u64,
 }
 

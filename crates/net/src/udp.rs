@@ -75,20 +75,6 @@ pub fn write(
     len
 }
 
-/// Serialises a datagram with its pseudo-header checksum. Panics if header
-/// plus payload exceed 65 535 bytes.
-pub fn build(
-    src: Ipv4Addr,
-    src_port: u16,
-    dst: Ipv4Addr,
-    dst_port: u16,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut d = vec![0; HEADER_LEN + payload.len()];
-    write(&mut d, src, src_port, dst, dst_port, payload);
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +82,18 @@ mod tests {
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+
+    fn build(
+        src: Ipv4Addr,
+        src_port: u16,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let mut d = vec![0; HEADER_LEN + payload.len()];
+        write(&mut d, src, src_port, dst, dst_port, payload);
+        d
+    }
 
     #[test]
     fn round_trip() {

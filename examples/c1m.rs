@@ -7,6 +7,9 @@
 //! server appliance while a hot subset streams requests the whole time;
 //! the virtual-time tick cost is sampled at 10k and at full scale, and a
 //! 1000-domain boot storm (figure 6 at 20x fleet size) closes the run.
+//! The run checks its own gates on the values it holds and exits non-zero
+//! unless the server holds exactly the connections asked for and a quiet
+//! tick at full scale costs at most 2x one at 10k.
 //!
 //! ```text
 //! cargo run --release --example c1m
@@ -14,10 +17,9 @@
 //!
 //! Knobs (all optional):
 //!
-//! * `MIRAGE_C1M_CONNS`   — idle keep-alive connections (default 1_000_000)
-//! * `MIRAGE_C1M_HOT`     — streaming-hot connections   (default 1024)
-//! * `MIRAGE_C1M_CLIENTS` — client domains, ≤64          (default 64)
-//! * `MIRAGE_C1M_STORM`   — boot-storm fleet size        (default 1000)
+//! * `MIRAGE_C1M_CONNS` — idle keep-alive connections (default 1_000_000)
+//! * `MIRAGE_C1M_HOT`   — streaming-hot connections   (default 1024)
+//! * `MIRAGE_C1M_STORM` — boot-storm fleet size        (default 1000)
 //!
 //! Everything printed on **stdout** is a function of virtual time only and
 //! is byte-identical across runs (`scripts/verify.sh --scale` diffs a
@@ -43,6 +45,9 @@ const REQ_HOT: &[u8] = b"GET /hot HTTP/1.1\r\nHost: c1m\r\nConnection: keep-aliv
 const RESP_OK: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
 const RESP_HOT: &[u8] =
     b"HTTP/1.1 200 OK\r\nContent-Length: 32\r\n\r\nstreaming-chunk-0123456789abcdef";
+
+/// Client domains the connections are ramped from.
+const CLIENTS: usize = 64;
 
 /// Per-domain connects in flight at once. 64 domains x 6 = 384 frames per
 /// switch pass, inside the driver domain's 512-frame queues even with the
@@ -148,7 +153,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-fn c1m(conns: usize, hot: usize, clients: usize) {
+fn c1m(conns: usize, hot: usize) {
     let shared = Arc::new(Shared {
         established: AtomicU64::new(0),
         hot_responses: AtomicU64::new(0),
@@ -210,9 +215,9 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
     // Client fleet: each domain owns one stack (16k ephemeral ports) and
     // ramps its share in small awaited batches. Domain 0 also drives the
     // hot subset.
-    let per_dom = conns / clients;
-    let rem = conns % clients;
-    for d in 0..clients {
+    let per_dom = conns / CLIENTS;
+    let rem = conns % CLIENTS;
+    for d in 0..CLIENTS {
         let name = format!("c1m-c{d}");
         let (front, nh_c) = Backend::XenRing.net(
             xs.clone(),
@@ -378,11 +383,9 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
     println!("virtual time at full: {}", hv.now());
 
     // Wall-clock facts (stderr): real but machine-dependent.
+    let tick_ratio = full_wall / mid_wall.max(1.0);
     eprintln!(
-        "[wall] quiet tick   : {:.0} ns/virtual-ms at {mid_conns} conns, {:.0} ns/virtual-ms at {full_conns} conns (x{:.2})",
-        mid_wall,
-        full_wall,
-        full_wall / mid_wall.max(1.0)
+        "[wall] quiet tick   : {mid_wall:.0} ns/virtual-ms at {mid_conns} conns, {full_wall:.0} ns/virtual-ms at {full_conns} conns (x{tick_ratio:.2})"
     );
     if let Some(rss) = rss_bytes() {
         eprintln!(
@@ -390,6 +393,20 @@ fn c1m(conns: usize, hot: usize, clients: usize) {
             rss >> 20,
             rss as f64 / full_conns.max(1) as f64
         );
+    }
+
+    // The gates: the appliance holds every connection it was asked for,
+    // and the quiet-tick cost stays roughly flat (O(due work), not
+    // O(connections)) from 10k to full scale.
+    if full_conns != total_target {
+        eprintln!("FAIL: {full_conns} connections held on the server, {total_target} requested");
+        std::process::exit(1);
+    }
+    if tick_ratio > 2.0 {
+        eprintln!(
+            "FAIL: quiet-tick cost grew x{tick_ratio:.2} from {mid_conns} to {full_conns} connections (> 2.0)"
+        );
+        std::process::exit(1);
     }
 }
 
@@ -452,11 +469,10 @@ fn boot_storm(fleet: usize) {
 fn main() {
     let conns = env_usize("MIRAGE_C1M_CONNS", 1_000_000);
     let hot = env_usize("MIRAGE_C1M_HOT", 1024);
-    let clients = env_usize("MIRAGE_C1M_CLIENTS", 64).clamp(1, 64);
     let storm = env_usize("MIRAGE_C1M_STORM", 1000);
 
     if conns > 0 {
-        c1m(conns, hot, clients);
+        c1m(conns, hot);
     }
     if storm > 0 {
         boot_storm(storm);

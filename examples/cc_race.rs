@@ -4,9 +4,10 @@
 //! the algorithm a per-connection [`CongAlg`] choice; this scenario races
 //! the two implementations over identical conditioned links and reports
 //! goodput, retransmissions and a congestion-window trajectory for each
-//! grid cell. `scripts/bench.sh --cc` distils the output into
-//! `BENCH_cc.json`; `scripts/verify.sh --cc` double-runs it under fixed
-//! seeds and byte-diffs the stdout.
+//! grid cell. It checks its own gate on the figures it holds and exits
+//! non-zero if CUBIC's goodput is below NewReno's on a zero-loss cell;
+//! `scripts/verify.sh --cc` runs it under ten fixed seeds and byte-diffs
+//! a same-seed double run.
 //!
 //! ```text
 //! cargo run --release --example cc_race
@@ -14,8 +15,8 @@
 //!
 //! Knobs (all optional):
 //!
-//! * `MIRAGE_CC_SEED`  — netem decision seed            (default 42)
-//! * `MIRAGE_CC_BYTES` — payload bytes per transfer     (default 4 MiB)
+//! * `MIRAGE_TEST_SEED` — netem decision seed           (testkit default)
+//! * `MIRAGE_CC_BYTES`  — payload bytes per transfer    (default 4 MiB)
 //!
 //! Everything printed on **stdout** is a function of virtual time only and
 //! is byte-identical across same-seed runs.
@@ -190,7 +191,7 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
         }
         assert!(
             outcome == RunOutcome::TimeLimit && hv.now() < deadline,
-            "[{cell}] transfer stalled at {:?}; reproduce with MIRAGE_CC_SEED={seed}",
+            "[{cell}] transfer stalled at {:?}; reproduce with MIRAGE_TEST_SEED={seed}",
             hv.now(),
         );
     }
@@ -199,7 +200,7 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
     assert_eq!(received, bytes, "[{cell}] short delivery (seed {seed})");
     let (elapsed, stats, mut cwnd_trajectory) = tx_done.lock().take().expect("sender reported");
     // Thin the trajectory to a bounded, evenly spaced sample set so the
-    // stdout (and BENCH_cc.json) stay small at any transfer size.
+    // stdout stays small at any transfer size.
     if cwnd_trajectory.len() > CWND_SAMPLES_KEPT {
         let step = cwnd_trajectory.len() as f64 / CWND_SAMPLES_KEPT as f64;
         cwnd_trajectory = (0..CWND_SAMPLES_KEPT)
@@ -214,16 +215,12 @@ fn race(seed: u64, cell: &'static str, alg: tcp::CongAlg, cfg: NetemConfig, byte
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
+fn main() {
+    let seed = mirage_testkit::test_seed();
+    let bytes = std::env::var("MIRAGE_CC_BYTES")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn main() {
-    let seed = env_u64("MIRAGE_CC_SEED", 42);
-    let bytes = env_u64("MIRAGE_CC_BYTES", 4 * 1024 * 1024) as usize;
+        .unwrap_or(4 * 1024 * 1024);
 
     // The loss × delay grid: clean/lossy links at LAN and WAN-ish RTTs.
     // Cell names feed the netem seed fork, so every cell sees its own
@@ -242,7 +239,7 @@ fn main() {
     println!("transfer : {bytes} bytes per run");
     for &(cell, loss, delay) in grid {
         println!("cell {cell}");
-        for alg in [tcp::CongAlg::NewReno, tcp::CongAlg::Cubic] {
+        let [newreno, cubic] = [tcp::CongAlg::NewReno, tcp::CongAlg::Cubic].map(|alg| {
             let cfg = NetemConfig {
                 drop: loss,
                 delay,
@@ -269,6 +266,15 @@ fn main() {
                 r.stats.rto_retransmits,
                 samples.join(" "),
             );
+            goodput_mbps
+        });
+        // The gate: on a clean link the two are window-limited equals, so
+        // any shortfall is a CUBIC bug.
+        if loss == 0.0 && cubic < newreno {
+            eprintln!(
+                "FAIL: CUBIC below NewReno on clean cell {cell}: {cubic:.3} < {newreno:.3} Mb/s (seed {seed})"
+            );
+            std::process::exit(1);
         }
     }
 }

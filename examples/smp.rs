@@ -6,11 +6,14 @@
 //! multi-queue netfront fans RX frames to per-core ingress rings by RSS
 //! hash, so every flow's TCB is only ever touched by the core that owns
 //! its shard. The matrix runs {1, 16} bulk flows at {1, 2, 4, 8} vCPUs
-//! and reports aggregate goodput. What CPU scaling means here, and what
-//! `scripts/bench.sh --smp` gates: sixteen flows on one vCPU get what one
-//! flow gets (>= 0.9x — the core is the bottleneck either way, and fan-in
-//! must not collapse it), every added vCPU helps (the 16-flow row never
-//! falls), and four cores at least double one.
+//! and reports aggregate goodput. What CPU scaling means here is gated on
+//! every `cargo test` by `mirage_bench::netsim`'s
+//! `sixteen_flows_scale_with_vcpus`, which runs the row printed below:
+//! sixteen flows on one vCPU get what one flow gets (>= 0.9x — the core
+//! is the bottleneck either way, and fan-in must not collapse it), every
+//! added vCPU helps (the 16-flow row never falls), and four cores at
+//! least double one. The zero quiet polls of the idle split are
+//! `idle_smp_quiet_tick_polls_nothing_on_any_core` beside it.
 //!
 //! A cell moves 1 MB per flow: at 200 kB a 16-flow cell lasts 10–20 ms,
 //! a tenth of the minimum RTO, so it measures slow start and whether one
@@ -20,14 +23,10 @@
 //! cargo run --release --example smp
 //! ```
 //!
-//! Knobs (all optional):
-//!
-//! * `MIRAGE_SMP_BYTES` — bytes per flow in the matrix   (default 1_000_000)
-//! * `MIRAGE_SMP_CONNS` — idle connections for the split (default 2048)
-//!
-//! Everything printed on **stdout** is a function of virtual time only
-//! and is byte-identical across runs (`scripts/verify.sh --smp` diffs a
-//! double run); wall-clock timings go to **stderr**.
+//! Everything printed on **stdout** is a function of virtual time and
+//! `MIRAGE_TEST_SEED` only and is byte-identical across runs
+//! (`scripts/verify.sh --smp` diffs a double run); wall-clock timings go
+//! to **stderr**.
 
 use std::time::Instant;
 
@@ -35,24 +34,25 @@ use mirage::baseline::netperf::TcpEndpoint;
 use mirage::hypervisor::Dur;
 use mirage_bench::netsim::{idle_smp, iperf_smp};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Bytes per flow in the matrix.
+const BYTES: usize = 1_000_000;
+/// Idle connections held for the per-core split.
+const CONNS: usize = 2048;
 
 fn main() {
-    let bytes = env_usize("MIRAGE_SMP_BYTES", 1_000_000);
-    let conns = env_usize("MIRAGE_SMP_CONNS", 2048);
-
-    println!("transfer   : {bytes} bytes/flow");
+    println!("transfer   : {BYTES} bytes/flow");
 
     let mut saturating = Vec::new();
     for flows in [1usize, 16] {
         for vcpus in [1usize, 2, 4, 8] {
             let t0 = Instant::now();
-            let r = iperf_smp(TcpEndpoint::Mirage, TcpEndpoint::Mirage, vcpus, flows, bytes);
+            let r = iperf_smp(
+                TcpEndpoint::Mirage,
+                TcpEndpoint::Mirage,
+                vcpus,
+                flows,
+                BYTES,
+            );
             eprintln!(
                 "wall: cell flows={flows} vcpus={vcpus} took {:.2} s",
                 t0.elapsed().as_secs_f64()
@@ -92,7 +92,7 @@ fn main() {
     // silent — the O(due work) claim holds per core, not just in
     // aggregate.
     let t0 = Instant::now();
-    let r = idle_smp(4, conns, Dur::millis(64));
+    let r = idle_smp(4, CONNS, Dur::millis(64));
     eprintln!("wall: idle split took {:.2} s", t0.elapsed().as_secs_f64());
     println!("idle split : {} conns held on 4 vcpus, 64 ms quiet window", r.established);
     for (core, (held, polls)) in r

@@ -30,7 +30,8 @@ use mirage::http::{
 use mirage::hypervisor::memory::{Mapping, MemError, Region};
 use mirage::hypervisor::{Dur, Hypervisor, Time};
 use mirage::net::tcp::{
-    self, build_segment, Connection, Event, Flags, SegmentOut, TcpConfig, TcpSegment,
+    self, build_segment, segment_len, write_segment, Connection, Event, Flags, SegmentOut,
+    TcpConfig, TcpSegment,
 };
 use mirage::net::{arp, ethernet, ipv4, Ipv4Addr, Mac, PktBuf, Stack, StackConfig, StackStats};
 use mirage::openflow::{FlowModCommand, OfAction, OfMatch, OfMessage, NO_BUFFER};
@@ -62,6 +63,32 @@ const ATTACKER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 66);
 const ATTACKER_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x66];
 const BACKLOG: usize = 8;
 
+/// One raw frame carrying `seg` from the attacker tap to the server's
+/// port 80, each layer written in place (the source port doubles as the
+/// IPv4 ident).
+fn attacker_frame(src_port: u16, seg: &SegmentOut) -> Vec<u8> {
+    let len = segment_len(seg);
+    let mut f = vec![0; ethernet::HEADER_LEN + ipv4::HEADER_LEN + len];
+    let (eth, ip) = f.split_at_mut(ethernet::HEADER_LEN);
+    ethernet::write_header(
+        eth,
+        Mac::local(80),
+        Mac(ATTACKER_MAC),
+        ethernet::EtherType::Ipv4,
+    );
+    let (ip, tcp) = ip.split_at_mut(ipv4::HEADER_LEN);
+    ipv4::write_header(
+        ip,
+        ATTACKER_IP,
+        SERVER_IP,
+        ipv4::protocol::TCP,
+        src_port,
+        len,
+    );
+    write_segment(tcp, ATTACKER_IP, src_port, SERVER_IP, 80, seg);
+    f
+}
+
 /// One raw SYN frame from the attacker tap to the server, with a seeded
 /// ISN and an attacker-chosen source port (each port is a fresh quad).
 fn syn_frame(src_port: u16, isn: u32) -> Vec<u8> {
@@ -77,14 +104,7 @@ fn syn_frame(src_port: u16, isn: u32) -> Vec<u8> {
         wscale: None,
         payload: PktBuf::empty(),
     };
-    let tcp_bytes = build_segment(ATTACKER_IP, src_port, SERVER_IP, 80, &seg);
-    let ip = ipv4::build(ATTACKER_IP, SERVER_IP, ipv4::protocol::TCP, src_port, &tcp_bytes);
-    ethernet::build(
-        Mac::local(80),
-        Mac(ATTACKER_MAC),
-        ethernet::EtherType::Ipv4,
-        &ip,
-    )
+    attacker_frame(src_port, &seg)
 }
 
 /// One ARP request teaching the server's stack the attacker's MAC, so
@@ -96,14 +116,16 @@ fn attacker_arp_frame() -> Vec<u8> {
         spa: ATTACKER_IP,
         tha: Mac::ZERO,
         tpa: SERVER_IP,
-    }
-    .build();
-    ethernet::build(
+    };
+    let mut f = vec![0; ethernet::HEADER_LEN + arp::ARP_LEN];
+    ethernet::write_header(
+        &mut f,
         Mac::BROADCAST,
         Mac(ATTACKER_MAC),
         ethernet::EtherType::Arp,
-        &req,
-    )
+    );
+    req.write(&mut f[ethernet::HEADER_LEN..]);
+    f
 }
 
 /// Builds the flood topology: dom0 with an attacker tap, an HTTP
@@ -292,15 +314,8 @@ fn forged_cookie_acks_never_create_connection_state() {
                 wscale: None,
                 payload: PktBuf::empty(),
             };
-            let tcp_bytes = build_segment(ATTACKER_IP, src_port, SERVER_IP, 80, &seg);
-            let ip =
-                ipv4::build(ATTACKER_IP, SERVER_IP, ipv4::protocol::TCP, src_port, &tcp_bytes);
-            rig.tap.inject(PktBuf::from_vec(ethernet::build(
-                Mac::local(80),
-                Mac(ATTACKER_MAC),
-                ethernet::EtherType::Ipv4,
-                &ip,
-            )));
+            rig.tap
+                .inject(PktBuf::from_vec(attacker_frame(src_port, &seg)));
             src_port = src_port.checked_add(1).unwrap_or(2048);
         }
         rig.hv.wake_external(rig.d0);

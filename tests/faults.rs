@@ -8,7 +8,7 @@ use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Tap, Xenstore};
 use mirage::hypervisor::grant::{GrantError, GrantTable, SharedPage};
 use mirage::hypervisor::{DomainId, Dur, Hypervisor, Time};
-use mirage::net::{ethernet, Ipv4Addr, Mac, Stack, StackConfig};
+use mirage::net::{ethernet, ipv4, udp, Ipv4Addr, Mac, Stack, StackConfig};
 use mirage::runtime::UnikernelGuest;
 use mirage::storage::{AppendLog, BlockLog, Fat32, FatError, MemDisk, Tree};
 
@@ -138,14 +138,16 @@ fn appliance_survives_garbage_frame_flood() {
         spa: Ipv4Addr::new(10, 0, 0, 200),
         tha: Mac::ZERO,
         tpa: Ipv4Addr::new(10, 0, 0, 5),
-    }
-    .build();
-    tap.inject(ethernet::build(
+    };
+    let mut frame = vec![0; ethernet::HEADER_LEN + mirage::net::arp::ARP_LEN];
+    ethernet::write_header(
+        &mut frame,
         Mac::BROADCAST,
         Mac(tap.mac()),
         ethernet::EtherType::Arp,
-        &arp,
-    ));
+    );
+    arp.write(&mut frame[ethernet::HEADER_LEN..]);
+    tap.inject(frame);
     hv.wake_external(d0);
     hv.run_for(Dur::millis(10));
     let _ = tap.harvest();
@@ -166,26 +168,20 @@ fn appliance_survives_garbage_frame_flood() {
         }
         // ...then one valid UDP datagram.
         let payload = format!("probe-{round}");
-        let dgram = mirage::net::udp::build(
-            Ipv4Addr::new(10, 0, 0, 200),
-            9000,
-            Ipv4Addr::new(10, 0, 0, 5),
-            7777,
-            payload.as_bytes(),
-        );
-        let packet = mirage::net::ipv4::build(
-            Ipv4Addr::new(10, 0, 0, 200),
-            Ipv4Addr::new(10, 0, 0, 5),
-            mirage::net::ipv4::protocol::UDP,
-            round as u16,
-            &dgram,
-        );
-        tap.inject(ethernet::build(
+        let (src, dst) = (Ipv4Addr::new(10, 0, 0, 200), Ipv4Addr::new(10, 0, 0, 5));
+        let len = udp::HEADER_LEN + payload.len();
+        let mut frame = vec![0; ethernet::HEADER_LEN + ipv4::HEADER_LEN + len];
+        let (eth, ip) = frame.split_at_mut(ethernet::HEADER_LEN);
+        ethernet::write_header(
+            eth,
             Mac::local(5),
             Mac(tap.mac()),
             ethernet::EtherType::Ipv4,
-            &packet,
-        ));
+        );
+        let (ip, dgram) = ip.split_at_mut(ipv4::HEADER_LEN);
+        ipv4::write_header(ip, src, dst, ipv4::protocol::UDP, round as u16, len);
+        udp::write(dgram, src, 9000, dst, 7777, payload.as_bytes());
+        tap.inject(frame);
         hv.wake_external(d0);
         hv.run_for(Dur::millis(20));
         for frame in tap.harvest() {
