@@ -70,12 +70,40 @@ impl DiskProfile {
     }
 }
 
+/// Sparse sector contents: a sector never written reads as zeroes. The
+/// one store behind [`SimulatedDisk`] and `storage::block::MemDisk`; each
+/// applies its own bounds policy before it gets here.
+#[derive(Debug, Default)]
+pub struct SectorStore(HashMap<u64, Box<[u8; SECTOR_SIZE]>>);
+
+impl SectorStore {
+    /// `count` sectors starting at `sector`.
+    pub fn read(&self, sector: u64, count: usize) -> Vec<u8> {
+        let mut out = vec![0u8; count * SECTOR_SIZE];
+        for (i, chunk) in out.chunks_exact_mut(SECTOR_SIZE).enumerate() {
+            if let Some(block) = self.0.get(&(sector + i as u64)) {
+                chunk.copy_from_slice(&block[..]);
+            }
+        }
+        out
+    }
+
+    /// Overwrites whole sectors starting at `sector` (`data` is a
+    /// multiple of [`SECTOR_SIZE`]).
+    pub fn write(&mut self, sector: u64, data: &[u8]) {
+        for (i, chunk) in data.chunks_exact(SECTOR_SIZE).enumerate() {
+            let block = Box::new(chunk.try_into().expect("a whole sector"));
+            self.0.insert(sector + i as u64, block);
+        }
+    }
+}
+
 /// In-memory sector store with the timing profile attached.
 #[derive(Debug)]
 pub struct SimulatedDisk {
     profile: DiskProfile,
     sectors: u64,
-    data: HashMap<u64, Box<[u8; SECTOR_SIZE]>>,
+    data: SectorStore,
 }
 
 impl SimulatedDisk {
@@ -84,7 +112,7 @@ impl SimulatedDisk {
         SimulatedDisk {
             profile,
             sectors,
-            data: HashMap::new(),
+            data: SectorStore::default(),
         }
     }
 
@@ -106,14 +134,7 @@ impl SimulatedDisk {
     /// validates before calling).
     pub fn read(&self, sector: u64, count: u16) -> Vec<u8> {
         assert!(sector + count as u64 <= self.sectors, "read past end");
-        let mut out = vec![0u8; count as usize * SECTOR_SIZE];
-        for i in 0..count as u64 {
-            if let Some(block) = self.data.get(&(sector + i)) {
-                let off = i as usize * SECTOR_SIZE;
-                out[off..off + SECTOR_SIZE].copy_from_slice(&block[..]);
-            }
-        }
-        out
+        self.data.read(sector, count as usize)
     }
 
     /// Writes whole sectors starting at `sector`.
@@ -125,17 +146,12 @@ impl SimulatedDisk {
         assert_eq!(data.len() % SECTOR_SIZE, 0, "unaligned write");
         let count = (data.len() / SECTOR_SIZE) as u64;
         assert!(sector + count <= self.sectors, "write past end");
-        for i in 0..count {
-            let off = i as usize * SECTOR_SIZE;
-            let mut block = Box::new([0u8; SECTOR_SIZE]);
-            block.copy_from_slice(&data[off..off + SECTOR_SIZE]);
-            self.data.insert(sector + i, block);
-        }
+        self.data.write(sector, data);
     }
 
     /// Sectors that have ever been written (sparse occupancy).
     pub fn written_sectors(&self) -> usize {
-        self.data.len()
+        self.data.0.len()
     }
 }
 

@@ -11,10 +11,11 @@
 //! else is completed failed and counted in
 //! [`DriverStats::requests_rejected`].
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use mirage_testkit::rng::Rng;
 use mirage_testkit::sync::Mutex;
+use mirage_testkit::wheel::TimerWheel;
 
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::SharedPage;
@@ -25,38 +26,15 @@ use crate::netback::DriverStats;
 use crate::netem::DiskFaultPlan;
 use crate::transport::{map_cached, BackQueue, DataBuf, Request};
 
-/// A request in service, completing at `done_at`. Its buffer stays owned
-/// by the device until then.
+/// A request in service. Its buffer stays owned by the device until it
+/// completes.
 struct Pending {
-    done_at: Time,
     token: u32,
-    id: u64,
     data: DataBuf,
     is_read: bool,
     ok: bool,
     sector: u64,
     count: u16,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.done_at == other.done_at && self.id == other.id
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by completion time.
-        other
-            .done_at
-            .cmp(&self.done_at)
-            .then_with(|| other.id.cmp(&self.id))
-    }
 }
 
 /// The backend half of one virtual disk.
@@ -67,7 +45,9 @@ pub(crate) struct BlkBackend {
     mapped: HashMap<u32, SharedPage>,
     disk: SimulatedDisk,
     busy_until: Time,
-    pending: BinaryHeap<Pending>,
+    /// Requests in service, by completion time — which is acceptance
+    /// order: `busy_until` moves by a non-zero transfer time per request.
+    pending: TimerWheel<Pending>,
 }
 
 impl BlkBackend {
@@ -78,7 +58,7 @@ impl BlkBackend {
             mapped: HashMap::new(),
             disk: SimulatedDisk::new(profile, sectors),
             busy_until: Time::ZERO,
-            pending: BinaryHeap::new(),
+            pending: TimerWheel::new(),
         }
     }
 
@@ -88,7 +68,7 @@ impl BlkBackend {
 
     /// When the earliest request in service completes.
     pub(crate) fn next_deadline(&self) -> Option<Time> {
-        self.pending.peek().map(|p| p.done_at)
+        self.pending.next_deadline().map(Time::from_nanos)
     }
 
     /// Arms the queue before the driver domain blocks.
@@ -96,16 +76,16 @@ impl BlkBackend {
         self.queue.arm()
     }
 
-    /// `(is_read, id, sector, count)` of a request this disk can execute.
-    fn validate(&self, req: &Request) -> Option<(bool, u64, u64, u16)> {
-        let (op, id, sector, count) = wire::parse_req(&req.header)?;
+    /// `(is_read, sector, count)` of a request this disk can execute.
+    fn validate(&self, req: &Request) -> Option<(bool, u64, u16)> {
+        let (op, _id, sector, count) = wire::parse_req(&req.header)?;
         let is_read = op == wire::OP_READ;
         let end = sector.checked_add(u64::from(count))?;
         let valid = (1..=MAX_SECTORS_PER_REQ).contains(&count)
             && end <= self.disk.sectors()
             && usize::from(count) * SECTOR_SIZE <= req.data.len as usize
             && (req.data.device_writes || !is_read);
-        valid.then_some((is_read, id, sector, count))
+        valid.then_some((is_read, sector, count))
     }
 
     /// One pass: accept new requests, scheduling their completion times,
@@ -126,7 +106,7 @@ impl BlkBackend {
                 let fields = self.validate(&req).ok_or(req.token)?;
                 Ok((req, fields))
             });
-            let (req, (is_read, id, sector, count)) = match accepted {
+            let (req, (is_read, sector, count)) = match accepted {
                 Ok(accepted) => accepted,
                 Err(token) => {
                     bell |= self.queue.complete(env, token, 0, false);
@@ -172,22 +152,18 @@ impl BlkBackend {
             let transfer = self.disk.profile().transfer_time(bytes);
             let done_at = start + transfer + self.disk.profile().latency;
             self.busy_until = start + transfer;
-            let (token, data) = (req.token, req.data);
-            self.pending.push(Pending {
-                done_at,
-                token,
-                id,
-                data,
+            let pending = Pending {
+                token: req.token,
+                data: req.data,
                 is_read,
                 ok,
                 sector,
                 count,
-            });
+            };
+            self.pending.insert(done_at.as_nanos(), pending);
         }
         // Complete requests whose service time has elapsed.
-        let now = env.now();
-        while self.pending.peek().is_some_and(|p| p.done_at <= now) {
-            let p = self.pending.pop().expect("peeked");
+        self.pending.advance(env.now().as_nanos(), |_, p| {
             let mut written = 0;
             if p.is_read && p.ok {
                 let data = self.disk.read(p.sector, p.count);
@@ -199,7 +175,7 @@ impl BlkBackend {
             bell |= self.queue.complete(env, p.token, written, p.ok);
             stats.lock().blk_completed += 1;
             progressed = true;
-        }
+        });
         if bell {
             let _ = env.evtchn_notify(self.port);
         }

@@ -493,6 +493,24 @@ mod tests {
         });
     }
 
+    /// Completion order is acceptance order — the device finishes what it
+    /// took first — whatever ids the guest chose: here they descend.
+    #[test]
+    fn blk_completions_arrive_in_acceptance_order() {
+        for backend in Backend::ALL {
+            let counts = [6u16, 5, 4, 3, 2, 1];
+            let script = counts
+                .iter()
+                .map(|&n| blk_post(wire::OP_READ, 0, n, u32::from(n) * 512))
+                .collect();
+            let dom0 = DriverDomain::new(Xenstore::new());
+            let (done, stats) = run_raw(backend, dom0, Kind::Disk(64), script);
+            assert_eq!(stats.blk_completed, 6, "[{backend}]");
+            let sectors_read: Vec<u32> = done.iter().map(|c| c.len / 512).collect();
+            assert_eq!(sectors_read, [6, 5, 4, 3, 2, 1], "[{backend}]");
+        }
+    }
+
     #[test]
     fn net_tx_length_past_the_page_is_rejected() {
         for backend in Backend::ALL {

@@ -15,10 +15,11 @@
 //! [`DriverStats::requests_rejected`]; the switch never indexes a page by
 //! a guest-supplied length it has not bounded.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use mirage_testkit::sync::Mutex;
+use mirage_testkit::wheel::TimerWheel;
 
 use mirage_cstruct::PktBuf;
 use mirage_hypervisor::event::Port;
@@ -122,37 +123,6 @@ struct SwitchPort {
     rx_starved: bool,
 }
 
-/// A frame the link conditioner is holding until `release_at`.
-struct DelayedFrame {
-    release_at: Time,
-    seq: u64,
-    /// Ingress port; `None` for a tap.
-    src: Option<usize>,
-    frame: PktBuf,
-}
-
-impl PartialEq for DelayedFrame {
-    fn eq(&self, other: &Self) -> bool {
-        self.release_at == other.release_at && self.seq == other.seq
-    }
-}
-impl Eq for DelayedFrame {}
-impl PartialOrd for DelayedFrame {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedFrame {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (release time, offer order): ties release in the
-        // order the conditioner saw them, keeping runs deterministic.
-        other
-            .release_at
-            .cmp(&self.release_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Network fabric parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetProfile {
@@ -198,8 +168,10 @@ pub(crate) struct Switch {
     pub(crate) taps: Vec<Tap>,
     /// The link conditioner; `None` is a perfect wire.
     pub(crate) netem: Option<Netem>,
-    delayed: BinaryHeap<DelayedFrame>,
-    delay_seq: u64,
+    /// Frames the conditioner is holding, as `(ingress port, frame)` with
+    /// `None` for a tap, by release time: ties leave in the order the
+    /// conditioner saw them, keeping runs deterministic.
+    delayed: TimerWheel<(Option<usize>, PktBuf)>,
     stats: Arc<Mutex<DriverStats>>,
 }
 
@@ -211,8 +183,7 @@ impl Switch {
             mac_table: HashMap::new(),
             taps: Vec::new(),
             netem: None,
-            delayed: BinaryHeap::new(),
-            delay_seq: 0,
+            delayed: TimerWheel::new(),
             stats,
         }
     }
@@ -258,7 +229,7 @@ impl Switch {
 
     /// When the link conditioner next releases a held frame.
     pub(crate) fn next_deadline(&self) -> Option<Time> {
-        self.delayed.peek().map(|d| d.release_at)
+        self.delayed.next_deadline().map(Time::from_nanos)
     }
 
     /// Route `frame` from port `src` (`None`: a tap — no MAC learning, no
@@ -324,7 +295,7 @@ impl Switch {
 
     /// Offer a frame to the link conditioner (if any) before switching it.
     /// Conditioned frames may be dropped, duplicated, corrupted or held in
-    /// the delay heap until their release time. No port could ever
+    /// the delay queue until their release time. No port could ever
     /// receive a frame over [`MAX_FRAME`], so those stop here.
     fn offer(&mut self, now: Time, src: Option<usize>, frame: PktBuf) {
         if frame.len() > MAX_FRAME {
@@ -346,13 +317,7 @@ impl Switch {
             if release_at <= now {
                 self.route(src, frame);
             } else {
-                self.delay_seq += 1;
-                self.delayed.push(DelayedFrame {
-                    release_at,
-                    seq: self.delay_seq,
-                    src,
-                    frame,
-                });
+                self.delayed.insert(release_at.as_nanos(), (src, frame));
             }
         }
     }
@@ -361,13 +326,13 @@ impl Switch {
     /// guests and taps, deliver into posted RX buffers. At most one
     /// interrupt per queue per direction.
     pub(crate) fn service(&mut self, env: &mut DomainEnv<'_>) -> bool {
-        let mut progressed = false;
         // Release frames whose conditioner-imposed delay has elapsed.
-        let now = env.now();
-        while self.delayed.peek().is_some_and(|d| d.release_at <= now) {
-            let d = self.delayed.pop().expect("peeked");
-            self.route(d.src, d.frame);
-            progressed = true;
+        let mut released = Vec::new();
+        self.delayed
+            .advance(env.now().as_nanos(), |_, held| released.push(held));
+        let mut progressed = !released.is_empty();
+        for (src, frame) in released {
+            self.route(src, frame);
         }
         // Ingest frames from guests. On a multi-vCPU driver domain each
         // NIC's wire serialisation is charged on its own lane (a
@@ -468,5 +433,59 @@ impl Switch {
             self.stats.lock().requests_rejected += rejected;
         }
         progressed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::netem::NetemConfig;
+    use mirage_hypervisor::{Guest, Hypervisor, Step, Wake};
+
+    const TAP_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x01];
+
+    /// A domain that is nothing but a switch: it offers three frames at
+    /// one instant, then services the switch whenever it says it is due.
+    struct Offers {
+        sw: Switch,
+        offered: bool,
+    }
+
+    impl Guest for Offers {
+        fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
+            if !self.offered {
+                self.offered = true;
+                for tag in [3u8, 1, 2] {
+                    let mut frame = vec![tag; 64];
+                    frame[..6].copy_from_slice(&TAP_MAC);
+                    self.sw.offer(env.now(), None, PktBuf::from_vec(frame));
+                }
+            }
+            self.sw.service(env);
+            let (deadline, ports) = (self.sw.next_deadline(), Vec::new());
+            Step::Yield(Wake { deadline, ports })
+        }
+    }
+
+    /// Frames the conditioner releases at one instant leave in the order
+    /// they were offered.
+    #[test]
+    fn frames_released_together_leave_in_offer_order() {
+        let mut sw = Switch::new(NetProfile::default(), Arc::default());
+        let tap = Tap::new(TAP_MAC);
+        sw.taps.push(tap.clone());
+        let fixed_delay = NetemConfig {
+            delay: Dur::millis(2),
+            ..NetemConfig::default()
+        };
+        sw.netem = Some(Netem::from_seed(fixed_delay, 1, "fixed-delay"));
+        let offered = false;
+        let mut hv = Hypervisor::new();
+        hv.create_domain("switch", 64, Box::new(Offers { sw, offered }));
+        hv.run_until(Time::ZERO + Dur::millis(1));
+        assert!(tap.harvest().is_empty(), "still held");
+        hv.run_until(Time::ZERO + Dur::millis(3));
+        let tags: Vec<u8> = tap.harvest().iter().map(|f| f[13]).collect();
+        assert_eq!(tags, [3, 1, 2]);
     }
 }

@@ -1,6 +1,6 @@
 //! ARP — address resolution with a pending-queue cache (paper Table 1).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use mirage_hypervisor::{Dur, Time};
@@ -100,7 +100,9 @@ struct Pending {
 #[derive(Default)]
 pub struct ArpCache {
     entries: HashMap<Ipv4Addr, (Mac, Time)>, // mac, expiry
-    pending: HashMap<Ipv4Addr, Pending>,
+    /// In address order: `poll` walks it, and who-has frames leave in the
+    /// order it returns.
+    pending: BTreeMap<Ipv4Addr, Pending>,
 }
 
 impl ArpCache {
@@ -143,25 +145,21 @@ impl ArpCache {
             .map(|(mac, _)| *mac)
     }
 
-    /// Advances retry timers; returns IPs to re-request and drops queues
-    /// that exhausted their retries.
+    /// Advances retry timers; returns IPs to re-request, in address
+    /// order, and drops queues that exhausted their retries.
     pub fn poll(&mut self, now: Time) -> Vec<Ipv4Addr> {
         let mut resend = Vec::new();
-        let mut dead = Vec::new();
-        for (ip, p) in self.pending.iter_mut() {
+        self.pending.retain(|ip, p| {
             if p.next_retry <= now {
                 p.retries += 1;
                 if p.retries >= MAX_RETRIES {
-                    dead.push(*ip);
-                } else {
-                    p.next_retry = now + REQUEST_RETRY;
-                    resend.push(*ip);
+                    return false;
                 }
+                p.next_retry = now + REQUEST_RETRY;
+                resend.push(*ip);
             }
-        }
-        for ip in dead {
-            self.pending.remove(&ip);
-        }
+            true
+        });
         resend
     }
 
@@ -253,6 +251,18 @@ mod tests {
         let t3 = t2 + REQUEST_RETRY + Dur::millis(1);
         assert!(cache.poll(t3).is_empty(), "gave up");
         assert_eq!(cache.next_deadline(), None);
+    }
+
+    /// The who-has frames go out in the order `poll` returns, so it must
+    /// not depend on a per-process hash seed.
+    #[test]
+    fn overdue_neighbours_are_re_requested_in_address_order() {
+        let mut cache = ArpCache::new();
+        for host in [7u8, 3, 9, 1, 5, 8, 6, 2, 4] {
+            cache.queue(Ipv4Addr::new(10, 0, 0, host), b"p".to_vec(), Time::ZERO);
+        }
+        let in_order: Vec<_> = (1..=9).map(|host| Ipv4Addr::new(10, 0, 0, host)).collect();
+        assert_eq!(cache.poll(Time::ZERO + REQUEST_RETRY), in_order);
     }
 
     #[test]

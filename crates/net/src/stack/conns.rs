@@ -25,10 +25,11 @@ pub(super) struct ConnEntry {
     connect_reply: Option<Sender<Result<TcpStream, NetError>>>,
     from_listener: Option<u16>,
     dead: bool,
-    /// The armed deadline-wheel entry, if the connection has a pending
-    /// timer (retransmit/persist/TIME-WAIT). Idle established connections
-    /// keep this `None` and are never touched by `on_timers`.
-    timer: Option<(Time, TimerId)>,
+    /// The armed deadline-queue entry, if the connection has a pending
+    /// timer (retransmit/persist/TIME-WAIT); the handle carries its
+    /// deadline. Idle established connections keep this `None` and are
+    /// never touched by `on_timers`.
+    timer: Option<TimerId>,
     /// True while this entry sits in the `dirty` flush list.
     dirty: bool,
     /// True while counted in the stack's O(1) half-open gauge.
@@ -74,7 +75,7 @@ impl FlowKeyed for ConnEntry {
 /// [`ConnEntry`] (TCB, stream sender, parked timer slot) plus the two
 /// table index entries that find it (`conns` key + boxed-entry pointer,
 /// `quads` key + id). An idle keep-alive connection holds no buffered
-/// segments and arms no wheel entry, so this *is* its whole budget —
+/// segments and arms no deadline, so this *is* its whole budget —
 /// the C1M scenario prints it next to the measured RSS delta.
 ///
 /// Re-audited after the tcp/ component split: 488 B on x86-64 (456 B
@@ -93,14 +94,14 @@ pub fn idle_conn_bytes() -> usize {
         + std::mem::size_of::<u64>()                        // quads value
 }
 
-/// Every TCP connection of one worker, the wheel holding their deadlines,
+/// Every TCP connection of one worker, the queue holding their deadlines,
 /// and the occupancy gauges.
 pub(super) struct Conns {
     table: ConnTable<ConnEntry>,
     /// Per-connection timer deadlines, by connection id: `on_timers` pays
     /// only for entries that are actually due.
-    wheel: TimerWheel<u64>,
-    /// Scratch for draining the wheel without a per-tick allocation.
+    deadlines: TimerWheel<u64>,
+    /// Scratch for draining due deadlines without a per-tick allocation.
     due_scratch: Vec<u64>,
     /// Connections with writes buffered since the last `flush_tx`
     /// (deduplicated by `ConnEntry::dirty`, drained without reallocating).
@@ -120,7 +121,7 @@ impl Conns {
     pub(super) fn new(stream_cmd: Sender<Cmd>, listeners: Listeners) -> Conns {
         Conns {
             table: ConnTable::new(),
-            wheel: TimerWheel::new(),
+            deadlines: TimerWheel::new(),
             due_scratch: Vec::new(),
             dirty: Vec::new(),
             half_open: 0,
@@ -155,8 +156,8 @@ impl Conns {
     }
 
     /// The earliest armed connection deadline.
-    pub(super) fn next_deadline(&mut self) -> Option<Time> {
-        self.wheel.next_deadline().map(Time::from_nanos)
+    pub(super) fn next_deadline(&self) -> Option<Time> {
+        self.deadlines.next_deadline().map(Time::from_nanos)
     }
 
     /// Refreshes the occupancy gauges and their high-water marks — O(1):
@@ -185,19 +186,17 @@ impl Conns {
         }
     }
 
-    /// Re-arms (or disarms) a connection's deadline-wheel entry to `want`.
+    /// Re-arms (or disarms) a connection's deadline-queue entry to `want`.
     fn set_conn_timer(&mut self, id: u64, want: Option<Time>) {
         let Some(e) = self.table.get_mut(id) else {
             return;
         };
-        match (e.timer, want) {
-            (Some((t, _)), Some(w)) if t == w => {}
-            (prev, want) => {
-                if let Some((_, tid)) = prev {
-                    self.wheel.cancel(tid);
-                }
-                e.timer = want.map(|w| (w, self.wheel.insert(w.as_nanos(), id)));
+        let want = want.map(Time::as_nanos);
+        if e.timer.map(TimerId::deadline) != want {
+            if let Some(tid) = e.timer {
+                self.deadlines.cancel(tid);
             }
+            e.timer = want.map(|w| self.deadlines.insert(w, id));
         }
     }
 
@@ -278,8 +277,8 @@ impl Conns {
 
     fn remove(&mut self, id: u64) {
         if let Some(e) = self.table.remove(id) {
-            if let Some((_, tid)) = e.timer {
-                self.wheel.cancel(tid);
+            if let Some(tid) = e.timer {
+                self.deadlines.cancel(tid);
             }
             if e.half_open_counted {
                 self.half_open -= 1;
@@ -351,13 +350,12 @@ impl Conns {
         self.dirty = ids;
     }
 
-    /// Polls every connection whose deadline has passed. The wheel hands
-    /// back only entries that are actually due, so a quiet tick over a
-    /// million idle connections polls none of them.
+    /// Polls every connection whose deadline has passed. Idle connections
+    /// arm none, so a quiet tick over a million of them polls nothing.
     pub(super) fn on_timers(&mut self, now: Time, egress: &mut Egress) {
         let mut due = std::mem::take(&mut self.due_scratch);
         due.clear();
-        self.wheel.advance(now.as_nanos(), |_, id| due.push(id));
+        self.deadlines.advance(now.as_nanos(), |_, id| due.push(id));
         for id in due.drain(..) {
             let outcome = match self.table.get_mut(id) {
                 Some(e) => {

@@ -579,6 +579,29 @@ mod tests {
         assert_eq!(ident(&sent(&mut rx)), 3);
     }
 
+    /// Neighbours whose answers fall due together are asked again in address
+    /// order, whatever order their frames were queued in.
+    #[test]
+    fn retry_arp_repeats_who_has_in_address_order() {
+        let (mut egress, mut rx) = egress_on(Runtime::new(), Mac::local(1), Some(GUEST_IP));
+        let who_has = |rx: &mut Receiver<PktBuf>| {
+            let mut asked = Vec::new();
+            while let Some(frame) = rx.try_recv() {
+                let eth = Frame::parse(&frame).unwrap();
+                assert_eq!((eth.dst, eth.ethertype), (Mac::BROADCAST, EtherType::Arp));
+                asked.push(ArpPacket::parse(eth.payload).unwrap().tpa.octets()[3]);
+            }
+            asked
+        };
+        let queued = [17u8, 13, 19, 11, 15, 18, 16, 12, 14];
+        for host in queued {
+            egress.udp(7000, Ipv4Addr::new(10, 0, 0, host), 9000, b"waits");
+        }
+        assert_eq!(who_has(&mut rx), queued, "first requests leave as queued");
+        egress.retry_arp(Time::ZERO + crate::arp::REQUEST_RETRY);
+        assert_eq!(who_has(&mut rx), [11, 12, 13, 14, 15, 16, 17, 18, 19]);
+    }
+
     /// A datagram no frame can carry is refused before anything is built:
     /// nothing is sent, nothing waits for ARP, no `ident` is spent.
     #[test]

@@ -65,7 +65,7 @@ pub struct StackStats {
     pub syn_cookies_sent: u64,
     /// Connections established from a validated returning cookie ACK.
     pub syn_cookies_accepted: u64,
-    /// `Connection::poll` calls driven by the deadline wheel. An idle
+    /// `Connection::poll` calls driven by the deadline queue. An idle
     /// connection arms no deadline, so a quiet tick polls nothing — the
     /// scale suite asserts this stays zero across 100k idle connections.
     pub timer_polls: u64,
@@ -237,10 +237,9 @@ impl Worker {
         }
     }
 
-    /// The earliest pending deadline across every timer source. O(1) in
-    /// the connection count: per-connection deadlines live in the wheel,
-    /// whose minimum is cached.
-    fn next_deadline(&mut self) -> Option<Time> {
+    /// The earliest pending deadline across every timer source: the
+    /// first key of the connections' deadline queue, never a table scan.
+    fn next_deadline(&self) -> Option<Time> {
         [
             self.conns.next_deadline(),
             self.egress.arp_deadline(),

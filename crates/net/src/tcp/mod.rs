@@ -79,6 +79,15 @@ use conn::{CloseAction, ConnMgmt};
 use flow::FlowCtrl;
 use rod::{AckClass, DupSignal, RecvOutcome, Rod};
 
+const PSH_ACK: Flags = Flags {
+    psh: true,
+    ..Flags::ACK
+};
+const FIN_ACK: Flags = Flags {
+    fin: true,
+    ..Flags::ACK
+};
+
 /// The TCP connection orchestrator: one instance of each component, wired
 /// together by intent-level method calls (see the module docs for the
 /// write-scope table).
@@ -218,17 +227,23 @@ impl Connection {
         }
     }
 
-    fn make_ack(&mut self) -> SegmentOut {
-        self.stats.segs_out += 1;
+    /// A segment of an open connection: what is being sent, beside the
+    /// acknowledgement and window every such segment carries.
+    fn segment(&self, seq: u32, flags: Flags, payload: PktBuf) -> SegmentOut {
         SegmentOut {
-            seq: self.rod.snd_nxt(),
+            seq,
             ack: self.rod.rcv_nxt(),
-            flags: Flags::ACK,
+            flags,
             window: self.my_window_field(),
             mss: None,
             wscale: None,
-            payload: PktBuf::empty(),
+            payload,
         }
+    }
+
+    fn make_ack(&mut self) -> SegmentOut {
+        self.stats.segs_out += 1;
+        self.segment(self.rod.snd_nxt(), Flags::ACK, PktBuf::empty())
     }
 
     fn unacked_in_flight(&self) -> bool {
@@ -330,19 +345,11 @@ impl Connection {
             };
             self.stats.segs_out += 1;
             self.stats.bytes_out += payload.len() as u64;
-            out.push(SegmentOut {
-                seq: seq_no,
-                ack: self.rod.rcv_nxt(),
-                flags: Flags {
-                    ack: true,
-                    psh: last,
-                    ..Flags::default()
-                },
-                window: self.my_window_field(),
-                mss: None,
-                wscale: None,
-                payload,
-            });
+            let flags = Flags {
+                psh: last,
+                ..Flags::ACK
+            };
+            out.push(self.segment(seq_no, flags, payload));
             // Time the first unsampled transmission (its end is snd_nxt
             // right after the carve); a no-op while a sample is in flight.
             self.cm.take_rtt_sample(self.rod.snd_nxt(), now);
@@ -355,19 +362,7 @@ impl Connection {
             let fin_seq = self.rod.reserve_fin();
             self.cm.note_fin_sent(fin_seq);
             self.stats.segs_out += 1;
-            out.push(SegmentOut {
-                seq: fin_seq,
-                ack: self.rod.rcv_nxt(),
-                flags: Flags {
-                    fin: true,
-                    ack: true,
-                    ..Flags::default()
-                },
-                window: self.my_window_field(),
-                mss: None,
-                wscale: None,
-                payload: PktBuf::empty(),
-            });
+            out.push(self.segment(fin_seq, FIN_ACK, PktBuf::empty()));
         }
         if !out.is_empty() && self.cm.rtx_deadline().is_none() {
             self.cm.arm_rtx(now);
@@ -408,19 +403,7 @@ impl Connection {
             } else if let Some((seq_no, payload)) = self.rod.carve_probe(self.cm.syn_unacked()) {
                 self.stats.segs_out += 1;
                 self.stats.persist_probes += 1;
-                out.segments.push(SegmentOut {
-                    seq: seq_no,
-                    ack: self.rod.rcv_nxt(),
-                    flags: Flags {
-                        ack: true,
-                        psh: true,
-                        ..Flags::default()
-                    },
-                    window: self.my_window_field(),
-                    mss: None,
-                    wscale: None,
-                    payload,
-                });
+                out.segments.push(self.segment(seq_no, PSH_ACK, payload));
                 self.flow.backoff_persist(now, self.cfg.rto_max);
             } else {
                 self.flow.cancel_persist();
@@ -479,34 +462,10 @@ impl Connection {
             .retransmit_chunk(self.cm.syn_unacked(), self.effective_mss())
         {
             self.stats.segs_out += 1;
-            out.push(SegmentOut {
-                seq: seq_no,
-                ack: self.rod.rcv_nxt(),
-                flags: Flags {
-                    ack: true,
-                    psh: true,
-                    ..Flags::default()
-                },
-                window: self.my_window_field(),
-                mss: None,
-                wscale: None,
-                payload,
-            });
+            out.push(self.segment(seq_no, PSH_ACK, payload));
         } else if self.cm.fin_sent() && seq::le(self.rod.snd_una(), self.cm.fin_seq()) {
             self.stats.segs_out += 1;
-            out.push(SegmentOut {
-                seq: self.cm.fin_seq(),
-                ack: self.rod.rcv_nxt(),
-                flags: Flags {
-                    fin: true,
-                    ack: true,
-                    ..Flags::default()
-                },
-                window: self.my_window_field(),
-                mss: None,
-                wscale: None,
-                payload: PktBuf::empty(),
-            });
+            out.push(self.segment(self.cm.fin_seq(), FIN_ACK, PktBuf::empty()));
         }
         out
     }

@@ -66,7 +66,7 @@ impl Output {
 /// What one [`Connection::poll`](super::Connection::poll) produced: the
 /// state-machine output plus the connection's next timer deadline (`None`
 /// for a quiescent connection), so a caller tracking many connections can
-/// re-arm a per-connection timer wheel instead of re-scanning every
+/// re-arm a per-connection deadline queue instead of re-scanning every
 /// connection each tick.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PollOutcome {

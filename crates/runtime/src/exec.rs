@@ -11,7 +11,7 @@
 //! devices before the tasks that round woke get their turn.
 //!
 //! An SMP runtime holds one [`CoreState`] per vCPU — its own run queue,
-//! timer wheel and virtual clock — under a single scheduler lock (the
+//! timer queue and virtual clock — under a single scheduler lock (the
 //! simulation itself stays on one OS thread; parallelism is expressed in
 //! *virtual* time through the hypervisor's per-vCPU charge lanes). Tasks
 //! have a home core: charges, sleeps and child spawns from inside a task
@@ -57,10 +57,8 @@ struct CoreState {
     /// Virtual time charged by tasks since the driver last drained it.
     charge: Dur,
     run_queue: VecDeque<TaskId>,
-    /// Pending sleeps, keyed by absolute deadline. The hashed wheel keeps
-    /// insert/cancel O(1) so a domain holding a million armed timeouts
-    /// pays only for the ones that actually expire (fires in the same
-    /// `(deadline, registration)` order the old binary heap popped).
+    /// Pending sleeps, firing in `(deadline, registration)` order — the
+    /// paper's timer priority queue (§3.3).
     timers: TimerWheel<Waker>,
 }
 
@@ -261,7 +259,7 @@ impl CoreHandle {
         id
     }
 
-    /// Arms a timer on the current core's wheel; the returned pair lets
+    /// Arms a timer on the current core's queue; the returned pair lets
     /// the sleep future refresh its waker on re-poll and disarm itself on
     /// drop.
     pub(crate) fn register_timer(&self, at: Time, waker: Waker) -> (usize, TimerId) {
@@ -435,7 +433,7 @@ impl CoreHandle {
             let pending = std::mem::replace(&mut s.cores[core].charge, Dur::ZERO);
             s.cores[core].now = drain_charge(core, pending);
         }
-        let mut s = self.sched.lock();
+        let s = self.sched.lock();
         let next_deadline = (0..ncores)
             .filter_map(|v| s.cores[v].timers.next_deadline())
             .min()

@@ -90,7 +90,7 @@ impl Runtime {
     }
 
     /// A runtime with `cores` per-vCPU executors: one run queue, timer
-    /// wheel and virtual clock each, with deterministic seeded work
+    /// queue and virtual clock each, with deterministic seeded work
     /// stealing for non-pinned tasks. `smp(1)` behaves exactly like the
     /// classic single-threaded executor.
     pub fn smp(cores: usize) -> Runtime {

@@ -1,11 +1,10 @@
 //! Virtual-time sleep futures.
 //!
 //! "Thread scheduling is platform-independent with timers stored in a
-//! heap-allocated OCaml priority queue" (paper §3.3). Here, the timer
-//! store lives in the executor core — a hashed timer wheel rather than a
-//! priority queue, so a million armed sleeps cost nothing per tick — and
+//! heap-allocated OCaml priority queue" (paper §3.3). Here, that queue
+//! lives in the executor core — one ordered map per vCPU — and
 //! [`Sleep`] futures register their wakers against it. Each sleep owns at
-//! most one wheel entry: re-polls refresh the stored waker in place and
+//! most one queue entry: re-polls refresh the stored waker in place and
 //! dropping the future (e.g. the losing arm of a select) disarms it.
 
 use std::future::Future;
@@ -23,7 +22,7 @@ use crate::exec::CoreHandle;
 pub struct Sleep {
     pub(crate) deadline: Time,
     pub(crate) core: SleepCore,
-    /// `(core, wheel entry)` — sleeps arm the wheel of whichever core
+    /// `(core, queue entry)` — sleeps arm the queue of whichever core
     /// polled them first and keep refreshing that same entry.
     pub(crate) id: Option<(usize, TimerId)>,
 }
@@ -66,7 +65,7 @@ impl Future for Sleep {
 impl Drop for Sleep {
     fn drop(&mut self) {
         // Disarm: the losing arm of a select would otherwise leave a stale
-        // entry in the wheel until its deadline cycled around.
+        // entry in the queue until its deadline came round.
         if let Some(id) = self.id.take() {
             self.core.0.cancel_timer(id);
         }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use mirage_testkit::sync::Mutex;
 
-use mirage_devices::blk::{BlkCompletion, BlkHandle, BlkOp, BlkRequest, SECTOR_SIZE};
+use mirage_devices::blk::{BlkCompletion, BlkHandle, BlkOp, BlkRequest, SectorStore, SECTOR_SIZE};
 use mirage_runtime::channel::{self, Sender};
 use mirage_runtime::Runtime;
 
@@ -64,7 +64,7 @@ pub trait BlockIo: Send + Sync {
 #[derive(Clone)]
 pub struct MemDisk {
     sectors: u64,
-    data: Arc<Mutex<HashMap<u64, Box<[u8; SECTOR_SIZE]>>>>,
+    data: Arc<Mutex<SectorStore>>,
 }
 
 impl std::fmt::Debug for MemDisk {
@@ -78,7 +78,7 @@ impl MemDisk {
     pub fn new(sectors: u64) -> MemDisk {
         MemDisk {
             sectors,
-            data: Arc::new(Mutex::new(HashMap::new())),
+            data: Arc::new(Mutex::new(SectorStore::default())),
         }
     }
 
@@ -86,15 +86,11 @@ impl MemDisk {
     /// shortcut and fault injection).
     pub fn patch(&self, offset: u64, bytes: &[u8]) {
         let mut data = self.data.lock();
-        for (i, b) in bytes.iter().enumerate() {
-            let pos = offset + i as u64;
-            let sector = pos / SECTOR_SIZE as u64;
-            let within = (pos % SECTOR_SIZE as u64) as usize;
-            let block = data
-                .entry(sector)
-                .or_insert_with(|| Box::new([0u8; SECTOR_SIZE]));
-            block[within] = *b;
-        }
+        let first = offset / SECTOR_SIZE as u64;
+        let within = (offset % SECTOR_SIZE as u64) as usize;
+        let mut span = data.read(first, (within + bytes.len()).div_ceil(SECTOR_SIZE));
+        span[within..within + bytes.len()].copy_from_slice(bytes);
+        data.write(first, &span);
     }
 }
 
@@ -109,15 +105,7 @@ impl BlockIo for MemDisk {
             if sector + count as u64 > this.sectors {
                 return Err(BlockError::OutOfRange);
             }
-            let data = this.data.lock();
-            let mut out = vec![0u8; count as usize * SECTOR_SIZE];
-            for i in 0..count as u64 {
-                if let Some(block) = data.get(&(sector + i)) {
-                    let off = i as usize * SECTOR_SIZE;
-                    out[off..off + SECTOR_SIZE].copy_from_slice(&block[..]);
-                }
-            }
-            Ok(out)
+            Ok(this.data.lock().read(sector, count as usize))
         })
     }
 
@@ -131,13 +119,7 @@ impl BlockIo for MemDisk {
             if sector + count > this.sectors {
                 return Err(BlockError::OutOfRange);
             }
-            let mut map = this.data.lock();
-            for i in 0..count {
-                let off = i as usize * SECTOR_SIZE;
-                let mut block = Box::new([0u8; SECTOR_SIZE]);
-                block.copy_from_slice(&data[off..off + SECTOR_SIZE]);
-                map.insert(sector + i, block);
-            }
+            this.data.lock().write(sector, &data);
             Ok(())
         })
     }

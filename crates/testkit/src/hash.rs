@@ -3,10 +3,10 @@
 //! `std::collections::HashMap`'s default hasher is randomly seeded per
 //! process, so iteration order — and anything derived from it, like LRU
 //! tie-breaks — varies run to run. Simulation paths that must be
-//! reproducible from a seed use [`DetHashMap`]/[`DetHashSet`] instead:
+//! reproducible from a seed use [`DetHashMap`] instead:
 //! FNV-1a, fixed initial state, identical on every run and platform.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a, 64-bit. Not DoS-resistant — for deterministic simulations and
@@ -35,15 +35,12 @@ impl Hasher for DetHasher {
     }
 }
 
-/// Deterministic `BuildHasher` (implements `Default`, so the map types
-/// below work with `Default::default()`).
+/// Deterministic `BuildHasher` (implements `Default`, so the map type
+/// below works with `Default::default()`).
 pub type DetBuildHasher = BuildHasherDefault<DetHasher>;
 
 /// A `HashMap` with run-to-run stable hashing and iteration order.
 pub type DetHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
-
-/// A `HashSet` with run-to-run stable hashing and iteration order.
-pub type DetHashSet<T> = HashSet<T, DetBuildHasher>;
 
 #[cfg(test)]
 mod tests {

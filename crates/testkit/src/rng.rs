@@ -125,21 +125,6 @@ impl Rng {
             slice.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, `None` if empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.gen_index(slice.len())])
-        }
-    }
-
-    /// Splits off an independent generator (for handing to a component
-    /// without entangling its draws with the parent's).
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
 }
 
 /// FNV-1a over `bytes` — used to derive per-name sub-seeds and by the

@@ -17,11 +17,6 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Mutex<T> {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -29,53 +24,6 @@ impl<T: ?Sized> Mutex<T> {
     /// panicked holder is ignored (parking_lot semantics).
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires the lock only if immediately available.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A reader-writer lock whose `read()`/`write()` never return `Result`s.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// A new unlocked lock.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -113,26 +61,5 @@ mod tests {
         .join();
         // parking_lot semantics: the value is still reachable.
         assert_eq!(*m.lock(), 5);
-    }
-
-    #[test]
-    fn try_lock_reports_contention() {
-        let m = Mutex::new(1);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(7u32);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!((*a, *b), (7, 7));
-        }
-        *l.write() = 8;
-        assert_eq!(*l.read(), 8);
     }
 }

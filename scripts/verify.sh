@@ -136,23 +136,37 @@ fi
 echo "   ok"
 
 echo "== gate: one way out of the stack, each header layout written once"
-# exactly <n> <what>: <n> non-test lines match the extended regex <re>.
+# exactly <dir> <n> <what> <re>: <n> non-test lines under <dir> match the
+# extended regex <re>.
 exactly() {
-    local n="$1" what="$2" re="$3" hits
-    hits="$(non_test_lines crates/net/src | grep -E -- "$re" || true)"
+    local dir="$1" n="$2" what="$3" re="$4" hits
+    hits="$(non_test_lines "$dir" | grep -E -- "$re" || true)"
     if [[ "$(grep -c . <<< "$hits")" -ne "$n" ]]; then
-        echo "FAIL: expected $n non-test site(s) of $what in crates/net/src, found:" >&2
+        echo "FAIL: expected $n non-test site(s) of $what in $dir, found:" >&2
         echo "${hits:-(none)}" >&2
         exit 1
     fi
 }
-exactly 1 "record_serialize (payload written into a frame)" 'record_serialize\('
-exactly 1 "the IPv4 version/IHL byte" '\b0x45\b'
-exactly 1 "TCP flag-bit packing" 'u8::from\(self\.fin\)|\|= *0x(01|02|04|08|10)\b'
-exactly 0 "a too_many_arguments allow" 'too_many_arguments'
-exactly 0 "a second TX path" 'fn (build_tcp_frame|emit_frame|send_ipv4|broadcast_udp)\b'
-exactly 0 "a Vec builder beside an in-place writer" \
+exactly crates/net/src 1 "record_serialize (payload written into a frame)" 'record_serialize\('
+exactly crates/net/src 1 "the IPv4 version/IHL byte" '\b0x45\b'
+exactly crates/net/src 1 "TCP flag-bit packing" 'u8::from\(self\.fin\)|\|= *0x(01|02|04|08|10)\b'
+exactly crates/net/src 0 "a too_many_arguments allow" 'too_many_arguments'
+exactly crates/net/src 0 "a second TX path" 'fn (build_tcp_frame|emit_frame|send_ipv4|broadcast_udp)\b'
+exactly crates/net/src 0 "a Vec builder beside an in-place writer" \
     '/(ethernet|ipv4|udp|icmp|arp)\.rs:[0-9]+: *pub fn build\b'
+echo "   ok"
+
+echo "== gate: one deadline queue, no dead shims"
+# Everything ordered by (deadline, insertion) is a testkit::wheel::TimerWheel
+# — one ordered map, small enough to read — not a heap with its own Ord.
+exactly crates/devices/src 0 "a BinaryHeap" 'BinaryHeap'
+exactly crates/devices/src 0 "a hand-written Ord" 'impl Ord for'
+exactly crates/testkit/src 0 "the hashed wheel or an unused lock" 'with_shift|OVERFLOW_LOC|RwLock'
+queue_loc="$(non_test_lines crates/testkit/src | grep -c '/wheel\.rs:' || true)"
+if [[ "$queue_loc" -gt 120 ]]; then
+    echo "FAIL: crates/testkit/src/wheel.rs has $queue_loc non-test lines (limit 120)" >&2
+    exit 1
+fi
 echo "   ok"
 
 echo "== gate: the line counter sees every non-test line"
