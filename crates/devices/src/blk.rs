@@ -77,23 +77,37 @@ impl DiskProfile {
 pub struct SectorStore(HashMap<u64, Box<[u8; SECTOR_SIZE]>>);
 
 impl SectorStore {
+    fn sector(&self, sector: u64) -> &[u8; SECTOR_SIZE] {
+        const UNWRITTEN: [u8; SECTOR_SIZE] = [0; SECTOR_SIZE];
+        self.0.get(&sector).map_or(&UNWRITTEN, |block| block)
+    }
+
     /// `count` sectors starting at `sector`.
     pub fn read(&self, sector: u64, count: usize) -> Vec<u8> {
-        let mut out = vec![0u8; count * SECTOR_SIZE];
-        for (i, chunk) in out.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-            if let Some(block) = self.0.get(&(sector + i as u64)) {
-                chunk.copy_from_slice(&block[..]);
-            }
+        let mut out = Vec::with_capacity(count * SECTOR_SIZE);
+        for i in 0..count as u64 {
+            out.extend_from_slice(self.sector(sector + i));
         }
         out
     }
 
+    /// Fills `out` — whole sectors — from `sector` on: the read that lands
+    /// in a buffer the caller owns (a granted page).
+    pub fn read_into(&self, sector: u64, out: &mut [u8]) {
+        for (i, chunk) in out.chunks_exact_mut(SECTOR_SIZE).enumerate() {
+            chunk.copy_from_slice(self.sector(sector + i as u64));
+        }
+    }
+
     /// Overwrites whole sectors starting at `sector` (`data` is a
-    /// multiple of [`SECTOR_SIZE`]).
+    /// multiple of [`SECTOR_SIZE`]); a sector written before keeps its box.
     pub fn write(&mut self, sector: u64, data: &[u8]) {
         for (i, chunk) in data.chunks_exact(SECTOR_SIZE).enumerate() {
-            let block = Box::new(chunk.try_into().expect("a whole sector"));
-            self.0.insert(sector + i as u64, block);
+            let chunk: &[u8; SECTOR_SIZE] = chunk.try_into().expect("a whole sector");
+            self.0
+                .entry(sector + i as u64)
+                .and_modify(|block| **block = *chunk)
+                .or_insert_with(|| Box::new(*chunk));
         }
     }
 }
@@ -135,6 +149,18 @@ impl SimulatedDisk {
     pub fn read(&self, sector: u64, count: u16) -> Vec<u8> {
         assert!(sector + count as u64 <= self.sectors, "read past end");
         self.data.read(sector, count as usize)
+    }
+
+    /// Reads whole sectors starting at `sector` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not sector-aligned or runs off the disk.
+    pub fn read_into(&self, sector: u64, out: &mut [u8]) {
+        assert_eq!(out.len() % SECTOR_SIZE, 0, "unaligned read");
+        let count = (out.len() / SECTOR_SIZE) as u64;
+        assert!(sector + count <= self.sectors, "read past end");
+        self.data.read_into(sector, out);
     }
 
     /// Writes whole sectors starting at `sector`.
@@ -330,13 +356,8 @@ impl<T: FrontTransport> Blkif<T> {
             let Some(inflight) = self.inflight.remove(&done.token) else {
                 continue;
             };
-            let data = (done.ok && inflight.op == BlkOp::Read).then(|| {
-                let mut buf = vec![0u8; inflight.read_bytes];
-                inflight
-                    .page
-                    .read(|b| buf.copy_from_slice(&b[..inflight.read_bytes]));
-                buf
-            });
+            let data = (done.ok && inflight.op == BlkOp::Read)
+                .then(|| inflight.page.read(|b| b[..inflight.read_bytes].to_vec()));
             let _ = self.to_stack.send(BlkCompletion {
                 id: inflight.id,
                 ok: done.ok,
@@ -352,7 +373,12 @@ impl<T: FrontTransport> Blkif<T> {
         }
         let mut bell = false;
         while let Some(req) = self.backlog.front() {
-            if req.count > MAX_SECTORS_PER_REQ || req.count == 0 {
+            // A write carries exactly its sectors: the page is recycled, so
+            // whatever a shorter payload left uncovered would be another
+            // request's bytes.
+            let bytes = req.count as usize * SECTOR_SIZE;
+            let short = req.op == BlkOp::Write && req.data.as_ref().map(Vec::len) != Some(bytes);
+            if req.count > MAX_SECTORS_PER_REQ || req.count == 0 || short {
                 let req = self.backlog.pop_front().expect("peeked");
                 let _ = self.to_stack.send(BlkCompletion {
                     id: req.id,
@@ -368,15 +394,13 @@ impl<T: FrontTransport> Blkif<T> {
                 break;
             };
             let req = self.backlog.pop_front().expect("peeked");
-            let bytes = req.count as usize * SECTOR_SIZE;
             let op = match req.op {
                 BlkOp::Read => wire::OP_READ,
                 BlkOp::Write => {
-                    let data = req.data.as_deref().unwrap_or(&[]);
-                    let n = data.len().min(bytes);
-                    page.write(|b| b[..n].copy_from_slice(&data[..n]));
+                    let data = req.data.as_deref().expect("checked above");
+                    page.write(|b| b[..bytes].copy_from_slice(data));
                     // Direct write: one copy into the I/O page.
-                    let c = env.costs().copy(n);
+                    let c = env.costs().copy(bytes);
                     env.consume(c);
                     wire::OP_WRITE
                 }

@@ -125,24 +125,28 @@ impl BlkBackend {
                     stats.lock().blk_read_errors += 1;
                 }
             } else {
-                // Writes capture the data now (the page may be reused).
-                let mut data = vec![0u8; bytes];
-                if let Some(page) = map_cached(env, &mut self.mapped, req.data.gref, false) {
-                    page.read(|b| data.copy_from_slice(&b[req.data.range(bytes)]));
-                }
-                if DiskFaultPlan::hit(rng, faults.write_error_ppm) {
+                let page = map_cached(env, &mut self.mapped, req.data.gref, false);
+                let persist = if DiskFaultPlan::hit(rng, faults.write_error_ppm) {
                     // Transient write failure: nothing persists.
                     ok = false;
                     stats.lock().blk_write_errors += 1;
+                    0
                 } else if DiskFaultPlan::hit(rng, faults.torn_write_ppm) {
                     // Torn write: only a sector prefix persists — the
                     // on-disk state a power cut mid-request would leave.
                     ok = false;
-                    let keep = rng.gen_range(0..count) as usize * SECTOR_SIZE;
-                    self.disk.write(sector, &data[..keep]);
                     stats.lock().blk_torn_writes += 1;
+                    rng.gen_range(0..count) as usize * SECTOR_SIZE
                 } else {
-                    self.disk.write(sector, &data);
+                    bytes
+                };
+                // Writes persist now, straight from the page (it may be
+                // reused once the request completes).
+                match page {
+                    Some(page) => {
+                        page.read(|b| self.disk.write(sector, &b[req.data.range(persist)]))
+                    }
+                    None => ok = false,
                 }
             }
             // The device pipelines: occupancy is the transfer time only,
@@ -166,11 +170,11 @@ impl BlkBackend {
         self.pending.advance(env.now().as_nanos(), |_, p| {
             let mut written = 0;
             if p.is_read && p.ok {
-                let data = self.disk.read(p.sector, p.count);
+                let bytes = usize::from(p.count) * SECTOR_SIZE;
                 if let Some(page) = map_cached(env, &mut self.mapped, p.data.gref, true) {
-                    page.write(|b| b[p.data.range(data.len())].copy_from_slice(&data));
+                    page.write(|b| self.disk.read_into(p.sector, &mut b[p.data.range(bytes)]));
                 }
-                written = data.len() as u32;
+                written = bytes as u32;
             }
             bell |= self.queue.complete(env, p.token, written, p.ok);
             stats.lock().blk_completed += 1;

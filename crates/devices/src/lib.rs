@@ -50,6 +50,7 @@ pub use xenstore::Xenstore;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blk::SECTOR_SIZE;
     use mirage_cstruct::PktBuf;
     use mirage_hypervisor::{Dur, Hypervisor, RunOutcome, Time};
     use mirage_runtime::UnikernelGuest;
@@ -213,6 +214,40 @@ mod tests {
                         .unwrap();
                     let done = bh.complete.recv().await.unwrap();
                     assert!(!done.ok, "read past end must fail");
+                    0
+                })
+            });
+            guest.add_device(front);
+            let gdom = hv.create_domain("guest", 64, Box::new(guest));
+            hv.run_until(Time::ZERO + Dur::secs(5));
+            assert_eq!(hv.exit_code(gdom), Some(0), "[{backend}]");
+        }
+    }
+
+    #[test]
+    fn blk_write_with_a_short_payload_is_refused_and_writes_nothing() {
+        for backend in Backend::ALL {
+            let xs = Xenstore::new();
+            let mut hv = Hypervisor::new();
+            hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
+            let (front, bh) = backend.blk(xs.clone(), "vda", 1024);
+            let mut guest = UnikernelGuest::new(move |_env, rt| {
+                let mut bh = bh;
+                rt.clone().spawn(async move {
+                    let write = |id, sector, data| BlkRequest { id, op: BlkOp::Write, sector, count: 8, data };
+                    // The I/O page this leaves 0x5A in is the next request's.
+                    bh.submit.send(write(1, 100, Some(vec![0x5A; 8 * SECTOR_SIZE]))).unwrap();
+                    assert!(bh.complete.recv().await.unwrap().ok);
+                    for (id, data) in [(2, Some(vec![0x11; SECTOR_SIZE])), (3, None)] {
+                        bh.submit.send(write(id, 200, data)).unwrap();
+                        let done = bh.complete.recv().await.unwrap();
+                        assert_eq!((done.id, done.ok), (id, false), "one sector's bytes for eight");
+                    }
+                    bh.submit
+                        .send(BlkRequest { id: 4, op: BlkOp::Read, sector: 200, count: 8, data: None })
+                        .unwrap();
+                    let done = bh.complete.recv().await.unwrap();
+                    assert_eq!(done.data, Some(vec![0; 8 * SECTOR_SIZE]), "nothing was written");
                     0
                 })
             });

@@ -205,6 +205,7 @@ impl BlkDevice {
 
 /// Sectors per ring request (one 4 KiB page).
 const SECTORS_PER_REQ: u32 = 8;
+const REQ_BYTES: usize = SECTORS_PER_REQ as usize * SECTOR_SIZE;
 
 impl BlockIo for BlkDevice {
     fn sector_count(&self) -> u64 {
@@ -229,13 +230,20 @@ impl BlockIo for BlkDevice {
                 at += n as u64;
                 remaining -= n as u32;
             }
-            let mut out = Vec::with_capacity(count as usize * SECTOR_SIZE);
+            let mut out = Vec::new();
             for mut rx in pending {
                 let done = rx.recv().await.map_err(|_| BlockError::Io)?;
                 if !done.ok {
                     return Err(BlockError::Io);
                 }
-                out.extend(done.data.ok_or(BlockError::Io)?);
+                let data = done.data.ok_or(BlockError::Io)?;
+                if out.is_empty() {
+                    // A single-page read is its completion's buffer.
+                    out = data;
+                    out.reserve((count as usize * SECTOR_SIZE).saturating_sub(out.len()));
+                } else {
+                    out.extend(data);
+                }
             }
             Ok(out)
         })
@@ -252,15 +260,19 @@ impl BlockIo for BlkDevice {
             if sector + count > sectors {
                 return Err(BlockError::OutOfRange);
             }
-            let mut at = sector;
-            let mut off = 0usize;
+            let fire = |at: u64, chunk: Vec<u8>| {
+                let n = (chunk.len() / SECTOR_SIZE) as u16;
+                Self::fire_request(&shared, BlkOp::Write, at, n, Some(chunk))
+            };
             let mut pending = Vec::new();
-            while off < data.len() {
-                let n = ((data.len() - off) / SECTOR_SIZE).min(SECTORS_PER_REQ as usize) as u16;
-                let chunk = data[off..off + n as usize * SECTOR_SIZE].to_vec();
-                pending.push(Self::fire_request(&shared, BlkOp::Write, at, n, Some(chunk))?);
-                at += n as u64;
-                off += n as usize * SECTOR_SIZE;
+            if (1..=REQ_BYTES).contains(&data.len()) {
+                // A single-page write is its request's buffer.
+                pending.push(fire(sector, data)?);
+            } else {
+                for (i, chunk) in data.chunks(REQ_BYTES).enumerate() {
+                    let at = sector + i as u64 * SECTORS_PER_REQ as u64;
+                    pending.push(fire(at, chunk.to_vec())?);
+                }
             }
             for mut rx in pending {
                 let done = rx.recv().await.map_err(|_| BlockError::Io)?;

@@ -223,6 +223,19 @@ if ! awk '/settled_at == Some\(version\)/ { gated = 1 }
 fi
 echo "   ok"
 
+echo "== gate: records are read where they lie"
+# A leaf is searched in the record it was read in and an interior node
+# keeps its separators as stored; a block I/O lands in the page or the
+# exact-size Vec it is bound for, never in a zero-filled stand-in first
+# (crates/storage/tests/alloc_budget.rs holds the counts these shapes give).
+if grep -n 'Vec<Vec<u8>>' crates/storage/src/btree.rs; then
+    echo "FAIL: a node exploded into a vector of vectors is back in crates/storage/src/btree.rs" >&2
+    exit 1
+fi
+exactly crates/devices/src 0 "a zero-filled buffer on the block path" \
+    '/(blk|blkback)\.rs:[0-9]+:.*vec!\[0u8;'
+echo "   ok"
+
 echo "== build (release, offline, all targets)"
 cargo build --release --offline --workspace --all-targets
 
