@@ -12,7 +12,7 @@
 //! [`DiskProfile`]; the default profile models the paper's "fast
 //! PCI-express SSD storage device" from Figure 9.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
@@ -21,7 +21,7 @@ use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
 use crate::driver::{Backend, BlkDriver};
-use crate::transport::{find_backend, DataBuf, Dir, FrontTransport, Link};
+use crate::transport::{find_backend, DataBuf, Dir, FrontTransport, Link, Outstanding};
 use crate::xenstore::Xenstore;
 
 /// Bytes per disk sector.
@@ -140,17 +140,6 @@ impl SimulatedDisk {
         self.profile
     }
 
-    /// Reads `count` sectors starting at `sector`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range runs off the end of the disk (the backend
-    /// validates before calling).
-    pub fn read(&self, sector: u64, count: u16) -> Vec<u8> {
-        assert!(sector + count as u64 <= self.sectors, "read past end");
-        self.data.read(sector, count as usize)
-    }
-
     /// Reads whole sectors starting at `sector` into `out`.
     ///
     /// # Panics
@@ -190,11 +179,11 @@ pub enum BlkOp {
     Write,
 }
 
-/// A request submitted by the storage stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A request submitted by the storage stack. It carries its own reply:
+/// blkfront keeps `reply` with the request while the backend holds it and
+/// sends the completion straight down it.
+#[derive(Debug)]
 pub struct BlkRequest {
-    /// Caller-chosen correlation id.
-    pub id: u64,
     /// Operation.
     pub op: BlkOp,
     /// Start sector.
@@ -203,25 +192,24 @@ pub struct BlkRequest {
     pub count: u16,
     /// Payload for writes (`count * SECTOR_SIZE` bytes).
     pub data: Option<Vec<u8>>,
+    /// Where the completion goes; a dropped receiver abandons the request
+    /// (it still runs, and its page still comes back).
+    pub reply: Sender<BlkCompletion>,
 }
 
 /// A completed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlkCompletion {
-    /// Correlation id from the request.
-    pub id: u64,
     /// Whether the backend accepted and executed the request.
     pub ok: bool,
     /// Read payload.
     pub data: Option<Vec<u8>>,
 }
 
-/// Stack-facing handle: submit requests, await completions.
+/// Stack-facing handle: submit requests, each awaited on its own reply.
 pub struct BlkHandle {
     /// Request queue into the driver.
     pub submit: Sender<BlkRequest>,
-    /// Completion stream from the driver.
-    pub complete: Receiver<BlkCompletion>,
     /// Device size in sectors.
     pub sectors: u64,
 }
@@ -233,39 +221,39 @@ impl std::fmt::Debug for BlkHandle {
 }
 
 pub(crate) mod wire {
-    //! Block request header encoding (the transport names the data page).
+    //! Block request header encoding (the transport names the data page
+    //! and carries the token that correlates the completion).
 
     pub const OP_READ: u8 = 0;
     pub const OP_WRITE: u8 = 1;
 
-    pub fn req(op: u8, id: u64, sector: u64, count: u16) -> [u8; 19] {
-        let mut d = [0u8; 19];
+    pub fn req(op: u8, sector: u64, count: u16) -> [u8; 11] {
+        let mut d = [0u8; 11];
         d[0] = op;
-        d[1..9].copy_from_slice(&id.to_le_bytes());
-        d[9..17].copy_from_slice(&sector.to_le_bytes());
-        d[17..19].copy_from_slice(&count.to_le_bytes());
+        d[1..9].copy_from_slice(&sector.to_le_bytes());
+        d[9..11].copy_from_slice(&count.to_le_bytes());
         d
     }
 
-    pub fn parse_req(d: &[u8]) -> Option<(u8, u64, u64, u16)> {
-        if d.len() != 19 {
+    pub fn parse_req(d: &[u8]) -> Option<(u8, u64, u16)> {
+        if d.len() != 11 {
             return None;
         }
         Some((
             d[0],
             u64::from_le_bytes(d[1..9].try_into().ok()?),
-            u64::from_le_bytes(d[9..17].try_into().ok()?),
-            u16::from_le_bytes(d[17..19].try_into().ok()?),
+            u16::from_le_bytes(d[9..11].try_into().ok()?),
         ))
     }
 }
 
+/// A request out with the backend: its I/O page and where its answer goes.
 struct Inflight {
-    id: u64,
-    op: BlkOp,
+    /// For a read, how many bytes of the page go back to the caller.
+    read_bytes: Option<usize>,
     gref: GrantRef,
     page: SharedPage,
-    read_bytes: usize,
+    reply: Sender<BlkCompletion>,
 }
 
 /// The block frontend ([`DeviceService`]), created through
@@ -278,10 +266,9 @@ pub(crate) struct Blkif<T> {
     port: Option<Port>,
     free_pages: Vec<(GrantRef, SharedPage)>,
     /// Requests out with the backend, by request token.
-    inflight: HashMap<u32, Inflight>,
+    inflight: Outstanding<Inflight>,
+    /// Requests not yet posted: they wait here for a slot and a page.
     from_stack: Receiver<BlkRequest>,
-    to_stack: Sender<BlkCompletion>,
-    backlog: VecDeque<BlkRequest>,
 }
 
 impl<T: FrontTransport> Blkif<T> {
@@ -293,7 +280,6 @@ impl<T: FrontTransport> Blkif<T> {
         disk_sectors: u64,
     ) -> (Box<dyn BlkDriver>, BlkHandle) {
         let (submit_tx, submit_rx) = channel::channel();
-        let (comp_tx, comp_rx) = channel::channel();
         let front = Blkif::<T> {
             dir: Dir {
                 xs,
@@ -304,14 +290,11 @@ impl<T: FrontTransport> Blkif<T> {
             queue: None,
             port: None,
             free_pages: Vec::new(),
-            inflight: HashMap::new(),
+            inflight: Outstanding::default(),
             from_stack: submit_rx,
-            to_stack: comp_tx,
-            backlog: VecDeque::new(),
         };
         let handle = BlkHandle {
             submit: submit_tx,
-            complete: comp_rx,
             sectors: disk_sectors,
         };
         (Box::new(front), handle)
@@ -351,49 +334,41 @@ impl<T: FrontTransport> Blkif<T> {
         let queue = self.queue.as_mut().expect("connected");
         let _ = env.evtchn_consume(port);
 
-        // Completions: for a read the device filled the data page first.
+        // Completions, each straight to its waiter: for a read the device
+        // filled the data page first. A waiter that gave up drops the data.
         while let Some(done) = queue.reap() {
-            let Some(inflight) = self.inflight.remove(&done.token) else {
+            let Some(req) = self.inflight.remove(done.token) else {
                 continue;
             };
-            let data = (done.ok && inflight.op == BlkOp::Read)
-                .then(|| inflight.page.read(|b| b[..inflight.read_bytes].to_vec()));
-            let _ = self.to_stack.send(BlkCompletion {
-                id: inflight.id,
-                ok: done.ok,
-                data,
-            });
-            self.free_pages.push((inflight.gref, inflight.page));
+            let data = req
+                .read_bytes
+                .filter(|_| done.ok)
+                .map(|n| req.page.read(|b| b[..n].to_vec()));
+            let _ = req.reply.send(BlkCompletion { ok: done.ok, data });
+            self.free_pages.push((req.gref, req.page));
             progressed = true;
         }
 
-        // Submissions, one doorbell per pass.
-        while let Some(req) = self.from_stack.try_recv() {
-            self.backlog.push_back(req);
-        }
+        // Submissions while a slot and a page are free, one doorbell per
+        // pass; the rest wait in the submit channel.
         let mut bell = false;
-        while let Some(req) = self.backlog.front() {
+        while queue.room() && !self.free_pages.is_empty() {
+            let Some(req) = self.from_stack.try_recv() else {
+                break;
+            };
             // A write carries exactly its sectors: the page is recycled, so
             // whatever a shorter payload left uncovered would be another
             // request's bytes.
             let bytes = req.count as usize * SECTOR_SIZE;
             let short = req.op == BlkOp::Write && req.data.as_ref().map(Vec::len) != Some(bytes);
             if req.count > MAX_SECTORS_PER_REQ || req.count == 0 || short {
-                let req = self.backlog.pop_front().expect("peeked");
-                let _ = self.to_stack.send(BlkCompletion {
-                    id: req.id,
+                let _ = req.reply.send(BlkCompletion {
                     ok: false,
                     data: None,
                 });
                 continue;
             }
-            if !queue.room() {
-                break;
-            }
-            let Some((gref, page)) = self.free_pages.pop() else {
-                break;
-            };
-            let req = self.backlog.pop_front().expect("peeked");
+            let (gref, page) = self.free_pages.pop().expect("checked above");
             let op = match req.op {
                 BlkOp::Read => wire::OP_READ,
                 BlkOp::Write => {
@@ -405,20 +380,17 @@ impl<T: FrontTransport> Blkif<T> {
                     wire::OP_WRITE
                 }
             };
-            let header = wire::req(op, req.id, req.sector, req.count);
-            let (token, b) = queue.post(&header, DataBuf::page(gref, bytes, req.op == BlkOp::Read));
+            let is_read = req.op == BlkOp::Read;
+            let header = wire::req(op, req.sector, req.count);
+            let (token, b) = queue.post(&header, DataBuf::page(gref, bytes, is_read));
             bell |= b;
-            let read_bytes = bytes;
-            self.inflight.insert(
-                token,
-                Inflight {
-                    id: req.id,
-                    op: req.op,
-                    gref,
-                    page,
-                    read_bytes,
-                },
-            );
+            let inflight = Inflight {
+                read_bytes: is_read.then_some(bytes),
+                gref,
+                page,
+                reply: req.reply,
+            };
+            self.inflight.insert(token, inflight);
             progressed = true;
         }
         if bell {
@@ -443,8 +415,8 @@ impl<T: FrontTransport> DeviceService for Blkif<T> {
         }
     }
 
-    fn watch_ports(&self) -> Vec<Port> {
-        self.port.into_iter().collect()
+    fn watch_ports(&self) -> &[Port] {
+        self.port.as_slice()
     }
 }
 
@@ -463,10 +435,12 @@ mod tests {
         let mut disk = SimulatedDisk::new(DiskProfile::pcie_ssd(), 1024);
         let data = vec![0xAB; 2 * SECTOR_SIZE];
         disk.write(10, &data);
-        assert_eq!(disk.read(10, 2), data);
+        let mut out = vec![0x11; 3 * SECTOR_SIZE];
+        disk.read_into(10, &mut out);
+        assert_eq!(out[..2 * SECTOR_SIZE], data[..]);
         assert_eq!(
-            disk.read(12, 1),
-            vec![0u8; SECTOR_SIZE],
+            out[2 * SECTOR_SIZE..],
+            [0u8; SECTOR_SIZE],
             "unwritten is zero"
         );
         assert_eq!(disk.written_sectors(), 2);
@@ -476,7 +450,7 @@ mod tests {
     #[should_panic(expected = "read past end")]
     fn disk_bounds_checked() {
         let disk = SimulatedDisk::new(DiskProfile::pcie_ssd(), 8);
-        let _ = disk.read(7, 2);
+        disk.read_into(7, &mut [0; 2 * SECTOR_SIZE]);
     }
 
     #[test]
@@ -496,8 +470,9 @@ mod tests {
 
     #[test]
     fn wire_round_trip() {
-        let d = wire::req(wire::OP_WRITE, 42, 1000, 8);
-        assert_eq!(wire::parse_req(&d), Some((wire::OP_WRITE, 42, 1000, 8)));
-        assert_eq!(wire::parse_req(&d[..18]), None, "length-discriminated");
+        let d = wire::req(wire::OP_WRITE, 1000, 8);
+        assert_eq!(wire::parse_req(&d), Some((wire::OP_WRITE, 1000, 8)));
+        assert_eq!(wire::parse_req(&d[..10]), None, "length-discriminated");
+        assert_eq!(wire::parse_req(&[d.as_slice(), &[0]].concat()), None);
     }
 }

@@ -78,7 +78,7 @@ impl BlkBackend {
 
     /// `(is_read, sector, count)` of a request this disk can execute.
     fn validate(&self, req: &Request) -> Option<(bool, u64, u16)> {
-        let (op, _id, sector, count) = wire::parse_req(&req.header)?;
+        let (op, sector, count) = wire::parse_req(&req.header)?;
         let is_read = op == wire::OP_READ;
         let end = sector.checked_add(u64::from(count))?;
         let valid = (1..=MAX_SECTORS_PER_REQ).contains(&count)

@@ -53,7 +53,28 @@ mod tests {
     use crate::blk::SECTOR_SIZE;
     use mirage_cstruct::PktBuf;
     use mirage_hypervisor::{Dur, Hypervisor, RunOutcome, Time};
+    use mirage_runtime::channel::{channel, Receiver};
     use mirage_runtime::UnikernelGuest;
+
+    /// Submits one request; its completion arrives on what this returns.
+    fn submit(
+        bh: &BlkHandle,
+        op: BlkOp,
+        sector: u64,
+        data: Option<Vec<u8>>,
+    ) -> Receiver<BlkCompletion> {
+        let (reply, done) = channel();
+        bh.submit
+            .send(BlkRequest {
+                op,
+                sector,
+                count: 8,
+                data,
+                reply,
+            })
+            .unwrap();
+        done
+    }
 
     fn eth_frame(dst: [u8; 6], src: [u8; 6], payload: &[u8]) -> Vec<u8> {
         let mut f = Vec::with_capacity(14 + payload.len());
@@ -167,24 +188,11 @@ mod tests {
 
             let (front, bh) = backend.blk(xs.clone(), "vda", 1 << 20);
             let mut guest = UnikernelGuest::new(move |_env, rt| {
-                let mut bh = bh;
                 rt.clone().spawn(async move {
                     let payload = vec![0x5A; 4096];
-                    bh.submit
-                        .send(BlkRequest {
-                            id: 1,
-                            op: BlkOp::Write,
-                            sector: 64,
-                            count: 8,
-                            data: Some(payload.clone()),
-                        })
-                        .unwrap();
-                    let done = bh.complete.recv().await.unwrap();
-                    assert!(done.ok);
-                    bh.submit
-                        .send(BlkRequest { id: 2, op: BlkOp::Read, sector: 64, count: 8, data: None })
-                        .unwrap();
-                    let read = bh.complete.recv().await.unwrap();
+                    let mut write = submit(&bh, BlkOp::Write, 64, Some(payload.clone()));
+                    assert!(write.recv().await.unwrap().ok);
+                    let read = submit(&bh, BlkOp::Read, 64, None).recv().await.unwrap();
                     assert!(read.ok);
                     assert_eq!(read.data.as_deref(), Some(payload.as_slice()));
                     0
@@ -207,12 +215,8 @@ mod tests {
             hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
             let (front, bh) = backend.blk(xs.clone(), "vda", 100);
             let mut guest = UnikernelGuest::new(move |_env, rt| {
-                let mut bh = bh;
                 rt.clone().spawn(async move {
-                    bh.submit
-                        .send(BlkRequest { id: 9, op: BlkOp::Read, sector: 99, count: 8, data: None })
-                        .unwrap();
-                    let done = bh.complete.recv().await.unwrap();
+                    let done = submit(&bh, BlkOp::Read, 99, None).recv().await.unwrap();
                     assert!(!done.ok, "read past end must fail");
                     0
                 })
@@ -232,21 +236,15 @@ mod tests {
             hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
             let (front, bh) = backend.blk(xs.clone(), "vda", 1024);
             let mut guest = UnikernelGuest::new(move |_env, rt| {
-                let mut bh = bh;
                 rt.clone().spawn(async move {
-                    let write = |id, sector, data| BlkRequest { id, op: BlkOp::Write, sector, count: 8, data };
                     // The I/O page this leaves 0x5A in is the next request's.
-                    bh.submit.send(write(1, 100, Some(vec![0x5A; 8 * SECTOR_SIZE]))).unwrap();
-                    assert!(bh.complete.recv().await.unwrap().ok);
-                    for (id, data) in [(2, Some(vec![0x11; SECTOR_SIZE])), (3, None)] {
-                        bh.submit.send(write(id, 200, data)).unwrap();
-                        let done = bh.complete.recv().await.unwrap();
-                        assert_eq!((done.id, done.ok), (id, false), "one sector's bytes for eight");
+                    let mut write = submit(&bh, BlkOp::Write, 100, Some(vec![0x5A; 8 * SECTOR_SIZE]));
+                    assert!(write.recv().await.unwrap().ok);
+                    for data in [Some(vec![0x11; SECTOR_SIZE]), None] {
+                        let done = submit(&bh, BlkOp::Write, 200, data).recv().await.unwrap();
+                        assert!(!done.ok, "one sector's bytes for eight");
                     }
-                    bh.submit
-                        .send(BlkRequest { id: 4, op: BlkOp::Read, sector: 200, count: 8, data: None })
-                        .unwrap();
-                    let done = bh.complete.recv().await.unwrap();
+                    let done = submit(&bh, BlkOp::Read, 200, None).recv().await.unwrap();
                     assert_eq!(done.data, Some(vec![0; 8 * SECTOR_SIZE]), "nothing was written");
                     0
                 })

@@ -374,8 +374,8 @@ pub(crate) mod raw {
             }
         }
 
-        fn watch_ports(&self) -> Vec<Port> {
-            self.port.into_iter().collect()
+        fn watch_ports(&self) -> &[Port] {
+            self.port.as_slice()
         }
     }
 }
@@ -435,8 +435,7 @@ mod tests {
     }
 
     fn blk_post(op: u8, sector: u64, count: u16, len: u32) -> Post {
-        let header =
-            wire::req(op, u64::from(count) << 32 | sector & 0xFFFF, sector, count).to_vec();
+        let header = wire::req(op, sector, count).to_vec();
         Post {
             header,
             len,
@@ -493,8 +492,18 @@ mod tests {
         });
     }
 
+    #[test]
+    fn blk_header_of_another_length_is_rejected() {
+        // One byte over the 11-byte header, as a longer layout would be.
+        hostile_blk(DriverDomain::new, || {
+            let mut post = blk_post(wire::OP_READ, 8, 1, 512);
+            post.header.push(0);
+            post
+        });
+    }
+
     /// Completion order is acceptance order — the device finishes what it
-    /// took first — whatever ids the guest chose: here they descend.
+    /// took first — whatever order the sizes come in: here they descend.
     #[test]
     fn blk_completions_arrive_in_acceptance_order() {
         for backend in Backend::ALL {

@@ -28,7 +28,7 @@ use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
 use crate::driver::{Backend, NetDriver};
-use crate::transport::{find_backend, DataBuf, Dir, FrontTransport, Link};
+use crate::transport::{find_backend, DataBuf, Dir, FrontTransport, Link, Outstanding};
 use crate::xenstore::Xenstore;
 
 /// Receive buffers posted per RX queue.
@@ -129,22 +129,6 @@ fn charge_rx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
     }
 }
 
-/// Pages out with the backend, keyed by request token. A pool's worth at
-/// most (tens), where a scan beats hashing on every frame.
-#[derive(Default)]
-struct Outstanding(Vec<(u32, (GrantRef, SharedPage))>);
-
-impl Outstanding {
-    fn insert(&mut self, token: u32, buf: (GrantRef, SharedPage)) {
-        self.0.push((token, buf));
-    }
-
-    fn remove(&mut self, token: u32) -> Option<(GrantRef, SharedPage)> {
-        let at = self.0.iter().position(|(t, _)| *t == token)?;
-        Some(self.0.swap_remove(at).1)
-    }
-}
-
 /// One TX/RX queue pair with its page pools.
 struct Pair<T> {
     tx: T,
@@ -152,9 +136,9 @@ struct Pair<T> {
     /// TX pages not out with the backend.
     tx_free: Vec<(GrantRef, SharedPage)>,
     /// TX pages out with the backend, by request token.
-    tx_inflight: Outstanding,
+    tx_inflight: Outstanding<(GrantRef, SharedPage)>,
     /// Posted RX buffers, by request token.
-    rx_bufs: Outstanding,
+    rx_bufs: Outstanding<(GrantRef, SharedPage)>,
     /// Frames awaiting a TX buffer; each remembers its stack queue so its
     /// serialise-into-I/O-page charge lands on the owning vCPU's lane.
     backlog: VecDeque<(usize, PktBuf)>,
@@ -415,8 +399,8 @@ impl<T: FrontTransport> DeviceService for Netif<T> {
         }
     }
 
-    fn watch_ports(&self) -> Vec<Port> {
-        self.ports.clone()
+    fn watch_ports(&self) -> &[Port] {
+        &self.ports
     }
 }
 

@@ -74,6 +74,29 @@ impl DataBuf {
     }
 }
 
+/// What a frontend has out with the backend, keyed by the token
+/// [`FrontTransport::post`] returned: the one place a posted request is
+/// remembered until it is reaped. A pool's worth at most (tens), where a
+/// scan beats hashing on every request.
+pub(crate) struct Outstanding<T>(Vec<(u32, T)>);
+
+impl<T> Default for Outstanding<T> {
+    fn default() -> Self {
+        Outstanding(Vec::new())
+    }
+}
+
+impl<T> Outstanding<T> {
+    pub(crate) fn insert(&mut self, token: u32, entry: T) {
+        self.0.push((token, entry));
+    }
+
+    pub(crate) fn remove(&mut self, token: u32) -> Option<T> {
+        let at = self.0.iter().position(|(t, _)| *t == token)?;
+        Some(self.0.swap_remove(at).1)
+    }
+}
+
 /// What the guest reaps: the token [`FrontTransport::post`] returned, the
 /// bytes the device wrote, and whether it executed the request. A
 /// header-less virtqueue chain has no status byte, so it always reads ok.

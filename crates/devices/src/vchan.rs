@@ -285,8 +285,8 @@ impl DeviceService for VchanEndpoint {
         }
     }
 
-    fn watch_ports(&self) -> Vec<Port> {
-        self.port.into_iter().collect()
+    fn watch_ports(&self) -> &[Port] {
+        self.port.as_slice()
     }
 }
 

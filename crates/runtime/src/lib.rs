@@ -289,7 +289,7 @@ pub trait DeviceService: Send {
     fn service(&mut self, env: &mut DomainEnv<'_>, rt: &Runtime) -> bool;
 
     /// Event-channel ports whose notifications should wake this domain.
-    fn watch_ports(&self) -> Vec<Port>;
+    fn watch_ports(&self) -> &[Port];
 }
 
 type BootFn =
@@ -417,7 +417,7 @@ impl Guest for UnikernelGuest {
         }
         let mut ports = Vec::new();
         for dev in &self.devices {
-            ports.extend(dev.watch_ports());
+            ports.extend_from_slice(dev.watch_ports());
         }
         Step::Yield(Wake {
             deadline: report.next_deadline,
@@ -814,8 +814,8 @@ mod tests {
             false
         }
 
-        fn watch_ports(&self) -> Vec<Port> {
-            Vec::new()
+        fn watch_ports(&self) -> &[Port] {
+            &[]
         }
     }
 

@@ -7,7 +7,6 @@
 //! device, writes are always direct — and the caching decisions live in
 //! separate wrappers ([`crate::cache`]).
 
-use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -15,7 +14,7 @@ use std::sync::Arc;
 use mirage_testkit::sync::Mutex;
 
 use mirage_devices::blk::{BlkCompletion, BlkHandle, BlkOp, BlkRequest, SectorStore, SECTOR_SIZE};
-use mirage_runtime::channel::{self, Sender};
+use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::Runtime;
 
 /// Boxed future used by the object-safe [`BlockIo`] trait.
@@ -44,6 +43,23 @@ impl std::fmt::Display for BlockError {
 }
 
 impl std::error::Error for BlockError {}
+
+/// The end of `count` sectors from `sector` on a device of `sectors`:
+/// [`BlockError::OutOfRange`] if they pass its end — or `u64::MAX`.
+pub(crate) fn sector_end(sector: u64, count: u64, sectors: u64) -> Result<u64, BlockError> {
+    sector
+        .checked_add(count)
+        .filter(|&end| end <= sectors)
+        .ok_or(BlockError::OutOfRange)
+}
+
+/// Sectors in a write of `data`, which must be whole sectors.
+pub(crate) fn whole_sectors(data: &[u8]) -> Result<u64, BlockError> {
+    match data.len() % SECTOR_SIZE {
+        0 => Ok((data.len() / SECTOR_SIZE) as u64),
+        _ => Err(BlockError::Unaligned),
+    }
+}
 
 /// A sector-addressed block device. All writes are direct (persisted when
 /// the future resolves) — the paper's "only built-in policy".
@@ -102,9 +118,7 @@ impl BlockIo for MemDisk {
     fn read(&self, sector: u64, count: u32) -> BoxFuture<Result<Vec<u8>, BlockError>> {
         let this = self.clone();
         Box::pin(async move {
-            if sector + count as u64 > this.sectors {
-                return Err(BlockError::OutOfRange);
-            }
+            sector_end(sector, count.into(), this.sectors)?;
             Ok(this.data.lock().read(sector, count as usize))
         })
     }
@@ -112,13 +126,7 @@ impl BlockIo for MemDisk {
     fn write(&self, sector: u64, data: Vec<u8>) -> BoxFuture<Result<(), BlockError>> {
         let this = self.clone();
         Box::pin(async move {
-            if !data.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(BlockError::Unaligned);
-            }
-            let count = (data.len() / SECTOR_SIZE) as u64;
-            if sector + count > this.sectors {
-                return Err(BlockError::OutOfRange);
-            }
+            sector_end(sector, whole_sectors(&data)?, this.sectors)?;
             this.data.lock().write(sector, &data);
             Ok(())
         })
@@ -127,20 +135,17 @@ impl BlockIo for MemDisk {
 
 // ---------------------------------------------------------------------------
 
-struct BlkShared {
-    waiters: Mutex<HashMap<u64, Sender<BlkCompletion>>>,
-    next_id: Mutex<u64>,
-    submit: Sender<BlkRequest>,
-}
-
 /// [`BlockIo`] over a blkfront ring ([`BlkHandle`]): the Xen-backed device.
 ///
 /// Requests larger than one page are split into page-sized ring requests
-/// and completed together, exactly as blkfront segments large I/O.
+/// and completed together, exactly as blkfront segments large I/O. Each
+/// ring request carries the channel its completion comes back on, and
+/// blkfront keeps it with the request until the backend answers: nothing
+/// here remembers a request in flight.
 #[derive(Clone)]
 pub struct BlkDevice {
     sectors: u64,
-    shared: Arc<BlkShared>,
+    submit: Sender<BlkRequest>,
 }
 
 impl std::fmt::Debug for BlkDevice {
@@ -150,56 +155,35 @@ impl std::fmt::Debug for BlkDevice {
 }
 
 impl BlkDevice {
-    /// Wraps a blkfront handle, spawning the completion-demux thread.
-    pub fn new(rt: &Runtime, handle: BlkHandle) -> BlkDevice {
-        let sectors = handle.sectors;
-        let shared = Arc::new(BlkShared {
-            waiters: Mutex::new(HashMap::new()),
-            next_id: Mutex::new(1),
+    /// Wraps a blkfront handle. Completions come back on each request's
+    /// own reply channel, so nothing runs on the runtime: `_rt` is unused.
+    pub fn new(_rt: &Runtime, handle: BlkHandle) -> BlkDevice {
+        BlkDevice {
+            sectors: handle.sectors,
             submit: handle.submit,
-        });
-        let shared2 = Arc::clone(&shared);
-        let mut completions = handle.complete;
-        rt.spawn(async move {
-            while let Ok(done) = completions.recv().await {
-                let waiter = shared2.waiters.lock().remove(&done.id);
-                if let Some(tx) = waiter {
-                    let _ = tx.send(done);
-                }
-            }
-        });
-        BlkDevice { sectors, shared }
+        }
     }
 
     /// Fires a request without waiting; returns the receiver to await —
     /// chunked reads/writes pipeline through the ring (the device services
     /// them back-to-back instead of one latency per chunk).
     fn fire_request(
-        shared: &Arc<BlkShared>,
+        &self,
         op: BlkOp,
         sector: u64,
         count: u16,
         data: Option<Vec<u8>>,
-    ) -> Result<mirage_runtime::channel::Receiver<BlkCompletion>, BlockError> {
-        let id = {
-            let mut next = shared.next_id.lock();
-            let id = *next;
-            *next += 1;
-            id
+    ) -> Result<Receiver<BlkCompletion>, BlockError> {
+        let (reply, done) = channel::channel();
+        let req = BlkRequest {
+            op,
+            sector,
+            count,
+            data,
+            reply,
         };
-        let (tx, rx) = channel::channel();
-        shared.waiters.lock().insert(id, tx);
-        shared
-            .submit
-            .send(BlkRequest {
-                id,
-                op,
-                sector,
-                count,
-                data,
-            })
-            .map_err(|_| BlockError::Io)?;
-        Ok(rx)
+        self.submit.send(req).map_err(|_| BlockError::Io)?;
+        Ok(done)
     }
 }
 
@@ -213,12 +197,9 @@ impl BlockIo for BlkDevice {
     }
 
     fn read(&self, sector: u64, count: u32) -> BoxFuture<Result<Vec<u8>, BlockError>> {
-        let shared = Arc::clone(&self.shared);
-        let sectors = self.sectors;
+        let this = self.clone();
         Box::pin(async move {
-            if sector + count as u64 > sectors {
-                return Err(BlockError::OutOfRange);
-            }
+            sector_end(sector, count.into(), this.sectors)?;
             // Issue every chunk up front (pipelined through the ring),
             // then collect completions in order.
             let mut pending = Vec::new();
@@ -226,7 +207,7 @@ impl BlockIo for BlkDevice {
             let mut remaining = count;
             while remaining > 0 {
                 let n = remaining.min(SECTORS_PER_REQ) as u16;
-                pending.push(Self::fire_request(&shared, BlkOp::Read, at, n, None)?);
+                pending.push(this.fire_request(BlkOp::Read, at, n, None)?);
                 at += n as u64;
                 remaining -= n as u32;
             }
@@ -250,19 +231,12 @@ impl BlockIo for BlkDevice {
     }
 
     fn write(&self, sector: u64, data: Vec<u8>) -> BoxFuture<Result<(), BlockError>> {
-        let shared = Arc::clone(&self.shared);
-        let sectors = self.sectors;
+        let this = self.clone();
         Box::pin(async move {
-            if !data.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(BlockError::Unaligned);
-            }
-            let count = (data.len() / SECTOR_SIZE) as u64;
-            if sector + count > sectors {
-                return Err(BlockError::OutOfRange);
-            }
+            sector_end(sector, whole_sectors(&data)?, this.sectors)?;
             let fire = |at: u64, chunk: Vec<u8>| {
                 let n = (chunk.len() / SECTOR_SIZE) as u16;
-                Self::fire_request(&shared, BlkOp::Write, at, n, Some(chunk))
+                this.fire_request(BlkOp::Write, at, n, Some(chunk))
             };
             let mut pending = Vec::new();
             if (1..=REQ_BYTES).contains(&data.len()) {
@@ -288,7 +262,10 @@ impl BlockIo for BlkDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mirage_hypervisor::Hypervisor;
+    use crate::cache::BufferCache;
+    use mirage_devices::blk::BLK_BUFFERS;
+    use mirage_devices::{Backend, DriverDomain, Xenstore};
+    use mirage_hypervisor::{Dur, Hypervisor, Time};
     use mirage_runtime::UnikernelGuest;
 
     fn run_async_test<F, Fut>(f: F)
@@ -346,5 +323,125 @@ mod tests {
             assert_eq!(&s1[..2], b"cd");
             0
         });
+    }
+
+    /// Runs `f` in a guest over a blkfront of `sectors` on `backend`,
+    /// beside a driver domain.
+    fn over_blkfront<F, Fut>(backend: Backend, sectors: u64, f: F)
+    where
+        F: FnOnce(Runtime, BlkHandle) -> Fut + Send + 'static,
+        Fut: Future<Output = i64> + Send + 'static,
+    {
+        let xs = Xenstore::new();
+        let mut hv = Hypervisor::new();
+        hv.create_domain("dom0", 512, Box::new(DriverDomain::new(xs.clone())));
+        let (front, handle) = backend.blk(xs, "vda", sectors);
+        let mut guest = UnikernelGuest::new(move |_env, rt| {
+            let rt2 = rt.clone();
+            rt.spawn(async move { f(rt2, handle).await })
+        });
+        guest.add_device(front);
+        let dom = hv.create_domain("guest", 64, Box::new(guest));
+        hv.run_until(Time::ZERO + Dur::secs(60));
+        assert_eq!(hv.exit_code(dom), Some(0), "[{backend}]");
+    }
+
+    /// Every range that passes the end of `dev` — or `u64::MAX` — is
+    /// refused, for reads and writes alike.
+    async fn refuses_out_of_range(dev: &dyn BlockIo) {
+        let end = dev.sector_count();
+        for (sector, count) in [(u64::MAX, 1), (u64::MAX - 1, 2), (end, 1), (end - 1, 2)] {
+            let read = dev.read(sector, count).await;
+            assert_eq!(
+                read,
+                Err(BlockError::OutOfRange),
+                "read {count} at {sector}"
+            );
+            let data = vec![0; count as usize * SECTOR_SIZE];
+            assert_eq!(
+                dev.write(sector, data).await,
+                Err(BlockError::OutOfRange),
+                "write {count} at {sector}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_sectors_are_out_of_range_not_panics() {
+        run_async_test(|rt| async move {
+            refuses_out_of_range(&MemDisk::new(8)).await;
+            let cache = BufferCache::new(&rt, MemDisk::new(64), 4);
+            refuses_out_of_range(&cache).await;
+            // Nothing to read, nothing to invalidate.
+            assert_eq!(cache.read(0, 0).await, Ok(Vec::new()));
+            cache.read(0, 8).await.unwrap();
+            assert_eq!(cache.write(0, Vec::new()).await, Ok(()));
+            cache.read(0, 8).await.unwrap();
+            assert_eq!(cache.stats().hits, 1, "an empty write invalidates nothing");
+            0
+        });
+        for backend in Backend::ALL {
+            over_blkfront(backend, 64, |rt, handle| async move {
+                refuses_out_of_range(&BlkDevice::new(&rt, handle)).await;
+                0
+            });
+        }
+    }
+
+    #[test]
+    fn a_blk_device_spawns_no_task() {
+        for backend in Backend::ALL {
+            over_blkfront(backend, 64, |rt, handle| async move {
+                let before = rt.live_tasks();
+                let dev = BlkDevice::new(&rt, handle);
+                assert_eq!(rt.live_tasks(), before, "nothing runs beside the caller");
+                dev.write(8, vec![0xA5; SECTOR_SIZE]).await.unwrap();
+                assert_eq!(dev.read(8, 1).await, Ok(vec![0xA5; SECTOR_SIZE]));
+                0
+            });
+        }
+    }
+
+    #[test]
+    fn a_write_longer_than_the_page_pool_round_trips() {
+        // More pages than blkfront has: requests wait in the submit
+        // channel for a page to come back.
+        const PAGES: usize = BLK_BUFFERS + 8;
+        for backend in Backend::ALL {
+            over_blkfront(backend, 1024, |rt, handle| async move {
+                let dev = BlkDevice::new(&rt, handle);
+                let data: Vec<u8> = (0..PAGES * 4096).map(|i| (i / 509) as u8).collect();
+                dev.write(16, data.clone()).await.unwrap();
+                let back = dev.read(16, (PAGES * 8) as u32).await.unwrap();
+                assert!(back == data, "byte-exact after {PAGES} pages");
+                0
+            });
+        }
+    }
+
+    #[test]
+    fn abandoned_reads_give_back_every_page() {
+        for backend in Backend::ALL {
+            over_blkfront(backend, 1024, |rt, handle| async move {
+                let dev = BlkDevice::new(&rt, handle);
+                let mut reads: Vec<_> = (0..BLK_BUFFERS as u64 + 8)
+                    .map(|i| dev.read(i * 8, 8))
+                    .collect();
+                // One poll submits each request; none can have completed.
+                std::future::poll_fn(|cx| {
+                    for read in &mut reads {
+                        assert!(read.as_mut().poll(cx).is_pending());
+                    }
+                    std::task::Poll::Ready(())
+                })
+                .await;
+                drop(reads);
+                // Needs every page the abandoned requests held, and one more.
+                let sectors = (BLK_BUFFERS as u32 + 1) * 8;
+                let back = dev.read(0, sectors).await.unwrap();
+                assert_eq!(back.len(), sectors as usize * SECTOR_SIZE);
+                0
+            });
+        }
     }
 }

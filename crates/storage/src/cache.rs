@@ -23,7 +23,7 @@ use mirage_devices::blk::SECTOR_SIZE;
 use mirage_hypervisor::Dur;
 use mirage_runtime::Runtime;
 
-use crate::block::{BlockError, BlockIo, BoxFuture};
+use crate::block::{sector_end, whole_sectors, BlockError, BlockIo, BoxFuture};
 
 /// Sectors per cache page.
 const SECTORS_PER_PAGE: u64 = 8;
@@ -129,9 +129,9 @@ impl<B: BlockIo + 'static> BlockIo for BufferCache<B> {
     fn read(&self, sector: u64, count: u32) -> BoxFuture<Result<Vec<u8>, BlockError>> {
         let this = self.clone();
         Box::pin(async move {
-            let end = sector + count as u64;
-            if end > this.dev.sector_count() {
-                return Err(BlockError::OutOfRange);
+            let end = sector_end(sector, count.into(), this.dev.sector_count())?;
+            if count == 0 {
+                return Ok(Vec::new());
             }
             let first_page = sector / SECTORS_PER_PAGE;
             let last_page = (end - 1) / SECTORS_PER_PAGE;
@@ -203,13 +203,11 @@ impl<B: BlockIo + 'static> BlockIo for BufferCache<B> {
         let this = self.clone();
         Box::pin(async move {
             // Write-through: update cached pages then hit the device.
-            if !data.len().is_multiple_of(SECTOR_SIZE) {
-                return Err(BlockError::Unaligned);
-            }
-            {
+            let end = sector_end(sector, whole_sectors(&data)?, this.dev.sector_count())?;
+            // The pages the written sectors lie in; an empty write has none.
+            if end > sector {
                 let mut inner = this.inner.lock();
-                let count = (data.len() / SECTOR_SIZE) as u64;
-                for page in sector / SECTORS_PER_PAGE..=(sector + count - 1) / SECTORS_PER_PAGE {
+                for page in sector / SECTORS_PER_PAGE..end.div_ceil(SECTORS_PER_PAGE) {
                     // Invalidate rather than merge: simple and correct.
                     inner.pages.remove(&page);
                     if let Some(pos) = inner.lru.iter().position(|p| *p == page) {

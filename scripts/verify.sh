@@ -236,6 +236,14 @@ exactly crates/devices/src 0 "a zero-filled buffer on the block path" \
     '/(blk|blkback)\.rs:[0-9]+:.*vec!\[0u8;'
 echo "   ok"
 
+echo "== gate: a block request carries its reply"
+# blkfront's in-flight entry, keyed by the transport token, is the one
+# place a request is remembered: no demux task, waiter map or id counter
+# in front of it, no completion stream or second queue inside it.
+exactly crates/storage/src/block.rs 0 "a demux task, waiter map or id counter" 'spawn\(|waiters|next_id'
+exactly crates/devices/src/blk.rs 0 "a completion stream or backlog in blkfront" 'to_stack|backlog|complete:'
+echo "   ok"
+
 echo "== build (release, offline, all targets)"
 cargo build --release --offline --workspace --all-targets
 

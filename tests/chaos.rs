@@ -23,6 +23,7 @@ use mirage::dns::{DnsName, DnsServer, Message, RData, RType, Rcode, ServerConfig
 use mirage::http::{HandlerFuture, HttpConnection, HttpServer, Request, Response, Router};
 use mirage::hypervisor::{Dur, Hypervisor, RunOutcome, Time, KILLED_EXIT_CODE};
 use mirage::net::{tcp, Ipv4Addr, Mac, PktBuf, Stack, StackConfig};
+use mirage::runtime::channel::channel;
 use mirage::runtime::UnikernelGuest;
 use mirage_testkit::rng::Rng;
 use mirage_testkit::sync::Mutex;
@@ -562,9 +563,20 @@ fn disk_faults_are_transient_and_survivable() {
 
     let (front, bh) = Backend::XenRing.blk(xs.clone(), "vda", 1 << 20);
     let mut guest = UnikernelGuest::new(move |_env, rt| {
-        let mut bh = bh;
         rt.spawn(async move {
-            let mut id = 0u64;
+            let submit = |op, sector, data| {
+                let (reply, done) = channel();
+                bh.submit
+                    .send(BlkRequest {
+                        op,
+                        sector,
+                        count: 8,
+                        data,
+                        reply,
+                    })
+                    .unwrap();
+                done
+            };
             for block in 0..16u64 {
                 let sector = block * 8;
                 let payload: Vec<u8> = pattern(4096)
@@ -573,34 +585,15 @@ fn disk_faults_are_transient_and_survivable() {
                     .collect();
                 // Write until the backend reports success.
                 loop {
-                    id += 1;
-                    bh.submit
-                        .send(BlkRequest {
-                            id,
-                            op: BlkOp::Write,
-                            sector,
-                            count: 8,
-                            data: Some(payload.clone()),
-                        })
-                        .unwrap();
-                    if bh.complete.recv().await.unwrap().ok {
+                    let mut done = submit(BlkOp::Write, sector, Some(payload.clone()));
+                    if done.recv().await.unwrap().ok {
                         break;
                     }
                 }
                 // Read back until success; the data must match even if a
                 // torn write left a partial prefix before the retry.
                 loop {
-                    id += 1;
-                    bh.submit
-                        .send(BlkRequest {
-                            id,
-                            op: BlkOp::Read,
-                            sector,
-                            count: 8,
-                            data: None,
-                        })
-                        .unwrap();
-                    let done = bh.complete.recv().await.unwrap();
+                    let done = submit(BlkOp::Read, sector, None).recv().await.unwrap();
                     if done.ok {
                         assert_eq!(
                             done.data.as_deref(),
