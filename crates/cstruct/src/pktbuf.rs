@@ -102,7 +102,22 @@ impl BufMut {
 
     /// Full writable contents of the page.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        self.page.dirty = self.page.data.len();
         &mut self.page.data
+    }
+
+    /// The first `len` bytes, to write in place; [`BufMut::freeze`] then
+    /// exposes exactly them. Unlike [`BufMut::as_mut_slice`], the page
+    /// goes back to its pool with only these bytes to clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the page capacity.
+    pub fn prefix_mut(&mut self, len: usize) -> &mut [u8] {
+        assert!(len <= self.page.data.len(), "prefix beyond page capacity");
+        self.len = len;
+        self.page.dirty = self.page.dirty.max(len);
+        &mut self.page.data[..len]
     }
 
     /// Read-only contents.
@@ -140,6 +155,7 @@ impl BufMut {
         let end = offset + src.len();
         assert!(end <= self.page.data.len(), "write beyond page capacity");
         self.page.data[offset..end].copy_from_slice(src);
+        self.page.dirty = self.page.dirty.max(end);
         if end > self.len {
             self.len = end;
         }

@@ -6,6 +6,10 @@
 //! collector drops the last view over them (Figure 4). [`PagePool`] models
 //! that region: a bounded set of [`PAGE_SIZE`] buffers with automatic return
 //! on drop and counters the benchmarks use to prove zero-copy behaviour.
+//!
+//! A page is made the first time one is needed, up to the capacity, and
+//! every page the pool hands out is all zero: a page coming back is
+//! cleared as far as a writer could have touched it, and no further.
 
 use std::error::Error;
 use std::fmt;
@@ -45,7 +49,7 @@ pub struct PoolStats {
     pub total_allocs: u64,
     /// Pages returned by view drops over the pool's lifetime.
     pub total_recycles: u64,
-    /// Pages currently available.
+    /// Pages currently available, made or not.
     pub free: usize,
     /// Pool capacity.
     pub capacity: usize,
@@ -57,7 +61,10 @@ struct PoolInner {
 }
 
 struct PoolState {
+    /// Pages made and not in flight; every byte is zero.
     free: Vec<Vec<u8>>,
+    /// Pages made so far; the rest of the capacity is made on first need.
+    made: usize,
     allocs: u64,
     recycles: u64,
 }
@@ -68,6 +75,9 @@ struct PoolState {
 /// adopted at a system edge has no pool and is simply freed.
 pub(crate) struct Page {
     pub(crate) data: Vec<u8>,
+    /// How far from the start a writer could have touched `data`: all a
+    /// recycled page needs clearing.
+    pub(crate) dirty: usize,
     pool: Weak<PoolInner>,
 }
 
@@ -76,6 +86,7 @@ impl Page {
     pub(crate) fn heap(data: Vec<u8>) -> Page {
         Page {
             data,
+            dirty: 0,
             pool: Weak::new(),
         }
     }
@@ -85,8 +96,10 @@ impl Drop for Page {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.upgrade() {
             debug_assert_eq!(self.data.len(), PAGE_SIZE);
+            let mut data = std::mem::take(&mut self.data);
+            data[..self.dirty].fill(0);
             let mut state = pool.state.lock().expect("pool lock");
-            state.free.push(std::mem::take(&mut self.data));
+            state.free.push(data);
             state.recycles += 1;
         }
     }
@@ -124,12 +137,14 @@ impl fmt::Debug for PagePool {
 }
 
 impl PagePool {
-    /// Creates a pool holding `capacity` zeroed pages.
+    /// Creates a pool of up to `capacity` pages, each made the first time
+    /// one is needed.
     pub fn new(capacity: usize) -> Self {
         PagePool {
             inner: Arc::new(PoolInner {
                 state: Mutex::new(PoolState {
-                    free: (0..capacity).map(|_| vec![0u8; PAGE_SIZE]).collect(),
+                    free: Vec::new(),
+                    made: 0,
                     allocs: 0,
                     recycles: 0,
                 }),
@@ -140,8 +155,8 @@ impl PagePool {
 
     /// Takes a page from the pool for exclusive writing.
     ///
-    /// The page contents are zeroed (pages may carry stale data from their
-    /// previous use, and a sealed unikernel must not leak it to the wire).
+    /// The page contents are zero (a page's previous use was cleared when
+    /// it came back: a sealed unikernel must not leak it to the wire).
     ///
     /// # Errors
     ///
@@ -149,21 +164,28 @@ impl PagePool {
     /// expected to apply back-pressure and retry after views are dropped.
     pub fn alloc(&self) -> Result<BufMut, PoolExhausted> {
         let mut state = self.inner.state.lock().expect("pool lock");
-        let mut data = state.free.pop().ok_or(PoolExhausted {
-            capacity: self.inner.capacity,
-        })?;
+        let recycled = state.free.pop();
+        if recycled.is_none() {
+            if state.made == self.inner.capacity {
+                return Err(PoolExhausted {
+                    capacity: self.inner.capacity,
+                });
+            }
+            state.made += 1;
+        }
         state.allocs += 1;
         drop(state);
-        data.fill(0);
         Ok(BufMut::new(Page {
-            data,
+            data: recycled.unwrap_or_else(|| vec![0u8; PAGE_SIZE]),
+            dirty: 0,
             pool: Arc::downgrade(&self.inner),
         }))
     }
 
-    /// Number of pages currently available.
+    /// Number of pages currently available, made or not.
     pub fn free_pages(&self) -> usize {
-        self.inner.state.lock().expect("pool lock").free.len()
+        let state = self.inner.state.lock().expect("pool lock");
+        state.free.len() + self.inner.capacity - state.made
     }
 
     /// Pool capacity in pages.
@@ -177,7 +199,7 @@ impl PagePool {
         PoolStats {
             total_allocs: state.allocs,
             total_recycles: state.recycles,
-            free: state.free.len(),
+            free: state.free.len() + self.inner.capacity - state.made,
             capacity: self.inner.capacity,
         }
     }
@@ -186,6 +208,7 @@ impl PagePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mirage_testkit::prop::collection;
 
     #[test]
     fn alloc_until_exhausted_then_recycle() {
@@ -220,6 +243,51 @@ mod tests {
         drop(page);
         let page = pool.alloc().unwrap();
         assert!(page.as_slice().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn pages_are_made_on_first_need_and_capacity_binds() {
+        let pool = PagePool::new(256);
+        let made = || pool.inner.state.lock().expect("pool lock").made;
+        assert_eq!(made(), 0, "nothing made until asked");
+        assert_eq!(pool.free_pages(), 256, "a page not yet made is free");
+        let page = pool.alloc().unwrap();
+        drop(page);
+        let again = pool.alloc().unwrap();
+        assert_eq!(made(), 1, "a recycled page is reused, not remade");
+        let rest: Vec<_> = (1..256).map(|_| pool.alloc().unwrap()).collect();
+        assert_eq!((made(), pool.free_pages()), (256, 0));
+        assert!(pool.alloc().is_err(), "capacity still binds");
+        drop((again, rest));
+        assert_eq!(pool.stats().free, 256);
+    }
+
+    mirage_testkit::property! {
+        /// Whatever mix of writers a page went through — `write_at`, the
+        /// prefix writer, the whole-page slice, frozen and viewed or not —
+        /// the next `alloc` hands it out all zero.
+        fn prop_recycled_pages_come_back_zero(
+            writes in collection::vec((0u8..3, 0usize..PAGE_SIZE, 1usize..600, 1u8..=255), 1..8),
+            freeze in 0u8..2,
+        ) {
+            let pool = PagePool::new(1);
+            let mut page = pool.alloc().unwrap();
+            for (kind, at, len, byte) in writes {
+                let len = len.min(PAGE_SIZE - at);
+                match kind {
+                    0 => page.write_at(at, &vec![byte; len]),
+                    1 => page.prefix_mut(at + len)[at..].fill(byte),
+                    _ => page.as_mut_slice()[at..at + len].fill(byte),
+                }
+            }
+            if freeze == 1 {
+                drop(page.freeze());
+            } else {
+                drop(page);
+            }
+            let page = pool.alloc().unwrap();
+            assert!(page.as_slice().iter().all(|&b| b == 0), "a written byte survived");
+        }
     }
 
     #[test]

@@ -349,9 +349,9 @@ impl<T: FrontTransport> Blkif<T> {
             progressed = true;
         }
 
-        // Submissions while a slot and a page are free, one doorbell per
-        // pass; the rest wait in the submit channel.
-        let mut bell = false;
+        // Submissions while a slot and a page are free, published once
+        // with at most one doorbell per pass; the rest wait in the submit
+        // channel.
         while queue.room() && !self.free_pages.is_empty() {
             let Some(req) = self.from_stack.try_recv() else {
                 break;
@@ -382,8 +382,7 @@ impl<T: FrontTransport> Blkif<T> {
             };
             let is_read = req.op == BlkOp::Read;
             let header = wire::req(op, req.sector, req.count);
-            let (token, b) = queue.post(&header, DataBuf::page(gref, bytes, is_read));
-            bell |= b;
+            let token = queue.post(&header, DataBuf::page(gref, bytes, is_read));
             let inflight = Inflight {
                 read_bytes: is_read.then_some(bytes),
                 gref,
@@ -393,7 +392,7 @@ impl<T: FrontTransport> Blkif<T> {
             self.inflight.insert(token, inflight);
             progressed = true;
         }
-        if bell {
+        if queue.publish() {
             let _ = env.evtchn_notify(port);
         }
         progressed |= queue.arm();

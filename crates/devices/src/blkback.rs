@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 
 use mirage_testkit::rng::Rng;
-use mirage_testkit::sync::Mutex;
 use mirage_testkit::wheel::TimerWheel;
 
 use mirage_hypervisor::event::Port;
@@ -89,16 +88,16 @@ impl BlkBackend {
     }
 
     /// One pass: accept new requests, scheduling their completion times,
-    /// then complete those whose service time has elapsed. At most one
-    /// interrupt.
+    /// then complete those whose service time has elapsed. One index
+    /// update and at most one interrupt. What happened is counted into
+    /// `counts`.
     pub(crate) fn service(
         &mut self,
         env: &mut DomainEnv<'_>,
         rng: &mut Rng,
-        stats: &Mutex<DriverStats>,
+        counts: &mut DriverStats,
     ) -> bool {
         let mut progressed = false;
-        let mut bell = false;
         let _ = env.evtchn_consume(self.port);
         while let Some(taken) = self.queue.take(env) {
             progressed = true;
@@ -109,8 +108,8 @@ impl BlkBackend {
             let (req, (is_read, sector, count)) = match accepted {
                 Ok(accepted) => accepted,
                 Err(token) => {
-                    bell |= self.queue.complete(env, token, 0, false);
-                    stats.lock().requests_rejected += 1;
+                    self.queue.complete(env, token, 0, false);
+                    counts.requests_rejected += 1;
                     continue;
                 }
             };
@@ -122,20 +121,20 @@ impl BlkBackend {
                     // Transient read failure: data stays intact, the
                     // completion reports failure.
                     ok = false;
-                    stats.lock().blk_read_errors += 1;
+                    counts.blk_read_errors += 1;
                 }
             } else {
                 let page = map_cached(env, &mut self.mapped, req.data.gref, false);
                 let persist = if DiskFaultPlan::hit(rng, faults.write_error_ppm) {
                     // Transient write failure: nothing persists.
                     ok = false;
-                    stats.lock().blk_write_errors += 1;
+                    counts.blk_write_errors += 1;
                     0
                 } else if DiskFaultPlan::hit(rng, faults.torn_write_ppm) {
                     // Torn write: only a sector prefix persists — the
                     // on-disk state a power cut mid-request would leave.
                     ok = false;
-                    stats.lock().blk_torn_writes += 1;
+                    counts.blk_torn_writes += 1;
                     rng.gen_range(0..count) as usize * SECTOR_SIZE
                 } else {
                     bytes
@@ -176,11 +175,11 @@ impl BlkBackend {
                 }
                 written = bytes as u32;
             }
-            bell |= self.queue.complete(env, p.token, written, p.ok);
-            stats.lock().blk_completed += 1;
+            self.queue.complete(env, p.token, written, p.ok);
+            counts.blk_completed += 1;
             progressed = true;
         });
-        if bell {
+        if self.queue.publish() {
             let _ = env.evtchn_notify(self.port);
         }
         progressed

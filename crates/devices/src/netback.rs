@@ -74,6 +74,9 @@ pub struct DriverDomain {
     /// attach: until a write moves it, a rescan would find — and charge —
     /// nothing, so it is skipped.
     settled_at: Option<u64>,
+    /// The counters the switch and the block backends count into, copied
+    /// out to `stats` once per step that moved them.
+    counts: DriverStats,
     stats: Arc<Mutex<DriverStats>>,
     disk_rng: Rng,
 }
@@ -91,16 +94,16 @@ impl DriverDomain {
         net_profile: NetProfile,
         disk_profile: DiskProfile,
     ) -> DriverDomain {
-        let stats = Arc::new(Mutex::new(DriverStats::default()));
         DriverDomain {
             xs,
             registered: false,
             disk_profile,
-            switch: Switch::new(net_profile, Arc::clone(&stats)),
+            switch: Switch::new(net_profile),
             blks: Vec::new(),
             seen: HashSet::new(),
             settled_at: None,
-            stats,
+            counts: DriverStats::default(),
+            stats: Arc::default(),
             disk_rng: Rng::for_stream(mirage_testkit::DEFAULT_SEED, "netback-disk-faults"),
         }
     }
@@ -192,11 +195,12 @@ impl Guest for DriverDomain {
                 .write(env, "backend-domid", &env.domid().0.to_string());
             self.registered = true;
         }
+        let counted = self.counts;
         loop {
             let mut progressed = self.discover(env);
-            progressed |= self.switch.service(env);
+            progressed |= self.switch.service(env, &mut self.counts);
             for blk in &mut self.blks {
-                progressed |= blk.service(env, &mut self.disk_rng, &self.stats);
+                progressed |= blk.service(env, &mut self.disk_rng, &mut self.counts);
             }
             // Arm request notifications before blocking; any race means
             // another pass instead of a sleep.
@@ -207,6 +211,9 @@ impl Guest for DriverDomain {
             if !progressed {
                 break;
             }
+        }
+        if self.counts != counted {
+            *self.stats.lock() = self.counts;
         }
         let ports: Vec<Port> = self
             .switch
@@ -277,6 +284,9 @@ pub(crate) mod raw {
         /// `[tx, rx]` for a NIC, `[queue]` for a disk.
         queues: Vec<T>,
         port: Option<Port>,
+        /// What it does to its first queue's shared memory once the script
+        /// is published.
+        tamper: Option<fn(&T)>,
     }
 
     impl<T: FrontTransport> Raw<T> {
@@ -300,7 +310,14 @@ pub(crate) mod raw {
                 link,
                 queues,
                 port,
+                tamper: None,
             }
+        }
+
+        /// The same frontend, which then does `tamper` to its queue.
+        pub(crate) fn tampering(self, tamper: fn(&T)) -> Raw<T> {
+            let tamper = Some(tamper);
+            Raw { tamper, ..self }
         }
     }
 
@@ -333,6 +350,7 @@ pub(crate) mod raw {
                             let mut fill = |env: &mut DomainEnv<'_>, _pair: usize| {
                                 let gref = env.grant(backend, SharedPage::new(), true);
                                 rx.post(&[], DataBuf::page(gref, MAX_FRAME, true));
+                                rx.publish();
                             };
                             T::attach_net(env, dir, backend, 1, &mut fill).map(|ports| ports[0])
                         }
@@ -357,6 +375,10 @@ pub(crate) mod raw {
                             device_writes: post.device_writes,
                         };
                         self.queues[0].post(&post.header, data);
+                    }
+                    self.queues[0].publish();
+                    if let Some(tamper) = self.tamper {
+                        tamper(&self.queues[0]);
                     }
                     env.evtchn_notify(port).expect("bound");
                     self.link = Link::Connected;
@@ -390,7 +412,7 @@ mod tests {
     use crate::netfront::CopyDiscipline;
     use crate::transport::Completion;
     use mirage_hypervisor::{Dur, Hypervisor, Time};
-    use mirage_runtime::UnikernelGuest;
+    use mirage_runtime::{DeviceService, UnikernelGuest};
 
     const TAP_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x01];
     const GUEST_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0xAA];
@@ -413,6 +435,16 @@ mod tests {
         kind: Kind,
         script: Vec<Post>,
     ) -> (Vec<Completion>, DriverStats) {
+        let raw = |xs, done| backend.raw(xs, kind, script, done);
+        run_beside(backend, dom0, raw)
+    }
+
+    /// [`run_raw`] for a frontend made by `raw(xenstore, completions)`.
+    fn run_beside(
+        backend: Backend,
+        dom0: DriverDomain,
+        raw: impl FnOnce(Xenstore, Arc<Mutex<Vec<Completion>>>) -> Box<dyn DeviceService>,
+    ) -> (Vec<Completion>, DriverStats) {
         let xs = dom0.xs.clone();
         let stats = dom0.stats_handle();
         let mut hv = Hypervisor::new();
@@ -425,7 +457,7 @@ mod tests {
                 0
             })
         });
-        guest.add_device(backend.raw(xs, kind, script, Arc::clone(&done)));
+        guest.add_device(raw(xs, Arc::clone(&done)));
         let gdom = hv.create_domain("hostile", 64, Box::new(guest));
         hv.run_until(Time::ZERO + Dur::secs(1));
         assert_eq!(hv.exit_code(gdom), Some(0), "[{backend}] ran to completion");
@@ -544,6 +576,36 @@ mod tests {
             );
             assert_eq!(&frames[0][..], &frame[..]);
         }
+    }
+
+    /// A guest that leaps its TX ring's producer index four billion slots
+    /// ahead costs the switch one counted jump: the pass ends, with at
+    /// most a ring's worth of takes, instead of walking the leap.
+    #[test]
+    fn a_leapt_request_index_ends_the_switch_pass() {
+        use crate::transport::RingFront;
+        use mirage_ring::desc::{ring_hdr, RING_SIZE};
+
+        let tap = Tap::new(TAP_MAC);
+        let mut dom0 = DriverDomain::new(Xenstore::new());
+        dom0.add_tap(tap.clone());
+        let frame = eth_frame(TAP_MAC, GUEST_MAC, 64);
+        let post = Post {
+            header: vec![],
+            len: 64,
+            device_writes: false,
+            payload: frame,
+        };
+        let leap = |tx: &RingFront| tx.page().write(|b| ring_hdr::set_req_prod(b, u32::MAX));
+        let raw = |xs, done| -> Box<dyn DeviceService> {
+            let raw = raw::Raw::<RingFront>::new(xs, Kind::Nic, vec![post], done);
+            Box::new(raw.tampering(leap))
+        };
+        let (done, stats) = run_beside(Backend::XenRing, dom0, raw);
+        let takes = stats.requests_rejected + stats.frames_switched;
+        assert!(takes <= u64::from(RING_SIZE), "{takes} takes in one pass");
+        assert!(done.is_empty(), "nothing past the leap was served");
+        assert!(tap.harvest().is_empty());
     }
 
     #[test]

@@ -145,20 +145,21 @@ struct Pair<T> {
 }
 
 impl<T: FrontTransport> Pair<T> {
-    fn post_rx(&mut self, gref: GrantRef, page: SharedPage) -> bool {
-        let (token, bell) = self.rx.post(&[], DataBuf::page(gref, MAX_FRAME, true));
+    fn post_rx(&mut self, gref: GrantRef, page: SharedPage) {
+        let token = self.rx.post(&[], DataBuf::page(gref, MAX_FRAME, true));
         self.rx_bufs.insert(token, (gref, page));
-        bell
     }
 
     /// Posts the receive buffers and pre-grants the transmit pool
-    /// (read-only: the backend only reads TX payloads).
+    /// (read-only: the backend only reads TX payloads). The handshake
+    /// kicks the backend unconditionally, so the doorbell is moot.
     fn fill(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) {
         for _ in 0..RX_BUFFERS {
             let page = SharedPage::new();
             let gref = env.grant(backend, page.clone(), true);
             self.post_rx(gref, page);
         }
+        self.rx.publish();
         for _ in 0..TX_BUFFERS {
             let page = SharedPage::new();
             self.tx_free
@@ -192,6 +193,15 @@ pub(crate) struct Netif<T> {
     from_stack: Vec<Receiver<PktBuf>>,
     /// Per-queue RX hand-off (driver -> stack workers).
     to_stack: Vec<Sender<PktBuf>>,
+    /// One stack queue's intake, moved out of its channel in one go.
+    intake: VecDeque<PktBuf>,
+    /// Frames a pass received for each stack queue, handed over in one
+    /// go per queue, in the order the queues first got a frame.
+    delivered: Vec<VecDeque<PktBuf>>,
+    delivery_order: Vec<usize>,
+    /// The counters, kept here and copied out to the handles once per
+    /// pass that moved them: this driver is their only writer.
+    counts: NetifStats,
     stats: Arc<Mutex<NetifStats>>,
 }
 
@@ -234,6 +244,10 @@ impl<T: FrontTransport> Netif<T> {
             ports: Vec::new(),
             from_stack,
             to_stack,
+            intake: VecDeque::new(),
+            delivered: (0..queues).map(|_| VecDeque::new()).collect(),
+            delivery_order: Vec::with_capacity(queues),
+            counts: NetifStats::default(),
             stats,
         };
         (Box::new(front), handles)
@@ -276,6 +290,7 @@ impl<T: FrontTransport> Netif<T> {
 
     fn pass(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
+        let counted = self.counts;
         let entry_lane = env.current_vcpu();
         let (pairs, queues) = (self.pairs.len(), self.to_stack.len());
         // Queue q's frames ride pair q % pairs; each stack worker gets its
@@ -284,17 +299,17 @@ impl<T: FrontTransport> Netif<T> {
         let backlog_cap = TX_BACKLOG_CAP * queues.div_ceil(pairs);
         for (q, intake) in self.from_stack.iter_mut().enumerate() {
             let backlog = &mut self.pairs[q % pairs].backlog;
-            while let Some(frame) = intake.try_recv() {
+            intake.drain_into(&mut self.intake);
+            for frame in self.intake.drain(..) {
                 backlog.push_back((q, frame));
                 if backlog.len() > backlog_cap {
                     backlog.pop_front();
-                    self.stats.lock().tx_drops += 1;
+                    self.counts.tx_drops += 1;
                 }
             }
         }
         for (p, (pair, &port)) in self.pairs.iter_mut().zip(&self.ports).enumerate() {
             let _ = env.evtchn_consume(port);
-            let mut bell = false;
 
             // Reclaim completed transmit pages.
             while let Some(done) = pair.tx.reap() {
@@ -315,9 +330,7 @@ impl<T: FrontTransport> Netif<T> {
                 };
                 // The length is the backend's word: never past the page.
                 let len = (done.len as usize).min(MAX_FRAME);
-                let mut frame = vec![0u8; len];
-                page.read(|b| frame.copy_from_slice(&b[..len]));
-                let frame = PktBuf::from_vec(frame);
+                let frame = PktBuf::from_vec(page.read(|b| b[..len].to_vec()));
                 // A pair per queue arrives classified; a shared pair is
                 // classified here.
                 let q = if pairs == queues {
@@ -328,21 +341,25 @@ impl<T: FrontTransport> Netif<T> {
                 env.on_vcpu(q % env.vcpus());
                 charge_rx(self.discipline, env, len);
                 env.on_vcpu(entry_lane);
-                {
-                    let mut st = self.stats.lock();
-                    st.rx_frames += 1;
-                    st.rx_bytes += len as u64;
+                self.counts.rx_frames += 1;
+                self.counts.rx_bytes += len as u64;
+                if self.delivered[q].is_empty() {
+                    self.delivery_order.push(q);
                 }
-                let _ = self.to_stack[q].send(frame);
-                bell |= pair.post_rx(gref, page);
+                self.delivered[q].push_back(frame);
+                pair.post_rx(gref, page);
                 progressed = true;
+            }
+            for q in self.delivery_order.drain(..) {
+                let _ = self.to_stack[q].send_all(&mut self.delivered[q]);
+                self.delivered[q].clear();
             }
 
             // Transmit queued frames.
             while let Some((_, frame)) = pair.backlog.front() {
                 if frame.len() > MAX_FRAME {
                     pair.backlog.pop_front();
-                    self.stats.lock().tx_drops += 1;
+                    self.counts.tx_drops += 1;
                     continue;
                 }
                 if !pair.tx.room() {
@@ -357,28 +374,27 @@ impl<T: FrontTransport> Netif<T> {
                 env.on_vcpu(src_q % env.vcpus());
                 charge_tx(self.discipline, env, frame.len());
                 env.on_vcpu(entry_lane);
-                let (token, b) = pair.tx.post(&[], DataBuf::page(gref, frame.len(), false));
-                bell |= b;
+                let token = pair.tx.post(&[], DataBuf::page(gref, frame.len(), false));
                 pair.tx_inflight.insert(token, (gref, page));
-                {
-                    let mut st = self.stats.lock();
-                    st.tx_frames += 1;
-                    st.tx_bytes += frame.len() as u64;
-                }
+                self.counts.tx_frames += 1;
+                self.counts.tx_bytes += frame.len() as u64;
                 progressed = true;
             }
 
-            // One doorbell per pair per pass, and only if a post crossed
-            // the backend's event mark.
-            if bell {
+            // One index update per queue and one doorbell per pair per
+            // pass, and only if the burst crossed the backend's event mark.
+            if pair.rx.publish() | pair.tx.publish() {
                 let _ = env.evtchn_notify(port);
-                self.stats.lock().doorbells += 1;
+                self.counts.doorbells += 1;
             }
             // Arm notifications before blocking; if completions raced in,
             // go around again instead of sleeping (the §3.5.1 footnote
             // protocol).
             progressed |= pair.tx.arm();
             progressed |= pair.rx.arm();
+        }
+        if self.counts != counted {
+            *self.stats.lock() = self.counts;
         }
         progressed
     }
@@ -460,6 +476,7 @@ mod tests {
                 if !self.lied {
                     if let Some(Ok(req)) = rx.take(env) {
                         rx.complete(env, req.token, 60_000, true);
+                        rx.publish();
                         env.evtchn_notify(*port).expect("bound by the frontend");
                         self.lied = true;
                     }

@@ -172,11 +172,10 @@ pub(crate) struct Switch {
     /// `None` for a tap, by release time: ties leave in the order the
     /// conditioner saw them, keeping runs deterministic.
     delayed: TimerWheel<(Option<usize>, PktBuf)>,
-    stats: Arc<Mutex<DriverStats>>,
 }
 
 impl Switch {
-    pub(crate) fn new(profile: NetProfile, stats: Arc<Mutex<DriverStats>>) -> Switch {
+    pub(crate) fn new(profile: NetProfile) -> Switch {
         Switch {
             profile,
             ports: Vec::new(),
@@ -184,7 +183,6 @@ impl Switch {
             taps: Vec::new(),
             netem: None,
             delayed: TimerWheel::new(),
-            stats,
         }
     }
 
@@ -236,7 +234,7 @@ impl Switch {
     /// flood self-exclusion) to its destination queue(s). Multi-port
     /// delivery (taps, floods) clones the `PktBuf` — a refcount bump,
     /// never a byte copy.
-    fn route(&mut self, src: Option<usize>, frame: PktBuf) {
+    fn route(&mut self, src: Option<usize>, frame: PktBuf, counts: &mut DriverStats) {
         if frame.len() < 14 {
             return;
         }
@@ -245,7 +243,7 @@ impl Switch {
         if let Some(port) = src {
             self.mac_table.insert(src_mac, port);
         }
-        self.stats.lock().frames_switched += 1;
+        counts.frames_switched += 1;
 
         // Tap delivery by exact MAC or broadcast.
         let mut tap_hit = false;
@@ -259,7 +257,7 @@ impl Switch {
 
         match self.mac_table.get(&dst) {
             Some(&port) if dst != MAC_BROADCAST => {
-                self.deliver(port, frame);
+                self.deliver(port, frame, counts);
             }
             _ => {
                 if tap_hit && dst != MAC_BROADCAST {
@@ -268,7 +266,7 @@ impl Switch {
                 // Flood to every other port.
                 for idx in 0..self.ports.len() {
                     if Some(idx) != src {
-                        self.deliver(idx, frame.clone());
+                        self.deliver(idx, frame.clone(), counts);
                     }
                 }
             }
@@ -277,16 +275,15 @@ impl Switch {
 
     /// Queues `frame` at the pair of port `idx` its flow hashes to,
     /// tail-dropping when that output queue is full.
-    fn deliver(&mut self, idx: usize, frame: PktBuf) {
+    fn deliver(&mut self, idx: usize, frame: PktBuf, counts: &mut DriverStats) {
         let port = &mut self.ports[idx];
         let pair = crate::rss::rx_queue(&frame, port.queues.len());
         let queue = &mut port.queues[pair].out_queue;
         if queue.len() >= OUT_QUEUE_CAP {
-            let mut s = self.stats.lock();
             if port.rx_starved {
-                s.frames_dropped_no_rx_buffer += 1;
+                counts.frames_dropped_no_rx_buffer += 1;
             } else {
-                s.frames_dropped_congestion += 1;
+                counts.frames_dropped_congestion += 1;
             }
             return;
         }
@@ -297,25 +294,25 @@ impl Switch {
     /// Conditioned frames may be dropped, duplicated, corrupted or held in
     /// the delay queue until their release time. No port could ever
     /// receive a frame over [`MAX_FRAME`], so those stop here.
-    fn offer(&mut self, now: Time, src: Option<usize>, frame: PktBuf) {
+    fn offer(&mut self, now: Time, src: Option<usize>, frame: PktBuf, counts: &mut DriverStats) {
         if frame.len() > MAX_FRAME {
-            self.stats.lock().frames_dropped_oversize += 1;
+            counts.frames_dropped_oversize += 1;
             return;
         }
         let outs = match self.netem.as_mut() {
             None => {
-                self.route(src, frame);
+                self.route(src, frame, counts);
                 return;
             }
             Some(nm) => nm.apply(now, frame),
         };
         if outs.is_empty() {
-            self.stats.lock().frames_dropped_netem += 1;
+            counts.frames_dropped_netem += 1;
             return;
         }
         for (release_at, frame) in outs {
             if release_at <= now {
-                self.route(src, frame);
+                self.route(src, frame, counts);
             } else {
                 self.delayed.insert(release_at.as_nanos(), (src, frame));
             }
@@ -323,16 +320,17 @@ impl Switch {
     }
 
     /// One pass over the data path: release held frames, ingest from
-    /// guests and taps, deliver into posted RX buffers. At most one
-    /// interrupt per queue per direction.
-    pub(crate) fn service(&mut self, env: &mut DomainEnv<'_>) -> bool {
+    /// guests and taps, deliver into posted RX buffers. One index update
+    /// and at most one interrupt per queue per direction. What happened is
+    /// counted into `counts`.
+    pub(crate) fn service(&mut self, env: &mut DomainEnv<'_>, counts: &mut DriverStats) -> bool {
         // Release frames whose conditioner-imposed delay has elapsed.
         let mut released = Vec::new();
         self.delayed
             .advance(env.now().as_nanos(), |_, held| released.push(held));
         let mut progressed = !released.is_empty();
         for (src, frame) in released {
-            self.route(src, frame);
+            self.route(src, frame, counts);
         }
         // Ingest frames from guests. On a multi-vCPU driver domain each
         // NIC's wire serialisation is charged on its own lane (a
@@ -340,12 +338,10 @@ impl Switch {
         // serialise behind one core; a 1-vCPU dom0 behaves as before.
         let entry_lane = env.current_vcpu();
         let mut routed: Vec<(usize, PktBuf)> = Vec::new();
-        let mut rejected = 0;
         for (idx, port) in self.ports.iter_mut().enumerate() {
             env.on_vcpu(idx % env.vcpus());
             for pair in &mut port.queues {
                 let _ = env.evtchn_consume(pair.port);
-                let mut bell = false;
                 while let Some(taken) = pair.tx.take(env) {
                     progressed = true;
                     let sendable = |d: &DataBuf| {
@@ -354,8 +350,8 @@ impl Switch {
                     let (req, page) = match admit(env, &mut port.mapped, taken, false, sendable) {
                         Ok(admitted) => admitted,
                         Err(token) => {
-                            bell |= pair.tx.complete(env, token, 0, false);
-                            rejected += 1;
+                            pair.tx.complete(env, token, 0, false);
+                            counts.requests_rejected += 1;
                             continue;
                         }
                     };
@@ -363,14 +359,13 @@ impl Switch {
                     // off the wire the frame travels through the switch
                     // by reference.
                     let len = req.data.len as usize;
-                    let mut frame = vec![0u8; len];
-                    page.read(|b| frame.copy_from_slice(&b[req.data.range(len)]));
+                    let frame = page.read(|b| b[req.data.range(len)].to_vec());
                     // Wire serialisation time for this NIC.
                     env.consume(self.profile.wire_time(len));
                     routed.push((idx, PktBuf::from_vec(frame)));
-                    bell |= pair.tx.complete(env, req.token, 0, true);
+                    pair.tx.complete(env, req.token, 0, true);
                 }
-                if bell {
+                if pair.tx.publish() {
                     let _ = env.evtchn_notify(pair.port);
                 }
             }
@@ -378,7 +373,7 @@ impl Switch {
         env.on_vcpu(entry_lane);
         for (src, frame) in routed {
             let now = env.now();
-            self.offer(now, Some(src), frame);
+            self.offer(now, Some(src), frame, counts);
         }
         // Ingest frames from taps.
         let taps: Vec<Tap> = self.taps.clone();
@@ -388,7 +383,7 @@ impl Switch {
                 let Some(frame) = frame else { break };
                 env.consume(self.profile.wire_time(frame.len()));
                 let now = env.now();
-                self.offer(now, None, frame);
+                self.offer(now, None, frame, counts);
                 progressed = true;
             }
         }
@@ -400,7 +395,6 @@ impl Switch {
         } in &mut self.ports
         {
             for pair in queues {
-                let mut bell = false;
                 while let Some(frame) = pair.out_queue.front() {
                     let Some(taken) = pair.rx.take(env) else {
                         *rx_starved = true;
@@ -415,22 +409,19 @@ impl Switch {
                         Err(token) => {
                             // Not a buffer this frame can go in: hand it
                             // back empty and keep the frame queued.
-                            bell |= pair.rx.complete(env, token, 0, false);
-                            rejected += 1;
+                            pair.rx.complete(env, token, 0, false);
+                            counts.requests_rejected += 1;
                             continue;
                         }
                     };
                     let frame = pair.out_queue.pop_front().expect("peeked");
                     page.write(|b| b[req.data.range(flen)].copy_from_slice(&frame));
-                    bell |= pair.rx.complete(env, req.token, flen as u32, true);
+                    pair.rx.complete(env, req.token, flen as u32, true);
                 }
-                if bell {
+                if pair.rx.publish() {
                     let _ = env.evtchn_notify(pair.port);
                 }
             }
-        }
-        if rejected > 0 {
-            self.stats.lock().requests_rejected += rejected;
         }
         progressed
     }
@@ -453,15 +444,17 @@ mod tests {
 
     impl Guest for Offers {
         fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
+            let counts = &mut DriverStats::default();
             if !self.offered {
                 self.offered = true;
                 for tag in [3u8, 1, 2] {
                     let mut frame = vec![tag; 64];
                     frame[..6].copy_from_slice(&TAP_MAC);
-                    self.sw.offer(env.now(), None, PktBuf::from_vec(frame));
+                    let frame = PktBuf::from_vec(frame);
+                    self.sw.offer(env.now(), None, frame, counts);
                 }
             }
-            self.sw.service(env);
+            self.sw.service(env, counts);
             let (deadline, ports) = (self.sw.next_deadline(), Vec::new());
             Step::Yield(Wake { deadline, ports })
         }
@@ -471,7 +464,7 @@ mod tests {
     /// they were offered.
     #[test]
     fn frames_released_together_leave_in_offer_order() {
-        let mut sw = Switch::new(NetProfile::default(), Arc::default());
+        let mut sw = Switch::new(NetProfile::default());
         let tap = Tap::new(TAP_MAC);
         sw.taps.push(tap.clone());
         let fixed_delay = NetemConfig {

@@ -7,12 +7,17 @@
 //! once, against the two halves declared here, and the ring ABI is swapped
 //! underneath (the functor discipline of Radanne et al.):
 //!
-//! * [`FrontTransport`], the guest half — `room`, `post`, `reap`, `arm` —
-//!   over a Xen [`FrontRing`](mirage_ring::FrontRing) ([`RingFront`]) or a
-//!   virtio [`SplitQueue`](crate::virtio::SplitQueue) ([`VirtqFront`]);
-//! * [`BackTransport`], the dom0 half — `take`, `complete`, `arm` — over a
-//!   [`BackRing`](mirage_ring::BackRing) ([`RingBack`]) or a
-//!   [`DeviceQueue`](crate::virtio::DeviceQueue) ([`VirtqBack`]).
+//! * [`FrontTransport`], the guest half — `room`, `post`, `publish`,
+//!   `reap`, `arm` — over a Xen [`FrontRing`](mirage_ring::FrontRing)
+//!   ([`RingFront`]) or a virtio [`SplitQueue`](crate::virtio::SplitQueue)
+//!   ([`VirtqFront`]);
+//! * [`BackTransport`], the dom0 half — `take`, `complete`, `publish`,
+//!   `arm` — over a [`BackRing`](mirage_ring::BackRing) ([`RingBack`]) or
+//!   a [`DeviceQueue`](crate::virtio::DeviceQueue) ([`VirtqBack`]).
+//!
+//! A pass costs one crossing per queue, not one per request: `post` and
+//! `complete` stage, and `publish` — called once per queue per pass —
+//! makes the burst visible and returns the one doorbell decision.
 //!
 //! A request is an optional small header plus one [`DataBuf`], a window
 //! of a granted page. How that is laid out in shared memory is the
@@ -153,10 +158,14 @@ pub(crate) trait FrontTransport: Send + Sized + 'static {
     /// Whether one more request can be posted now; [`Self::post`] may only
     /// follow a `true`.
     fn room(&self) -> bool;
-    /// Publishes one request and returns its token — unique among the
-    /// requests outstanding on this queue — and whether the device asked
-    /// for a doorbell.
-    fn post(&mut self, header: &[u8], data: DataBuf) -> (u32, bool);
+    /// Stages one request and returns its token — unique among the
+    /// requests outstanding on this queue. The device sees it at the next
+    /// [`Self::publish`].
+    fn post(&mut self, header: &[u8], data: DataBuf) -> u32;
+    /// Makes every request posted since the last call visible in one
+    /// index update; `true` if the device asked for a doorbell — exactly
+    /// when publishing them one at a time would have asked at least once.
+    fn publish(&mut self) -> bool;
     /// Takes the next completion, if any.
     fn reap(&mut self) -> Option<Completion>;
     /// Asks to be interrupted at the next completion; `true` if one raced
@@ -200,9 +209,12 @@ pub(crate) trait BackTransport: Send {
     /// Takes the next request. `Err(token)`: it was malformed — complete
     /// it failed and move on.
     fn take(&mut self, env: &mut DomainEnv<'_>) -> Option<Result<Request, u32>>;
-    /// Returns a request with `len` bytes written; `true` if the guest
-    /// asked for an interrupt.
-    fn complete(&mut self, env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool) -> bool;
+    /// Stages the return of a request with `len` bytes written; the guest
+    /// sees it at the next [`Self::publish`].
+    fn complete(&mut self, env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool);
+    /// Makes every completion since the last call visible in one index
+    /// update; `true` if the guest asked for an interrupt.
+    fn publish(&mut self) -> bool;
     /// Asks for a doorbell at the next request; `true` if one raced in.
     fn arm(&mut self) -> bool;
 
@@ -329,21 +341,25 @@ mod tests {
     }
 
     /// One front/back pair under test beside the `VecDeque` model of it:
-    /// what was posted and not yet taken, what dom0 holds, what was
-    /// completed and not yet reaped.
+    /// what was posted and not yet published, published and not yet
+    /// taken, what dom0 holds, what it completed and has not published,
+    /// and what was published and not yet reaped.
     struct Harness<F, B> {
         front: F,
         back: B,
         headers: bool,
         free: Vec<GrantRef>,
         serial: u32,
+        staged: Vec<(u32, Vec<u8>, DataBuf)>,
         posted: VecDeque<(u32, Vec<u8>, DataBuf)>,
         held: Vec<u32>,
+        completing: Vec<Completion>,
         completed: VecDeque<Completion>,
         /// The buffer behind each outstanding token.
         bufs: HashMap<u32, GrantRef>,
         /// Set when an `arm` found the queue quiet: the next post
-        /// (completion) must ask for a doorbell (interrupt).
+        /// (completion) to be published must ask for a doorbell
+        /// (interrupt), and until then none may.
         back_armed: bool,
         front_armed: bool,
     }
@@ -351,13 +367,16 @@ mod tests {
     impl<F: FrontTransport, B: BackTransport> Harness<F, B> {
         /// One scripted operation, checked against the model: requests
         /// come out of `take` in posting order with header and buffer
-        /// intact, every token is outstanding exactly once, completions
-        /// come out of `reap` in completion order with length and status
-        /// intact, `room()` never lies, a quiet `arm` earns the next
-        /// doorbell and a raced one says so.
+        /// intact, and only once published; every token is outstanding
+        /// exactly once; completions come out of `reap` in completion
+        /// order with length and status intact, and only once published;
+        /// `room()` never lies. Publishing a burst of any size rings
+        /// exactly when its first item is the first since a quiet `arm` —
+        /// the OR of what publishing each alone would say — and a raced
+        /// `arm` says so.
         fn step(&mut self, env: &mut DomainEnv<'_>, op: u8) {
             match op % 8 {
-                0..=2 => {
+                0 | 1 => {
                     if !self.front.room() {
                         assert!(!self.bufs.is_empty(), "an idle queue has room");
                         return;
@@ -370,17 +389,20 @@ mod tests {
                         false => Vec::new(),
                     };
                     let data = DataBuf::page(gref, 64 * (n % 60 + 1), n.is_multiple_of(2));
-                    let (token, bell) = self.front.post(&header, data);
+                    let token = self.front.post(&header, data);
                     assert!(
                         self.bufs.insert(token, gref).is_none(),
                         "token {token} issued twice"
                     );
-                    if std::mem::take(&mut self.back_armed) {
-                        assert!(bell, "a quiet arm earns the next doorbell");
-                    }
-                    self.posted.push_back((token, header, data));
+                    self.staged.push((token, header, data));
                 }
-                3 | 4 => match (self.back.take(env), self.posted.pop_front()) {
+                2 => {
+                    let bell = self.front.publish();
+                    let want = !self.staged.is_empty() && std::mem::take(&mut self.back_armed);
+                    assert_eq!(bell, want, "a burst's doorbell is the OR of its posts'");
+                    self.posted.extend(self.staged.drain(..));
+                }
+                3 => match (self.back.take(env), self.posted.pop_front()) {
                     (None, None) => {}
                     (Some(Ok(req)), Some((token, header, data))) => {
                         assert_eq!(
@@ -391,7 +413,7 @@ mod tests {
                     }
                     (got, want) => panic!("take gave {got:?}, the model {want:?}"),
                 },
-                5 if !self.held.is_empty() => {
+                4 if !self.held.is_empty() => {
                     let token = self.held.swap_remove(op as usize / 8 % self.held.len());
                     // Without a header a virtqueue has no status channel.
                     let ok = !self.headers || !self.serial.is_multiple_of(3);
@@ -400,11 +422,17 @@ mod tests {
                         len: self.serial * 7 % 4000,
                         ok,
                     };
-                    let irq = self.back.complete(env, done.token, done.len, done.ok);
-                    if std::mem::take(&mut self.front_armed) {
-                        assert!(irq, "a quiet arm earns the next interrupt");
-                    }
-                    self.completed.push_back(done);
+                    self.back.complete(env, done.token, done.len, done.ok);
+                    self.completing.push(done);
+                }
+                5 => {
+                    let irq = self.back.publish();
+                    let want = !self.completing.is_empty() && std::mem::take(&mut self.front_armed);
+                    assert_eq!(
+                        irq, want,
+                        "a burst's interrupt is the OR of its completions'"
+                    );
+                    self.completed.extend(self.completing.drain(..));
                 }
                 6 => {
                     let want = self.completed.pop_front();
@@ -428,9 +456,10 @@ mod tests {
             }
         }
 
-        /// Takes, completes and reaps until nothing is outstanding.
+        /// Publishes, takes, completes and reaps until nothing is
+        /// outstanding.
         fn drain(&mut self, env: &mut DomainEnv<'_>) {
-            for op in [3u8, 5, 6].repeat(BUFFERS) {
+            for op in [2u8, 3, 4, 5, 6].repeat(BUFFERS) {
                 self.step(env, op);
             }
             assert!(
@@ -441,8 +470,10 @@ mod tests {
         }
     }
 
-    /// `script`, then a drain, then a full round: every slot, descriptor
-    /// and header page the queue ever held must have come back.
+    /// A quiet `arm` of both halves, `script`, then a drain, then a full
+    /// round: every slot, descriptor and header page the queue ever held
+    /// must have come back. (The first `arm` puts both ABIs' event marks
+    /// where the model starts: the zeroed pages disagree.)
     fn contract<F: FrontTransport, B: BackTransport>(
         env: &mut DomainEnv<'_>,
         (front, back): (F, B),
@@ -455,13 +486,16 @@ mod tests {
             headers,
             free: (0..BUFFERS).map(|_| self_grant(env).0).collect(),
             serial: 0,
+            staged: Vec::new(),
             posted: VecDeque::new(),
             held: Vec::new(),
+            completing: Vec::new(),
             completed: VecDeque::new(),
             bufs: HashMap::new(),
             back_armed: false,
             front_armed: false,
         };
+        h.step(env, 7);
         for &op in script {
             h.step(env, op);
         }
@@ -470,7 +504,7 @@ mod tests {
             h.step(env, 0);
         }
         assert_eq!(
-            h.posted.len(),
+            h.staged.len(),
             BUFFERS,
             "nothing leaked: a full set posts again"
         );
@@ -479,7 +513,9 @@ mod tests {
 
     mirage_testkit::property! {
         /// Both impl pairs meet the transport contract, with and without
-        /// request headers, under any post/take/complete/reap/arm schedule.
+        /// request headers, under any post/publish/take/complete/reap/arm
+        /// schedule — bursts of every size, against event marks the arms
+        /// leave at every point.
         fn transport_contract_holds_for_both_abis(
             script in collection::vec(0u8..=255, 1..160),
             headers in 0u8..2,

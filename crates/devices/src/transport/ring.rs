@@ -49,7 +49,7 @@ impl FrontTransport for RingFront {
         self.0.free_slots() > 0
     }
 
-    fn post(&mut self, header: &[u8], data: DataBuf) -> (u32, bool) {
+    fn post(&mut self, header: &[u8], data: DataBuf) -> u32 {
         assert!(
             header.len() <= HEADER_MAX,
             "request header exceeds the slot"
@@ -60,13 +60,15 @@ impl FrontTransport for RingFront {
         slot[6..10].copy_from_slice(&data.len.to_le_bytes());
         slot[10] = data.device_writes as u8;
         slot[REQ_FIXED..REQ_FIXED + header.len()].copy_from_slice(header);
-        // The free-slot count reads an index the backend can scribble on;
-        // a push refused after `room()` loses the request, never panics.
-        let bell = self
-            .0
-            .push_request(&slot[..REQ_FIXED + header.len()])
-            .unwrap_or(false);
-        (data.gref, bell)
+        // Flow control reads only private indices: `room()` holds.
+        self.0
+            .stage_request(&slot[..REQ_FIXED + header.len()])
+            .expect("room() checked");
+        data.gref
+    }
+
+    fn publish(&mut self) -> bool {
+        self.0.publish()
     }
 
     fn reap(&mut self) -> Option<Completion> {
@@ -175,14 +177,18 @@ impl BackTransport for RingBack {
         }))
     }
 
-    fn complete(&mut self, _env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool) -> bool {
+    fn complete(&mut self, _env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool) {
         let mut rsp = [0u8; RSP_LEN];
         rsp[0..4].copy_from_slice(&token.to_le_bytes());
         rsp[4..8].copy_from_slice(&len.to_le_bytes());
         rsp[8] = ok as u8;
         self.0
-            .push_response(&rsp)
-            .expect("a response fits its slot")
+            .stage_response(&rsp)
+            .expect("a response fits its slot");
+    }
+
+    fn publish(&mut self) -> bool {
+        self.0.publish()
     }
 
     fn arm(&mut self) -> bool {
@@ -200,5 +206,13 @@ impl BackTransport for RingBack {
         let frontend = DomainId(dir.read(env, "frontend-domid")?);
         let ring = RingBack::mapped(env, dir, "ring")?;
         Some((RingBack::publish_port(env, dir, frontend), ring))
+    }
+}
+
+#[cfg(test)]
+impl RingFront {
+    /// The ring's shared page, for tests that play a hostile frontend.
+    pub(crate) fn page(&self) -> &SharedPage {
+        self.0.page()
     }
 }

@@ -71,15 +71,15 @@ impl FrontTransport for VirtqFront {
         }
     }
 
-    fn post(&mut self, header: &[u8], data: DataBuf) -> (u32, bool) {
+    fn post(&mut self, header: &[u8], data: DataBuf) -> u32 {
         let buf = |addr, len, device_writes| ChainBuf {
             addr,
             len,
             device_writes,
         };
         let data = buf(buf_addr(data.gref, data.off), data.len, data.device_writes);
-        let (head, bell) = match &mut self.headers {
-            None => self.q.add_chain(&[data]).expect("room() checked"),
+        let head = match &mut self.headers {
+            None => self.q.stage_chain(&[data]).expect("room() checked"),
             Some(h) => {
                 assert!(
                     header.len() <= HEADER_MAX,
@@ -92,15 +92,19 @@ impl FrontTransport for VirtqFront {
                 });
                 let hdr = buf(buf_addr(gref.0, 0), header.len() as u32, false);
                 let status = buf(buf_addr(gref.0, STATUS_OFF), 1, true);
-                let posted = self
+                let head = self
                     .q
-                    .add_chain(&[hdr, data, status])
+                    .stage_chain(&[hdr, data, status])
                     .expect("room() checked");
-                h.busy.insert(posted.0, (gref, page));
-                posted
+                h.busy.insert(head, (gref, page));
+                head
             }
         };
-        (u32::from(head), bell)
+        u32::from(head)
+    }
+
+    fn publish(&mut self) -> bool {
+        self.q.publish()
     }
 
     fn reap(&mut self) -> Option<Completion> {
@@ -267,7 +271,7 @@ impl BackTransport for VirtqBack {
         }))
     }
 
-    fn complete(&mut self, env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool) -> bool {
+    fn complete(&mut self, env: &mut DomainEnv<'_>, token: u32, len: u32, ok: bool) {
         let head = token as u16; // tokens are chain heads handed out by `take`
         let mut written = len;
         if let Some(addr) = self.status.remove(&head) {
@@ -277,7 +281,11 @@ impl BackTransport for VirtqBack {
             }
             written += 1;
         }
-        self.q.push_used(head, written)
+        self.q.stage_used(head, written);
+    }
+
+    fn publish(&mut self) -> bool {
+        self.q.publish()
     }
 
     fn arm(&mut self) -> bool {

@@ -33,6 +33,14 @@
 //! indices, out-of-range descriptor ids and chain loops are counted in
 //! [`VirtqErrors`] and skipped, never followed and never panicked on
 //! (the adversarial suite fuzzes exactly these fields).
+//!
+//! As on the Xen ring, a burst crosses once: each producer stages entries
+//! behind its private index and `publish` writes them, the shared index
+//! and reads the peer's event mark once per pass (virtio's
+//! `kick_prepare`); each consumer copies every published entry in one
+//! read.
+
+use std::collections::VecDeque;
 
 use mirage_hypervisor::grant::SharedPage;
 
@@ -83,26 +91,50 @@ pub struct Desc {
     pub next: u16,
 }
 
-fn write_desc(page: &SharedPage, i: u16, d: Desc) {
-    page.write(|b| {
-        let o = desc_off(i);
-        b[o..o + 8].copy_from_slice(&d.addr.to_le_bytes());
-        b[o + 8..o + 12].copy_from_slice(&d.len.to_le_bytes());
-        b[o + 12..o + 14].copy_from_slice(&d.flags.to_le_bytes());
-        b[o + 14..o + 16].copy_from_slice(&d.next.to_le_bytes());
-    });
+fn write_desc(b: &mut [u8], i: u16, d: Desc) {
+    let o = desc_off(i);
+    b[o..o + 8].copy_from_slice(&d.addr.to_le_bytes());
+    b[o + 8..o + 12].copy_from_slice(&d.len.to_le_bytes());
+    b[o + 12..o + 14].copy_from_slice(&d.flags.to_le_bytes());
+    b[o + 14..o + 16].copy_from_slice(&d.next.to_le_bytes());
 }
 
-fn read_desc(page: &SharedPage, i: u16) -> Desc {
-    page.read(|b| {
-        let o = desc_off(i);
-        Desc {
-            addr: u64::from_le_bytes(b[o..o + 8].try_into().expect("len")),
-            len: u32::from_le_bytes(b[o + 8..o + 12].try_into().expect("len")),
-            flags: u16::from_le_bytes([b[o + 12], b[o + 13]]),
-            next: u16::from_le_bytes([b[o + 14], b[o + 15]]),
-        }
-    })
+fn read_desc(b: &[u8], i: u16) -> Desc {
+    let o = desc_off(i);
+    Desc {
+        addr: u64::from_le_bytes(b[o..o + 8].try_into().expect("len")),
+        len: u32::from_le_bytes(b[o + 8..o + 12].try_into().expect("len")),
+        flags: u16::from_le_bytes([b[o + 12], b[o + 13]]),
+        next: u16::from_le_bytes([b[o + 14], b[o + 15]]),
+    }
+}
+
+/// Copies the `W`-byte entries `[from, idx)` of the ring whose index sits
+/// at offset 2 of `b` and whose entries start at 4 (avail: heads, used:
+/// `{id, len}`). Returns the index and whether it leapt more than the
+/// queue holds — a stale or wrapped counter, of which nothing is copied.
+fn read_burst<const W: usize>(b: &[u8], from: u16, out: &mut VecDeque<[u8; W]>) -> (u16, bool) {
+    let idx = u16::from_le_bytes([b[2], b[3]]);
+    let pending = idx.wrapping_sub(from);
+    if pending > QUEUE_SIZE {
+        return (idx, true);
+    }
+    out.extend((0..pending).map(|i| {
+        let o = 4 + W * (from.wrapping_add(i) as usize % Q);
+        <[u8; W]>::try_from(&b[o..o + W]).expect("entry width")
+    }));
+    (idx, false)
+}
+
+/// Writes `staged` as the entries just below `idx`, then the index itself:
+/// the write barrier between the two is the page access's order.
+fn write_burst<const W: usize>(b: &mut [u8], idx: u16, staged: &[[u8; W]]) {
+    let old = idx.wrapping_sub(staged.len() as u16);
+    for (i, entry) in (0..).zip(staged) {
+        let o = 4 + W * (old.wrapping_add(i) as usize % Q);
+        b[o..o + W].copy_from_slice(entry);
+    }
+    b[2..4].copy_from_slice(&idx.to_le_bytes());
 }
 
 /// Packs a grant reference and an intra-page offset into a descriptor
@@ -219,10 +251,14 @@ pub struct SplitQueue {
     free_head: u16,
     /// Free descriptors remaining.
     num_free: u16,
-    /// Driver-private shadow of the shared avail index.
+    /// Driver-private avail index, staged heads included.
     avail_idx: u16,
-    /// Next used entry to consume.
+    /// Heads staged for the avail ring, published by [`SplitQueue::publish`].
+    staged: Vec<[u8; 2]>,
+    /// Next used entry to copy out of the shared ring.
     last_used: u16,
+    /// Used entries copied out and not yet handed out.
+    used: VecDeque<[u8; 8]>,
     /// Driver-private shadow of each descriptor's chain link, so reclaim
     /// never trusts (or re-reads) device-visible memory.
     chain_next: Vec<Option<u16>>,
@@ -243,7 +279,9 @@ impl SplitQueue {
             free_head: 0,
             num_free: QUEUE_SIZE,
             avail_idx: 0,
+            staged: Vec::with_capacity(Q),
             last_used: 0,
+            used: VecDeque::with_capacity(Q),
             chain_next,
             in_flight: vec![false; Q],
             errors: VirtqErrors::default(),
@@ -265,17 +303,29 @@ impl SplitQueue {
         self.errors
     }
 
-    /// Allocates a descriptor chain for `bufs`, publishes its head on the
-    /// avail ring, and returns `(head, notify)` — the chain's head id (the
-    /// device echoes it in the used entry) and whether the device's
-    /// `avail_event` mark requires a doorbell.
+    /// Stages and publishes one descriptor chain for `bufs`, returning
+    /// `(head, notify)` — the chain's head id (the device echoes it in the
+    /// used entry) and whether the device's `avail_event` mark requires a
+    /// doorbell.
+    ///
+    /// # Errors
+    ///
+    /// As [`SplitQueue::stage_chain`]; nothing is published on error.
+    pub fn add_chain(&mut self, bufs: &[ChainBuf]) -> Result<(u16, bool), VirtqError> {
+        let head = self.stage_chain(bufs)?;
+        Ok((head, self.publish()))
+    }
+
+    /// Allocates a descriptor chain for `bufs`, writes its descriptors and
+    /// stages its head; the device sees it at the next
+    /// [`SplitQueue::publish`]. Returns the head id.
     ///
     /// # Errors
     ///
     /// [`VirtqError::Full`] when fewer than `bufs.len()` descriptors are
     /// free, [`VirtqError::EmptyChain`] / [`VirtqError::TooLong`] for
-    /// degenerate chains. Nothing is published on error.
-    pub fn add_chain(&mut self, bufs: &[ChainBuf]) -> Result<(u16, bool), VirtqError> {
+    /// degenerate chains. Nothing is staged on error.
+    pub fn stage_chain(&mut self, bufs: &[ChainBuf]) -> Result<u16, VirtqError> {
         if bufs.is_empty() {
             return Err(VirtqError::EmptyChain);
         }
@@ -287,74 +337,73 @@ impl SplitQueue {
         }
         // Carve the chain off the free list.
         let head = self.free_head;
-        let mut idx = head;
-        for (i, buf) in bufs.iter().enumerate() {
-            let last = i + 1 == bufs.len();
-            let next = self.chain_next[idx as usize];
-            let mut flags = if buf.device_writes { DESC_F_WRITE } else { 0 };
-            let next_idx = if last {
-                self.free_head = next.unwrap_or(0);
-                self.chain_next[idx as usize] = None;
-                0
-            } else {
-                flags |= DESC_F_NEXT;
-                next.expect("free list holds enough descriptors")
-            };
-            write_desc(
-                &self.pages.desc,
-                idx,
-                Desc {
+        let (chain_next, free_head) = (&mut self.chain_next, &mut self.free_head);
+        self.pages.desc.write(|b| {
+            let mut idx = head;
+            for (i, buf) in bufs.iter().enumerate() {
+                let last = i + 1 == bufs.len();
+                let next = chain_next[idx as usize];
+                let mut flags = if buf.device_writes { DESC_F_WRITE } else { 0 };
+                let next_idx = if last {
+                    *free_head = next.unwrap_or(0);
+                    chain_next[idx as usize] = None;
+                    0
+                } else {
+                    flags |= DESC_F_NEXT;
+                    next.expect("free list holds enough descriptors")
+                };
+                let desc = Desc {
                     addr: buf.addr,
                     len: buf.len,
                     flags,
                     next: next_idx,
-                },
-            );
-            if !last {
+                };
+                write_desc(b, idx, desc);
                 idx = next_idx;
             }
-        }
+        });
         self.num_free -= bufs.len() as u16;
         self.in_flight[head as usize] = true;
+        self.staged.push(head.to_le_bytes());
+        self.avail_idx = self.avail_idx.wrapping_add(1);
+        Ok(head)
+    }
 
-        // Publish: ring entry first, then the index (the write barrier a
-        // real driver issues between the two).
-        let old = self.avail_idx;
-        let new = old.wrapping_add(1);
-        set_u16(&self.pages.avail, 4 + 2 * (old as usize % Q), head);
-        set_u16(&self.pages.avail, 2, new);
-        self.avail_idx = new;
-        let avail_event = get_u16(&self.pages.used, AVAIL_EVENT_OFF);
-        Ok((head, need_event(avail_event, new, old)))
+    /// Publishes every staged head: the avail entries and index in one
+    /// write, then one read of the device's `avail_event`. `true` if the
+    /// mark asks for a doorbell — which it does iff publishing the heads
+    /// one at a time would have asked at least once.
+    pub fn publish(&mut self) -> bool {
+        if self.staged.is_empty() {
+            return false;
+        }
+        let (new, staged) = (self.avail_idx, &self.staged);
+        self.pages.avail.write(|b| write_burst(b, new, staged));
+        let old = new.wrapping_sub(staged.len() as u16);
+        self.staged.clear();
+        need_event(get_u16(&self.pages.used, AVAIL_EVENT_OFF), new, old)
     }
 
     /// Consumes the next used entry, returning `(chain head, bytes the
     /// device wrote)` and releasing the chain's descriptors back to the
-    /// free list. Entries naming invalid or not-in-flight ids are counted
+    /// free list. Every entry published since the last burst is copied in
+    /// one read. Entries naming invalid or not-in-flight ids are counted
     /// in [`VirtqErrors`] and skipped.
     pub fn take_used(&mut self) -> Option<(u16, u32)> {
-        loop {
-            let used_idx = get_u16(&self.pages.used, 2);
-            let pending = used_idx.wrapping_sub(self.last_used);
-            if pending == 0 {
-                return None;
-            }
-            if pending > QUEUE_SIZE {
-                // A wrapped or corrupted device index: resynchronise
-                // rather than replay garbage entries.
-                self.errors.idx_jumps += 1;
-                self.last_used = used_idx;
-                return None;
-            }
-            let slot = self.last_used as usize % Q;
-            let (id, len) = self.pages.used.read(|b| {
-                let o = 4 + 8 * slot;
-                (
-                    u32::from_le_bytes(b[o..o + 4].try_into().expect("len")),
-                    u32::from_le_bytes(b[o + 4..o + 8].try_into().expect("len")),
-                )
-            });
-            self.last_used = self.last_used.wrapping_add(1);
+        if self.used.is_empty() {
+            let (from, used) = (self.last_used, &mut self.used);
+            let (idx, leapt) = self.pages.used.read(|b| read_burst(b, from, used));
+            // A wrapped or corrupted device index: resynchronise rather
+            // than replay garbage entries.
+            self.errors.idx_jumps += u64::from(leapt);
+            self.last_used = idx;
+        }
+        while let Some(entry) = self.used.pop_front() {
+            let [i0, i1, i2, i3, l0, l1, l2, l3] = entry;
+            let (id, len) = (
+                u32::from_le_bytes([i0, i1, i2, i3]),
+                u32::from_le_bytes([l0, l1, l2, l3]),
+            );
             if id >= QUEUE_SIZE as u32 || !self.in_flight[id as usize] {
                 self.errors.bad_id += 1;
                 continue;
@@ -363,6 +412,7 @@ impl SplitQueue {
             self.free_chain(head);
             return Some((head, len));
         }
+        None
     }
 
     /// Returns a chain (walked through the private shadow links) to the
@@ -395,6 +445,9 @@ impl SplitQueue {
     /// (`used_event := last_used`). Returns `true` if used entries raced
     /// in already — re-poll instead of blocking.
     pub fn enable_used_notifications(&mut self) -> bool {
+        if !self.used.is_empty() {
+            return true;
+        }
         set_u16(&self.pages.avail, USED_EVENT_OFF, self.last_used);
         get_u16(&self.pages.used, 2) != self.last_used
     }
@@ -452,10 +505,15 @@ pub struct Chain {
 #[derive(Debug)]
 pub struct DeviceQueue {
     pages: QueuePages,
-    /// Next avail entry to consume.
+    /// Next avail entry to copy out of the shared ring.
     last_avail: u16,
-    /// Device-private shadow of the shared used index.
+    /// Avail heads copied out and not yet handed out.
+    avail: VecDeque<[u8; 2]>,
+    /// Device-private used index, staged entries included.
     used_idx: u16,
+    /// `{id, len}` entries staged for the used ring, published by
+    /// [`DeviceQueue::publish`].
+    staged: Vec<[u8; 8]>,
     errors: VirtqErrors,
 }
 
@@ -465,7 +523,9 @@ impl DeviceQueue {
         DeviceQueue {
             pages,
             last_avail: 0,
+            avail: VecDeque::with_capacity(Q),
             used_idx: 0,
+            staged: Vec::with_capacity(Q),
             errors: VirtqErrors::default(),
         }
     }
@@ -475,86 +535,106 @@ impl DeviceQueue {
         self.errors
     }
 
-    /// Pops the next available descriptor chain, if any. Malformed
+    /// Pops the next available descriptor chain, if any; every head
+    /// published since the last burst is copied in one read. Malformed
     /// entries (out-of-range heads, looping or overlong chains, index
     /// jumps past the queue size) are counted and skipped — the device
     /// never follows hostile ring state.
     pub fn pop_avail(&mut self) -> Option<Chain> {
-        loop {
-            let avail_idx = get_u16(&self.pages.avail, 2);
-            let pending = avail_idx.wrapping_sub(self.last_avail);
-            if pending == 0 {
-                return None;
-            }
-            if pending > QUEUE_SIZE {
-                self.errors.idx_jumps += 1;
-                self.last_avail = avail_idx;
-                return None;
-            }
-            let head = get_u16(&self.pages.avail, 4 + 2 * (self.last_avail as usize % Q));
-            self.last_avail = self.last_avail.wrapping_add(1);
+        if self.avail.is_empty() {
+            let (from, heads) = (self.last_avail, &mut self.avail);
+            let (idx, leapt) = self.pages.avail.read(|b| read_burst(b, from, heads));
+            self.errors.idx_jumps += u64::from(leapt);
+            self.last_avail = idx;
+        }
+        while let Some(head) = self.avail.pop_front() {
+            let head = u16::from_le_bytes(head);
             if head >= QUEUE_SIZE {
                 self.errors.bad_id += 1;
                 continue;
             }
-            match self.walk_chain(head) {
-                Some(bufs) => return Some(Chain { head, bufs }),
-                None => continue,
+            if let Some(bufs) = self.walk_chain(head) {
+                return Some(Chain { head, bufs });
             }
         }
+        None
     }
 
+    /// Follows a chain through the descriptor table in one read.
     fn walk_chain(&mut self, head: u16) -> Option<Vec<(u64, u32, bool)>> {
-        let mut bufs = Vec::new();
-        let mut idx = head;
-        let mut seen = vec![false; Q];
-        loop {
-            if seen[idx as usize] {
-                // A descriptor loop: abandon the chain.
-                self.errors.bad_chain += 1;
-                return None;
+        const _: () = assert!(Q <= 128, "one bit per descriptor in a u128");
+        let errors = &mut self.errors;
+        self.pages.desc.read(|b| {
+            let mut bufs = Vec::new();
+            let (mut idx, mut seen) = (head, 0u128);
+            loop {
+                if seen & (1 << idx) != 0 {
+                    // A descriptor loop: abandon the chain.
+                    errors.bad_chain += 1;
+                    return None;
+                }
+                seen |= 1 << idx;
+                let d = read_desc(b, idx);
+                bufs.push((d.addr, d.len, d.flags & DESC_F_WRITE != 0));
+                if d.flags & DESC_F_NEXT == 0 {
+                    return Some(bufs);
+                }
+                if d.next >= QUEUE_SIZE {
+                    errors.bad_id += 1;
+                    return None;
+                }
+                idx = d.next;
             }
-            seen[idx as usize] = true;
-            let d = read_desc(&self.pages.desc, idx);
-            bufs.push((d.addr, d.len, d.flags & DESC_F_WRITE != 0));
-            if d.flags & DESC_F_NEXT == 0 {
-                return Some(bufs);
-            }
-            if d.next >= QUEUE_SIZE {
-                self.errors.bad_id += 1;
-                return None;
-            }
-            idx = d.next;
-        }
+        })
     }
 
-    /// Returns a chain to the driver with `len` bytes written, and
-    /// reports whether the driver's `used_event` mark requires an
-    /// interrupt.
+    /// Stages and publishes one used entry: the chain goes back to the
+    /// driver with `len` bytes written. Reports whether the driver's
+    /// `used_event` mark requires an interrupt.
     pub fn push_used(&mut self, head: u16, len: u32) -> bool {
-        let old = self.used_idx;
-        let new = old.wrapping_add(1);
-        self.pages.used.write(|b| {
-            let o = 4 + 8 * (old as usize % Q);
-            b[o..o + 4].copy_from_slice(&(head as u32).to_le_bytes());
-            b[o + 4..o + 8].copy_from_slice(&len.to_le_bytes());
-        });
-        set_u16(&self.pages.used, 2, new);
-        self.used_idx = new;
-        let used_event = get_u16(&self.pages.avail, USED_EVENT_OFF);
-        need_event(used_event, new, old)
+        self.stage_used(head, len);
+        self.publish()
+    }
+
+    /// Stages a chain's return with `len` bytes written; the driver sees
+    /// it at the next [`DeviceQueue::publish`].
+    pub fn stage_used(&mut self, head: u16, len: u32) {
+        let mut entry = [0u8; 8];
+        entry[..4].copy_from_slice(&u32::from(head).to_le_bytes());
+        entry[4..].copy_from_slice(&len.to_le_bytes());
+        self.staged.push(entry);
+        self.used_idx = self.used_idx.wrapping_add(1);
+    }
+
+    /// Publishes every staged used entry: entries and index in one write,
+    /// then one read of the driver's `used_event`. `true` if the mark asks
+    /// for an interrupt.
+    pub fn publish(&mut self) -> bool {
+        if self.staged.is_empty() {
+            return false;
+        }
+        let (new, staged) = (self.used_idx, &self.staged);
+        self.pages.used.write(|b| write_burst(b, new, staged));
+        let old = new.wrapping_sub(staged.len() as u16);
+        self.staged.clear();
+        need_event(get_u16(&self.pages.avail, USED_EVENT_OFF), new, old)
     }
 
     /// Announces the device is about to block until the next avail entry
-    /// (`avail_event := last_avail`). Returns `true` if entries raced in.
+    /// (`avail_event := last_avail`). Returns `true` if entries raced in;
+    /// heads copied out and not yet handed out leave the mark alone.
     pub fn enable_avail_notifications(&mut self) -> bool {
+        if !self.avail.is_empty() {
+            return true;
+        }
         set_u16(&self.pages.used, AVAIL_EVENT_OFF, self.last_avail);
         get_u16(&self.pages.avail, 2) != self.last_avail
     }
 
     /// Avail entries waiting to be consumed.
     pub fn pending_avail(&self) -> u16 {
-        get_u16(&self.pages.avail, 2).wrapping_sub(self.last_avail)
+        let published = get_u16(&self.pages.avail, 2).wrapping_sub(self.last_avail);
+        published.wrapping_add(self.avail.len() as u16)
     }
 }
 

@@ -478,6 +478,12 @@ pub struct Hypervisor {
     slots: Vec<Slot>,
     pcpu_free: Vec<Time>,
     step_budget: u64,
+    /// A step's scratch, kept so that a step allocates nothing: its
+    /// per-vCPU lanes, the wakes it sent, and the pCPUs gang placement
+    /// has used.
+    lanes: Vec<Dur>,
+    wakes: Vec<(DomainId, Option<Port>, Time)>,
+    placed: Vec<usize>,
 }
 
 impl fmt::Debug for Hypervisor {
@@ -524,6 +530,9 @@ impl Hypervisor {
             slots: Vec::new(),
             pcpu_free: vec![Time::ZERO; pcpus],
             step_budget: u64::MAX,
+            lanes: Vec::new(),
+            wakes: Vec::new(),
+            placed: Vec::with_capacity(pcpus),
         }
     }
 
@@ -750,18 +759,23 @@ impl Hypervisor {
             let dom = DomainId(idx as u32);
             let vcpus = self.slots[idx].vcpus;
             let mut guest = self.slots[idx].guest.take().expect("guest present");
+            let mut consumed = std::mem::take(&mut self.lanes);
+            consumed.clear();
+            consumed.resize(vcpus, Dur::ZERO);
             let mut env = DomainEnv {
                 dom,
                 start,
-                consumed: vec![Dur::ZERO; vcpus],
+                consumed,
                 cur: 0,
                 sys: &mut self.sys,
-                wakes: Vec::new(),
+                wakes: std::mem::take(&mut self.wakes),
             };
             let step = guest.step(&mut env);
-            let consumed = std::mem::take(&mut env.consumed);
-            let wakes = std::mem::take(&mut env.wakes);
-            drop(env);
+            let DomainEnv {
+                consumed,
+                mut wakes,
+                ..
+            } = env;
 
             // Gang placement: lane 0 holds the pcpu the step was placed
             // on; every further lane that did work occupies the next
@@ -771,7 +785,9 @@ impl Hypervisor {
             let end = start + consumed.iter().copied().max().unwrap_or(Dur::ZERO);
             self.sys.now = self.sys.now.max(end);
             self.pcpu_free[pcpu] = start + consumed[0].max(Dur::ZERO);
-            let mut used = vec![pcpu];
+            let mut used = std::mem::take(&mut self.placed);
+            used.clear();
+            used.push(pcpu);
             for (_lane, lane_consumed) in consumed.iter().enumerate().skip(1) {
                 if *lane_consumed == Dur::ZERO {
                     continue;
@@ -789,6 +805,8 @@ impl Hypervisor {
                     used.push(p);
                 }
             }
+            self.placed = used;
+            self.lanes = consumed;
             let slot = &mut self.slots[idx];
             slot.guest = Some(guest);
             slot.ready_at = end;
@@ -808,9 +826,10 @@ impl Hypervisor {
                     };
                 }
             }
-            for (peer, port, at) in wakes {
+            for (peer, port, at) in wakes.drain(..) {
                 self.deliver_wake(peer, port, at);
             }
+            self.wakes = wakes;
         }
     }
 

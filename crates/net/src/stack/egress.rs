@@ -3,6 +3,7 @@
 //! headers and the payload written into a single buffer that the ring then
 //! carries by reference.
 
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use mirage_hypervisor::Time;
 use mirage_runtime::channel::Sender;
 use mirage_runtime::Runtime;
 
-use super::{tcp_trace, trace_segment, Shared, StackConfig};
+use super::{tcp_trace, trace_segment, AddrCell, Shared, StackConfig};
 use crate::addr::{in_subnet, Mac};
 use crate::arp::{ArpCache, ArpOp, ArpPacket, ARP_LEN};
 use crate::dhcp::Lease;
@@ -38,12 +39,14 @@ enum Hop {
 pub(super) struct Egress {
     rt: Runtime,
     tx: Sender<PktBuf>,
+    /// Frames assembled since the last [`Egress::flush`].
+    out: VecDeque<PktBuf>,
     /// TX pages: headers and payload are written once into one of these
     /// and handed to the ring as one view.
     pool: PagePool,
     mac: Mac,
     /// The interface address, shared with the socket handle.
-    ip: Arc<Mutex<Option<Ipv4Addr>>>,
+    ip: Arc<AddrCell>,
     ident: u16,
     netmask: Ipv4Addr,
     gateway: Option<Ipv4Addr>,
@@ -61,6 +64,7 @@ impl Egress {
         Egress {
             rt,
             tx,
+            out: VecDeque::new(),
             pool: PagePool::new(256),
             mac,
             ip: Arc::clone(&shared.ip),
@@ -77,12 +81,12 @@ impl Egress {
 
     /// The interface address; unspecified until one is configured.
     pub(super) fn ip(&self) -> Ipv4Addr {
-        self.ip.lock().unwrap_or(Ipv4Addr::UNSPECIFIED)
+        self.ip.get().unwrap_or(Ipv4Addr::UNSPECIFIED)
     }
 
     /// Takes the interface's address and route from a DHCP lease.
     pub(super) fn adopt(&mut self, lease: &Lease) {
-        *self.ip.lock() = Some(lease.ip);
+        self.ip.set(lease.ip);
         self.netmask = lease.netmask;
         self.gateway = lease.gateway;
     }
@@ -209,8 +213,7 @@ impl Egress {
         };
         let frame = match self.pool.alloc() {
             Ok(mut page) => {
-                write(&mut page.as_mut_slice()[..len], dst);
-                page.truncate(len);
+                write(page.prefix_mut(len), dst);
                 page.freeze()
             }
             Err(_) => {
@@ -222,11 +225,18 @@ impl Egress {
         self.transmit(frame);
     }
 
-    /// Hands an assembled frame to the device, charging the one pass over
-    /// its bytes.
+    /// Queues an assembled frame for the device, charging the one pass
+    /// over its bytes.
     fn transmit(&mut self, frame: PktBuf) {
         self.rt.charge_with(|costs| costs.copy(frame.len()));
-        let _ = self.tx.send(frame);
+        self.out.push_back(frame);
+    }
+
+    /// Hands every queued frame to the device in one go; a device gone
+    /// drops them.
+    pub(super) fn flush(&mut self) {
+        let _ = self.tx.send_all(&mut self.out);
+        self.out.clear();
     }
 
     /// Learns a neighbour and sends the frames that waited for it, each
@@ -283,7 +293,9 @@ mod tests {
         (egress, rx)
     }
 
-    fn sent(rx: &mut Receiver<PktBuf>) -> PktBuf {
+    /// The next frame `egress` handed to the device.
+    fn sent(egress: &mut Egress, rx: &mut Receiver<PktBuf>) -> PktBuf {
+        egress.flush();
         rx.try_recv().expect("a frame was sent")
     }
 
@@ -374,11 +386,11 @@ mod tests {
     fn golden_frames_match_the_parent_commit() {
         let (mut egress, mut rx) = egress_on(Runtime::new(), Mac::local(1), Some(GUEST_IP));
         egress.arp(ArpOp::Request, Mac::ZERO, PEER_IP);
-        assert_eq!(sent(&mut rx), unhex(ARP_REQUEST));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(ARP_REQUEST));
         egress.learn(PEER_IP, PEER_MAC);
 
         egress.udp(7000, PEER_IP, 9000, b"golden datagram");
-        assert_eq!(sent(&mut rx), unhex(UDP));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(UDP));
         let ping = Echo {
             is_request: true,
             ident: 0x4D52,
@@ -386,7 +398,7 @@ mod tests {
             payload: b"mirage-rs ping",
         };
         egress.echo(PEER_IP, &ping);
-        assert_eq!(sent(&mut rx), unhex(ECHO_REQUEST));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(ECHO_REQUEST));
 
         let client = (PEER_IP, 80);
         let syn = SegmentOut {
@@ -395,23 +407,26 @@ mod tests {
             ..segment(74_000, 0, SYN_FLAG, 0xFFFF)
         };
         egress.tcp(49152, client, &syn);
-        assert_eq!(sent(&mut rx), unhex(SYN));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(SYN));
         egress.tcp(49152, client, &segment(74_001, 5001, Flags::ACK, 0xFFFF));
-        assert_eq!(sent(&mut rx), unhex(ACK));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(ACK));
         let data = SegmentOut {
             payload: PktBuf::from_vec(pattern(1460)),
             ..segment(74_001, 5001, PSH_ACK, 0xFFFF)
         };
         egress.tcp(49152, client, &data);
-        assert_eq!(sent(&mut rx), [unhex(DATA), pattern(1460)].concat());
+        assert_eq!(
+            sent(&mut egress, &mut rx),
+            [unhex(DATA), pattern(1460)].concat()
+        );
 
         egress.tcp(81, (PEER_IP, 4000), &segment(2222, 1112, RST_ACK, 0));
-        assert_eq!(sent(&mut rx), unhex(RST_STRAY));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(RST_STRAY));
         egress.tcp(82, (PEER_IP, 4001), &segment(0, 3334, RST_ACK, 0));
-        assert_eq!(sent(&mut rx), unhex(RST_CLOSED));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(RST_CLOSED));
 
         egress.arp(ArpOp::Reply, PEER_MAC, PEER_IP);
-        assert_eq!(sent(&mut rx), unhex(ARP_REPLY));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(ARP_REPLY));
         let pong = Echo {
             is_request: false,
             ident: 0x1234,
@@ -419,13 +434,13 @@ mod tests {
             payload: b"golden echo",
         };
         egress.echo(PEER_IP, &pong);
-        assert_eq!(sent(&mut rx), unhex(ECHO_REPLY));
+        assert_eq!(sent(&mut egress, &mut rx), unhex(ECHO_REPLY));
         assert!(rx.try_recv().is_none(), "one frame per send");
 
         let (mut unleased, mut rx) = egress_on(Runtime::new(), Mac::local(9), None);
         let (_, discover) = dhcp::Client::start(Mac::local(9), 0x4D49_5241, Time::ZERO);
         unleased.udp(68, Ipv4Addr::BROADCAST, 67, &discover);
-        assert_eq!(sent(&mut rx), unhex(DHCP_DISCOVER));
+        assert_eq!(sent(&mut unleased, &mut rx), unhex(DHCP_DISCOVER));
     }
 
     mirage_testkit::property! {
@@ -450,7 +465,7 @@ mod tests {
             };
             let (mut egress, mut rx) = resolved_egress();
             egress.tcp(local_port, (PEER_IP, peer_port), &seg);
-            let frame = sent(&mut rx);
+            let frame = sent(&mut egress, &mut rx);
 
             let eth = Frame::parse(&frame).unwrap();
             assert_eq!((eth.dst, eth.src, eth.ethertype), (PEER_MAC, Mac::local(1), EtherType::Ipv4));
@@ -472,7 +487,7 @@ mod tests {
         ) {
             let (mut egress, mut rx) = resolved_egress();
             egress.udp(src_port, PEER_IP, dst_port, &payload);
-            let frame = sent(&mut rx);
+            let frame = sent(&mut egress, &mut rx);
 
             let eth = Frame::parse(&frame).unwrap();
             let ip = Ipv4Packet::parse(eth.payload).unwrap();
@@ -506,13 +521,13 @@ mod tests {
                 send(&mut egress);
                 rt.yield_now().await;
                 let t1 = rt.now();
-                let in_page = sent(&mut rx);
+                let in_page = sent(&mut egress, &mut rx);
                 assert_eq!(egress.pool.free_pages(), 0, "the live view pins the page");
 
                 send(&mut egress);
                 rt.yield_now().await;
                 let t2 = rt.now();
-                let on_heap = sent(&mut rx);
+                let on_heap = sent(&mut egress, &mut rx);
                 assert_eq!(egress.pool.stats().total_allocs, 1, "no second page");
 
                 assert_eq!(on_heap, in_page);
@@ -538,7 +553,7 @@ mod tests {
         };
         egress.tcp(49152, (PEER_IP, 80), &syn);
         egress.udp(7000, PEER_IP, 9000, b"second in line");
-        let who_has = sent(&mut rx);
+        let who_has = sent(&mut egress, &mut rx);
         let eth = Frame::parse(&who_has).unwrap();
         assert_eq!((eth.dst, eth.ethertype), (Mac::BROADCAST, EtherType::Arp));
         assert_eq!(ArpPacket::parse(eth.payload).unwrap().tpa, PEER_IP);
@@ -554,7 +569,7 @@ mod tests {
 
         egress.learn(PEER_IP, PEER_MAC);
         let ident = |frame: &PktBuf| u16::from_be_bytes([frame[18], frame[19]]);
-        let first = sent(&mut rx);
+        let first = sent(&mut egress, &mut rx);
         let eth = Frame::parse(&first).unwrap();
         assert_eq!((eth.dst, eth.src), (PEER_MAC, Mac::local(1)));
         let ip = Ipv4Packet::parse(eth.payload).unwrap();
@@ -567,7 +582,7 @@ mod tests {
             (74_000, SYN_FLAG, Some(1460))
         );
         assert_eq!(ident(&first), 1);
-        let second = sent(&mut rx);
+        let second = sent(&mut egress, &mut rx);
         assert_eq!(Frame::parse(&second).unwrap().dst, PEER_MAC);
         assert_eq!(ident(&second), 2);
         assert!(
@@ -576,7 +591,7 @@ mod tests {
         );
 
         egress.udp(7000, PEER_IP, 9000, b"straight out");
-        assert_eq!(ident(&sent(&mut rx)), 3);
+        assert_eq!(ident(&sent(&mut egress, &mut rx)), 3);
     }
 
     /// Neighbours whose answers fall due together are asked again in address
@@ -584,7 +599,8 @@ mod tests {
     #[test]
     fn retry_arp_repeats_who_has_in_address_order() {
         let (mut egress, mut rx) = egress_on(Runtime::new(), Mac::local(1), Some(GUEST_IP));
-        let who_has = |rx: &mut Receiver<PktBuf>| {
+        let who_has = |egress: &mut Egress, rx: &mut Receiver<PktBuf>| {
+            egress.flush();
             let mut asked = Vec::new();
             while let Some(frame) = rx.try_recv() {
                 let eth = Frame::parse(&frame).unwrap();
@@ -597,9 +613,16 @@ mod tests {
         for host in queued {
             egress.udp(7000, Ipv4Addr::new(10, 0, 0, host), 9000, b"waits");
         }
-        assert_eq!(who_has(&mut rx), queued, "first requests leave as queued");
+        assert_eq!(
+            who_has(&mut egress, &mut rx),
+            queued,
+            "first requests leave as queued"
+        );
         egress.retry_arp(Time::ZERO + crate::arp::REQUEST_RETRY);
-        assert_eq!(who_has(&mut rx), [11, 12, 13, 14, 15, 16, 17, 18, 19]);
+        assert_eq!(
+            who_has(&mut egress, &mut rx),
+            [11, 12, 13, 14, 15, 16, 17, 18, 19]
+        );
     }
 
     /// A datagram no frame can carry is refused before anything is built:
@@ -609,6 +632,7 @@ mod tests {
         let (mut egress, mut rx) = egress_on(Runtime::new(), Mac::local(1), Some(GUEST_IP));
         egress.udp(7000, PEER_IP, 9000, &vec![0; 70_000]);
         egress.udp(7000, PEER_IP, 9000, &vec![0; 5_000]);
+        egress.flush();
         assert!(rx.try_recv().is_none());
         assert_eq!(egress.arp_deadline(), None, "no who-has, nothing queued");
         assert_eq!(egress.ident, 1);
@@ -616,8 +640,13 @@ mod tests {
         let room = MAX_FRAME - ethernet::HEADER_LEN - ipv4::HEADER_LEN - udp::HEADER_LEN;
         egress.learn(PEER_IP, PEER_MAC);
         egress.udp(7000, PEER_IP, 9000, &vec![0; room + 1]);
+        egress.flush();
         assert!(rx.try_recv().is_none());
         egress.udp(7000, PEER_IP, 9000, &vec![0; room]);
-        assert_eq!(sent(&mut rx).len(), MAX_FRAME, "a full page still goes");
+        assert_eq!(
+            sent(&mut egress, &mut rx).len(),
+            MAX_FRAME,
+            "a full page still goes"
+        );
     }
 }

@@ -21,8 +21,9 @@ mod egress;
 mod ingress;
 mod socket;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mirage_testkit::sync::Mutex;
@@ -115,12 +116,37 @@ impl std::error::Error for NetError {}
 /// Listener accept channels by port.
 type Listeners = Arc<Mutex<HashMap<u16, Sender<TcpStream>>>>;
 
+/// The interface address, read on every frame without a lock. `None` —
+/// no lease yet — is a value no address encodes to, so `Some(0.0.0.0)`
+/// stays distinct from it.
+struct AddrCell(AtomicU64);
+
+impl AddrCell {
+    const NONE: u64 = u64::MAX;
+
+    fn new(ip: Option<Ipv4Addr>) -> AddrCell {
+        AddrCell(AtomicU64::new(
+            ip.map_or(Self::NONE, |ip| u32::from(ip).into()),
+        ))
+    }
+
+    fn get(&self) -> Option<Ipv4Addr> {
+        u32::try_from(self.0.load(Ordering::Relaxed))
+            .ok()
+            .map(Ipv4Addr::from)
+    }
+
+    fn set(&self, ip: Ipv4Addr) {
+        self.0.store(u32::from(ip).into(), Ordering::Relaxed);
+    }
+}
+
 /// What the shard workers of one interface share, each behind a short
-/// mutex: every worker holds a clone.
+/// mutex or an atomic: every worker holds a clone.
 #[derive(Clone)]
 struct Shared {
     /// The interface address; `None` until the DHCP lease lands.
-    ip: Arc<Mutex<Option<Ipv4Addr>>>,
+    ip: Arc<AddrCell>,
     /// Raised once `ip` is set.
     ready: Notify,
     /// ARP replies ride queue 0, so worker 0 learns neighbours (and
@@ -138,7 +164,7 @@ impl Shared {
             ready.notify_all();
         }
         Shared {
-            ip: Arc::new(Mutex::new(ip)),
+            ip: Arc::new(AddrCell::new(ip)),
             ready,
             arp: Arc::new(Mutex::new(ArpCache::new())),
             listeners: Arc::new(Mutex::new(HashMap::new())),
@@ -174,6 +200,8 @@ fn trace_segment(
 struct Worker {
     rt: Runtime,
     rx: Receiver<PktBuf>,
+    /// Frames moved out of `rx` in one go, not yet handled.
+    frames: VecDeque<PktBuf>,
     ready: Notify,
     egress: Egress,
     conns: Conns,
@@ -201,6 +229,7 @@ impl Worker {
             endpoints: Endpoints::default(),
             rt,
             rx: nh.rx,
+            frames: VecDeque::new(),
             ready: shared.ready,
             index: shard.0,
         }
@@ -212,9 +241,12 @@ impl Worker {
         if self.index == 0 && self.egress.ip().is_unspecified() {
             self.endpoints.start_dhcp(self.rt.now(), &mut self.egress);
         }
+        let mut cmds = VecDeque::new();
         loop {
             let deadline = self.next_deadline().unwrap_or(Time::MAX);
             let sleep = self.rt.sleep_until(deadline);
+            // What this iteration sent reaches the device in one hand-off.
+            self.egress.flush();
             match select3(self.rx.recv(), cmd_rx.recv(), sleep).await {
                 Either3::First(Ok(frame)) => self.on_frame(&frame),
                 Either3::First(Err(_)) => break, // device gone
@@ -224,12 +256,21 @@ impl Worker {
             }
             // Drain everything else that arrived in the same virtual
             // instant before flushing, so TX batching sees the whole burst
-            // of writes rather than one segment train per write.
-            while let Some(frame) = self.rx.try_recv() {
+            // of writes rather than one segment train per write. Handling
+            // a command or frame can queue a command (a dropped stream
+            // closes itself), which joins the same drain.
+            self.rx.drain_into(&mut self.frames);
+            while let Some(frame) = self.frames.pop_front() {
                 self.on_frame(&frame);
             }
-            while let Some(cmd) = cmd_rx.try_recv() {
-                self.on_cmd(cmd);
+            loop {
+                cmd_rx.drain_into(&mut cmds);
+                if cmds.is_empty() {
+                    break;
+                }
+                for cmd in cmds.drain(..) {
+                    self.on_cmd(cmd);
+                }
             }
             let now = self.rt.now();
             self.conns.flush_tx(now, &mut self.egress);

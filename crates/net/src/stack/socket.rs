@@ -13,7 +13,7 @@ use mirage_runtime::channel::{self, Notify, Receiver, Sender};
 use mirage_runtime::Runtime;
 
 use super::conns::ConnEntry;
-use super::{NetError, Shared, StackConfig, StackStats, Worker};
+use super::{AddrCell, NetError, Shared, StackConfig, StackStats, Worker};
 use crate::tcp;
 
 pub(super) enum StreamEvent {
@@ -274,7 +274,7 @@ impl Drop for TcpStream {
 pub struct Stack {
     /// One command channel per shard worker; index = worker = RX queue.
     cmds: Vec<Sender<Cmd>>,
-    ip: Arc<Mutex<Option<Ipv4Addr>>>,
+    ip: Arc<AddrCell>,
     ready: Notify,
     /// Round-robin cursor spreading `tcp_connect` across workers.
     connect_rr: Arc<Mutex<usize>>,
@@ -282,7 +282,7 @@ pub struct Stack {
 
 impl std::fmt::Debug for Stack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Stack({:?})", *self.ip.lock())
+        write!(f, "Stack({:?})", self.ip.get())
     }
 }
 
@@ -335,7 +335,7 @@ impl Stack {
 
     /// The interface address, if configured/leased.
     pub fn local_ip(&self) -> Option<Ipv4Addr> {
-        *self.ip.lock()
+        self.ip.get()
     }
 
     /// Awaits interface readiness (immediate for static config, lease

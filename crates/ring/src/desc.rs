@@ -1,5 +1,16 @@
 //! The descriptor ring: fixed-size request/response slots in one shared
 //! page, tracked by producer/consumer pointers (paper §3.4, Figure 3).
+//!
+//! A burst costs one access to the page per side. A producer stages its
+//! slots behind a private index (Xen's `req_prod_pvt` / `rsp_prod_pvt`)
+//! and `publish` writes them and the shared index in one go, returning
+//! the one doorbell decision (`RING_PUSH_*_AND_CHECK_NOTIFY`). A consumer
+//! copies every published slot out at once and hands them out in order.
+//! The peer cannot run while a domain steps, so the batch decision is
+//! exactly the OR of the per-slot ones, and a burst read sees what
+//! per-slot reads would have seen.
+
+use std::collections::VecDeque;
 
 use mirage_cstruct::cstruct_accessors;
 use mirage_hypervisor::grant::SharedPage;
@@ -113,79 +124,196 @@ fn write_slot(bytes: &mut [u8], idx: u32, data: &[u8]) {
     slot[2..2 + data.len()].copy_from_slice(data);
 }
 
-/// The guest half of a device ring: pushes requests, consumes responses.
+/// One direction on the side that writes it: the producer index the peer
+/// has not seen yet and the slots behind it, which only
+/// [`Producer::publish`] puts on the page.
+#[derive(Debug, Clone)]
+struct Producer {
+    prod: u32,
+    staged: Vec<Slot>,
+}
+
+impl Producer {
+    fn new() -> Producer {
+        Producer {
+            prod: 0,
+            staged: Vec::with_capacity(RING_SIZE as usize),
+        }
+    }
+
+    fn stage(&mut self, data: &[u8]) {
+        self.staged.push(Slot::new(data));
+        self.prod = self.prod.wrapping_add(1);
+    }
+
+    /// Writes the staged slots, then the producer index (the write
+    /// barrier the paper's inline assembly provides), and reads the
+    /// peer's event index, in one access. `true` iff the peer's announced
+    /// wait point falls inside `(old, new]`.
+    fn publish(
+        &mut self,
+        page: &SharedPage,
+        set_prod: fn(&mut [u8], u32),
+        get_event: fn(&[u8]) -> u32,
+    ) -> bool {
+        if self.staged.is_empty() {
+            return false;
+        }
+        let (new, staged) = (self.prod, &self.staged);
+        let old = new.wrapping_sub(staged.len() as u32);
+        let notify = page.write(|bytes| {
+            for (i, slot) in (0..).zip(staged) {
+                write_slot(bytes, old.wrapping_add(i), slot);
+            }
+            set_prod(bytes, new);
+            let event = get_event(bytes);
+            new.wrapping_sub(event) < new.wrapping_sub(old)
+        });
+        self.staged.clear();
+        notify
+    }
+}
+
+/// One direction on the side that reads it: the consumer index, and the
+/// slots copied out of the page but not yet handed out.
+#[derive(Debug, Clone)]
+struct Consumer {
+    cons: u32,
+    burst: VecDeque<Slot>,
+    idx_jumps: u64,
+}
+
+impl Consumer {
+    fn new() -> Consumer {
+        Consumer {
+            cons: 0,
+            burst: VecDeque::with_capacity(RING_SIZE as usize),
+            idx_jumps: 0,
+        }
+    }
+
+    /// The next slot. An empty burst is refilled with every slot published
+    /// since, in one access. A producer index more than a ring ahead is
+    /// the peer's scribble: it is counted and skipped, never walked.
+    fn take(&mut self, page: &SharedPage, get_prod: fn(&[u8]) -> u32) -> Option<Slot> {
+        if self.burst.is_empty() {
+            let (cons, burst) = (self.cons, &mut self.burst);
+            let prod = page.read(|bytes| {
+                let prod = get_prod(bytes);
+                let pending = prod.wrapping_sub(cons);
+                if pending <= RING_SIZE {
+                    burst.extend((0..pending).map(|i| read_slot(bytes, cons.wrapping_add(i))));
+                }
+                prod
+            });
+            if prod.wrapping_sub(cons) > RING_SIZE {
+                self.idx_jumps += 1;
+            }
+            self.cons = prod;
+        }
+        self.burst.pop_front()
+    }
+
+    /// Announces the wait point — the next slot — and reports whether one
+    /// is there already. Slots copied out and not yet handed out leave
+    /// the wait point where it is: the caller has to poll again anyway.
+    fn arm(
+        &mut self,
+        page: &SharedPage,
+        set_event: fn(&mut [u8], u32),
+        get_prod: fn(&[u8]) -> u32,
+    ) -> bool {
+        if !self.burst.is_empty() {
+            return true;
+        }
+        let cons = self.cons;
+        page.write(|bytes| {
+            set_event(bytes, cons.wrapping_add(1));
+            get_prod(bytes) != cons
+        })
+    }
+}
+
+/// The guest half of a device ring: stages and publishes requests,
+/// consumes responses.
 #[derive(Debug, Clone)]
 pub struct FrontRing {
     page: SharedPage,
-    /// Private response-consumer index (never shared; Xen keeps the same
-    /// split between shared and private indices).
-    rsp_cons: u32,
+    req: Producer,
+    rsp: Consumer,
 }
 
 impl FrontRing {
     /// Attaches a frontend to a fresh or existing shared ring page.
     pub fn attach(page: SharedPage) -> FrontRing {
-        FrontRing { page, rsp_cons: 0 }
+        FrontRing {
+            page,
+            req: Producer::new(),
+            rsp: Consumer::new(),
+        }
     }
 
     /// Free request slots (flow control: requests outstanding may not
-    /// exceed the ring size).
+    /// exceed the ring size). Both indices are private, so this reads no
+    /// shared memory; a response index the backend leapt past the
+    /// requests reads as no room, never as an underflow.
     pub fn free_slots(&self) -> u32 {
-        // The shared index is the peer's to scribble on: a count beyond
-        // the ring reads as no room, never as an underflow.
-        let req_prod = self.page.read(ring_hdr::get_req_prod);
-        RING_SIZE.saturating_sub(req_prod.wrapping_sub(self.rsp_cons))
+        RING_SIZE.saturating_sub(self.req.prod.wrapping_sub(self.rsp.cons))
     }
 
-    /// Pushes one request descriptor; returns `true` when the backend must
-    /// be notified (event-index suppression).
+    /// Stages one request descriptor; the backend sees it at the next
+    /// [`FrontRing::publish`].
     ///
     /// # Errors
     ///
     /// [`RingError::Full`] when flow control forbids the push;
     /// [`RingError::TooLarge`] for oversized descriptors.
-    pub fn push_request(&mut self, data: &[u8]) -> Result<bool, RingError> {
+    pub fn stage_request(&mut self, data: &[u8]) -> Result<(), RingError> {
         if data.len() > SLOT_PAYLOAD {
             return Err(RingError::TooLarge);
         }
-        let rsp_cons = self.rsp_cons;
-        // One access to the shared page: flow control, slot and index.
-        self.page.write(|bytes| {
-            let old_prod = ring_hdr::get_req_prod(bytes);
-            if old_prod.wrapping_sub(rsp_cons) >= RING_SIZE {
-                return Err(RingError::Full);
-            }
-            let new_prod = old_prod.wrapping_add(1);
-            // Write the slot, then publish the producer index (the write
-            // barrier the paper's inline assembly provides).
-            write_slot(bytes, old_prod, data);
-            ring_hdr::set_req_prod(bytes, new_prod);
-            let req_event = ring_hdr::get_req_event(bytes);
-            // Notify iff the peer's announced wait point falls inside
-            // (old_prod, new_prod].
-            Ok(new_prod.wrapping_sub(req_event) < new_prod.wrapping_sub(old_prod))
-        })
+        if self.free_slots() == 0 {
+            return Err(RingError::Full);
+        }
+        self.req.stage(data);
+        Ok(())
+    }
+
+    /// Makes every staged request visible; returns `true` when the backend
+    /// must be notified (event-index suppression).
+    pub fn publish(&mut self) -> bool {
+        self.req
+            .publish(&self.page, ring_hdr::set_req_prod, ring_hdr::get_req_event)
+    }
+
+    /// Stages and publishes one request descriptor; returns `true` when
+    /// the backend must be notified.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrontRing::stage_request`].
+    pub fn push_request(&mut self, data: &[u8]) -> Result<bool, RingError> {
+        self.stage_request(data)?;
+        Ok(self.publish())
     }
 
     /// Pops the next response, if any.
     pub fn take_response(&mut self) -> Option<Slot> {
-        let cons = self.rsp_cons;
-        let rsp = self.page.read(|bytes| {
-            (ring_hdr::get_rsp_prod(bytes) != cons).then(|| read_slot(bytes, cons))
-        })?;
-        self.rsp_cons = cons.wrapping_add(1);
-        Some(rsp)
+        self.rsp.take(&self.page, ring_hdr::get_rsp_prod)
     }
 
     /// Announces the frontend is about to block until the next response.
     /// Returns `true` if responses arrived concurrently (re-poll instead of
     /// blocking) — the final check before `domainpoll`.
     pub fn enable_response_notifications(&mut self) -> bool {
-        let cons = self.rsp_cons;
-        self.page.write(|bytes| {
-            ring_hdr::set_rsp_event(bytes, cons.wrapping_add(1));
-            ring_hdr::get_rsp_prod(bytes) != cons
-        })
+        self.rsp
+            .arm(&self.page, ring_hdr::set_rsp_event, ring_hdr::get_rsp_prod)
+    }
+
+    /// Response indices the backend leapt more than a ring ahead; each was
+    /// skipped rather than replayed.
+    pub fn idx_jumps(&self) -> u64 {
+        self.rsp.idx_jumps
     }
 
     /// The shared page (to grant to the backend domain).
@@ -194,67 +322,81 @@ impl FrontRing {
     }
 }
 
-/// The driver-domain half: consumes requests, pushes responses.
+/// The driver-domain half: consumes requests, stages and publishes
+/// responses.
 #[derive(Debug, Clone)]
 pub struct BackRing {
     page: SharedPage,
-    /// Private request-consumer index.
-    req_cons: u32,
+    req: Consumer,
+    rsp: Producer,
 }
 
 impl BackRing {
     /// Attaches a backend to the shared ring page.
     pub fn attach(page: SharedPage) -> BackRing {
-        BackRing { page, req_cons: 0 }
+        BackRing {
+            page,
+            req: Consumer::new(),
+            rsp: Producer::new(),
+        }
     }
 
     /// Pops the next request, if any.
     pub fn take_request(&mut self) -> Option<Slot> {
-        let cons = self.req_cons;
-        let req = self.page.read(|bytes| {
-            (ring_hdr::get_req_prod(bytes) != cons).then(|| read_slot(bytes, cons))
-        })?;
-        self.req_cons = cons.wrapping_add(1);
-        Some(req)
+        self.req.take(&self.page, ring_hdr::get_req_prod)
     }
 
-    /// Pushes one response; returns `true` when the frontend must be
-    /// notified.
-    ///
-    /// Responses always fit: they reuse the request's slot.
+    /// Stages one response; the frontend sees it at the next
+    /// [`BackRing::publish`]. Responses always fit: they reuse the slots
+    /// of requests already taken.
     ///
     /// # Errors
     ///
     /// [`RingError::TooLarge`] for oversized descriptors.
-    pub fn push_response(&mut self, data: &[u8]) -> Result<bool, RingError> {
+    pub fn stage_response(&mut self, data: &[u8]) -> Result<(), RingError> {
         if data.len() > SLOT_PAYLOAD {
             return Err(RingError::TooLarge);
         }
-        let notify = self.page.write(|bytes| {
-            let old_prod = ring_hdr::get_rsp_prod(bytes);
-            let new_prod = old_prod.wrapping_add(1);
-            write_slot(bytes, old_prod, data);
-            ring_hdr::set_rsp_prod(bytes, new_prod);
-            let rsp_event = ring_hdr::get_rsp_event(bytes);
-            new_prod.wrapping_sub(rsp_event) < new_prod.wrapping_sub(old_prod)
-        });
-        Ok(notify)
+        self.rsp.stage(data);
+        Ok(())
+    }
+
+    /// Makes every staged response visible; returns `true` when the
+    /// frontend must be notified.
+    pub fn publish(&mut self) -> bool {
+        self.rsp
+            .publish(&self.page, ring_hdr::set_rsp_prod, ring_hdr::get_rsp_event)
+    }
+
+    /// Stages and publishes one response; returns `true` when the
+    /// frontend must be notified.
+    ///
+    /// # Errors
+    ///
+    /// As [`BackRing::stage_response`].
+    pub fn push_response(&mut self, data: &[u8]) -> Result<bool, RingError> {
+        self.stage_response(data)?;
+        Ok(self.publish())
     }
 
     /// Announces the backend is about to block until the next request;
     /// returns `true` if requests arrived concurrently.
     pub fn enable_request_notifications(&mut self) -> bool {
-        let cons = self.req_cons;
-        self.page.write(|bytes| {
-            ring_hdr::set_req_event(bytes, cons.wrapping_add(1));
-            ring_hdr::get_req_prod(bytes) != cons
-        })
+        self.req
+            .arm(&self.page, ring_hdr::set_req_event, ring_hdr::get_req_prod)
     }
 
     /// Number of requests waiting.
     pub fn pending_requests(&self) -> u32 {
         let req_prod = self.page.read(ring_hdr::get_req_prod);
-        req_prod.wrapping_sub(self.req_cons)
+        let copied = self.req.burst.len() as u32;
+        req_prod.wrapping_sub(self.req.cons).wrapping_add(copied)
+    }
+
+    /// Request indices the frontend leapt more than a ring ahead; each
+    /// was skipped rather than replayed.
+    pub fn idx_jumps(&self) -> u64 {
+        self.req.idx_jumps
     }
 }
 
@@ -304,13 +446,72 @@ mod tests {
     }
 
     #[test]
-    fn a_scribbled_producer_index_reads_as_a_full_ring() {
-        let (mut front, _back) = pair();
+    fn a_scribbled_producer_index_is_overwritten_not_trusted() {
+        let (mut front, mut back) = pair();
         front
             .page()
             .write(|b| ring_hdr::set_req_prod(b, RING_SIZE + 7));
-        assert_eq!(front.free_slots(), 0);
-        assert_eq!(front.push_request(b"x"), Err(RingError::Full));
+        assert_eq!(front.free_slots(), RING_SIZE, "the index is private");
+        front.push_request(b"x").unwrap();
+        assert_eq!(back.pending_requests(), 1, "publish rewrote it");
+        assert_eq!(&*back.take_request().unwrap(), b"x");
+    }
+
+    #[test]
+    fn a_leapt_response_index_is_counted_not_walked() {
+        let (mut front, mut back) = pair();
+        front.push_request(b"q").unwrap();
+        assert_eq!(&*back.take_request().unwrap(), b"q");
+        front.page().write(|b| ring_hdr::set_rsp_prod(b, u32::MAX));
+        assert_eq!(front.take_response(), None);
+        assert_eq!(front.idx_jumps(), 1);
+        assert_eq!(front.take_response(), None, "skipped past, not replayed");
+    }
+
+    #[test]
+    fn a_leapt_request_index_is_counted_not_walked() {
+        let (front, mut back) = pair();
+        front.page().write(|b| ring_hdr::set_req_prod(b, u32::MAX));
+        assert_eq!(back.take_request(), None);
+        assert_eq!(back.idx_jumps(), 1);
+        assert_eq!(back.take_request(), None, "skipped past, not replayed");
+    }
+
+    #[test]
+    fn the_first_take_copies_the_whole_burst() {
+        let (mut front, mut back) = pair();
+        for i in 0..5u8 {
+            front.push_request(&[i]).unwrap();
+            back.take_request().unwrap();
+            back.stage_response(&[i; 3]).unwrap();
+        }
+        back.publish();
+        assert_eq!(*front.take_response().unwrap(), [0; 3]);
+        // The rest were copied out with the first: the page no longer
+        // matters to them.
+        front.page().write(|b| b.fill(0xEE));
+        for i in 1..5u8 {
+            assert_eq!(*front.take_response().unwrap(), [i; 3]);
+        }
+    }
+
+    #[test]
+    fn staged_requests_are_invisible_until_published() {
+        let (mut front, mut back) = pair();
+        assert!(!back.enable_request_notifications(), "ring empty");
+        front.stage_request(b"one").unwrap();
+        front.stage_request(b"two").unwrap();
+        assert_eq!(back.pending_requests(), 0);
+        assert_eq!(back.take_request(), None);
+        assert_eq!(
+            front.free_slots(),
+            RING_SIZE - 2,
+            "staged slots are spoken for"
+        );
+        assert!(front.publish(), "one doorbell for the burst");
+        assert!(!front.publish(), "nothing left to publish");
+        assert_eq!(&*back.take_request().unwrap(), b"one");
+        assert_eq!(&*back.take_request().unwrap(), b"two");
     }
 
     #[test]
@@ -364,6 +565,36 @@ mod tests {
     }
 
     mirage_testkit::property! {
+        /// Publishing a batch rings exactly when publishing its slots one
+        /// at a time would have rung at least once, wherever the peer put
+        /// its wait point.
+        fn prop_batch_doorbell_is_the_or_of_its_items(
+            before in 0u32..40,
+            event_ahead in 0u32..40,
+            batch in 1u32..16,
+        ) {
+            let ring_at = |n: u32| {
+                let (mut front, mut back) = pair();
+                for _ in 0..n {
+                    front.push_request(b"r").unwrap();
+                    back.take_request().unwrap();
+                    back.push_response(b"a").unwrap();
+                    front.take_response().unwrap();
+                }
+                let event = n.wrapping_add(event_ahead).wrapping_sub(8);
+                front.page().write(|b| ring_hdr::set_req_event(b, event));
+                front
+            };
+            let mut batched = ring_at(before);
+            let mut single = ring_at(before);
+            let mut any = false;
+            for _ in 0..batch {
+                batched.stage_request(b"b").unwrap();
+                any |= single.push_request(b"b").unwrap();
+            }
+            assert_eq!(batched.publish(), any);
+        }
+
         /// The ring never loses, duplicates or reorders descriptors, under
         /// any interleaving of pushes and pops that respects flow control.
         fn prop_fifo_no_loss(script in collection::vec(0u8..3, 1..200)) {

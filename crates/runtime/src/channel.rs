@@ -14,7 +14,8 @@ use std::task::{Context, Poll, Waker};
 
 use mirage_testkit::sync::Mutex;
 
-/// Error returned by [`Receiver::recv`] when every sender is gone.
+/// Error returned by [`Receiver::recv`] when every sender is gone, and by
+/// [`Sender::send_all`] when the receiver is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Closed;
 
@@ -84,6 +85,28 @@ impl<T> Sender<T> {
         Ok(())
     }
 
+    /// Enqueues every item of `burst`, in order, under one lock and with at
+    /// most one wake; `burst` is left empty.
+    ///
+    /// # Errors
+    ///
+    /// [`Closed`] if the receiver has been dropped; `burst` then keeps the
+    /// items.
+    pub fn send_all(&self, burst: &mut VecDeque<T>) -> Result<(), Closed> {
+        if burst.is_empty() {
+            return Ok(());
+        }
+        let mut st = self.state.lock();
+        if !st.receiver_alive {
+            return Err(Closed);
+        }
+        move_all(burst, &mut st.queue);
+        if let Some(w) = st.recv_waker.take() {
+            w.wake();
+        }
+        Ok(())
+    }
+
     /// Number of queued items (backpressure signal).
     pub fn queued(&self) -> usize {
         self.state.lock().queue.len()
@@ -122,6 +145,12 @@ impl<T> Receiver<T> {
         self.state.lock().queue.pop_front()
     }
 
+    /// Moves everything queued to the back of `out`, in order, under one
+    /// lock.
+    pub fn drain_into(&mut self, out: &mut VecDeque<T>) {
+        move_all(&mut self.state.lock().queue, out);
+    }
+
     /// Items currently queued.
     pub fn len(&self) -> usize {
         self.state.lock().queue.len()
@@ -157,6 +186,16 @@ impl<T> Future for Recv<'_, T> {
         }
         st.recv_waker = Some(cx.waker().clone());
         Poll::Pending
+    }
+}
+
+/// Appends `from` to `to`, leaving `from` empty. Into an empty `to` the
+/// two deques swap, so their allocations circulate instead of growing.
+fn move_all<T>(from: &mut VecDeque<T>, to: &mut VecDeque<T>) {
+    if to.is_empty() {
+        std::mem::swap(from, to);
+    } else {
+        to.append(from);
     }
 }
 
@@ -337,6 +376,81 @@ mod tests {
     use super::*;
     use crate::{Runtime, UnikernelGuest};
     use mirage_hypervisor::Hypervisor;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Counts its wakes.
+    struct Wakes(AtomicUsize);
+
+    impl std::task::Wake for Wakes {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Parks a `recv` on `rx` under a counting waker.
+    fn park(rx: &mut Receiver<u32>) -> Arc<Wakes> {
+        let wakes = Arc::new(Wakes(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&wakes));
+        let pending = Pin::new(&mut rx.recv()).poll(&mut Context::from_waker(&waker));
+        assert!(pending.is_pending(), "nothing queued yet");
+        wakes
+    }
+
+    #[test]
+    fn bursts_keep_fifo_order_and_wake_once() {
+        let (tx, mut rx) = channel::<u32>();
+        let wakes = park(&mut rx);
+        tx.send(0).unwrap();
+        let mut burst: VecDeque<u32> = (1..5).collect();
+        tx.send_all(&mut burst).unwrap();
+        assert!(burst.is_empty());
+        tx.send_all(&mut (5..8).collect()).unwrap();
+        assert_eq!(
+            wakes.0.load(Ordering::Relaxed),
+            1,
+            "one parked receiver, one wake"
+        );
+
+        let mut out = VecDeque::from([100]);
+        rx.drain_into(&mut out);
+        assert_eq!(Vec::from(out), [100, 0, 1, 2, 3, 4, 5, 6, 7]);
+        assert!(rx.is_empty());
+
+        let wakes = park(&mut rx);
+        tx.send_all(&mut VecDeque::new()).unwrap();
+        assert_eq!(
+            wakes.0.load(Ordering::Relaxed),
+            0,
+            "an empty burst wakes no one"
+        );
+        tx.send_all(&mut (8..10).collect()).unwrap();
+        let mut out = VecDeque::new();
+        rx.drain_into(&mut out);
+        assert_eq!(Vec::from(out), [8, 9]);
+        assert_eq!(wakes.0.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn bursts_keep_closed_semantics() {
+        let (tx, mut rx) = channel::<u32>();
+        tx.send_all(&mut (0..3).collect()).unwrap();
+        drop(tx);
+        let mut out = VecDeque::new();
+        rx.drain_into(&mut out);
+        assert_eq!(
+            Vec::from(out),
+            [0, 1, 2],
+            "queued items outlive the senders"
+        );
+        let closed = Pin::new(&mut rx.recv()).poll(&mut Context::from_waker(Waker::noop()));
+        assert_eq!(closed, Poll::Ready(Err(Closed)));
+
+        let (tx, rx) = channel::<u32>();
+        drop(rx);
+        let mut burst: VecDeque<u32> = (0..3).collect();
+        assert_eq!(tx.send_all(&mut burst), Err(Closed));
+        assert_eq!(Vec::from(burst), [0, 1, 2], "a refused burst is given back");
+    }
 
     #[test]
     fn two_executor_ping_pong_crosses_cores() {

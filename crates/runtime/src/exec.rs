@@ -10,8 +10,10 @@
 //! the start of a round is polled once, and the run-loop looks at its
 //! devices before the tasks that round woke get their turn.
 //!
-//! An SMP runtime holds one [`CoreState`] per vCPU — its own run queue,
-//! timer queue and virtual clock — under a single scheduler lock (the
+//! An SMP runtime holds one [`CoreState`] per vCPU — its own run queue and
+//! timer queue — under a single scheduler lock, and beside the lock one
+//! [`CoreClock`] per vCPU: its virtual clock and the charge pending on it,
+//! which `now()` and every charge touch without taking the lock (the
 //! simulation itself stays on one OS thread; parallelism is expressed in
 //! *virtual* time through the hypervisor's per-vCPU charge lanes). Tasks
 //! have a home core: charges, sleeps and child spawns from inside a task
@@ -28,6 +30,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
@@ -49,27 +52,39 @@ struct TaskEntry {
     home: usize,
     /// Pinned tasks (shard owners, per-core service loops) never migrate.
     pinned: bool,
+    /// Made at the first poll and handed to every later one.
+    waker: Option<Waker>,
 }
 
-/// One vCPU's executor state: run queue, clock, pending charge, timers.
+/// One vCPU's queues: runnable tasks and timers.
 struct CoreState {
-    now: Time,
-    /// Virtual time charged by tasks since the driver last drained it.
-    charge: Dur,
     run_queue: VecDeque<TaskId>,
     /// Pending sleeps, firing in `(deadline, registration)` order — the
     /// paper's timer priority queue (§3.3).
     timers: TimerWheel<Waker>,
 }
 
-impl CoreState {
-    fn new() -> CoreState {
-        CoreState {
-            now: Time::ZERO,
-            charge: Dur::ZERO,
-            run_queue: VecDeque::new(),
-            timers: TimerWheel::new(),
+/// One vCPU's virtual clock and the time charged to it since the run loop
+/// last drained it, in nanoseconds. The clocks are read and charged
+/// without the scheduler lock; the run loop drains and advances them at
+/// the same points it always has, so virtual time does not move. Relaxed
+/// suffices: each is a lone number, published with nothing else.
+struct CoreClock {
+    now: AtomicU64,
+    charge: AtomicU64,
+}
+
+impl CoreClock {
+    fn now(&self) -> Time {
+        Time::from_nanos(self.now.load(Ordering::Relaxed))
+    }
+
+    /// Takes the pending charge; nothing pending costs no read-modify-write.
+    fn take_charge(&self) -> Dur {
+        if self.charge.load(Ordering::Relaxed) == 0 {
+            return Dur::ZERO;
         }
+        Dur::nanos(self.charge.swap(0, Ordering::Relaxed))
     }
 }
 
@@ -79,34 +94,34 @@ pub(crate) struct Sched {
     next_task: TaskId,
     pub(crate) spawned_total: u64,
     pub(crate) heap: Option<GcHeap>,
-    /// The hypervisor's cost table as of the last round: it lives under
-    /// the scheduler lock so that pricing work and charging it is one
-    /// acquisition ([`CoreHandle::charge_with`]).
-    pub(crate) costs: CostTable,
-    /// Core currently polling a task — charges, `now()` reads and timer
-    /// registrations from inside the task route here (the task may hold a
-    /// handle homed elsewhere).
-    executing: Option<usize>,
     /// Seeded schedule source: interleaving across non-empty cores and
     /// steal-victim choice both draw from it, so a multi-core run is a
     /// pure function of `MIRAGE_TEST_SEED`.
     rng: Rng,
     pub(crate) steals: u64,
+    /// A round's scratch, kept so that a round allocates nothing: the
+    /// wakers of the timers it fired, and what each core owes it.
+    fired: Vec<Waker>,
+    owed: Vec<usize>,
 }
 
 impl Sched {
     fn new(cores: usize) -> Sched {
-        assert!(cores > 0, "an executor needs at least one core");
         Sched {
-            cores: (0..cores).map(|_| CoreState::new()).collect(),
+            cores: (0..cores)
+                .map(|_| CoreState {
+                    run_queue: VecDeque::new(),
+                    timers: TimerWheel::new(),
+                })
+                .collect(),
             tasks: HashMap::new(),
             next_task: 0,
             spawned_total: 0,
             heap: None,
-            costs: CostTable::defaults(),
-            executing: None,
             rng: Rng::for_stream(mirage_testkit::test_seed(), "smp-exec"),
             steals: 0,
+            fired: Vec::new(),
+            owed: Vec::with_capacity(cores),
         }
     }
 
@@ -168,24 +183,42 @@ impl Sched {
     }
 }
 
-/// Shared handle to the scheduler, annotated with a home core: spawns and
+/// What the executor's handles share: the scheduler behind its lock, and
+/// beside it everything a charge or a clock read touches.
+pub(crate) struct Executor {
+    pub(crate) sched: Mutex<Sched>,
+    clocks: Box<[CoreClock]>,
+    /// Core currently polling a task, or [`Executor::IDLE`] — charges,
+    /// `now()` reads and timer registrations from inside the task route
+    /// here (the task may hold a handle homed elsewhere).
+    executing: AtomicUsize,
+    /// The hypervisor's cost table. It has no setter, so pricing reads it
+    /// in place and nothing can change it under a charge.
+    pub(crate) costs: CostTable,
+}
+
+impl Executor {
+    const IDLE: usize = usize::MAX;
+}
+
+/// Shared handle to the executor, annotated with a home core: spawns and
 /// charges made *outside* any task (device service code, harnesses) land
 /// on the home core.
 #[derive(Clone)]
 pub(crate) struct CoreHandle {
-    pub(crate) sched: Arc<Mutex<Sched>>,
+    pub(crate) exec: Arc<Executor>,
     pub(crate) home: usize,
 }
 
 struct TaskWaker {
     id: TaskId,
-    sched: std::sync::Weak<Mutex<Sched>>,
+    exec: std::sync::Weak<Executor>,
 }
 
 impl std::task::Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        if let Some(sched) = self.sched.upgrade() {
-            let mut s = sched.lock();
+        if let Some(exec) = self.exec.upgrade() {
+            let mut s = exec.sched.lock();
             if let Some(entry) = s.tasks.get_mut(&self.id) {
                 if !entry.queued {
                     entry.queued = true;
@@ -210,38 +243,50 @@ pub struct StallReport {
 
 impl CoreHandle {
     pub(crate) fn new(cores: usize) -> CoreHandle {
+        assert!(cores > 0, "an executor needs at least one core");
+        let clock = || CoreClock {
+            now: AtomicU64::new(0),
+            charge: AtomicU64::new(0),
+        };
         CoreHandle {
-            sched: Arc::new(Mutex::new(Sched::new(cores))),
+            exec: Arc::new(Executor {
+                sched: Mutex::new(Sched::new(cores)),
+                clocks: (0..cores).map(|_| clock()).collect(),
+                executing: AtomicUsize::new(Executor::IDLE),
+                costs: CostTable::defaults(),
+            }),
             home: 0,
         }
     }
 
-    /// The same scheduler, homed on core `v`.
+    /// The same executor, homed on core `v`.
     pub(crate) fn on_core(&self, v: usize) -> CoreHandle {
         assert!(v < self.cores(), "core {v} out of range");
         CoreHandle {
-            sched: Arc::clone(&self.sched),
+            exec: Arc::clone(&self.exec),
             home: v,
         }
     }
 
     pub(crate) fn cores(&self) -> usize {
-        self.sched.lock().cores.len()
+        self.exec.clocks.len()
     }
 
     /// The core a charge made right now would land on (the executing core
     /// inside a task, this handle's home outside one).
     pub(crate) fn current_core(&self) -> usize {
-        let s = self.sched.lock();
-        s.executing.unwrap_or(self.home)
+        match self.exec.executing.load(Ordering::Relaxed) {
+            Executor::IDLE => self.home,
+            v => v,
+        }
     }
 
     /// Spawns a task. `pin: Some(v)` locks it to core `v` forever;
     /// `None` homes it on the spawning context's core but leaves it
     /// stealable.
     pub(crate) fn spawn(&self, fut: BoxFuture, pin: Option<usize>) -> TaskId {
-        let mut s = self.sched.lock();
-        let home = pin.unwrap_or_else(|| s.executing.unwrap_or(self.home));
+        let home = pin.unwrap_or_else(|| self.current_core());
+        let mut s = self.exec.sched.lock();
         assert!(home < s.cores.len(), "core {home} out of range");
         let id = s.next_task;
         s.next_task += 1;
@@ -253,6 +298,7 @@ impl CoreHandle {
                 queued: true,
                 home,
                 pinned: pin.is_some(),
+                waker: None,
             },
         );
         s.cores[home].run_queue.push_back(id);
@@ -263,15 +309,19 @@ impl CoreHandle {
     /// the sleep future refresh its waker on re-poll and disarm itself on
     /// drop.
     pub(crate) fn register_timer(&self, at: Time, waker: Waker) -> (usize, TimerId) {
-        let mut s = self.sched.lock();
-        let v = s.executing.unwrap_or(self.home);
-        (v, s.cores[v].timers.insert(at.as_nanos(), waker))
+        let v = self.current_core();
+        (
+            v,
+            self.exec.sched.lock().cores[v]
+                .timers
+                .insert(at.as_nanos(), waker),
+        )
     }
 
     /// Refreshes the waker of a pending timer. Returns `false` if the
     /// timer already fired (the caller should re-register).
     pub(crate) fn update_timer(&self, id: (usize, TimerId), waker: &Waker) -> bool {
-        let mut s = self.sched.lock();
+        let mut s = self.exec.sched.lock();
         match s.cores[id.0].timers.get_mut(id.1) {
             Some(slot) => {
                 if !slot.will_wake(waker) {
@@ -285,43 +335,41 @@ impl CoreHandle {
 
     /// Disarms a timer whose sleep future was dropped or completed.
     pub(crate) fn cancel_timer(&self, id: (usize, TimerId)) {
-        self.sched.lock().cores[id.0].timers.cancel(id.1);
+        self.exec.sched.lock().cores[id.0].timers.cancel(id.1);
+    }
+
+    fn clock(&self) -> &CoreClock {
+        &self.exec.clocks[self.current_core()]
     }
 
     pub(crate) fn now(&self) -> Time {
-        let s = self.sched.lock();
-        s.cores[s.executing.unwrap_or(self.home)].now
+        self.clock().now()
     }
 
     pub(crate) fn charge(&self, d: Dur) {
-        let mut s = self.sched.lock();
-        let v = s.executing.unwrap_or(self.home);
-        s.cores[v].charge += d;
+        self.clock()
+            .charge
+            .fetch_add(d.as_nanos(), Ordering::Relaxed);
     }
 
     /// Charges what `price` makes of the cost table, which it sees by
     /// reference.
     pub(crate) fn charge_with(&self, price: impl FnOnce(&CostTable) -> Dur) {
-        let mut s = self.sched.lock();
-        let v = s.executing.unwrap_or(self.home);
-        let d = price(&s.costs);
-        s.cores[v].charge += d;
+        self.charge(price(&self.exec.costs));
     }
 
     /// Charges a heap allocation against the GC model, if one is attached.
     pub(crate) fn heap_alloc(&self, bytes: u64, long_lived: bool) {
-        let mut s = self.sched.lock();
-        let v = s.executing.unwrap_or(self.home);
-        let Sched {
-            heap, costs, cores, ..
-        } = &mut *s;
-        if let Some(heap) = heap {
-            cores[v].charge += heap.alloc(bytes, long_lived, costs);
+        let mut s = self.exec.sched.lock();
+        if let Some(heap) = s.heap.as_mut() {
+            let d = heap.alloc(bytes, long_lived, &self.exec.costs);
+            drop(s);
+            self.charge(d);
         }
     }
 
     pub(crate) fn heap_release(&self, bytes: u64) {
-        let mut s = self.sched.lock();
+        let mut s = self.exec.sched.lock();
         if let Some(h) = s.heap.as_mut() {
             h.release(bytes);
         }
@@ -341,87 +389,99 @@ impl CoreHandle {
     /// the round boundary; which core with round-start work left polls
     /// next is a seeded draw, giving SMP runs a reproducible but
     /// adversarially shuffled interleaving.
+    ///
+    /// A round allocates nothing once warm, and takes the scheduler lock
+    /// twice to start and once per poll (twice for a poll that completes
+    /// its task).
     pub(crate) fn run_round(
         &self,
-        costs: CostTable,
         mut drain_charge: impl FnMut(usize, Dur) -> Time,
     ) -> StallReport {
-        let thread_switch = costs.thread_switch;
-        let ncores = {
-            let mut s = self.sched.lock();
-            s.costs = costs;
-            s.cores.len()
-        };
+        let exec = &*self.exec;
+        let thread_switch = exec.costs.thread_switch.as_nanos();
         // Advance every core's clock (device service and harness code
         // charge outside tasks), then fire its expired timers: the tasks
         // they wake belong to this round.
-        for v in 0..ncores {
-            let mut fired = Vec::new();
-            {
-                let mut s = self.sched.lock();
-                let pending = std::mem::replace(&mut s.cores[v].charge, Dur::ZERO);
-                let now = drain_charge(v, pending);
-                s.cores[v].now = now;
-                s.cores[v].timers.advance(now.as_nanos(), |_, w| fired.push(w));
+        let mut fired = {
+            let mut s = exec.sched.lock();
+            let mut fired = std::mem::take(&mut s.fired);
+            for (v, (core, clock)) in s.cores.iter_mut().zip(&*exec.clocks).enumerate() {
+                let now = drain_charge(v, clock.take_charge());
+                clock.now.store(now.as_nanos(), Ordering::Relaxed);
+                core.timers.advance(now.as_nanos(), |_, w| fired.push(w));
             }
-            // Wake outside the lock: TaskWaker::wake re-locks.
-            for w in fired {
-                w.wake();
-            }
+            fired
+        };
+        // Wake outside the lock (TaskWaker::wake re-locks), in the order
+        // the cores fired them.
+        for w in fired.drain(..) {
+            w.wake();
         }
         // What each core owes this round: its queue as it stands now.
-        let mut owed: Vec<usize> = {
-            let mut s = self.sched.lock();
-            s.steal_for_idle();
-            s.cores.iter().map(|c| c.run_queue.len()).collect()
-        };
+        let mut s = exec.sched.lock();
+        s.fired = fired;
+        s.steal_for_idle();
+        let Sched { cores, owed, .. } = &mut *s;
+        owed.clear();
+        owed.extend(cores.iter().map(|c| c.run_queue.len()));
 
         let mut polls = 0u64;
         loop {
             // Take the future out so polling happens without the lock.
-            let (core, id, fut) = {
-                let mut s = self.sched.lock();
-                let ready = owed.iter().filter(|&&n| n > 0).count();
-                let pick = match ready {
-                    0 => break,
-                    1 => 0,
-                    n => s.rng.gen_index(n),
-                };
-                let core = (0..ncores)
-                    .filter(|&v| owed[v] > 0)
-                    .nth(pick)
-                    .expect("picked among the ready cores");
-                owed[core] -= 1;
-                // Wakes only push behind the round-start entries, so the
-                // front of the queue is still one of them.
-                let id = s.cores[core]
-                    .run_queue
-                    .pop_front()
-                    .expect("owed entry queued");
-                let fut = s.tasks.get_mut(&id).and_then(|entry| {
-                    entry.queued = false;
-                    entry.fut.take()
-                });
-                if fut.is_some() {
-                    s.executing = Some(core);
-                    s.cores[core].charge += thread_switch;
-                }
-                (core, id, fut)
+            let ready = s.owed.iter().filter(|&&n| n > 0).count();
+            let pick = match ready {
+                0 => break,
+                1 => 0,
+                n => s.rng.gen_index(n),
             };
-            let Some(mut fut) = fut else { continue };
+            let core = (0..s.owed.len())
+                .filter(|&v| s.owed[v] > 0)
+                .nth(pick)
+                .expect("picked among the ready cores");
+            s.owed[core] -= 1;
+            // Wakes only push behind the round-start entries, so the
+            // front of the queue is still one of them.
+            let id = s.cores[core]
+                .run_queue
+                .pop_front()
+                .expect("owed entry queued");
+            let Some(entry) = s.tasks.get_mut(&id) else {
+                continue;
+            };
+            entry.queued = false;
+            let Some(mut fut) = entry.fut.take() else {
+                continue;
+            };
+            let waker = entry
+                .waker
+                .get_or_insert_with(|| {
+                    let exec = Arc::downgrade(&self.exec);
+                    Waker::from(Arc::new(TaskWaker { id, exec }))
+                })
+                .clone();
+            exec.executing.store(core, Ordering::Relaxed);
+            exec.clocks[core]
+                .charge
+                .fetch_add(thread_switch, Ordering::Relaxed);
+            drop(s);
 
-            let waker = Waker::from(Arc::new(TaskWaker {
-                id,
-                sched: Arc::downgrade(&self.sched),
-            }));
-            let mut cx = Context::from_waker(&waker);
             polls += 1;
-            let outcome = fut.as_mut().poll(&mut cx);
-            let mut s = self.sched.lock();
-            s.executing = None;
+            let outcome = fut.as_mut().poll(&mut Context::from_waker(&waker));
+            exec.executing.store(Executor::IDLE, Ordering::Relaxed);
+            // The next task on this core starts where this one stopped.
+            let clock = &exec.clocks[core];
+            let now = drain_charge(core, clock.take_charge());
+            clock.now.store(now.as_nanos(), Ordering::Relaxed);
+            s = exec.sched.lock();
             match outcome {
                 Poll::Ready(()) => {
                     s.tasks.remove(&id);
+                    // A finished future drops outside the lock: its
+                    // destructors disarm timers and wake peers, both of
+                    // which take it again.
+                    drop(s);
+                    drop(fut);
+                    s = exec.sched.lock();
                 }
                 Poll::Pending => {
                     if let Some(entry) = s.tasks.get_mut(&id) {
@@ -429,13 +489,11 @@ impl CoreHandle {
                     }
                 }
             }
-            // The next task on this core starts where this one stopped.
-            let pending = std::mem::replace(&mut s.cores[core].charge, Dur::ZERO);
-            s.cores[core].now = drain_charge(core, pending);
         }
-        let s = self.sched.lock();
-        let next_deadline = (0..ncores)
-            .filter_map(|v| s.cores[v].timers.next_deadline())
+        let next_deadline = s
+            .cores
+            .iter()
+            .filter_map(|c| c.timers.next_deadline())
             .min()
             .map(Time::from_nanos);
         StallReport {
@@ -446,7 +504,7 @@ impl CoreHandle {
     }
 
     pub(crate) fn live_tasks(&self) -> usize {
-        self.sched.lock().tasks.len()
+        self.exec.sched.lock().tasks.len()
     }
 
     /// Drops every task, armed timer and queued wake. A parked task holds
@@ -457,12 +515,12 @@ impl CoreHandle {
         // Futures drop outside the lock: their destructors disarm timers
         // and wake peers, both of which take it again.
         loop {
-            let tasks = std::mem::take(&mut self.sched.lock().tasks);
+            let tasks = std::mem::take(&mut self.exec.sched.lock().tasks);
             if tasks.is_empty() {
                 break;
             }
         }
-        for core in &mut self.sched.lock().cores {
+        for core in &mut self.exec.sched.lock().cores {
             core.run_queue.clear();
             core.timers = TimerWheel::new();
         }

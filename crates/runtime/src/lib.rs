@@ -103,7 +103,7 @@ impl Runtime {
     /// used by the Figure 7 experiments.
     pub fn with_heap(heap: GcHeap) -> Runtime {
         let rt = Runtime::new();
-        rt.core.sched.lock().heap = Some(heap);
+        rt.core.exec.sched.lock().heap = Some(heap);
         rt
     }
 
@@ -132,7 +132,7 @@ impl Runtime {
 
     /// Tasks migrated between cores by the work-stealing scheduler.
     pub fn steals(&self) -> u64 {
-        self.core.sched.lock().steals
+        self.core.exec.sched.lock().steals
     }
 
     /// Spawns a lightweight thread and returns a handle to await its
@@ -229,16 +229,16 @@ impl Runtime {
         self.core.charge(d);
     }
 
-    /// Charges the modelled CPU work `price` makes of the cost table (as
-    /// of the last scheduling quantum), read in place: what a per-packet
-    /// path uses instead of `charge(costs().…)`, which copies the table.
+    /// Charges the modelled CPU work `price` makes of the cost table, read
+    /// in place: what a per-packet path uses instead of
+    /// `charge(costs().…)`, which copies the table.
     pub fn charge_with(&self, price: impl FnOnce(&CostTable) -> Dur) {
         self.core.charge_with(price);
     }
 
-    /// The cost table as of the last scheduling quantum.
+    /// The hypervisor's cost table.
     pub fn costs(&self) -> CostTable {
-        self.core.sched.lock().costs.clone()
+        self.core.exec.costs.clone()
     }
 
     /// Charges a heap allocation of `bytes` against the GC model (no-op
@@ -254,7 +254,7 @@ impl Runtime {
 
     /// Threads spawned over the runtime's lifetime.
     pub fn spawned_total(&self) -> u64 {
-        self.core.sched.lock().spawned_total
+        self.core.exec.sched.lock().spawned_total
     }
 
     /// Runs one executor round — every task runnable now is polled once,
@@ -262,13 +262,12 @@ impl Runtime {
     /// `env`. [`UnikernelGuest`] services its devices between rounds; this
     /// is the Xen-specific run-loop of §3.3.
     pub fn run_round(&self, env: &mut DomainEnv<'_>) -> StallReport {
-        // By value: `env` is borrowed again, mutably, by the charge lanes.
-        let costs = env.costs().clone();
+        debug_assert_eq!(env.costs(), &self.core.exec.costs, "one cost table");
         // Route each executor core to its own vCPU charge lane; if the
         // domain has fewer vCPUs than the runtime has cores, the excess
         // cores stack onto the last lane (over-committed guest).
         let max_lane = env.vcpus() - 1;
-        self.core.run_round(costs, |core, charge| {
+        self.core.run_round(|core, charge| {
             let lane = core.min(max_lane);
             env.consume_on(lane, charge);
             env.now_on(lane)

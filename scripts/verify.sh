@@ -9,7 +9,8 @@
 # bench, CUBIC >= NewReno and the C1M gates in the examples themselves.
 # This script only chooses seeds and sizes and diffs double runs.
 #
-#   scripts/verify.sh                # build, test, gates, benches, examples
+#   scripts/verify.sh                # build, test, gates, benches, examples,
+#                                    #   one traced benchmark run
 #   scripts/verify.sh --determinism  # + the whole test run twice under one
 #                                    #   seed, stdout diffed
 #   scripts/verify.sh --chaos        # + the chaos suite, seeded (see below)
@@ -267,14 +268,22 @@ for ex in quickstart boot_storm dns_appliance web_appliance openflow_appliance; 
     cargo run --release --offline --example "$ex" > /dev/null
 done
 
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
+echo "== benchmark: builds offline, and one traced dns_udp run passes its own checks"
+# The component pass of a traced run drives the public ring, virtqueue
+# and page-pool API the workspace's tests do not: a change of meaning
+# there fails here rather than in the benchmark's pipeline.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+"${CARGO_TARGET_DIR:-benchmark/target}/release/mirage-benchmark" --out "$scratch/bench" \
+    --workload dns_udp --seed 42 --seconds 1 --trace 1 > /dev/null
+
 lap tier1
 
 if want --all "$@"; then
     set -- --all --determinism --chaos --adversarial --conformance --cc --scale --smp
 fi
-
-scratch="$(mktemp -d)"
-trap 'rm -rf "$scratch"' EXIT
 
 # twice <name> <cmd...>: two runs of <cmd> under one seed print identical
 # stdout (wall-clock figures go to stderr; test timings are cut out).
