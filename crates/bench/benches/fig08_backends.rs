@@ -35,8 +35,8 @@ fn print_figure() {
     }
     report::table(&["Backend", "Configuration", "1 flow", "4 flows"], &rows);
 
-    // The SMP path: one virtqueue pair (or one Xen ring pair) per vCPU,
-    // RSS-shared across four shard workers.
+    // The SMP path: on either ABI a ring pair and an event channel per
+    // vCPU, RSS-classified by the switch across four shard workers.
     for backend in Backend::ALL {
         let r = iperf_smp_on(backend, TcpEndpoint::Mirage, TcpEndpoint::Mirage, 4, 8, 100_000);
         println!(

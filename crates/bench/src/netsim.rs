@@ -51,9 +51,10 @@ pub fn iperf_on(
 }
 
 /// Runs `flows` bulk flows between two `vcpus`-wide SMP unikernels: each
-/// side runs a [`Runtime::smp`] executor, a multi-queue netfront fanning
-/// RX frames out by RSS hash, and a [`Stack::spawn_sharded`] worker per
-/// vCPU owning a disjoint slice of the 64-way shard space. Flow tasks are
+/// side runs a [`Runtime::smp`] executor, a NIC with a ring pair and an
+/// event channel per vCPU that the switch feeds by RSS hash, and a
+/// [`Stack::spawn_sharded`] worker per vCPU owning a disjoint slice of
+/// the 64-way shard space. Flow tasks are
 /// pinned round-robin across cores, so the per-segment endpoint cost —
 /// the Figure 8 bottleneck — is charged on parallel vCPU lanes and the
 /// gang-placed step overlaps them on distinct pCPUs.
@@ -67,8 +68,9 @@ pub fn iperf_smp(
     iperf_smp_on(Backend::XenRing, tx, rx, vcpus, flows, bytes_per_flow)
 }
 
-/// [`iperf_smp`], with the ring ABI an explicit axis: multi-queue
-/// Xen-ring netfront or one virtqueue pair per vCPU.
+/// [`iperf_smp`], with the ring ABI an explicit axis. The NIC layout is
+/// the same on both: a Xen ring pair or a virtqueue pair per vCPU, so the
+/// two rows differ only by what the transport itself costs.
 pub fn iperf_smp_on(
     backend: Backend,
     tx: TcpEndpoint,

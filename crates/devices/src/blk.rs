@@ -21,7 +21,9 @@ use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
 use crate::driver::{Backend, BlkDriver};
-use crate::transport::{find_backend, DataBuf, Dir, FrontTransport, Link, Outstanding};
+use crate::transport::{
+    advertise_disk, connect_disk, find_backend, DataBuf, Dir, FrontTransport, Link, Outstanding,
+};
 use crate::xenstore::Xenstore;
 
 /// Bytes per disk sector.
@@ -304,7 +306,7 @@ impl<T: FrontTransport> Blkif<T> {
         let Some(backend) = find_backend(env, &self.dir.xs) else {
             return false;
         };
-        self.queue = Some(T::advertise_blk(env, &self.dir, backend));
+        self.queue = Some(advertise_disk(env, &self.dir, backend));
         self.dir.write(env, "sectors", self.disk_sectors);
         self.dir.write(env, "state", "initialising");
         self.link = Link::Advertised(backend);
@@ -313,7 +315,7 @@ impl<T: FrontTransport> Blkif<T> {
 
     fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool {
         let queue = self.queue.as_mut().expect("advertised");
-        let Some(port) = queue.attach_blk(env, &self.dir, backend, BLK_BUFFERS) else {
+        let Some(port) = connect_disk(env, &self.dir, backend, queue, BLK_BUFFERS) else {
             return false;
         };
         self.port = Some(port);

@@ -90,10 +90,12 @@ impl Backend {
 
     /// Creates a multi-queue network device over this backend: one
     /// stack-facing handle per queue, for `Stack::spawn_sharded`-style
-    /// per-core consumers. Received IPv4 TCP frames are classified by
-    /// Toeplitz flow hash ([`crate::rss`]) into `shard % queues`;
-    /// everything else rides queue 0. Pass each handle to the stack
-    /// worker that owns the matching shard slice.
+    /// per-core consumers. On either ABI, queue *q* has its own TX/RX ring
+    /// pair and an event channel bound to vCPU `q % vcpus`. The switch
+    /// delivers received IPv4 TCP frames into the queue `shard % queues`
+    /// their Toeplitz flow hash ([`crate::rss`]) names; everything else
+    /// rides queue 0. Pass each handle to the stack worker that owns the
+    /// matching shard slice.
     ///
     /// # Panics
     ///

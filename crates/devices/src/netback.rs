@@ -255,7 +255,10 @@ pub(crate) mod raw {
     use mirage_testkit::sync::Mutex;
 
     use crate::netfront::MAX_FRAME;
-    use crate::transport::{find_backend, Completion, DataBuf, Dir, FrontTransport, Link};
+    use crate::transport::{
+        advertise_disk, advertise_nic, connect_disk, connect_nic, find_backend, Completion,
+        DataBuf, Dir, FrontTransport, Link,
+    };
     use crate::xenstore::Xenstore;
 
     /// One request to post: its header, the length and direction its
@@ -331,11 +334,11 @@ pub(crate) mod raw {
                     };
                     match self.kind {
                         Kind::Nic => {
-                            let (tx, rx) = T::advertise_net(env, dir, backend, 1).remove(0);
+                            let (tx, rx) = advertise_nic(env, dir, backend, 1).remove(0);
                             self.queues = vec![tx, rx];
                         }
                         Kind::Disk(sectors) => {
-                            self.queues = vec![T::advertise_blk(env, dir, backend)];
+                            self.queues = vec![advertise_disk(env, dir, backend)];
                             dir.write(env, "sectors", sectors);
                         }
                     }
@@ -347,16 +350,16 @@ pub(crate) mod raw {
                     let port = match self.kind {
                         Kind::Nic => {
                             let rx = &mut self.queues[1];
-                            let mut fill = |env: &mut DomainEnv<'_>, _pair: usize| {
+                            let fill = |env: &mut DomainEnv<'_>, _queue: usize| {
                                 let gref = env.grant(backend, SharedPage::new(), true);
                                 rx.post(&[], DataBuf::page(gref, MAX_FRAME, true));
                                 rx.publish();
                             };
-                            T::attach_net(env, dir, backend, 1, &mut fill).map(|ports| ports[0])
+                            connect_nic(env, dir, backend, 1, fill).map(|ports| ports[0])
                         }
                         Kind::Disk(_) => {
                             let depth = self.script.len();
-                            self.queues[0].attach_blk(env, dir, backend, depth)
+                            connect_disk(env, dir, backend, &mut self.queues[0], depth)
                         }
                     };
                     let Some(port) = port else {
@@ -565,9 +568,11 @@ mod tests {
                 device_writes: false,
                 payload: frame.clone(),
             };
-            let (done, stats) = run_raw(backend, dom0, Kind::Nic, vec![post(5000), post(64)]);
-            assert_eq!(done.len(), 2, "[{backend}] both requests came back");
-            assert_eq!(stats.requests_rejected, 1, "[{backend}]");
+            // Past the page, a runt shorter than an Ethernet header, a frame.
+            let script = vec![post(5000), post(10), post(64)];
+            let (done, stats) = run_raw(backend, dom0, Kind::Nic, script);
+            assert_eq!(done.len(), 3, "[{backend}] every request came back");
+            assert_eq!(stats.requests_rejected, 2, "[{backend}]");
             let frames = tap.harvest();
             assert_eq!(
                 frames.len(),

@@ -1,9 +1,9 @@
 //! netfront — the guest-side Ethernet driver (paper §3.4).
 //!
 //! "Xen devices consist of a frontend driver in the guest VM, and a backend
-//! driver that multiplexes frontend requests." The frontend owns transmit
-//! and receive queues, a pool of granted I/O pages per queue pair, and an
-//! event channel per pair. Requests never carry packet data — only grant
+//! driver that multiplexes frontend requests." The frontend owns a
+//! transmit and a receive queue, a pool of granted I/O pages and an event
+//! channel per stack queue. Requests never carry packet data — only grant
 //! references — so the data path is the zero-copy page-passing scheme of
 //! §3.4.1. It is written once over `transport::FrontTransport`; which ring ABI
 //! carries the requests is the type parameter
@@ -23,20 +23,25 @@ use mirage_testkit::sync::Mutex;
 use mirage_cstruct::PktBuf;
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
-use mirage_hypervisor::{DomainEnv, DomainId};
+use mirage_hypervisor::{DomainEnv, DomainId, Dur};
 use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
 
 use crate::driver::{Backend, NetDriver};
-use crate::transport::{find_backend, DataBuf, Dir, FrontTransport, Link, Outstanding};
+use crate::transport::{
+    advertise_nic, connect_nic, find_backend, DataBuf, Dir, FrontTransport, Link, Outstanding,
+};
 use crate::xenstore::Xenstore;
 
 /// Receive buffers posted per RX queue.
 pub const RX_BUFFERS: usize = 24;
 /// Transmit pages pooled per TX queue.
 pub const TX_BUFFERS: usize = 24;
-/// Frames one stack queue may have waiting for a TX buffer before tail-drop.
+/// Frames one stack queue may have waiting for a TX buffer; past it the
+/// oldest is dropped.
 pub const TX_BACKLOG_CAP: usize = 256;
+/// Shortest frame: an Ethernet header.
+pub const MIN_FRAME: usize = 14;
 /// Maximum frame size (one page; jumbo frames are not modelled).
 pub const MAX_FRAME: usize = 4096;
 
@@ -99,37 +104,22 @@ impl NetHandle {
     }
 }
 
-/// Prices moving `len` payload bytes from the stack into the granted I/O
-/// page, per the interface's [`CopyDiscipline`].
-fn charge_tx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
-    match discipline {
-        CopyDiscipline::ZeroCopy => {
-            // The single serialise-into-I/O-page write.
-            let c = env.costs().copy(len);
-            env.consume(c);
-        }
-        CopyDiscipline::UserKernelCopy => {
-            let c = env.costs().syscall + env.costs().copy(len) + env.costs().copy(len);
-            env.consume(c);
-        }
+/// Prices moving a `len`-byte frame through a granted I/O page on vCPU
+/// `lane`. A transmitted frame is serialised into the page, one copy; a
+/// received one is sliced out of it, none ("received pages are passed
+/// directly to the application", §3.4.1). A
+/// [`CopyDiscipline::UserKernelCopy`] interface pays a syscall and a
+/// user↔kernel copy on top.
+fn charge(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, lane: usize, len: usize, tx: bool) {
+    let costs = env.costs();
+    let mut c = if tx { costs.copy(len) } else { Dur::ZERO };
+    if discipline == CopyDiscipline::UserKernelCopy {
+        c += costs.syscall + costs.copy(len);
     }
+    env.consume_on(lane, c);
 }
 
-/// Prices receiving `len` payload bytes, per the [`CopyDiscipline`].
-fn charge_rx(discipline: CopyDiscipline, env: &mut DomainEnv<'_>, len: usize) {
-    match discipline {
-        CopyDiscipline::ZeroCopy => {
-            // Page is mapped and sliced; no copy ("received pages are
-            // passed directly to the application", §3.4.1).
-        }
-        CopyDiscipline::UserKernelCopy => {
-            let c = env.costs().syscall + env.costs().copy(len);
-            env.consume(c);
-        }
-    }
-}
-
-/// One TX/RX queue pair with its page pools.
+/// One stack queue's TX/RX ring pair with its page pools.
 struct Pair<T> {
     tx: T,
     rx: T,
@@ -139,12 +129,22 @@ struct Pair<T> {
     tx_inflight: Outstanding<(GrantRef, SharedPage)>,
     /// Posted RX buffers, by request token.
     rx_bufs: Outstanding<(GrantRef, SharedPage)>,
-    /// Frames awaiting a TX buffer; each remembers its stack queue so its
-    /// serialise-into-I/O-page charge lands on the owning vCPU's lane.
-    backlog: VecDeque<(usize, PktBuf)>,
+    /// Frames awaiting a TX buffer.
+    backlog: VecDeque<PktBuf>,
 }
 
 impl<T: FrontTransport> Pair<T> {
+    fn new((tx, rx): (T, T)) -> Pair<T> {
+        Pair {
+            tx,
+            rx,
+            tx_free: Vec::new(),
+            tx_inflight: Outstanding::default(),
+            rx_bufs: Outstanding::default(),
+            backlog: VecDeque::new(),
+        }
+    }
+
     fn post_rx(&mut self, gref: GrantRef, page: SharedPage) {
         let token = self.rx.post(&[], DataBuf::page(gref, MAX_FRAME, true));
         self.rx_bufs.insert(token, (gref, page));
@@ -173,32 +173,26 @@ impl<T: FrontTransport> Pair<T> {
 /// [`DeviceService`], created through
 /// [`Backend::net`](crate::driver::Backend::net).
 ///
-/// The stack sees one handle per queue whatever the ABI. Underneath, the
-/// transport decides how many ring pairs the queues share: a Xen NIC
-/// multiplexes them all over one pair and classifies received frames here
-/// by RSS flow hash ([`crate::rss`]); a virtio NIC has a pair — and an
-/// event channel steered to the owning vCPU — per queue, classified by
-/// the backend. Either way each stack worker sees only its own flows, and
+/// The stack sees one handle per queue, and on either ABI queue *q* has a
+/// ring pair of its own and an event channel bound to vCPU `q mod vcpus`.
+/// The switch classifies received frames to a pair by RSS flow hash
+/// ([`crate::rss`]), so each stack worker sees only its own flows, and
 /// cross-core handoff moves `PktBuf` views (refcount bumps), never bytes.
 pub(crate) struct Netif<T> {
     dir: Dir,
     mac: [u8; 6],
     discipline: CopyDiscipline,
     link: Link,
+    /// Pair *q* carries stack queue *q*.
     pairs: Vec<Pair<T>>,
     /// One event channel per pair, once connected.
     ports: Vec<Port>,
-    /// Per-queue TX intake (stack workers -> driver), drained in fixed
-    /// queue order each service pass.
+    /// Per-queue TX intake (stack workers -> driver).
     from_stack: Vec<Receiver<PktBuf>>,
     /// Per-queue RX hand-off (driver -> stack workers).
     to_stack: Vec<Sender<PktBuf>>,
-    /// One stack queue's intake, moved out of its channel in one go.
-    intake: VecDeque<PktBuf>,
-    /// Frames a pass received for each stack queue, handed over in one
-    /// go per queue, in the order the queues first got a frame.
-    delivered: Vec<VecDeque<PktBuf>>,
-    delivery_order: Vec<usize>,
+    /// The frames a pair received this pass, handed over in one go.
+    delivered: VecDeque<PktBuf>,
     /// The counters, kept here and copied out to the handles once per
     /// pass that moved them: this driver is their only writer.
     counts: NetifStats,
@@ -244,9 +238,7 @@ impl<T: FrontTransport> Netif<T> {
             ports: Vec::new(),
             from_stack,
             to_stack,
-            intake: VecDeque::new(),
-            delivered: (0..queues).map(|_| VecDeque::new()).collect(),
-            delivery_order: Vec::with_capacity(queues),
+            delivered: VecDeque::new(),
             counts: NetifStats::default(),
             stats,
         };
@@ -257,18 +249,8 @@ impl<T: FrontTransport> Netif<T> {
         let Some(backend) = find_backend(env, &self.dir.xs) else {
             return false;
         };
-        let queues = T::advertise_net(env, &self.dir, backend, self.from_stack.len());
-        self.pairs = queues
-            .into_iter()
-            .map(|(tx, rx)| Pair {
-                tx,
-                rx,
-                tx_free: Vec::new(),
-                tx_inflight: Outstanding::default(),
-                rx_bufs: Outstanding::default(),
-                backlog: VecDeque::new(),
-            })
-            .collect();
+        let queues = advertise_nic(env, &self.dir, backend, self.from_stack.len());
+        self.pairs = queues.into_iter().map(Pair::new).collect();
         let mac = self.mac.map(|b| format!("{b:02x}")).join(":");
         self.dir.write(env, "mac", mac);
         self.dir.write(env, "state", "initialising");
@@ -277,9 +259,9 @@ impl<T: FrontTransport> Netif<T> {
     }
 
     fn connect(&mut self, env: &mut DomainEnv<'_>, backend: DomainId) -> bool {
-        let (count, pairs) = (self.pairs.len(), &mut self.pairs);
-        let mut fill = |env: &mut DomainEnv<'_>, p: usize| pairs[p].fill(env, backend);
-        let Some(ports) = T::attach_net(env, &self.dir, backend, count, &mut fill) else {
+        let (queues, pairs) = (self.pairs.len(), &mut self.pairs);
+        let fill = |env: &mut DomainEnv<'_>, q: usize| pairs[q].fill(env, backend);
+        let Some(ports) = connect_nic(env, &self.dir, backend, queues, fill) else {
             return false;
         };
         self.ports = ports;
@@ -291,25 +273,18 @@ impl<T: FrontTransport> Netif<T> {
     fn pass(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let mut progressed = false;
         let counted = self.counts;
-        let entry_lane = env.current_vcpu();
-        let (pairs, queues) = (self.pairs.len(), self.to_stack.len());
-        // Queue q's frames ride pair q % pairs; each stack worker gets its
-        // own burst quota, so eight cores flushing at once over one pair
-        // don't tail-drop each other's segments.
-        let backlog_cap = TX_BACKLOG_CAP * queues.div_ceil(pairs);
-        for (q, intake) in self.from_stack.iter_mut().enumerate() {
-            let backlog = &mut self.pairs[q % pairs].backlog;
-            intake.drain_into(&mut self.intake);
-            for frame in self.intake.drain(..) {
-                backlog.push_back((q, frame));
-                if backlog.len() > backlog_cap {
-                    backlog.pop_front();
-                    self.counts.tx_drops += 1;
-                }
-            }
-        }
-        for (p, (pair, &port)) in self.pairs.iter_mut().zip(&self.ports).enumerate() {
+        for (q, (pair, &port)) in self.pairs.iter_mut().zip(&self.ports).enumerate() {
+            // The queue's copies are charged on the lane of the vCPU that
+            // owns it — the per-core model.
+            let lane = q % env.vcpus();
             let _ = env.evtchn_consume(port);
+
+            // Take what the stack queued; past the cap the oldest go.
+            self.from_stack[q].drain_into(&mut pair.backlog);
+            while pair.backlog.len() > TX_BACKLOG_CAP {
+                pair.backlog.pop_front();
+                self.counts.tx_drops += 1;
+            }
 
             // Reclaim completed transmit pages.
             while let Some(done) = pair.tx.reap() {
@@ -321,42 +296,31 @@ impl<T: FrontTransport> Netif<T> {
 
             // Deliver received frames and repost their buffers. Reading
             // the granted page models the DMA transfer, so it is priced by
-            // charge_rx, not counted as a software copy; from here the
-            // frame travels by reference. Its cost is charged on the lane
-            // of the vCPU owning its queue — the per-core ingress model.
+            // `charge`, not counted as a software copy; from here the
+            // frame travels by reference. A failed completion, or one too
+            // short to hold a frame, delivers nothing: its buffer goes
+            // straight back.
             while let Some(done) = pair.rx.reap() {
                 let Some((gref, page)) = pair.rx_bufs.remove(done.token) else {
                     continue;
                 };
                 // The length is the backend's word: never past the page.
                 let len = (done.len as usize).min(MAX_FRAME);
-                let frame = PktBuf::from_vec(page.read(|b| b[..len].to_vec()));
-                // A pair per queue arrives classified; a shared pair is
-                // classified here.
-                let q = if pairs == queues {
-                    p
-                } else {
-                    crate::rss::rx_queue(&frame, queues)
-                };
-                env.on_vcpu(q % env.vcpus());
-                charge_rx(self.discipline, env, len);
-                env.on_vcpu(entry_lane);
-                self.counts.rx_frames += 1;
-                self.counts.rx_bytes += len as u64;
-                if self.delivered[q].is_empty() {
-                    self.delivery_order.push(q);
+                if done.ok && len >= MIN_FRAME {
+                    let frame = PktBuf::from_vec(page.read(|b| b[..len].to_vec()));
+                    charge(self.discipline, env, lane, len, false);
+                    self.counts.rx_frames += 1;
+                    self.counts.rx_bytes += len as u64;
+                    self.delivered.push_back(frame);
                 }
-                self.delivered[q].push_back(frame);
                 pair.post_rx(gref, page);
                 progressed = true;
             }
-            for q in self.delivery_order.drain(..) {
-                let _ = self.to_stack[q].send_all(&mut self.delivered[q]);
-                self.delivered[q].clear();
-            }
+            let _ = self.to_stack[q].send_all(&mut self.delivered);
+            self.delivered.clear();
 
             // Transmit queued frames.
-            while let Some((_, frame)) = pair.backlog.front() {
+            while let Some(frame) = pair.backlog.front() {
                 if frame.len() > MAX_FRAME {
                     pair.backlog.pop_front();
                     self.counts.tx_drops += 1;
@@ -368,12 +332,10 @@ impl<T: FrontTransport> Netif<T> {
                 let Some((gref, page)) = pair.tx_free.pop() else {
                     break;
                 };
-                let (src_q, frame) = pair.backlog.pop_front().expect("peeked");
+                let frame = pair.backlog.pop_front().expect("peeked");
                 page.write(|b| b[..frame.len()].copy_from_slice(&frame));
                 // Serialisation into the I/O page is the sending core's work.
-                env.on_vcpu(src_q % env.vcpus());
-                charge_tx(self.discipline, env, frame.len());
-                env.on_vcpu(entry_lane);
+                charge(self.discipline, env, lane, frame.len(), true);
                 let token = pair.tx.post(&[], DataBuf::page(gref, frame.len(), false));
                 pair.tx_inflight.insert(token, (gref, page));
                 self.counts.tx_frames += 1;
@@ -433,12 +395,15 @@ impl<T: FrontTransport> NetDriver for Netif<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netback::DriverDomain;
+    use crate::switch::Tap;
     use crate::transport::{BackQueue, Probe, PROBES};
     use mirage_hypervisor::{Dur, Guest, Hypervisor, Step, Time, Wake};
     use mirage_runtime::UnikernelGuest;
 
-    /// A driver domain that attaches the first NIC it finds and completes
-    /// one of its RX buffers claiming far more bytes than a page holds.
+    /// A driver domain that attaches the first NIC it finds, completes one
+    /// of its RX buffers failed, then the next claiming far more bytes
+    /// than a page holds.
     struct LyingBackend {
         xs: Xenstore,
         registered: bool,
@@ -474,6 +439,11 @@ mod tests {
                 ports.push(*port);
                 let _ = env.evtchn_consume(*port);
                 if !self.lied {
+                    // A header-less virtqueue drops the status: there the
+                    // failed completion reads as ok with length 0.
+                    if let Some(Ok(req)) = rx.take(env) {
+                        rx.complete(env, req.token, 0, false);
+                    }
                     if let Some(Ok(req)) = rx.take(env) {
                         rx.complete(env, req.token, 60_000, true);
                         rx.publish();
@@ -490,6 +460,8 @@ mod tests {
         }
     }
 
+    /// The handle's first frame is the lying one, clamped; the failed
+    /// completion before it was reposted, not delivered.
     #[test]
     fn rx_length_from_the_backend_is_clamped_to_the_page() {
         for backend in Backend::ALL {
@@ -504,6 +476,7 @@ mod tests {
             hv.create_domain("dom0", 512, Box::new(dom0));
             let (front, mut nh) =
                 backend.net(xs, "g", [2, 0, 0, 0, 0, 1], CopyDiscipline::ZeroCopy);
+            let stats = Arc::clone(&nh.stats);
             let mut guest = UnikernelGuest::new(move |_env, rt| {
                 rt.clone()
                     .spawn(async move { nh.rx.recv().await.expect("a frame").len() as i64 })
@@ -516,6 +489,135 @@ mod tests {
                 Some(MAX_FRAME as i64),
                 "[{backend}] clamped, not trusted"
             );
+            assert_eq!(stats.lock().rx_frames, 1, "[{backend}] and nothing else");
+        }
+    }
+
+    const TAP_MAC: [u8; 6] = [2, 0, 0, 0, 0, 1];
+    const GUEST_MAC: [u8; 6] = [2, 0, 0, 0, 0, 0xAA];
+
+    /// A frame from the tap to the guest: `ethertype`, then `l3`.
+    fn to_guest(ethertype: [u8; 2], l3: &[u8]) -> Vec<u8> {
+        [&GUEST_MAC[..], &TAP_MAC, &ethertype, l3].concat()
+    }
+
+    /// An IPv4 and a TCP header, from `src_ip:src_port` to port 80.
+    fn tcp(src_ip: [u8; 4], src_port: u16) -> Vec<u8> {
+        let mut l3 = vec![0u8; 40];
+        l3[0] = 0x45;
+        l3[9] = 6;
+        l3[12..16].copy_from_slice(&src_ip);
+        l3[20..22].copy_from_slice(&src_port.to_be_bytes());
+        l3[22..24].copy_from_slice(&80u16.to_be_bytes());
+        l3
+    }
+
+    /// The NIC under test, reporting the vCPU each of its event channels
+    /// is bound to after every service pass.
+    struct Bindings {
+        nic: Box<dyn NetDriver>,
+        vcpus: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl DeviceService for Bindings {
+        fn service(&mut self, env: &mut DomainEnv<'_>, rt: &Runtime) -> bool {
+            let progressed = self.nic.service(env, rt);
+            let ports = self.nic.watch_ports();
+            *self.vcpus.lock() = ports
+                .iter()
+                .map(|&p| env.evtchn_vcpu(p).expect("bound"))
+                .collect();
+            progressed
+        }
+
+        fn watch_ports(&self) -> &[Port] {
+            self.nic.watch_ports()
+        }
+    }
+
+    /// One NIC layout on both ABIs: a 4-queue NIC in a 4-vCPU guest binds
+    /// one event channel per queue, channel q to vCPU q, advertises
+    /// `queues = 4`, and every frame of 64 TCP flows comes out of the
+    /// handle the switch's RSS hash names — ARP out of handle 0.
+    #[test]
+    fn every_stack_queue_has_its_own_ring_pair_and_channel_on_both_abis() {
+        const QUEUES: usize = 4;
+        let arp = to_guest([0x08, 0x06], &[0u8; 28]);
+        let flows = (0..64u16)
+            .map(|f| to_guest([0x08, 0x00], &tcp([10, 0, 0, 2 + f as u8 % 5], 40_000 + f)));
+        let sent: Vec<Vec<u8>> = flows.chain([arp.clone()]).collect();
+        for backend in Backend::ALL {
+            let xs = Xenstore::new();
+            let tap = Tap::new(TAP_MAC);
+            let mut dom0 = DriverDomain::new(xs.clone());
+            dom0.add_tap(tap.clone());
+            let mut hv = Hypervisor::new();
+            let d0 = hv.create_domain("dom0", 512, Box::new(dom0));
+            let (nic, mut handles) = backend.net_multiqueue(
+                xs.clone(),
+                "mq",
+                GUEST_MAC,
+                CopyDiscipline::ZeroCopy,
+                QUEUES,
+            );
+            let vcpus = Arc::new(Mutex::new(Vec::new()));
+            let nic = Bindings {
+                nic,
+                vcpus: Arc::clone(&vcpus),
+            };
+            let mut guest = UnikernelGuest::with_runtime(Runtime::smp(QUEUES), |_env, rt| {
+                let rt2 = rt.clone();
+                rt.spawn(async move {
+                    rt2.sleep(Dur::secs(60)).await;
+                    0
+                })
+            });
+            guest.add_device(Box::new(nic));
+            hv.create_domain_vcpus("guest", 64, Box::new(guest), QUEUES);
+            hv.run_until(Time::ZERO + Dur::millis(100));
+            for frame in &sent {
+                tap.inject(frame.clone());
+            }
+            hv.wake_external(d0);
+            hv.run_until(Time::ZERO + Dur::secs(1));
+
+            assert_eq!(
+                *vcpus.lock(),
+                [0, 1, 2, 3],
+                "[{backend}] channel q on vCPU q"
+            );
+            let key = xs
+                .keys_with_prefix("device/")
+                .into_iter()
+                .find(|k| k.ends_with("/mq/queues"));
+            let queues = key.and_then(|k| xs.read_host(&k));
+            assert_eq!(
+                queues.as_deref(),
+                Some("4"),
+                "[{backend}] the directory's queue count"
+            );
+            let mut got = Vec::new();
+            for (q, handle) in handles.iter_mut().enumerate() {
+                let mut tcp_frames = 0;
+                while let Some(frame) = handle.rx.try_recv() {
+                    let want = if frame[..] == arp[..] {
+                        0
+                    } else {
+                        crate::rss::rx_queue(&frame, QUEUES)
+                    };
+                    assert_eq!(q, want, "[{backend}] frame out of the wrong handle");
+                    tcp_frames += usize::from(frame[..] != arp[..]);
+                    got.push(frame.to_vec());
+                }
+                assert!(
+                    tcp_frames > 0,
+                    "[{backend}] queue {q} got no flow: the test spreads nothing"
+                );
+            }
+            got.sort();
+            let mut want = sent.clone();
+            want.sort();
+            assert_eq!(got, want, "[{backend}] every frame, once");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Receive-side scaling: Toeplitz classification of raw Ethernet frames
 //! into netfront RX queues.
 //!
-//! A multi-queue NIC fans received frames out to per-core ingress queues
-//! by flow hash — in the frontend when the queues share one ring pair, in
-//! the switch when each has its own — so every TCP flow lands on exactly
-//! one queue, and therefore one vCPU, before the stack ever sees it. The
+//! A multi-queue NIC has a ring pair per per-core ingress queue, and the
+//! switch delivers each received frame into the pair its flow hash names,
+//! so every TCP flow lands on exactly one queue, and therefore one vCPU,
+//! before the stack ever sees it. The
 //! connection-table shard hash in `mirage-net`
 //! (`net::tcp::demux::flow_hash`) is this module's [`toeplitz`]: one
 //! kernel, one key, so classifier and demux cannot disagree.

@@ -1,15 +1,15 @@
 //! The virtual switch: netback's data path in the driver domain.
 //!
-//! Every guest NIC is a `SwitchPort` — a `Vec` of TX/RX queue pairs
-//! over `transport::BackTransport`, one pair for a Xen NIC, one per queue for a
-//! virtio NIC — and every port, whatever its ABI, goes through the same
-//! ingest, MAC learning, link conditioning, forwarding and delivery code.
-//! A multi-pair port classifies each delivered frame to a pair with the
-//! RSS hash the stack's demux uses ([`crate::rss`]), so every flow lands
-//! on the queue — and vCPU — owning its shard.
+//! Every guest NIC is a `SwitchPort` — a `Vec` of TX/RX queue pairs over
+//! `transport::BackTransport`, one per stack queue on either ABI — and
+//! every port goes through the same ingest, MAC learning, link
+//! conditioning, forwarding and delivery code. A multi-queue port
+//! classifies each delivered frame to a pair with the RSS hash the
+//! stack's demux uses ([`crate::rss`]), so every flow lands on the queue
+//! — and vCPU — owning its shard.
 //!
 //! Whatever a guest posts is hostile until checked: a TX request must be
-//! a device-readable buffer of `1..=MAX_FRAME` bytes, an RX buffer must be
+//! a device-readable buffer of `MIN_FRAME..=MAX_FRAME` bytes, an RX buffer must be
 //! device-writable and large enough for the frame at hand. Anything else
 //! is completed failed and counted in
 //! [`DriverStats::requests_rejected`]; the switch never indexes a page by
@@ -28,7 +28,7 @@ use mirage_hypervisor::{DomainEnv, Dur, Time};
 
 use crate::netback::DriverStats;
 use crate::netem::Netem;
-use crate::netfront::MAX_FRAME;
+use crate::netfront::{MAX_FRAME, MIN_FRAME};
 use crate::transport::{map_cached, BackQueue, DataBuf, NicQueues, Request};
 
 /// Broadcast MAC.
@@ -235,7 +235,7 @@ impl Switch {
     /// delivery (taps, floods) clones the `PktBuf` — a refcount bump,
     /// never a byte copy.
     fn route(&mut self, src: Option<usize>, frame: PktBuf, counts: &mut DriverStats) {
-        if frame.len() < 14 {
+        if frame.len() < MIN_FRAME {
             return;
         }
         let dst: [u8; 6] = frame[0..6].try_into().expect("checked length");
@@ -345,7 +345,7 @@ impl Switch {
                 while let Some(taken) = pair.tx.take(env) {
                     progressed = true;
                     let sendable = |d: &DataBuf| {
-                        !d.device_writes && (1..=MAX_FRAME).contains(&(d.len as usize))
+                        !d.device_writes && (MIN_FRAME..=MAX_FRAME).contains(&(d.len as usize))
                     };
                     let (req, page) = match admit(env, &mut port.mapped, taken, false, sendable) {
                         Ok(admitted) => admitted,

@@ -24,9 +24,15 @@
 //! impl's business ([`ring`], [`virtq`]): the Xen ring packs it into one
 //! slot and answers in place; the virtqueue publishes a descriptor chain
 //! — `[data]`, or the virtio-blk shape `[header][data][status]` with
-//! header and status byte on a page of the transport's own. Each impl
-//! also owns its half of the xenstore handshake (`advertise_*` /
-//! `attach_*`), because key names and hypercall order are ABI too.
+//! header and status byte on a page of the transport's own.
+//!
+//! The xenstore handshake is written once, here, for both ABIs. All an
+//! impl knows of it is how *one* queue is granted and advertised under a
+//! key prefix ([`FrontTransport::grant`]) and read and mapped
+//! ([`BackTransport::map`]). The device frame around that is shared: a
+//! NIC has a TX/RX pair under `q<q>/{tx,rx}-` and an event channel bound
+//! to vCPU `q mod vcpus` per stack queue, a disk one queue and one
+//! channel.
 //!
 //! The dom0 half treats everything it reads as hostile: a request whose
 //! shape is wrong or whose buffer does not lie inside its page comes out
@@ -172,36 +178,12 @@ pub(crate) trait FrontTransport: Send + Sized + 'static {
     /// in already (poll again instead of blocking).
     fn arm(&mut self) -> bool;
 
-    /// Allocates the rings of a NIC with `stack_queues` stack queues,
-    /// grants them to `backend` and advertises them in `dir`: one
-    /// `(tx, rx)` per ring pair this ABI gives such a NIC.
-    fn advertise_net(
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        stack_queues: usize,
-    ) -> Vec<(Self, Self)>;
-    /// Once the backend has published a port per pair: binds them, has
-    /// `fill(env, p)` stock pair `p`, kicks the backend and marks the
-    /// device connected. `None` while the backend has not answered.
-    fn attach_net(
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        pairs: usize,
-        fill: &mut dyn FnMut(&mut DomainEnv<'_>, usize),
-    ) -> Option<Vec<Port>>;
-    /// Allocates, grants and advertises a disk's single queue.
-    fn advertise_blk(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId) -> Self;
-    /// Binds the port the backend published and readies the queue for
-    /// `depth` outstanding requests. `None` while there is no port.
-    fn attach_blk(
-        &mut self,
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        depth: usize,
-    ) -> Option<Port>;
+    /// Allocates one queue, grants it to `backend` and writes its grant
+    /// refs to `dir` under keys starting `prefix`.
+    fn grant(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId, prefix: &str) -> Self;
+    /// Readies a bound queue to carry a header with each of up to `depth`
+    /// outstanding requests (a disk's queue).
+    fn carry_headers(&mut self, env: &mut DomainEnv<'_>, backend: DomainId, depth: usize);
 }
 
 /// The dom0 half of one request/response queue.
@@ -218,20 +200,16 @@ pub(crate) trait BackTransport: Send {
     /// Asks for a doorbell at the next request; `true` if one raced in.
     fn arm(&mut self) -> bool;
 
-    /// Maps the ring pairs a NIC frontend advertised in `dir`, allocating
-    /// and publishing an event port for each.
-    fn attach_nic(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<NicQueues>
-    where
-        Self: Sized;
-    /// Maps the queue a block frontend advertised in `dir`.
-    fn attach_disk(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<(Port, BackQueue)>
+    /// Maps the queue a frontend advertised in `dir` under keys starting
+    /// `prefix`; `None` if a key is missing or a grant does not map.
+    fn map(env: &mut DomainEnv<'_>, dir: &Dir, prefix: &str) -> Option<Self>
     where
         Self: Sized;
 }
 
 /// A dom0 queue of either ABI.
 pub(crate) type BackQueue = Box<dyn BackTransport>;
-/// A NIC as attached: per ring pair its event port, TX and RX queue.
+/// A NIC as attached: per stack queue its event port, TX and RX queue.
 pub(crate) type NicQueues = Vec<(Port, BackQueue, BackQueue)>;
 
 // ------------------------------------------------------ shared plumbing
@@ -270,7 +248,121 @@ pub(crate) fn find_backend(env: &mut DomainEnv<'_>, xs: &Xenstore) -> Option<Dom
     xs.read(env, "backend-domid")?.parse().ok().map(DomainId)
 }
 
+/// Grants and advertises a NIC's queues — a TX/RX pair per stack queue,
+/// under `q<q>/{tx,rx}-` — then its domain id and queue count.
+pub(crate) fn advertise_nic<T: FrontTransport>(
+    env: &mut DomainEnv<'_>,
+    dir: &Dir,
+    backend: DomainId,
+    queues: usize,
+) -> Vec<(T, T)> {
+    let pairs = (0..queues)
+        .map(|q| {
+            let tx = T::grant(env, dir, backend, &format!("q{q}/tx-"));
+            let rx = T::grant(env, dir, backend, &format!("q{q}/rx-"));
+            (tx, rx)
+        })
+        .collect();
+    dir.write(env, "frontend-domid", env.domid().0);
+    dir.write(env, "queues", queues);
+    pairs
+}
+
+/// Once the backend has published a port per queue: binds each, steers it
+/// to vCPU `q mod vcpus`, has `fill(env, q)` stock pair `q` and kicks the
+/// backend, then marks the device connected. `None` while the backend has
+/// not answered.
+pub(crate) fn connect_nic(
+    env: &mut DomainEnv<'_>,
+    dir: &Dir,
+    backend: DomainId,
+    queues: usize,
+    mut fill: impl FnMut(&mut DomainEnv<'_>, usize),
+) -> Option<Vec<Port>> {
+    // The backend publishes every port in one pass.
+    let remotes = (0..queues)
+        .map(|q| dir.read(env, &format!("q{q}/event-port")).map(Port))
+        .collect::<Option<Vec<_>>>()?;
+    let mut ports = Vec::with_capacity(queues);
+    for (q, remote) in remotes.into_iter().enumerate() {
+        let local = env.evtchn_bind(backend, remote).expect("backend allocated");
+        let vcpu = q % env.vcpus();
+        if vcpu != 0 {
+            let _ = env.evtchn_set_vcpu(local, vcpu);
+        }
+        fill(env, q);
+        env.evtchn_notify(local).expect("bound");
+        ports.push(local);
+    }
+    dir.write(env, "state", "connected");
+    Some(ports)
+}
+
+/// Grants and advertises a disk's one queue, then its domain id.
+pub(crate) fn advertise_disk<T: FrontTransport>(
+    env: &mut DomainEnv<'_>,
+    dir: &Dir,
+    backend: DomainId,
+) -> T {
+    let queue = T::grant(env, dir, backend, "");
+    dir.write(env, "frontend-domid", env.domid().0);
+    queue
+}
+
+/// Binds the port the backend published and readies `queue` for `depth`
+/// outstanding requests. `None` while there is no port.
+pub(crate) fn connect_disk<T: FrontTransport>(
+    env: &mut DomainEnv<'_>,
+    dir: &Dir,
+    backend: DomainId,
+    queue: &mut T,
+    depth: usize,
+) -> Option<Port> {
+    let remote = Port(dir.read(env, "event-port")?);
+    let local = env.evtchn_bind(backend, remote).expect("backend allocated");
+    queue.carry_headers(env, backend, depth);
+    Some(local)
+}
+
 // ------------------------------------------------------ dom0 discovery
+
+/// Maps every queue a NIC frontend advertised in `dir` and publishes an
+/// event port per queue.
+pub(crate) fn attach_nic<B: BackTransport + 'static>(
+    env: &mut DomainEnv<'_>,
+    dir: &Dir,
+) -> Option<NicQueues> {
+    let frontend = DomainId(dir.read(env, "frontend-domid")?);
+    let queues: usize = dir.read(env, "queues").filter(|&q| q > 0)?;
+    // The frontend writes every grant before flipping its state, so a
+    // partial read is a malformed handshake: map all or nothing.
+    let mapped = (0..queues)
+        .map(|q| {
+            let tx = B::map(env, dir, &format!("q{q}/tx-"))?;
+            let rx = B::map(env, dir, &format!("q{q}/rx-"))?;
+            Some((tx, rx))
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let pairs = mapped.into_iter().enumerate().map(|(q, (tx, rx))| {
+        let port = env.evtchn_alloc_unbound(frontend);
+        dir.write(env, &format!("q{q}/event-port"), port.0);
+        (port, Box::new(tx) as BackQueue, Box::new(rx) as BackQueue)
+    });
+    Some(pairs.collect())
+}
+
+/// Maps the queue a disk frontend advertised in `dir` and publishes its
+/// event port.
+pub(crate) fn attach_disk<B: BackTransport + 'static>(
+    env: &mut DomainEnv<'_>,
+    dir: &Dir,
+) -> Option<(Port, BackQueue)> {
+    let frontend = DomainId(dir.read(env, "frontend-domid")?);
+    let queue = B::map(env, dir, "")?;
+    let port = env.evtchn_alloc_unbound(frontend);
+    dir.write(env, "event-port", port.0);
+    Some((port, Box::new(queue)))
+}
 
 /// How to attach one kind of frontend found in xenstore.
 pub(crate) enum Probe {
@@ -281,10 +373,10 @@ pub(crate) enum Probe {
 /// Every xenstore directory frontends advertise under, in the order the
 /// driver domain scans them.
 pub(crate) const PROBES: [(&str, Probe); 4] = [
-    ("device/net/", Probe::Nic(RingBack::attach_nic)),
-    ("device/blk/", Probe::Disk(RingBack::attach_disk)),
-    ("device/vnet/", Probe::Nic(VirtqBack::attach_nic)),
-    ("device/vblk/", Probe::Disk(VirtqBack::attach_disk)),
+    ("device/net/", Probe::Nic(attach_nic::<RingBack>)),
+    ("device/blk/", Probe::Disk(attach_disk::<RingBack>)),
+    ("device/vnet/", Probe::Nic(attach_nic::<VirtqBack>)),
+    ("device/vblk/", Probe::Disk(attach_disk::<VirtqBack>)),
 ];
 
 #[cfg(test)]

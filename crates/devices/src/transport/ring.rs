@@ -1,18 +1,15 @@
 //! The Xen descriptor ring as a transport. A request is one slot,
 //! `gref:u32 off:u16 len:u32 writes:u8 header…`; the response overwrites
 //! it in place as `token:u32 len:u32 ok:u8`. The token is the data
-//! buffer's grant reference.
+//! buffer's grant reference. A queue is one granted page, advertised as
+//! `{prefix}ring`.
 
-use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId, PAGE_SIZE};
 use mirage_ring::desc::SLOT_PAYLOAD;
 use mirage_ring::{BackRing, FrontRing, Slot};
 
-use super::{
-    BackQueue, BackTransport, Completion, DataBuf, Dir, FrontTransport, NicQueues, Request,
-    HEADER_MAX,
-};
+use super::{BackTransport, Completion, DataBuf, Dir, FrontTransport, Request, HEADER_MAX};
 use crate::driver::Backend;
 
 /// Fixed part of a request slot: gref, offset, length, direction.
@@ -26,19 +23,6 @@ fn le32(bytes: &[u8]) -> u32 {
 
 /// [`FrontTransport`] over a Xen descriptor ring.
 pub(crate) struct RingFront(pub(super) FrontRing);
-
-impl RingFront {
-    fn granted(env: &mut DomainEnv<'_>, backend: DomainId) -> (RingFront, GrantRef) {
-        let page = SharedPage::new();
-        let gref = env.grant(backend, page.clone(), true);
-        (RingFront(FrontRing::attach(page)), gref)
-    }
-
-    fn bind(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId) -> Option<Port> {
-        let remote = Port(dir.read(env, "event-port")?);
-        Some(env.evtchn_bind(backend, remote).expect("backend allocated"))
-    }
-}
 
 impl FrontTransport for RingFront {
     const BACKEND: Backend = Backend::XenRing;
@@ -87,70 +71,19 @@ impl FrontTransport for RingFront {
         self.0.enable_response_notifications()
     }
 
-    fn advertise_net(
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        _stack_queues: usize,
-    ) -> Vec<(Self, Self)> {
-        // One ring pair however many stack queues: the frontend fans out.
-        let (tx, tx_gref) = RingFront::granted(env, backend);
-        let (rx, rx_gref) = RingFront::granted(env, backend);
-        dir.write(env, "frontend-domid", env.domid().0);
-        dir.write(env, "tx-ring", tx_gref.0);
-        dir.write(env, "rx-ring", rx_gref.0);
-        vec![(tx, rx)]
+    fn grant(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId, prefix: &str) -> Self {
+        let page = SharedPage::new();
+        let gref = env.grant(backend, page.clone(), true);
+        dir.write(env, &format!("{prefix}ring"), gref.0);
+        RingFront(FrontRing::attach(page))
     }
 
-    fn attach_net(
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        _pairs: usize,
-        fill: &mut dyn FnMut(&mut DomainEnv<'_>, usize),
-    ) -> Option<Vec<Port>> {
-        let local = RingFront::bind(env, dir, backend)?;
-        fill(env, 0);
-        dir.write(env, "state", "connected");
-        env.evtchn_notify(local).expect("bound");
-        Some(vec![local])
-    }
-
-    fn advertise_blk(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId) -> Self {
-        let (ring, gref) = RingFront::granted(env, backend);
-        dir.write(env, "frontend-domid", env.domid().0);
-        dir.write(env, "ring", gref.0);
-        ring
-    }
-
-    fn attach_blk(
-        &mut self,
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        _depth: usize,
-    ) -> Option<Port> {
-        RingFront::bind(env, dir, backend)
-    }
+    /// A header rides in the request's own slot.
+    fn carry_headers(&mut self, _env: &mut DomainEnv<'_>, _backend: DomainId, _depth: usize) {}
 }
 
 /// [`BackTransport`] over a Xen descriptor ring.
 pub(crate) struct RingBack(pub(super) BackRing);
-
-impl RingBack {
-    fn mapped(env: &mut DomainEnv<'_>, dir: &Dir, leaf: &str) -> Option<BackQueue> {
-        let gref = GrantRef(dir.read(env, leaf)?);
-        Some(Box::new(RingBack(BackRing::attach(
-            env.grant_map(gref, true).ok()?,
-        ))))
-    }
-
-    fn publish_port(env: &mut DomainEnv<'_>, dir: &Dir, frontend: DomainId) -> Port {
-        let port = env.evtchn_alloc_unbound(frontend);
-        dir.write(env, "event-port", port.0);
-        port
-    }
-}
 
 impl BackTransport for RingBack {
     fn take(&mut self, _env: &mut DomainEnv<'_>) -> Option<Result<Request, u32>> {
@@ -195,17 +128,9 @@ impl BackTransport for RingBack {
         self.0.enable_request_notifications()
     }
 
-    fn attach_nic(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<NicQueues> {
-        let frontend = DomainId(dir.read(env, "frontend-domid")?);
-        let tx = RingBack::mapped(env, dir, "tx-ring")?;
-        let rx = RingBack::mapped(env, dir, "rx-ring")?;
-        Some(vec![(RingBack::publish_port(env, dir, frontend), tx, rx)])
-    }
-
-    fn attach_disk(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<(Port, BackQueue)> {
-        let frontend = DomainId(dir.read(env, "frontend-domid")?);
-        let ring = RingBack::mapped(env, dir, "ring")?;
-        Some((RingBack::publish_port(env, dir, frontend), ring))
+    fn map(env: &mut DomainEnv<'_>, dir: &Dir, prefix: &str) -> Option<Self> {
+        let gref = GrantRef(dir.read(env, &format!("{prefix}ring"))?);
+        Some(RingBack(BackRing::attach(env.grant_map(gref, true).ok()?)))
     }
 }
 

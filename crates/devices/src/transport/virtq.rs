@@ -3,18 +3,17 @@
 //! with header pages (a disk's) publishes the virtio-blk chain
 //! `[header ro][data][status wo]`, header at offset 0 and status byte at
 //! [`STATUS_OFF`] of one transport-owned page per outstanding request.
-//! Any other shape is malformed. The token is the chain head.
+//! Any other shape is malformed. The token is the chain head. A queue is
+//! three granted areas, advertised as `{prefix}desc|avail|used`.
 
 use std::collections::HashMap;
 
-use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId, PAGE_SIZE};
 use mirage_ring::Slot;
 
 use super::{
-    map_cached, BackQueue, BackTransport, Completion, DataBuf, Dir, FrontTransport, NicQueues,
-    Request, HEADER_MAX,
+    map_cached, BackTransport, Completion, DataBuf, Dir, FrontTransport, Request, HEADER_MAX,
 };
 use crate::driver::Backend;
 use crate::virtio::virtqueue::{
@@ -38,25 +37,6 @@ pub(super) struct HeaderPages {
     pub(super) idle: Vec<(GrantRef, SharedPage)>,
     /// Pages out with the device, by chain head.
     pub(super) busy: HashMap<u16, (GrantRef, SharedPage)>,
-}
-
-impl VirtqFront {
-    /// Allocates a queue's three areas, grants them to `backend` and
-    /// writes their refs to `{prefix}desc|avail|used`. Only the used area
-    /// is device-writable.
-    fn granted(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId, prefix: &str) -> VirtqFront {
-        let pages = QueuePages::new();
-        let desc = env.grant(backend, pages.desc.clone(), false);
-        let avail = env.grant(backend, pages.avail.clone(), false);
-        let used = env.grant(backend, pages.used.clone(), true);
-        for (area, gref) in [("desc", desc), ("avail", avail), ("used", used)] {
-            dir.write(env, &format!("{prefix}{area}"), gref.0);
-        }
-        VirtqFront {
-            q: SplitQueue::new(pages),
-            headers: None,
-        }
-    }
 }
 
 impl FrontTransport for VirtqFront {
@@ -128,68 +108,24 @@ impl FrontTransport for VirtqFront {
         self.q.enable_used_notifications()
     }
 
-    fn advertise_net(
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        stack_queues: usize,
-    ) -> Vec<(Self, Self)> {
-        // One pair per stack queue: multi-queue all the way down.
-        let pairs = (0..stack_queues)
-            .map(|q| {
-                let tx = VirtqFront::granted(env, dir, backend, &format!("q{q}/tx-"));
-                let rx = VirtqFront::granted(env, dir, backend, &format!("q{q}/rx-"));
-                (tx, rx)
-            })
-            .collect();
-        dir.write(env, "frontend-domid", env.domid().0);
-        dir.write(env, "queues", stack_queues);
-        pairs
-    }
-
-    fn attach_net(
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        pairs: usize,
-        fill: &mut dyn FnMut(&mut DomainEnv<'_>, usize),
-    ) -> Option<Vec<Port>> {
-        // The backend publishes every port in one pass.
-        let remotes = (0..pairs)
-            .map(|q| dir.read(env, &format!("q{q}/event-port")).map(Port))
-            .collect::<Option<Vec<_>>>()?;
-        let mut ports = Vec::with_capacity(pairs);
-        for (q, remote) in remotes.into_iter().enumerate() {
-            let local = env.evtchn_bind(backend, remote).expect("backend allocated");
-            // Each pair's channel interrupts the vCPU owning its queue.
-            let affinity = q % env.vcpus();
-            if affinity != 0 {
-                let _ = env.evtchn_set_vcpu(local, affinity);
-            }
-            fill(env, q);
-            env.evtchn_notify(local).expect("bound");
-            ports.push(local);
+    /// Only the used area is device-writable.
+    fn grant(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId, prefix: &str) -> Self {
+        let pages = QueuePages::new();
+        let desc = env.grant(backend, pages.desc.clone(), false);
+        let avail = env.grant(backend, pages.avail.clone(), false);
+        let used = env.grant(backend, pages.used.clone(), true);
+        for (area, gref) in [("desc", desc), ("avail", avail), ("used", used)] {
+            dir.write(env, &format!("{prefix}{area}"), gref.0);
         }
-        dir.write(env, "state", "connected");
-        Some(ports)
+        VirtqFront {
+            q: SplitQueue::new(pages),
+            headers: None,
+        }
     }
 
-    fn advertise_blk(env: &mut DomainEnv<'_>, dir: &Dir, backend: DomainId) -> Self {
-        let queue = VirtqFront::granted(env, dir, backend, "");
-        dir.write(env, "frontend-domid", env.domid().0);
-        queue
-    }
-
-    fn attach_blk(
-        &mut self,
-        env: &mut DomainEnv<'_>,
-        dir: &Dir,
-        backend: DomainId,
-        depth: usize,
-    ) -> Option<Port> {
-        let remote = Port(dir.read(env, "event-port")?);
-        let local = env.evtchn_bind(backend, remote).expect("backend allocated");
-        // Device-writable for the status byte.
+    /// One header page per outstanding request, device-writable for the
+    /// status byte.
+    fn carry_headers(&mut self, env: &mut DomainEnv<'_>, backend: DomainId, depth: usize) {
         let idle = (0..depth)
             .map(|_| {
                 let page = SharedPage::new();
@@ -200,7 +136,6 @@ impl FrontTransport for VirtqFront {
             idle,
             busy: HashMap::new(),
         });
-        Some(local)
     }
 }
 
@@ -211,26 +146,6 @@ pub(crate) struct VirtqBack {
     pub(super) header_pages: HashMap<u32, SharedPage>,
     /// Where each header-carrying chain in service wants its status byte.
     pub(super) status: HashMap<u16, u64>,
-}
-
-impl VirtqBack {
-    /// Maps the three areas granted as `{prefix}desc|avail|used`; the used
-    /// area is the only one mapped writable.
-    fn mapped(env: &mut DomainEnv<'_>, dir: &Dir, prefix: &str) -> Option<BackQueue> {
-        let desc = GrantRef(dir.read(env, &format!("{prefix}desc"))?);
-        let avail = GrantRef(dir.read(env, &format!("{prefix}avail"))?);
-        let used = GrantRef(dir.read(env, &format!("{prefix}used"))?);
-        let pages = QueuePages {
-            desc: env.grant_map(desc, false).ok()?,
-            avail: env.grant_map(avail, false).ok()?,
-            used: env.grant_map(used, true).ok()?,
-        };
-        Some(Box::new(VirtqBack {
-            q: DeviceQueue::attach(pages),
-            header_pages: HashMap::new(),
-            status: HashMap::new(),
-        }))
-    }
 }
 
 impl BackTransport for VirtqBack {
@@ -292,31 +207,20 @@ impl BackTransport for VirtqBack {
         self.q.enable_avail_notifications()
     }
 
-    fn attach_nic(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<NicQueues> {
-        let frontend = DomainId(dir.read(env, "frontend-domid")?);
-        let queues: usize = dir.read(env, "queues").filter(|&q| q > 0)?;
-        // The frontend writes every grant before flipping its state, so a
-        // partial read is a malformed handshake: map all or nothing.
-        let mapped = (0..queues)
-            .map(|q| {
-                let tx = VirtqBack::mapped(env, dir, &format!("q{q}/tx-"))?;
-                let rx = VirtqBack::mapped(env, dir, &format!("q{q}/rx-"))?;
-                Some((tx, rx))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let pairs = mapped.into_iter().enumerate().map(|(q, (tx, rx))| {
-            let port = env.evtchn_alloc_unbound(frontend);
-            dir.write(env, &format!("q{q}/event-port"), port.0);
-            (port, tx, rx)
-        });
-        Some(pairs.collect())
-    }
-
-    fn attach_disk(env: &mut DomainEnv<'_>, dir: &Dir) -> Option<(Port, BackQueue)> {
-        let frontend = DomainId(dir.read(env, "frontend-domid")?);
-        let queue = VirtqBack::mapped(env, dir, "")?;
-        let port = env.evtchn_alloc_unbound(frontend);
-        dir.write(env, "event-port", port.0);
-        Some((port, queue))
+    /// The used area is the only one mapped writable.
+    fn map(env: &mut DomainEnv<'_>, dir: &Dir, prefix: &str) -> Option<Self> {
+        let desc = GrantRef(dir.read(env, &format!("{prefix}desc"))?);
+        let avail = GrantRef(dir.read(env, &format!("{prefix}avail"))?);
+        let used = GrantRef(dir.read(env, &format!("{prefix}used"))?);
+        let pages = QueuePages {
+            desc: env.grant_map(desc, false).ok()?,
+            avail: env.grant_map(avail, false).ok()?,
+            used: env.grant_map(used, true).ok()?,
+        };
+        Some(VirtqBack {
+            q: DeviceQueue::attach(pages),
+            header_pages: HashMap::new(),
+            status: HashMap::new(),
+        })
     }
 }

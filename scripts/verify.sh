@@ -245,6 +245,15 @@ exactly crates/storage/src/block.rs 0 "a demux task, waiter map or id counter" '
 exactly crates/devices/src/blk.rs 0 "a completion stream or backlog in blkfront" 'to_stack|backlog|complete:'
 echo "   ok"
 
+echo "== gate: one NIC layout, one handshake"
+# On both ABIs a NIC has a ring pair and an event channel per stack queue,
+# and the switch classifies what it delivers, so netfront never hashes a
+# frame. The xenstore handshake is written once in transport.rs: an impl
+# under transport/ only grants or maps one queue under a key prefix.
+exactly crates/devices/src/netfront.rs 0 "RSS classification in netfront" 'rss::'
+exactly crates/devices/src/transport 0 "a per-ABI handshake" 'fn (advertise|attach)_(net|blk|nic|disk)\b'
+echo "   ok"
+
 echo "== build (release, offline, all targets)"
 cargo build --release --offline --workspace --all-targets
 
