@@ -53,11 +53,10 @@ pub fn iperf_on(
 /// Runs `flows` bulk flows between two `vcpus`-wide SMP unikernels: each
 /// side runs a [`Runtime::smp`] executor, a NIC with a ring pair and an
 /// event channel per vCPU that the switch feeds by RSS hash, and a
-/// [`Stack::spawn_sharded`] worker per vCPU owning a disjoint slice of
-/// the 64-way shard space. Flow tasks are
-/// pinned round-robin across cores, so the per-segment endpoint cost —
-/// the Figure 8 bottleneck — is charged on parallel vCPU lanes and the
-/// gang-placed step overlaps them on distinct pCPUs.
+/// [`Stack::spawn_sharded`] worker per vCPU owning the flows of its queue.
+/// Flow tasks are pinned round-robin across cores, so the per-segment
+/// endpoint cost — the Figure 8 bottleneck — is charged on parallel vCPU
+/// lanes and the gang-placed step overlaps them on distinct pCPUs.
 pub fn iperf_smp(
     tx: TcpEndpoint,
     rx: TcpEndpoint,
@@ -121,7 +120,7 @@ impl World {
     }
 
     /// Adds a unikernel: a NIC called `name` with one RX queue per vCPU,
-    /// one shard worker per queue, and `main` as its main thread.
+    /// one stack worker per queue, and `main` as its main thread.
     fn guest<F, Fut>(
         &mut self,
         name: &str,
@@ -255,23 +254,23 @@ fn run_iperf(
 }
 
 /// Per-core snapshot of an SMP server holding idle connections through a
-/// quiet window: how the connections spread over the shard workers, and
+/// quiet window: how the connections spread over the stack workers, and
 /// how many wheel-driven `Connection::poll`s each core did while nothing
 /// was due (the C1M claim, split per core: an idle connection costs no
 /// core anything).
 #[derive(Debug, Clone)]
 pub struct IdleSmpReport {
-    /// Connection-table entries per shard worker at the end of the window.
+    /// Connection-table entries per stack worker at the end of the window.
     pub conns_per_core: Vec<u64>,
-    /// Timer polls per shard worker during the quiet window.
+    /// Timer polls per stack worker during the quiet window.
     pub quiet_polls_per_core: Vec<u64>,
     /// Connections actually established.
     pub established: u64,
 }
 
 /// Holds `conns` idle keep-alive connections against a `vcpus`-wide
-/// sharded server, then measures a `quiet` window in which no connection
-/// has any due work. Returns the per-core split.
+/// multi-queue server, then measures a `quiet` window in which no
+/// connection has any due work. Returns the per-core split.
 pub fn idle_smp(vcpus: usize, conns: usize, quiet: Dur) -> IdleSmpReport {
     use std::sync::{Arc, Mutex};
 
@@ -480,7 +479,7 @@ mod tests {
         for (core, polls) in r.quiet_polls_per_core.iter().enumerate() {
             assert_eq!(*polls, 0, "core {core} polled {polls} idle conns");
         }
-        // The shard space spreads the table: no core holds everything.
+        // RSS spreads the flows: no core holds everything.
         let max = r.conns_per_core.iter().max().unwrap();
         assert!(*max < 256, "connections spread over cores: {:?}", r.conns_per_core);
     }

@@ -173,10 +173,13 @@ impl Appliance {
     /// interface is ready" — this is everything before that point except
     /// the device handshake itself).
     pub fn boot_cost(&self, costs: &CostTable) -> Dur {
-        // Zero + relocate the image, then one runtime-init pass over it.
-        let image_cost = costs.copy(self.image.size_bytes() as usize) * 2;
-        let fixed = Dur::millis(2); // GC heap + scheduler bring-up
-        image_cost + fixed
+        boot_cost(self.image_kib(), costs)
+    }
+
+    /// The image size in whole KiB (at least one): what the boot copies
+    /// and what the Figure 2 layout maps as text.
+    fn image_kib(&self) -> u64 {
+        (self.image.size_bytes() / 1024).max(1)
     }
 
     /// Wraps the appliance into a bootable guest: the boot closure charges
@@ -204,14 +207,10 @@ impl Appliance {
         Fut: mirage_runtime::IntoMainHandle<T>,
         T: Send + 'static,
     {
-        let image_kib = (self.image.size_bytes() / 1024).max(1);
+        let image_kib = self.image_kib();
         let seal = self.seal;
-        let boot_cost_of = move |costs: &CostTable| {
-            let image_cost = costs.copy((image_kib * 1024) as usize) * 2;
-            image_cost + Dur::millis(2)
-        };
         UnikernelGuest::with_runtime(rt, move |env, rt| {
-            let cost = boot_cost_of(env.costs());
+            let cost = boot_cost(image_kib, env.costs());
             env.consume(cost);
             // Figure 2 layout: text = image, data = image/4, 64 I/O pages.
             let layout =
@@ -223,6 +222,14 @@ impl Appliance {
             main(env, rt)
         })
     }
+}
+
+/// [`Appliance::boot_cost`] of an image of `image_kib` KiB.
+fn boot_cost(image_kib: u64, costs: &CostTable) -> Dur {
+    // Zero + relocate the image, then one runtime-init pass over it.
+    let image_cost = costs.copy((image_kib * 1024) as usize) * 2;
+    let fixed = Dur::millis(2); // GC heap + scheduler bring-up
+    image_cost + fixed
 }
 
 #[cfg(test)]
@@ -333,5 +340,30 @@ mod tests {
             small.boot_cost(&costs) < Dur::millis(50),
             "unikernel boots fast (Figure 6)"
         );
+    }
+
+    #[test]
+    fn into_guest_charges_exactly_the_documented_boot_cost() {
+        let app = dns_appliance();
+        let size = app.image().size_bytes();
+        assert_ne!(size % 1024, 0, "an image that is not a whole number of KiB");
+        let cost = app.boot_cost(&CostTable::defaults());
+        let image_kib = size / 1024;
+        let booted_at = |guest: UnikernelGuest| {
+            let mut hv = Hypervisor::new();
+            let dom = hv.create_domain("dns", 32, Box::new(guest));
+            hv.run();
+            hv.observation(dom, "unikernel-booted").expect("booted").at
+        };
+        let booted = booted_at(app.into_guest(32, |_env, rt| rt.spawn(async { 0i64 })));
+        // The same layout, applied and sealed, with no boot charged first.
+        let laid_out = booted_at(UnikernelGuest::new(move |env, rt| {
+            MemoryLayout::standard(image_kib, (image_kib / 4).max(1), 32, 64)
+                .apply(env, true)
+                .expect("canonical layout maps and seals");
+            env.observe("unikernel-booted");
+            rt.spawn(async { 0i64 })
+        }));
+        assert_eq!(booted.saturating_since(laid_out), cost);
     }
 }

@@ -92,10 +92,9 @@ impl Backend {
     /// stack-facing handle per queue, for `Stack::spawn_sharded`-style
     /// per-core consumers. On either ABI, queue *q* has its own TX/RX ring
     /// pair and an event channel bound to vCPU `q % vcpus`. The switch
-    /// delivers received IPv4 TCP frames into the queue `shard % queues`
-    /// their Toeplitz flow hash ([`crate::rss`]) names; everything else
-    /// rides queue 0. Pass each handle to the stack worker that owns the
-    /// matching shard slice.
+    /// delivers received IPv4 TCP frames into the queue their Toeplitz
+    /// flow hash names, modulo the queue count ([`crate::rss::queue_of`]);
+    /// everything else rides queue 0. Pass handle *q* to stack worker *q*.
     ///
     /// # Panics
     ///

@@ -22,8 +22,11 @@
 //! * [`vchan::VchanEndpoint`] — the fast shared-memory inter-VM byte
 //!   transport (§3.5.1).
 //!
-//! The [`netfront::CopyDiscipline`] knob is how the conventional-OS
-//! baseline pays its syscall + user/kernel copy on the identical data path.
+//! The [`netfront::CopyDiscipline`] knob adds a syscall + user/kernel copy
+//! per packet on the identical data path. Only the `micro_zerocopy`
+//! ablation sets it to `UserKernelCopy`; Figure 8's Linux endpoint is
+//! priced per segment by `mirage_baseline::netperf::TcpEndpoint` in the
+//! iperf harness (`mirage_bench::netsim`), not by this knob.
 
 pub mod blk;
 mod blkback;

@@ -274,9 +274,9 @@ impl<T: FrontTransport> Netif<T> {
         let mut progressed = false;
         let counted = self.counts;
         for (q, (pair, &port)) in self.pairs.iter_mut().zip(&self.ports).enumerate() {
-            // The queue's copies are charged on the lane of the vCPU that
-            // owns it — the per-core model.
-            let lane = q % env.vcpus();
+            // The queue's copies are charged on the lane of the vCPU its
+            // event channel is bound to — the per-core model.
+            let lane = env.evtchn_vcpu(port).unwrap_or(0);
             let _ = env.evtchn_consume(port);
 
             // Take what the stack queued; past the cap the oldest go.

@@ -1,24 +1,15 @@
-//! Receive-side scaling: Toeplitz classification of raw Ethernet frames
-//! into netfront RX queues.
+//! Receive-side scaling: which queue a TCP flow belongs to.
 //!
 //! A multi-queue NIC has a ring pair per per-core ingress queue, and the
-//! switch delivers each received frame into the pair its flow hash names,
+//! switch delivers each received frame into the pair [`queue_of`] names,
 //! so every TCP flow lands on exactly one queue, and therefore one vCPU,
-//! before the stack ever sees it. The
-//! connection-table shard hash in `mirage-net`
-//! (`net::tcp::demux::flow_hash`) is this module's [`toeplitz`]: one
-//! kernel, one key, so classifier and demux cannot disagree.
+//! before the stack ever sees it. The stack's outbound connects pick their
+//! ephemeral port with the same function, so the reply comes back to the
+//! worker that sent the SYN. That is the one place the decision is made.
 //!
 //! The input tuple is taken from the *receiver's* perspective —
 //! `(src_ip, src_port, dst_port)` of the incoming segment is the
-//! `(peer_ip, peer_port, local_port)` the stack's demux hashes — so a
-//! frame is steered to the very shard its TCB lives in.
-
-/// Shard-space width of `mirage-net`'s connection demux: 64 shards, a
-/// disjoint slice of which each vCPU owns.
-pub const SHARD_BITS: u32 = 6;
-/// Number of RSS shards.
-pub const SHARDS: u32 = 1 << SHARD_BITS;
+//! `(peer_ip, peer_port, local_port)` of the connection it belongs to.
 
 /// The fixed 16-byte Toeplitz key: the classic Microsoft RSS key
 /// truncated to our 8-byte input width. Fixed, like real NICs configure it
@@ -55,24 +46,28 @@ pub fn toeplitz(src_ip: [u8; 4], src_port: u16, dst_port: u16) -> u32 {
     hash
 }
 
+/// The queue, in `0..queues`, that the TCP flow arriving as
+/// `(src_ip, src_port, dst_port)` belongs to: its Toeplitz hash modulo the
+/// queue count, which must not be zero.
+pub fn queue_of(src_ip: [u8; 4], src_port: u16, dst_port: u16, queues: usize) -> usize {
+    toeplitz(src_ip, src_port, dst_port) as usize % queues
+}
+
 /// Classifies a raw Ethernet frame to an RX queue index in `0..queues`.
 ///
-/// IPv4 TCP frames hash their flow tuple into the 64-way shard space and
-/// fold `shard % queues`; everything else (ARP, ICMP, UDP, short or
-/// malformed frames) rides queue 0, where the stack's control-plane
-/// worker lives.
+/// IPv4 TCP frames go to their flow's [`queue_of`]; everything else (ARP,
+/// ICMP, UDP, short or malformed frames) rides queue 0, where the stack's
+/// control-plane worker lives.
 pub fn rx_queue(frame: &[u8], queues: usize) -> usize {
     if queues <= 1 {
         return 0;
     }
-    match classify(frame) {
-        Some(hash) => (hash & (SHARDS - 1)) as usize % queues,
-        None => 0,
-    }
+    classify(frame).map_or(0, |(ip, sport, dport)| queue_of(ip, sport, dport, queues))
 }
 
-/// The flow hash of an IPv4 TCP frame, if it is one.
-pub fn classify(frame: &[u8]) -> Option<u32> {
+/// The flow tuple `(src_ip, src_port, dst_port)` of an IPv4 TCP frame, if
+/// it is one.
+fn classify(frame: &[u8]) -> Option<([u8; 4], u16, u16)> {
     // Ethernet header: dst(6) src(6) ethertype(2).
     if frame.len() < 14 + 20 {
         return None;
@@ -95,12 +90,14 @@ pub fn classify(frame: &[u8]) -> Option<u32> {
     let tcp = &ip[ihl..];
     let src_port = u16::from_be_bytes(tcp[0..2].try_into().expect("checked length"));
     let dst_port = u16::from_be_bytes(tcp[2..4].try_into().expect("checked length"));
-    Some(toeplitz(src_ip, src_port, dst_port))
+    Some((src_ip, src_port, dst_port))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mirage_testkit::rng::Rng;
+    use mirage_testkit::test_seed;
 
     /// A minimal IPv4/TCP frame with the given flow tuple.
     fn tcp_frame(src_ip: [u8; 4], src_port: u16, dst_port: u16) -> Vec<u8> {
@@ -115,11 +112,21 @@ mod tests {
         f
     }
 
+    /// A seeded corpus of flow tuples.
+    fn corpus(stream: &str, flows: usize) -> Vec<([u8; 4], u16, u16)> {
+        let mut rng = Rng::for_stream(test_seed(), stream);
+        (0..flows)
+            .map(|_| {
+                let ip = rng.next_u32().to_be_bytes();
+                (ip, rng.next_u32() as u16, rng.next_u32() as u16)
+            })
+            .collect()
+    }
+
     #[test]
     fn toeplitz_known_answers() {
         // Recorded from the two kernels this one replaced (they agreed):
-        // the flow→shard mapping must never drift between builds — the
-        // C1M shard-occupancy figures depend on it.
+        // the flow→queue mapping must never drift between builds.
         assert_eq!(toeplitz([10, 0, 0, 2], 40000, 80), 0xdba0_27c6);
         assert_eq!(toeplitz([192, 168, 1, 77], 51515, 443), 0xf7bc_ef7c);
         assert_eq!(toeplitz([203, 0, 113, 9], 1, 65535), 0xb9ef_deda);
@@ -128,12 +135,48 @@ mod tests {
     #[test]
     fn tcp_frames_classify_by_flow_hash() {
         let f = tcp_frame([10, 0, 0, 7], 43211, 80);
-        let h = classify(&f).expect("TCP frame classifies");
-        assert_eq!(h, toeplitz([10, 0, 0, 7], 43211, 80));
-        // Queue index is the shard folded over the queue count.
-        assert_eq!(rx_queue(&f, 4), (h & (SHARDS - 1)) as usize % 4);
+        assert_eq!(classify(&f), Some(([10, 0, 0, 7], 43211, 80)));
+        // The queue is the flow hash folded over the queue count.
+        let h = toeplitz([10, 0, 0, 7], 43211, 80);
+        assert_eq!(rx_queue(&f, 4), h as usize % 4);
         // Same flow, same queue — forever.
         assert_eq!(rx_queue(&f, 4), rx_queue(&f, 4));
+    }
+
+    #[test]
+    fn every_frame_keeps_the_queue_of_the_64_way_fold() {
+        // Older builds folded the hash into 64 shards and then the shard
+        // over the queue count. At every width in use (1, 2, 4, 8 queues)
+        // that names the same queue as the one fold, so no frame moved.
+        for (ip, sport, dport) in corpus("rss-fold", 4096) {
+            let frame = tcp_frame(ip, sport, dport);
+            let shard = toeplitz(ip, sport, dport) & 63;
+            for queues in [1usize, 2, 4, 8] {
+                assert_eq!(rx_queue(&frame, queues), shard as usize % queues);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_corpus_spreads_within_quarter_of_uniform() {
+        // A seeded corpus of flows lands within ±25 % of uniform across
+        // the queues at every width, power of two or not.
+        const FLOWS: usize = 24_576;
+        let flows = corpus("rss-balance", FLOWS);
+        for queues in [2usize, 3, 4, 8] {
+            let mut counts = vec![0usize; queues];
+            for &(ip, sport, dport) in &flows {
+                counts[queue_of(ip, sport, dport, queues)] += 1;
+            }
+            let uniform = FLOWS / queues;
+            let (lo, hi) = (uniform * 3 / 4, uniform * 5 / 4);
+            for (q, &n) in counts.iter().enumerate() {
+                assert!(
+                    (lo..=hi).contains(&n),
+                    "queue {q} of {queues} got {n} flows; uniform is {uniform} (allowed {lo}..={hi})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! `transport::BackTransport`, one per stack queue on either ABI — and
 //! every port goes through the same ingest, MAC learning, link
 //! conditioning, forwarding and delivery code. A multi-queue port
-//! classifies each delivered frame to a pair with the RSS hash the
-//! stack's demux uses ([`crate::rss`]), so every flow lands on the queue
-//! — and vCPU — owning its shard.
+//! delivers each frame into the pair of the queue [`crate::rss`] names
+//! for its flow, so every flow lands on one queue — and one vCPU — and
+//! on the stack worker whose ephemeral ports `rss` also picked.
 //!
 //! Whatever a guest posts is hostile until checked: a TX request must be
 //! a device-readable buffer of `MIN_FRAME..=MAX_FRAME` bytes, an RX buffer must be

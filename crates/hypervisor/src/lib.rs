@@ -463,7 +463,6 @@ pub const KILLED_EXIT_CODE: i64 = -9;
 
 struct Slot {
     name: String,
-    mem_mib: u64,
     guest: Option<Box<dyn Guest>>,
     state: SchedState,
     ready_at: Time,
@@ -551,7 +550,9 @@ impl Hypervisor {
         self.sys.now
     }
 
-    /// Creates a domain that becomes runnable immediately.
+    /// Creates a domain that becomes runnable immediately. `mem_mib` is
+    /// the size the toolstack builds and prices ([`CostTable::domain_build`]);
+    /// the hypervisor keeps no memory model beyond the address space.
     pub fn create_domain(
         &mut self,
         name: impl Into<String>,
@@ -567,11 +568,11 @@ impl Hypervisor {
     pub fn create_domain_at(
         &mut self,
         name: impl Into<String>,
-        mem_mib: u64,
+        _mem_mib: u64,
         guest: Box<dyn Guest>,
         at: Time,
     ) -> DomainId {
-        self.create_domain_full(name, mem_mib, guest, at, 1)
+        self.create_domain_full(name, guest, at, 1)
     }
 
     /// Creates a multi-vCPU domain, runnable immediately: each guest step
@@ -584,18 +585,17 @@ impl Hypervisor {
     pub fn create_domain_vcpus(
         &mut self,
         name: impl Into<String>,
-        mem_mib: u64,
+        _mem_mib: u64,
         guest: Box<dyn Guest>,
         vcpus: usize,
     ) -> DomainId {
         let at = self.sys.now;
-        self.create_domain_full(name, mem_mib, guest, at, vcpus)
+        self.create_domain_full(name, guest, at, vcpus)
     }
 
     fn create_domain_full(
         &mut self,
         name: impl Into<String>,
-        mem_mib: u64,
         guest: Box<dyn Guest>,
         at: Time,
         vcpus: usize,
@@ -605,7 +605,6 @@ impl Hypervisor {
         self.sys.add_domain(dom);
         self.slots.push(Slot {
             name: name.into(),
-            mem_mib,
             guest: Some(guest),
             state: SchedState::Runnable(at),
             ready_at: at,
@@ -675,11 +674,6 @@ impl Hypervisor {
     /// Name a domain was created with.
     pub fn domain_name(&self, dom: DomainId) -> &str {
         &self.slots[dom.index()].name
-    }
-
-    /// Memory size a domain was created with.
-    pub fn domain_mem_mib(&self, dom: DomainId) -> u64 {
-        self.slots[dom.index()].mem_mib
     }
 
     /// Console contents of `dom`.

@@ -7,12 +7,12 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use mirage_cstruct::PktBuf;
+use mirage_devices::rss;
 use mirage_hypervisor::Time;
 use mirage_runtime::channel::{self, Receiver};
 
 use super::conns::Conns;
 use super::{Listeners, NetError, StackConfig, StackStats, TcpStream};
-use crate::tcp::demux::{flow_hash, SHARDS};
 use crate::tcp::{self, Connection, Flags, SegmentOut, TcpConfig, TcpSegment};
 
 /// MSS classes a SYN cookie can encode in its two low bits — everything
@@ -71,15 +71,15 @@ pub(super) struct Admission {
     iss: u32,
     next_port: u16,
     /// This worker's index and the worker count: it owns exactly the
-    /// connection shards with `shard % workers == worker`.
-    shard: (usize, usize),
+    /// flows whose [`rss::queue_of`] is its index.
+    queue: (usize, usize),
     /// `syn_cookies_sent`/`syn_cookies_accepted`; the rest stays zero
     /// here (the connection table keeps those).
     stats: StackStats,
 }
 
 impl Admission {
-    pub(super) fn new(cfg: &StackConfig, listeners: Listeners, shard: (usize, usize)) -> Admission {
+    pub(super) fn new(cfg: &StackConfig, listeners: Listeners, queue: (usize, usize)) -> Admission {
         Admission {
             listeners,
             backlog: cfg.listen_backlog,
@@ -87,9 +87,9 @@ impl Admission {
             cookie_secret: 0x6D69_7261_6765_2D63,
             // Per-worker ISN base: distinct streams of initial sequence
             // numbers without any cross-core coordination.
-            iss: 10_000 + shard.0 as u32 * 7919,
+            iss: 10_000 + queue.0 as u32 * 7919,
             next_port: EPHEMERAL_BASE,
-            shard,
+            queue,
             stats: StackStats::default(),
         }
     }
@@ -132,17 +132,17 @@ impl Admission {
         Some((local_port, conn, syn))
     }
 
-    /// Picks an ephemeral port whose flow hash lands in a shard this
-    /// worker owns (`shard % workers == worker`) and whose quad is free.
-    /// Expected `workers` probes per connect; `None` only if the whole
-    /// ephemeral range is exhausted.
+    /// Picks an ephemeral port whose reply frames the NIC delivers to this
+    /// worker's queue and whose quad is free. Expected `workers` probes per
+    /// connect; `None` only if the whole ephemeral range is exhausted.
     fn pick_local_port(&mut self, dst: Ipv4Addr, dst_port: u16, conns: &Conns) -> Option<u16> {
-        let (worker, workers) = self.shard;
+        let (worker, workers) = self.queue;
         for _ in EPHEMERAL_BASE..=u16::MAX {
             let cand = self.next_port;
             self.next_port = cand.checked_add(1).unwrap_or(EPHEMERAL_BASE);
-            let shard = flow_hash(dst, dst_port, cand) as usize & (SHARDS - 1);
-            if shard % workers == worker && conns.lookup(&(dst, dst_port, cand)).is_none() {
+            if rss::queue_of(dst.octets(), dst_port, cand, workers) == worker
+                && conns.lookup(&(dst, dst_port, cand)).is_none()
+            {
                 return Some(cand);
             }
         }
@@ -219,5 +219,61 @@ impl Admission {
         Some(Connection::from_syn_cookie(
             cfg, isn, seg.seq, mss, seg.window,
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::addr::Mac;
+    use crate::stack::egress::Egress;
+    use crate::stack::Shared;
+    use mirage_runtime::Runtime;
+
+    /// A connect's reply reaches the worker that sent the SYN: the switch
+    /// delivers the peer's SYN+ACK, as the peer's own egress writes it,
+    /// into the queue of the worker that picked the local port.
+    #[test]
+    fn every_picked_port_brings_its_reply_to_the_picking_worker() {
+        let (ours, peer) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let cfg = StackConfig::static_ip(ours);
+        let syn_ack = SegmentOut {
+            seq: 1,
+            ack: 1,
+            flags: Flags {
+                syn: true,
+                ack: true,
+                ..Flags::default()
+            },
+            window: 0xFFFF,
+            mss: None,
+            wscale: None,
+            payload: PktBuf::empty(),
+        };
+        for workers in [2usize, 4, 8] {
+            for worker in 0..workers {
+                let shared = Shared::new(Some(ours));
+                let mut admission =
+                    Admission::new(&cfg, shared.listeners.clone(), (worker, workers));
+                let conns = Conns::new(channel::channel().0, shared.listeners);
+                let (tx, mut wire) = channel::channel();
+                let peer_shared = Shared::new(Some(peer));
+                let mut egress = Egress::new(Runtime::new(), Mac::local(2), tx, &cfg, &peer_shared);
+                egress.learn(ours, Mac::local(1));
+                for _ in 0..32 {
+                    let port = admission
+                        .pick_local_port(peer, 80, &conns)
+                        .expect("ports left");
+                    egress.tcp(80, (ours, port), &syn_ack);
+                    egress.flush();
+                    let reply = wire.try_recv().expect("the reply was sent");
+                    assert_eq!(
+                        rss::rx_queue(&reply, workers),
+                        worker,
+                        "port {port} picked by worker {worker} of {workers}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -63,7 +63,7 @@ impl ConnEntry {
     }
 }
 
-/// The flow key the sharded [`ConnTable`] (owned by the TCP demux
+/// The flow key the [`ConnTable`] (owned by the TCP demux
 /// component, `tcp::demux`) indexes this entry under.
 impl FlowKeyed for ConnEntry {
     fn quad(&self) -> (Ipv4Addr, u16, u16) {

@@ -141,7 +141,7 @@ impl AddrCell {
     }
 }
 
-/// What the shard workers of one interface share, each behind a short
+/// What the workers of one interface share, each behind a short
 /// mutex or an atomic: every worker holds a clone.
 #[derive(Clone)]
 struct Shared {
@@ -152,7 +152,7 @@ struct Shared {
     /// ARP replies ride queue 0, so worker 0 learns neighbours (and
     /// releases the frames queued on them) on behalf of every core.
     arp: Arc<Mutex<ArpCache>>,
-    /// Shared so a SYN landing on any worker's shard can surface its
+    /// Shared so a SYN landing on any worker can surface its
     /// accept to the socket owner.
     listeners: Listeners,
 }
@@ -196,7 +196,7 @@ fn trace_segment(
     );
 }
 
-/// One interface thread: the shard worker behind one RX queue.
+/// One interface thread: the worker behind one RX queue.
 struct Worker {
     rt: Runtime,
     rx: Receiver<PktBuf>,
@@ -212,26 +212,26 @@ struct Worker {
 }
 
 impl Worker {
-    /// Worker `shard.0` of `shard.1` over `nh`; `cmd_tx` is the channel
+    /// Worker `queue.0` of `queue.1` over `nh`; `cmd_tx` is the channel
     /// its streams will command it through.
     fn new(
         rt: Runtime,
         nh: NetHandle,
         cfg: &StackConfig,
         shared: Shared,
-        shard: (usize, usize),
+        queue: (usize, usize),
         cmd_tx: Sender<Cmd>,
     ) -> Worker {
         Worker {
             egress: Egress::new(rt.clone(), Mac(nh.mac), nh.tx, cfg, &shared),
             conns: Conns::new(cmd_tx, Arc::clone(&shared.listeners)),
-            admission: Admission::new(cfg, shared.listeners, shard),
+            admission: Admission::new(cfg, shared.listeners, queue),
             endpoints: Endpoints::default(),
             rt,
             rx: nh.rx,
             frames: VecDeque::new(),
             ready: shared.ready,
-            index: shard.0,
+            index: queue.0,
         }
     }
 

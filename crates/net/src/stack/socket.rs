@@ -267,12 +267,12 @@ impl Drop for TcpStream {
     }
 }
 
-/// Handle to a running network stack — one shard worker in the classic
-/// configuration, or one per RX queue in sharded SMP mode
+/// Handle to a running network stack — one worker in the classic
+/// configuration, or one per RX queue in SMP mode
 /// ([`Stack::spawn_sharded`]).
 #[derive(Clone)]
 pub struct Stack {
-    /// One command channel per shard worker; index = worker = RX queue.
+    /// One command channel per worker; index = worker = RX queue.
     cmds: Vec<Sender<Cmd>>,
     ip: Arc<AddrCell>,
     ready: Notify,
@@ -293,11 +293,12 @@ impl Stack {
     }
 
     /// Spawns one pinned worker per RX queue handle: worker `v` runs on
-    /// core `v` and owns exactly the connection shards with
-    /// `shard % workers == v`, so a flow's TCB is only ever touched by
-    /// one core. Pair the handles with
-    /// [`Backend::net_multiqueue`](mirage_devices::Backend::net_multiqueue)
-    /// so the device fans frames out by the same Toeplitz hash. Control
+    /// core `v` and owns exactly the flows the device delivers to queue
+    /// `v`, each in its own connection table, so a flow's TCB is only ever
+    /// touched by one core. Pair the handles with
+    /// [`Backend::net_multiqueue`](mirage_devices::Backend::net_multiqueue):
+    /// `mirage_devices::rss` decides a flow's queue, both for the frames
+    /// the device delivers and for the ephemeral ports a worker picks. Control
     /// plane (ARP replies, DHCP, UDP, ping) rides queue 0 and is handled
     /// by worker 0; the ARP cache and listener map are the only shared
     /// state, behind short mutexes.
@@ -326,11 +327,6 @@ impl Stack {
             ready: shared.ready,
             connect_rr: Arc::new(Mutex::new(0)),
         }
-    }
-
-    /// Number of shard workers behind this handle.
-    pub fn workers(&self) -> usize {
-        self.cmds.len()
     }
 
     /// The interface address, if configured/leased.

@@ -35,7 +35,7 @@
 //! | ROD | [`rod`](self) | `snd_una`/`snd_nxt`, send buffer, `rcv_nxt`, reassembly stash (and an early FIN), dup-ack counting |
 //! | FlowCtrl | [`flow`](self) | peer window `snd_wnd`, persist timer |
 //! | CongCtrl | [`cong`] | `cwnd`, `ssthresh`, per-algorithm epoch state |
-//! | Demux | [`demux`] | flow-hash shard indexes (used by the socket layer) |
+//! | Demux | [`demux`] | one worker's id and flow indexes (used by the socket layer) |
 //!
 //! [`Connection`] is the orchestrator: it owns one instance of each
 //! component, reads any of them, but writes none of their fields — every

@@ -50,7 +50,7 @@ struct TaskEntry {
     queued: bool,
     /// Core whose run queue wakes of this task land on. Stealing moves it.
     home: usize,
-    /// Pinned tasks (shard owners, per-core service loops) never migrate.
+    /// Pinned tasks (stack workers, per-core service loops) never migrate.
     pinned: bool,
     /// Made at the first poll and handed to every later one.
     waker: Option<Waker>,
@@ -190,7 +190,7 @@ pub(crate) struct Executor {
     clocks: Box<[CoreClock]>,
     /// Core currently polling a task, or [`Executor::IDLE`] — charges,
     /// `now()` reads and timer registrations from inside the task route
-    /// here (the task may hold a handle homed elsewhere).
+    /// here, and to core 0 while it is idle.
     executing: AtomicUsize,
     /// The hypervisor's cost table. It has no setter, so pricing reads it
     /// in place and nothing can change it under a charge.
@@ -201,13 +201,11 @@ impl Executor {
     const IDLE: usize = usize::MAX;
 }
 
-/// Shared handle to the executor, annotated with a home core: spawns and
-/// charges made *outside* any task (device service code, harnesses) land
-/// on the home core.
+/// Shared handle to the executor. Spawns and charges made *outside* any
+/// task (device service code, harnesses) land on core 0.
 #[derive(Clone)]
 pub(crate) struct CoreHandle {
     pub(crate) exec: Arc<Executor>,
-    pub(crate) home: usize,
 }
 
 struct TaskWaker {
@@ -255,16 +253,6 @@ impl CoreHandle {
                 executing: AtomicUsize::new(Executor::IDLE),
                 costs: CostTable::defaults(),
             }),
-            home: 0,
-        }
-    }
-
-    /// The same executor, homed on core `v`.
-    pub(crate) fn on_core(&self, v: usize) -> CoreHandle {
-        assert!(v < self.cores(), "core {v} out of range");
-        CoreHandle {
-            exec: Arc::clone(&self.exec),
-            home: v,
         }
     }
 
@@ -273,10 +261,10 @@ impl CoreHandle {
     }
 
     /// The core a charge made right now would land on (the executing core
-    /// inside a task, this handle's home outside one).
+    /// inside a task, core 0 outside one).
     pub(crate) fn current_core(&self) -> usize {
         match self.exec.executing.load(Ordering::Relaxed) {
-            Executor::IDLE => self.home,
+            Executor::IDLE => 0,
             v => v,
         }
     }

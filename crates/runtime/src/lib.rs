@@ -113,21 +113,9 @@ impl Runtime {
     }
 
     /// The core work charged right now would land on: the polling core
-    /// inside a task, this handle's home core outside one.
+    /// inside a task, core 0 outside one.
     pub fn current_core(&self) -> usize {
         self.core.current_core()
-    }
-
-    /// This runtime, homed on core `v`: spawns and charges made outside
-    /// any task through the returned handle land on `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a valid core index.
-    pub fn on_core(&self, v: usize) -> Runtime {
-        Runtime {
-            core: self.core.on_core(v),
-        }
     }
 
     /// Tasks migrated between cores by the work-stealing scheduler.
@@ -149,7 +137,7 @@ impl Runtime {
     }
 
     /// Spawns a lightweight thread pinned to core `v`: it runs only on
-    /// that core's queue and is never work-stolen. This is how per-shard
+    /// that core's queue and is never work-stolen. This is how per-queue
     /// net-stack workers keep a flow's TCB on exactly one core.
     ///
     /// # Panics

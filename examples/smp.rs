@@ -2,10 +2,10 @@
 //! quiet-tick claim split per core.
 //!
 //! Two mirage unikernels (sender and receiver) each run a
-//! [`Runtime::smp`] executor with one net-stack shard worker per vCPU; a
+//! [`Runtime::smp`] executor with one net-stack worker per vCPU; a
 //! multi-queue netfront fans RX frames to per-core ingress rings by RSS
 //! hash, so every flow's TCB is only ever touched by the core that owns
-//! its shard. The matrix runs {1, 16} bulk flows at {1, 2, 4, 8} vCPUs
+//! its queue. The matrix runs {1, 16} bulk flows at {1, 2, 4, 8} vCPUs
 //! and reports aggregate goodput. What CPU scaling means here is gated on
 //! every `cargo test` by `mirage_bench::netsim`'s
 //! `sixteen_flows_scale_with_vcpus`, which runs the row printed below:

@@ -254,6 +254,17 @@ exactly crates/devices/src/netfront.rs 0 "RSS classification in netfront" 'rss::
 exactly crates/devices/src/transport 0 "a per-ABI handshake" 'fn (advertise|attach)_(net|blk|nic|disk)\b'
 echo "   ok"
 
+echo "== gate: traffic is split once"
+# A flow's queue is its Toeplitz hash modulo the queue count, decided in
+# devices::rss alone: no shard space in front of that fold, no hash in a
+# worker's connection table, and netfront charges a queue on the vCPU its
+# event channel was bound to instead of re-deriving the binding.
+exactly crates/net/src 0 "a shard space" 'SHARD_BITS|SHARDS|shard_of'
+exactly crates/devices/src 0 "a shard space" 'SHARD_BITS|SHARDS|shard_of'
+exactly crates/net/src/tcp/demux.rs 0 "a flow hash in the connection table" 'toeplitz|flow_hash'
+exactly crates/devices/src/netfront.rs 0 "a re-derived queue-to-vCPU rule" '% env\.vcpus\(\)'
+echo "   ok"
+
 echo "== build (release, offline, all targets)"
 cargo build --release --offline --workspace --all-targets
 
