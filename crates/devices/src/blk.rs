@@ -415,10 +415,6 @@ impl<T: FrontTransport> DeviceService for Blkif<T> {
             Link::Connected => self.pass(env),
         }
     }
-
-    fn watch_ports(&self) -> &[Port] {
-        self.port.as_slice()
-    }
 }
 
 impl<T: FrontTransport> BlkDriver for Blkif<T> {

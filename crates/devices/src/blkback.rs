@@ -61,10 +61,6 @@ impl BlkBackend {
         }
     }
 
-    pub(crate) fn event_port(&self) -> Port {
-        self.port
-    }
-
     /// When the earliest request in service completes.
     pub(crate) fn next_deadline(&self) -> Option<Time> {
         self.pending.next_deadline().map(Time::from_nanos)

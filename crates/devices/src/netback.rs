@@ -21,7 +21,6 @@ use std::sync::Arc;
 use mirage_testkit::rng::Rng;
 use mirage_testkit::sync::Mutex;
 
-use mirage_hypervisor::event::Port;
 use mirage_hypervisor::{DomainEnv, Guest, Step, Wake};
 
 use crate::blk::DiskProfile;
@@ -215,25 +214,19 @@ impl Guest for DriverDomain {
         if self.counts != counted {
             *self.stats.lock() = self.counts;
         }
-        let ports: Vec<Port> = self
-            .switch
-            .event_ports()
-            .chain(self.blks.iter().map(|b| b.event_port()))
-            .collect();
         let deadline = self
             .blks
             .iter()
             .filter_map(|b| b.next_deadline())
             .chain(self.switch.next_deadline())
             .min();
-        Step::Yield(Wake { deadline, ports })
+        Step::Yield(Wake { deadline })
     }
 }
 
 impl std::fmt::Debug for DriverDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DriverDomain")
-            .field("nic_queues", &self.switch.event_ports().count())
             .field("blks", &self.blks.len())
             .field("taps", &self.switch.taps.len())
             .finish()
@@ -397,10 +390,6 @@ pub(crate) mod raw {
                     progressed | self.queues[0].arm()
                 }
             }
-        }
-
-        fn watch_ports(&self) -> &[Port] {
-            self.port.as_slice()
         }
     }
 }

@@ -376,10 +376,6 @@ impl<T: FrontTransport> DeviceService for Netif<T> {
             Link::Connected => self.pass(env),
         }
     }
-
-    fn watch_ports(&self) -> &[Port] {
-        &self.ports
-    }
 }
 
 impl<T: FrontTransport> NetDriver for Netif<T> {
@@ -434,9 +430,7 @@ mod tests {
                     }
                 }
             }
-            let mut ports = Vec::new();
             if let Some((port, _tx, rx)) = &mut self.nic {
-                ports.push(*port);
                 let _ = env.evtchn_consume(*port);
                 if !self.lied {
                     // A header-less virtqueue drops the status: there the
@@ -453,10 +447,7 @@ mod tests {
                 }
                 rx.arm();
             }
-            Step::Yield(Wake {
-                deadline: None,
-                ports,
-            })
+            Step::Yield(Wake::never())
         }
     }
 
@@ -512,8 +503,9 @@ mod tests {
         l3
     }
 
-    /// The NIC under test, reporting the vCPU each of its event channels
-    /// is bound to after every service pass.
+    /// The NIC under test, the guest's only device, reporting the vCPU
+    /// each event channel the guest holds is bound to after every service
+    /// pass.
     struct Bindings {
         nic: Box<dyn NetDriver>,
         vcpus: Arc<Mutex<Vec<usize>>>,
@@ -522,16 +514,9 @@ mod tests {
     impl DeviceService for Bindings {
         fn service(&mut self, env: &mut DomainEnv<'_>, rt: &Runtime) -> bool {
             let progressed = self.nic.service(env, rt);
-            let ports = self.nic.watch_ports();
-            *self.vcpus.lock() = ports
-                .iter()
-                .map(|&p| env.evtchn_vcpu(p).expect("bound"))
-                .collect();
+            let held = (0..).map_while(|p| env.evtchn_vcpu(Port(p)).ok());
+            *self.vcpus.lock() = held.collect();
             progressed
-        }
-
-        fn watch_ports(&self) -> &[Port] {
-            self.nic.watch_ports()
         }
     }
 

@@ -204,13 +204,6 @@ impl Switch {
         });
     }
 
-    /// Every event channel the switch listens on.
-    pub(crate) fn event_ports(&self) -> impl Iterator<Item = Port> + '_ {
-        self.ports
-            .iter()
-            .flat_map(|p| p.queues.iter().map(|q| q.port))
-    }
-
     /// Arms every queue before the driver domain blocks; `true` if a
     /// request raced in (another pass instead of a sleep).
     pub(crate) fn arm(&mut self) -> bool {
@@ -455,8 +448,8 @@ mod tests {
                 }
             }
             self.sw.service(env, counts);
-            let (deadline, ports) = (self.sw.next_deadline(), Vec::new());
-            Step::Yield(Wake { deadline, ports })
+            let deadline = self.sw.next_deadline();
+            Step::Yield(Wake { deadline })
         }
     }
 

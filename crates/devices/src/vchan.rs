@@ -284,10 +284,6 @@ impl DeviceService for VchanEndpoint {
             VchanState::Connected => self.step_connected(env),
         }
     }
-
-    fn watch_ports(&self) -> &[Port] {
-        self.port.as_slice()
-    }
 }
 
 impl std::fmt::Debug for VchanEndpoint {

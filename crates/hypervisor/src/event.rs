@@ -2,8 +2,10 @@
 //!
 //! An event channel is a pair of per-domain ports carrying a single pending
 //! bit (paper §3.4: "connected by an event channel to signal the other
-//! side"). Unikernels block in `domainpoll` on a set of ports plus a
-//! timeout; a notification from the peer makes the domain runnable again.
+//! side"). Unikernels block in `domainpoll` on their channels plus a
+//! timeout. This table is the one record of which channels a domain
+//! holds: a notification on any of them makes the domain runnable again,
+//! and one already pending when it blocks keeps it runnable.
 
 use std::fmt;
 
@@ -177,13 +179,12 @@ impl EventSubsystem {
         Ok(std::mem::replace(&mut entry.pending, false))
     }
 
-    /// Peeks at the pending bit without clearing it (scheduler use).
-    pub fn is_pending(&self, dom: DomainId, port: Port) -> bool {
+    /// Whether any port `dom` holds has its pending bit set (scheduler
+    /// use: a domain with one is not allowed to block).
+    pub fn any_pending(&self, dom: DomainId) -> bool {
         self.ports
             .get(dom.index())
-            .and_then(|t| t.get(port.0 as usize))
-            .map(|e| e.pending)
-            .unwrap_or(false)
+            .is_some_and(|t| t.iter().any(|e| e.pending))
     }
 
     /// Closes a local port; the peer (if any) reverts to `Closed` too.
@@ -203,6 +204,18 @@ impl EventSubsystem {
             }
         }
         Ok(())
+    }
+
+    /// Closes every port `dom` holds and clears its pending bit — what
+    /// Xen's domain destruction does to a dead domain's channels.
+    pub fn close_domain(&mut self, dom: DomainId) {
+        let held = self.ports.get(dom.index()).map_or(0, Vec::len);
+        for port in (0..held as u32).map(Port) {
+            let _ = self.close(dom, port);
+            if let Ok(entry) = self.entry(dom, port) {
+                entry.pending = false;
+            }
+        }
     }
 
     /// Steers `(dom, port)` notifications to `vcpu`
@@ -254,12 +267,13 @@ mod tests {
     fn alloc_bind_notify_consume() {
         let (mut ev, p1, p2) = bound_pair();
         assert_eq!(ev.notify(D1, p1).unwrap(), (D2, p2));
-        assert!(ev.is_pending(D2, p2));
+        assert!(ev.any_pending(D2));
         assert!(ev.consume_pending(D2, p2).unwrap());
         assert!(!ev.consume_pending(D2, p2).unwrap(), "bit cleared");
+        assert!(!ev.any_pending(D2));
         // And the reverse direction.
         assert_eq!(ev.notify(D2, p2).unwrap(), (D1, p1));
-        assert!(ev.is_pending(D1, p1));
+        assert!(ev.any_pending(D1));
     }
 
     #[test]

@@ -78,42 +78,29 @@ impl fmt::Display for DomainId {
     }
 }
 
-/// What a guest asks for when it blocks — PVBoot's `domainpoll` arguments:
-/// "blocks the VM on a set of event channels and a timeout" (§3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// What a guest asks for when it blocks — PVBoot's `domainpoll`: "blocks
+/// the VM on a set of event channels and a timeout" (§3.2). The set is
+/// every channel the domain holds, which the event table already knows,
+/// so the guest names only the timeout: a notification on any of its
+/// channels, a virq or the deadline makes it runnable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Wake {
     /// Absolute virtual-time deadline, if any.
     pub deadline: Option<Time>,
-    /// Event-channel ports whose notification wakes the domain.
-    pub ports: Vec<Port>,
 }
 
 impl Wake {
     /// Reschedule as soon as a physical CPU is free (a cooperative yield).
     pub fn now() -> Wake {
-        Wake {
-            deadline: Some(Time::ZERO),
-            ports: Vec::new(),
-        }
+        Wake::at(Time::ZERO)
     }
 
     /// Sleep until the absolute instant `t`.
     pub fn at(t: Time) -> Wake {
-        Wake {
-            deadline: Some(t),
-            ports: Vec::new(),
-        }
+        Wake { deadline: Some(t) }
     }
 
-    /// Block until `port` is notified.
-    pub fn on_port(port: Port) -> Wake {
-        Wake {
-            deadline: None,
-            ports: vec![port],
-        }
-    }
-
-    /// Block forever (only an exit or external wake ends the domain).
+    /// Block until an event arrives (or forever, if none ever does).
     pub fn never() -> Wake {
         Wake::default()
     }
@@ -207,7 +194,7 @@ pub struct DomainEnv<'a> {
     /// The lane [`DomainEnv::consume`] currently charges to.
     cur: usize,
     sys: &'a mut System,
-    wakes: Vec<(DomainId, Option<Port>, Time)>,
+    wakes: Vec<(DomainId, Time)>,
 }
 
 impl<'a> DomainEnv<'a> {
@@ -311,8 +298,7 @@ impl<'a> DomainEnv<'a> {
         self.sys.events.bind_interdomain(self.dom, remote, remote_port)
     }
 
-    /// Notifies the peer of `port`, waking it if it is blocked on the
-    /// channel.
+    /// Notifies the peer of `port`, waking it if it is blocked.
     ///
     /// # Errors
     ///
@@ -320,9 +306,9 @@ impl<'a> DomainEnv<'a> {
     pub fn evtchn_notify(&mut self, port: Port) -> Result<(), EventError> {
         self.hypercall();
         self.consumed[self.cur] += self.sys.costs.event_notify;
-        let (peer_dom, peer_port) = self.sys.events.notify(self.dom, port)?;
+        let (peer_dom, _) = self.sys.events.notify(self.dom, port)?;
         let at = self.now();
-        self.wakes.push((peer_dom, Some(peer_port), at));
+        self.wakes.push((peer_dom, at));
         Ok(())
     }
 
@@ -360,12 +346,13 @@ impl<'a> DomainEnv<'a> {
         self.sys.events.vcpu_of(self.dom, port).map(|v| v as usize)
     }
 
-    /// Delivers a virtual interrupt: unconditionally wakes `dom` (used for
-    /// xenstore watch events and other out-of-band signals).
+    /// Delivers a virtual interrupt: wakes `dom` without setting any
+    /// pending bit (used for xenstore watch events and other out-of-band
+    /// signals).
     pub fn virq(&mut self, dom: DomainId) {
         self.hypercall();
         let at = self.now();
-        self.wakes.push((dom, None, at));
+        self.wakes.push((dom, at));
     }
 
     // ----- grant table ----------------------------------------------------
@@ -481,7 +468,7 @@ pub struct Hypervisor {
     /// per-vCPU lanes, the wakes it sent, and the pCPUs gang placement
     /// has used.
     lanes: Vec<Dur>,
-    wakes: Vec<(DomainId, Option<Port>, Time)>,
+    wakes: Vec<(DomainId, Time)>,
     placed: Vec<usize>,
 }
 
@@ -632,8 +619,11 @@ impl Hypervisor {
     /// Destroys a running domain in place (crash injection): the guest is
     /// dropped wherever it was, the slot records [`KILLED_EXIT_CODE`], and
     /// peers observe nothing but silence — exactly what a crashed
-    /// appliance looks like from across the network. No-op if the domain
-    /// already exited.
+    /// appliance looks like from across the network. As Xen's domain
+    /// destruction does, its event channels are closed with their pending
+    /// bits cleared: a peer's notify fails with [`EventError::Closed`], and
+    /// nothing reaches a later incarnation through them. No-op if the
+    /// domain already exited.
     pub fn kill_domain(&mut self, dom: DomainId) {
         let slot = &mut self.slots[dom.index()];
         if matches!(slot.state, SchedState::Exited(_)) {
@@ -641,6 +631,7 @@ impl Hypervisor {
         }
         slot.guest = None;
         slot.state = SchedState::Exited(KILLED_EXIT_CODE);
+        self.sys.events.close_domain(dom);
     }
 
     /// Reboots a dead domain slot with a fresh guest image. The domain
@@ -809,19 +800,15 @@ impl Hypervisor {
                 Step::Exit(code) => slot.state = SchedState::Exited(code),
                 Step::Yield(wake) => {
                     // domainpoll semantics: check pending bits before blocking.
-                    let already = wake
-                        .ports
-                        .iter()
-                        .any(|p| self.sys.events.is_pending(dom, *p));
-                    slot.state = if already {
+                    slot.state = if self.sys.events.any_pending(dom) {
                         SchedState::Runnable(end)
                     } else {
                         SchedState::Blocked(wake)
                     };
                 }
             }
-            for (peer, port, at) in wakes.drain(..) {
-                self.deliver_wake(peer, port, at);
+            for (peer, at) in wakes.drain(..) {
+                self.deliver_wake(peer, at);
             }
             self.wakes = wakes;
         }
@@ -833,19 +820,10 @@ impl Hypervisor {
         self.run_until(limit)
     }
 
-    fn deliver_wake(&mut self, dom: DomainId, port: Option<Port>, at: Time) {
+    fn deliver_wake(&mut self, dom: DomainId, at: Time) {
         let slot = &mut self.slots[dom.index()];
-        if let SchedState::Blocked(wake) = &slot.state {
-            let hit = match port {
-                Some(p) => wake.ports.contains(&p),
-                // A virq wakes the domain regardless of its poll set.
-                None => true,
-            };
-            if hit {
-                slot.state = SchedState::Runnable(at.max(slot.ready_at));
-            }
-            // Unwatched ports: the pending bit stays set in the event table
-            // and is checked the next time the domain blocks.
+        if matches!(slot.state, SchedState::Blocked(_)) {
+            slot.state = SchedState::Runnable(at.max(slot.ready_at));
         }
     }
 
@@ -1060,7 +1038,8 @@ mod tests {
     #[test]
     fn event_channel_ping_pong_between_domains() {
         // Server allocates an unbound port, observes it, and echoes every
-        // notification; client binds and sends 3 pings.
+        // notification; client binds and sends 3 pings. Both block on
+        // nothing but the channel they hold.
         struct Server {
             client: DomainId,
             port: Option<Port>,
@@ -1072,16 +1051,15 @@ mod tests {
                         let p = env.evtchn_alloc_unbound(self.client);
                         env.observe(&format!("port:{}", p.0));
                         self.port = Some(p);
-                        Step::Yield(Wake::on_port(p))
                     }
                     Some(p) => {
                         if env.evtchn_consume(p).unwrap() {
                             env.consume(Dur::micros(1));
                             env.evtchn_notify(p).unwrap();
                         }
-                        Step::Yield(Wake::on_port(p))
                     }
                 }
+                Step::Yield(Wake::never())
             }
         }
         struct Client {
@@ -1098,7 +1076,7 @@ mod tests {
                         self.port = Some(p);
                         env.evtchn_notify(p).unwrap();
                         self.remaining -= 1;
-                        return Step::Yield(Wake::on_port(p));
+                        return Step::Yield(Wake::never());
                     }
                     Some(p) => p,
                 };
@@ -1109,7 +1087,7 @@ mod tests {
                     self.remaining -= 1;
                     env.evtchn_notify(p).unwrap();
                 }
-                Step::Yield(Wake::on_port(p))
+                Step::Yield(Wake::never())
             }
         }
 
@@ -1144,6 +1122,116 @@ mod tests {
         assert_eq!(outcome, RunOutcome::Idle, "server still listening");
         assert_eq!(hv.exit_code(client), Some(0));
         assert!(hv.stats().notifications >= 6, "3 pings + 3 echoes");
+    }
+
+    /// Observation keys `dom` recorded, in order.
+    fn keys(hv: &Hypervisor, dom: DomainId) -> Vec<&str> {
+        let mine = hv.observations().iter().filter(|o| o.dom == dom);
+        mine.map(|o| o.key.as_str()).collect()
+    }
+
+    /// Allocates two channels for `peer` on its first step, then blocks
+    /// on `Wake::never()` and writes down every pending bit it finds.
+    struct Holder {
+        peer: DomainId,
+        ports: Vec<Port>,
+    }
+
+    impl Guest for Holder {
+        fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
+            if self.ports.is_empty() {
+                let peer = self.peer;
+                self.ports = vec![env.evtchn_alloc_unbound(peer), env.evtchn_alloc_unbound(peer)];
+            }
+            for &p in &self.ports {
+                if env.evtchn_consume(p).unwrap() {
+                    env.observe(&format!("woke:{}", p.0));
+                }
+            }
+            Step::Yield(Wake::never())
+        }
+    }
+
+    /// Binds `holder`'s ports on its first step, then notifies them in
+    /// `order` a millisecond apart, writing down what each notify
+    /// returned.
+    struct Pinger {
+        holder: DomainId,
+        order: Vec<Port>,
+        bound: Option<Vec<Port>>,
+    }
+
+    impl Guest for Pinger {
+        fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
+            let (holder, order) = (self.holder, &self.order);
+            let bound = self.bound.get_or_insert_with(|| {
+                let ports = order.iter().rev();
+                ports.map(|&p| env.evtchn_bind(holder, p).unwrap()).collect()
+            });
+            let Some(local) = bound.pop() else {
+                return Step::Exit(0);
+            };
+            let sent = env.evtchn_notify(local);
+            env.observe(&format!("notify:{sent:?}"));
+            Step::Yield(Wake::at(env.now() + Dur::millis(1)))
+        }
+    }
+
+    #[test]
+    fn a_blocked_domain_wakes_on_any_channel_it_holds() {
+        for order in [[Port(0), Port(1)], [Port(1), Port(0)]] {
+            let mut hv = Hypervisor::with_pcpus(2);
+            let peer = DomainId(1);
+            let holder = hv.create_domain("holder", 16, Box::new(Holder { peer, ports: vec![] }));
+            let pinger = Pinger {
+                holder,
+                order: order.to_vec(),
+                bound: None,
+            };
+            hv.create_domain("pinger", 16, Box::new(pinger));
+            assert_eq!(hv.run(), RunOutcome::Idle, "the holder blocks for good");
+            let woke: Vec<String> = order.iter().map(|p| format!("woke:{}", p.0)).collect();
+            assert_eq!(keys(&hv, holder), woke, "each notification woke it, in order");
+        }
+    }
+
+    #[test]
+    fn killing_a_domain_closes_its_channels() {
+        /// Holds no channel; writes down every step it is given.
+        struct Reborn;
+        impl Guest for Reborn {
+            fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
+                env.observe("step");
+                Step::Yield(Wake::never())
+            }
+        }
+        let mut hv = Hypervisor::with_pcpus(2);
+        hv.set_step_budget(100);
+        let peer = DomainId(1);
+        let victim = hv.create_domain("victim", 16, Box::new(Holder { peer, ports: vec![] }));
+        let pinger = Pinger {
+            holder: victim,
+            order: vec![Port(0), Port(1)],
+            bound: None,
+        };
+        let pinger = hv.create_domain("pinger", 16, Box::new(pinger));
+        // The first notify lands while the victim lives; the second comes
+        // after it was killed and restarted.
+        hv.run_until(Time::ZERO + Dur::micros(500));
+        assert_eq!(keys(&hv, victim), ["woke:0"]);
+        hv.kill_domain(victim);
+        hv.restart_domain(victim, Box::new(Reborn));
+        assert_eq!(hv.run(), RunOutcome::Idle);
+        assert_eq!(
+            keys(&hv, pinger),
+            ["notify:Ok(())", "notify:Err(Closed)"],
+            "the dead domain's channel is closed"
+        );
+        assert_eq!(
+            keys(&hv, victim),
+            ["woke:0", "step"],
+            "the new incarnation stepped once, at its boot"
+        );
     }
 
     #[test]

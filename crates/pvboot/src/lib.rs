@@ -19,7 +19,7 @@
 //! * [`heap::GcHeap`] — a cost model of the modified OCaml garbage
 //!   collector over either backing allocator; this is the mechanism behind
 //!   the Figure 7 `xen-malloc` vs `xen-extent` ablation.
-//! * [`domainpoll`] — the blocking primitive: a [`Wake`] over a set of
+//! * [`domainpoll`] — the blocking primitive: a [`Wake`] on the domain's
 //!   event channels plus a timeout.
 
 pub mod extent;
@@ -27,28 +27,24 @@ pub mod heap;
 pub mod layout;
 pub mod slab;
 
-use mirage_hypervisor::event::Port;
 use mirage_hypervisor::{Time, Wake};
 
 /// Builds the [`Wake`] condition for PVBoot's `domainpoll`: "blocks the VM
-/// on a set of event channels and a timeout" (§3.2).
+/// on a set of event channels and a timeout" (§3.2). The set is every
+/// channel the domain holds, which the hypervisor knows, so only the
+/// timeout is an argument.
 ///
 /// # Example
 ///
 /// ```
-/// use mirage_hypervisor::event::Port;
 /// use mirage_hypervisor::Time;
 /// use mirage_pvboot::domainpoll;
 ///
-/// let wake = domainpoll(vec![Port(3), Port(7)], Some(Time::from_nanos(1_000)));
-/// assert_eq!(wake.ports.len(), 2);
+/// let wake = domainpoll(Some(Time::from_nanos(1_000)));
 /// assert_eq!(wake.deadline, Some(Time::from_nanos(1_000)));
 /// ```
-pub fn domainpoll(ports: Vec<Port>, timeout: Option<Time>) -> Wake {
-    Wake {
-        deadline: timeout,
-        ports,
-    }
+pub fn domainpoll(timeout: Option<Time>) -> Wake {
+    Wake { deadline: timeout }
 }
 
 #[cfg(test)]
@@ -57,15 +53,14 @@ mod tests {
 
     #[test]
     fn domainpoll_without_timeout_blocks_on_events_only() {
-        let wake = domainpoll(vec![Port(1)], None);
+        let wake = domainpoll(None);
         assert_eq!(wake.deadline, None);
-        assert_eq!(wake.ports, vec![Port(1)]);
+        assert_eq!(wake, Wake::never());
     }
 
     #[test]
     fn domainpoll_with_no_ports_is_a_pure_sleep() {
-        let wake = domainpoll(Vec::new(), Some(Time::from_nanos(5)));
-        assert!(wake.ports.is_empty());
-        assert_eq!(wake.deadline, Some(Time::from_nanos(5)));
+        let wake = domainpoll(Some(Time::from_nanos(5)));
+        assert_eq!(wake, Wake::at(Time::from_nanos(5)));
     }
 }

@@ -13,8 +13,8 @@
 //!   [`channel::JoinHandle`]s.
 //! * [`UnikernelGuest`] — the run-loop: services device state machines,
 //!   runs one executor round (each runnable thread once), and repeats
-//!   until a round polls nothing; the stall state then becomes a
-//!   `domainpoll`-style [`mirage_hypervisor::Wake`].
+//!   until a round polls nothing, then blocks in
+//!   [`mirage_pvboot::domainpoll`] until its next timer or an event.
 //!
 //! Thread construction can be charged against a
 //! [`mirage_pvboot::heap::GcHeap`] cost model, which is how the
@@ -49,8 +49,7 @@ use std::sync::Arc;
 
 use mirage_testkit::sync::Mutex;
 
-use mirage_hypervisor::event::Port;
-use mirage_hypervisor::{CostTable, DomainEnv, Dur, Guest, Step, Time, Wake};
+use mirage_hypervisor::{CostTable, DomainEnv, Dur, Guest, Step, Time};
 use mirage_pvboot::heap::GcHeap;
 
 use channel::{JoinHandle, OneshotState};
@@ -268,15 +267,14 @@ impl Runtime {
 /// Device service code is *synchronous* — it runs with the [`DomainEnv`] in
 /// hand, moves data between shared rings and runtime channels, and wakes
 /// protocol threads via [`channel::Notify`]. (In Mirage terms: "only the
-/// run-loop is Xen-specific, to interface with PVBoot".)
+/// run-loop is Xen-specific, to interface with PVBoot".) A notification on
+/// any event channel the device holds wakes the domain: the hypervisor
+/// knows which those are, so the device does not list them.
 pub trait DeviceService: Send {
     /// Moves pending work between the hypervisor interface and the runtime.
     /// Returns `true` if any progress was made (more servicing may be
     /// needed after the executor runs).
     fn service(&mut self, env: &mut DomainEnv<'_>, rt: &Runtime) -> bool;
-
-    /// Event-channel ports whose notifications should wake this domain.
-    fn watch_ports(&self) -> &[Port];
 }
 
 type BootFn =
@@ -376,21 +374,12 @@ impl Guest for UnikernelGuest {
         }
         let mut report;
         loop {
+            // Devices are serviced on vCPU 0's lane; a multi-queue NIC
+            // charges each queue's work on the vCPU its channel is bound to.
             let mut progressed = false;
             for dev in &mut self.devices {
-                // Service each device on the vCPU its event channel is
-                // steered to (EVTCHNOP_bind_vcpu), so a multi-queue NIC's
-                // per-queue work lands on the owning core's lane.
-                let lane = dev
-                    .watch_ports()
-                    .first()
-                    .and_then(|p| env.evtchn_vcpu(*p).ok())
-                    .unwrap_or(0)
-                    .min(env.vcpus() - 1);
-                env.on_vcpu(lane);
                 progressed |= dev.service(env, &self.rt);
             }
-            env.on_vcpu(0);
             report = self.rt.run_round(env);
             if !progressed && report.polls == 0 {
                 break;
@@ -402,14 +391,7 @@ impl Guest for UnikernelGuest {
                 return Step::Exit(code);
             }
         }
-        let mut ports = Vec::new();
-        for dev in &self.devices {
-            ports.extend_from_slice(dev.watch_ports());
-        }
-        Step::Yield(Wake {
-            deadline: report.next_deadline,
-            ports,
-        })
+        Step::Yield(mirage_pvboot::domainpoll(report.next_deadline))
     }
 }
 
@@ -799,10 +781,6 @@ mod tests {
         fn service(&mut self, _env: &mut DomainEnv<'_>, _rt: &Runtime) -> bool {
             self.0.lock().push("svc".to_owned());
             false
-        }
-
-        fn watch_ports(&self) -> &[Port] {
-            &[]
         }
     }
 
