@@ -108,10 +108,33 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE), eight bytes a step — guards every log record.
+/// CRC-32 (IEEE, the bit-reflected polynomial 0xEDB8_8320) — guards every
+/// log record.
+///
+/// On x86_64 a record of 64 bytes or more runs the carry-less-multiply
+/// folding kernel (`clmul::fold`) when the CPU has PCLMULQDQ and SSE4.1;
+/// std detects both once and caches the answer. Shorter records, the
+/// kernel's tail under 16 bytes, CPUs without those features and every
+/// other architecture run `crc32_table`. On a 2-vCPU Intel Xeon,
+/// 512–4 096 B inputs checksum at 13–22 B/ns folded against 1.3–1.5 B/ns
+/// through the table; both paths give the same bits.
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `fold` is compiled for exactly the two features this CPU
+        // was just found to have.
+        return !unsafe { clmul::fold(!0, data) };
+    }
+    !crc32_table(!0, data)
+}
+
+/// Slicing-by-8: advances the CRC-32 register `crc` (pre- and
+/// post-inversion left to the caller) over `data`, eight bytes a step.
+fn crc32_table(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -127,7 +150,101 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// CRC-32 by folding with PCLMULQDQ (Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009).
+///
+/// Bytes load little-endian, so bit 0 of a 128-bit lane is the highest
+/// power of x it holds. Multiplying a lane's two 64-bit halves by
+/// `x^n mod P` moves it `n` bits towards the end of the message while
+/// keeping it within 96 bits, and XOR adds it to the lane found there.
+/// Every constant is `x^n mod P`, `P` or `⌊x^64 / P⌋` bit-reflected over
+/// 33 bits; the tests derive each from 0xEDB8_8320. (The 33rd bit absorbs
+/// the one place a reflected carry-less product comes out low.)
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Shortest input [`fold`] takes: its four lanes.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// Fold a lane 4 × 128 bits forward: `x^(512+32)` for its low half,
+    /// `x^(512-32)` for its high half.
+    pub(super) const K1: i64 = 0x1_5444_2BD4;
+    pub(super) const K2: i64 = 0x1_C6E4_1596;
+    /// Fold a lane 128 bits forward: `x^(128+32)`, `x^(128-32)`.
+    pub(super) const K3: i64 = 0x1_7519_97D0;
+    pub(super) const K4: i64 = 0x0_CCAA_009E;
+    /// Reduce 96 bits to 64: `x^64`.
+    pub(super) const K5: i64 = 0x1_63CD_6124;
+    /// Barrett reduction of 64 bits to 32: `P′` and `μ′ = ⌊x^64 / P⌋`.
+    pub(super) const P: i64 = 0x1_DB71_0641;
+    pub(super) const MU: i64 = 0x1_F701_1641;
+
+    /// Advances the CRC-32 register `crc` over `data`, at least
+    /// [`MIN_LEN`] bytes: four lanes folded 64 bytes a step, then one lane
+    /// 16 bytes a step, reduced to 32 bits, with the tail under 16 bytes
+    /// left to [`super::crc32_table`].
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(crc: u32, data: &[u8]) -> u32 {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (groups, singles) = blocks.as_chunks::<4>();
+        let (first, groups) = groups.split_first().expect("MIN_LEN bytes");
+        let mut lanes = first.map(|block| load(&block));
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+
+        let by_four = _mm_set_epi64x(K2, K1);
+        for group in groups {
+            for (lane, block) in lanes.iter_mut().zip(group) {
+                *lane = fold_into(*lane, load(block), by_four);
+            }
+        }
+        let by_one = _mm_set_epi64x(K4, K3);
+        let mut acc = lanes[0];
+        for &lane in &lanes[1..] {
+            acc = fold_into(acc, lane, by_one);
+        }
+        for block in singles {
+            acc = fold_into(acc, load(block), by_one);
+        }
+
+        // 128 → 96 bits: the low half times x^96 onto the high half, then
+        // 96 → 64: the low 32 bits times x^64 onto the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(acc, by_one),
+            _mm_srli_si128::<8>(acc),
+        );
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(acc),
+        );
+        // Barrett: the quotient's estimate times P, subtracted, leaves the
+        // remainder in bits 32..64.
+        let barrett = _mm_set_epi64x(MU, P);
+        let quotient = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), barrett);
+        let product = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(quotient, low32), barrett);
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(acc, product)) as u32;
+        super::crc32_table(crc, tail)
+    }
+
+    /// `lane` carried forward by the distance `keys` encode, plus `next`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_into(lane: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let low = _mm_clmulepi64_si128::<0x00>(lane, keys);
+        let high = _mm_clmulepi64_si128::<0x11>(lane, keys);
+        _mm_xor_si128(next, _mm_xor_si128(low, high))
+    }
+
+    /// One 16-byte block as a lane. (SSE2 is every x86_64 CPU's, but an
+    /// intrinsic is safe to call only where a feature list names it.)
+    #[target_feature(enable = "sse2")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*block);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1275,25 +1392,69 @@ mod tests {
         !crc
     }
 
+    /// Both paths against the reference: `crc32` (the folding kernel from
+    /// 64 bytes where the CPU has it) and the table it falls back to.
+    fn assert_crc32_paths(data: &[u8], context: &str) {
+        let want = crc32_bitwise(data);
+        assert_eq!(crc32(data), want, "crc32, {context}");
+        assert_eq!(!crc32_table(!0, data), want, "crc32_table, {context}");
+    }
+
     mirage_testkit::property! {
         #![cases(64)]
-        /// The table-driven CRC equals the bitwise reference.
-        fn prop_crc32_table_matches_bitwise(data in collection::vec(any::<u8>(), 0..3000)) {
-            assert_eq!(crc32(&data), crc32_bitwise(&data));
+        /// Seeded lengths up to 64 KiB: many four-lane steps, any tail.
+        fn prop_crc32_matches_bitwise(data in collection::vec(any::<u8>(), 0..65536)) {
+            assert_crc32_paths(&data, &format!("{} bytes", data.len()));
         }
     }
 
-    /// Every length across the eight-byte loop's boundaries, at every
-    /// offset of one buffer: its head, its tail and neither.
+    /// Every length to five four-lane steps, at every offset of one buffer
+    /// within a 16-byte load: under the kernel's 64 bytes, every count of
+    /// four-lane and one-lane folds and every tail, aligned or not.
     #[test]
     fn crc32_matches_bitwise_at_every_head_and_tail_of_the_wide_loop() {
-        let buf: Vec<u8> = (0..72u32).map(|i| (i * 37 + 11) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=64 {
-                let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bitwise(data), "{len} bytes at {start}");
+        let buf: Vec<u8> = (0..336u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=320 {
+                assert_crc32_paths(&buf[start..start + len], &format!("{len} bytes at {start}"));
             }
         }
+    }
+
+    /// The kernel's constants from 0xEDB8_8320 alone: `x^n mod P` and
+    /// `⌊x^64 / P⌋` by carry-less long division, a bit at a time, each
+    /// then bit-reflected over 33 bits.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc32_fold_constants_derive_from_the_polynomial() {
+        use clmul::{K1, K2, K3, K4, K5, MU, P};
+        // P(x) in the normal bit order, its x^32 term included.
+        let p = u64::from(0xEDB8_8320u32.reverse_bits()) | 1 << 32;
+        // x^n / P(x): the quotient's low 64 bits and the remainder.
+        let divide = |n: u32| {
+            let (mut quotient, mut rem) = (0u64, 0u64);
+            for bit in (0..=n).rev() {
+                rem = rem << 1 | u64::from(bit == n);
+                quotient <<= 1;
+                if rem >> 32 == 1 {
+                    rem ^= p;
+                    quotient |= 1;
+                }
+            }
+            (quotient, rem)
+        };
+        let reflect33 = |v: u64| v.reverse_bits() >> 31;
+        let x_pow_mod = |n| reflect33(divide(n).1);
+        let derived = [
+            x_pow_mod(4 * 128 + 32),
+            x_pow_mod(4 * 128 - 32),
+            x_pow_mod(128 + 32),
+            x_pow_mod(128 - 32),
+            x_pow_mod(64),
+            reflect33(p),
+            reflect33(divide(64).0),
+        ];
+        assert_eq!([K1, K2, K3, K4, K5, P, MU].map(|k| k as u64), derived);
     }
 
     // ------------------------------------------------- leaves where they lie

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verify for mirage-rs: offline build + test, dependency, structure
-# and tooling gates, the fan-in lock, the two gating benches and example
-# smoke tests. Run from anywhere; operates on the repo root.
+# and tooling gates, clippy, the fan-in lock, the two gating benches and
+# example smoke tests. Run from anywhere; operates on the repo root.
 #
 # Every performance gate is an assertion in Rust on the typed value where
 # it is computed: the SMP row and Xen/virtio parity in `cargo test`
@@ -285,6 +285,27 @@ if grep -rnE --include='*.rs' '\bon_port\b' crates/*/src \
 fi
 echo "   ok"
 
+echo "== gate: unsafe only in the CRC kernel and the counting allocator, each with its SAFETY"
+# The PCLMULQDQ dispatch in storage's btree.rs and testkit's GlobalAlloc
+# impl are the two places that need `unsafe`. An unsafe block or impl has
+# a `// SAFETY:` line in the comment right above it; an `unsafe fn` is a
+# method of the allocator's `unsafe impl`, whose comment covers it.
+unsafe_report="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { safety = 0; allowed = FILENAME ~ /^crates\/(storage\/src\/btree|testkit\/src\/alloc)\.rs$/ }
+    /^[ \t]*(\/\/|#\[)/ { if (/SAFETY:/) safety = 1; next }
+    /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
+        if (!allowed) print FILENAME ":" FNR ": unsafe outside the two allowed files: " $0
+        else if (/unsafe fn/) { if (FILENAME !~ /alloc\.rs$/) print FILENAME ":" FNR ": an unsafe fn: " $0 }
+        else if (!safety && !/SAFETY:/) print FILENAME ":" FNR ": no // SAFETY: above: " $0
+    }
+    { safety = 0 }')"
+if [[ -n "$unsafe_report" ]]; then
+    echo "FAIL: unsafe code outside its two places or without its SAFETY comment:" >&2
+    echo "$unsafe_report" >&2
+    exit 1
+fi
+echo "   ok"
+
 echo "== gate: a manifest names only crates its sources use"
 unused=""
 for manifest in crates/*/Cargo.toml; do
@@ -299,6 +320,11 @@ if [[ -n "$unused" ]]; then
     exit 1
 fi
 echo "   ok"
+
+echo "== clippy (offline, all targets): clippy's default deny set"
+# Warnings print and pass; a deny-level lint (an assertion that can never
+# fail, say) fails the run.
+cargo clippy -q --offline --workspace --all-targets
 
 echo "== build (release, offline, all targets)"
 cargo build --release --offline --workspace --all-targets

@@ -1086,7 +1086,7 @@ fn assert_virtqueue_still_sound(drv: &mut SplitQueue, dev: &mut DeviceQueue, con
             }])
             .expect("a sound queue still accepts a chain");
         assert!(
-            !free.contains(&head) || true,
+            free.contains(&head),
             "[{context}] head came off the free list"
         );
         if let Some(chain) = dev.pop_avail() {
