@@ -22,7 +22,8 @@ use mirage_runtime::{DeviceService, Runtime};
 
 use crate::driver::{Backend, BlkDriver};
 use crate::transport::{
-    advertise_disk, connect_disk, find_backend, DataBuf, Dir, FrontTransport, Link, Outstanding,
+    advertise_disk, connect_disk, find_backend, DataBuf, Dir, FrontTransport, Gate, Link,
+    Outstanding,
 };
 use crate::xenstore::Xenstore;
 
@@ -266,6 +267,8 @@ pub(crate) struct Blkif<T> {
     link: Link,
     queue: Option<T>,
     port: Option<Port>,
+    /// Whether this pass reaps the queue.
+    gate: Gate,
     free_pages: Vec<(GrantRef, SharedPage)>,
     /// Requests out with the backend, by request token.
     inflight: Outstanding<Inflight>,
@@ -291,6 +294,7 @@ impl<T: FrontTransport> Blkif<T> {
             link: Link::Init,
             queue: None,
             port: None,
+            gate: Gate::default(),
             free_pages: Vec::new(),
             inflight: Outstanding::default(),
             from_stack: submit_rx,
@@ -334,11 +338,13 @@ impl<T: FrontTransport> Blkif<T> {
         let mut progressed = false;
         let port = self.port.expect("connected");
         let queue = self.queue.as_mut().expect("connected");
-        let _ = env.evtchn_consume(port);
 
         // Completions, each straight to its waiter: for a read the device
         // filled the data page first. A waiter that gave up drops the data.
-        while let Some(done) = queue.reap() {
+        // They come only through a channel that fired (or a last arm that
+        // raced).
+        let fired = self.gate.open(env, port);
+        while let Some(done) = fired.then(|| queue.reap()).flatten() {
             let Some(req) = self.inflight.remove(done.token) else {
                 continue;
             };
@@ -397,7 +403,7 @@ impl<T: FrontTransport> Blkif<T> {
         if queue.publish() {
             let _ = env.evtchn_notify(port);
         }
-        progressed |= queue.arm();
+        progressed |= self.gate.close(|| queue.arm());
         progressed
     }
 }

@@ -23,7 +23,7 @@ use mirage_hypervisor::{DomainEnv, Time};
 use crate::blk::{wire, DiskProfile, SimulatedDisk, MAX_SECTORS_PER_REQ, SECTOR_SIZE};
 use crate::netback::DriverStats;
 use crate::netem::DiskFaultPlan;
-use crate::transport::{map_cached, BackQueue, DataBuf, Request};
+use crate::transport::{map_cached, BackQueue, DataBuf, Gate, Request};
 
 /// A request in service. Its buffer stays owned by the device until it
 /// completes.
@@ -40,6 +40,8 @@ struct Pending {
 pub(crate) struct BlkBackend {
     port: Port,
     queue: BackQueue,
+    /// Whether this pass takes from the queue.
+    gate: Gate,
     /// Guest data pages mapped so far, by grant ref.
     mapped: HashMap<u32, SharedPage>,
     disk: SimulatedDisk,
@@ -54,6 +56,7 @@ impl BlkBackend {
         BlkBackend {
             port,
             queue,
+            gate: Gate::default(),
             mapped: HashMap::new(),
             disk: SimulatedDisk::new(profile, sectors),
             busy_until: Time::ZERO,
@@ -66,9 +69,10 @@ impl BlkBackend {
         self.pending.next_deadline().map(Time::from_nanos)
     }
 
-    /// Arms the queue before the driver domain blocks.
+    /// Re-arms the queue, if this pass took from it, before the driver
+    /// domain blocks; `true` if a request raced in.
     pub(crate) fn arm(&mut self) -> bool {
-        self.queue.arm()
+        self.gate.close(|| self.queue.arm())
     }
 
     /// `(is_read, sector, count)` of a request this disk can execute.
@@ -83,10 +87,10 @@ impl BlkBackend {
         valid.then_some((is_read, sector, count))
     }
 
-    /// One pass: accept new requests, scheduling their completion times,
-    /// then complete those whose service time has elapsed. One index
-    /// update and at most one interrupt. What happened is counted into
-    /// `counts`.
+    /// One pass: accept new requests — only if the channel fired or the
+    /// last arm raced — scheduling their completion times, then complete
+    /// those whose service time has elapsed. One index update and at most
+    /// one interrupt. What happened is counted into `counts`.
     pub(crate) fn service(
         &mut self,
         env: &mut DomainEnv<'_>,
@@ -94,8 +98,8 @@ impl BlkBackend {
         counts: &mut DriverStats,
     ) -> bool {
         let mut progressed = false;
-        let _ = env.evtchn_consume(self.port);
-        while let Some(taken) = self.queue.take(env) {
+        let fired = self.gate.open(env, self.port);
+        while let Some(taken) = fired.then(|| self.queue.take(env)).flatten() {
             progressed = true;
             let accepted = taken.and_then(|req| {
                 let fields = self.validate(&req).ok_or(req.token)?;

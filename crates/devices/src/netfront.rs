@@ -29,7 +29,7 @@ use mirage_runtime::{DeviceService, Runtime};
 
 use crate::driver::{Backend, NetDriver};
 use crate::transport::{
-    advertise_nic, connect_nic, find_backend, DataBuf, Dir, FrontTransport, Link, Outstanding,
+    advertise_nic, connect_nic, find_backend, DataBuf, Dir, FrontTransport, Gate, Link, Outstanding,
 };
 use crate::xenstore::Xenstore;
 
@@ -131,6 +131,8 @@ struct Pair<T> {
     rx_bufs: Outstanding<(GrantRef, SharedPage)>,
     /// Frames awaiting a TX buffer.
     backlog: VecDeque<PktBuf>,
+    /// Whether this pass reaps the pair's rings.
+    gate: Gate,
 }
 
 impl<T: FrontTransport> Pair<T> {
@@ -142,6 +144,7 @@ impl<T: FrontTransport> Pair<T> {
             tx_inflight: Outstanding::default(),
             rx_bufs: Outstanding::default(),
             backlog: VecDeque::new(),
+            gate: Gate::default(),
         }
     }
 
@@ -277,7 +280,7 @@ impl<T: FrontTransport> Netif<T> {
             // The queue's copies are charged on the lane of the vCPU its
             // event channel is bound to — the per-core model.
             let lane = env.evtchn_vcpu(port).unwrap_or(0);
-            let _ = env.evtchn_consume(port);
+            let fired = pair.gate.open(env, port);
 
             // Take what the stack queued; past the cap the oldest go.
             self.from_stack[q].drain_into(&mut pair.backlog);
@@ -286,8 +289,9 @@ impl<T: FrontTransport> Netif<T> {
                 self.counts.tx_drops += 1;
             }
 
-            // Reclaim completed transmit pages.
-            while let Some(done) = pair.tx.reap() {
+            // Reclaim completed transmit pages. Completions come only
+            // through a channel that fired (or a last arm that raced).
+            while let Some(done) = fired.then(|| pair.tx.reap()).flatten() {
                 if let Some(buf) = pair.tx_inflight.remove(done.token) {
                     pair.tx_free.push(buf);
                     progressed = true;
@@ -300,7 +304,7 @@ impl<T: FrontTransport> Netif<T> {
             // frame travels by reference. A failed completion, or one too
             // short to hold a frame, delivers nothing: its buffer goes
             // straight back.
-            while let Some(done) = pair.rx.reap() {
+            while let Some(done) = fired.then(|| pair.rx.reap()).flatten() {
                 let Some((gref, page)) = pair.rx_bufs.remove(done.token) else {
                     continue;
                 };
@@ -349,11 +353,10 @@ impl<T: FrontTransport> Netif<T> {
                 let _ = env.evtchn_notify(port);
                 self.counts.doorbells += 1;
             }
-            // Arm notifications before blocking; if completions raced in,
-            // go around again instead of sleeping (the §3.5.1 footnote
-            // protocol).
-            progressed |= pair.tx.arm();
-            progressed |= pair.rx.arm();
+            // Re-arm what was reaped before blocking; if completions
+            // raced in, go around again instead of sleeping (the §3.5.1
+            // footnote protocol).
+            progressed |= pair.gate.close(|| pair.tx.arm() | pair.rx.arm());
         }
         if self.counts != counted {
             *self.stats.lock() = self.counts;

@@ -29,7 +29,7 @@ use mirage_hypervisor::{DomainEnv, Dur, Time};
 use crate::netback::DriverStats;
 use crate::netem::Netem;
 use crate::netfront::{MAX_FRAME, MIN_FRAME};
-use crate::transport::{map_cached, BackQueue, DataBuf, NicQueues, Request};
+use crate::transport::{map_cached, BackQueue, DataBuf, Gate, NicQueues, Request};
 
 /// Broadcast MAC.
 pub const MAC_BROADCAST: [u8; 6] = [0xFF; 6];
@@ -109,6 +109,8 @@ struct QueuePair {
     port: Port,
     tx: BackQueue,
     rx: BackQueue,
+    /// Whether this pass takes from the TX queue.
+    gate: Gate,
     out_queue: VecDeque<PktBuf>,
 }
 
@@ -194,6 +196,7 @@ impl Switch {
                 port,
                 tx,
                 rx,
+                gate: Gate::default(),
                 out_queue: VecDeque::new(),
             })
             .collect();
@@ -204,12 +207,13 @@ impl Switch {
         });
     }
 
-    /// Arms every queue before the driver domain blocks; `true` if a
-    /// request raced in (another pass instead of a sleep).
+    /// Re-arms the TX queues this pass took from before the driver domain
+    /// blocks; `true` if a request raced in (another pass instead of a
+    /// sleep).
     pub(crate) fn arm(&mut self) -> bool {
         let mut raced = false;
         for pair in self.ports.iter_mut().flat_map(|p| &mut p.queues) {
-            raced |= pair.tx.arm();
+            raced |= pair.gate.close(|| pair.tx.arm());
             // Fresh RX buffers only matter while frames wait for one.
             if !pair.out_queue.is_empty() {
                 raced |= pair.rx.arm();
@@ -313,7 +317,8 @@ impl Switch {
     }
 
     /// One pass over the data path: release held frames, ingest from
-    /// guests and taps, deliver into posted RX buffers. One index update
+    /// guests whose channel fired (or whose last arm raced) and from taps,
+    /// deliver into posted RX buffers while frames wait. One index update
     /// and at most one interrupt per queue per direction. What happened is
     /// counted into `counts`.
     pub(crate) fn service(&mut self, env: &mut DomainEnv<'_>, counts: &mut DriverStats) -> bool {
@@ -334,8 +339,8 @@ impl Switch {
         for (idx, port) in self.ports.iter_mut().enumerate() {
             env.on_vcpu(idx % env.vcpus());
             for pair in &mut port.queues {
-                let _ = env.evtchn_consume(pair.port);
-                while let Some(taken) = pair.tx.take(env) {
+                let fired = pair.gate.open(env, pair.port);
+                while let Some(taken) = fired.then(|| pair.tx.take(env)).flatten() {
                     progressed = true;
                     let sendable = |d: &DataBuf| {
                         !d.device_writes && (MIN_FRAME..=MAX_FRAME).contains(&(d.len as usize))

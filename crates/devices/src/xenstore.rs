@@ -8,11 +8,13 @@
 //! and both sides flip through connection states. Watches are modelled with
 //! the hypervisor's virq mechanism so a write wakes every registered
 //! watcher — no polling.
+//!
+//! Only device code and the driver domain hold the store, and they run on
+//! the host thread that steps their domains: it is shared, not locked.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use mirage_testkit::sync::Mutex;
+use std::rc::Rc;
 
 use mirage_hypervisor::{DomainEnv, DomainId};
 
@@ -26,12 +28,12 @@ struct Store {
 /// Shared handle to the store. Clones see the same tree.
 #[derive(Clone, Default)]
 pub struct Xenstore {
-    inner: Arc<Mutex<Store>>,
+    inner: Rc<RefCell<Store>>,
 }
 
 impl std::fmt::Debug for Xenstore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.lock();
+        let st = self.inner.borrow();
         write!(f, "Xenstore({} keys, v{})", st.map.len(), st.version)
     }
 }
@@ -44,7 +46,7 @@ impl Xenstore {
 
     /// Registers `dom` to receive a virq on every subsequent write.
     pub fn register_watcher(&self, dom: DomainId) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         if !st.watchers.contains(&dom) {
             st.watchers.push(dom);
         }
@@ -53,7 +55,7 @@ impl Xenstore {
     /// Writes `key = value` from guest context, waking all watchers.
     pub fn write(&self, env: &mut DomainEnv<'_>, key: &str, value: &str) {
         let watchers = {
-            let mut st = self.inner.lock();
+            let mut st = self.inner.borrow_mut();
             st.map.insert(key.to_owned(), value.to_owned());
             st.version += 1;
             st.watchers.clone()
@@ -69,24 +71,24 @@ impl Xenstore {
     /// Reads a key from guest context.
     pub fn read(&self, env: &mut DomainEnv<'_>, key: &str) -> Option<String> {
         env.consume(env.costs().hypercall);
-        self.inner.lock().map.get(key).cloned()
+        self.inner.borrow().map.get(key).cloned()
     }
 
     /// Host-side read (experiment harnesses; no cost accounting).
     pub fn read_host(&self, key: &str) -> Option<String> {
-        self.inner.lock().map.get(key).cloned()
+        self.inner.borrow().map.get(key).cloned()
     }
 
     /// Host-side write (no watch events — use for pre-seeding only).
     pub fn write_host(&self, key: &str, value: &str) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.map.insert(key.to_owned(), value.to_owned());
         st.version += 1;
     }
 
     /// All keys sharing `prefix`, sorted.
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let st = self.inner.lock();
+        let st = self.inner.borrow();
         let mut keys: Vec<String> = st
             .map
             .keys()
@@ -99,7 +101,7 @@ impl Xenstore {
 
     /// Monotonic write counter (change detection).
     pub fn version(&self) -> u64 {
-        self.inner.lock().version
+        self.inner.borrow().version
     }
 }
 

@@ -10,10 +10,9 @@
 //! authors found by fuzzing this interface (XSA-39): a grant cannot be
 //! revoked while the peer still holds a mapping.
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
-
-use mirage_testkit::sync::Mutex;
+use std::rc::Rc;
 
 use crate::DomainId;
 
@@ -21,22 +20,26 @@ use crate::DomainId;
 ///
 /// In real Xen this is a machine frame; here it is a reference-counted
 /// 4 KiB buffer that both the granting and the mapping domain can access.
-#[derive(Clone, Default)]
+/// The hypervisor runs one domain at a time on the calling thread, so a
+/// page is plain single-threaded memory: no lock, and not `Send`.
+#[derive(Clone)]
 pub struct SharedPage {
-    bytes: Arc<Mutex<Vec<u8>>>,
+    bytes: Rc<RefCell<Vec<u8>>>,
 }
 
 impl fmt::Debug for SharedPage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SharedPage({} refs)", Arc::strong_count(&self.bytes))
+        write!(f, "SharedPage({} refs)", Rc::strong_count(&self.bytes))
     }
 }
 
 impl SharedPage {
-    /// Allocates a zeroed shared page.
+    /// Allocates a zeroed shared page. There is no `Default`: a page has a
+    /// size, and nothing wants one picked for it.
+    #[allow(clippy::new_without_default)]
     pub fn new() -> SharedPage {
         SharedPage {
-            bytes: Arc::new(Mutex::new(vec![0u8; crate::PAGE_SIZE])),
+            bytes: Rc::new(RefCell::new(vec![0u8; crate::PAGE_SIZE])),
         }
     }
 
@@ -44,23 +47,23 @@ impl SharedPage {
     /// (vchan uses multi-page rings, §3.5.1).
     pub fn with_pages(pages: usize) -> SharedPage {
         SharedPage {
-            bytes: Arc::new(Mutex::new(vec![0u8; crate::PAGE_SIZE * pages])),
+            bytes: Rc::new(RefCell::new(vec![0u8; crate::PAGE_SIZE * pages])),
         }
     }
 
     /// Runs `f` with read access to the page contents.
     pub fn read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.bytes.lock())
+        f(&self.bytes.borrow())
     }
 
     /// Runs `f` with write access to the page contents.
     pub fn write<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.bytes.lock())
+        f(&mut self.bytes.borrow_mut())
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.lock().len()
+        self.bytes.borrow().len()
     }
 
     /// Whether the region is empty (never true for pool pages).
@@ -70,7 +73,7 @@ impl SharedPage {
 
     /// Whether two handles reference the same machine page.
     pub fn same_page(&self, other: &SharedPage) -> bool {
-        Arc::ptr_eq(&self.bytes, &other.bytes)
+        Rc::ptr_eq(&self.bytes, &other.bytes)
     }
 }
 
@@ -236,12 +239,13 @@ impl GrantTable {
         if entry.grantee != dom && entry.owner != dom {
             return Err(GrantError::NotGrantee);
         }
-        if offset + dst.len() > entry.page.len() {
+        let end = offset.checked_add(dst.len()).ok_or(GrantError::BadRef)?;
+        if end > entry.page.len() {
             return Err(GrantError::BadRef);
         }
         entry
             .page
-            .read(|bytes| dst.copy_from_slice(&bytes[offset..offset + dst.len()]));
+            .read(|bytes| dst.copy_from_slice(&bytes[offset..end]));
         self.copies += 1;
         Ok(())
     }
@@ -349,6 +353,11 @@ mod tests {
             gt.copy_out(PEER, gref, crate::PAGE_SIZE - 4, &mut big),
             Err(GrantError::BadRef),
             "copy range past end of page is refused"
+        );
+        assert_eq!(
+            gt.copy_out(PEER, gref, usize::MAX - 1, &mut dst),
+            Err(GrantError::BadRef),
+            "an offset whose range overflows is refused"
         );
     }
 

@@ -124,7 +124,12 @@ pub enum Step {
 /// block next. The Mirage runtime implements this by running its
 /// cooperative thread executor until it stalls; the conventional-OS
 /// baseline implements it with a process-scheduler model.
-pub trait Guest: Send {
+///
+/// A guest is not `Send`, and so neither is a [`Hypervisor`]: the run
+/// loop steps one domain at a time on the calling thread, and the pages
+/// domains share are plain single-threaded memory. The peer of a shared
+/// ring never runs inside a step.
+pub trait Guest {
     /// Runs the domain until it would block, charging CPU time via
     /// [`DomainEnv::consume`].
     fn step(&mut self, env: &mut DomainEnv<'_>) -> Step;

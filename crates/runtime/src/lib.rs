@@ -269,8 +269,10 @@ impl Runtime {
 /// protocol threads via [`channel::Notify`]. (In Mirage terms: "only the
 /// run-loop is Xen-specific, to interface with PVBoot".) A notification on
 /// any event channel the device holds wakes the domain: the hypervisor
-/// knows which those are, so the device does not list them.
-pub trait DeviceService: Send {
+/// knows which those are, so the device does not list them. Like the
+/// [`Guest`](mirage_hypervisor::Guest) that hosts it, a device is not
+/// `Send`: it lives on the host thread that steps its domain.
+pub trait DeviceService {
     /// Moves pending work between the hypervisor interface and the runtime.
     /// Returns `true` if any progress was made (more servicing may be
     /// needed after the executor runs).
