@@ -17,7 +17,7 @@
 //! tens-to-hundreds of thousands).
 
 use mirage_hypervisor::{CostTable, Dur};
-use mirage_openflow::{Cbench, CbenchMode, LearningSwitch};
+use mirage_openflow::CbenchMode;
 
 /// The Figure 11 controllers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,18 +107,6 @@ impl ControllerVariant {
     }
 }
 
-/// Runs the *real* Mirage controller through the cbench harness and
-/// returns responses handled per emulated wall-second of virtual time,
-/// charging [`ControllerVariant::Mirage`] costs per message — the Mirage
-/// bar of Figure 11 is measured, not asserted.
-pub fn run_mirage_cbench(costs: &CostTable, mode: CbenchMode, rounds: usize) -> f64 {
-    let bench = Cbench::paper_config(mode);
-    let report = bench.run(rounds, LearningSwitch::new);
-    let per = ControllerVariant::Mirage.per_packet_in(costs, mode);
-    let virtual_time_s = (report.requests * per.as_nanos()) as f64 / 1e9;
-    report.responses as f64 / virtual_time_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,18 +153,5 @@ mod tests {
     fn nox_batch_unfairness_reproduced() {
         assert!(ControllerVariant::NoxDestinyFast.batch_fairness() < 0.5);
         assert!(ControllerVariant::Maestro.batch_fairness() > 0.8);
-    }
-
-    #[test]
-    fn mirage_bar_is_measured_through_the_real_controller() {
-        let c = costs();
-        let measured = run_mirage_cbench(&c, CbenchMode::Single, 20);
-        let modelled = ControllerVariant::Mirage.throughput_rps(&c, CbenchMode::Single);
-        // The harness answers every packet-in, so measured ≈ modelled.
-        let ratio = measured / modelled;
-        assert!(
-            (0.8..1.2).contains(&ratio),
-            "measured {measured:.0} vs modelled {modelled:.0}"
-        );
     }
 }

@@ -27,9 +27,4 @@ fn print_figure() {
 
 fn main() {
     print_figure();
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig05/simulate_mirage_boot_3072MiB", |b| {
-        b.iter(|| boot_time(BootTarget::Mirage, 3072, BuildMode::Synchronous))
-    });
-    c.final_summary();
 }

@@ -30,9 +30,4 @@ fn print_figure() {
 
 fn main() {
     print_figure();
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig06/simulate_mirage_boot_64MiB_async", |b| {
-        b.iter(|| boot_time(BootTarget::Mirage, 64, BuildMode::Parallel))
-    });
-    c.final_summary();
 }

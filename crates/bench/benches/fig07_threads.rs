@@ -1,7 +1,7 @@
 //! Figure 7 — thread performance: (a) construction time for millions of
 //! parallel sleeping threads; (b) wake-up jitter CDF for 10⁶ sleepers.
-//! The Criterion section measures the *real* executor spawning and
-//! sleeping threads in virtual time (cross-validation of the model).
+//! The cross-check line spawns real sleepers on the executor and reads the
+//! virtual time their construction took, beside the model's figure.
 
 use mirage_bench::report;
 use mirage_bench::threadsim::{construction_time, jitter_samples, percentile, ThreadTarget};
@@ -107,13 +107,4 @@ fn main() {
         real.as_millis_f64(),
         modelled.as_millis_f64()
     );
-
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig07/real_executor_10k_sleepers", |b| {
-        b.iter(|| real_executor_spawn(10_000))
-    });
-    c.bench_function("fig07/model_1M_threads_extent", |b| {
-        b.iter(|| construction_time(ThreadTarget::MirageExtent, 1_000_000, &costs))
-    });
-    c.final_summary();
 }

@@ -50,9 +50,4 @@ fn print_figure() {
 
 fn main() {
     print_figure();
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig08_backends/iperf_virtio_linux_to_mirage_300kB", |b| {
-        b.iter(|| iperf_on(Backend::Virtio, TcpEndpoint::Linux, TcpEndpoint::Mirage, 1, 300_000))
-    });
-    c.final_summary();
 }

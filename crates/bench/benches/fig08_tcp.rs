@@ -1,11 +1,10 @@
 //! Figure 8 — "Comparative TCP throughput performance with all hardware
 //! offload disabled": the iperf matrix, measured through the live TCP
-//! stack in virtual time, plus the closed-form endpoint model.
+//! stack in virtual time.
 
 use mirage_baseline::netperf::TcpEndpoint;
 use mirage_bench::netsim::iperf;
 use mirage_bench::report;
-use mirage_hypervisor::CostTable;
 
 const PAIRINGS: [(&str, TcpEndpoint, TcpEndpoint); 3] = [
     ("Linux to Linux", TcpEndpoint::Linux, TcpEndpoint::Linux),
@@ -18,31 +17,20 @@ fn print_figure() {
         "Figure 8",
         "TCP throughput (Mb/s), live stack in virtual time",
     );
-    let costs = CostTable::defaults();
     let mut rows = Vec::new();
     for (name, tx, rx) in PAIRINGS {
         let one = iperf(tx, rx, 1, 2_000_000);
         let ten = iperf(tx, rx, 10, 400_000);
-        let model = TcpEndpoint::pair_throughput_mbps(tx, rx, &costs);
         rows.push(vec![
             name.to_owned(),
             report::f(one.mbps, 0),
             report::f(ten.mbps, 0),
-            report::f(model, 0),
         ]);
     }
-    report::table(
-        &["Configuration", "1 flow", "10 flows", "model"],
-        &rows,
-    );
+    report::table(&["Configuration", "1 flow", "10 flows"], &rows);
     println!("paper: L->L 1590/1534, L->M 1742/1710, M->L 975/952 Mb/s");
 }
 
 fn main() {
     print_figure();
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig08/iperf_linux_to_mirage_300kB", |b| {
-        b.iter(|| iperf(TcpEndpoint::Linux, TcpEndpoint::Mirage, 1, 300_000))
-    });
-    c.final_summary();
 }

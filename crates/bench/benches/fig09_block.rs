@@ -31,9 +31,4 @@ fn print_figure() {
 
 fn main() {
     print_figure();
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig09/simulate_direct_256KiB_blocks", |b| {
-        b.iter(|| random_read_throughput(BlockTarget::MirageDirect, 256 * 1024, 8 << 20))
-    });
-    c.final_summary();
 }

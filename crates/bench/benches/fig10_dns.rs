@@ -1,15 +1,11 @@
 //! Figure 10 — "DNS performance with increasing zone size": the six-server
-//! comparison in virtual time, plus Criterion wall-clock measurements of
-//! the real `DnsServer::answer` path (memoized and not, both compression
-//! tables — the §4.2 ablations).
+//! comparison in virtual time. The wall-clock cost of the real
+//! `DnsServer::answer` is `benchmark/`'s `dns.answer_{hit,miss}_ns`; the
+//! §4.2 compression-table ablation is held by `crates/dns/tests/alloc_budget.rs`.
 
 use mirage_baseline::DnsVariant;
 use mirage_bench::report;
-use mirage_dns::{
-    CompressionStrategy, DnsName, DnsServer, Message, RType, ServerConfig, Zone,
-};
 use mirage_hypervisor::CostTable;
-use mirage_testkit::rng::Rng;
 
 const ZONE_SIZES: [usize; 5] = [100, 500, 1_000, 5_000, 10_000];
 
@@ -33,66 +29,6 @@ fn print_figure() {
     println!("paper: Bind ~55k, NSD ~70k, Mirage memo 75-80k, no-memo ~40k, MiniOS far lower");
 }
 
-/// queryperf-style random query stream against a real server.
-fn query_stream(zone_entries: usize, queries: usize) -> (DnsServer, DnsServer, Vec<Vec<u8>>) {
-    let zone = Zone::synthesize("bench.example", zone_entries);
-    let memo = DnsServer::new(zone.clone(), ServerConfig::default());
-    let nomemo = DnsServer::new(
-        zone,
-        ServerConfig {
-            memoize: false,
-            ..ServerConfig::default()
-        },
-    );
-    let mut rng = Rng::for_stream(mirage_testkit::test_seed(), "fig10.queries");
-    let stream = (0..queries)
-        .map(|i| {
-            let host = rng.gen_range(0..zone_entries);
-            Message::query(
-                i as u16,
-                DnsName::parse(&format!("host{host}.bench.example")).expect("valid"),
-                RType::A,
-            )
-            .encode()
-        })
-        .collect();
-    (memo, nomemo, stream)
-}
-
 fn main() {
     print_figure();
-
-    let (memo, nomemo, stream) = query_stream(1000, 512);
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig10/real_answer_memoized_512q", |b| {
-        b.iter(|| {
-            for q in &stream {
-                mirage_testkit::bench::black_box(memo.answer(q));
-            }
-        })
-    });
-    c.bench_function("fig10/real_answer_no_memo_512q", |b| {
-        b.iter(|| {
-            for q in &stream {
-                mirage_testkit::bench::black_box(nomemo.answer(q));
-            }
-        })
-    });
-    // §4.2 compression-table ablation on the real encoder.
-    let hash_server = DnsServer::new(
-        Zone::synthesize("bench.example", 1000),
-        ServerConfig {
-            memoize: false,
-            compression: CompressionStrategy::Hash,
-            ..ServerConfig::default()
-        },
-    );
-    c.bench_function("fig10/ablation_hash_table_compression_512q", |b| {
-        b.iter(|| {
-            for q in &stream {
-                mirage_testkit::bench::black_box(hash_server.answer(q));
-            }
-        })
-    });
-    c.final_summary();
 }

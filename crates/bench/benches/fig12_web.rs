@@ -1,14 +1,10 @@
 //! Figure 12 — "Simple dynamic web appliance performance": httperf-style
 //! sessions (9 GETs + 1 POST) against the Twitter-like appliance, Mirage
-//! vs nginx+FastCGI+web.py, with a Criterion measurement of the real
-//! B-tree-backed request path.
+//! vs nginx+FastCGI+web.py.
 
 use mirage_baseline::DynamicWebVariant;
 use mirage_bench::report;
 use mirage_hypervisor::CostTable;
-use mirage_hypervisor::Hypervisor;
-use mirage_runtime::UnikernelGuest;
-use mirage_storage::{MemLog, Tree};
 
 fn print_figure() {
     report::banner(
@@ -36,29 +32,4 @@ fn print_figure() {
 
 fn main() {
     print_figure();
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig12/real_btree_tweet_session", |b| {
-        b.iter(|| {
-            let guest = UnikernelGuest::new(|_env, rt| {
-                rt.spawn(async {
-                    let tree = Tree::new(MemLog::new());
-                    for seq in 0..20u32 {
-                        let key = format!("user:7:tweet:{seq}");
-                        tree.set(key.as_bytes(), b"140 characters of insight")
-                            .await
-                            .unwrap();
-                    }
-                    for _ in 0..9 {
-                        mirage_testkit::bench::black_box(tree.scan().await.unwrap());
-                    }
-                    0i64
-                })
-            });
-            let mut hv = Hypervisor::new();
-            let dom = hv.create_domain("tweets", 64, Box::new(guest));
-            hv.run();
-            assert_eq!(hv.exit_code(dom), Some(0));
-        })
-    });
-    c.final_summary();
 }

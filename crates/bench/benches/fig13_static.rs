@@ -1,10 +1,8 @@
 //! Figure 13 — "Static page serving performance, comparing Mirage and
-//! Apache2 running on Linux" across vCPU splits of a 6-CPU host, plus a
-//! Criterion measurement of the real HTTP server request path.
+//! Apache2 running on Linux" across vCPU splits of a 6-CPU host.
 
 use mirage_baseline::StaticWebConfig;
 use mirage_bench::report;
-use mirage_http::{HandlerFuture, HttpServer, Request, RequestParser, Response, Router};
 use mirage_hypervisor::CostTable;
 
 fn print_figure() {
@@ -23,21 +21,4 @@ fn print_figure() {
 
 fn main() {
     print_figure();
-    let mut c = mirage_bench::criterion();
-    // Real wall-clock cost of parsing + routing + encoding one request.
-    let router = Router::new().get("/", |_req: Request| -> HandlerFuture {
-        Box::pin(async { Response::ok("text/html", vec![b'x'; 4096]) })
-    });
-    let server = HttpServer::new(router);
-    let wire = Request::get("/").encode();
-    c.bench_function("fig13/real_http_parse_route_encode", |b| {
-        b.iter(|| {
-            let mut parser = RequestParser::new();
-            parser.feed(&wire[..]);
-            let req = parser.take().unwrap().unwrap();
-            let _ = mirage_testkit::bench::black_box(req);
-            let _ = mirage_testkit::bench::black_box(&server);
-        })
-    });
-    c.final_summary();
 }

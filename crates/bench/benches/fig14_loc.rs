@@ -3,7 +3,6 @@
 //! real Table 1 catalogue).
 
 use mirage_bench::report;
-use mirage_core::dce::LinkSet;
 use mirage_core::inventory::{linux_appliance, linux_total, mirage_total, ApplianceKind};
 
 fn print_figure() {
@@ -35,11 +34,4 @@ fn print_figure() {
 
 fn main() {
     print_figure();
-    let mut c = mirage_bench::criterion();
-    c.bench_function("fig14/link_closure_dns", |b| {
-        b.iter(|| {
-            LinkSet::close(&ApplianceKind::Dns.mirage_roots())
-        })
-    });
-    c.final_summary();
 }

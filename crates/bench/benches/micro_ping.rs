@@ -131,23 +131,4 @@ fn print_micro() {
 
 fn main() {
     print_micro();
-    let mut c = mirage_bench::criterion();
-    // Real wall-clock cost of the type-safe echo path: parse + reply.
-    let mut echo_wire = [0u8; icmp::HEADER_LEN + 56];
-    icmp::Echo {
-        is_request: true,
-        ident: 1,
-        seq: 1,
-        payload: &[0u8; 56],
-    }
-    .write(&mut echo_wire);
-    c.bench_function("ping/real_icmp_parse_and_reply", |b| {
-        let mut reply = echo_wire;
-        b.iter(|| {
-            let echo = icmp::Echo::parse(&echo_wire).expect("valid");
-            echo.reply().write(&mut reply);
-            mirage_testkit::bench::black_box(&reply);
-        })
-    });
-    c.final_summary();
 }

@@ -219,10 +219,4 @@ fn main() {
         counters.serialize_bytes as u64 >= delivered,
         "every delivered byte crossed the wire exactly once or more"
     );
-
-    let mut c = mirage_bench::criterion();
-    c.bench_function("zerocopy/live_500kB_transfer", |b| {
-        b.iter(|| transfer(CopyDiscipline::ZeroCopy, 500_000))
-    });
-    c.final_summary();
 }

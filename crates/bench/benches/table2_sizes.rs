@@ -45,9 +45,4 @@ fn print_table() {
 
 fn main() {
     print_table();
-    let mut c = mirage_bench::criterion();
-    c.bench_function("table2/link_and_randomise_dns_image", |b| {
-        b.iter(|| build("DNS", &[Library::APP_DNS, Library::NET_DHCP], DceLevel::FunctionLevel))
-    });
-    c.final_summary();
 }

@@ -1,22 +1,14 @@
 //! The mirage-rs experiment harness.
 //!
 //! One bench target per table and figure of the paper's evaluation (§4);
-//! each prints the same rows/series the paper reports (in virtual time on
-//! the simulated substrate) and registers Criterion measurements for the
-//! real Rust implementations on the same path. See `EXPERIMENTS.md` at the
-//! repository root for the paper-vs-measured record.
+//! each prints the same rows/series the paper reports, in virtual time on
+//! the simulated substrate, and reads no host clock: the same seed prints
+//! the same bytes. Wall-clock cost is measured by `benchmark/` alone. See
+//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
+//! record.
 
 pub mod blocksim;
 pub mod bootsim;
 pub mod netsim;
 pub mod report;
 pub mod threadsim;
-
-/// Criterion-style defaults tuned for CI-speed runs: the virtual-time
-/// harnesses are deterministic, so large sample counts add nothing.
-pub fn criterion() -> mirage_testkit::bench::Criterion {
-    mirage_testkit::bench::Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_millis(600))
-        .warm_up_time(std::time::Duration::from_millis(200))
-}

@@ -197,6 +197,11 @@ impl VchanEndpoint {
                 };
                 let server = DomainId(server);
                 self.peer = Some(server);
+                // The port is the server's word: one it did not allocate
+                // for us leaves the channel unconnected, with nothing mapped.
+                let Ok(local) = env.evtchn_bind(server, Port(port)) else {
+                    return false;
+                };
                 let Ok(s2c_page) = env.grant_map(GrantRef(s2c), true) else {
                     return false;
                 };
@@ -206,7 +211,6 @@ impl VchanEndpoint {
                 // Client transmits on c2s, receives on s2c.
                 self.tx_ring = Some(ByteRing::attach(c2s_page));
                 self.rx_ring = Some(ByteRing::attach(s2c_page));
-                let local = env.evtchn_bind(server, Port(port)).expect("server allocated");
                 self.port = Some(local);
                 self.xs.write(env, &format!("{base}/state"), "connected");
                 env.evtchn_notify(local).expect("bound");

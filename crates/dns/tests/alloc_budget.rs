@@ -2,7 +2,7 @@
 //! are what the code does today, not targets: a change that adds an
 //! allocation to one of these paths fails here, in tier-1.
 
-use mirage_dns::{DnsName, DnsServer, Message, RType, ServerConfig, Zone};
+use mirage_dns::{CompressionStrategy, DnsName, DnsServer, Message, RType, ServerConfig, Zone};
 use mirage_testkit::alloc::{count, Counting};
 
 #[global_allocator]
@@ -21,6 +21,33 @@ fn a_memo_hit_allocates_the_response_and_nothing_else() {
     assert_eq!(hit, Some(first));
     assert_eq!(server.stats().memo_hits, 1);
     assert_eq!(allocations, 1);
+}
+
+/// The §4.2 compression-table ablation: an unmemoized answer, encoded
+/// with each table, for a name in the zone and for one that is not.
+#[test]
+fn an_unmemoized_answer_allocates_per_compression_table() {
+    for (compression, hit, nxdomain) in [
+        (CompressionStrategy::SizeOrdered, 10, 11),
+        (CompressionStrategy::Hash, 10, 12),
+    ] {
+        let server = DnsServer::new(
+            Zone::synthesize("bench.example", 1000),
+            ServerConfig {
+                memoize: false,
+                compression,
+                ..ServerConfig::default()
+            },
+        );
+        for (host, expected) in [("host7", hit), ("nohost7", nxdomain)] {
+            let name = DnsName::parse(&format!("{host}.bench.example")).unwrap();
+            let query = Message::query(1, name, RType::A).encode();
+            let first = server.answer(&query).expect("answered");
+            let (again, allocations) = count(|| server.answer(&query));
+            assert_eq!(again, Some(first));
+            assert_eq!(allocations, expected, "{compression:?} {host}");
+        }
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! The paper's sealed-appliance argument (§2, §6) is that an appliance
 //! carries everything it needs; this crate is that argument applied to the
 //! repo's own verification. It provides, with **no dependencies outside
-//! `std`**, the four facilities the workspace previously pulled from the
+//! `std`**, the facilities the workspace previously pulled from the
 //! registry:
 //!
 //! * [`rng`] — seeded SplitMix64 / xoshiro256** PRNG (replaces `rand`).
@@ -11,8 +11,6 @@
 //! * [`prop`] — a minimal property-testing engine with generator
 //!   combinators, an N-case driver and greedy shrinking (replaces
 //!   `proptest`). Failures report the seed needed to reproduce them.
-//! * [`bench`] — a thin wall-clock measure/report harness with the slice
-//!   of the criterion API the figure benches use (replaces `criterion`).
 //! * [`sync`] — `std::sync` primitives behind the `parking_lot`-shaped
 //!   `lock()`-returns-guard API (replaces `parking_lot` / `crossbeam`).
 //! * [`hash`] — deterministically seeded hash maps for simulation state
@@ -31,7 +29,6 @@
 //! results; a failing property test prints the seed to rerun it.
 
 pub mod alloc;
-pub mod bench;
 pub mod corpus;
 pub mod hash;
 pub mod prop;

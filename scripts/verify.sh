@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verify for mirage-rs: offline build + test, dependency, structure
-# and tooling gates, clippy, the fan-in lock, the two gating benches and
+# and tooling gates, clippy, the fan-in lock, the figure binaries and
 # example smoke tests. Run from anywhere; operates on the repo root.
 #
 # Every performance gate is an assertion in Rust on the typed value where
@@ -11,8 +11,9 @@
 #
 #   scripts/verify.sh                # build, test, gates, benches, examples,
 #                                    #   one traced benchmark run
-#   scripts/verify.sh --determinism  # + the whole test run twice under one
-#                                    #   seed, stdout diffed
+#   scripts/verify.sh --determinism  # + the whole test run and the figure
+#                                    #   binaries twice under one seed,
+#                                    #   stdout diffed
 #   scripts/verify.sh --chaos        # + the chaos suite, seeded (see below)
 #   scripts/verify.sh --adversarial  # + the adversarial suite, seeded
 #   scripts/verify.sh --conformance  # + the cross-backend differential
@@ -307,6 +308,13 @@ if awk '/^#\[cfg\(test\)\]/ { nextfile } /let _ = env\.evtchn_consume/ { print F
 fi
 echo "   ok"
 
+echo "== gate: figure binaries read no host clock"
+# A figure is a virtual-time number: the same seed prints the same bytes.
+# Wall-clock cost is measured by benchmark/ alone, in pairs, with bounds.
+exactly crates/bench 0 "a host clock or a stopwatch harness" 'std::time|Criterion|bench_function'
+exactly crates/testkit/src 0 "a host clock or a stopwatch harness" 'std::time|Criterion|bench_function'
+echo "   ok"
+
 echo "== gate: unsafe only in the CRC kernel and the counting allocator, each with its SAFETY"
 # The PCLMULQDQ dispatch in storage's btree.rs and testkit's GlobalAlloc
 # impl are the two places that need `unsafe`. An unsafe block or impl has
@@ -359,11 +367,12 @@ echo "== fan-in lock: 16 flows on 1 vCPU keep one flow's goodput, in full-sized 
 # virtual-time figures must come out the same.
 cargo test -q --offline --release --test fan
 
-echo "== benches that gate: <= 1 copied byte per delivered byte; Figure 8 x backend"
-for bench in micro_zerocopy fig08_backends; do
-    echo "   -- $bench"
-    cargo bench --offline -p mirage-bench --bench "$bench" > /dev/null
+echo "== figure binaries: every table and figure (micro_zerocopy's copy audit asserts)"
+figures=()
+for bench in crates/bench/benches/*.rs; do
+    figures+=(--bench "$(basename "$bench" .rs)")
 done
+cargo bench -q --offline -p mirage-bench "${figures[@]}" > /dev/null
 
 echo "== examples"
 for ex in quickstart boot_storm dns_appliance web_appliance openflow_appliance; do
@@ -454,6 +463,8 @@ fi
 if want --determinism "$@"; then
     echo "== determinism: the whole test run twice"
     twice tests cargo test -q --offline --workspace
+    echo "== determinism: the figure binaries twice"
+    twice figures cargo bench -q --offline -p mirage-bench "${figures[@]}"
     lap determinism
 fi
 
