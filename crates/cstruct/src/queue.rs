@@ -52,7 +52,14 @@ impl PktQueue {
 
     /// The queued chunks, front first.
     pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.chunks.iter().map(PktBuf::as_slice)
+        self.chunks_from(0)
+    }
+
+    /// The queued chunks from the `first`th on (none if there are fewer),
+    /// found without walking the ones before it.
+    pub fn chunks_from(&self, first: usize) -> impl Iterator<Item = &[u8]> {
+        let first = first.min(self.chunks.len());
+        self.chunks.range(first..).map(PktBuf::as_slice)
     }
 
     /// Drops the first `n` bytes (all of them if fewer are queued),
@@ -207,7 +214,16 @@ mod tests {
                 _ => {}
             }
             assert_eq!(queue.len(), model.len());
-            assert_eq!(queue.chunks().collect::<Vec<_>>().concat(), model);
+            let chunks: Vec<&[u8]> = queue.chunks().collect();
+            assert_eq!(chunks.concat(), model);
+            for first in 0..=chunks.len() + 1 {
+                let rest: Vec<&[u8]> = queue.chunks_from(first).collect();
+                assert_eq!(
+                    rest,
+                    chunks[first.min(chunks.len())..],
+                    "chunks from {first}"
+                );
+            }
         }
         drop(queue);
         assert_eq!(pool.free_pages(), pool.capacity(), "every page came back");

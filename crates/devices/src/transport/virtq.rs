@@ -150,9 +150,9 @@ pub(crate) struct VirtqBack {
 
 impl BackTransport for VirtqBack {
     fn take(&mut self, env: &mut DomainEnv<'_>) -> Option<Result<Request, u32>> {
-        let chain = self.q.pop_avail()?;
-        let token = u32::from(chain.head);
-        let (header, (addr, len, device_writes)) = match chain.bufs[..] {
+        let (head, bufs) = self.q.next_chain()?;
+        let token = u32::from(head);
+        let (header, (addr, len, device_writes)) = match *bufs {
             [data] => (Slot::new(&[]), data),
             [(hdr_addr, hdr_len, false), data, (status_addr, 1, true)]
                 if (1..=HEADER_MAX).contains(&(hdr_len as usize)) =>
@@ -165,7 +165,7 @@ impl BackTransport for VirtqBack {
                 let Some(page) = map_cached(env, &mut self.header_pages, gref, false) else {
                     return Some(Err(token));
                 };
-                self.status.insert(chain.head, status_addr);
+                self.status.insert(head, status_addr);
                 (page.read(|b| Slot::new(&b[hdr])), data)
             }
             _ => return Some(Err(token)),

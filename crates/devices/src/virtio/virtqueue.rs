@@ -491,13 +491,17 @@ impl SplitQueue {
 
 // ------------------------------------------------------- device half
 
+/// One buffer of a chain as the device reads it: `(addr, len,
+/// device_writes)`.
+pub type DeviceBuf = (u64, u32, bool);
+
 /// A descriptor chain the device popped from the avail ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chain {
     /// Head descriptor id (returned in the used entry).
     pub head: u16,
-    /// The chain's buffers in order: `(addr, len, device_writes)`.
-    pub bufs: Vec<(u64, u32, bool)>,
+    /// The chain's buffers in order.
+    pub bufs: Vec<DeviceBuf>,
 }
 
 /// The device (backend) half: consumes avail entries, walks descriptor
@@ -514,6 +518,8 @@ pub struct DeviceQueue {
     /// `{id, len}` entries staged for the used ring, published by
     /// [`DeviceQueue::publish`].
     staged: Vec<[u8; 8]>,
+    /// The buffers of the chain last walked, refilled by every walk.
+    chain: Vec<DeviceBuf>,
     errors: VirtqErrors,
 }
 
@@ -526,6 +532,7 @@ impl DeviceQueue {
             avail: VecDeque::with_capacity(Q),
             used_idx: 0,
             staged: Vec::with_capacity(Q),
+            chain: Vec::new(),
             errors: VirtqErrors::default(),
         }
     }
@@ -541,6 +548,16 @@ impl DeviceQueue {
     /// jumps past the queue size) are counted and skipped — the device
     /// never follows hostile ring state.
     pub fn pop_avail(&mut self) -> Option<Chain> {
+        let (head, bufs) = self.next_chain()?;
+        Some(Chain {
+            head,
+            bufs: bufs.to_vec(),
+        })
+    }
+
+    /// [`DeviceQueue::pop_avail`] without the copy: the head and a view of
+    /// its buffers, valid until the next call.
+    pub fn next_chain(&mut self) -> Option<(u16, &[DeviceBuf])> {
         if self.avail.is_empty() {
             let (from, heads) = (self.last_avail, &mut self.avail);
             let (idx, leapt) = self.pages.avail.read(|b| read_burst(b, from, heads));
@@ -553,35 +570,36 @@ impl DeviceQueue {
                 self.errors.bad_id += 1;
                 continue;
             }
-            if let Some(bufs) = self.walk_chain(head) {
-                return Some(Chain { head, bufs });
+            if self.walk_chain(head) {
+                return Some((head, &self.chain));
             }
         }
         None
     }
 
-    /// Follows a chain through the descriptor table in one read.
-    fn walk_chain(&mut self, head: u16) -> Option<Vec<(u64, u32, bool)>> {
+    /// Follows a chain through the descriptor table in one read, into
+    /// `self.chain`; `false` if the chain is malformed.
+    fn walk_chain(&mut self, head: u16) -> bool {
         const _: () = assert!(Q <= 128, "one bit per descriptor in a u128");
-        let errors = &mut self.errors;
+        let (errors, bufs) = (&mut self.errors, &mut self.chain);
+        bufs.clear();
         self.pages.desc.read(|b| {
-            let mut bufs = Vec::new();
             let (mut idx, mut seen) = (head, 0u128);
             loop {
                 if seen & (1 << idx) != 0 {
                     // A descriptor loop: abandon the chain.
                     errors.bad_chain += 1;
-                    return None;
+                    return false;
                 }
                 seen |= 1 << idx;
                 let d = read_desc(b, idx);
                 bufs.push((d.addr, d.len, d.flags & DESC_F_WRITE != 0));
                 if d.flags & DESC_F_NEXT == 0 {
-                    return Some(bufs);
+                    return true;
                 }
                 if d.next >= QUEUE_SIZE {
                     errors.bad_id += 1;
-                    return None;
+                    return false;
                 }
                 idx = d.next;
             }

@@ -106,6 +106,10 @@ pub(super) struct Conns {
     /// Connections with writes buffered since the last `flush_tx`
     /// (deduplicated by `ConnEntry::dirty`, drained without reallocating).
     dirty: Vec<u64>,
+    /// What a state machine answers to a segment or a flush, written by
+    /// the connection and drained by `apply`: its vectors keep their
+    /// capacity, so a steady stream of segments allocates none.
+    scratch: tcp::Output,
     /// Live count of listener-spawned SYN-received entries, maintained
     /// incrementally so the per-SYN backlog check is O(1).
     half_open: usize,
@@ -124,6 +128,7 @@ impl Conns {
             deadlines: TimerWheel::new(),
             due_scratch: Vec::new(),
             dirty: Vec::new(),
+            scratch: tcp::Output::default(),
             half_open: 0,
             stats: StackStats::default(),
             stream_cmd,
@@ -203,23 +208,26 @@ impl Conns {
     /// Feeds a received segment to connection `id` and carries out what
     /// its state machine answers.
     pub(super) fn on_segment(&mut self, id: u64, seg: &TcpSegment, now: Time, egress: &mut Egress) {
-        let output = {
-            let entry = self.table.get_mut(id).expect("exists");
-            entry.conn.on_segment(seg, now)
-        };
-        self.apply(id, output, egress);
+        let mut out = std::mem::take(&mut self.scratch);
+        let entry = self.table.get_mut(id).expect("exists");
+        entry.conn.receive(seg, now, &mut out);
+        self.apply(id, &mut out, egress);
+        self.scratch = out;
     }
 
     /// Carries out a state machine's output for connection `id`: events to
     /// the application, segments to the wire, then teardown or re-arming.
-    pub(super) fn apply(&mut self, id: u64, output: tcp::Output, egress: &mut Egress) {
+    /// Leaves `output` empty, its capacity kept.
+    pub(super) fn apply(&mut self, id: u64, output: &mut tcp::Output, egress: &mut Egress) {
         let Some(entry) = self.table.get_mut(id) else {
+            output.segments.clear();
+            output.events.clear();
             return;
         };
         let peer = entry.peer;
         let local_port = entry.local_port;
         let mut to_remove = false;
-        for ev in output.events {
+        for ev in output.events.drain(..) {
             match ev {
                 Event::Connected => {
                     if let Some(rx) = entry.events_rx.take() {
@@ -255,7 +263,7 @@ impl Conns {
         if to_remove {
             entry.dead = true;
         }
-        for seg in output.segments {
+        for seg in output.segments.drain(..) {
             egress.tcp(local_port, peer, &seg);
         }
         // Targeted teardown: only this connection can have changed state,
@@ -305,11 +313,11 @@ impl Conns {
 
     /// The application closed connection `id`.
     pub(super) fn close(&mut self, id: u64, now: Time, egress: &mut Egress) {
-        let out = match self.table.get_mut(id) {
+        let mut out = match self.table.get_mut(id) {
             Some(e) if !e.dead => e.conn.app_close(now),
             _ => return,
         };
-        self.apply(id, out, egress);
+        self.apply(id, &mut out, egress);
     }
 
     /// Flushes connections with buffered app data, once per poll-loop
@@ -324,20 +332,17 @@ impl Conns {
         // Reuse the list's allocation across iterations: take it, drain
         // it, hand it back (nothing re-dirties connections mid-flush).
         let mut ids = std::mem::take(&mut self.dirty);
+        let mut out = std::mem::take(&mut self.scratch);
         for &id in &ids {
-            let segments = match self.table.get_mut(id) {
+            match self.table.get_mut(id) {
                 Some(e) if !e.dead => {
                     e.dirty = false;
-                    e.conn.transmit(now)
+                    e.conn.transmit(now, &mut out);
                 }
                 _ => continue,
-            };
-            if !segments.is_empty() {
-                let output = tcp::Output {
-                    segments,
-                    events: Vec::new(),
-                };
-                self.apply(id, output, egress);
+            }
+            if !out.segments.is_empty() {
+                self.apply(id, &mut out, egress);
             } else {
                 // `transmit` can still have armed a timer (e.g. a persist
                 // probe scheduled against a closed window).
@@ -345,6 +350,7 @@ impl Conns {
                 self.set_conn_timer(id, want);
             }
         }
+        self.scratch = out;
         ids.clear();
         ids.append(&mut self.dirty);
         self.dirty = ids;
@@ -367,10 +373,10 @@ impl Conns {
                 }
                 None => continue,
             };
-            let out = outcome.output;
+            let mut out = outcome.output;
             if !out.segments.is_empty() || !out.events.is_empty() {
                 // Re-arms (or tears down) via `apply`.
-                self.apply(id, out, egress);
+                self.apply(id, &mut out, egress);
             } else {
                 self.set_conn_timer(id, outcome.next_deadline);
             }

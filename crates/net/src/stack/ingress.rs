@@ -250,11 +250,11 @@ impl Worker {
                     if established {
                         // A returning SYN cookie: surface the accept before
                         // any payload its ACK may carry.
-                        let connected = tcp::Output {
+                        let mut connected = tcp::Output {
                             segments: Vec::new(),
                             events: vec![Event::Connected],
                         };
-                        self.conns.apply(id, connected, &mut self.egress);
+                        self.conns.apply(id, &mut connected, &mut self.egress);
                     }
                     id
                 }

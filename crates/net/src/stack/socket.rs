@@ -448,7 +448,7 @@ impl Worker {
                 dst_port,
                 reply,
             } => {
-                let Some((local_port, conn, syn)) =
+                let Some((local_port, conn, mut syn)) =
                     self.admission.connect(dst, dst_port, &self.conns, now)
                 else {
                     let _ = reply.send(Err(NetError::PortInUse));
@@ -456,7 +456,7 @@ impl Worker {
                 };
                 let entry = ConnEntry::new(conn, (dst, dst_port), local_port, Some(reply));
                 let id = self.conns.insert(entry);
-                self.conns.apply(id, syn, &mut self.egress);
+                self.conns.apply(id, &mut syn, &mut self.egress);
             }
             Cmd::TcpSend { id, data } => self.conns.buffer(id, data),
             Cmd::TcpClose { id } => self.conns.close(id, now, &mut self.egress),

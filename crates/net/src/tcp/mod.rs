@@ -277,10 +277,9 @@ impl Connection {
     /// `PktBuf`/`Vec<u8>` queues it by reference, passing a slice copies.
     pub fn app_send(&mut self, data: impl Into<PktBuf>, now: Time) -> Output {
         self.app_buffer(data);
-        Output {
-            segments: self.transmit(now),
-            events: Vec::new(),
-        }
+        let mut out = Output::default();
+        self.transmit(now, &mut out);
+        out
     }
 
     /// Queues application data *without* transmitting — the socket layer
@@ -297,17 +296,13 @@ impl Connection {
 
     /// Initiates close; queues a FIN after all buffered data.
     pub fn app_close(&mut self, now: Time) -> Output {
+        let mut out = Output::default();
         match self.cm.app_close() {
-            CloseAction::QueueFin => Output {
-                segments: self.transmit(now),
-                events: Vec::new(),
-            },
-            CloseAction::InstantClose => Output {
-                segments: Vec::new(),
-                events: vec![Event::Closed],
-            },
-            CloseAction::Ignore => Output::default(),
+            CloseAction::QueueFin => self.transmit(now, &mut out),
+            CloseAction::InstantClose => out.events.push(Event::Closed),
+            CloseAction::Ignore => {}
         }
+        out
     }
 
     /// Sends data allowed by the congestion and peer windows, in full-sized
@@ -315,14 +310,15 @@ impl Connection {
     /// the send buffer or nothing is in flight (sender-side silly-window
     /// avoidance, RFC 1122 §4.2.3.4 — every ACK re-enters here, so a held
     /// sliver leaves as part of a full segment once the window opens).
-    pub fn transmit(&mut self, now: Time) -> Vec<SegmentOut> {
-        let mut out = Vec::new();
+    /// The segments are appended to `out`.
+    pub fn transmit(&mut self, now: Time, out: &mut Output) {
         if !matches!(
             self.cm.state(),
             State::Established | State::CloseWait | State::FinWait1 | State::LastAck | State::Closing
         ) {
-            return out;
+            return;
         }
+        let appended_from = out.segments.len();
         let mss = self.effective_mss();
         // The orchestrator intersects the two windows; neither component
         // sees the other's. Duplicate ACKs below the fast-retransmit
@@ -349,7 +345,7 @@ impl Connection {
                 psh: last,
                 ..Flags::ACK
             };
-            out.push(self.segment(seq_no, flags, payload));
+            out.segments.push(self.segment(seq_no, flags, payload));
             // Time the first unsampled transmission (its end is snd_nxt
             // right after the carve); a no-op while a sample is in flight.
             self.cm.take_rtt_sample(self.rod.snd_nxt(), now);
@@ -362,9 +358,10 @@ impl Connection {
             let fin_seq = self.rod.reserve_fin();
             self.cm.note_fin_sent(fin_seq);
             self.stats.segs_out += 1;
-            out.push(self.segment(fin_seq, FIN_ACK, PktBuf::empty()));
+            out.segments.push(self.segment(fin_seq, FIN_ACK, PktBuf::empty()));
         }
-        if !out.is_empty() && self.cm.rtx_deadline().is_none() {
+        // Armed by what this call emitted, not by what `out` already held.
+        if out.segments.len() > appended_from && self.cm.rtx_deadline().is_none() {
             self.cm.arm_rtx(now);
         }
         // Zero window with data waiting: arm the persist timer so a lost
@@ -375,7 +372,6 @@ impl Connection {
         {
             self.flow.arm_persist(now, self.cm.rto().max(self.cfg.rto_min));
         }
-        out
     }
 
     /// Handles a timer expiry, returning the output plus the connection's
@@ -447,29 +443,27 @@ impl Connection {
                     mss: self.effective_mss(),
                 });
                 self.stats.rto_retransmits += 1;
-                out.segments.extend(self.retransmit_front());
+                self.retransmit_front(&mut out);
             }
         }
         self.cm.arm_rtx(now);
         out
     }
 
-    fn retransmit_front(&mut self) -> Vec<SegmentOut> {
-        // Retransmit starting at snd_una: data if any, else the FIN.
-        let mut out = Vec::new();
+    /// Appends the retransmission starting at `snd_una`: data if any,
+    /// else the FIN.
+    fn retransmit_front(&mut self, out: &mut Output) {
         if let Some((seq_no, payload)) = self
             .rod
             .retransmit_chunk(self.cm.syn_unacked(), self.effective_mss())
         {
             self.stats.segs_out += 1;
-            out.push(self.segment(seq_no, PSH_ACK, payload));
+            out.segments.push(self.segment(seq_no, PSH_ACK, payload));
         } else if self.cm.fin_sent() && seq::le(self.rod.snd_una(), self.cm.fin_seq()) {
             self.stats.segs_out += 1;
-            out.push(self.segment(self.cm.fin_seq(), FIN_ACK, PktBuf::empty()));
+            out.segments.push(self.segment(self.cm.fin_seq(), FIN_ACK, PktBuf::empty()));
         }
-        out
     }
-
 }
 
 #[cfg(test)]

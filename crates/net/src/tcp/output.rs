@@ -47,20 +47,15 @@ pub enum Event {
     Closed,
 }
 
-/// Output of one state-machine step.
+/// Output of state-machine steps. The methods that take `&mut Output`
+/// append to it, so a caller that drains one and hands it back keeps its
+/// capacity: a steady connection then emits without allocating.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Output {
     /// Segments to emit, in order.
     pub segments: Vec<SegmentOut>,
     /// Events for the application, in order.
     pub events: Vec<Event>,
-}
-
-impl Output {
-    pub(super) fn merge(&mut self, other: Output) {
-        self.segments.extend(other.segments);
-        self.events.extend(other.events);
-    }
 }
 
 /// What one [`Connection::poll`](super::Connection::poll) produced: the

@@ -11,6 +11,12 @@ impl Connection {
     /// Feeds an inbound segment through the state machine.
     pub fn on_segment(&mut self, seg: &TcpSegment, now: Time) -> Output {
         let mut out = Output::default();
+        self.receive(seg, now, &mut out);
+        out
+    }
+
+    /// [`Connection::on_segment`], appending what it answers to `out`.
+    pub fn receive(&mut self, seg: &TcpSegment, now: Time, out: &mut Output) {
         self.stats.segs_in += 1;
 
         if seg.flags.rst {
@@ -42,11 +48,11 @@ impl Connection {
                     }
                 }
             }
-            return out;
+            return;
         }
 
         match self.cm.state() {
-            State::Closed => return out,
+            State::Closed => return,
             State::Listen => {
                 if seg.flags.syn {
                     self.rod.init_recv(seg.seq.wrapping_add(1));
@@ -57,7 +63,7 @@ impl Connection {
                     self.cm.begin_handshake();
                     self.cm.arm_rtx(now);
                 }
-                return out;
+                return;
             }
             State::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.rod.iss().wrapping_add(1) {
@@ -70,7 +76,7 @@ impl Connection {
                     self.cm.clear_rtx();
                     out.segments.push(self.make_ack());
                     out.events.push(Event::Connected);
-                    out.segments.extend(self.transmit(now));
+                    self.transmit(now, out);
                 } else if seg.flags.syn && !seg.flags.ack {
                     // Simultaneous open.
                     self.rod.init_recv(seg.seq.wrapping_add(1));
@@ -79,22 +85,20 @@ impl Connection {
                     let synack = self.make_syn(true);
                     out.segments.push(synack);
                 }
-                return out;
+                return;
             }
             _ => {}
         }
 
         // --- ACK processing -------------------------------------------------
         if seg.flags.ack {
-            out.merge(self.process_ack(seg, now));
+            self.process_ack(seg, now, out);
         }
 
         // --- payload + FIN --------------------------------------------------
         if !seg.payload.is_empty() || seg.flags.fin {
-            out.merge(self.process_payload(seg, now));
+            self.process_payload(seg, now, out);
         }
-
-        out
     }
 
     fn learn_options(&mut self, seg: &TcpSegment) {
@@ -122,13 +126,12 @@ impl Connection {
         }
     }
 
-    fn process_ack(&mut self, seg: &TcpSegment, now: Time) -> Output {
-        let mut out = Output::default();
+    fn process_ack(&mut self, seg: &TcpSegment, now: Time, out: &mut Output) {
         let ack = seg.ack;
         if seq::gt(ack, self.rod.snd_nxt()) {
             // Acking data we never sent: ack back and bail.
             out.segments.push(self.make_ack());
-            return out;
+            return;
         }
         self.flow.update_peer_window(self.scaled_window(seg));
 
@@ -137,7 +140,7 @@ impl Connection {
         // advances nothing.
         if self.flow.snd_wnd() > 0 && self.flow.persist_armed() {
             self.flow.cancel_persist();
-            out.segments.extend(self.transmit(now));
+            self.transmit(now, out);
         }
 
         if seq::gt(ack, self.rod.snd_una()) {
@@ -172,7 +175,7 @@ impl Connection {
                 }
                 AckClass::RecoveryPartial => {
                     // Partial ACK: retransmit the next hole, deflate.
-                    out.segments.extend(self.retransmit_front());
+                    self.retransmit_front(out);
                     self.cc.on_ack(self.ack_sample(AckKind::Partial, from_buf, now));
                 }
                 AckClass::Normal => {
@@ -191,7 +194,7 @@ impl Connection {
             if fin_acked && self.cm.on_fin_acked(now, self.cfg.time_wait) {
                 out.events.push(Event::Closed);
             }
-            out.segments.extend(self.transmit(now));
+            self.transmit(now, out);
         } else if ack == self.rod.snd_una()
             && seg.payload.is_empty()
             && !seg.flags.fin
@@ -207,44 +210,43 @@ impl Connection {
                         mss: self.effective_mss(),
                     });
                     self.stats.fast_retransmits += 1;
-                    out.segments.extend(self.retransmit_front());
+                    self.retransmit_front(out);
                 }
                 DupSignal::Inflate => {
                     // Window inflation per extra dup ack.
                     self.cc.on_ack(self.ack_sample(AckKind::Dup, 0, now));
-                    out.segments.extend(self.transmit(now));
+                    self.transmit(now, out);
                 }
                 DupSignal::LimitedTransmit => {
                     // RFC 3042: the first two duplicates each release one
                     // new segment (`transmit` widens its window by the
                     // count), so a small window still produces the third.
-                    out.segments.extend(self.transmit(now));
+                    self.transmit(now, out);
                 }
             }
         }
-        out
     }
 
-    fn process_payload(&mut self, seg: &TcpSegment, now: Time) -> Output {
-        let mut out = Output::default();
-        match self.rod.accept_data(
+    fn process_payload(&mut self, seg: &TcpSegment, now: Time, out: &mut Output) {
+        let (bytes_in, events) = (&mut self.stats.bytes_in, &mut out.events);
+        let outcome = self.rod.accept_data(
             seg.seq,
             // A refcount bump: the event, the OOO stash and the caller all
             // share the received page.
             seg.payload.clone(),
             seg.flags.fin,
             self.cfg.recv_buf,
-            self.cfg.ooo_max_segments,
-            self.cfg.ooo_max_bytes,
-        ) {
+            (self.cfg.ooo_max_segments, self.cfg.ooo_max_bytes),
+            |data| {
+                *bytes_in += data.len() as u64;
+                events.push(Event::Data(data));
+            },
+        );
+        match outcome {
             RecvOutcome::Stale => {
                 out.segments.push(self.make_ack());
             }
-            RecvOutcome::InOrder(delivered) => {
-                for data in delivered {
-                    self.stats.bytes_in += data.len() as u64;
-                    out.events.push(Event::Data(data));
-                }
+            RecvOutcome::InOrder => {
                 // FIN processing: only once all data up to the FIN arrived,
                 // whether the FIN rides this segment or came early.
                 let fin_here = seg.flags.fin
@@ -268,6 +270,5 @@ impl Connection {
                 out.segments.push(self.make_ack());
             }
         }
-        out
     }
 }

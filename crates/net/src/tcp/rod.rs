@@ -43,9 +43,10 @@ pub(super) enum DupSignal {
 pub(super) enum RecvOutcome {
     /// Wholly duplicate bytes and no FIN to examine: just re-ACK.
     Stale,
-    /// `rcv_nxt` advanced past these in-order views (possibly none, for a
-    /// bare FIN); the orchestrator delivers them then examines the FIN.
-    InOrder(Vec<PktBuf>),
+    /// `rcv_nxt` advanced past the in-order views just handed to the
+    /// delivery callback (possibly none, for a bare FIN); the orchestrator
+    /// examines the FIN next.
+    InOrder,
     /// Out of order: stashed (or refused), answered with a duplicate ACK.
     OutOfOrder {
         /// Eviction/conflict counts for the stats ledger.
@@ -317,16 +318,17 @@ impl Rod {
     }
 
     /// Accepts one data-bearing (or FIN-bearing) segment: trims duplicate
-    /// bytes, delivers in-order data plus any contiguous stashes, or
-    /// stashes out-of-order data within the advertised window.
+    /// bytes, hands in-order data plus any contiguous stashes to `deliver`
+    /// in stream order, or stashes out-of-order data within the advertised
+    /// window, under the `(segments, bytes)` caps of `ooo_caps`.
     pub fn accept_data(
         &mut self,
         seg_seq: u32,
         payload: PktBuf,
         fin: bool,
         recv_buf: usize,
-        ooo_max_segments: usize,
-        ooo_max_bytes: usize,
+        ooo_caps: (usize, usize),
+        mut deliver: impl FnMut(PktBuf),
     ) -> RecvOutcome {
         let mut seq_no = seg_seq;
         let mut payload = payload;
@@ -346,10 +348,9 @@ impl Rod {
         }
 
         if seq_no == self.rcv_nxt {
-            let mut delivered = Vec::new();
             if !payload.is_empty() {
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
-                delivered.push(payload);
+                deliver(payload);
                 // Drain contiguous out-of-order data.
                 while let Some((&s, _)) = self.ooo.first_key_value() {
                     if seq::gt(s, self.rcv_nxt) {
@@ -360,11 +361,11 @@ impl Rod {
                     if skip < data.len() {
                         let fresh = data.slice(skip..);
                         self.rcv_nxt = self.rcv_nxt.wrapping_add(fresh.len() as u32);
-                        delivered.push(fresh);
+                        deliver(fresh);
                     }
                 }
             }
-            RecvOutcome::InOrder(delivered)
+            RecvOutcome::InOrder
         } else {
             // Out of order. Data claiming to be from beyond our advertised
             // window cannot come from a well-behaved peer.
@@ -376,7 +377,7 @@ impl Rod {
                     .get_or_insert(seq_no.wrapping_add(payload.len() as u32));
             }
             if in_window && !payload.is_empty() {
-                report = self.stash_ooo(seq_no, payload, ooo_max_segments, ooo_max_bytes);
+                report = self.stash_ooo(seq_no, payload, ooo_caps.0, ooo_caps.1);
             }
             RecvOutcome::OutOfOrder {
                 report,
@@ -466,19 +467,14 @@ mod tests {
     ) -> Vec<u8> {
         let mut got = Vec::new();
         for &(s, e) in ranges {
-            let outcome = rod.accept_data(
+            rod.accept_data(
                 base.wrapping_add(s as u32),
                 PktBuf::from_vec(data[s..e].to_vec()),
                 false,
                 256 * 1024,
-                caps.0,
-                caps.1,
+                caps,
+                |v| got.extend_from_slice(&v),
             );
-            if let RecvOutcome::InOrder(views) = outcome {
-                for v in views {
-                    got.extend_from_slice(&v);
-                }
-            }
             // Component invariant: the stash never exceeds its caps.
             assert!(rod.ooo.len() <= caps.0.max(1), "segment cap held");
             let bytes: usize = rod.ooo.values().map(PktBuf::len).sum();

@@ -222,6 +222,23 @@ fn options_are_negotiated() {
 }
 
 #[test]
+fn transmit_arms_the_retransmit_timer_only_for_what_it_appended() {
+    let (mut client, _server, _, _, now) = handshake();
+    assert_eq!(client.next_deadline(), None, "idle once established");
+    // An output that already holds a segment from an earlier step, and
+    // nothing to send: no timer for segments this call did not emit.
+    let mut out = Output::default();
+    out.segments.push(client.segment(client.rod.snd_nxt(), Flags::ACK, PktBuf::empty()));
+    client.transmit(now, &mut out);
+    assert_eq!(out.segments.len(), 1);
+    assert_eq!(client.next_deadline(), None, "nothing in flight, nothing to time");
+    client.app_buffer(vec![7u8; 10]);
+    client.transmit(now, &mut out);
+    assert_eq!(out.segments.len(), 2, "appended after what was there");
+    assert!(client.next_deadline().is_some(), "the data segment is timed");
+}
+
+#[test]
 fn bulk_transfer_delivers_in_order() {
     let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake();
     let data: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();

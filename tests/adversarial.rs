@@ -755,51 +755,106 @@ fn dns_parser_survives_a_seeded_hostile_corpus() {
     );
 }
 
+/// The two HTTP parsers behind one face, for the chunking oracle.
+trait Framed: Default {
+    type Message: PartialEq + std::fmt::Debug;
+    fn feed(&mut self, piece: &[u8]);
+    fn take(&mut self) -> Result<Option<Self::Message>, HttpError>;
+}
+
+impl Framed for RequestParser {
+    type Message = Request;
+    fn feed(&mut self, piece: &[u8]) {
+        RequestParser::feed(self, piece.to_vec());
+    }
+    fn take(&mut self) -> Result<Option<Request>, HttpError> {
+        RequestParser::take(self)
+    }
+}
+
+impl Framed for ResponseParser {
+    type Message = Response;
+    fn feed(&mut self, piece: &[u8]) {
+        ResponseParser::feed(self, piece.to_vec());
+    }
+    fn take(&mut self) -> Result<Option<Response>, HttpError> {
+        ResponseParser::take(self)
+    }
+}
+
+/// What a fresh parser makes of `bytes` cut at `cuts`, taking every
+/// message it can after each feed: the messages taken, then the first
+/// error, if any.
+fn framed<P: Framed>(bytes: &[u8], cuts: &[usize]) -> (Vec<P::Message>, Option<HttpError>) {
+    let mut parser = P::default();
+    let mut taken = Vec::new();
+    let ends = cuts.iter().copied().chain([bytes.len()]);
+    let mut from = 0;
+    for to in ends {
+        parser.feed(&bytes[from..to]);
+        from = to;
+        loop {
+            match parser.take() {
+                Ok(Some(message)) => taken.push(message),
+                Ok(None) => break,
+                Err(e) => return (taken, Some(e)),
+            }
+        }
+    }
+    (taken, None)
+}
+
+/// Seeded cut points for `len` bytes: pieces of 1 byte up to 128, so both
+/// byte-at-a-time and few-chunk feeds occur.
+fn seeded_cuts(rng: &mut Rng, len: usize) -> Vec<usize> {
+    let max_piece = 1usize << rng.gen_range(0..8u32);
+    let mut cuts = Vec::new();
+    let mut at = rng.gen_range(1..=max_piece);
+    while at < len {
+        cuts.push(at);
+        at += rng.gen_range(1..=max_piece);
+    }
+    cuts
+}
+
 /// Tentpole scenario 7: the HTTP request/response parsers over the same
-/// mutation classes, plus the explicit content-length-lie cases.
+/// mutation classes, plus the explicit content-length-lie cases. Each case
+/// is also fed in a seeded chunking: the framer keeps state between
+/// `take()` calls, and what it returns must not depend on where the
+/// chunks were cut.
 #[test]
 fn http_parsers_survive_a_seeded_hostile_corpus() {
     let _guard = adversarial_lock().lock();
     let seed = test_seed();
     let exemplars = http_exemplars();
     let corpus = CorpusGen::for_stream(seed, "fuzz-http").corpus(&exemplars, FUZZ_CASES);
+    let mut rng = Rng::for_stream(seed, "http-chunking");
 
     let mut errs = 0usize;
     let mut panics = 0usize;
-    for case in &corpus {
-        let bytes = case.clone();
-        let outcome = std::panic::catch_unwind(move || {
-            let mut hostile = false;
-            let mut req = RequestParser::new();
-            req.feed(bytes.clone());
-            for _ in 0..4 {
-                match req.take() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => break,
-                    Err(_) => {
-                        hostile = true;
-                        break;
-                    }
-                }
-            }
-            let mut resp = ResponseParser::new();
-            resp.feed(bytes);
-            for _ in 0..4 {
-                match resp.take() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => break,
-                    Err(_) => {
-                        hostile = true;
-                        break;
-                    }
-                }
-            }
-            hostile
+    for (i, case) in corpus.iter().enumerate() {
+        let cuts = seeded_cuts(&mut rng, case.len());
+        let outcome = std::panic::catch_unwind(|| {
+            (
+                [
+                    framed::<RequestParser>(case, &[]),
+                    framed::<RequestParser>(case, &cuts),
+                ],
+                [
+                    framed::<ResponseParser>(case, &[]),
+                    framed::<ResponseParser>(case, &cuts),
+                ],
+            )
         });
-        match outcome {
-            Ok(true) => errs += 1,
-            Ok(false) => {}
-            Err(_) => panics += 1,
+        let Ok(([requests, cut_requests], [responses, cut_responses])) = outcome else {
+            panics += 1;
+            continue;
+        };
+        let why = format!("case {i} cut at {cuts:?}; reproduce with MIRAGE_TEST_SEED={seed}");
+        assert_eq!(cut_requests, requests, "{why}");
+        assert_eq!(cut_responses, responses, "{why}");
+        if requests.1.is_some() || responses.1.is_some() {
+            errs += 1;
         }
     }
     assert_eq!(
