@@ -1,11 +1,15 @@
 //! Figure 7 — thread performance: (a) construction time for millions of
 //! parallel sleeping threads; (b) wake-up jitter CDF for 10⁶ sleepers.
-//! The cross-check line spawns real sleepers on the executor and reads the
-//! virtual time their construction took, beside the model's figure.
+//! The cross-check line spawns real sleepers on the executor, charging each
+//! spawn to the extent-backed GC model, and reads the virtual time their
+//! construction took, beside the model's figure.
 
 use mirage_bench::report;
-use mirage_bench::threadsim::{construction_time, jitter_samples, percentile, ThreadTarget};
+use mirage_bench::threadsim::{
+    construction_time, jitter_samples, percentile, ThreadTarget, THREAD_HEAP_BYTES,
+};
 use mirage_hypervisor::{CostTable, Dur, Hypervisor};
+use mirage_pvboot::heap::{EnvOverheads, GcHeap, HeapBacking};
 use mirage_runtime::UnikernelGuest;
 
 fn print_fig7a(costs: &CostTable) {
@@ -59,22 +63,20 @@ fn print_fig7b(costs: &CostTable) {
     report::table(&["pct", "Mirage", "Linux native", "Linux PV"], &rows);
 }
 
-/// Cross-validation: really spawn `n` sleepers on the executor and return
-/// the virtual time consumed by *construction* (spawning; the sleeps
+/// Cross-validation: really spawn `n` sleepers on the executor, charging
+/// each thread value (the main one too) to an extent-backed GC heap, and
+/// return the virtual time consumed by *construction* (spawning; the sleeps
 /// themselves are excluded, as in the paper's Figure 7a methodology).
 fn real_executor_spawn(n: u64) -> Dur {
-    let heap = mirage_pvboot::heap::GcHeap::new(
-        mirage_pvboot::heap::HeapBacking::Extent,
-        mirage_pvboot::heap::EnvOverheads::unikernel(),
-        1 << 34,
-    );
-    let rt = mirage_runtime::Runtime::with_heap(heap);
-    let guest = UnikernelGuest::with_runtime(rt, move |_env, rt| {
+    let guest = UnikernelGuest::new(move |_env, rt| {
+        let mut heap = GcHeap::new(HeapBacking::Extent, EnvOverheads::unikernel(), 1 << 34);
         let rt2 = rt.clone();
+        rt.charge_with(|costs| heap.alloc(THREAD_HEAP_BYTES, true, costs));
         rt.spawn(async move {
             let mut handles = Vec::with_capacity(n as usize);
             for i in 0..n {
                 let rt3 = rt2.clone();
+                rt2.charge_with(|costs| heap.alloc(THREAD_HEAP_BYTES, true, costs));
                 handles.push(rt2.spawn(async move {
                     rt3.sleep(Dur::millis(500 + i % 1000)).await;
                 }));

@@ -15,9 +15,12 @@
 //! `fig07` integration checks.
 
 use mirage_hypervisor::{CostTable, Dur};
-use mirage_pvboot::heap::{EnvOverheads, GcHeap, HeapBacking};
-use mirage_runtime::THREAD_HEAP_BYTES;
+use mirage_pvboot::heap::{EnvOverheads, GcHeap, HeapBacking, OBJ_BYTES};
 use mirage_testkit::rng::Rng;
+
+/// Heap bytes charged per spawned lightweight thread (closure + timer
+/// record + scheduler node; see [`OBJ_BYTES`]).
+pub const THREAD_HEAP_BYTES: u64 = 2 * OBJ_BYTES;
 
 /// The Figure 7 targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

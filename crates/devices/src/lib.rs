@@ -55,13 +55,15 @@ mod tests {
     use super::*;
     use crate::blk::SECTOR_SIZE;
     use mirage_cstruct::PktBuf;
-    use mirage_hypervisor::event::Port;
+    use mirage_hypervisor::event::{EventError, Port};
     use mirage_hypervisor::{
         DomainEnv, DomainId, Dur, Guest, Hypervisor, RunOutcome, Step, Time, Wake,
     };
     use mirage_ring::ByteRing;
     use mirage_runtime::channel::{channel, Receiver};
     use mirage_runtime::UnikernelGuest;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     /// Submits one request; its completion arrives on what this returns.
     fn submit(
@@ -306,21 +308,27 @@ mod tests {
     /// The port a lying server publishes, given the client's domain.
     type Lie = fn(&mut DomainEnv<'_>, DomainId) -> Port;
 
+    /// When a lying peer notifies the port it published: well after the
+    /// handshake, while the other side still runs.
+    const NOTIFY_AT: Time = Time::from_nanos(10_000_000);
+
     /// A vchan server that lies to the client: it publishes an event port
     /// it did not allocate for it, or (with `bogus_ring`) a real port and
-    /// a ring grant it never issued.
+    /// a ring grant it never issued. At [`NOTIFY_AT`] it notifies the port
+    /// it published and keeps what the notify returned.
     struct LyingVchanServer {
         xs: Xenstore,
         lie: Lie,
         bogus_ring: bool,
-        answered: bool,
+        port: Option<Port>,
+        notified: Rc<Cell<Option<Result<(), EventError>>>>,
     }
 
     impl Guest for LyingVchanServer {
         fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
             self.xs.register_watcher(env.domid());
             let client = self.xs.read_host("vchan/chat/client-domid");
-            if let (false, Some(client)) = (self.answered, client.and_then(|s| s.parse().ok())) {
+            if let (None, Some(client)) = (self.port, client.and_then(|s| s.parse().ok())) {
                 let client = DomainId(client);
                 for (leaf, region) in [
                     ("s2c-ring", ByteRing::allocate(vchan::VCHAN_PAGES).1),
@@ -336,32 +344,49 @@ mod tests {
                     .write(env, "vchan/chat/event-port", &port.0.to_string());
                 self.xs
                     .write(env, "vchan/chat/server-domid", &env.domid().0.to_string());
-                self.answered = true;
+                self.port = Some(port);
             }
-            Step::Yield(Wake::never())
+            match self.port {
+                Some(port) if env.now() >= NOTIFY_AT => {
+                    self.notified.set(Some(env.evtchn_notify(port)));
+                    Step::Yield(Wake::never())
+                }
+                _ => Step::Yield(Wake::at(NOTIFY_AT)),
+            }
         }
     }
 
     /// A port the server did not allocate for this client — none at all,
     /// or one another domain may bind — leaves the client unconnected
     /// instead of panicking it. So does a real port beside ring grants the
-    /// server never issued: the client has bound the port by then, so the
-    /// channel stays half-bound and every retry is refused.
+    /// server never issued: the client has bound the port by then and
+    /// closes it again, so the server's notifications reach nobody and
+    /// every retry is refused.
     #[test]
     fn a_vchan_port_the_server_did_not_allocate_leaves_the_client_unconnected() {
-        let lies: [(Lie, bool); 3] = [
-            (|_, _| Port(999), false),
-            (|env, _| env.evtchn_alloc_unbound(DomainId(77)), false),
-            (|env, client| env.evtchn_alloc_unbound(client), true),
+        let lies: [(Lie, bool, EventError); 3] = [
+            (|_, _| Port(999), false, EventError::BadPort),
+            (
+                |env, _| env.evtchn_alloc_unbound(DomainId(77)),
+                false,
+                EventError::Unbound,
+            ),
+            (
+                |env, client| env.evtchn_alloc_unbound(client),
+                true,
+                EventError::Closed,
+            ),
         ];
-        for (lie, bogus_ring) in lies {
+        for (lie, bogus_ring, refused) in lies {
             let xs = Xenstore::new();
             let mut hv = Hypervisor::new();
+            let notified = Rc::new(Cell::new(None));
             let server = LyingVchanServer {
                 xs: xs.clone(),
                 lie,
                 bogus_ring,
-                answered: false,
+                port: None,
+                notified: Rc::clone(&notified),
             };
             hv.create_domain("server", 64, Box::new(server));
             let (client_ep, _ch) = VchanEndpoint::client(xs.clone(), "chat");
@@ -376,6 +401,11 @@ mod tests {
             );
             assert_eq!(xs.read_host("vchan/chat/state"), None);
             assert_eq!(hv.exit_code(cdom), None, "the client is still running");
+            assert_eq!(
+                notified.get(),
+                Some(Err(refused)),
+                "the lie's port reaches nobody"
+            );
         }
     }
 

@@ -312,7 +312,7 @@ pub(crate) fn advertise_nic<T: FrontTransport>(
 /// backend, then marks the device connected. `None` while the backend has
 /// not answered — or if a port it published does not bind: the backend's
 /// word, not a channel it allocated for us, and the device stays
-/// unconnected.
+/// unconnected, with the queues bound before it closed again.
 pub(crate) fn connect_nic(
     env: &mut DomainEnv<'_>,
     dir: &Dir,
@@ -326,7 +326,12 @@ pub(crate) fn connect_nic(
         .collect::<Option<Vec<_>>>()?;
     let mut ports = Vec::with_capacity(queues);
     for (q, remote) in remotes.into_iter().enumerate() {
-        let local = env.evtchn_bind(backend, remote).ok()?;
+        let Ok(local) = env.evtchn_bind(backend, remote) else {
+            for port in ports {
+                let _ = env.evtchn_close(port);
+            }
+            return None;
+        };
         let vcpu = q % env.vcpus();
         if vcpu != 0 {
             let _ = env.evtchn_set_vcpu(local, vcpu);

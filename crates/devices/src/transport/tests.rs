@@ -6,12 +6,15 @@ use super::*;
 use crate::netback::DriverDomain;
 use crate::netfront::CopyDiscipline;
 use crate::virtio::virtqueue::{DeviceQueue, QueuePages, SplitQueue};
-use mirage_hypervisor::{Dur, Guest, Hypervisor, Step, Time, Wake};
+use mirage_hypervisor::event::EventError;
+use mirage_hypervisor::{DomainId, Dur, Guest, Hypervisor, Step, Time, Wake};
 use mirage_runtime::UnikernelGuest;
 use mirage_testkit::corpus::CorpusGen;
 use mirage_testkit::prop::collection;
 use mirage_testkit::rng::Rng;
+use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
+use std::rc::Rc;
 
 /// Runs `body` inside a domain: hypercalls need an environment.
 fn in_domain(body: impl FnOnce(&mut DomainEnv<'_>) + 'static) {
@@ -540,12 +543,18 @@ fn handshake(xs: &Xenstore, dom0: Box<dyn Guest>) -> Vec<Option<String>> {
     states
 }
 
-/// A driver domain that answers every frontend with an event port that
-/// is not a channel it allocated for that frontend.
+/// After every handshake, before the guest exits.
+const NOTIFY_AT: Time = Time::from_nanos(10_000_000);
+
+/// A driver domain that answers every frontend with the event ports `lie`
+/// names, not all channels it allocated for it. At [`NOTIFY_AT`] it
+/// notifies each `q0` port it published and keeps what each notify returned.
 struct WrongPort {
     xs: Xenstore,
-    lie: fn(&mut DomainEnv<'_>) -> Port,
+    lie: fn(&mut DomainEnv<'_>, DomainId, &str) -> Port,
     answered: bool,
+    q0: Vec<Port>,
+    notified: Rc<RefCell<Vec<Result<(), EventError>>>>,
 }
 
 impl Guest for WrongPort {
@@ -556,43 +565,67 @@ impl Guest for WrongPort {
                 .write(env, "backend-domid", &env.domid().0.to_string());
             self.answered = true;
         }
+        // A frontend kicks what it bound; an unread pending bit keeps us runnable.
+        for &port in &self.q0 {
+            let _ = env.evtchn_consume(port);
+        }
+        if env.now() >= NOTIFY_AT {
+            let notified = self.q0.drain(..).map(|port| env.evtchn_notify(port));
+            self.notified.borrow_mut().extend(notified);
+            return Step::Yield(Wake::never());
+        }
         for key in self.xs.keys_with_prefix("device/") {
             let Some(base) = key.strip_suffix("/state") else {
                 continue;
             };
-            let port = (self.lie)(env).0.to_string();
+            let front = self.xs.read_host(&format!("{base}/frontend-domid"));
+            let front = DomainId(front.and_then(|d| d.parse().ok()).unwrap_or_default());
             for leaf in ["q0/event-port", "q1/event-port", "event-port"] {
                 let key = format!("{base}/{leaf}");
                 if self.xs.read_host(&key).is_none() {
-                    self.xs.write(env, &key, &port);
+                    let port = (self.lie)(env, front, leaf);
+                    self.xs.write(env, &key, &port.0.to_string());
+                    self.q0.extend((leaf == "q0/event-port").then_some(port));
                 }
             }
         }
-        Step::Yield(Wake::never())
+        Step::Yield(Wake::at(NOTIFY_AT))
     }
 }
 
 /// A port the backend did not allocate for this guest — none at all, or
 /// one another domain may bind — leaves every device unconnected, on
-/// both ABIs, instead of panicking the frontend.
+/// both ABIs, instead of panicking the frontend. So does a real port for
+/// queue 0 beside a bogus one for queue 1: the NIC has bound queue 0 by
+/// then and closes it again, so nothing the backend notifies reaches it.
 #[test]
 fn a_port_the_backend_did_not_allocate_leaves_the_device_unconnected() {
-    let lies: [fn(&mut DomainEnv<'_>) -> Port; 2] = [
-        |_| Port(999),
-        |env| env.evtchn_alloc_unbound(mirage_hypervisor::DomainId(77)),
+    let lies: [fn(&mut DomainEnv<'_>, DomainId, &str) -> Port; 3] = [
+        |_, _, _| Port(999),
+        |env, _, _| env.evtchn_alloc_unbound(DomainId(77)),
+        |env, front, leaf| match leaf {
+            "q0/event-port" => env.evtchn_alloc_unbound(front),
+            _ => Port(999),
+        },
     ];
     for lie in lies {
         let xs = Xenstore::new();
+        let notified = Rc::new(RefCell::new(Vec::new()));
         let dom0 = WrongPort {
             xs: xs.clone(),
             lie,
             answered: false,
+            q0: Vec::new(),
+            notified: Rc::clone(&notified),
         };
         let states = handshake(&xs, Box::new(dom0));
         assert!(
             states.iter().all(|s| s.as_deref() == Some("initialising")),
             "{states:?}"
         );
+        let notified = notified.borrow();
+        let refused = notified.len() == 4 && notified.iter().all(Result::is_err);
+        assert!(refused, "a q0 port per frontend, all refused: {notified:?}");
     }
 }
 

@@ -202,10 +202,14 @@ impl VchanEndpoint {
                 let Ok(local) = env.evtchn_bind(server, Port(port)) else {
                     return false;
                 };
-                let Ok(s2c_page) = env.grant_map(GrantRef(s2c), true) else {
-                    return false;
-                };
-                let Ok(c2s_page) = env.grant_map(GrantRef(c2s), true) else {
+                // Ring grants it never issued: close the port we bound, so
+                // the server's notifications no longer wake us.
+                let pages = env.grant_map(GrantRef(s2c), true).and_then(|s2c_page| {
+                    let c2s_page = env.grant_map(GrantRef(c2s), true)?;
+                    Ok((s2c_page, c2s_page))
+                });
+                let Ok((s2c_page, c2s_page)) = pages else {
+                    let _ = env.evtchn_close(local);
                     return false;
                 };
                 // Client transmits on c2s, receives on s2c.

@@ -317,6 +317,18 @@ impl<'a> DomainEnv<'a> {
         Ok(())
     }
 
+    /// Closes a local port and, if it was bound, its peer's end too
+    /// (`EVTCHNOP_close`): a later notify on either end fails with
+    /// [`EventError::Closed`].
+    ///
+    /// # Errors
+    ///
+    /// See [`EventSubsystem::close`].
+    pub fn evtchn_close(&mut self, port: Port) -> Result<(), EventError> {
+        self.hypercall();
+        self.sys.events.close(self.dom, port)
+    }
+
     /// Reads and clears the pending bit of a local port.
     ///
     /// Reading the shared-info bitmap needs no trap, so this is free.

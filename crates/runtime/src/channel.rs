@@ -356,11 +356,12 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-// Cross-core wakeup contract: every channel endpoint must be `Send` (so a
-// task holding it can be work-stolen to another core) and `Sync` (so the
-// synchronous device-service path on one core can signal a task homed on
-// another). The shims are std::sync-backed, so these hold structurally —
-// the assertions pin that down at compile time.
+// Cross-core wakeup contract: every channel endpoint must be `Send` (a
+// task's future is `Send`, and the benchmark spawns futures and closures
+// that hold a `Runtime`, a block device and a `Tree` — DESIGN §3) and
+// `Sync` (so the synchronous device-service path on one core can signal a
+// task homed on another). The shims are std::sync-backed, so these hold
+// structurally — the assertions pin that down at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Sender<u64>>();

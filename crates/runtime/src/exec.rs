@@ -16,16 +16,13 @@
 //! which `now()` and every charge touch without taking the lock (the
 //! simulation itself stays on one OS thread; parallelism is expressed in
 //! *virtual* time through the hypervisor's per-vCPU charge lanes). Tasks
-//! have a home core: charges, sleeps and child spawns from inside a task
-//! route to the core that is polling it. Non-pinned tasks migrate between
-//! cores through deterministic seeded work stealing, so an idle core picks
-//! up backlog while `MIRAGE_TEST_SEED` still reproduces the exact
-//! interleaving byte-for-byte.
+//! have a home core, the one they were spawned on, and never leave it:
+//! charges, sleeps and child spawns from inside a task route to the core
+//! that is polling it. Which core with work polls next is a seeded draw,
+//! so `MIRAGE_TEST_SEED` reproduces the exact interleaving byte-for-byte.
 //!
 //! Every poll charges [`CostTable::thread_switch`] to the polling core's
-//! virtual time, and thread construction can optionally be charged against
-//! a [`GcHeap`](mirage_pvboot::heap::GcHeap) model — this is how the
-//! Figure 7 thread benchmarks account for garbage-collector pressure.
+//! virtual time.
 
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
@@ -39,7 +36,6 @@ use mirage_testkit::sync::Mutex;
 use mirage_testkit::wheel::{TimerId, TimerWheel};
 
 use mirage_hypervisor::{CostTable, Dur, Time};
-use mirage_pvboot::heap::GcHeap;
 
 pub(crate) type TaskId = u64;
 
@@ -48,10 +44,8 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 struct TaskEntry {
     fut: Option<BoxFuture>,
     queued: bool,
-    /// Core whose run queue wakes of this task land on. Stealing moves it.
+    /// Core whose run queue wakes of this task land on.
     home: usize,
-    /// Pinned tasks (stack workers, per-core service loops) never migrate.
-    pinned: bool,
     /// Made at the first poll and handed to every later one.
     waker: Option<Waker>,
 }
@@ -93,12 +87,9 @@ pub(crate) struct Sched {
     tasks: HashMap<TaskId, TaskEntry>,
     next_task: TaskId,
     pub(crate) spawned_total: u64,
-    pub(crate) heap: Option<GcHeap>,
-    /// Seeded schedule source: interleaving across non-empty cores and
-    /// steal-victim choice both draw from it, so a multi-core run is a
-    /// pure function of `MIRAGE_TEST_SEED`.
+    /// Seeded schedule source: which core with round-start work left polls
+    /// next, so a multi-core run is a pure function of `MIRAGE_TEST_SEED`.
     rng: Rng,
-    pub(crate) steals: u64,
     /// A round's scratch, kept so that a round allocates nothing: the
     /// wakers of the timers it fired, and what each core owes it.
     fired: Vec<Waker>,
@@ -117,68 +108,9 @@ impl Sched {
             tasks: HashMap::new(),
             next_task: 0,
             spawned_total: 0,
-            heap: None,
             rng: Rng::for_stream(mirage_testkit::test_seed(), "smp-exec"),
-            steals: 0,
             fired: Vec::new(),
             owed: Vec::with_capacity(cores),
-        }
-    }
-
-    /// Deterministic work stealing: every idle core takes one non-pinned
-    /// task from the longest eligible queue (len >= 2, seeded tie-break),
-    /// migrating the task's home so subsequent wakes follow it.
-    fn steal_for_idle(&mut self) {
-        if self.cores.len() == 1 {
-            return;
-        }
-        for thief in 0..self.cores.len() {
-            if !self.cores[thief].run_queue.is_empty() {
-                continue;
-            }
-            let mut candidates: Vec<usize> = Vec::new();
-            let mut best_len = 0usize;
-            for (v, core) in self.cores.iter().enumerate() {
-                if v == thief {
-                    continue;
-                }
-                let unpinned = core
-                    .run_queue
-                    .iter()
-                    .filter(|id| !self.tasks[*id].pinned)
-                    .count();
-                if core.run_queue.len() >= 2 && unpinned > 0 {
-                    match core.run_queue.len().cmp(&best_len) {
-                        std::cmp::Ordering::Greater => {
-                            best_len = core.run_queue.len();
-                            candidates.clear();
-                            candidates.push(v);
-                        }
-                        std::cmp::Ordering::Equal => candidates.push(v),
-                        std::cmp::Ordering::Less => {}
-                    }
-                }
-            }
-            if candidates.is_empty() {
-                continue;
-            }
-            let victim = if candidates.len() == 1 {
-                candidates[0]
-            } else {
-                candidates[self.rng.gen_index(candidates.len())]
-            };
-            // Take the newest unpinned entry: older work stays with its
-            // owner (it is about to be polled there anyway).
-            let pos = self.cores[victim]
-                .run_queue
-                .iter()
-                .rposition(|id| !self.tasks[id].pinned);
-            if let Some(pos) = pos {
-                let id = self.cores[victim].run_queue.remove(pos).expect("position valid");
-                self.tasks.get_mut(&id).expect("stolen task exists").home = thief;
-                self.cores[thief].run_queue.push_back(id);
-                self.steals += 1;
-            }
         }
     }
 }
@@ -269,11 +201,8 @@ impl CoreHandle {
         }
     }
 
-    /// Spawns a task. `pin: Some(v)` locks it to core `v` forever;
-    /// `None` homes it on the spawning context's core but leaves it
-    /// stealable.
-    pub(crate) fn spawn(&self, fut: BoxFuture, pin: Option<usize>) -> TaskId {
-        let home = pin.unwrap_or_else(|| self.current_core());
+    /// Spawns a task on core `home`, where it stays.
+    pub(crate) fn spawn(&self, fut: BoxFuture, home: usize) -> TaskId {
         let mut s = self.exec.sched.lock();
         assert!(home < s.cores.len(), "core {home} out of range");
         let id = s.next_task;
@@ -285,7 +214,6 @@ impl CoreHandle {
                 fut: Some(fut),
                 queued: true,
                 home,
-                pinned: pin.is_some(),
                 waker: None,
             },
         );
@@ -346,23 +274,6 @@ impl CoreHandle {
         self.charge(price(&self.exec.costs));
     }
 
-    /// Charges a heap allocation against the GC model, if one is attached.
-    pub(crate) fn heap_alloc(&self, bytes: u64, long_lived: bool) {
-        let mut s = self.exec.sched.lock();
-        if let Some(heap) = s.heap.as_mut() {
-            let d = heap.alloc(bytes, long_lived, &self.exec.costs);
-            drop(s);
-            self.charge(d);
-        }
-    }
-
-    pub(crate) fn heap_release(&self, bytes: u64) {
-        let mut s = self.exec.sched.lock();
-        if let Some(h) = s.heap.as_mut() {
-            h.release(bytes);
-        }
-    }
-
     /// One executor round — the unit of Mirage's main loop (§3.3): fire
     /// expired timers, then poll each task that is runnable *now* exactly
     /// once. A task woken (or yielding) during the round lands behind the
@@ -373,10 +284,9 @@ impl CoreHandle {
     /// `drain_charge(core, charge)` reports a core's virtual time as a
     /// function of the charge it accumulated, so CPU-bound work delays
     /// that core's timers exactly as it would on real silicon — and only
-    /// that core's: the lanes advance independently. Idle cores steal at
-    /// the round boundary; which core with round-start work left polls
-    /// next is a seeded draw, giving SMP runs a reproducible but
-    /// adversarially shuffled interleaving.
+    /// that core's: the lanes advance independently. Which core with
+    /// round-start work left polls next is a seeded draw, giving SMP runs
+    /// a reproducible but adversarially shuffled interleaving.
     ///
     /// A round allocates nothing once warm, and takes the scheduler lock
     /// twice to start and once per poll (twice for a poll that completes
@@ -408,7 +318,6 @@ impl CoreHandle {
         // What each core owes this round: its queue as it stands now.
         let mut s = exec.sched.lock();
         s.fired = fired;
-        s.steal_for_idle();
         let Sched { cores, owed, .. } = &mut *s;
         owed.clear();
         owed.extend(cores.iter().map(|c| c.run_queue.len()));

@@ -16,10 +16,6 @@
 //!   until a round polls nothing, then blocks in
 //!   [`mirage_pvboot::domainpoll`] until its next timer or an event.
 //!
-//! Thread construction can be charged against a
-//! [`mirage_pvboot::heap::GcHeap`] cost model, which is how the
-//! Figure 7 experiments account for garbage-collection pressure.
-//!
 //! # Example
 //!
 //! ```
@@ -50,16 +46,11 @@ use std::sync::Arc;
 use mirage_testkit::sync::Mutex;
 
 use mirage_hypervisor::{CostTable, DomainEnv, Dur, Guest, Step, Time};
-use mirage_pvboot::heap::GcHeap;
 
 use channel::{JoinHandle, OneshotState};
 use exec::CoreHandle;
 pub use exec::StallReport;
 use timer::{Sleep, SleepCore, Timeout, YieldNow};
-
-/// Heap bytes charged per spawned lightweight thread (closure + timer
-/// record + scheduler node; see [`mirage_pvboot::heap::OBJ_BYTES`]).
-pub const THREAD_HEAP_BYTES: u64 = 2 * mirage_pvboot::heap::OBJ_BYTES;
 
 /// Handle to the cooperative executor. Cheap to clone; all clones share one
 /// scheduler.
@@ -83,27 +74,19 @@ impl Default for Runtime {
 }
 
 impl Runtime {
-    /// A single-core runtime with no GC heap model attached.
+    /// A single-core runtime.
     pub fn new() -> Runtime {
         Runtime::smp(1)
     }
 
     /// A runtime with `cores` per-vCPU executors: one run queue, timer
-    /// queue and virtual clock each, with deterministic seeded work
-    /// stealing for non-pinned tasks. `smp(1)` behaves exactly like the
+    /// queue and virtual clock each. A task runs on the core it was
+    /// spawned on for its whole life. `smp(1)` behaves exactly like the
     /// classic single-threaded executor.
     pub fn smp(cores: usize) -> Runtime {
         Runtime {
             core: CoreHandle::new(cores),
         }
-    }
-
-    /// A runtime whose thread allocations are charged against `heap` —
-    /// used by the Figure 7 experiments.
-    pub fn with_heap(heap: GcHeap) -> Runtime {
-        let rt = Runtime::new();
-        rt.core.exec.sched.lock().heap = Some(heap);
-        rt
     }
 
     /// Number of executor cores.
@@ -117,27 +100,23 @@ impl Runtime {
         self.core.current_core()
     }
 
-    /// Tasks migrated between cores by the work-stealing scheduler.
-    pub fn steals(&self) -> u64 {
-        self.core.exec.sched.lock().steals
-    }
-
     /// Spawns a lightweight thread and returns a handle to await its
     /// result.
     ///
-    /// Like Lwt threads, spawning allocates on the (modelled) heap and the
-    /// thread runs only when the executor is driven.
+    /// Like Lwt threads, the thread runs only when the executor is driven.
+    /// It runs on the spawning core: the polling core inside a task, core
+    /// 0 outside one.
     pub fn spawn<T, F>(&self, fut: F) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: Future<Output = T> + Send + 'static,
     {
-        self.spawn_with(fut, None)
+        self.spawn_with(fut, self.current_core())
     }
 
-    /// Spawns a lightweight thread pinned to core `v`: it runs only on
-    /// that core's queue and is never work-stolen. This is how per-queue
-    /// net-stack workers keep a flow's TCB on exactly one core.
+    /// Spawns a lightweight thread on core `v`: it runs only on that
+    /// core's queue. This is how per-queue net-stack workers keep a flow's
+    /// TCB on exactly one core.
     ///
     /// # Panics
     ///
@@ -147,26 +126,23 @@ impl Runtime {
         T: Send + 'static,
         F: Future<Output = T> + Send + 'static,
     {
-        self.spawn_with(fut, Some(v))
+        self.spawn_with(fut, v)
     }
 
-    fn spawn_with<T, F>(&self, fut: F, pin: Option<usize>) -> JoinHandle<T>
+    fn spawn_with<T, F>(&self, fut: F, home: usize) -> JoinHandle<T>
     where
         T: Send + 'static,
         F: Future<Output = T> + Send + 'static,
     {
-        self.core.heap_alloc(THREAD_HEAP_BYTES, true);
         let state = Arc::new(Mutex::new(OneshotState {
             value: None,
             waker: None,
             done: false,
         }));
         let state2 = Arc::clone(&state);
-        let core = self.core.clone();
         self.core.spawn(
             Box::pin(async move {
                 let value = fut.await;
-                core.heap_release(THREAD_HEAP_BYTES);
                 let mut st = state2.lock();
                 st.value = Some(value);
                 st.done = true;
@@ -174,7 +150,7 @@ impl Runtime {
                     w.wake();
                 }
             }),
-            pin,
+            home,
         );
         JoinHandle { state }
     }
@@ -226,12 +202,6 @@ impl Runtime {
     /// The hypervisor's cost table.
     pub fn costs(&self) -> CostTable {
         self.core.exec.costs.clone()
-    }
-
-    /// Charges a heap allocation of `bytes` against the GC model (no-op
-    /// without one).
-    pub fn alloc(&self, bytes: u64, long_lived: bool) {
-        self.core.heap_alloc(bytes, long_lived);
     }
 
     /// Number of live (incomplete) threads.
@@ -317,8 +287,7 @@ impl UnikernelGuest {
         UnikernelGuest::with_runtime(Runtime::new(), boot)
     }
 
-    /// Same, over a caller-configured runtime (e.g. one with a GC heap
-    /// model attached).
+    /// Same, over a caller-configured runtime (e.g. a multi-core one).
     pub fn with_runtime<F, Fut, T>(rt: Runtime, boot: F) -> UnikernelGuest
     where
         F: FnOnce(&mut DomainEnv<'_>, &Runtime) -> Fut + Send + 'static,
@@ -401,7 +370,6 @@ impl Guest for UnikernelGuest {
 mod tests {
     use super::*;
     use mirage_hypervisor::Hypervisor;
-    use mirage_pvboot::heap::{EnvOverheads, GcHeap, HeapBacking};
 
     fn run_guest(guest: UnikernelGuest) -> (Hypervisor, mirage_hypervisor::DomainId) {
         let mut hv = Hypervisor::new();
@@ -579,35 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_model_charges_thread_construction() {
-        let heap = GcHeap::new(HeapBacking::Extent, EnvOverheads::unikernel(), 1 << 32);
-        let rt = Runtime::with_heap(heap);
-        let guest = UnikernelGuest::with_runtime(rt, |_env, rt| {
-            let rt2 = rt.clone();
-            rt.spawn(async move {
-                let handles: Vec<_> = (0..50_000)
-                    .map(|_| {
-                        let rt3 = rt2.clone();
-                        rt2.spawn(async move {
-                            rt3.sleep(Dur::millis(1)).await;
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.await;
-                }
-                0
-            })
-        });
-        let (hv, dom) = run_guest(guest);
-        assert_eq!(hv.exit_code(dom), Some(0));
-        // 50k threads x 96 B exceeds the 2 MiB minor heap: collections ran.
-        // (The runtime handle is consumed by the guest; verify via timing —
-        // GC work must have inflated virtual time beyond the 1 ms sleeps.)
-        assert!(hv.now() > Time::ZERO + Dur::millis(1));
-    }
-
-    #[test]
     fn deterministic_schedules_are_reproducible() {
         let run = || {
             let guest = UnikernelGuest::new(|_env, rt| {
@@ -711,43 +650,9 @@ mod tests {
     }
 
     #[test]
-    fn smp_work_stealing_moves_unpinned_backlog() {
-        // A burst of unpinned tasks spawned from core 0: idle cores must
-        // steal some of them.
-        let rt = Runtime::smp(4);
-        let rt_outer = rt.clone();
-        let guest = UnikernelGuest::with_runtime(rt, |_env, rt| {
-            let rt2 = rt.clone();
-            rt.spawn(async move {
-                let handles: Vec<_> = (0..64u64)
-                    .map(|i| {
-                        let rt3 = rt2.clone();
-                        rt2.spawn(async move {
-                            rt3.charge(Dur::micros(50));
-                            rt3.yield_now().await;
-                            i
-                        })
-                    })
-                    .collect();
-                let mut sum = 0;
-                for h in handles {
-                    sum += h.await;
-                }
-                sum as i64
-            })
-        });
-        let mut hv = Hypervisor::new();
-        let dom = hv.create_domain_vcpus("steal", 64, Box::new(guest), 4);
-        hv.run();
-        assert_eq!(hv.exit_code(dom), Some(2016));
-        assert!(rt_outer.steals() > 0, "idle cores never stole");
-    }
-
-    #[test]
     fn smp_schedule_is_deterministic() {
         let run = || {
             let rt = Runtime::smp(4);
-            let rt_outer = rt.clone();
             let guest = UnikernelGuest::with_runtime(rt, |_env, rt| {
                 let rt2 = rt.clone();
                 rt.spawn(async move {
@@ -767,7 +672,7 @@ mod tests {
             let mut hv = Hypervisor::new();
             let dom = hv.create_domain_vcpus("det", 64, Box::new(guest), 4);
             hv.run();
-            (hv.exit_code(dom), hv.now(), hv.stats().steps, rt_outer.steals())
+            (hv.exit_code(dom), hv.now(), hv.stats().steps)
         };
         assert_eq!(run(), run(), "identical SMP schedule on every run");
     }
@@ -930,12 +835,11 @@ mod tests {
         );
     }
 
-    /// Eight pinned yielders (two per core) beside a burst of stealable
-    /// tasks, everything logging `(task, core)` at each poll.
-    fn smp_round_log() -> (Vec<String>, u64) {
-        let rt = Runtime::smp(4);
-        let rt_outer = rt.clone();
-        let log = run_probed(rt, 4, |rt, log| {
+    /// Eight pinned yielders (two per core) beside a burst of unpinned
+    /// tasks spawned from core 0, everything logging `(task, core)` at
+    /// each poll.
+    fn smp_round_log() -> Vec<String> {
+        run_probed(Runtime::smp(4), 4, |rt, log| {
             let rt2 = rt.clone();
             rt.spawn(async move {
                 let mut handles = Vec::new();
@@ -951,8 +855,8 @@ mod tests {
                 for t in 0..16usize {
                     let (rt3, log3) = (rt2.clone(), Arc::clone(&log));
                     handles.push(rt2.spawn(async move {
-                        // Outlive the pinned tasks: a core steals only
-                        // once its own queue is empty.
+                        // Outlive the pinned tasks: cores 1-3 fall idle
+                        // while core 0 still holds this backlog.
                         for _ in 0..12 {
                             log3.lock().push(format!("free{t}@{}", rt3.current_core()));
                             rt3.charge(Dur::micros(5));
@@ -965,13 +869,12 @@ mod tests {
                 }
                 0
             })
-        });
-        (log, rt_outer.steals())
+        })
     }
 
     #[test]
     fn smp_rounds_poll_each_task_once_on_its_core_and_replay() {
-        let (log, steals) = smp_round_log();
+        let log = smp_round_log();
         let mut pinned_polls = 0;
         for round in rounds(&log) {
             let mut seen = std::collections::HashSet::new();
@@ -981,14 +884,13 @@ mod tests {
                     seen.insert(task),
                     "{task} polled twice in one round: {round:?}"
                 );
+                let core: usize = core.parse().expect("core");
                 if let Some(t) = task.strip_prefix("pin") {
                     let t: usize = t.parse().expect("task number");
-                    assert_eq!(
-                        core.parse::<usize>().expect("core"),
-                        t % 4,
-                        "{entry} off its core"
-                    );
+                    assert_eq!(core, t % 4, "{entry} off its core");
                     pinned_polls += 1;
+                } else {
+                    assert_eq!(core, 0, "{entry} left the core it was spawned on");
                 }
             }
             // While any pinned task is alive they all are (same length):
@@ -997,8 +899,7 @@ mod tests {
             assert!(pinned == 0 || pinned == 8, "partial round: {round:?}");
         }
         assert_eq!(pinned_polls, 8 * 6);
-        assert!(steals > 0, "idle cores still steal the unpinned backlog");
-        assert_eq!((log, steals), smp_round_log(), "same seed, same poll order");
+        assert_eq!(log, smp_round_log(), "same seed, same poll order");
     }
 
     #[test]

@@ -22,8 +22,8 @@ use crate::exec::CoreHandle;
 pub struct Sleep {
     pub(crate) deadline: Time,
     pub(crate) core: SleepCore,
-    /// `(core, queue entry)` — sleeps arm the queue of whichever core
-    /// polled them first and keep refreshing that same entry.
+    /// `(core, queue entry)` — sleeps arm the queue of their task's own
+    /// core and keep refreshing that same entry.
     pub(crate) id: Option<(usize, TimerId)>,
 }
 

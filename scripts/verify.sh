@@ -178,6 +178,13 @@ if [[ "$queue_loc" -gt 120 ]]; then
 fi
 echo "   ok"
 
+echo "== gate: a task stays on its core, and the scheduler models no heap"
+# The executor holds run queues, timer queues and tasks: a task runs on the
+# core it was spawned on, and Fig. 7's harness charges the GC model itself.
+exactly crates/runtime/src 0 "work stealing or a GC model in the executor" \
+    'steal|GcHeap|heap_alloc|heap_release|with_heap'
+echo "   ok"
+
 echo "== gate: the line counter sees every non-test line"
 # non_test_lines stops at a file's first column-0 #[cfg(test)], so an
 # out-of-line test module must be declared as the last item of its file.
