@@ -34,25 +34,23 @@ pub const MAX_SECTORS_PER_REQ: u16 = 8;
 /// Data pages in the frontend pool (bounds queue depth).
 pub const BLK_BUFFERS: usize = 32;
 
-/// Latency/bandwidth model of the physical device.
+/// The physical device: the paper's Figure 9 PCIe SSD, whose latency and
+/// bandwidth are constants, plus the faults a test or workload injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskProfile {
-    /// Fixed per-request service latency (seek/flash overhead + DMA setup).
-    pub latency: Dur,
-    /// Sustained transfer bandwidth in bits per second.
-    pub bandwidth_bps: u64,
     /// Seeded fault plan applied by the backend (`None`: a perfect device).
     pub faults: Option<crate::netem::DiskFaultPlan>,
 }
 
 impl DiskProfile {
+    /// Fixed per-request service latency (seek/flash overhead + DMA setup).
+    pub const LATENCY: Dur = Dur::micros(18);
+    /// Sustained transfer bandwidth in bits per second (1.7 GB/s).
+    pub const BANDWIDTH_BPS: u64 = 13_600_000_000;
+
     /// The paper's Figure 9 device: a PCIe SSD peaking near 1.6 GB/s.
     pub fn pcie_ssd() -> DiskProfile {
-        DiskProfile {
-            latency: Dur::micros(18),
-            bandwidth_bps: 13_600_000_000, // 1.7 GB/s
-            faults: None,
-        }
+        DiskProfile { faults: None }
     }
 
     /// The same device with a fault plan attached.
@@ -62,14 +60,14 @@ impl DiskProfile {
     }
 
     /// Wire/flash transfer time for `bytes` (the device-occupancy part).
-    pub fn transfer_time(&self, bytes: usize) -> Dur {
-        let transfer_ns = (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps;
+    pub fn transfer_time(bytes: usize) -> Dur {
+        let transfer_ns = (bytes as u64 * 8).saturating_mul(1_000_000_000) / Self::BANDWIDTH_BPS;
         Dur::nanos(transfer_ns)
     }
 
     /// End-to-end service time for one isolated request of `bytes`.
-    pub fn service_time(&self, bytes: usize) -> Dur {
-        self.latency + self.transfer_time(bytes)
+    pub fn service_time(bytes: usize) -> Dur {
+        Self::LATENCY + Self::transfer_time(bytes)
     }
 }
 
@@ -458,15 +456,15 @@ mod tests {
 
     #[test]
     fn service_time_saturates_at_bandwidth() {
-        let p = DiskProfile::pcie_ssd();
-        let small = p.service_time(1024);
-        let large = p.service_time(4 * 1024 * 1024);
+        let small = DiskProfile::service_time(1024);
+        let large = DiskProfile::service_time(4 * 1024 * 1024);
+        let bandwidth = DiskProfile::BANDWIDTH_BPS as f64;
         // Small requests are latency-dominated; large, bandwidth-dominated.
         assert!(small < Dur::micros(25));
         let large_secs = large.as_secs_f64();
         let implied_bw = (4.0 * 1024.0 * 1024.0 * 8.0) / large_secs;
         assert!(
-            (implied_bw - p.bandwidth_bps as f64).abs() < 0.05 * p.bandwidth_bps as f64,
+            (implied_bw - bandwidth).abs() < 0.05 * bandwidth,
             "large transfers run at device bandwidth"
         );
     }

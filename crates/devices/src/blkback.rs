@@ -152,8 +152,8 @@ impl BlkBackend {
             // while the fixed latency overlaps across queued requests
             // (NCQ on the paper's PCIe SSD).
             let start = self.busy_until.max(env.now());
-            let transfer = self.disk.profile().transfer_time(bytes);
-            let done_at = start + transfer + self.disk.profile().latency;
+            let transfer = DiskProfile::transfer_time(bytes);
+            let done_at = start + transfer + DiskProfile::LATENCY;
             self.busy_until = start + transfer;
             let pending = Pending {
                 token: req.token,

@@ -113,13 +113,14 @@ pub enum CompressionStrategy {
     SizeOrdered,
 }
 
+/// Entries in the memo table of a memoizing server.
+const MEMO_CAPACITY: usize = 64 * 1024;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Memoize responses (the Figure 10 "memo" series).
     pub memoize: bool,
-    /// Memo table capacity.
-    pub memo_capacity: usize,
     /// Compression table flavour.
     pub compression: CompressionStrategy,
 }
@@ -128,7 +129,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             memoize: true,
-            memo_capacity: 64 * 1024,
             compression: CompressionStrategy::SizeOrdered,
         }
     }
@@ -189,7 +189,7 @@ impl std::fmt::Debug for DnsServer {
 impl DnsServer {
     /// A server over `zone`.
     pub fn new(zone: Zone, cfg: ServerConfig) -> DnsServer {
-        let memo = cfg.memoize.then(|| Memoizer::new(cfg.memo_capacity));
+        let memo = cfg.memoize.then(|| Memoizer::new(MEMO_CAPACITY));
         DnsServer {
             zone,
             cfg,

@@ -36,7 +36,6 @@ fn an_unmemoized_answer_allocates_per_compression_table() {
             ServerConfig {
                 memoize: false,
                 compression,
-                ..ServerConfig::default()
             },
         );
         for (host, expected) in [("host7", hit), ("nohost7", nxdomain)] {

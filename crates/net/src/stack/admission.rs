@@ -174,7 +174,7 @@ impl Admission {
             // Backlog full: answer statelessly. The ISN is a MAC over the
             // quad; state is created only if a matching ACK ever returns.
             self.stats.syn_cookies_sent += 1;
-            let peer_mss = seg.mss.map_or(536, usize::from).min(self.tcp_cfg.mss);
+            let peer_mss = seg.mss.map_or(536, usize::from).min(tcp::MSS);
             let idx = COOKIE_MSS_TABLE
                 .iter()
                 .rposition(|&m| usize::from(m) <= peer_mss)

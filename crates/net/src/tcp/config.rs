@@ -1,37 +1,39 @@
-//! Connection tuning: [`TcpConfig`], its validating builder, and the
-//! congestion-control selector.
+//! Connection tuning: the settings no deployment varies as constants, the
+//! three it does as [`TcpConfig`] with its validating builder.
 
 use mirage_hypervisor::Dur;
 
 use super::cong::CongAlg;
 
-/// Tuning knobs (defaults follow the paper's configuration: MSS 1460, a
-/// 256 KiB receive window behind scale factor 2, New Reno congestion
-/// control). Construct via [`TcpConfig::builder`] to get the invariants
-/// checked; the fields stay public for read access.
+/// Our maximum segment size: a 1 500-byte Ethernet MTU less the IPv4 and
+/// TCP headers.
+pub const MSS: usize = 1460;
+/// Our window-scale shift (RFC 7323), offered on every SYN.
+pub const WINDOW_SCALE: u8 = 2;
+/// Initial retransmission timeout (RFC 6298).
+pub const RTO_INIT: Dur = Dur::secs(1);
+/// RTO floor.
+pub const RTO_MIN: Dur = Dur::millis(200);
+/// TIME-WAIT duration (2 x MSL).
+pub const TIME_WAIT: Dur = Dur::secs(2);
+/// SYN retry budget before giving up.
+pub const SYN_RETRIES: u32 = 6;
+/// Cap on stashed out-of-order segments per connection. One hostile flow
+/// spraying in-window segments must not exhaust appliance memory.
+pub const OOO_MAX_SEGMENTS: usize = 256;
+/// Cap on stashed out-of-order bytes per connection.
+pub const OOO_MAX_BYTES: usize = 256 * 1024;
+
+/// The settings a deployment chooses (defaults follow the paper's
+/// configuration: a 256 KiB receive window, New Reno congestion control).
+/// Construct via [`TcpConfig::builder`] to get the invariants checked; the
+/// fields stay public for read access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpConfig {
-    /// Our maximum segment size.
-    pub mss: usize,
     /// Advertised receive buffer in bytes.
     pub recv_buf: usize,
-    /// Our window-scale shift (0 disables the option).
-    pub window_scale: u8,
-    /// Initial retransmission timeout.
-    pub rto_init: Dur,
-    /// RTO floor.
-    pub rto_min: Dur,
     /// RTO ceiling.
     pub rto_max: Dur,
-    /// TIME-WAIT duration (2 x MSL).
-    pub time_wait: Dur,
-    /// SYN retry budget before giving up.
-    pub syn_retries: u32,
-    /// Cap on stashed out-of-order segments per connection. One hostile
-    /// flow spraying in-window segments must not exhaust appliance memory.
-    pub ooo_max_segments: usize,
-    /// Cap on stashed out-of-order bytes per connection.
-    pub ooo_max_bytes: usize,
     /// Which congestion-control algorithm new connections run.
     pub congestion: CongAlg,
 }
@@ -39,16 +41,8 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 1460,
             recv_buf: 256 * 1024,
-            window_scale: 2,
-            rto_init: Dur::secs(1),
-            rto_min: Dur::millis(200),
             rto_max: Dur::secs(60),
-            time_wait: Dur::secs(2),
-            syn_retries: 6,
-            ooo_max_segments: 256,
-            ooo_max_bytes: 256 * 1024,
             congestion: CongAlg::NewReno,
         }
     }
@@ -66,21 +60,10 @@ impl TcpConfig {
 /// Why a configuration was rejected by [`TcpConfigBuilder::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `mss` below the IPv4 minimum-reassembly floor (536) or above what
-    /// a single page frame can carry.
-    MssOutOfRange,
     /// `recv_buf` of zero would advertise a permanently closed window.
     ZeroRecvBuf,
-    /// `window_scale` beyond the RFC 7323 maximum shift of 14.
-    WindowScaleTooLarge,
-    /// `rto_min > rto_max` leaves no valid RTO.
-    RtoRangeEmpty,
-    /// `rto_init` outside `[rto_min, rto_max]`.
-    RtoInitOutOfRange,
-    /// A zero TIME-WAIT would recycle quads while duplicates drain.
-    ZeroTimeWait,
-    /// Reassembly caps of zero cannot hold even one segment.
-    ZeroOooCap,
+    /// `rto_max` below [`RTO_INIT`] leaves no valid initial RTO.
+    RtoMaxBelowInit,
     /// `listen_backlog` of zero accepts no connections.
     ZeroBacklog,
 }
@@ -88,13 +71,8 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
-            ConfigError::MssOutOfRange => "mss must be in 536..=65495",
             ConfigError::ZeroRecvBuf => "recv_buf must be non-zero",
-            ConfigError::WindowScaleTooLarge => "window_scale must be <= 14 (RFC 7323)",
-            ConfigError::RtoRangeEmpty => "rto_min must not exceed rto_max",
-            ConfigError::RtoInitOutOfRange => "rto_init must lie within [rto_min, rto_max]",
-            ConfigError::ZeroTimeWait => "time_wait must be non-zero",
-            ConfigError::ZeroOooCap => "ooo_max_segments and ooo_max_bytes must be non-zero",
+            ConfigError::RtoMaxBelowInit => "rto_max must be at least the 1 s initial RTO",
             ConfigError::ZeroBacklog => "listen_backlog must be non-zero",
         };
         f.write_str(msg)
@@ -111,33 +89,9 @@ pub struct TcpConfigBuilder {
 }
 
 impl TcpConfigBuilder {
-    /// Maximum segment size (536..=65495).
-    pub fn mss(mut self, mss: usize) -> Self {
-        self.cfg.mss = mss;
-        self
-    }
-
     /// Advertised receive buffer in bytes.
     pub fn recv_buf(mut self, bytes: usize) -> Self {
         self.cfg.recv_buf = bytes;
-        self
-    }
-
-    /// Window-scale shift (0 disables the option, max 14).
-    pub fn window_scale(mut self, shift: u8) -> Self {
-        self.cfg.window_scale = shift;
-        self
-    }
-
-    /// Initial retransmission timeout.
-    pub fn rto_init(mut self, d: Dur) -> Self {
-        self.cfg.rto_init = d;
-        self
-    }
-
-    /// RTO floor.
-    pub fn rto_min(mut self, d: Dur) -> Self {
-        self.cfg.rto_min = d;
         self
     }
 
@@ -147,60 +101,19 @@ impl TcpConfigBuilder {
         self
     }
 
-    /// TIME-WAIT duration.
-    pub fn time_wait(mut self, d: Dur) -> Self {
-        self.cfg.time_wait = d;
-        self
-    }
-
-    /// SYN retry budget.
-    pub fn syn_retries(mut self, n: u32) -> Self {
-        self.cfg.syn_retries = n;
-        self
-    }
-
-    /// Reassembly-stash segment cap.
-    pub fn ooo_max_segments(mut self, n: usize) -> Self {
-        self.cfg.ooo_max_segments = n;
-        self
-    }
-
-    /// Reassembly-stash byte cap.
-    pub fn ooo_max_bytes(mut self, n: usize) -> Self {
-        self.cfg.ooo_max_bytes = n;
-        self
-    }
-
-    /// Congestion-control algorithm: accepts the [`CongAlg`] selector or an
-    /// algorithm value (`.congestion(Cubic::default())`).
-    pub fn congestion(mut self, alg: impl Into<CongAlg>) -> Self {
-        self.cfg.congestion = alg.into();
+    /// Congestion-control algorithm.
+    pub fn congestion(mut self, alg: CongAlg) -> Self {
+        self.cfg.congestion = alg;
         self
     }
 
     /// Validates and produces the config.
     pub fn build(self) -> Result<TcpConfig, ConfigError> {
-        let c = &self.cfg;
-        if c.mss < 536 || c.mss > 65495 {
-            return Err(ConfigError::MssOutOfRange);
-        }
-        if c.recv_buf == 0 {
+        if self.cfg.recv_buf == 0 {
             return Err(ConfigError::ZeroRecvBuf);
         }
-        if c.window_scale > 14 {
-            return Err(ConfigError::WindowScaleTooLarge);
-        }
-        if c.rto_min > c.rto_max {
-            return Err(ConfigError::RtoRangeEmpty);
-        }
-        if c.rto_init < c.rto_min || c.rto_init > c.rto_max {
-            return Err(ConfigError::RtoInitOutOfRange);
-        }
-        if c.time_wait == Dur::ZERO {
-            return Err(ConfigError::ZeroTimeWait);
-        }
-        if c.ooo_max_segments == 0 || c.ooo_max_bytes == 0 {
-            return Err(ConfigError::ZeroOooCap);
+        if self.cfg.rto_max < RTO_INIT {
+            return Err(ConfigError::RtoMaxBelowInit);
         }
         Ok(self.cfg)
     }
@@ -209,60 +122,32 @@ impl TcpConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::Cubic;
 
     #[test]
     fn builder_defaults_match_struct_defaults() {
         assert_eq!(TcpConfig::builder().build().unwrap(), TcpConfig::default());
+        assert_eq!(TcpConfig::default().congestion, CongAlg::NewReno);
     }
 
     #[test]
-    fn builder_selects_cubic_by_value_or_selector() {
-        let by_value = TcpConfig::builder()
-            .congestion(Cubic::default())
-            .build()
-            .unwrap();
-        assert_eq!(by_value.congestion, CongAlg::Cubic);
-        let by_selector = TcpConfig::builder()
+    fn builder_selects_cubic() {
+        let cfg = TcpConfig::builder()
             .congestion(CongAlg::Cubic)
             .build()
             .unwrap();
-        assert_eq!(by_selector.congestion, CongAlg::Cubic);
-        assert_eq!(TcpConfig::default().congestion, CongAlg::NewReno);
+        assert_eq!(cfg.congestion, CongAlg::Cubic);
     }
 
     #[test]
     fn builder_rejects_invalid_configs() {
         assert_eq!(
-            TcpConfig::builder().mss(100).build(),
-            Err(ConfigError::MssOutOfRange)
-        );
-        assert_eq!(
             TcpConfig::builder().recv_buf(0).build(),
             Err(ConfigError::ZeroRecvBuf)
         );
         assert_eq!(
-            TcpConfig::builder().window_scale(15).build(),
-            Err(ConfigError::WindowScaleTooLarge)
+            TcpConfig::builder().rto_max(Dur::millis(999)).build(),
+            Err(ConfigError::RtoMaxBelowInit)
         );
-        assert_eq!(
-            TcpConfig::builder()
-                .rto_min(Dur::secs(2))
-                .rto_max(Dur::secs(1))
-                .build(),
-            Err(ConfigError::RtoRangeEmpty)
-        );
-        assert_eq!(
-            TcpConfig::builder().rto_init(Dur::millis(1)).build(),
-            Err(ConfigError::RtoInitOutOfRange)
-        );
-        assert_eq!(
-            TcpConfig::builder().time_wait(Dur::ZERO).build(),
-            Err(ConfigError::ZeroTimeWait)
-        );
-        assert_eq!(
-            TcpConfig::builder().ooo_max_segments(0).build(),
-            Err(ConfigError::ZeroOooCap)
-        );
+        assert!(TcpConfig::builder().rto_max(RTO_INIT).build().is_ok());
     }
 }

@@ -15,7 +15,7 @@
 //! * [`Cubic`] — RFC 8312 window growth `W(t) = C·(t−K)³ + W_max` driven
 //!   by the deterministic virtual clock, with fast convergence and the
 //!   TCP-friendly region. Selected via
-//!   [`TcpConfig::builder`](super::TcpConfig::builder)`.congestion(Cubic::default())`.
+//!   [`TcpConfig::builder`](super::TcpConfig::builder)`.congestion(CongAlg::Cubic)`.
 
 use mirage_hypervisor::{Dur, Time};
 
@@ -32,27 +32,12 @@ pub enum CongAlg {
 }
 
 impl CongAlg {
-    /// Builds the per-connection algorithm state (IW10 over `mss`).
-    pub(super) fn build(self, mss: usize) -> Cong {
+    /// Builds the per-connection algorithm state (IW10 over our MSS).
+    pub(super) fn build(self) -> Cong {
         match self {
-            CongAlg::NewReno => Cong::NewReno(NewReno::new(mss)),
-            CongAlg::Cubic => Cong::Cubic(Cubic::new(mss)),
+            CongAlg::NewReno => Cong::NewReno(NewReno::new(super::MSS)),
+            CongAlg::Cubic => Cong::Cubic(Cubic::new(super::MSS)),
         }
-    }
-}
-
-/// Selecting an algorithm by value: `builder().congestion(Cubic::default())`.
-/// Only the *choice* travels into the config — per-connection state is
-/// rebuilt from the config MSS when the connection is created.
-impl From<NewReno> for CongAlg {
-    fn from(_: NewReno) -> CongAlg {
-        CongAlg::NewReno
-    }
-}
-
-impl From<Cubic> for CongAlg {
-    fn from(_: Cubic) -> CongAlg {
-        CongAlg::Cubic
     }
 }
 
@@ -131,18 +116,12 @@ pub struct NewReno {
 }
 
 impl NewReno {
-    /// IW10 (as modern stacks, incl. Linux 3.7, use) over the config MSS.
+    /// IW10 (as modern stacks, incl. Linux 3.7, use) over `mss`.
     pub fn new(mss: usize) -> NewReno {
         NewReno {
             cwnd: 10 * mss,
             ssthresh: usize::MAX / 2,
         }
-    }
-}
-
-impl Default for NewReno {
-    fn default() -> NewReno {
-        NewReno::new(1460)
     }
 }
 
@@ -218,7 +197,7 @@ pub struct Cubic {
 }
 
 impl Cubic {
-    /// IW10 over the config MSS, no loss history.
+    /// IW10 over `mss`, no loss history.
     pub fn new(mss: usize) -> Cubic {
         Cubic {
             cwnd: 10 * mss,
@@ -227,12 +206,6 @@ impl Cubic {
             k: 0.0,
             epoch_start: None,
         }
-    }
-}
-
-impl Default for Cubic {
-    fn default() -> Cubic {
-        Cubic::new(1460)
     }
 }
 

@@ -9,7 +9,13 @@
 
 use mirage_hypervisor::{Dur, Time};
 
+use super::config::{RTO_INIT, RTO_MIN, SYN_RETRIES, TIME_WAIT};
 use super::seq;
+
+/// The smallest peer MSS we send by: an advertised 0 would stall every
+/// write and 1 would cut one into a segment per byte. Linux's
+/// `tcp_min_snd_mss` default since CVE-2019-11479.
+const MIN_PEER_MSS: usize = 48;
 
 /// Connection state names (RFC 793 figure 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +81,7 @@ pub(super) struct ConnMgmt {
 }
 
 impl ConnMgmt {
-    pub fn new(state: State, rto_init: Dur) -> ConnMgmt {
+    pub fn new(state: State) -> ConnMgmt {
         ConnMgmt {
             state,
             syn_unacked: true,
@@ -90,7 +96,7 @@ impl ConnMgmt {
             ws_enabled: false,
             srtt: None,
             rttvar: Dur::ZERO,
-            rto: rto_init,
+            rto: RTO_INIT,
             rtx_deadline: None,
             rtt_sample: None,
         }
@@ -133,10 +139,10 @@ impl ConnMgmt {
 
     /// Our FIN was acknowledged: walk the close sequence. Returns `true`
     /// when the connection just reached `Closed` (emit [`Event::Closed`]).
-    pub fn on_fin_acked(&mut self, now: Time, time_wait: Dur) -> bool {
+    pub fn on_fin_acked(&mut self, now: Time) -> bool {
         match self.state {
             State::FinWait1 => self.state = State::FinWait2,
-            State::Closing => self.enter_time_wait(now, time_wait),
+            State::Closing => self.enter_time_wait(now),
             State::LastAck => {
                 self.state = State::Closed;
                 return true;
@@ -147,20 +153,20 @@ impl ConnMgmt {
     }
 
     /// The peer's FIN arrived in order (all data before it delivered).
-    pub fn on_peer_fin(&mut self, now: Time, time_wait: Dur) {
+    pub fn on_peer_fin(&mut self, now: Time) {
         self.peer_fin_seen = true;
         match self.state {
             State::Established => self.state = State::CloseWait,
             State::FinWait1 => self.state = State::Closing,
-            State::FinWait2 => self.enter_time_wait(now, time_wait),
+            State::FinWait2 => self.enter_time_wait(now),
             _ => {}
         }
     }
 
-    pub fn enter_time_wait(&mut self, now: Time, time_wait: Dur) {
+    fn enter_time_wait(&mut self, now: Time) {
         self.state = State::TimeWait;
         self.rtx_deadline = None;
-        self.time_wait_until = Some(now + time_wait);
+        self.time_wait_until = Some(now + TIME_WAIT);
     }
 
     /// Expires TIME-WAIT: returns `true` once, when 2MSL elapses.
@@ -195,9 +201,9 @@ impl ConnMgmt {
     }
 
     /// Another SYN retransmission; `true` once the retry budget is blown.
-    pub fn bump_syn_attempt(&mut self, budget: u32) -> bool {
+    pub fn bump_syn_attempt(&mut self) -> bool {
         self.syn_attempts += 1;
-        self.syn_attempts > budget
+        self.syn_attempts > SYN_RETRIES
     }
 
     pub fn fin_queued(&self) -> bool {
@@ -223,22 +229,15 @@ impl ConnMgmt {
 
     // --- negotiated options ------------------------------------------------
 
-    /// Learns MSS/window-scale from a SYN (RFC 7323: scaling is on only if
-    /// both sides offered it).
-    pub fn learn_options(&mut self, mss: Option<u16>, wscale: Option<u8>, our_scale: u8) {
+    /// Learns MSS/window-scale from a SYN (RFC 7323: we always offer
+    /// scaling, so it is on exactly when the peer offered it too). An MSS
+    /// below [`MIN_PEER_MSS`] is raised to it.
+    pub fn learn_options(&mut self, mss: Option<u16>, wscale: Option<u8>) {
         if let Some(mss) = mss {
-            self.peer_mss = mss as usize;
+            self.peer_mss = usize::from(mss).max(MIN_PEER_MSS);
         }
-        match wscale {
-            Some(ws) if our_scale > 0 => {
-                self.peer_wscale = ws.min(14);
-                self.ws_enabled = true;
-            }
-            _ => {
-                self.peer_wscale = 0;
-                self.ws_enabled = false;
-            }
-        }
+        self.ws_enabled = wscale.is_some();
+        self.peer_wscale = wscale.map_or(0, |ws| ws.min(14));
     }
 
     pub fn peer_mss(&self) -> usize {
@@ -283,12 +282,12 @@ impl ConnMgmt {
     /// Progress was made: the backoff episode is over, so restore the
     /// estimator-derived RTO (Karn keeps retransmitted segments out of the
     /// estimator, so `srtt`/`rttvar` are untainted) and re-arm from `now`.
-    pub fn rearm_rtx_after_progress(&mut self, now: Time, rto_min: Dur) {
+    pub fn rearm_rtx_after_progress(&mut self, now: Time) {
         if let Some(srtt) = self.srtt {
             let rto = Dur::nanos(srtt.as_nanos() + (4 * self.rttvar.as_nanos()).max(1));
-            self.rto = rto.max(rto_min);
+            self.rto = rto.max(RTO_MIN);
         } else {
-            self.rto = self.rto.max(rto_min);
+            self.rto = self.rto.max(RTO_MIN);
         }
         self.arm_rtx(now);
     }
@@ -309,17 +308,17 @@ impl ConnMgmt {
 
     /// An acceptable ACK arrived: if it covers the sampled segment, fold
     /// the measured RTT into the estimator (RFC 6298).
-    pub fn note_ack_for_rtt(&mut self, ack: u32, now: Time, rto_min: Dur, rto_max: Dur) {
+    pub fn note_ack_for_rtt(&mut self, ack: u32, now: Time, rto_max: Dur) {
         if let Some((sample_seq, sent_at)) = self.rtt_sample {
             if seq::ge(ack, sample_seq) {
                 let rtt = now.saturating_since(sent_at);
-                self.update_rto(rtt, rto_min, rto_max);
+                self.update_rto(rtt, rto_max);
                 self.rtt_sample = None;
             }
         }
     }
 
-    fn update_rto(&mut self, rtt: Dur, rto_min: Dur, rto_max: Dur) {
+    fn update_rto(&mut self, rtt: Dur, rto_max: Dur) {
         // RFC 6298.
         match self.srtt {
             None => {
@@ -335,7 +334,7 @@ impl ConnMgmt {
         let rto = Dur::nanos(
             self.srtt.expect("just set").as_nanos() + (4 * self.rttvar.as_nanos()).max(1),
         );
-        self.rto = rto.max(rto_min);
+        self.rto = rto.max(RTO_MIN);
         self.rto = Dur::nanos(self.rto.as_nanos().min(rto_max.as_nanos()));
     }
 }
@@ -344,54 +343,54 @@ impl ConnMgmt {
 mod tests {
     use super::*;
 
-    const RTO_MIN: Dur = Dur::millis(200);
     const RTO_MAX: Dur = Dur::secs(60);
 
     #[test]
     fn close_sequences_walk_the_rfc793_diagram() {
         // Active close: Established -> FinWait1 -> FinWait2 -> TimeWait.
-        let mut cm = ConnMgmt::new(State::Established, Dur::secs(1));
+        let mut cm = ConnMgmt::new(State::Established);
         assert_eq!(cm.app_close(), CloseAction::QueueFin);
         assert_eq!(cm.state(), State::FinWait1);
-        assert!(!cm.on_fin_acked(Time::ZERO, Dur::secs(2)));
+        assert!(!cm.on_fin_acked(Time::ZERO));
         assert_eq!(cm.state(), State::FinWait2);
-        cm.on_peer_fin(Time::ZERO, Dur::secs(2));
+        cm.on_peer_fin(Time::ZERO);
         assert_eq!(cm.state(), State::TimeWait);
         assert!(!cm.poll_time_wait(Time::ZERO + Dur::secs(1)));
         assert!(cm.poll_time_wait(Time::ZERO + Dur::secs(2)));
         assert_eq!(cm.state(), State::Closed);
 
         // Passive close: CloseWait -> LastAck -> Closed.
-        let mut cm = ConnMgmt::new(State::Established, Dur::secs(1));
-        cm.on_peer_fin(Time::ZERO, Dur::secs(2));
+        let mut cm = ConnMgmt::new(State::Established);
+        cm.on_peer_fin(Time::ZERO);
         assert_eq!(cm.state(), State::CloseWait);
         assert_eq!(cm.app_close(), CloseAction::QueueFin);
         assert_eq!(cm.state(), State::LastAck);
-        assert!(cm.on_fin_acked(Time::ZERO, Dur::secs(2)), "LastAck ack closes");
+        assert!(cm.on_fin_acked(Time::ZERO), "LastAck ack closes");
 
         // Simultaneous close: FinWait1 + peer FIN -> Closing -> TimeWait.
-        let mut cm = ConnMgmt::new(State::Established, Dur::secs(1));
+        let mut cm = ConnMgmt::new(State::Established);
         cm.app_close();
-        cm.on_peer_fin(Time::ZERO, Dur::secs(2));
+        cm.on_peer_fin(Time::ZERO);
         assert_eq!(cm.state(), State::Closing);
-        assert!(!cm.on_fin_acked(Time::ZERO, Dur::secs(2)));
+        assert!(!cm.on_fin_acked(Time::ZERO));
         assert_eq!(cm.state(), State::TimeWait);
 
         // Pre-establishment close is instant.
-        let mut cm = ConnMgmt::new(State::SynSent, Dur::secs(1));
+        let mut cm = ConnMgmt::new(State::SynSent);
         assert_eq!(cm.app_close(), CloseAction::InstantClose);
         assert_eq!(cm.state(), State::Closed);
     }
 
     #[test]
     fn options_fold_in_only_when_both_sides_scale() {
-        let mut cm = ConnMgmt::new(State::Listen, Dur::secs(1));
-        cm.learn_options(Some(1400), Some(20), 2);
+        let mut cm = ConnMgmt::new(State::Listen);
+        cm.learn_options(Some(1400), Some(20));
         assert_eq!(cm.peer_mss(), 1400);
         assert!(cm.ws_enabled());
         assert_eq!(cm.peer_wscale(), 14, "shift clamped at RFC 7323 max");
-        cm.learn_options(None, Some(7), 0);
-        assert!(!cm.ws_enabled(), "we did not offer scaling");
+        cm.learn_options(None, None);
+        assert!(!cm.ws_enabled(), "the peer did not offer scaling");
+        assert_eq!(cm.peer_wscale(), 0);
         assert_eq!(cm.peer_mss(), 1400, "absent MSS option leaves the old value");
     }
 
@@ -399,13 +398,13 @@ mod tests {
         /// The RTO estimator always lands inside [rto_min, rto_max] no
         /// matter what RTT sequence it measures (RFC 6298 clamping).
         fn prop_rto_always_clamped(rtts in mirage_testkit::prop::collection::vec(0u64..10_000_000_000, 1..50)) {
-            let mut cm = ConnMgmt::new(State::Established, Dur::secs(1));
+            let mut cm = ConnMgmt::new(State::Established);
             let mut now = Time::ZERO;
             let mut end_seq = 100u32;
             for rtt_ns in rtts {
                 cm.take_rtt_sample(end_seq, now);
                 now += Dur::nanos(rtt_ns);
-                cm.note_ack_for_rtt(end_seq, now, RTO_MIN, RTO_MAX);
+                cm.note_ack_for_rtt(end_seq, now, RTO_MAX);
                 assert!(cm.rto() >= RTO_MIN, "RTO floored");
                 assert!(cm.rto() <= RTO_MAX, "RTO capped");
                 end_seq = end_seq.wrapping_add(1460);
@@ -416,7 +415,7 @@ mod tests {
         /// re-floors it; Karn's rule voids the in-flight sample.
         fn prop_backoff_doubles_until_cap(fires in 1usize..20, cap_ms in 200u64..120_000) {
             let cap = Dur::millis(cap_ms);
-            let mut cm = ConnMgmt::new(State::Established, Dur::secs(1));
+            let mut cm = ConnMgmt::new(State::Established);
             cm.take_rtt_sample(500, Time::ZERO);
             let mut last = cm.rto();
             for _ in 0..fires {
@@ -427,7 +426,7 @@ mod tests {
             }
             // Karn: the sample taken before the backoff must not feed the
             // estimator afterwards.
-            cm.note_ack_for_rtt(500, Time::ZERO + Dur::millis(1), RTO_MIN, RTO_MAX);
+            cm.note_ack_for_rtt(500, Time::ZERO + Dur::millis(1), RTO_MAX);
             assert_eq!(cm.srtt(), None, "retransmitted sample discarded");
         }
     }

@@ -20,9 +20,9 @@ pub(super) struct FlowCtrl {
 
 impl FlowCtrl {
     /// Until the handshake reveals a window, assume one MSS.
-    pub fn new(mss: usize) -> FlowCtrl {
+    pub fn new() -> FlowCtrl {
         FlowCtrl {
-            snd_wnd: mss,
+            snd_wnd: super::MSS,
             persist_deadline: None,
             persist_interval: Dur::ZERO,
         }
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn window_updates_are_tracked_verbatim() {
-        let mut flow = FlowCtrl::new(1460);
+        let mut flow = FlowCtrl::new();
         assert_eq!(flow.snd_wnd(), 1460, "pre-handshake window is one MSS");
         flow.update_peer_window(256 * 1024);
         assert_eq!(flow.snd_wnd(), 256 * 1024);
@@ -98,7 +98,7 @@ mod tests {
             recv_buf in 0usize..(1 << 30),
             shift in 0u8..15,
         ) {
-            let flow = FlowCtrl::new(1460);
+            let flow = FlowCtrl::new();
             let field = flow.window_field(recv_buf, shift);
             let unscaled = (field as usize) << shift;
             assert!(unscaled <= recv_buf.max((u16::MAX as usize) << shift));
@@ -119,7 +119,7 @@ mod tests {
         ) {
             let base = Dur::millis(base_ms);
             let cap = Dur::millis(cap_ms.max(base_ms));
-            let mut flow = FlowCtrl::new(1460);
+            let mut flow = FlowCtrl::new();
             let mut now = Time::ZERO;
             flow.arm_persist(now, base);
             let mut last = flow.persist_deadline().unwrap().since(now);

@@ -68,7 +68,10 @@ mod recv;
 mod rod;
 mod wire;
 
-pub use config::{ConfigError, TcpConfig, TcpConfigBuilder};
+pub use config::{
+    ConfigError, TcpConfig, TcpConfigBuilder, MSS, OOO_MAX_BYTES, OOO_MAX_SEGMENTS, RTO_INIT, RTO_MIN,
+    SYN_RETRIES, TIME_WAIT, WINDOW_SCALE,
+};
 pub use cong::{AckKind, AckSample, CongAlg, CongestionControl, Cubic, LossEvent, NewReno};
 pub use conn::State;
 pub use output::{seq, Event, Output, PollOutcome, TcpStats};
@@ -156,10 +159,10 @@ impl Connection {
 
     fn new(cfg: std::sync::Arc<TcpConfig>, iss: u32, state: State) -> Connection {
         Connection {
-            cm: ConnMgmt::new(state, cfg.rto_init),
+            cm: ConnMgmt::new(state),
             rod: Rod::new(iss),
-            flow: FlowCtrl::new(cfg.mss),
-            cc: cfg.congestion.build(cfg.mss),
+            flow: FlowCtrl::new(),
+            cc: cfg.congestion.build(),
             stats: TcpStats::default(),
             cfg,
         }
@@ -179,7 +182,7 @@ impl Connection {
 
     /// Effective MSS towards the peer.
     pub fn effective_mss(&self) -> usize {
-        self.cfg.mss.min(self.cm.peer_mss())
+        MSS.min(self.cm.peer_mss())
     }
 
     /// Congestion window in bytes (ablation/bench introspection).
@@ -198,11 +201,7 @@ impl Connection {
     }
 
     fn my_window_field(&self) -> u16 {
-        let shift = if self.cm.ws_enabled() {
-            self.cfg.window_scale
-        } else {
-            0
-        };
+        let shift = if self.cm.ws_enabled() { WINDOW_SCALE } else { 0 };
         self.flow.window_field(self.cfg.recv_buf, shift)
     }
 
@@ -217,12 +216,9 @@ impl Connection {
                 ..Flags::default()
             },
             window: self.cfg.recv_buf.min(u16::MAX as usize) as u16,
-            mss: Some(self.cfg.mss as u16),
-            wscale: if self.cfg.window_scale > 0 {
-                Some(self.cfg.window_scale)
-            } else {
-                None
-            },
+            mss: Some(MSS as u16),
+            // RFC 7323 §1.3: a SYN+ACK offers scaling only to a SYN that did.
+            wscale: (!with_ack || self.cm.ws_enabled()).then_some(WINDOW_SCALE),
             payload: PktBuf::empty(),
         }
     }
@@ -370,7 +366,7 @@ impl Connection {
             && !self.flow.persist_armed()
             && self.rod.unsent(self.cm.syn_unacked())
         {
-            self.flow.arm_persist(now, self.cm.rto().max(self.cfg.rto_min));
+            self.flow.arm_persist(now, self.cm.rto().max(RTO_MIN));
         }
     }
 
@@ -429,7 +425,7 @@ impl Connection {
         }
         match self.cm.state() {
             State::SynSent | State::SynRcvd => {
-                if self.cm.bump_syn_attempt(self.cfg.syn_retries) {
+                if self.cm.bump_syn_attempt() {
                     self.cm.close_now();
                     out.events.push(Event::Reset);
                     return out;

@@ -102,8 +102,7 @@ impl Connection {
     }
 
     fn learn_options(&mut self, seg: &TcpSegment) {
-        self.cm
-            .learn_options(seg.mss, seg.wscale, self.cfg.window_scale);
+        self.cm.learn_options(seg.mss, seg.wscale);
     }
 
     fn scaled_window(&self, seg: &TcpSegment) -> usize {
@@ -164,8 +163,7 @@ impl Connection {
             let from_buf = self.rod.ack_advance(ack, advanced);
 
             // RTT sample (Karn-safe: sample invalidated on retransmit).
-            self.cm
-                .note_ack_for_rtt(ack, now, self.cfg.rto_min, self.cfg.rto_max);
+            self.cm.note_ack_for_rtt(ack, now, self.cfg.rto_max);
 
             // ROD classifies the ACK; congestion control reacts to the
             // classification, never to the sequence numbers.
@@ -185,13 +183,13 @@ impl Connection {
 
             // Progress: re-arm or clear the retransmission timer.
             if self.unacked_in_flight() {
-                self.cm.rearm_rtx_after_progress(now, self.cfg.rto_min);
+                self.cm.rearm_rtx_after_progress(now);
             } else {
                 self.cm.clear_rtx();
             }
 
             // Close-sequence transitions driven by our FIN being acked.
-            if fin_acked && self.cm.on_fin_acked(now, self.cfg.time_wait) {
+            if fin_acked && self.cm.on_fin_acked(now) {
                 out.events.push(Event::Closed);
             }
             self.transmit(now, out);
@@ -236,7 +234,7 @@ impl Connection {
             seg.payload.clone(),
             seg.flags.fin,
             self.cfg.recv_buf,
-            (self.cfg.ooo_max_segments, self.cfg.ooo_max_bytes),
+            (OOO_MAX_SEGMENTS, OOO_MAX_BYTES),
             |data| {
                 *bytes_in += data.len() as u64;
                 events.push(Event::Data(data));
@@ -253,7 +251,7 @@ impl Connection {
                     && seg.seq.wrapping_add(seg.payload.len() as u32) == self.rod.rcv_nxt();
                 if (fin_here || self.rod.stashed_fin_due()) && !self.cm.peer_fin_seen() {
                     self.rod.consume_fin();
-                    self.cm.on_peer_fin(now, self.cfg.time_wait);
+                    self.cm.on_peer_fin(now);
                     out.events.push(Event::PeerFin);
                 }
                 out.segments.push(self.make_ack());

@@ -390,7 +390,7 @@ impl Rod {
     /// bytes already held for a sequence range are never replaced, so an
     /// attacker racing a retransmission with a conflicting copy cannot
     /// rewrite data that already arrived. Conflicting overlaps are counted,
-    /// and the stash is bounded by the configured segment and byte caps
+    /// and the stash is bounded by the caller's segment and byte caps
     /// (furthest-from-delivery stashes are evicted first — they are the
     /// cheapest to retransmit and the likeliest to be hostile filler).
     fn stash_ooo(
@@ -569,12 +569,14 @@ mod tests {
 
         /// Tight caps bound the stash but never corrupt what is delivered:
         /// delivered bytes are always a prefix-consistent slice of the
-        /// stream even when evictions discard stashes.
+        /// stream even when evictions discard stashes. The byte cap is
+        /// drawn below the stream length, so it binds too.
         fn prop_bounded_stash_never_corrupts(
             len in 200usize..4000,
             cuts in collection::vec(any::<usize>(), 1..10),
             shuffle in collection::vec(any::<usize>(), 4..16),
             max_segs in 1usize..6,
+            max_bytes in 64usize..2048,
         ) {
             let data: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
             let mut points: Vec<usize> = cuts.iter().map(|c| c % (len + 1)).collect();
@@ -589,7 +591,7 @@ mod tests {
             }
             let mut rod = Rod::new(0);
             rod.init_recv(500);
-            let got = feed(&mut rod, 500, &data, &segs, (max_segs, 4096));
+            let got = feed(&mut rod, 500, &data, &segs, (max_segs, max_bytes));
             // Evictions may lose suffix data (the sender would retransmit),
             // but whatever was delivered must be a correct prefix.
             assert!(got.len() <= data.len());

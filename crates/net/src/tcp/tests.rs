@@ -76,15 +76,20 @@ fn pump(
     (ev_a, ev_b)
 }
 
-/// Handshake between a client with `client_cfg` and a default server.
+/// Handshake between a client and a server on `cfg`. Without
+/// `peer_scales` the client's SYN loses its window-scale option in flight,
+/// so the server meets a peer without RFC 7323.
 fn handshake_with(
-    client_cfg: TcpConfig,
-    server_cfg: TcpConfig,
+    cfg: TcpConfig,
+    peer_scales: bool,
 ) -> (Connection, Connection, Vec<SegmentOut>, Vec<SegmentOut>, Time) {
     let mut now = Time::ZERO;
-    let (mut client, out) = Connection::connect(client_cfg, 100, now);
-    let mut server = Connection::listen(server_cfg, 9000);
+    let (mut client, out) = Connection::connect(cfg.clone(), 100, now);
+    let mut server = Connection::listen(cfg, 9000);
     let mut c_out = out.segments;
+    if !peer_scales {
+        c_out[0].wscale = None;
+    }
     let mut s_out = Vec::new();
     let (ev_c, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, _| true);
     assert!(ev_c.contains(&Event::Connected));
@@ -95,7 +100,7 @@ fn handshake_with(
 }
 
 fn handshake() -> (Connection, Connection, Vec<SegmentOut>, Vec<SegmentOut>, Time) {
-    handshake_with(TcpConfig::default(), TcpConfig::default())
+    handshake_with(TcpConfig::default(), true)
 }
 
 /// Delivers a hand-crafted segment from B to the client over real
@@ -253,11 +258,10 @@ fn bulk_transfer_under_cubic_delivers_in_order() {
     // Same transfer with both ends on CUBIC via the builder: the pluggable
     // seam must not disturb reliable delivery.
     let cfg = TcpConfig::builder()
-        .congestion(Cubic::default())
+        .congestion(CongAlg::Cubic)
         .build()
         .unwrap();
-    let (mut client, mut server, mut c_out, mut s_out, mut now) =
-        handshake_with(cfg.clone(), cfg);
+    let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake_with(cfg, true);
     let data: Vec<u8> = (0..100_000u32).map(|i| (i * 3) as u8).collect();
     c_out.extend(client.app_send(&data[..], now).segments);
     let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |i, a2b| {
@@ -378,18 +382,89 @@ fn rst_tears_down_immediately() {
 #[test]
 fn syn_retries_then_gives_up() {
     let mut now = Time::ZERO;
-    let cfg = TcpConfig::builder().syn_retries(2).build().unwrap();
-    let (mut client, out) = Connection::connect(cfg, 1, now);
-    assert_eq!(out.segments.len(), 1);
+    let (mut client, out) = Connection::connect(TcpConfig::default(), 1, now);
+    let mut syns = out.segments.len();
+    assert_eq!(syns, 1);
     let mut resets = 0;
-    for _ in 0..5 {
+    for _ in 0..2 * SYN_RETRIES {
         let Some(d) = client.next_deadline() else { break };
         now = d;
         let out = client.poll(now).output;
+        syns += out.segments.iter().filter(|s| s.flags.syn).count();
         resets += out.events.iter().filter(|e| **e == Event::Reset).count();
     }
+    assert_eq!(syns, SYN_RETRIES as usize, "the budget counts every SYN sent");
     assert_eq!(resets, 1, "gave up exactly once");
     assert_eq!(client.state(), State::Closed);
+    assert_eq!(now, Time::ZERO + Dur::secs(1 + 2 + 4 + 8 + 16 + 32), "after doubling RTOs");
+}
+
+/// A 64 KiB write towards a peer that advertised MSS 0 or 1 leaves in
+/// 48-byte segments: at 0 it used to leave in none, at 1 one byte each.
+fn assert_sent_at_the_mss_floor(conn: &mut Connection, peer_mss: u16, now: Time) {
+    assert_eq!(conn.state(), State::Established, "peer MSS {peer_mss}");
+    assert_eq!(conn.effective_mss(), 48, "peer MSS {peer_mss}");
+    let sent = conn.app_send(vec![7u8; 64 * 1024], now).segments;
+    assert_eq!(
+        payload_lens(&sent),
+        vec![48; conn.cwnd() / 48],
+        "peer MSS {peer_mss}: the initial window in 48-byte segments"
+    );
+}
+
+#[test]
+fn a_syn_ack_with_a_tiny_mss_is_sent_to_at_the_floor() {
+    for peer_mss in [0u16, 1] {
+        let now = Time::ZERO;
+        let (mut client, _syn) = Connection::connect(TcpConfig::default(), 100, now);
+        let syn_ack = SegmentOut {
+            seq: 9000,
+            ack: 101,
+            flags: Flags {
+                syn: true,
+                ..Flags::ACK
+            },
+            window: u16::MAX,
+            mss: Some(peer_mss),
+            wscale: None,
+            payload: PktBuf::empty(),
+        };
+        deliver_from_b(&mut client, &syn_ack, now);
+        assert_sent_at_the_mss_floor(&mut client, peer_mss, now);
+    }
+}
+
+#[test]
+fn a_syn_with_a_tiny_mss_is_sent_to_at_the_floor() {
+    for peer_mss in [0u16, 1] {
+        let now = Time::ZERO;
+        let mut server = Connection::listen(TcpConfig::default(), 9000);
+        let syn = SegmentOut {
+            seq: 100,
+            ack: 0,
+            flags: Flags {
+                syn: true,
+                ..Flags::default()
+            },
+            window: u16::MAX,
+            mss: Some(peer_mss),
+            wscale: None,
+            payload: PktBuf::empty(),
+        };
+        let syn_ack = deliver_from_a(&mut server, &syn, now).segments;
+        assert_eq!(syn_ack.len(), 1);
+        let ack = SegmentOut {
+            seq: 101,
+            ack: 9001,
+            flags: Flags::ACK,
+            window: u16::MAX,
+            mss: None,
+            wscale: None,
+            payload: PktBuf::empty(),
+        };
+        deliver_from_a(&mut server, &ack, now);
+        assert_sent_at_the_mss_floor(&mut server, peer_mss, now);
+    }
 }
 
 #[test]
@@ -415,15 +490,10 @@ fn cwnd_grows_in_slow_start_and_halves_on_loss() {
 fn window_scaling_disabled_still_interoperates() {
     // A peer without RFC 7323 support: our side must fall back to
     // unscaled windows and still move data.
-    let mut now = Time::ZERO;
-    let no_ws = TcpConfig::builder().window_scale(0).build().unwrap();
-    let (mut client, out) = Connection::connect(no_ws, 100, now);
-    let mut server = Connection::listen(TcpConfig::default(), 9000);
-    let mut c_out = out.segments;
-    let mut s_out = Vec::new();
-    pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, _| true);
-    assert!(!client.ws_enabled(), "client never offered scaling");
+    let (mut client, mut server, mut c_out, mut s_out, mut now) =
+        handshake_with(TcpConfig::default(), false);
     assert!(!server.ws_enabled(), "server disabled scaling in response");
+    assert!(!client.ws_enabled(), "the SYN+ACK offered no scaling back");
     let data: Vec<u8> = (0..40_000u32).map(|i| i as u8).collect();
     c_out.extend(client.app_send(&data[..], now).segments);
     let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, _| true);
@@ -480,8 +550,6 @@ fn out_of_order_segments_reassemble() {
 
 // --- sender silly-window avoidance + limited transmit ----------------------
 
-const MSS: usize = 1460;
-
 /// Both ends without window scaling, so a hand-written window field is a
 /// byte count. Client iss 100, server iss 9000: data starts at seq 101.
 fn handshake_unscaled() -> (
@@ -491,8 +559,7 @@ fn handshake_unscaled() -> (
     Vec<SegmentOut>,
     Time,
 ) {
-    let cfg = TcpConfig::builder().window_scale(0).build().unwrap();
-    handshake_with(cfg.clone(), cfg)
+    handshake_with(TcpConfig::default(), false)
 }
 
 /// Delivers one of the client's segments to the server over real
@@ -854,8 +921,7 @@ mirage_testkit::property! {
         } else {
             TcpConfig::default()
         };
-        let (mut client, mut server, mut c_out, mut s_out, mut now) =
-            handshake_with(cfg.clone(), cfg);
+        let (mut client, mut server, mut c_out, mut s_out, mut now) = handshake_with(cfg, true);
         let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
         c_out.extend(client.app_send(&data[..], now).segments);
         let (_, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |i, _| {

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use mirage_testkit::rng::Rng;
-
 /// Size of one extent chunk: a 2 MiB x86-64 superpage.
 pub const CHUNK_SIZE: u64 = 2 * 1024 * 1024;
 
@@ -83,9 +81,6 @@ pub struct ExtentAllocator {
     /// Outstanding allocations (for free() validation).
     allocated: Vec<Extent>,
     total_allocs: u64,
-    /// Seeded placement randomizer for the address-space-randomization
-    /// model; `None` keeps deterministic first fit.
-    layout_rng: Option<Rng>,
 }
 
 impl ExtentAllocator {
@@ -106,25 +101,10 @@ impl ExtentAllocator {
             free,
             allocated: Vec::new(),
             total_allocs: 0,
-            layout_rng: None,
         }
     }
 
-    /// A randomized-placement allocator: the §2.3 address-space-
-    /// randomization model applied to the heap. Every allocation is placed
-    /// at a seeded-random chunk-aligned position among all candidate
-    /// positions, so extent addresses vary per deployment seed while the
-    /// allocator invariants (disjointness, coalescing, accounting) are
-    /// untouched. Same seed ⇒ identical placement sequence.
-    pub fn new_randomized(region_len: u64, seed: u64) -> ExtentAllocator {
-        let mut a = ExtentAllocator::new(region_len);
-        a.layout_rng = Some(Rng::for_stream(seed, "extent-aslr"));
-        a
-    }
-
-    /// Allocates `chunks` contiguous 2 MiB chunks — first fit, or a seeded
-    /// random placement for allocators built with
-    /// [`ExtentAllocator::new_randomized`].
+    /// Allocates `chunks` contiguous 2 MiB chunks, first fit.
     ///
     /// # Errors
     ///
@@ -135,77 +115,27 @@ impl ExtentAllocator {
             return Err(ExtentError::ZeroSized);
         }
         let want = chunks * CHUNK_SIZE;
-        let (idx, offset) = match self.layout_rng.take() {
-            Some(mut rng) => {
-                let picked = self.pick_randomized(want, &mut rng);
-                self.layout_rng = Some(rng);
-                picked.ok_or(ExtentError::OutOfMemory)?
-            }
-            None => {
-                let idx = self
-                    .free
-                    .iter()
-                    .position(|run| run.len >= want)
-                    .ok_or(ExtentError::OutOfMemory)?;
-                (idx, self.free[idx].offset)
-            }
+        let idx = self
+            .free
+            .iter()
+            .position(|run| run.len >= want)
+            .ok_or(ExtentError::OutOfMemory)?;
+        // Carve the extent off the front of the run; the free list stays
+        // sorted.
+        let run = &mut self.free[idx];
+        let ext = Extent {
+            offset: run.offset,
+            len: want,
         };
-        let run = self.free[idx];
-        let ext = Extent { offset, len: want };
-        // Carve the extent out of the run, keeping the free list sorted:
-        // up to two remainders survive, one on each side.
-        self.free.remove(idx);
-        let mut insert_at = idx;
-        if offset > run.offset {
-            self.free.insert(
-                insert_at,
-                Extent {
-                    offset: run.offset,
-                    len: offset - run.offset,
-                },
-            );
-            insert_at += 1;
-        }
-        if ext.end() < run.end() {
-            self.free.insert(
-                insert_at,
-                Extent {
-                    offset: ext.end(),
-                    len: run.end() - ext.end(),
-                },
-            );
+        if run.len == want {
+            self.free.remove(idx);
+        } else {
+            run.offset += want;
+            run.len -= want;
         }
         self.allocated.push(ext);
         self.total_allocs += 1;
         Ok(ext)
-    }
-
-    /// Picks a uniformly random chunk-aligned placement among every
-    /// position in every free run that can hold `want` bytes.
-    fn pick_randomized(&self, want: u64, rng: &mut Rng) -> Option<(usize, u64)> {
-        let positions: Vec<u64> = self
-            .free
-            .iter()
-            .map(|run| {
-                if run.len >= want {
-                    (run.len - want) / CHUNK_SIZE + 1
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let total: u64 = positions.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let mut pick = rng.gen_range(0..total);
-        for (idx, &n) in positions.iter().enumerate() {
-            if pick < n {
-                return Some((idx, self.free[idx].offset + pick * CHUNK_SIZE));
-            }
-            pick -= n;
-        }
-        unreachable!("pick < total")
     }
 
     /// Returns an extent to the free list, coalescing with neighbours.
@@ -326,44 +256,6 @@ mod tests {
     fn region_rounds_down_to_chunks() {
         let a = ExtentAllocator::new(3 * CHUNK_SIZE + 12345);
         assert_eq!(a.region_len(), 3 * CHUNK_SIZE);
-    }
-
-    #[test]
-    fn randomized_placement_is_seed_deterministic_and_varies() {
-        let place = |seed: u64| {
-            let mut a = ExtentAllocator::new_randomized(64 * CHUNK_SIZE, seed);
-            (0..4).map(|_| a.alloc(2).unwrap().offset).collect::<Vec<_>>()
-        };
-        assert_eq!(place(7), place(7), "same seed, same layout");
-        let first_offsets: std::collections::HashSet<u64> =
-            (0..8).map(|s| place(s)[0]).collect();
-        assert!(
-            first_offsets.len() >= 4,
-            "placement varies across seeds: {first_offsets:?}"
-        );
-    }
-
-    #[test]
-    fn randomized_allocator_keeps_invariants() {
-        let mut a = ExtentAllocator::new_randomized(32 * CHUNK_SIZE, 1337);
-        let mut live = Vec::new();
-        for i in 0..24 {
-            if i % 3 == 2 && !live.is_empty() {
-                let e = live.remove(i % live.len());
-                a.free(e).unwrap();
-            } else if let Ok(e) = a.alloc(1 + (i as u64 % 3)) {
-                for other in &live {
-                    assert!(!e.overlaps(other));
-                }
-                assert_eq!(e.offset % CHUNK_SIZE, 0, "chunk aligned");
-                live.push(e);
-            }
-            assert_eq!(a.free_bytes() + a.allocated_bytes(), a.region_len());
-        }
-        for e in live {
-            a.free(e).unwrap();
-        }
-        assert_eq!(a.largest_free_run(), a.region_len(), "fully coalesced");
     }
 
     mirage_testkit::property! {

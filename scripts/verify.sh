@@ -185,6 +185,13 @@ exactly crates/runtime/src 0 "work stealing or a GC model in the executor" \
     'steal|GcHeap|heap_alloc|heap_release|with_heap'
 echo "   ok"
 
+echo "== gate: a TCP setting is settable only where a caller sets it differently"
+# TcpConfig holds recv_buf, rto_max and congestion; every other setting is
+# a constant in tcp/config.rs, and congestion control has one spelling.
+exactly crates/net/src/tcp 0 "a one-value TCP knob" \
+    'fn (mss|window_scale|rto_init|rto_min|time_wait|syn_retries|ooo_max_segments|ooo_max_bytes)\(|impl From<(NewReno|Cubic)> for CongAlg'
+echo "   ok"
+
 echo "== gate: the line counter sees every non-test line"
 # non_test_lines stops at a file's first column-0 #[cfg(test)], so an
 # out-of-line test module must be declared as the last item of its file.

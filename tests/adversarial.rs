@@ -35,7 +35,6 @@ use mirage::net::tcp::{
 };
 use mirage::net::{arp, ethernet, ipv4, Ipv4Addr, Mac, PktBuf, Stack, StackConfig, StackStats};
 use mirage::openflow::{FlowModCommand, OfAction, OfMatch, OfMessage, NO_BUFFER};
-use mirage::pvboot::extent::{ExtentAllocator, CHUNK_SIZE};
 use mirage::runtime::UnikernelGuest;
 use mirage_testkit::corpus::CorpusGen;
 use mirage_testkit::rng::{fnv1a, Rng};
@@ -594,25 +593,21 @@ fn blind_rst_and_data_injection_need_exact_sequence_knowledge() {
 fn ooo_reassembly_buffer_is_bounded_and_recovers() {
     let _guard = adversarial_lock().lock();
     let seed = test_seed();
-    let cfg = TcpConfig::builder()
-        .ooo_max_segments(8)
-        .ooo_max_bytes(4096)
-        .build()
-        .expect("valid tcp config");
-    let (mut client, _server, now) = handshake(cfg);
+    let (mut client, _server, now) = handshake(TcpConfig::default());
     let stream = pattern(2048);
 
-    // 200 single-byte out-of-order segments at distinct in-window
-    // offsets (all > 0, so none is deliverable).
-    for i in 0..200u32 {
-        let off = (1 + 2 * i) as usize;
+    // 300 single-byte out-of-order segments at distinct in-window
+    // offsets (all > 0, so none is deliverable), 44 past the cap.
+    let sprayed = tcp::OOO_MAX_SEGMENTS + 44;
+    for i in 0..sprayed {
+        let off = 1 + 2 * i;
         let seg = data_seg(9001 + off as u32, vec![stream[off]]);
         deliver_from_b(&mut client, &seg, now);
     }
     let stats = client.stats();
     assert_eq!(
-        stats.ooo_evictions, 192,
-        "the cap held: 200 stashes, 8 retained, 192 evicted \
+        stats.ooo_evictions, 44,
+        "the cap held: 300 stashes, 256 retained, 44 evicted \
          (stats: {stats:?}); reproduce with MIRAGE_TEST_SEED={seed}"
     );
 
@@ -910,19 +905,10 @@ fn openflow_parser_survives_a_seeded_hostile_corpus() {
 
 // ===================================================== ASLR and sealing
 
-/// Seeded first-extent offsets of a randomized pvboot allocator — the
-/// suite's model of load-address randomization.
-fn randomized_extent_offsets(seed: u64) -> Vec<u64> {
-    let mut alloc = ExtentAllocator::new_randomized(64 * CHUNK_SIZE, seed);
-    (0..4)
-        .map(|_| alloc.alloc(2).expect("room for four 2-chunk extents").offset)
-        .collect()
-}
-
 /// Tentpole scenario 9: address-space randomization over the image
-/// layout and the extent allocator, with the seal surviving it. Layouts
-/// vary per seed yet rebuild identically per seed, and a randomized,
-/// sealed appliance still rejects every page-table attack.
+/// layout, with the seal surviving it. Layouts vary per seed yet rebuild
+/// identically per seed, and a randomized, sealed appliance still rejects
+/// every page-table attack.
 #[test]
 fn aslr_randomizes_layout_while_sealing_still_holds() {
     let _guard = adversarial_lock().lock();
@@ -958,24 +944,6 @@ fn aslr_randomizes_layout_while_sealing_still_holds() {
         build(layout_seeds[0]).image(),
         build(layout_seeds[0]).image(),
         "same layout seed rebuilds the identical image; \
-         reproduce with MIRAGE_TEST_SEED={seed}"
-    );
-
-    // Runtime extent randomization: placements vary per seed and are a
-    // pure function of the seed.
-    let first_offsets: std::collections::HashSet<u64> = layout_seeds
-        .iter()
-        .map(|&s| randomized_extent_offsets(s)[0])
-        .collect();
-    assert!(
-        first_offsets.len() >= 4,
-        "extent placement actually varies across seeds; \
-         reproduce with MIRAGE_TEST_SEED={seed}"
-    );
-    assert_eq!(
-        randomized_extent_offsets(layout_seeds[1]),
-        randomized_extent_offsets(layout_seeds[1]),
-        "extent placement is a pure function of the seed; \
          reproduce with MIRAGE_TEST_SEED={seed}"
     );
 
@@ -1024,7 +992,7 @@ fn aslr_randomizes_layout_while_sealing_still_holds() {
 // ========================================================== determinism
 
 /// A byte-exact transcript of every seeded schedule the suite uses:
-/// injection battle, all three fuzz corpora, and extent placement.
+/// injection battle and all three fuzz corpora.
 fn seeded_transcript(seed: u64) -> String {
     let (_stats, mut t) = blind_injection_battle(seed);
     for (name, exemplars) in [
@@ -1040,7 +1008,6 @@ fn seeded_transcript(seed: u64) -> String {
         }
         t.push_str(&format!("{name} {:016x}\n", fnv1a(&concat)));
     }
-    t.push_str(&format!("extents {:?}\n", randomized_extent_offsets(seed)));
     t
 }
 
