@@ -8,6 +8,9 @@
 //! for its flow, so every flow lands on one queue — and one vCPU — and
 //! on the stack worker whose ephemeral ports `rss` also picked.
 //!
+//! A guest's frame goes from its TX page straight into the peer's RX page
+//! when nothing could tell that from queueing it (`Switch::forward`).
+//!
 //! Whatever a guest posts is hostile until checked: a TX request must be
 //! a device-readable buffer of `MIN_FRAME..=MAX_FRAME` bytes, an RX buffer must be
 //! device-writable and large enough for the frame at hand. Anything else
@@ -15,10 +18,10 @@
 //! [`DriverStats::requests_rejected`]; the switch never indexes a page by
 //! a guest-supplied length it has not bounded.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use mirage_testkit::sync::Mutex;
 use mirage_testkit::wheel::TimerWheel;
 
 use mirage_cstruct::PktBuf;
@@ -37,11 +40,16 @@ pub const MAC_BROADCAST: [u8; 6] = [0xFF; 6];
 /// Frames queued for a congested guest before tail drop.
 const OUT_QUEUE_CAP: usize = 512;
 
+/// Source MACs learned at most behind one port (a guest writes the source
+/// of every frame it sends); past it the port learns none, new or moved.
+const MACS_PER_PORT: usize = 256;
+
 /// A host-side endpoint on the virtual switch — the harness's way to
 /// source and sink raw frames without booting a guest (a tap device).
+/// Like the driver domain it plugs into, it lives on one host thread.
 #[derive(Clone, Default)]
 pub struct Tap {
-    inner: Arc<Mutex<TapInner>>,
+    inner: Rc<RefCell<TapInner>>,
 }
 
 #[derive(Default)]
@@ -53,7 +61,7 @@ struct TapInner {
 
 impl std::fmt::Debug for Tap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Tap({:02x?})", self.inner.lock().mac)
+        write!(f, "Tap({:02x?})", self.inner.borrow().mac)
     }
 }
 
@@ -61,7 +69,7 @@ impl Tap {
     /// A tap with the given MAC.
     pub fn new(mac: [u8; 6]) -> Tap {
         Tap {
-            inner: Arc::new(Mutex::new(TapInner {
+            inner: Rc::new(RefCell::new(TapInner {
                 mac,
                 ..TapInner::default()
             })),
@@ -72,17 +80,17 @@ impl Tap {
     /// [`Hypervisor::wake_external`](mirage_hypervisor::Hypervisor::wake_external)
     /// on the driver domain afterwards so it notices.
     pub fn inject(&self, frame: impl Into<PktBuf>) {
-        self.inner.lock().to_switch.push_back(frame.into());
+        self.inner.borrow_mut().to_switch.push_back(frame.into());
     }
 
     /// Takes every frame the switch delivered to this tap.
     pub fn harvest(&self) -> Vec<PktBuf> {
-        self.inner.lock().from_switch.drain(..).collect()
+        self.inner.borrow_mut().from_switch.drain(..).collect()
     }
 
     /// The tap's MAC address.
     pub fn mac(&self) -> [u8; 6] {
-        self.inner.lock().mac
+        self.inner.borrow().mac
     }
 }
 
@@ -112,6 +120,10 @@ struct QueuePair {
     /// Whether this pass takes from the TX queue.
     gate: Gate,
     out_queue: VecDeque<PktBuf>,
+    /// An RX request the direct path could not use, for the delivery loop.
+    held: Option<Result<Request, u32>>,
+    /// The direct path filled an RX buffer this pass (for `rx_starved`).
+    filled: bool,
 }
 
 /// A guest NIC's attachment to the switch.
@@ -119,6 +131,8 @@ struct SwitchPort {
     queues: Vec<QueuePair>,
     /// Guest data pages mapped so far, by grant ref.
     mapped: HashMap<u32, SharedPage>,
+    /// MAC table entries that name this port.
+    macs: usize,
     /// Set while the frontend has frames queued but no posted RX buffer —
     /// lets tail drops be attributed to a dead/stalled guest rather than
     /// ordinary congestion.
@@ -174,6 +188,8 @@ pub(crate) struct Switch {
     /// `None` for a tap, by release time: ties leave in the order the
     /// conditioner saw them, keeping runs deterministic.
     delayed: TimerWheel<(Option<usize>, PktBuf)>,
+    /// Guest frames of this pass for the conditioner; kept across passes.
+    routed: Vec<(usize, PktBuf)>,
 }
 
 impl Switch {
@@ -185,6 +201,7 @@ impl Switch {
             taps: Vec::new(),
             netem: None,
             delayed: TimerWheel::new(),
+            routed: Vec::new(),
         }
     }
 
@@ -198,11 +215,14 @@ impl Switch {
                 rx,
                 gate: Gate::default(),
                 out_queue: VecDeque::new(),
+                held: None,
+                filled: false,
             })
             .collect();
         self.ports.push(SwitchPort {
             queues,
             mapped: HashMap::new(),
+            macs: 0,
             rx_starved: false,
         });
     }
@@ -236,16 +256,15 @@ impl Switch {
             return;
         }
         let dst: [u8; 6] = frame[0..6].try_into().expect("checked length");
-        let src_mac: [u8; 6] = frame[6..12].try_into().expect("checked length");
         if let Some(port) = src {
-            self.mac_table.insert(src_mac, port);
+            self.learn(&frame, port);
         }
         counts.frames_switched += 1;
 
         // Tap delivery by exact MAC or broadcast.
         let mut tap_hit = false;
         for tap in &self.taps {
-            let mut inner = tap.inner.lock();
+            let mut inner = tap.inner.borrow_mut();
             if inner.mac == dst || dst == MAC_BROADCAST {
                 inner.from_switch.push_back(frame.clone());
                 tap_hit = true;
@@ -268,6 +287,70 @@ impl Switch {
                 }
             }
         }
+    }
+
+    /// Learns that `frame`'s source MAC lives behind `port`, new or moved
+    /// from another port, while `port` has fewer than [`MACS_PER_PORT`].
+    fn learn(&mut self, frame: &[u8], port: usize) {
+        let mac: [u8; 6] = frame[6..12].try_into().expect("checked length");
+        if self.mac_table.get(&mac) != Some(&port) && self.ports[port].macs < MACS_PER_PORT {
+            self.ports[port].macs += 1;
+            if let Some(old) = self.mac_table.insert(mac, port) {
+                self.ports[old].macs -= 1;
+            }
+        }
+    }
+
+    /// The direct path: copies the frame in `range` of port `src`'s TX page
+    /// `tx` into its destination's next RX buffer, or returns `false` to
+    /// have it queued (DESIGN.md §13 lists when). An RX request taken and
+    /// found wanting is held for the delivery loop. Only the copy runs
+    /// under `tx`'s borrow, as an RX request may name `tx` too.
+    fn forward(
+        &mut self,
+        env: &mut DomainEnv<'_>,
+        src: usize,
+        tx: &SharedPage,
+        range: std::ops::Range<usize>,
+        counts: &mut DriverStats,
+    ) -> bool {
+        if self.netem.is_some() {
+            return false;
+        }
+        let dest = tx.read(|b| {
+            let frame = &b[range.clone()];
+            self.learn(frame, src);
+            let dst: [u8; 6] = frame[..6].try_into().expect("checked length");
+            let unicast = dst != MAC_BROADCAST && !self.taps.iter().any(|t| t.mac() == dst);
+            let to = *self.mac_table.get(&dst).filter(|_| unicast)?;
+            Some((to, crate::rss::rx_queue(frame, self.ports[to].queues.len())))
+        });
+        let Some((to, q)) = dest else {
+            return false;
+        };
+        let port = &mut self.ports[to];
+        let pair = &mut port.queues[q];
+        let idle = pair.out_queue.is_empty() && pair.held.is_none();
+        let Some(taken) = idle.then(|| pair.rx.take(env)).flatten() else {
+            return false;
+        };
+        let len = range.len();
+        let rx = match &taken {
+            Ok(req) if req.data.device_writes && req.data.len as usize >= len => port
+                .mapped
+                .get(&req.data.gref)
+                .filter(|rx| !rx.same_page(tx)),
+            _ => None,
+        };
+        let (Some(rx), Ok(req)) = (rx, &taken) else {
+            pair.held = Some(taken);
+            return false;
+        };
+        tx.read(|b| rx.write(|r| r[req.data.range(len)].copy_from_slice(&b[range])));
+        pair.rx.complete(env, req.token, len as u32, true);
+        pair.filled = true;
+        counts.frames_switched += 1;
+        true
     }
 
     /// Queues `frame` at the pair of port `idx` its flow hashes to,
@@ -335,49 +418,68 @@ impl Switch {
         // multi-queue switch port), so two saturated ports don't
         // serialise behind one core; a 1-vCPU dom0 behaves as before.
         let entry_lane = env.current_vcpu();
-        let mut routed: Vec<(usize, PktBuf)> = Vec::new();
-        for (idx, port) in self.ports.iter_mut().enumerate() {
-            env.on_vcpu(idx % env.vcpus());
-            for pair in &mut port.queues {
+        for idx in 0..self.ports.len() {
+            let lane = idx % env.vcpus();
+            env.on_vcpu(lane);
+            for q in 0..self.ports[idx].queues.len() {
+                let pair = &mut self.ports[idx].queues[q];
                 let fired = pair.gate.open(env, pair.port);
-                while let Some(taken) = fired.then(|| pair.tx.take(env)).flatten() {
+                while let Some(taken) = fired
+                    .then(|| self.ports[idx].queues[q].tx.take(env))
+                    .flatten()
+                {
                     progressed = true;
                     let sendable = |d: &DataBuf| {
                         !d.device_writes && (MIN_FRAME..=MAX_FRAME).contains(&(d.len as usize))
                     };
+                    let port = &mut self.ports[idx];
                     let (req, page) = match admit(env, &mut port.mapped, taken, false, sendable) {
                         Ok(admitted) => admitted,
                         Err(token) => {
-                            pair.tx.complete(env, token, 0, false);
+                            port.queues[q].tx.complete(env, token, 0, false);
                             counts.requests_rejected += 1;
                             continue;
                         }
                     };
-                    // Reading the granted page models the NIC's DMA; once
-                    // off the wire the frame travels through the switch
-                    // by reference.
-                    let len = req.data.len as usize;
-                    let frame = page.read(|b| b[req.data.range(len)].to_vec());
                     // Wire serialisation time for this NIC.
+                    let len = req.data.len as usize;
                     env.consume(self.profile.wire_time(len));
-                    routed.push((idx, PktBuf::from_vec(frame)));
+                    // RX work is charged where the delivery loop is.
+                    env.on_vcpu(entry_lane);
+                    let direct = self.forward(env, idx, &page, req.data.range(len), counts);
+                    env.on_vcpu(lane);
+                    if !direct {
+                        // Reading the granted page models the NIC's DMA;
+                        // once off the wire the frame travels through the
+                        // switch by reference.
+                        let frame =
+                            PktBuf::from_vec(page.read(|b| b[req.data.range(len)].to_vec()));
+                        // Only a conditioner reads the clock, after ingest.
+                        match self.netem {
+                            Some(_) => self.routed.push((idx, frame)),
+                            None => self.route(Some(idx), frame, counts),
+                        }
+                    }
+                    let pair = &mut self.ports[idx].queues[q];
                     pair.tx.complete(env, req.token, 0, true);
                 }
+                let pair = &mut self.ports[idx].queues[q];
                 if pair.tx.publish() {
                     let _ = env.evtchn_notify(pair.port);
                 }
             }
         }
         env.on_vcpu(entry_lane);
-        for (src, frame) in routed {
+        let mut routed = std::mem::take(&mut self.routed);
+        for (src, frame) in routed.drain(..) {
             let now = env.now();
             self.offer(now, Some(src), frame, counts);
         }
+        self.routed = routed;
         // Ingest frames from taps.
-        let taps: Vec<Tap> = self.taps.clone();
-        for tap in taps {
+        for t in 0..self.taps.len() {
             loop {
-                let frame = tap.inner.lock().to_switch.pop_front();
+                let frame = self.taps[t].inner.borrow_mut().to_switch.pop_front();
                 let Some(frame) = frame else { break };
                 env.consume(self.profile.wire_time(frame.len()));
                 let now = env.now();
@@ -390,11 +492,13 @@ impl Switch {
             queues,
             mapped,
             rx_starved,
+            ..
         } in &mut self.ports
         {
             for pair in queues {
+                *rx_starved &= !std::mem::take(&mut pair.filled);
                 while let Some(frame) = pair.out_queue.front() {
-                    let Some(taken) = pair.rx.take(env) else {
+                    let Some(taken) = pair.held.take().or_else(|| pair.rx.take(env)) else {
                         *rx_starved = true;
                         break;
                     };
@@ -426,57 +530,4 @@ impl Switch {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::netem::NetemConfig;
-    use mirage_hypervisor::{Guest, Hypervisor, Step, Wake};
-
-    const TAP_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x01];
-
-    /// A domain that is nothing but a switch: it offers three frames at
-    /// one instant, then services the switch whenever it says it is due.
-    struct Offers {
-        sw: Switch,
-        offered: bool,
-    }
-
-    impl Guest for Offers {
-        fn step(&mut self, env: &mut DomainEnv<'_>) -> Step {
-            let counts = &mut DriverStats::default();
-            if !self.offered {
-                self.offered = true;
-                for tag in [3u8, 1, 2] {
-                    let mut frame = vec![tag; 64];
-                    frame[..6].copy_from_slice(&TAP_MAC);
-                    let frame = PktBuf::from_vec(frame);
-                    self.sw.offer(env.now(), None, frame, counts);
-                }
-            }
-            self.sw.service(env, counts);
-            let deadline = self.sw.next_deadline();
-            Step::Yield(Wake { deadline })
-        }
-    }
-
-    /// Frames the conditioner releases at one instant leave in the order
-    /// they were offered.
-    #[test]
-    fn frames_released_together_leave_in_offer_order() {
-        let mut sw = Switch::new(NetProfile::default());
-        let tap = Tap::new(TAP_MAC);
-        sw.taps.push(tap.clone());
-        let fixed_delay = NetemConfig {
-            delay: Dur::millis(2),
-            ..NetemConfig::default()
-        };
-        sw.netem = Some(Netem::from_seed(fixed_delay, 1, "fixed-delay"));
-        let offered = false;
-        let mut hv = Hypervisor::new();
-        hv.create_domain("switch", 64, Box::new(Offers { sw, offered }));
-        hv.run_until(Time::ZERO + Dur::millis(1));
-        assert!(tap.harvest().is_empty(), "still held");
-        hv.run_until(Time::ZERO + Dur::millis(3));
-        let tags: Vec<u8> = tap.harvest().iter().map(|f| f[13]).collect();
-        assert_eq!(tags, [3, 1, 2]);
-    }
-}
+mod tests;

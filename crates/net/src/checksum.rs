@@ -6,41 +6,44 @@
 
 use std::net::Ipv4Addr;
 
-/// One's-complement sum over `data` (not yet inverted).
+/// One's-complement sum over `data` (not yet inverted), added to `acc`.
 ///
-/// Accumulates four bytes per step into a `u64` and folds with end-around
-/// carries afterwards. This is sound because one's-complement addition is
-/// invariant under wider-word accumulation: `2^16 ≡ 1 (mod 0xFFFF)`, so a
-/// big-endian `u32` chunk contributes exactly the same residue as its two
-/// 16-bit words, and deferred carries fold back in at the end (RFC 1071 §2).
+/// Sums native-endian `u64` words into two accumulators, one per 32-bit
+/// half so no add carries out, and byte-swaps the folded result once.
+/// RFC 1071 §2 allows both: wider words leave the sum unchanged (`2^16 ≡
+/// 1 (mod 0xFFFF)`; deferred carries fold back in), and so does byte
+/// order, up to one swap (§2(B)). A short tail is zero-padded; it starts
+/// at an even offset, so an odd last byte is padded as the RFC pads it.
 fn sum(acc: u32, data: &[u8]) -> u32 {
-    let mut wide = acc as u64;
-    let mut chunks = data.chunks_exact(4);
-    for c in &mut chunks {
-        wide += u32::from_be_bytes([c[0], c[1], c[2], c[3]]) as u64;
+    let (mut lo, mut hi) = (0u64, 0u64);
+    let mut add = |word: u64| {
+        lo += word & 0xFFFF_FFFF;
+        hi += word >> 32;
+    };
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        add(u64::from_ne_bytes(w.try_into().expect("eight bytes")));
     }
-    // At most three trailing bytes remain; chunks of four preserve 16-bit
-    // word alignment, so finish with word-at-a-time plus the odd-byte pad.
-    let mut tail = chunks.remainder().chunks_exact(2);
-    for c in &mut tail {
-        wide += u16::from_be_bytes([c[0], c[1]]) as u64;
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut pad = [0u8; 8];
+        pad[..tail.len()].copy_from_slice(tail);
+        add(u64::from_ne_bytes(pad));
     }
-    if let [last] = tail.remainder() {
-        wide += u16::from_be_bytes([*last, 0]) as u64;
-    }
-    // Fold the deferred end-around carries down to 16 bits so callers can
-    // keep accumulating into a u32 without overflow.
+    let native = fold16(lo + hi) as u16;
+    fold16(u64::from(acc) + u64::from(u16::from_be(native)))
+}
+
+/// Folds end-around carries down to 16 bits.
+fn fold16(mut wide: u64) -> u32 {
     while wide >> 16 != 0 {
         wide = (wide & 0xFFFF) + (wide >> 16);
     }
     wide as u32
 }
 
-fn fold(mut acc: u32) -> u16 {
-    while acc >> 16 != 0 {
-        acc = (acc & 0xFFFF) + (acc >> 16);
-    }
-    !(acc as u16)
+fn fold(acc: u32) -> u16 {
+    !(fold16(acc.into()) as u16)
 }
 
 /// Checksum of a standalone header (IPv4, ICMP).
@@ -115,18 +118,60 @@ mod tests {
         !(acc as u16)
     }
 
+    /// The naive pseudo-header sum: the RFC 768/793 twelve bytes laid
+    /// out in front of the segment and summed as one buffer.
+    fn naive_pseudo(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, segment: &[u8]) -> u16 {
+        let len = (segment.len() as u16).to_be_bytes();
+        let header = [&src.octets()[..], &dst.octets(), &[0, protocol], &len];
+        naive_checksum(&[&header.concat()[..], segment].concat())
+    }
+
+    /// Every tail shape (0–7 bytes past the last whole word) at every
+    /// alignment of the slice's start.
+    #[test]
+    fn every_short_length_at_every_offset_matches_naive() {
+        let data: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(0x9E37) >> 3) as u8)
+            .collect();
+        for start in 0..8 {
+            for end in start..data.len() {
+                let s = &data[start..end];
+                assert_eq!(checksum(s), naive_checksum(s), "[{start}..{end}]");
+            }
+        }
+    }
+
     mirage_testkit::property! {
         /// The folded wide-word sum is byte-for-byte equivalent to the
-        /// naive immediate-carry reference, across lengths that exercise
-        /// every chunk-remainder shape (0–3 trailing bytes).
-        fn prop_fast_sum_matches_naive(data in collection::vec(any::<u8>(), 0..1024)) {
-            assert_eq!(checksum(&data), naive_checksum(&data));
-            // Also check every shorter prefix alignment near the tail, so
-            // each remainder length is hit even when the generator favours
+        /// naive immediate-carry reference at every length up to a page
+        /// and every start offset within a word (unaligned subslices).
+        fn prop_fast_sum_matches_naive(data in collection::vec(any::<u8>(), 0..4097 + 8)) {
+            for start in 0..8.min(data.len() + 1) {
+                let s = &data[start..data.len().min(start + 4096)];
+                assert_eq!(checksum(s), naive_checksum(s), "offset {start}, {} bytes", s.len());
+            }
+            // Also check every shorter prefix near the tail, so each
+            // remainder length is hit even when the generator favours
             // particular sizes.
-            for cut in data.len().saturating_sub(5)..=data.len() {
+            for cut in data.len().saturating_sub(9)..=data.len() {
                 assert_eq!(checksum(&data[..cut]), naive_checksum(&data[..cut]));
             }
+        }
+
+        /// The pseudo-header checksum equals the naive sum over the
+        /// pseudo-header laid out in front of the segment, for any
+        /// addresses and protocol.
+        fn prop_pseudo_matches_naive(
+            src in any::<u32>(),
+            dst in any::<u32>(),
+            protocol in any::<u8>(),
+            segment in collection::vec(any::<u8>(), 0..1500),
+        ) {
+            let (src, dst) = (Ipv4Addr::from(src), Ipv4Addr::from(dst));
+            assert_eq!(
+                pseudo_checksum(src, dst, protocol, &segment),
+                naive_pseudo(src, dst, protocol, &segment)
+            );
         }
 
         /// Inserting the computed checksum always makes verification pass,

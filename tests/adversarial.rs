@@ -1447,3 +1447,130 @@ fn descriptor_ring_clamps_a_length_rewritten_after_publish() {
     front.page().write(|b| b[64..66].copy_from_slice(&(SLOT_PAYLOAD as u16 + 1).to_le_bytes()));
     assert_eq!(front.take_response().expect("published").len(), SLOT_PAYLOAD);
 }
+
+// ================================================================ MAC spray
+
+/// Source addresses the sprayer forges: sixteen times what the switch
+/// learns behind one port.
+const SPRAYED: u64 = 4096;
+
+/// One guest sends `SPRAYED` frames, each from a fresh seeded source
+/// MAC, before two other guests open a TCP connection through the same
+/// switch. The sprayer fills only its own port's share of the MAC
+/// table, so the two are learned: the transfer completes byte-perfect
+/// and none of their unicast frames floods to the sprayer. Returns what
+/// the receiver got.
+fn transfer_beside_a_mac_spray(backend: Backend, seed: u64) -> Vec<u8> {
+    const BYTES: usize = 32 * 1024;
+    let xs = Xenstore::new();
+    let mut hv = Hypervisor::new();
+    let dom0 = DriverDomain::new(xs.clone());
+    let driver = dom0.stats_handle();
+    hv.create_domain("dom0", 512, Box::new(dom0));
+
+    let (front, mut nh) =
+        backend.net(xs.clone(), "spray", Mac::local(0x66).0, CopyDiscipline::ZeroCopy);
+    let mut rng = Rng::for_stream(seed, "mac-spray");
+    let sprayed = Arc::new(Mutex::new(0));
+    let leaked = Arc::new(Mutex::new(0));
+    let (sprayed_w, leaked_w) = (Arc::clone(&sprayed), Arc::clone(&leaked));
+    let mut sprayer = UnikernelGuest::new(move |_env, rt| {
+        let rt2 = rt.clone();
+        rt.spawn(async move {
+            rt2.sleep(Dur::millis(1)).await;
+            let mut sent = 0;
+            while sent < SPRAYED {
+                // Batches that fit the TX backlog, each drained in turn.
+                for _ in 0..SPRAYED.min(sent + 200) - sent {
+                    let mut frame = vec![0x02, 0, 0, 0, 0, 0xEE]; // absent peer
+                    let forged = rng.gen_range(0..1u64 << 40).to_be_bytes();
+                    frame.push(0x06); // locally administered, unicast
+                    frame.extend_from_slice(&forged[3..]);
+                    frame.extend_from_slice(&[0x88, 0xB5]); // local experimental
+                    frame.resize(80, 0xA5);
+                    nh.tx.send(PktBuf::from_vec(frame)).unwrap();
+                }
+                sent = SPRAYED.min(sent + 200);
+                while nh.stats().tx_frames < sent {
+                    rt2.sleep(Dur::micros(200)).await;
+                }
+            }
+            *sprayed_w.lock() = sent;
+            // Then it listens for frames meant for someone else.
+            while let Ok(frame) = nh.rx.recv().await {
+                if frame[..6] != Mac::BROADCAST.0 && frame[..6] != nh.mac {
+                    *leaked_w.lock() += 1;
+                }
+            }
+            0
+        })
+    });
+    sprayer.add_device(front);
+    hv.create_domain("sprayer", 64, Box::new(sprayer));
+
+    let received: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
+    let out = Arc::clone(&received);
+    let (front_s, nh_s) =
+        backend.net(xs.clone(), "srv", Mac::local(80).0, CopyDiscipline::ZeroCopy);
+    let mut server = UnikernelGuest::new(move |_env, rt| {
+        let stack = Stack::spawn(rt, nh_s, StackConfig::static_ip(SERVER_IP));
+        rt.spawn(async move {
+            let mut listener = stack.tcp_listen(5001).await.expect("listen");
+            let mut stream = listener.accept().await.expect("accepted");
+            *out.lock() = Some(stream.read_to_end().await);
+            0
+        })
+    });
+    server.add_device(front_s);
+    let srv = hv.create_domain("server", 128, Box::new(server));
+
+    let (front_c, nh_c) =
+        backend.net(xs.clone(), "cli", Mac::local(99).0, CopyDiscipline::ZeroCopy);
+    let mut client = UnikernelGuest::new(move |_env, rt| {
+        let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
+        let rt2 = rt.clone();
+        rt.spawn(async move {
+            rt2.sleep(Dur::millis(50)).await;
+            let stream = stack.tcp_connect(SERVER_IP, 5001).await.expect("connected");
+            stream.write(&pattern(BYTES));
+            stream.close();
+            loop {
+                rt2.sleep(Dur::secs(60)).await;
+            }
+        })
+    });
+    client.add_device(front_c);
+    hv.create_domain("client", 128, Box::new(client));
+
+    hv.run_until(Time::ZERO + Dur::millis(45));
+    assert_eq!(
+        *sprayed.lock(),
+        SPRAYED,
+        "[{backend}] the spray went out before the transfer began; \
+         reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+    hv.run_until(Time::ZERO + Dur::secs(5));
+    assert_eq!(hv.exit_code(srv), Some(0), "[{backend}] the transfer ended");
+    assert!(driver.lock().frames_switched >= SPRAYED, "[{backend}]");
+    assert_eq!(
+        *leaked.lock(),
+        0,
+        "[{backend}] the two were learned, so their frames did not flood"
+    );
+    let got = received.lock().take().expect("receiver reported");
+    assert_eq!(
+        got,
+        pattern(BYTES),
+        "[{backend}] byte-perfect beside the spray; reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+    got
+}
+
+#[test]
+fn a_mac_spraying_guest_cannot_stop_two_others_talking() {
+    let _guard = adversarial_lock().lock();
+    let seed = test_seed();
+    for backend in Backend::ALL {
+        transfer_beside_a_mac_spray(backend, seed);
+    }
+}

@@ -19,6 +19,10 @@
 //! * the SMP iperf pairing (multi-queue RSS path, one queue pair per
 //!   vCPU on both ABIs).
 //!
+//! Plus the switch's two forwarding paths: a TCP transfer and a UDP echo
+//! with and without a conditioner that impairs nothing must deliver the
+//! same bytes at the same virtual instants with the same counters.
+//!
 //! Plus the doorbell-suppression regression pin: a 1000-frame TX burst
 //! must cost O(bursts) data-plane notifications on both ABIs, not
 //! O(frames).
@@ -31,7 +35,7 @@ use std::sync::{Arc, OnceLock};
 
 use mirage::cstruct::{copy_counters, reset_copy_counters, PktBuf};
 use mirage::devices::netfront::{CopyDiscipline, NetifStats};
-use mirage::devices::{Backend, DriverDomain, Netem, NetemConfig, Xenstore};
+use mirage::devices::{Backend, DriverDomain, NetDriver, NetHandle, Netem, NetemConfig, Xenstore};
 use mirage::dns::{DnsName, DnsServer, Message, RType, ServerConfig, Zone};
 use mirage::http::{HandlerFuture, HttpConnection, HttpServer, Request, Response, Router};
 use mirage::hypervisor::{Dur, Hypervisor, RunOutcome, Time};
@@ -504,6 +508,161 @@ fn smp_iperf_delivers_identical_bytes_on_both_backends() {
         xen.mbps,
         vio.mbps
     );
+}
+
+// ====================================== the switch's two forwarding paths
+
+const ECHO_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+const PEER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
+
+/// A NIC for a stack, plus the handle its counters stay readable
+/// through: the stack consumes the handle it is given, so it gets an
+/// unattached twin's carrying the real NIC's channels.
+fn observed_nic(
+    backend: Backend,
+    xs: &Xenstore,
+    name: &str,
+    mac: [u8; 6],
+) -> (Box<dyn NetDriver>, NetHandle, NetHandle) {
+    let (front, mut real) = backend.net(xs.clone(), name, mac, CopyDiscipline::ZeroCopy);
+    let (_unattached, mut shell) =
+        backend.net(xs.clone(), format!("{name}-shell"), mac, CopyDiscipline::ZeroCopy);
+    std::mem::swap(&mut real.tx, &mut shell.tx);
+    std::mem::swap(&mut real.rx, &mut shell.rx);
+    (front, shell, real)
+}
+
+/// A TCP transfer and then a UDP echo between two guests over `backend`,
+/// with or without a conditioner that impairs nothing. The switch copies
+/// a guest's frame straight into the peer's RX buffer only with no
+/// conditioner attached, so the two runs take its two forwarding paths.
+/// Returns what was delivered, when (virtual time) and every counter.
+fn two_guest_exchange(backend: Backend, seed: u64, conditioned: bool) -> String {
+    const BYTES: usize = 96 * 1024;
+    const DATAGRAMS: usize = 24;
+    let xs = Xenstore::new();
+    let mut hv = Hypervisor::new();
+    let mut dom0 = DriverDomain::new(xs.clone());
+    if conditioned {
+        dom0.set_netem(Netem::from_seed(NetemConfig::default(), seed, "perfect-wire"));
+    }
+    let driver = dom0.stats_handle();
+    hv.create_domain("dom0", 512, Box::new(dom0));
+    let mut rng = Rng::for_stream(seed, "two-paths");
+    let sizes: Vec<usize> = (0..DATAGRAMS).map(|_| 1 + rng.gen_index(1400)).collect();
+    let payload = Arc::new(pattern(BYTES));
+
+    type Report = Arc<Mutex<Option<(u64, usize, Time)>>>;
+    let tcp_done: Report = Arc::new(Mutex::new(None));
+    let udp_done: Report = Arc::new(Mutex::new(None));
+
+    let (front_e, nh_e, probe_e) = observed_nic(backend, &xs, "echo", Mac::local(3).0);
+    let tcp_out = Arc::clone(&tcp_done);
+    let mut echo = UnikernelGuest::new(move |_env, rt| {
+        let stack = Stack::spawn(rt, nh_e, StackConfig::static_ip(ECHO_IP));
+        let (rt2, rt3, udp) = (rt.clone(), rt.clone(), stack.clone());
+        rt.spawn(async move {
+            let mut sock = udp.udp_bind(7).await.expect("port 7");
+            while let Ok((src, sport, datagram)) = sock.recv_from().await {
+                sock.send_to(src, sport, datagram);
+            }
+            0
+        });
+        rt.spawn(async move {
+            let mut listener = stack.tcp_listen(5001).await.unwrap();
+            let mut stream = listener.accept().await.unwrap();
+            let mut got: Vec<u8> = Vec::new();
+            while got.len() < BYTES {
+                match stream.read().await {
+                    Some(chunk) => got.extend_from_slice(&chunk),
+                    None => break,
+                }
+            }
+            stream.write(b"K");
+            *tcp_out.lock() = Some((fnv1a(&got), got.len(), rt2.now()));
+            loop {
+                rt3.sleep(Dur::secs(60)).await;
+            }
+        })
+    });
+    echo.add_device(front_e);
+    hv.create_domain("echo", 128, Box::new(echo));
+
+    let (front_p, nh_p, probe_p) = observed_nic(backend, &xs, "peer", Mac::local(4).0);
+    let udp_out = Arc::clone(&udp_done);
+    let to_echo = sizes.clone();
+    let mut peer = UnikernelGuest::new(move |_env, rt| {
+        let stack = Stack::spawn(rt, nh_p, StackConfig::static_ip(PEER_IP));
+        let rt2 = rt.clone();
+        rt.spawn(async move {
+            rt2.sleep(Dur::millis(5)).await;
+            let mut stream = stack.tcp_connect(ECHO_IP, 5001).await.expect("connected");
+            for chunk in payload.chunks(16 * 1024) {
+                stream.write(chunk);
+                rt2.yield_now().await;
+            }
+            let receipt = stream.read().await;
+            assert_eq!(receipt.as_deref(), Some(&b"K"[..]));
+            stream.close();
+            let mut sock = stack.udp_bind(40_000).await.expect("bind");
+            let mut echoed = Vec::new();
+            for &len in &to_echo {
+                sock.send_to(ECHO_IP, 7, pattern(len));
+                let (_, _, datagram) = sock.recv_from().await.expect("echoed");
+                echoed.extend_from_slice(&datagram);
+            }
+            *udp_out.lock() = Some((fnv1a(&echoed), echoed.len(), rt2.now()));
+            loop {
+                rt2.sleep(Dur::secs(60)).await;
+            }
+        })
+    });
+    peer.add_device(front_p);
+    hv.create_domain("peer", 128, Box::new(peer));
+
+    let deadline = Time::ZERO + Dur::secs(30);
+    while tcp_done.lock().is_none() || udp_done.lock().is_none() {
+        assert!(
+            hv.now() < deadline,
+            "[{backend}] exchange stalled; reproduce with MIRAGE_TEST_SEED={seed}"
+        );
+        hv.run_until(hv.now() + Dur::millis(10));
+    }
+    let tcp = tcp_done.lock().take().expect("transfer reported");
+    let udp = udp_done.lock().take().expect("echo reported");
+    assert_eq!((tcp.0, tcp.1), (fnv1a(&pattern(BYTES)), BYTES), "[{backend}] byte-perfect");
+    let sent: Vec<u8> = sizes.iter().flat_map(|&len| pattern(len)).collect();
+    assert_eq!((udp.0, udp.1), (fnv1a(&sent), sent.len()), "[{backend}] byte-perfect");
+    let driver = *driver.lock();
+    assert!(driver.frames_switched > 0, "[{backend}] the switch carried the exchange");
+    format!(
+        "tcp digest={:016x} bytes={} at={:?}\nudp digest={:016x} bytes={} at={:?}\n\
+         driver={driver:?}\necho={:?}\npeer={:?}\n",
+        tcp.0,
+        tcp.1,
+        tcp.2,
+        udp.0,
+        udp.1,
+        udp.2,
+        probe_e.stats(),
+        probe_p.stats(),
+    )
+}
+
+/// The switch forwards a guest's frame by one copy into the peer's RX
+/// buffer when nothing is conditioned or queued, and through its queue
+/// otherwise. Which path a frame took must not show: the same bytes
+/// arrive at the same virtual instants, with the same driver and
+/// interface counters, on both ABIs.
+#[test]
+fn the_direct_and_queued_paths_are_indistinguishable_on_both_backends() {
+    let _guard = conformance_lock().lock();
+    let seed = test_seed();
+    for backend in Backend::ALL {
+        let direct = two_guest_exchange(backend, seed, false);
+        let queued = two_guest_exchange(backend, seed, true);
+        assert_transcripts_match(&format!("two paths/{backend}"), seed, &direct, &queued);
+    }
 }
 
 // ============================================= doorbell suppression pin
