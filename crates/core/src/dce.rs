@@ -24,6 +24,17 @@ pub enum DceLevel {
     FunctionLevel,
 }
 
+impl DceLevel {
+    /// The object bytes `lib` links in at this level.
+    pub(crate) fn object_bytes(self, lib: &LibraryInfo) -> u64 {
+        let bytes = lib.object_bytes as u64;
+        match self {
+            DceLevel::Standard => bytes,
+            DceLevel::FunctionLevel => bytes * lib.dce_retention_pct as u64 / 100,
+        }
+    }
+}
+
 /// The result of a link + eliminate pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSet {
@@ -75,15 +86,7 @@ impl LinkSet {
 
     /// Total object bytes at an elimination level.
     pub fn object_bytes(&self, level: DceLevel) -> u64 {
-        self.retained
-            .iter()
-            .map(|l| match level {
-                DceLevel::Standard => l.object_bytes as u64,
-                DceLevel::FunctionLevel => {
-                    (l.object_bytes as u64 * l.dce_retention_pct as u64) / 100
-                }
-            })
-            .sum()
+        self.retained.iter().map(|l| level.object_bytes(l)).sum()
     }
 
     /// Total source lines of the retained set (Figure 14 inventory).

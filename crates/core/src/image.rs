@@ -63,12 +63,7 @@ impl Image {
             let gap = rng.gen_range(0..MAX_GAP);
             cursor += gap;
             cursor = cursor.div_ceil(SECTION_ALIGN) * SECTION_ALIGN;
-            let bytes = match level {
-                DceLevel::Standard => lib.info().object_bytes as u64,
-                DceLevel::FunctionLevel => {
-                    (lib.info().object_bytes as u64 * lib.info().dce_retention_pct as u64) / 100
-                }
-            };
+            let bytes = level.object_bytes(lib.info());
             sections.push(Section {
                 library: lib.name(),
                 address: cursor,

@@ -7,23 +7,20 @@
 //! A request is the guest's word until validated: the header must parse,
 //! `0 < count <= MAX_SECTORS_PER_REQ`, `sector + count` must neither
 //! overflow nor pass the end of the disk, the data buffer must hold
-//! `count` sectors, and a read needs a device-writable buffer. Anything
-//! else is completed failed and counted in
+//! `count` sectors, and a read needs a device-writable buffer on a page
+//! granted writable. Anything else is completed failed and counted in
 //! [`DriverStats::requests_rejected`].
-
-use std::collections::HashMap;
 
 use mirage_testkit::rng::Rng;
 use mirage_testkit::wheel::TimerWheel;
 
 use mirage_hypervisor::event::Port;
-use mirage_hypervisor::grant::SharedPage;
 use mirage_hypervisor::{DomainEnv, Time};
 
 use crate::blk::{wire, DiskProfile, SimulatedDisk, MAX_SECTORS_PER_REQ, SECTOR_SIZE};
 use crate::netback::DriverStats;
 use crate::netem::DiskFaultPlan;
-use crate::transport::{map_cached, BackQueue, DataBuf, Gate, Request};
+use crate::transport::{map_cached, BackQueue, DataBuf, Gate, MapCache, Request};
 
 /// A request in service. Its buffer stays owned by the device until it
 /// completes.
@@ -42,8 +39,8 @@ pub(crate) struct BlkBackend {
     queue: BackQueue,
     /// Whether this pass takes from the queue.
     gate: Gate,
-    /// Guest data pages mapped so far, by grant ref.
-    mapped: HashMap<u32, SharedPage>,
+    /// Guest data pages mapped so far.
+    mapped: MapCache,
     disk: SimulatedDisk,
     busy_until: Time,
     /// Requests in service, by completion time — which is acceptance
@@ -57,7 +54,7 @@ impl BlkBackend {
             port,
             queue,
             gate: Gate::default(),
-            mapped: HashMap::new(),
+            mapped: MapCache::new(),
             disk: SimulatedDisk::new(profile, sectors),
             busy_until: Time::ZERO,
             pending: TimerWheel::new(),
@@ -166,14 +163,18 @@ impl BlkBackend {
             self.pending.insert(done_at.as_nanos(), pending);
         }
         // Complete requests whose service time has elapsed.
-        self.pending.advance(env.now().as_nanos(), |_, p| {
+        self.pending.advance(env.now().as_nanos(), |_, mut p| {
             let mut written = 0;
             if p.is_read && p.ok {
                 let bytes = usize::from(p.count) * SECTOR_SIZE;
-                if let Some(page) = map_cached(env, &mut self.mapped, p.data.gref, true) {
+                // No page: a read-only grant, not the device's to fill.
+                let page = map_cached(env, &mut self.mapped, p.data.gref, true);
+                p.ok = page.is_some();
+                counts.requests_rejected += u64::from(!p.ok);
+                if let Some(page) = page {
                     page.write(|b| self.disk.read_into(p.sector, &mut b[p.data.range(bytes)]));
+                    written = bytes as u32;
                 }
-                written = bytes as u32;
             }
             self.queue.complete(env, p.token, written, p.ok);
             counts.blk_completed += 1;

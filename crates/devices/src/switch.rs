@@ -12,11 +12,11 @@
 //! when nothing could tell that from queueing it (`Switch::forward`).
 //!
 //! Whatever a guest posts is hostile until checked: a TX request must be
-//! a device-readable buffer of `MIN_FRAME..=MAX_FRAME` bytes, an RX buffer must be
-//! device-writable and large enough for the frame at hand. Anything else
-//! is completed failed and counted in
-//! [`DriverStats::requests_rejected`]; the switch never indexes a page by
-//! a guest-supplied length it has not bounded.
+//! a device-readable buffer of `MIN_FRAME..=MAX_FRAME` bytes, an RX
+//! buffer must be device-writable, on a page granted writable, and large
+//! enough for the frame at hand. Anything else is completed failed and
+//! counted in [`DriverStats::requests_rejected`]; the switch never
+//! indexes a page by a guest-supplied length it has not bounded.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -32,7 +32,7 @@ use mirage_hypervisor::{DomainEnv, Dur, Time};
 use crate::netback::DriverStats;
 use crate::netem::Netem;
 use crate::netfront::{MAX_FRAME, MIN_FRAME};
-use crate::transport::{map_cached, BackQueue, DataBuf, Gate, NicQueues, Request};
+use crate::transport::{map_cached, BackQueue, DataBuf, Gate, MapCache, NicQueues, Request};
 
 /// Broadcast MAC.
 pub const MAC_BROADCAST: [u8; 6] = [0xFF; 6];
@@ -98,7 +98,7 @@ impl Tap {
 /// and its page must map. `Err` carries the token to complete failed.
 fn admit(
     env: &mut DomainEnv<'_>,
-    mapped: &mut HashMap<u32, SharedPage>,
+    mapped: &mut MapCache,
     taken: Result<Request, u32>,
     writable: bool,
     accept: impl Fn(&DataBuf) -> bool,
@@ -129,8 +129,8 @@ struct QueuePair {
 /// A guest NIC's attachment to the switch.
 struct SwitchPort {
     queues: Vec<QueuePair>,
-    /// Guest data pages mapped so far, by grant ref.
-    mapped: HashMap<u32, SharedPage>,
+    /// Guest data pages mapped so far.
+    mapped: MapCache,
     /// MAC table entries that name this port.
     macs: usize,
     /// Set while the frontend has frames queued but no posted RX buffer —
@@ -221,7 +221,7 @@ impl Switch {
             .collect();
         self.ports.push(SwitchPort {
             queues,
-            mapped: HashMap::new(),
+            mapped: MapCache::new(),
             macs: 0,
             rx_starved: false,
         });
@@ -339,10 +339,10 @@ impl Switch {
             Ok(req) if req.data.device_writes && req.data.len as usize >= len => port
                 .mapped
                 .get(&req.data.gref)
-                .filter(|rx| !rx.same_page(tx)),
+                .filter(|(rx, writable)| *writable && !rx.same_page(tx)),
             _ => None,
         };
-        let (Some(rx), Ok(req)) = (rx, &taken) else {
+        let (Some((rx, _)), Ok(req)) = (rx, &taken) else {
             pair.held = Some(taken);
             return false;
         };

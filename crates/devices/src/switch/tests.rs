@@ -1,18 +1,24 @@
 //! Tests of the switch: the conditioner's release order, the MAC table's
 //! per-port cap, and the direct path's RX buffers — a bad one is rejected
 //! once, a fresh one is mapped where the queued path maps it, and a
-//! status byte on the sending page is written after the send.
+//! status byte on the sending page is written after the send. Beside
+//! them, dom0's map caches keep the rights a page was mapped with: a page
+//! granted read-only is never written, as an RX buffer or by a virtio
+//! disk read.
 
 use super::*;
+use crate::blk::{wire, DiskProfile};
+use crate::blkback::BlkBackend;
 use crate::netem::NetemConfig;
 use crate::transport::{
-    advertise_nic, attach_nic, BackTransport, Completion, Dir, FrontTransport, RingBack, RingFront,
-    VirtqBack, VirtqFront,
+    advertise_disk, advertise_nic, attach_disk, attach_nic, BackTransport, Completion, Dir,
+    FrontTransport, RingBack, RingFront, VirtqBack, VirtqFront,
 };
 use crate::virtio::virtqueue::{buf_addr, ChainBuf, QueuePages, SplitQueue};
 use crate::xenstore::Xenstore;
 use mirage_hypervisor::grant::GrantRef;
 use mirage_hypervisor::{Guest, Hypervisor, Step, Wake};
+use mirage_testkit::rng::Rng;
 
 const TAP_MAC: [u8; 6] = [0x02, 0, 0, 0, 0, 0x01];
 
@@ -129,15 +135,26 @@ impl<F: FrontTransport> Nic<F> {
 
     /// Sends a 64-byte frame from `src` to `dst`; returns it.
     fn send(&mut self, env: &mut DomainEnv<'_>, dst: [u8; 6], src: [u8; 6]) -> Vec<u8> {
+        self.send_granted(env, dst, src).0
+    }
+
+    /// [`Self::send`], also returning the page the frame went from, which
+    /// is granted read-only, and its grant ref.
+    fn send_granted(
+        &mut self,
+        env: &mut DomainEnv<'_>,
+        dst: [u8; 6],
+        src: [u8; 6],
+    ) -> (Vec<u8>, SharedPage, u32) {
         let mut frame = vec![0x5A; 64];
         frame[..6].copy_from_slice(&dst);
         frame[6..12].copy_from_slice(&src);
         let page = SharedPage::new();
         page.write(|b| b[..64].copy_from_slice(&frame));
-        let gref = env.grant(env.domid(), page, false);
+        let gref = env.grant(env.domid(), page.clone(), false);
         self.tx.post(&[], DataBuf::page(gref, 64, false));
         self.tx.publish();
-        frame
+        (frame, page, gref.0)
     }
 
     /// Posts a fresh page as a whole-frame RX buffer: its token, grant
@@ -280,26 +297,133 @@ fn a_fresh_rx_page_is_mapped_in_the_delivery_loop() {
     }
 }
 
-/// A virtio NIC whose RX descriptors the test writes by hand, as a
-/// hostile guest may: its TX half is a [`VirtqFront`], its RX half a
-/// driver queue over the pages the NIC advertised.
+/// A sends from a page it granted read-only, which dom0 maps read-only,
+/// then posts that page as an RX buffer. B's frame for A must not go in
+/// it: the buffer comes back empty, counted once, the page keeps its
+/// bytes, and the frame waits for the next buffer.
+fn read_only_rx_page<F: FrontTransport, B: BackTransport + 'static>() {
+    in_domain(1, |env| {
+        let mut sw = Switch::new(NetProfile::default());
+        let counts = &mut DriverStats::default();
+        let mut a = Nic::<F>::attach::<B>(env, &mut sw, "a");
+        let mut b = Nic::<F>::attach::<B>(env, &mut sw, "b");
+        let (sent, page, gref) = a.send_granted(env, MAC_B, MAC_A);
+        sw.service(env, counts);
+        let token = a.repost(gref, 0, MAX_FRAME as u32, true);
+        let frame = b.send(env, MAC_A, MAC_B);
+        sw.service(env, counts);
+        let tag = F::BACKEND;
+        let got: Vec<(u32, u32)> = a.received().iter().map(|c| (c.token, c.len)).collect();
+        assert_eq!(got, [(token, 0)], "[{tag}]");
+        assert_eq!(counts.requests_rejected, 1, "[{tag}]");
+        assert_eq!(page.read(|p| p[..64].to_vec()), sent, "[{tag}]");
+        let (good_token, _, good) = a.post_rx(env);
+        sw.service(env, counts);
+        let got: Vec<(u32, u32)> = a.received().iter().map(|c| (c.token, c.len)).collect();
+        assert_eq!(got, [(good_token, 64)], "[{tag}]");
+        assert_eq!(good.read(|p| p[..64].to_vec()), frame, "[{tag}]");
+    });
+}
+
+#[test]
+fn a_page_granted_read_only_is_no_rx_buffer() {
+    read_only_rx_page::<RingFront, RingBack>();
+    read_only_rx_page::<VirtqFront, VirtqBack>();
+}
+
+/// One virtio disk read of sector 0 over pages the guest granted with
+/// these rights: the used length, the status byte (0xFF until dom0
+/// writes it), the requests rejected and the data page's first sector
+/// (0xEE until dom0 reads into it).
+fn disk_read(header_writable: bool, data_writable: bool) -> (u32, u8, u64, Vec<u8>) {
+    let seen = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&seen);
+    in_domain(1, move |env| {
+        let dir = Dir {
+            xs: Xenstore::new(),
+            base: "device/vblk/hostile".into(),
+        };
+        advertise_disk::<VirtqFront>(env, &dir, env.domid());
+        let mut q = driver_queue(env, &dir, "");
+        let (port, queue) = attach_disk::<VirtqBack>(env, &dir).expect("attached");
+        let mut disk = BlkBackend::new(port, queue, DiskProfile::pcie_ssd(), 64);
+        let header = SharedPage::new();
+        header.write(|b| {
+            b[..11].copy_from_slice(&wire::req(wire::OP_READ, 0, 1));
+            b[2048] = 0xFF;
+        });
+        let data = SharedPage::new();
+        data.write(|b| b[..512].fill(0xEE));
+        let GrantRef(hdr) = env.grant(env.domid(), header.clone(), header_writable);
+        let GrantRef(into) = env.grant(env.domid(), data.clone(), data_writable);
+        let chain = [
+            chain_buf(hdr, 0, 11, false),
+            chain_buf(into, 0, 512, true),
+            chain_buf(hdr, 2048, 1, true),
+        ];
+        let head = q.stage_chain(&chain).expect("room");
+        q.publish();
+        let counts = &mut DriverStats::default();
+        let rng = &mut Rng::for_stream(1, "disk");
+        disk.service(env, rng, counts);
+        env.consume(Dur::millis(1));
+        disk.service(env, rng, counts);
+        let (used, len) = q.take_used().expect("completed");
+        assert_eq!(used, head);
+        let status = header.read(|b| b[2048]);
+        let sector = data.read(|b| b[..512].to_vec());
+        *out.borrow_mut() = Some((len, status, counts.requests_rejected, sector));
+    });
+    let seen = seen.borrow_mut().take().expect("ran");
+    seen
+}
+
+/// A read whose header page (status byte and all) or whose data page the
+/// guest granted read-only is rejected and counted, and dom0 writes
+/// neither page, bar a failed status where it may write one.
+#[test]
+fn a_disk_read_into_a_page_granted_read_only_is_rejected() {
+    assert_eq!(disk_read(false, true), (0, 0xFF, 1, vec![0xEE; 512]));
+    assert_eq!(disk_read(true, false), (1, 1, 1, vec![0xEE; 512]));
+    assert_eq!(disk_read(true, true), (513, 0, 0, vec![0; 512]));
+}
+
+/// A driver queue over the pages of the virtqueue advertised in `dir`
+/// under `prefix`, for a test to write descriptors by hand, as a hostile
+/// guest may.
+fn driver_queue(env: &mut DomainEnv<'_>, dir: &Dir, prefix: &str) -> SplitQueue {
+    let mut area = |name: &str| {
+        let gref: u32 = dir
+            .read(env, &format!("{prefix}{name}"))
+            .expect("advertised");
+        env.grant_map(GrantRef(gref), false).expect("own grant")
+    };
+    SplitQueue::new(QueuePages {
+        desc: area("desc"),
+        avail: area("avail"),
+        used: area("used"),
+    })
+}
+
+fn chain_buf(gref: u32, off: usize, len: u32, device_writes: bool) -> ChainBuf {
+    ChainBuf {
+        addr: buf_addr(gref, off),
+        len,
+        device_writes,
+    }
+}
+
+/// A virtio NIC whose RX descriptors the test writes by hand: its TX
+/// half is a [`VirtqFront`], its RX half a [`driver_queue`].
 fn hand_driven_nic(env: &mut DomainEnv<'_>, sw: &mut Switch) -> (VirtqFront, SplitQueue) {
     let dir = Dir {
         xs: Xenstore::new(),
         base: "device/vnet/hostile".into(),
     };
     let (tx, _) = advertise_nic::<VirtqFront>(env, &dir, env.domid(), 1).remove(0);
-    let mut area = |name: &str| {
-        let gref: u32 = dir.read(env, &format!("q0/rx-{name}")).expect("advertised");
-        env.grant_map(GrantRef(gref), false).expect("own grant")
-    };
-    let pages = QueuePages {
-        desc: area("desc"),
-        avail: area("avail"),
-        used: area("used"),
-    };
+    let rx = driver_queue(env, &dir, "q0/rx-");
     sw.add_port(attach_nic::<VirtqBack>(env, &dir).expect("attached"));
-    (tx, SplitQueue::new(pages))
+    (tx, rx)
 }
 
 type Hairpin = (Vec<u8>, Option<(u16, u32)>, u8, DriverStats, Time);
@@ -328,16 +452,15 @@ fn status_on_the_tx_page(netem: bool) -> (Hairpin, u64) {
         let from = env.grant(env.domid(), page.clone(), true);
         let rx_page = SharedPage::new();
         let GrantRef(into) = env.grant(env.domid(), rx_page.clone(), true);
-        let buf = |gref, off, len, device_writes| ChainBuf {
-            addr: buf_addr(gref, off),
-            len,
-            device_writes,
-        };
-        let data = buf(into, 0, MAX_FRAME as u32, true);
+        let data = chain_buf(into, 0, MAX_FRAME as u32, true);
         // The first frame has the delivery loop map the RX page.
         for chain in [
             vec![data],
-            vec![buf(from.0, 0, 8, false), data, buf(from.0, 2048, 1, true)],
+            vec![
+                chain_buf(from.0, 0, 8, false),
+                data,
+                chain_buf(from.0, 2048, 1, true),
+            ],
         ] {
             page.write(|b| b[2048] = 0xFF);
             rx.stage_chain(&chain).expect("room");

@@ -218,19 +218,23 @@ pub(crate) type NicQueues = Vec<(Port, BackQueue, BackQueue)>;
 
 // ------------------------------------------------------ shared plumbing
 
+/// Guest pages a backend keeps mapped, by grant ref, and whether writable.
+pub(crate) type MapCache = HashMap<u32, (SharedPage, bool)>;
+
 /// Maps `gref` once and remembers the mapping, as a backend keeps guest
-/// frames mapped across requests.
+/// frames mapped across requests. A writable use of a read-only mapping
+/// maps again, which a read-only grant refuses.
 pub(crate) fn map_cached(
     env: &mut DomainEnv<'_>,
-    cache: &mut HashMap<u32, SharedPage>,
+    cache: &mut MapCache,
     gref: u32,
     writable: bool,
 ) -> Option<SharedPage> {
-    if let Some(p) = cache.get(&gref) {
-        return Some(p.clone());
+    if let Some((page, _)) = cache.get(&gref).filter(|(_, w)| *w || !writable) {
+        return Some(page.clone());
     }
     let page = env.grant_map(GrantRef(gref), writable).ok()?;
-    cache.insert(gref, page.clone());
+    cache.insert(gref, (page.clone(), writable));
     Some(page)
 }
 

@@ -142,8 +142,8 @@ impl FrontTransport for VirtqFront {
 /// [`BackTransport`] over a split virtqueue.
 pub(crate) struct VirtqBack {
     pub(super) q: DeviceQueue,
-    /// Header pages mapped so far, by grant ref.
-    pub(super) header_pages: HashMap<u32, SharedPage>,
+    /// Header pages mapped so far.
+    pub(super) header_pages: super::MapCache,
     /// Where each header-carrying chain in service wants its status byte.
     pub(super) status: HashMap<u16, u64>,
 }
@@ -162,7 +162,8 @@ impl BackTransport for VirtqBack {
                 if hdr.end > PAGE_SIZE {
                     return Some(Err(token));
                 }
-                let Some(page) = map_cached(env, &mut self.header_pages, gref, false) else {
+                let status_here = split_addr(status_addr).0 == gref;
+                let Some(page) = map_cached(env, &mut self.header_pages, gref, status_here) else {
                     return Some(Err(token));
                 };
                 self.status.insert(head, status_addr);

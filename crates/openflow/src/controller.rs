@@ -199,20 +199,7 @@ impl<A: ControllerApp> Connection<A> {
     pub fn feed(&mut self, data: &[u8]) -> Result<Vec<u8>, OfError> {
         self.buf.extend_from_slice(data);
         let mut out = Vec::new();
-        loop {
-            // Do we have one whole message?
-            if self.buf.len() < 8 {
-                break;
-            }
-            let length = u16::from_be_bytes([self.buf[2], self.buf[3]]) as usize;
-            if length < 8 {
-                return Err(OfError::Truncated);
-            }
-            if self.buf.len() < length {
-                break;
-            }
-            let (msg, used) = OfMessage::parse(&self.buf)?;
-            self.buf.drain(..used);
+        while let Some(msg) = OfMessage::take_from(&mut self.buf)? {
             for reply in self.handle(msg) {
                 self.stats.messages_out += 1;
                 out.extend(reply.encode());

@@ -105,19 +105,7 @@ impl OfSwitch {
         self.buf.extend_from_slice(data);
         let mut control_out = Vec::new();
         let mut frames_out = Vec::new();
-        loop {
-            if self.buf.len() < 8 {
-                break;
-            }
-            let length = u16::from_be_bytes([self.buf[2], self.buf[3]]) as usize;
-            if length < 8 {
-                return Err(OfError::Truncated);
-            }
-            if self.buf.len() < length {
-                break;
-            }
-            let (msg, used) = OfMessage::parse(&self.buf)?;
-            self.buf.drain(..used);
+        while let Some(msg) = OfMessage::take_from(&mut self.buf)? {
             match msg {
                 OfMessage::Hello { .. } => {
                     self.handshaken = true;

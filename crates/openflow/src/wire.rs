@@ -383,6 +383,29 @@ impl OfMessage {
         }
     }
 
+    /// Takes the next whole message off the front of `buf`; `None` while
+    /// `buf` holds less than one.
+    ///
+    /// # Errors
+    ///
+    /// [`OfError::Truncated`] for a length field shorter than the header
+    /// — the stream cannot be framed past it — and see [`Self::parse`].
+    pub(crate) fn take_from(buf: &mut Vec<u8>) -> Result<Option<OfMessage>, OfError> {
+        if buf.len() < 8 {
+            return Ok(None);
+        }
+        let length = u16::from_be_bytes([buf[2], buf[3]]) as usize;
+        if length < 8 {
+            return Err(OfError::Truncated);
+        }
+        if buf.len() < length {
+            return Ok(None);
+        }
+        let (msg, used) = OfMessage::parse(buf)?;
+        buf.drain(..used);
+        Ok(Some(msg))
+    }
+
     /// Parses one message; returns it and the bytes consumed.
     ///
     /// # Errors

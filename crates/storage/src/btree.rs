@@ -15,7 +15,8 @@
 //! and its commit record travel as one batch, commit record last — and
 //! decoded *interior* nodes are kept in a small bounded cache, so a lookup
 //! pays for its leaf and nothing else. Leaves are never cached: caching
-//! data is the application's policy ([`crate::cache::BufferCache`]). Nor
+//! data is the application's policy, and an appliance that wants a data
+//! cache links its own. Nor
 //! are they decoded: a leaf is searched, rewritten and scanned in the
 //! record it was read in, as borrowed `(key, value)` pairs that one
 //! bounds-checked pass yields, and an interior node keeps its separators

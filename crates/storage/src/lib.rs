@@ -7,10 +7,9 @@
 //!
 //! * [`block`] — the policy-free asynchronous block layer:
 //!   [`block::BlkDevice`] over a blkfront ring, [`block::MemDisk`] for
-//!   tests. All writes are direct.
-//! * [`cache`] — caching *as a library*: [`cache::BufferCache`] is the
-//!   conventional-kernel write-through LRU policy used as the Figure 9
-//!   baseline.
+//!   tests. All writes are direct and no data is cached: an appliance
+//!   that wants a data cache links its own (Figure 9's kernel page cache
+//!   lives with its harness, `mirage_bench::blocksim`).
 //! * [`fat`] — the FAT-32 filesystem with sector-at-a-time read iterators.
 //! * [`btree`] — the append-only copy-on-write B-tree (Baardskeerder port)
 //!   with checksummed commits and torn-write recovery: one log read per
@@ -22,7 +21,6 @@
 
 pub mod block;
 pub mod btree;
-pub mod cache;
 pub mod fat;
 pub mod kv;
 pub mod memcache;
@@ -30,7 +28,6 @@ pub mod memo;
 
 pub use block::{BlkDevice, BlockError, BlockIo, MemDisk};
 pub use btree::{AppendLog, BlockLog, MemLog, Tree, TreeError};
-pub use cache::BufferCache;
 pub use fat::{Fat32, FatError};
 pub use kv::KvStore;
 pub use memcache::MemcacheSession;

@@ -192,6 +192,16 @@ exactly crates/net/src/tcp 0 "a one-value TCP knob" \
     'fn (mss|window_scale|rto_init|rto_min|time_wait|syn_retries|ooo_max_segments|ooo_max_bytes)\(|impl From<(NewReno|Cubic)> for CongAlg'
 echo "   ok"
 
+echo "== gate: Mirage storage carries no kernel cache, and a map keeps its rights"
+# Fig. 9's kernel page cache is the conventional baseline's, in
+# crates/bench/src/blocksim.rs; dom0's map caches record whether each page
+# was mapped writable (transport::MapCache), so a read-only grant is never
+# written.
+exactly crates/storage/src 0 "a kernel page cache in the Mirage storage library" \
+    'BufferCache|PER_PAGE_OVERHEAD'
+exactly crates/devices/src 0 "a map cache that forgets its rights" 'HashMap<u32, SharedPage>'
+echo "   ok"
+
 echo "== gate: the line counter sees every non-test line"
 # non_test_lines stops at a file's first column-0 #[cfg(test)], so an
 # out-of-line test module must be declared as the last item of its file.
