@@ -15,7 +15,7 @@
 //! flow through the same forwarding, link conditioning, fault injection
 //! and timing paths, so a differential run only varies the transport.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mirage_testkit::rng::Rng;
@@ -68,7 +68,9 @@ pub struct DriverDomain {
     disk_profile: DiskProfile,
     switch: Switch,
     blks: Vec<BlkBackend>,
-    seen: HashSet<String>,
+    /// Every frontend attached, by xenstore base: the store version of
+    /// the scan that attached it and its switch port or block backend.
+    seen: HashMap<String, (u64, usize)>,
     /// The store version as of a scan that met no frontend still to
     /// attach: until a write moves it, a rescan would find — and charge —
     /// nothing, so it is skipped.
@@ -99,7 +101,7 @@ impl DriverDomain {
             disk_profile,
             switch: Switch::new(net_profile),
             blks: Vec::new(),
-            seen: HashSet::new(),
+            seen: HashMap::new(),
             settled_at: None,
             counts: DriverStats::default(),
             stats: Arc::default(),
@@ -132,7 +134,8 @@ impl DriverDomain {
     }
 
     /// Attaches every frontend that has advertised itself since the last
-    /// pass: NICs become switch ports, disks get a block backend.
+    /// pass: NICs become switch ports, disks get a block backend; one that
+    /// advertises anew (its domain restarted) takes its old port or backend.
     fn discover(&mut self, env: &mut DomainEnv<'_>) -> bool {
         let version = self.xs.version();
         if self.settled_at == Some(version) {
@@ -145,9 +148,13 @@ impl DriverDomain {
                 let Some(base) = key.strip_suffix("/state") else {
                     continue;
                 };
-                if self.seen.contains(base) {
-                    continue;
-                }
+                // An attached frontend rewrites its domain id only when it
+                // advertises anew, and the watch names the key: no read.
+                let anew = |at| self.xs.written_at(&format!("{base}/frontend-domid")) > Some(at);
+                let replacing = match self.seen.get(base) {
+                    Some(&(at, _)) if !anew(at) => continue,
+                    seen => seen.map(|&(_, idx)| idx),
+                };
                 // An unattached frontend is polled (and its read charged)
                 // on every pass until it attaches.
                 settled = false;
@@ -159,12 +166,12 @@ impl DriverDomain {
                     xs,
                     base: base.to_owned(),
                 };
-                match probe {
+                let idx = match probe {
                     Probe::Nic(attach) => {
                         let Some(pairs) = attach(env, &dir) else {
                             continue;
                         };
-                        self.switch.add_port(pairs);
+                        self.switch.add_port(pairs, replacing)
                     }
                     Probe::Disk(attach) => {
                         let Some(sectors) = dir.read(env, "sectors") else {
@@ -173,11 +180,15 @@ impl DriverDomain {
                         let Some((port, queue)) = attach(env, &dir) else {
                             continue;
                         };
-                        self.blks
-                            .push(BlkBackend::new(port, queue, self.disk_profile, sectors));
+                        let blk = BlkBackend::new(port, queue, self.disk_profile, sectors);
+                        match replacing.and_then(|idx| self.blks.get_mut(idx)) {
+                            Some(dead) => *dead = blk,
+                            None => self.blks.push(blk),
+                        }
+                        replacing.unwrap_or(self.blks.len() - 1)
                     }
-                }
-                self.seen.insert(dir.base);
+                };
+                self.seen.insert(dir.base, (version, idx));
                 progressed = true;
             }
         }
@@ -600,6 +611,46 @@ mod tests {
         assert!(takes <= u64::from(RING_SIZE), "{takes} takes in one pass");
         assert!(done.is_empty(), "nothing past the leap was served");
         assert!(tap.harvest().is_empty());
+    }
+
+    /// A guest restarted under its NIC's old name is attached again, in
+    /// its dead incarnation's port: a frame for its MAC, learned before
+    /// the kill, reaches the new incarnation, which has sent nothing.
+    #[test]
+    fn a_restarted_nic_takes_over_its_dead_port() {
+        for backend in Backend::ALL {
+            let xs = Xenstore::new();
+            let tap = Tap::new(TAP_MAC);
+            let mut dom0 = DriverDomain::new(xs.clone());
+            dom0.add_tap(tap.clone());
+            let mut hv = Hypervisor::new();
+            let d0 = hv.create_domain("dom0", 512, Box::new(dom0));
+            let incarnation = |speaks: bool| {
+                let (front, mut nh) =
+                    backend.net(xs.clone(), "g", GUEST_MAC, CopyDiscipline::ZeroCopy);
+                let mut guest = UnikernelGuest::new(move |_env, rt| {
+                    rt.clone().spawn(async move {
+                        if speaks {
+                            let frame = eth_frame(TAP_MAC, GUEST_MAC, 64);
+                            nh.tx.send(mirage_cstruct::PktBuf::from_vec(frame)).unwrap();
+                        }
+                        nh.rx.recv().await.map_or(0, |f| f.len() as i64)
+                    })
+                });
+                guest.add_device(front);
+                Box::new(guest)
+            };
+            let gdom = hv.create_domain("guest", 64, incarnation(true));
+            hv.run_until(Time::ZERO + Dur::millis(100));
+            assert_eq!(tap.harvest().len(), 1, "[{backend}] learned");
+            hv.kill_domain(gdom);
+            hv.restart_domain(gdom, incarnation(false));
+            hv.run_until(Time::ZERO + Dur::millis(200));
+            tap.inject(eth_frame(GUEST_MAC, TAP_MAC, 100));
+            hv.wake_external(d0);
+            hv.run_until(Time::ZERO + Dur::secs(1));
+            assert_eq!(hv.exit_code(gdom), Some(100), "[{backend}] delivered");
+        }
     }
 
     #[test]

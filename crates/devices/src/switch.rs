@@ -8,8 +8,10 @@
 //! for its flow, so every flow lands on one queue — and one vCPU — and
 //! on the stack worker whose ephemeral ports `rss` also picked.
 //!
-//! A guest's frame goes from its TX page straight into the peer's RX page
-//! when nothing could tell that from queueing it (`Switch::forward`).
+//! Every frame takes one route (`Switch::route`) to a pair's out-queue
+//! and enters an RX page in one place (`fill`), at that pair's turn in the
+//! delivery loop: a guest's frame straight from its TX page if it goes in
+//! the pass it was sent in, else from a copy (DESIGN.md §13).
 //!
 //! Whatever a guest posts is hostile until checked: a TX request must be
 //! a device-readable buffer of `MIN_FRAME..=MAX_FRAME` bytes, an RX
@@ -20,6 +22,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 use mirage_testkit::wheel::TimerWheel;
@@ -111,19 +114,75 @@ fn admit(
     Ok((req, page))
 }
 
+/// Takes the next RX request of `rx` and fills its buffer with `frame` —
+/// the one place a frame enters a guest's page — staging the completion.
+/// `None`: no buffer is posted. `Some(false)`: the request was unfit for
+/// the frame and is completed failed and counted.
+fn fill(
+    env: &mut DomainEnv<'_>,
+    rx: &mut BackQueue,
+    mapped: &mut MapCache,
+    frame: &Frame,
+    counts: &mut DriverStats,
+) -> Option<bool> {
+    let len = frame.bytes(<[u8]>::len);
+    let fits = |d: &DataBuf| d.device_writes && d.len as usize >= len;
+    let taken = rx.take(env)?;
+    let (req, page) = match admit(env, mapped, taken, true, fits) {
+        Ok(admitted) => admitted,
+        Err(token) => {
+            rx.complete(env, token, 0, false);
+            counts.requests_rejected += 1;
+            return Some(false);
+        }
+    };
+    let at = req.data.range(len);
+    let put = |bytes: &[u8]| page.write(|b| b.get_mut(at).map(|w| w.copy_from_slice(bytes)));
+    match frame {
+        // A buffer on the page the frame is read from: read it out first.
+        Frame::Sent(tx, _) if tx.same_page(&page) => put(&frame.bytes(<[u8]>::to_vec)),
+        _ => frame.bytes(put),
+    };
+    // Outside any borrow: completing may write a status byte on the TX page.
+    rx.complete(env, req.token, len as u32, true);
+    Some(true)
+}
+
+/// A frame in the switch: the window of the TX page a guest sent it from,
+/// read in place until its pass ends, or a copy the switch holds.
+enum Frame {
+    Sent(SharedPage, Range<usize>),
+    Held(PktBuf),
+}
+
+impl Frame {
+    /// Runs `f` over the frame's bytes (a window the transport bounded).
+    fn bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        match self {
+            Frame::Sent(page, at) => page.read(|b| f(b.get(at.clone()).unwrap_or_default())),
+            Frame::Held(buf) => f(buf),
+        }
+    }
+
+    /// The frame as a copy the switch holds: reading a window out of the
+    /// granted page models the NIC's DMA; then the frame goes by reference.
+    fn hold(self) -> PktBuf {
+        match self {
+            Frame::Held(buf) => buf,
+            sent => PktBuf::from_vec(sent.bytes(<[u8]>::to_vec)),
+        }
+    }
+}
+
 /// One TX/RX queue pair of a port, with its event channel and the frames
-/// already classified to it.
+/// waiting for its RX buffers.
 struct QueuePair {
     port: Port,
     tx: BackQueue,
     rx: BackQueue,
     /// Whether this pass takes from the TX queue.
     gate: Gate,
-    out_queue: VecDeque<PktBuf>,
-    /// An RX request the direct path could not use, for the delivery loop.
-    held: Option<Result<Request, u32>>,
-    /// The direct path filled an RX buffer this pass (for `rx_starved`).
-    filled: bool,
+    out_queue: VecDeque<Frame>,
 }
 
 /// A guest NIC's attachment to the switch.
@@ -137,6 +196,26 @@ struct SwitchPort {
     /// lets tail drops be attributed to a dead/stalled guest rather than
     /// ordinary congestion.
     rx_starved: bool,
+}
+
+impl SwitchPort {
+    /// Queues `frame` at the pair its flow hashes to, tail-dropping when
+    /// that output queue is full.
+    fn deliver(&mut self, frame: Frame, counts: &mut DriverStats) {
+        let q = frame.bytes(|b| crate::rss::rx_queue(b, self.queues.len()));
+        let Some(pair) = self.queues.get_mut(q) else {
+            return;
+        };
+        if pair.out_queue.len() >= OUT_QUEUE_CAP {
+            if self.rx_starved {
+                counts.frames_dropped_no_rx_buffer += 1;
+            } else {
+                counts.frames_dropped_congestion += 1;
+            }
+            return;
+        }
+        pair.out_queue.push_back(frame);
+    }
 }
 
 /// Network fabric parameters.
@@ -188,8 +267,8 @@ pub(crate) struct Switch {
     /// `None` for a tap, by release time: ties leave in the order the
     /// conditioner saw them, keeping runs deterministic.
     delayed: TimerWheel<(Option<usize>, PktBuf)>,
-    /// Guest frames of this pass for the conditioner; kept across passes.
-    routed: Vec<(usize, PktBuf)>,
+    /// This pass's guest frames by ingress port; kept across passes.
+    sent: Vec<(usize, Frame)>,
 }
 
 impl Switch {
@@ -201,12 +280,14 @@ impl Switch {
             taps: Vec::new(),
             netem: None,
             delayed: TimerWheel::new(),
-            routed: Vec::new(),
+            sent: Vec::new(),
         }
     }
 
-    /// Plugs in a freshly attached NIC: one queue pair per event port.
-    pub(crate) fn add_port(&mut self, pairs: NicQueues) {
+    /// Plugs in a freshly attached NIC, one queue pair per event port, in
+    /// place of port `replacing` (the dead port of a restarted frontend,
+    /// whose MAC table entries stay) or as a new port. Returns its index.
+    pub(crate) fn add_port(&mut self, pairs: NicQueues, replacing: Option<usize>) -> usize {
         let queues = pairs
             .into_iter()
             .map(|(port, tx, rx)| QueuePair {
@@ -215,16 +296,21 @@ impl Switch {
                 rx,
                 gate: Gate::default(),
                 out_queue: VecDeque::new(),
-                held: None,
-                filled: false,
             })
             .collect();
-        self.ports.push(SwitchPort {
+        let port = SwitchPort {
             queues,
             mapped: MapCache::new(),
-            macs: 0,
+            macs: replacing
+                .and_then(|idx| self.ports.get(idx))
+                .map_or(0, |p| p.macs),
             rx_starved: false,
-        });
+        };
+        match replacing.and_then(|idx| self.ports.get_mut(idx)) {
+            Some(dead) => *dead = port,
+            None => self.ports.push(port),
+        }
+        replacing.unwrap_or(self.ports.len() - 1)
     }
 
     /// Re-arms the TX queues this pass took from before the driver domain
@@ -247,144 +333,63 @@ impl Switch {
         self.delayed.next_deadline().map(Time::from_nanos)
     }
 
-    /// Route `frame` from port `src` (`None`: a tap — no MAC learning, no
-    /// flood self-exclusion) to its destination queue(s). Multi-port
-    /// delivery (taps, floods) clones the `PktBuf` — a refcount bump,
-    /// never a byte copy.
-    fn route(&mut self, src: Option<usize>, frame: PktBuf, counts: &mut DriverStats) {
-        if frame.len() < MIN_FRAME {
-            return;
-        }
-        let dst: [u8; 6] = frame[0..6].try_into().expect("checked length");
-        if let Some(port) = src {
-            self.learn(&frame, port);
+    /// Routes `frame` from port `src` (`None`: a tap — no MAC learning, no
+    /// flood self-exclusion) to the taps with its destination MAC (all on
+    /// broadcast) and to the port that MAC was learned behind, else to every
+    /// other port. A frame for several is held once: a refcount per copy.
+    fn route(&mut self, src: Option<usize>, frame: Frame, counts: &mut DriverStats) {
+        let macs = frame.bytes(|b| {
+            let (dst, rest) = b.get(..MIN_FRAME)?.split_first_chunk::<6>()?;
+            Some((*dst, *rest.first_chunk::<6>()?))
+        });
+        let Some((dst, source)) = macs else { return };
+        // Learn where the source lives, new or moved from another port,
+        // while its port has fewer than MACS_PER_PORT.
+        if let Some(port) = src.filter(|&p| self.mac_table.get(&source) != Some(&p)) {
+            if let Some(at) = self.ports.get_mut(port).filter(|p| p.macs < MACS_PER_PORT) {
+                at.macs += 1;
+                let old = self.mac_table.insert(source, port);
+                if let Some(old) = old.and_then(|old| self.ports.get_mut(old)) {
+                    old.macs -= 1;
+                }
+            }
         }
         counts.frames_switched += 1;
 
-        // Tap delivery by exact MAC or broadcast.
-        let mut tap_hit = false;
+        let broadcast = dst == MAC_BROADCAST;
+        let tapped = self.taps.iter().any(|t| broadcast || t.mac() == dst);
+        let to = self.mac_table.get(&dst).copied().filter(|_| !broadcast);
+        if let (Some(port), false) = (to.and_then(|p| self.ports.get_mut(p)), tapped) {
+            return port.deliver(frame, counts);
+        }
+        let frame = frame.hold();
         for tap in &self.taps {
             let mut inner = tap.inner.borrow_mut();
-            if inner.mac == dst || dst == MAC_BROADCAST {
+            if broadcast || inner.mac == dst {
                 inner.from_switch.push_back(frame.clone());
-                tap_hit = true;
             }
         }
-
-        match self.mac_table.get(&dst) {
-            Some(&port) if dst != MAC_BROADCAST => {
-                self.deliver(port, frame, counts);
-            }
-            _ => {
-                if tap_hit && dst != MAC_BROADCAST {
-                    return;
-                }
-                // Flood to every other port.
-                for idx in 0..self.ports.len() {
-                    if Some(idx) != src {
-                        self.deliver(idx, frame.clone(), counts);
-                    }
-                }
+        // To its port, or flooded to every other one unless a tap took it.
+        let flood = broadcast || !tapped;
+        for (idx, port) in self.ports.iter_mut().enumerate() {
+            if to.map_or(flood && Some(idx) != src, |p| p == idx) {
+                port.deliver(Frame::Held(frame.clone()), counts);
             }
         }
-    }
-
-    /// Learns that `frame`'s source MAC lives behind `port`, new or moved
-    /// from another port, while `port` has fewer than [`MACS_PER_PORT`].
-    fn learn(&mut self, frame: &[u8], port: usize) {
-        let mac: [u8; 6] = frame[6..12].try_into().expect("checked length");
-        if self.mac_table.get(&mac) != Some(&port) && self.ports[port].macs < MACS_PER_PORT {
-            self.ports[port].macs += 1;
-            if let Some(old) = self.mac_table.insert(mac, port) {
-                self.ports[old].macs -= 1;
-            }
-        }
-    }
-
-    /// The direct path: copies the frame in `range` of port `src`'s TX page
-    /// `tx` into its destination's next RX buffer, or returns `false` to
-    /// have it queued (DESIGN.md §13 lists when). An RX request taken and
-    /// found wanting is held for the delivery loop. Only the copy runs
-    /// under `tx`'s borrow, as an RX request may name `tx` too.
-    fn forward(
-        &mut self,
-        env: &mut DomainEnv<'_>,
-        src: usize,
-        tx: &SharedPage,
-        range: std::ops::Range<usize>,
-        counts: &mut DriverStats,
-    ) -> bool {
-        if self.netem.is_some() {
-            return false;
-        }
-        let dest = tx.read(|b| {
-            let frame = &b[range.clone()];
-            self.learn(frame, src);
-            let dst: [u8; 6] = frame[..6].try_into().expect("checked length");
-            let unicast = dst != MAC_BROADCAST && !self.taps.iter().any(|t| t.mac() == dst);
-            let to = *self.mac_table.get(&dst).filter(|_| unicast)?;
-            Some((to, crate::rss::rx_queue(frame, self.ports[to].queues.len())))
-        });
-        let Some((to, q)) = dest else {
-            return false;
-        };
-        let port = &mut self.ports[to];
-        let pair = &mut port.queues[q];
-        let idle = pair.out_queue.is_empty() && pair.held.is_none();
-        let Some(taken) = idle.then(|| pair.rx.take(env)).flatten() else {
-            return false;
-        };
-        let len = range.len();
-        let rx = match &taken {
-            Ok(req) if req.data.device_writes && req.data.len as usize >= len => port
-                .mapped
-                .get(&req.data.gref)
-                .filter(|(rx, writable)| *writable && !rx.same_page(tx)),
-            _ => None,
-        };
-        let (Some((rx, _)), Ok(req)) = (rx, &taken) else {
-            pair.held = Some(taken);
-            return false;
-        };
-        tx.read(|b| rx.write(|r| r[req.data.range(len)].copy_from_slice(&b[range])));
-        pair.rx.complete(env, req.token, len as u32, true);
-        pair.filled = true;
-        counts.frames_switched += 1;
-        true
-    }
-
-    /// Queues `frame` at the pair of port `idx` its flow hashes to,
-    /// tail-dropping when that output queue is full.
-    fn deliver(&mut self, idx: usize, frame: PktBuf, counts: &mut DriverStats) {
-        let port = &mut self.ports[idx];
-        let pair = crate::rss::rx_queue(&frame, port.queues.len());
-        let queue = &mut port.queues[pair].out_queue;
-        if queue.len() >= OUT_QUEUE_CAP {
-            if port.rx_starved {
-                counts.frames_dropped_no_rx_buffer += 1;
-            } else {
-                counts.frames_dropped_congestion += 1;
-            }
-            return;
-        }
-        queue.push_back(frame);
     }
 
     /// Offer a frame to the link conditioner (if any) before switching it.
     /// Conditioned frames may be dropped, duplicated, corrupted or held in
     /// the delay queue until their release time. No port could ever
     /// receive a frame over [`MAX_FRAME`], so those stop here.
-    fn offer(&mut self, now: Time, src: Option<usize>, frame: PktBuf, counts: &mut DriverStats) {
-        if frame.len() > MAX_FRAME {
+    fn offer(&mut self, now: Time, src: Option<usize>, frame: Frame, counts: &mut DriverStats) {
+        if frame.bytes(<[u8]>::len) > MAX_FRAME {
             counts.frames_dropped_oversize += 1;
             return;
         }
         let outs = match self.netem.as_mut() {
-            None => {
-                self.route(src, frame, counts);
-                return;
-            }
-            Some(nm) => nm.apply(now, frame),
+            None => return self.route(src, frame, counts),
+            Some(nm) => nm.apply(now, frame.hold()),
         };
         if outs.is_empty() {
             counts.frames_dropped_netem += 1;
@@ -392,7 +397,7 @@ impl Switch {
         }
         for (release_at, frame) in outs {
             if release_at <= now {
-                self.route(src, frame, counts);
+                self.route(src, Frame::Held(frame), counts);
             } else {
                 self.delayed.insert(release_at.as_nanos(), (src, frame));
             }
@@ -411,32 +416,25 @@ impl Switch {
             .advance(env.now().as_nanos(), |_, held| released.push(held));
         let mut progressed = !released.is_empty();
         for (src, frame) in released {
-            self.route(src, frame, counts);
+            self.route(src, Frame::Held(frame), counts);
         }
         // Ingest frames from guests. On a multi-vCPU driver domain each
         // NIC's wire serialisation is charged on its own lane (a
         // multi-queue switch port), so two saturated ports don't
         // serialise behind one core; a 1-vCPU dom0 behaves as before.
         let entry_lane = env.current_vcpu();
-        for idx in 0..self.ports.len() {
-            let lane = idx % env.vcpus();
-            env.on_vcpu(lane);
-            for q in 0..self.ports[idx].queues.len() {
-                let pair = &mut self.ports[idx].queues[q];
+        let sendable =
+            |d: &DataBuf| !d.device_writes && (MIN_FRAME..=MAX_FRAME).contains(&(d.len as usize));
+        for (idx, port) in self.ports.iter_mut().enumerate() {
+            env.on_vcpu(idx % env.vcpus());
+            for pair in &mut port.queues {
                 let fired = pair.gate.open(env, pair.port);
-                while let Some(taken) = fired
-                    .then(|| self.ports[idx].queues[q].tx.take(env))
-                    .flatten()
-                {
+                while let Some(taken) = fired.then(|| pair.tx.take(env)).flatten() {
                     progressed = true;
-                    let sendable = |d: &DataBuf| {
-                        !d.device_writes && (MIN_FRAME..=MAX_FRAME).contains(&(d.len as usize))
-                    };
-                    let port = &mut self.ports[idx];
                     let (req, page) = match admit(env, &mut port.mapped, taken, false, sendable) {
                         Ok(admitted) => admitted,
                         Err(token) => {
-                            port.queues[q].tx.complete(env, token, 0, false);
+                            pair.tx.complete(env, token, 0, false);
                             counts.requests_rejected += 1;
                             continue;
                         }
@@ -444,50 +442,34 @@ impl Switch {
                     // Wire serialisation time for this NIC.
                     let len = req.data.len as usize;
                     env.consume(self.profile.wire_time(len));
-                    // RX work is charged where the delivery loop is.
-                    env.on_vcpu(entry_lane);
-                    let direct = self.forward(env, idx, &page, req.data.range(len), counts);
-                    env.on_vcpu(lane);
-                    if !direct {
-                        // Reading the granted page models the NIC's DMA;
-                        // once off the wire the frame travels through the
-                        // switch by reference.
-                        let frame =
-                            PktBuf::from_vec(page.read(|b| b[req.data.range(len)].to_vec()));
-                        // Only a conditioner reads the clock, after ingest.
-                        match self.netem {
-                            Some(_) => self.routed.push((idx, frame)),
-                            None => self.route(Some(idx), frame, counts),
-                        }
-                    }
-                    let pair = &mut self.ports[idx].queues[q];
+                    // The guest reuses the page only after this step.
+                    self.sent
+                        .push((idx, Frame::Sent(page, req.data.range(len))));
                     pair.tx.complete(env, req.token, 0, true);
                 }
-                let pair = &mut self.ports[idx].queues[q];
                 if pair.tx.publish() {
                     let _ = env.evtchn_notify(pair.port);
                 }
             }
         }
+        // Only a conditioner reads the clock, the entry lane's, after ingest.
         env.on_vcpu(entry_lane);
-        let mut routed = std::mem::take(&mut self.routed);
-        for (src, frame) in routed.drain(..) {
-            let now = env.now();
-            self.offer(now, Some(src), frame, counts);
+        let mut sent = std::mem::take(&mut self.sent);
+        for (src, frame) in sent.drain(..) {
+            self.offer(env.now(), Some(src), frame, counts);
         }
-        self.routed = routed;
+        self.sent = sent;
         // Ingest frames from taps.
         for t in 0..self.taps.len() {
-            loop {
-                let frame = self.taps[t].inner.borrow_mut().to_switch.pop_front();
-                let Some(frame) = frame else { break };
+            let next = |taps: &[Tap]| taps.get(t)?.inner.borrow_mut().to_switch.pop_front();
+            while let Some(frame) = next(&self.taps) {
                 env.consume(self.profile.wire_time(frame.len()));
-                let now = env.now();
-                self.offer(now, None, frame, counts);
+                self.offer(env.now(), None, Frame::Held(frame), counts);
                 progressed = true;
             }
         }
-        // Deliver queued frames into posted RX buffers.
+        // Deliver waiting frames into posted RX buffers, each pair at its
+        // turn, where its RX work (a fresh page's `grant_map`) is charged.
         for SwitchPort {
             queues,
             mapped,
@@ -496,29 +478,23 @@ impl Switch {
         } in &mut self.ports
         {
             for pair in queues {
-                *rx_starved &= !std::mem::take(&mut pair.filled);
                 while let Some(frame) = pair.out_queue.front() {
-                    let Some(taken) = pair.held.take().or_else(|| pair.rx.take(env)) else {
+                    let Some(filled) = fill(env, &mut pair.rx, mapped, frame, counts) else {
                         *rx_starved = true;
                         break;
                     };
                     *rx_starved = false;
                     progressed = true;
-                    let flen = frame.len();
-                    let fits = |d: &DataBuf| d.device_writes && d.len as usize >= flen;
-                    let (req, page) = match admit(env, mapped, taken, true, fits) {
-                        Ok(admitted) => admitted,
-                        Err(token) => {
-                            // Not a buffer this frame can go in: hand it
-                            // back empty and keep the frame queued.
-                            pair.rx.complete(env, token, 0, false);
-                            counts.requests_rejected += 1;
-                            continue;
-                        }
-                    };
-                    let frame = pair.out_queue.pop_front().expect("peeked");
-                    page.write(|b| b[req.data.range(flen)].copy_from_slice(&frame));
-                    pair.rx.complete(env, req.token, flen as u32, true);
+                    if filled {
+                        pair.out_queue.pop_front();
+                    }
+                }
+                // A frame left waiting leaves its TX page, which the guest
+                // may reuse once this step ends.
+                for frame in &mut pair.out_queue {
+                    if let Frame::Sent(..) = frame {
+                        *frame = Frame::Held(PktBuf::from_vec(frame.bytes(<[u8]>::to_vec)));
+                    }
                 }
                 if pair.rx.publish() {
                     let _ = env.evtchn_notify(pair.port);

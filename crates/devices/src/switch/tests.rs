@@ -1,7 +1,8 @@
 //! Tests of the switch: the conditioner's release order, the MAC table's
-//! per-port cap, and the direct path's RX buffers — a bad one is rejected
-//! once, a fresh one is mapped where the queued path maps it, and a
-//! status byte on the sending page is written after the send. Beside
+//! per-port cap, and the RX buffers a frame meets in place — a bad one is
+//! rejected once, a fresh one is mapped on the queued path's lane, a
+//! status byte on the sending page is written after the send, and a
+//! buffer on the sending page itself takes the frame intact. Beside
 //! them, dom0's map caches keep the rights a page was mapped with: a page
 //! granted read-only is never written, as an RX buffer or by a virtio
 //! disk read.
@@ -38,7 +39,7 @@ impl Guest for Offers {
                 let mut frame = vec![tag; 64];
                 frame[..6].copy_from_slice(&TAP_MAC);
                 let frame = PktBuf::from_vec(frame);
-                self.sw.offer(env.now(), None, frame, counts);
+                self.sw.offer(env.now(), None, Frame::Held(frame), counts);
             }
         }
         self.sw.service(env, counts);
@@ -91,15 +92,15 @@ fn the_mac_table_stops_growing_at_its_cap() {
             PktBuf::from_vec(frame)
         };
         for n in 0..10_000 {
-            sw.route(Some(0), from(n), counts);
+            sw.route(Some(0), Frame::Held(from(n)), counts);
         }
         assert_eq!(counts.frames_switched, 10_000);
         assert_eq!(sw.mac_table.len(), MACS_PER_PORT);
-        sw.route(Some(1), from(20_000), counts);
+        sw.route(Some(1), Frame::Held(from(20_000)), counts);
         assert_eq!(sw.mac_table.get(&mac(20_000)), Some(&1), "port 1 learns");
-        sw.route(Some(0), from(20_000), counts);
+        sw.route(Some(0), Frame::Held(from(20_000)), counts);
         assert_eq!(sw.mac_table.get(&mac(20_000)), Some(&1), "port 0 is full");
-        sw.route(Some(1), from(0), counts);
+        sw.route(Some(1), Frame::Held(from(0)), counts);
         assert_eq!(sw.mac_table.get(&mac(0)), Some(&1), "moved");
         assert_eq!(sw.mac_table.len(), MACS_PER_PORT + 1);
         assert_eq!((sw.ports[0].macs, sw.ports[1].macs), (MACS_PER_PORT - 1, 2));
@@ -129,7 +130,7 @@ impl<F: FrontTransport> Nic<F> {
             base: format!("device/{}/{name}", F::NET_DIR),
         };
         let (tx, rx) = advertise_nic::<F>(env, &dir, env.domid(), 1).remove(0);
-        sw.add_port(attach_nic::<B>(env, &dir).expect("attached"));
+        sw.add_port(attach_nic::<B>(env, &dir).expect("attached"), None);
         Nic { tx, rx }
     }
 
@@ -422,7 +423,7 @@ fn hand_driven_nic(env: &mut DomainEnv<'_>, sw: &mut Switch) -> (VirtqFront, Spl
     };
     let (tx, _) = advertise_nic::<VirtqFront>(env, &dir, env.domid(), 1).remove(0);
     let rx = driver_queue(env, &dir, "q0/rx-");
-    sw.add_port(attach_nic::<VirtqBack>(env, &dir).expect("attached"));
+    sw.add_port(attach_nic::<VirtqBack>(env, &dir).expect("attached"), None);
     (tx, rx)
 }
 
@@ -493,4 +494,61 @@ fn a_status_byte_on_the_sending_page_is_written_after_the_send() {
     assert_eq!(*status, 0, "completed ok");
     assert_eq!(counts.frames_switched, 2);
     assert_eq!(direct, queued);
+}
+
+type SamePage = (Vec<u8>, Vec<(u32, u32)>, DriverStats, Time);
+
+/// A guest posts a page as its RX buffer at offset 1024, then sends the
+/// frame at the start of that same page to its own MAC. The switch cannot
+/// read that page while it writes it, so the frame is read out first.
+/// What the buffer holds, what the guest reaps, the counts, the clock and
+/// the grant maps.
+fn rx_buffer_on_the_tx_page<F: FrontTransport, B: BackTransport + 'static>(
+    netem: bool,
+) -> (SamePage, u64) {
+    let seen = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&seen);
+    let hv = in_domain(1, move |env| {
+        let mut sw = Switch::new(NetProfile::default());
+        if netem {
+            sw.netem = Some(Netem::from_seed(NetemConfig::default(), 1, "perfect"));
+        }
+        let counts = &mut DriverStats::default();
+        let mut a = Nic::<F>::attach::<B>(env, &mut sw, "a");
+        let mut frame = vec![0x5A; 64];
+        frame[..6].copy_from_slice(&MAC_A);
+        frame[6..12].copy_from_slice(&MAC_A);
+        let page = SharedPage::new();
+        page.write(|b| b[..64].copy_from_slice(&frame));
+        let from = env.grant(env.domid(), page.clone(), true);
+        a.repost(from.0, 1024, 2048, true);
+        a.tx.post(&[], DataBuf::page(from, 64, false));
+        a.tx.publish();
+        sw.service(env, counts);
+        let got = a.received().iter().map(|c| (c.token, c.len)).collect();
+        let bytes = page.read(|b| b[1024..1088].to_vec());
+        assert_eq!(bytes, frame, "[{}] intact", F::BACKEND);
+        *out.borrow_mut() = Some((bytes, got, *counts, env.now()));
+    });
+    let seen = seen.borrow_mut().take().expect("ran");
+    (seen, hv.stats().grant_maps)
+}
+
+#[test]
+fn an_rx_buffer_on_the_sending_page_takes_the_frame_intact() {
+    for (direct, queued) in [
+        (
+            rx_buffer_on_the_tx_page::<RingFront, RingBack>(false),
+            rx_buffer_on_the_tx_page::<RingFront, RingBack>(true),
+        ),
+        (
+            rx_buffer_on_the_tx_page::<VirtqFront, VirtqBack>(false),
+            rx_buffer_on_the_tx_page::<VirtqFront, VirtqBack>(true),
+        ),
+    ] {
+        let (_, got, counts, _) = &direct.0;
+        assert_eq!(got.iter().map(|&(_, len)| len).collect::<Vec<_>>(), [64]);
+        assert_eq!((counts.frames_switched, counts.requests_rejected), (1, 0));
+        assert_eq!(direct, queued);
+    }
 }

@@ -20,7 +20,8 @@ use mirage_hypervisor::{DomainEnv, DomainId};
 
 #[derive(Default)]
 struct Store {
-    map: HashMap<String, String>,
+    /// Each key's value and the version its last write made.
+    map: HashMap<String, (String, u64)>,
     watchers: Vec<DomainId>,
     version: u64,
 }
@@ -54,12 +55,8 @@ impl Xenstore {
 
     /// Writes `key = value` from guest context, waking all watchers.
     pub fn write(&self, env: &mut DomainEnv<'_>, key: &str, value: &str) {
-        let watchers = {
-            let mut st = self.inner.borrow_mut();
-            st.map.insert(key.to_owned(), value.to_owned());
-            st.version += 1;
-            st.watchers.clone()
-        };
+        self.write_host(key, value);
+        let watchers = self.inner.borrow().watchers.clone();
         env.consume(env.costs().hypercall); // the store ring round-trip
         for w in watchers {
             if w != env.domid() {
@@ -71,19 +68,26 @@ impl Xenstore {
     /// Reads a key from guest context.
     pub fn read(&self, env: &mut DomainEnv<'_>, key: &str) -> Option<String> {
         env.consume(env.costs().hypercall);
-        self.inner.borrow().map.get(key).cloned()
+        self.read_host(key)
     }
 
     /// Host-side read (experiment harnesses; no cost accounting).
     pub fn read_host(&self, key: &str) -> Option<String> {
-        self.inner.borrow().map.get(key).cloned()
+        Some(self.inner.borrow().map.get(key)?.0.clone())
+    }
+
+    /// The version `key`'s last write made. A watch event names the path
+    /// it fired for, so a watcher learns this without a read.
+    pub fn written_at(&self, key: &str) -> Option<u64> {
+        Some(self.inner.borrow().map.get(key)?.1)
     }
 
     /// Host-side write (no watch events — use for pre-seeding only).
     pub fn write_host(&self, key: &str, value: &str) {
         let mut st = self.inner.borrow_mut();
-        st.map.insert(key.to_owned(), value.to_owned());
         st.version += 1;
+        let version = st.version;
+        st.map.insert(key.to_owned(), (value.to_owned(), version));
     }
 
     /// All keys sharing `prefix`, sorted.

@@ -59,18 +59,6 @@ pub struct StackConfigBuilder {
 }
 
 impl StackConfigBuilder {
-    /// Subnet mask.
-    pub fn netmask(mut self, mask: Ipv4Addr) -> Self {
-        self.cfg.netmask = mask;
-        self
-    }
-
-    /// Default gateway.
-    pub fn gateway(mut self, gw: Ipv4Addr) -> Self {
-        self.cfg.gateway = Some(gw);
-        self
-    }
-
     /// TCP tuning (build it with [`TcpConfig::builder`]).
     pub fn tcp(mut self, tcp: TcpConfig) -> Self {
         self.cfg.tcp = tcp;

@@ -202,6 +202,15 @@ exactly crates/storage/src 0 "a kernel page cache in the Mirage storage library"
 exactly crates/devices/src 0 "a map cache that forgets its rights" 'HashMap<u32, SharedPage>'
 echo "   ok"
 
+echo "== gate: the switch decides a frame's way once and fills an RX buffer in one place"
+# Every frame takes Switch::route and enters a guest's RX page through
+# switch.rs's `fill`, straight from the TX page or from the copy the
+# switch holds: no second forwarding path, no RX request held aside.
+exactly crates/devices/src 0 "a second forwarding path or a held RX request" \
+    'fn forward\b|\bheld: '
+exactly crates/devices/src/switch.rs 1 "a frame written into an RX page" '\.write\(\|'
+echo "   ok"
+
 echo "== gate: the line counter sees every non-test line"
 # non_test_lines stops at a file's first column-0 #[cfg(test)], so an
 # out-of-line test module must be declared as the last item of its file.

@@ -765,7 +765,7 @@ fn killed_server_domain_restarts_and_the_client_recovers() {
     hv.run_until(Time::ZERO + Dur::millis(12));
 
     // Restart the domain in place with a fresh incarnation.
-    hv.restart_domain(srv_dom, Box::new(server_guest(xs.clone(), "srv2", true)));
+    hv.restart_domain(srv_dom, Box::new(server_guest(xs.clone(), "srv", true)));
     hv.run_until(Time::ZERO + Dur::secs(60));
 
     assert_eq!(
