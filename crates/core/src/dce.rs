@@ -93,24 +93,21 @@ impl LinkSet {
     pub fn total_loc(&self) -> u64 {
         self.retained.iter().map(|l| l.loc as u64).sum()
     }
-
-    /// The soundness audit of §2.3.1: "the module dependency graph can be
-    /// easily statically verified to only contain the desired services".
-    /// Returns libraries in the set that are *not* reachable from the
-    /// roots (must be empty) — and the closure property is checked by
-    /// construction in tests.
-    pub fn unreachable_from(&self, roots: &[Library]) -> Vec<Library> {
-        let closure = LinkSet::close(roots);
-        self.libraries()
-            .filter(|l| !closure.contains(*l))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mirage_testkit::prop::{collection};
+
+    /// The soundness audit of §2.3.1: "the module dependency graph can be
+    /// easily statically verified to only contain the desired services".
+    /// Returns the libraries in `set` that are *not* reachable from the
+    /// roots (must be empty).
+    fn unreachable_from(set: &LinkSet, roots: &[Library]) -> Vec<Library> {
+        let closure = LinkSet::close(roots);
+        set.libraries().filter(|l| !closure.contains(*l)).collect()
+    }
 
     #[test]
     fn closure_includes_roots_deps_and_base() {
@@ -179,7 +176,7 @@ mod tests {
     fn audit_finds_no_strays_in_own_closure() {
         let roots = [Library::APP_HTTP];
         let set = LinkSet::close(&roots);
-        assert!(set.unreachable_from(&roots).is_empty());
+        assert!(unreachable_from(&set, &roots).is_empty());
     }
 
     mirage_testkit::property! {
@@ -199,7 +196,7 @@ mod tests {
                 }
             }
             // Minimal: auditing against its own roots finds nothing.
-            assert!(set.unreachable_from(&roots).is_empty());
+            assert!(unreachable_from(&set, &roots).is_empty());
             // Monotone: adding a root never shrinks the closure.
             let mut bigger_roots = roots.clone();
             bigger_roots.push(Library::APP_SSH);

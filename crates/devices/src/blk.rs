@@ -12,13 +12,12 @@
 //! [`DiskProfile`]; the default profile models the paper's "fast
 //! PCI-express SSD storage device" from Figure 9.
 
-use std::collections::HashMap;
-
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId, Dur};
 use mirage_runtime::channel::{self, Receiver, Sender};
 use mirage_runtime::{DeviceService, Runtime};
+use mirage_testkit::hash::DetHashMap;
 
 use crate::driver::{Backend, BlkDriver};
 use crate::transport::{
@@ -64,18 +63,13 @@ impl DiskProfile {
         let transfer_ns = (bytes as u64 * 8).saturating_mul(1_000_000_000) / Self::BANDWIDTH_BPS;
         Dur::nanos(transfer_ns)
     }
-
-    /// End-to-end service time for one isolated request of `bytes`.
-    pub fn service_time(bytes: usize) -> Dur {
-        Self::LATENCY + Self::transfer_time(bytes)
-    }
 }
 
 /// Sparse sector contents: a sector never written reads as zeroes. The
 /// one store behind [`SimulatedDisk`] and `storage::block::MemDisk`; each
 /// applies its own bounds policy before it gets here.
 #[derive(Debug, Default)]
-pub struct SectorStore(HashMap<u64, Box<[u8; SECTOR_SIZE]>>);
+pub struct SectorStore(DetHashMap<u64, Box<[u8; SECTOR_SIZE]>>);
 
 impl SectorStore {
     fn sector(&self, sector: u64) -> &[u8; SECTOR_SIZE] {
@@ -163,11 +157,6 @@ impl SimulatedDisk {
         let count = (data.len() / SECTOR_SIZE) as u64;
         assert!(sector + count <= self.sectors, "write past end");
         self.data.write(sector, data);
-    }
-
-    /// Sectors that have ever been written (sparse occupancy).
-    pub fn written_sectors(&self) -> usize {
-        self.data.0.len()
     }
 }
 
@@ -444,7 +433,7 @@ mod tests {
             [0u8; SECTOR_SIZE],
             "unwritten is zero"
         );
-        assert_eq!(disk.written_sectors(), 2);
+        assert_eq!(disk.data.0.len(), 2, "sparse: two sectors stored");
     }
 
     #[test]
@@ -456,8 +445,10 @@ mod tests {
 
     #[test]
     fn service_time_saturates_at_bandwidth() {
-        let small = DiskProfile::service_time(1024);
-        let large = DiskProfile::service_time(4 * 1024 * 1024);
+        // End-to-end service time for one isolated request of `bytes`.
+        let service_time = |bytes| DiskProfile::LATENCY + DiskProfile::transfer_time(bytes);
+        let small = service_time(1024);
+        let large = service_time(4 * 1024 * 1024);
         let bandwidth = DiskProfile::BANDWIDTH_BPS as f64;
         // Small requests are latency-dominated; large, bandwidth-dominated.
         assert!(small < Dur::micros(25));

@@ -54,7 +54,7 @@ impl BlkBackend {
             port,
             queue,
             gate: Gate::default(),
-            mapped: MapCache::new(),
+            mapped: MapCache::default(),
             disk: SimulatedDisk::new(profile, sectors),
             busy_until: Time::ZERO,
             pending: TimerWheel::new(),

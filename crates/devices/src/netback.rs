@@ -15,9 +15,9 @@
 //! flow through the same forwarding, link conditioning, fault injection
 //! and timing paths, so a differential run only varies the transport.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use mirage_testkit::hash::DetHashMap;
 use mirage_testkit::rng::Rng;
 use mirage_testkit::sync::Mutex;
 
@@ -70,7 +70,7 @@ pub struct DriverDomain {
     blks: Vec<BlkBackend>,
     /// Every frontend attached, by xenstore base: the store version of
     /// the scan that attached it and its switch port or block backend.
-    seen: HashMap<String, (u64, usize)>,
+    seen: DetHashMap<String, (u64, usize)>,
     /// The store version as of a scan that met no frontend still to
     /// attach: until a write moves it, a rescan would find — and charge —
     /// nothing, so it is skipped.
@@ -101,7 +101,7 @@ impl DriverDomain {
             disk_profile,
             switch: Switch::new(net_profile),
             blks: Vec::new(),
-            seen: HashMap::new(),
+            seen: DetHashMap::default(),
             settled_at: None,
             counts: DriverStats::default(),
             stats: Arc::default(),

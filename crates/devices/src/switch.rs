@@ -21,10 +21,11 @@
 //! indexes a page by a guest-supplied length it has not bounded.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::rc::Rc;
 
+use mirage_testkit::hash::DetHashMap;
 use mirage_testkit::wheel::TimerWheel;
 
 use mirage_cstruct::PktBuf;
@@ -36,6 +37,7 @@ use crate::netback::DriverStats;
 use crate::netem::Netem;
 use crate::netfront::{MAX_FRAME, MIN_FRAME};
 use crate::transport::{map_cached, BackQueue, DataBuf, Gate, MapCache, NicQueues, Request};
+use crate::virtio::QUEUE_SIZE;
 
 /// Broadcast MAC.
 pub const MAC_BROADCAST: [u8; 6] = [0xFF; 6];
@@ -259,7 +261,7 @@ impl NetProfile {
 pub(crate) struct Switch {
     profile: NetProfile,
     ports: Vec<SwitchPort>,
-    mac_table: HashMap<[u8; 6], usize>,
+    mac_table: DetHashMap<[u8; 6], usize>,
     pub(crate) taps: Vec<Tap>,
     /// The link conditioner; `None` is a perfect wire.
     pub(crate) netem: Option<Netem>,
@@ -276,7 +278,7 @@ impl Switch {
         Switch {
             profile,
             ports: Vec::new(),
-            mac_table: HashMap::new(),
+            mac_table: DetHashMap::default(),
             taps: Vec::new(),
             netem: None,
             delayed: TimerWheel::new(),
@@ -300,7 +302,7 @@ impl Switch {
             .collect();
         let port = SwitchPort {
             queues,
-            mapped: MapCache::new(),
+            mapped: MapCache::default(),
             macs: replacing
                 .and_then(|idx| self.ports.get(idx))
                 .map_or(0, |p| p.macs),
@@ -310,6 +312,11 @@ impl Switch {
             Some(dead) => *dead = port,
             None => self.ports.push(port),
         }
+        // A pass takes at most a ring of frames from each TX queue, and
+        // `QUEUE_SIZE` bounds the rings of both ABIs: `sent` never grows
+        // once the guests run.
+        let queues: usize = self.ports.iter().map(|p| p.queues.len()).sum();
+        self.sent.reserve(queues * usize::from(QUEUE_SIZE));
         replacing.unwrap_or(self.ports.len() - 1)
     }
 

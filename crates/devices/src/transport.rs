@@ -42,12 +42,11 @@
 //! shape is wrong or whose buffer does not lie inside its page comes out
 //! of [`BackTransport::take`] as `Err(token)`, to be completed failed.
 
-use std::collections::HashMap;
-
 use mirage_hypervisor::event::Port;
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId};
 use mirage_ring::Slot;
+use mirage_testkit::hash::DetHashMap;
 
 use crate::driver::Backend;
 use crate::xenstore::Xenstore;
@@ -219,7 +218,7 @@ pub(crate) type NicQueues = Vec<(Port, BackQueue, BackQueue)>;
 // ------------------------------------------------------ shared plumbing
 
 /// Guest pages a backend keeps mapped, by grant ref, and whether writable.
-pub(crate) type MapCache = HashMap<u32, (SharedPage, bool)>;
+pub(crate) type MapCache = DetHashMap<u32, (SharedPage, bool)>;
 
 /// Maps `gref` once and remembers the mapping, as a backend keeps guest
 /// frames mapped across requests. A writable use of a read-only mapping

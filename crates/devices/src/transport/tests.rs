@@ -47,12 +47,12 @@ fn virtq_pair(
     let idle = (0..BUFFERS).map(|_| self_grant(env)).collect();
     let headers = headers.then(|| HeaderPages {
         idle,
-        busy: HashMap::new(),
+        busy: DetHashMap::default(),
     });
     let back = VirtqBack {
         q: DeviceQueue::attach(pages.clone()),
-        header_pages: HashMap::new(),
-        status: HashMap::new(),
+        header_pages: DetHashMap::default(),
+        status: DetHashMap::default(),
     };
     (
         VirtqFront {
@@ -79,7 +79,7 @@ struct Harness<F, B> {
     completing: Vec<Completion>,
     completed: VecDeque<Completion>,
     /// The buffer behind each outstanding token.
-    bufs: HashMap<u32, GrantRef>,
+    bufs: DetHashMap<u32, GrantRef>,
     /// Set when an `arm` found the queue quiet: the next post
     /// (completion) to be published must ask for a doorbell
     /// (interrupt), and until then none may.
@@ -214,7 +214,7 @@ fn contract<F: FrontTransport, B: BackTransport>(
         held: Vec::new(),
         completing: Vec::new(),
         completed: VecDeque::new(),
-        bufs: HashMap::new(),
+        bufs: DetHashMap::default(),
         back_armed: false,
         front_armed: false,
     };

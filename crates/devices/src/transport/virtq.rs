@@ -6,11 +6,10 @@
 //! Any other shape is malformed. The token is the chain head. A queue is
 //! three granted areas, advertised as `{prefix}desc|avail|used`.
 
-use std::collections::HashMap;
-
 use mirage_hypervisor::grant::{GrantRef, SharedPage};
 use mirage_hypervisor::{DomainEnv, DomainId, PAGE_SIZE};
 use mirage_ring::Slot;
+use mirage_testkit::hash::DetHashMap;
 
 use super::{
     map_cached, BackTransport, Completion, DataBuf, Dir, FrontTransport, Request, HEADER_MAX,
@@ -36,7 +35,7 @@ pub(crate) struct VirtqFront {
 pub(super) struct HeaderPages {
     pub(super) idle: Vec<(GrantRef, SharedPage)>,
     /// Pages out with the device, by chain head.
-    pub(super) busy: HashMap<u16, (GrantRef, SharedPage)>,
+    pub(super) busy: DetHashMap<u16, (GrantRef, SharedPage)>,
 }
 
 impl FrontTransport for VirtqFront {
@@ -134,7 +133,7 @@ impl FrontTransport for VirtqFront {
             .collect();
         self.headers = Some(HeaderPages {
             idle,
-            busy: HashMap::new(),
+            busy: DetHashMap::default(),
         });
     }
 }
@@ -145,7 +144,7 @@ pub(crate) struct VirtqBack {
     /// Header pages mapped so far.
     pub(super) header_pages: super::MapCache,
     /// Where each header-carrying chain in service wants its status byte.
-    pub(super) status: HashMap<u16, u64>,
+    pub(super) status: DetHashMap<u16, u64>,
 }
 
 impl BackTransport for VirtqBack {
@@ -220,8 +219,8 @@ impl BackTransport for VirtqBack {
         };
         Some(VirtqBack {
             q: DeviceQueue::attach(pages),
-            header_pages: HashMap::new(),
-            status: HashMap::new(),
+            header_pages: DetHashMap::default(),
+            status: DetHashMap::default(),
         })
     }
 }

@@ -13,15 +13,15 @@
 //! the host thread that steps their domains: it is shared, not locked.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use mirage_hypervisor::{DomainEnv, DomainId};
+use mirage_testkit::hash::DetHashMap;
 
 #[derive(Default)]
 struct Store {
     /// Each key's value and the version its last write made.
-    map: HashMap<String, (String, u64)>,
+    map: DetHashMap<String, (String, u64)>,
     watchers: Vec<DomainId>,
     version: u64,
 }

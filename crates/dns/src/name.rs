@@ -20,8 +20,10 @@
 //! encoding a name clones nothing and allocates nothing per label.
 
 use std::cmp::Ordering;
-use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
+use std::collections::{btree_map, hash_map, BTreeMap};
 use std::fmt;
+
+use mirage_testkit::hash::DetHashMap;
 
 /// Maximum encoded name length (RFC 1035 §2.3.4).
 pub const MAX_NAME_LEN: usize = 255;
@@ -361,7 +363,7 @@ impl Ord for SizeFirstKey<'_> {
 #[derive(Debug)]
 pub enum CompressionTable<'a> {
     /// The paper's initial "naive mutable hashtable".
-    Hash(HashMap<&'a [u8], u16>),
+    Hash(DetHashMap<&'a [u8], u16>),
     /// The replacement: an ordered map with the size-first comparator.
     SizeOrderedMap(BTreeMap<SizeFirstKey<'a>, u16>),
 }
@@ -369,7 +371,7 @@ pub enum CompressionTable<'a> {
 impl<'a> CompressionTable<'a> {
     /// A hashtable-backed table.
     pub fn hash() -> CompressionTable<'a> {
-        CompressionTable::Hash(HashMap::new())
+        CompressionTable::Hash(DetHashMap::default())
     }
 
     /// The size-first ordered-map table (default).

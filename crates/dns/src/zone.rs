@@ -7,8 +7,9 @@
 //! server answers from. [`Zone::synthesize`] generates the parameterised
 //! zones the Figure 10 `queryperf` benchmark sweeps over.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+use mirage_testkit::hash::DetHashMap;
 
 use crate::name::{DnsName, NameError};
 use crate::wire::{RData, RType, Record};
@@ -51,7 +52,7 @@ impl From<NameError> for ZoneError {
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: DnsName,
-    records: HashMap<DnsName, Vec<Record>>,
+    records: DetHashMap<DnsName, Vec<Record>>,
     record_count: usize,
 }
 
@@ -65,7 +66,7 @@ impl Zone {
     pub fn parse(text: &str) -> Result<Zone, ZoneError> {
         let mut origin = DnsName::root();
         let mut default_ttl = 300u32;
-        let mut records: HashMap<DnsName, Vec<Record>> = HashMap::new();
+        let mut records: DetHashMap<DnsName, Vec<Record>> = DetHashMap::default();
         let mut record_count = 0usize;
         let mut last_name: Option<DnsName> = None;
         let mut has_soa = false;

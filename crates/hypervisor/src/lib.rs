@@ -618,11 +618,6 @@ impl Hypervisor {
         dom
     }
 
-    /// Number of vCPUs `dom` was created with.
-    pub fn domain_vcpus(&self, dom: DomainId) -> usize {
-        self.slots[dom.index()].vcpus
-    }
-
     /// Forces a blocked domain runnable (external interrupt injection for
     /// harnesses).
     pub fn wake_external(&mut self, dom: DomainId) {
@@ -677,11 +672,6 @@ impl Hypervisor {
             SchedState::Exited(code) => Some(code),
             _ => None,
         }
-    }
-
-    /// Name a domain was created with.
-    pub fn domain_name(&self, dom: DomainId) -> &str {
-        &self.slots[dom.index()].name
     }
 
     /// Console contents of `dom`.
@@ -923,7 +913,7 @@ mod tests {
         assert_eq!(hv.exit_code(d), None, "runnable again");
         assert_eq!(hv.run(), RunOutcome::AllExited);
         assert_eq!(hv.exit_code(d), Some(7));
-        assert_eq!(hv.domain_name(d), "victim", "identity preserved");
+        assert_eq!(hv.slots[d.index()].name, "victim", "identity preserved");
         hv.kill_domain(d);
         assert_eq!(hv.exit_code(d), Some(7), "killing an exited domain is a no-op");
     }
@@ -1024,7 +1014,7 @@ mod tests {
 
         let mut hv2 = Hypervisor::with_pcpus(2);
         let d = hv2.create_domain_vcpus("smp", 64, Box::new(Smp), 4);
-        assert_eq!(hv2.domain_vcpus(d), 4);
+        assert_eq!(hv2.slots[d.index()].vcpus, 4);
         hv2.run();
         // The slot itself still finishes at max-lane time; only *further*
         // work contends with the stacked pcpus.

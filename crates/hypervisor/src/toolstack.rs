@@ -57,13 +57,6 @@ pub struct Built {
     pub constructed: Time,
 }
 
-impl Built {
-    /// Construction latency.
-    pub fn build_time(&self) -> crate::Dur {
-        self.constructed.since(self.requested)
-    }
-}
-
 /// The toolstack: builds domains on a hypervisor with modelled latency.
 #[derive(Debug, Clone, Copy)]
 pub struct Toolstack {
@@ -123,6 +116,11 @@ mod tests {
     use super::*;
     use crate::{DomainEnv, Dur, Step};
 
+    /// Construction latency.
+    fn build_time(b: &Built) -> Dur {
+        b.constructed.since(b.requested)
+    }
+
     struct Nop;
     impl Guest for Nop {
         fn step(&mut self, _env: &mut DomainEnv<'_>) -> Step {
@@ -142,7 +140,7 @@ mod tests {
         let ts = Toolstack::new(BuildMode::Parallel);
         let small = ts.build_one(&mut hv, DomainSpec::new("s", 64, Box::new(Nop)));
         let large = ts.build_one(&mut hv, DomainSpec::new("l", 2048, Box::new(Nop)));
-        assert!(large.build_time() > small.build_time());
+        assert!(build_time(&large) > build_time(&small));
     }
 
     #[test]
@@ -152,8 +150,8 @@ mod tests {
         let built = ts.build(&mut hv, specs(3, 128));
         assert!(built[0].constructed < built[1].constructed);
         assert!(built[1].constructed < built[2].constructed);
-        let single = built[0].build_time();
-        assert_eq!(built[2].build_time(), single * 3, "third waits twice");
+        let single = build_time(&built[0]);
+        assert_eq!(build_time(&built[2]), single * 3, "third waits twice");
     }
 
     #[test]
@@ -199,6 +197,6 @@ mod tests {
         hv.run();
         let obs = hv.observation(built.dom, "first-step").unwrap();
         assert!(obs.at >= built.constructed);
-        assert!(built.build_time() > Dur::millis(100), "512 MiB is slow to build");
+        assert!(build_time(&built) > Dur::millis(100), "512 MiB is slow to build");
     }
 }

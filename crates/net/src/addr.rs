@@ -28,11 +28,6 @@ impl Mac {
         *self == Mac::BROADCAST
     }
 
-    /// Whether the group (multicast) bit is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 1 == 1
-    }
-
     /// Raw bytes.
     pub fn as_bytes(&self) -> &[u8; 6] {
         &self.0
@@ -114,8 +109,7 @@ mod tests {
     #[test]
     fn classification() {
         assert!(Mac::BROADCAST.is_broadcast());
-        assert!(Mac::BROADCAST.is_multicast());
-        assert!(!Mac::local(7).is_multicast());
+        assert!(!Mac::local(7).is_broadcast());
         assert_ne!(Mac::local(1), Mac::local(2));
     }
 

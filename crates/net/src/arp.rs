@@ -1,9 +1,10 @@
 //! ARP — address resolution with a pending-queue cache (paper Table 1).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use mirage_hypervisor::{Dur, Time};
+use mirage_testkit::hash::DetHashMap;
 
 use crate::addr::Mac;
 
@@ -83,6 +84,9 @@ pub const ENTRY_TTL: Dur = Dur::secs(300);
 pub const REQUEST_RETRY: Dur = Dur::secs(1);
 /// Attempts before giving up and dropping queued packets.
 pub const MAX_RETRIES: u32 = 3;
+/// Most entries the cache holds (Linux's `gc_thresh3`): a neighbour that
+/// sends ARP from many source addresses cannot grow it further.
+pub const MAX_ENTRIES: usize = 1024;
 /// Frames held per unresolved neighbour; one more drops the oldest. A
 /// sender looping at a silent address would otherwise pin every frame for
 /// `MAX_RETRIES × REQUEST_RETRY`. Sized like Linux's `unres_qlen_bytes`
@@ -99,7 +103,10 @@ struct Pending {
 /// The ARP cache: resolved entries plus per-address pending queues.
 #[derive(Default)]
 pub struct ArpCache {
-    entries: HashMap<Ipv4Addr, (Mac, Time)>, // mac, expiry
+    entries: DetHashMap<Ipv4Addr, (Mac, Time)>, // mac, expiry
+    /// No entry expires before this, so a full cache scans for expired
+    /// entries only once one may have expired.
+    first_expiry: Time,
     /// In address order: `poll` walks it, and who-has frames leave in the
     /// order it returns.
     pending: BTreeMap<Ipv4Addr, Pending>,
@@ -128,13 +135,33 @@ impl ArpCache {
     }
 
     /// Learns a mapping (from any ARP packet — gratuitous included) and
-    /// returns the frames that waited for it, oldest first.
+    /// returns the frames that waited for it, oldest first. A full cache
+    /// first drops its expired entries; if it is still full, it learns
+    /// only an address that frames wait for, in place of the entry that
+    /// expires first.
     pub fn learn(&mut self, ip: Ipv4Addr, mac: Mac, now: Time) -> VecDeque<Vec<u8>> {
+        let waiting = self.pending.remove(&ip);
+        if self.entries.len() >= MAX_ENTRIES && !self.entries.contains_key(&ip) {
+            if self.first_expiry <= now {
+                self.entries.retain(|_, (_, expiry)| *expiry > now);
+                let first = self.entries.values().map(|(_, expiry)| *expiry).min();
+                self.first_expiry = first.unwrap_or(now + ENTRY_TTL);
+            }
+            if self.entries.len() >= MAX_ENTRIES {
+                if waiting.is_none() {
+                    return VecDeque::new();
+                }
+                let first = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(ip, (_, expiry))| (*expiry, **ip));
+                if let Some(victim) = first.map(|(ip, _)| *ip) {
+                    self.entries.remove(&victim);
+                }
+            }
+        }
         self.entries.insert(ip, (mac, now + ENTRY_TTL));
-        self.pending
-            .remove(&ip)
-            .map(|p| p.queued)
-            .unwrap_or_default()
+        waiting.map(|p| p.queued).unwrap_or_default()
     }
 
     /// The MAC of `ip`, if learned and not expired.
@@ -251,6 +278,27 @@ mod tests {
         let t3 = t2 + REQUEST_RETRY + Dur::millis(1);
         assert!(cache.poll(t3).is_empty(), "gave up");
         assert_eq!(cache.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_flood_of_senders_is_capped_and_a_pending_address_still_resolves() {
+        let mut cache = ArpCache::new();
+        let now = Time::ZERO;
+        for i in 0..100_000u32 {
+            let ip = Ipv4Addr::from(0x0A01_0000 + i);
+            assert!(cache.learn(ip, Mac::local(i), now).is_empty());
+        }
+        assert_eq!(cache.entries.len(), MAX_ENTRIES, "capped");
+        // Frames wait for IP1: its reply is learned into the full cache.
+        assert!(cache.queue(IP1, b"p".to_vec(), now));
+        assert_eq!(cache.learn(IP1, Mac::local(9), now), vec![b"p".to_vec()]);
+        assert_eq!(cache.get(IP1, now), Some(Mac::local(9)));
+        assert_eq!(cache.entries.len(), MAX_ENTRIES);
+        // Once the flood's entries expire, anyone is learned again.
+        let later = now + ENTRY_TTL + Dur::secs(1);
+        cache.learn(IP2, Mac::local(2), later);
+        assert_eq!(cache.get(IP2, later), Some(Mac::local(2)));
+        assert_eq!(cache.entries.len(), 1, "expired entries dropped");
     }
 
     /// The who-has frames go out in the order `poll` returns, so it must

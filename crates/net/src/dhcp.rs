@@ -7,10 +7,10 @@
 //! responder with a lease pool, so a DHCP appliance can be built from the
 //! same library (Table 1 lists DHCP in the Mirage network suite).
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use mirage_hypervisor::{Dur, Time};
+use mirage_testkit::hash::DetHashMap;
 
 use crate::addr::Mac;
 
@@ -332,7 +332,7 @@ pub struct Server {
     gateway: Option<Ipv4Addr>,
     pool_next: u32,
     pool_end: u32,
-    leases: HashMap<Mac, Ipv4Addr>,
+    leases: DetHashMap<Mac, Ipv4Addr>,
 }
 
 impl Server {
@@ -350,13 +350,8 @@ impl Server {
             gateway,
             pool_next: u32::from(pool_start),
             pool_end: u32::from(pool_end),
-            leases: HashMap::new(),
+            leases: DetHashMap::default(),
         }
-    }
-
-    /// Number of active leases.
-    pub fn lease_count(&self) -> usize {
-        self.leases.len()
     }
 
     fn allocate(&mut self, mac: Mac) -> Option<Ipv4Addr> {
@@ -459,7 +454,7 @@ mod tests {
         assert_eq!(lease.ip, Ipv4Addr::new(10, 0, 0, 100));
         assert_eq!(lease.netmask, Ipv4Addr::new(255, 255, 255, 0));
         assert_eq!(lease.gateway, Some(Ipv4Addr::new(10, 0, 0, 1)));
-        assert_eq!(srv.lease_count(), 1);
+        assert_eq!(srv.leases.len(), 1);
     }
 
     #[test]
@@ -470,7 +465,7 @@ mod tests {
         let o1 = Message::parse(&srv.on_message(&d1).unwrap()).unwrap();
         let o2 = Message::parse(&srv.on_message(&d2).unwrap()).unwrap();
         assert_eq!(o1.yiaddr, o2.yiaddr);
-        assert_eq!(srv.lease_count(), 1);
+        assert_eq!(srv.leases.len(), 1);
     }
 
     #[test]

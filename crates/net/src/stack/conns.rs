@@ -78,14 +78,10 @@ impl FlowKeyed for ConnEntry {
 /// segments and arms no deadline, so this *is* its whole budget —
 /// the C1M scenario prints it next to the measured RSS delta.
 ///
-/// Re-audited after the tcp/ component split: 488 B on x86-64 (456 B
-/// `ConnEntry`, of which 392 B is the `Connection` TCB now carrying the
-/// pluggable congestion-control state enum, plus 32 B of index entries).
-/// The pre-split figure was 440 B; the 48 B delta is the boxed-out
-/// congestion algorithm state. 496 B since ROD remembers a FIN that
-/// overtook a hole (8 B: sparing the peer an RTO per such close).
-/// `idle_conn_budget_stays_within_512` pins the ceiling so TCB growth
-/// can't land silently.
+/// 456 B on x86-64: a 424 B `ConnEntry`, of which 360 B is the
+/// `Connection` TCB with its 16 B of New Reno state, plus 32 B of index
+/// entries. `idle_conn_budget_stays_within_512` pins the ceiling so TCB
+/// growth can't land silently.
 pub fn idle_conn_bytes() -> usize {
     std::mem::size_of::<ConnEntry>()
         + std::mem::size_of::<u64>()                        // conns key

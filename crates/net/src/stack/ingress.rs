@@ -3,12 +3,13 @@
 //! and the datagram-side endpoints those deliveries land on.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use mirage_cstruct::PktBuf;
 use mirage_hypervisor::{Dur, Time};
 use mirage_runtime::channel::{self, Receiver, Sender};
+use mirage_testkit::hash::DetHashMap;
 
 use super::conns::ConnEntry;
 use super::egress::Egress;
@@ -38,7 +39,7 @@ struct PendingPing {
 /// pings awaiting their echo, and the DHCP client while it has no lease.
 #[derive(Default)]
 pub(super) struct Endpoints {
-    udp_socks: HashMap<u16, Sender<UdpDelivery>>,
+    udp_socks: DetHashMap<u16, Sender<UdpDelivery>>,
     /// In send order, so the front times out first.
     pings: VecDeque<PendingPing>,
     ping_seq: u16,

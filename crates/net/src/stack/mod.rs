@@ -21,11 +21,12 @@ mod egress;
 mod ingress;
 mod socket;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use mirage_testkit::hash::DetHashMap;
 use mirage_testkit::sync::Mutex;
 
 use mirage_cstruct::PktBuf;
@@ -114,7 +115,7 @@ impl std::fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 /// Listener accept channels by port.
-type Listeners = Arc<Mutex<HashMap<u16, Sender<TcpStream>>>>;
+type Listeners = Arc<Mutex<DetHashMap<u16, Sender<TcpStream>>>>;
 
 /// The interface address, read on every frame without a lock. `None` —
 /// no lease yet — is a value no address encodes to, so `Some(0.0.0.0)`
@@ -167,7 +168,7 @@ impl Shared {
             ip: Arc::new(AddrCell::new(ip)),
             ready,
             arp: Arc::new(Mutex::new(ArpCache::new())),
-            listeners: Arc::new(Mutex::new(HashMap::new())),
+            listeners: Arc::new(Mutex::new(DetHashMap::default())),
         }
     }
 }
@@ -305,8 +306,8 @@ impl Worker {
 mod tests {
     use super::*;
 
-    /// Satellite audit: the per-idle-connection heap budget. 496 B today
-    /// (see [`idle_conn_bytes`]); the assert leaves 16 B of headroom to
+    /// Satellite audit: the per-idle-connection heap budget. 456 B today
+    /// (see [`idle_conn_bytes`]); the assert leaves 56 B of headroom to
     /// 512 so a PR that bloats the TCB trips this test and has to argue
     /// for the growth explicitly.
     #[test]

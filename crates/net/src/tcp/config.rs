@@ -1,9 +1,7 @@
 //! Connection tuning: the settings no deployment varies as constants, the
-//! three it does as [`TcpConfig`] with its validating builder.
+//! two it does as [`TcpConfig`] with its validating builder.
 
 use mirage_hypervisor::Dur;
-
-use super::cong::CongAlg;
 
 /// Our maximum segment size: a 1 500-byte Ethernet MTU less the IPv4 and
 /// TCP headers.
@@ -24,8 +22,8 @@ pub const OOO_MAX_SEGMENTS: usize = 256;
 /// Cap on stashed out-of-order bytes per connection.
 pub const OOO_MAX_BYTES: usize = 256 * 1024;
 
-/// The settings a deployment chooses (defaults follow the paper's
-/// configuration: a 256 KiB receive window, New Reno congestion control).
+/// The settings a deployment chooses (defaults: a 256 KiB receive window
+/// and a 60 s RTO ceiling).
 /// Construct via [`TcpConfig::builder`] to get the invariants checked; the
 /// fields stay public for read access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +32,6 @@ pub struct TcpConfig {
     pub recv_buf: usize,
     /// RTO ceiling.
     pub rto_max: Dur,
-    /// Which congestion-control algorithm new connections run.
-    pub congestion: CongAlg,
 }
 
 impl Default for TcpConfig {
@@ -43,7 +39,6 @@ impl Default for TcpConfig {
         TcpConfig {
             recv_buf: 256 * 1024,
             rto_max: Dur::secs(60),
-            congestion: CongAlg::NewReno,
         }
     }
 }
@@ -101,12 +96,6 @@ impl TcpConfigBuilder {
         self
     }
 
-    /// Congestion-control algorithm.
-    pub fn congestion(mut self, alg: CongAlg) -> Self {
-        self.cfg.congestion = alg;
-        self
-    }
-
     /// Validates and produces the config.
     pub fn build(self) -> Result<TcpConfig, ConfigError> {
         if self.cfg.recv_buf == 0 {
@@ -126,16 +115,6 @@ mod tests {
     #[test]
     fn builder_defaults_match_struct_defaults() {
         assert_eq!(TcpConfig::builder().build().unwrap(), TcpConfig::default());
-        assert_eq!(TcpConfig::default().congestion, CongAlg::NewReno);
-    }
-
-    #[test]
-    fn builder_selects_cubic() {
-        let cfg = TcpConfig::builder()
-            .congestion(CongAlg::Cubic)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.congestion, CongAlg::Cubic);
     }
 
     #[test]

@@ -263,10 +263,6 @@ impl ConnMgmt {
         self.rto
     }
 
-    pub fn srtt(&self) -> Option<Dur> {
-        self.srtt
-    }
-
     pub fn rtx_deadline(&self) -> Option<Time> {
         self.rtx_deadline
     }
@@ -427,7 +423,7 @@ mod tests {
             // Karn: the sample taken before the backoff must not feed the
             // estimator afterwards.
             cm.note_ack_for_rtt(500, Time::ZERO + Dur::millis(1), RTO_MAX);
-            assert_eq!(cm.srtt(), None, "retransmitted sample discarded");
+            assert_eq!(cm.srtt, None, "retransmitted sample discarded");
         }
     }
 }

@@ -16,9 +16,8 @@
 //! * sender-side **silly-window avoidance** (RFC 1122 §4.2.3.4): data
 //!   leaves in full-sized segments unless the segment empties the send
 //!   buffer or the pipe is empty;
-//! * slow start / congestion avoidance (RFC 5681), behind the pluggable
-//!   [`CongestionControl`] seam — RFC 8312 **CUBIC** ships as the
-//!   alternative, selected via [`TcpConfig::builder`];
+//! * slow start / congestion avoidance (RFC 5681), in the [`NewReno`]
+//!   CongCtrl component;
 //! * the window-scale option (RFC 7323 §2).
 //!
 //! # Component architecture (DESIGN.md §11)
@@ -34,14 +33,14 @@
 //! | ConnMgmt | [`conn`](self) | state machine, SYN/FIN flags, options, RTT/RTO, rtx + TIME-WAIT timers |
 //! | ROD | [`rod`](self) | `snd_una`/`snd_nxt`, send buffer, `rcv_nxt`, reassembly stash (and an early FIN), dup-ack counting |
 //! | FlowCtrl | [`flow`](self) | peer window `snd_wnd`, persist timer |
-//! | CongCtrl | [`cong`] | `cwnd`, `ssthresh`, per-algorithm epoch state |
+//! | CongCtrl | [`cong`] | `cwnd`, `ssthresh` |
 //! | Demux | [`demux`] | one worker's id and flow indexes (used by the socket layer) |
 //!
 //! [`Connection`] is the orchestrator: it owns one instance of each
 //! component, reads any of them, but writes none of their fields — every
 //! state change goes through a component method. CongCtrl in particular
 //! never sees a sequence number: ROD classifies each ACK/loss into an
-//! [`AckSample`]/[`LossEvent`] and the algorithm only moves windows.
+//! [`AckSample`]/[`LossEvent`] and New Reno only moves windows.
 //!
 //! [`Connection`] is pure state: inputs are parsed segments and clock
 //! readings, outputs are [`SegmentOut`]s to emit and [`Event`]s for the
@@ -72,12 +71,11 @@ pub use config::{
     ConfigError, TcpConfig, TcpConfigBuilder, MSS, OOO_MAX_BYTES, OOO_MAX_SEGMENTS, RTO_INIT, RTO_MIN,
     SYN_RETRIES, TIME_WAIT, WINDOW_SCALE,
 };
-pub use cong::{AckKind, AckSample, CongAlg, CongestionControl, Cubic, LossEvent, NewReno};
+pub use cong::{AckKind, AckSample, LossEvent, NewReno};
 pub use conn::State;
 pub use output::{seq, Event, Output, PollOutcome, TcpStats};
 pub use wire::{build_segment, segment_len, write_segment, Flags, SegmentOut, TcpSegment};
 
-use cong::Cong;
 use conn::{CloseAction, ConnMgmt};
 use flow::FlowCtrl;
 use rod::{AckClass, DupSignal, RecvOutcome, Rod};
@@ -106,8 +104,8 @@ pub struct Connection {
     rod: Rod,
     /// Peer-window tracking + persist (FlowCtrl component).
     flow: FlowCtrl,
-    /// Pluggable congestion control (CongCtrl component).
-    cc: Cong,
+    /// New Reno congestion control (CongCtrl component).
+    cc: NewReno,
     stats: TcpStats,
 }
 
@@ -162,7 +160,7 @@ impl Connection {
             cm: ConnMgmt::new(state),
             rod: Rod::new(iss),
             flow: FlowCtrl::new(),
-            cc: cfg.congestion.build(),
+            cc: NewReno::new(MSS),
             stats: TcpStats::default(),
             cfg,
         }
@@ -415,7 +413,6 @@ impl Connection {
         // episode, tell congestion control, retransmit the earliest
         // outstanding segment (RFC 5681 §3.1).
         self.cm.rto_backoff(self.cfg.rto_max);
-        self.cc.on_rto_backoff();
         self.rod.reset_recovery();
         if !matches!(self.cm.state(), State::SynSent | State::SynRcvd) {
             // Everything in flight is suspect: open a go-back-N episode so

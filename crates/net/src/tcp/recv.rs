@@ -115,13 +115,11 @@ impl Connection {
     }
 
     /// Reduces this ACK to what congestion control may know.
-    fn ack_sample(&self, kind: AckKind, newly_acked: usize, now: Time) -> AckSample {
+    fn ack_sample(&self, kind: AckKind, newly_acked: usize) -> AckSample {
         AckSample {
             kind,
             newly_acked,
             mss: self.effective_mss(),
-            now,
-            srtt: self.cm.srtt(),
         }
     }
 
@@ -169,15 +167,15 @@ impl Connection {
             // classification, never to the sequence numbers.
             match self.rod.classify_ack(ack) {
                 AckClass::RecoveryFull => {
-                    self.cc.on_ack(self.ack_sample(AckKind::RecoveryExit, from_buf, now));
+                    self.cc.on_ack(self.ack_sample(AckKind::RecoveryExit, from_buf));
                 }
                 AckClass::RecoveryPartial => {
                     // Partial ACK: retransmit the next hole, deflate.
                     self.retransmit_front(out);
-                    self.cc.on_ack(self.ack_sample(AckKind::Partial, from_buf, now));
+                    self.cc.on_ack(self.ack_sample(AckKind::Partial, from_buf));
                 }
                 AckClass::Normal => {
-                    self.cc.on_ack(self.ack_sample(AckKind::New, from_buf, now));
+                    self.cc.on_ack(self.ack_sample(AckKind::New, from_buf));
                 }
             }
 
@@ -212,7 +210,7 @@ impl Connection {
                 }
                 DupSignal::Inflate => {
                     // Window inflation per extra dup ack.
-                    self.cc.on_ack(self.ack_sample(AckKind::Dup, 0, now));
+                    self.cc.on_ack(self.ack_sample(AckKind::Dup, 0));
                     self.transmit(now, out);
                 }
                 DupSignal::LimitedTransmit => {

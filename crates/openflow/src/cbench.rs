@@ -53,15 +53,6 @@ pub struct Cbench {
 const BATCH_WINDOW: usize = 64 * 1024 / 86; // ~60-byte frame + headers
 
 impl Cbench {
-    /// The paper's configuration: 16 switches × 100 MACs.
-    pub fn paper_config(mode: CbenchMode) -> Cbench {
-        Cbench {
-            switches: 16,
-            macs_per_switch: 100,
-            mode,
-        }
-    }
-
     /// Custom configuration.
     pub fn new(switches: usize, macs_per_switch: u32, mode: CbenchMode) -> Cbench {
         Cbench {
@@ -199,7 +190,8 @@ mod tests {
 
     #[test]
     fn paper_config_matches_the_described_topology() {
-        let bench = Cbench::paper_config(CbenchMode::Single);
+        // The paper's configuration: 16 switches × 100 MACs.
+        let bench = Cbench::new(16, 100, CbenchMode::Single);
         let report = bench.run(2, LearningSwitch::new);
         assert_eq!(report.requests, 16 * 2);
     }

@@ -11,7 +11,7 @@
 //! `bytes in → bytes out` function so it can be driven by a TCP stream, a
 //! vchan, or the cbench harness directly.
 
-use std::collections::HashMap;
+use mirage_testkit::hash::DetHashMap;
 
 use crate::wire::{
     FlowModCommand, OfAction, OfError, OfMatch, OfMessage, NO_BUFFER, PORT_FLOOD,
@@ -39,7 +39,7 @@ pub trait ControllerApp: Send {
 #[derive(Debug, Default)]
 pub struct LearningSwitch {
     /// Per-datapath MAC→port tables.
-    tables: HashMap<u64, HashMap<[u8; 6], u16>>,
+    tables: DetHashMap<u64, DetHashMap<[u8; 6], u16>>,
     /// Flow-mods issued (stats).
     pub flows_installed: u64,
     /// Packets flooded (stats).

@@ -179,19 +179,9 @@ impl ExtentAllocator {
         self.free.iter().map(|r| r.len).sum()
     }
 
-    /// Total bytes currently allocated.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated.iter().map(|r| r.len).sum()
-    }
-
     /// Size of the reserved region.
     pub fn region_len(&self) -> u64 {
         self.region_len
-    }
-
-    /// Length of the largest free run (fragmentation metric).
-    pub fn largest_free_run(&self) -> u64 {
-        self.free.iter().map(|r| r.len).max().unwrap_or(0)
     }
 
     /// Lifetime allocation count.
@@ -209,6 +199,11 @@ impl ExtentAllocator {
 mod tests {
     use super::*;
     use mirage_testkit::prop::{any, collection};
+
+    /// Length of the largest free run (the fragmentation metric).
+    fn largest_free_run(a: &ExtentAllocator) -> u64 {
+        a.free.iter().map(|r| r.len).max().unwrap_or(0)
+    }
 
     #[test]
     fn alloc_free_round_trip() {
@@ -231,11 +226,11 @@ mod tests {
         // Fragmented: cannot satisfy a 2-chunk request from the middle hole
         // plus tail without coalescing with the tail run... the tail run is
         // 1 chunk and the hole is 1 chunk, non-adjacent.
-        assert_eq!(a.largest_free_run(), CHUNK_SIZE);
+        assert_eq!(largest_free_run(&a), CHUNK_SIZE);
         a.free(e1).unwrap();
-        assert_eq!(a.largest_free_run(), 2 * CHUNK_SIZE, "e1+e2 coalesced");
+        assert_eq!(largest_free_run(&a), 2 * CHUNK_SIZE, "e1+e2 coalesced");
         a.free(e3).unwrap();
-        assert_eq!(a.largest_free_run(), 4 * CHUNK_SIZE, "fully coalesced");
+        assert_eq!(largest_free_run(&a), 4 * CHUNK_SIZE, "fully coalesced");
     }
 
     #[test]
@@ -277,7 +272,8 @@ mod tests {
                         assert!(!x.overlaps(y));
                     }
                 }
-                assert_eq!(a.free_bytes() + a.allocated_bytes(), a.region_len());
+                let allocated: u64 = a.allocated.iter().map(|r| r.len).sum();
+                assert_eq!(a.free_bytes() + allocated, a.region_len());
             }
         }
 
@@ -291,7 +287,7 @@ mod tests {
             for e in live {
                 a.free(e).unwrap();
             }
-            assert_eq!(a.largest_free_run(), a.region_len());
+            assert_eq!(largest_free_run(&a), a.region_len());
         }
     }
 }

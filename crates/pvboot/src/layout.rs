@@ -109,19 +109,9 @@ impl MemoryLayout {
         self.major_heap_base
     }
 
-    /// Major heap size in bytes.
-    pub fn major_heap_bytes(&self) -> u64 {
-        self.major_heap_pages * PAGE_SIZE_BYTES as u64
-    }
-
     /// Base address of the external I/O page region.
     pub fn io_base(&self) -> u64 {
         self.io_base
-    }
-
-    /// I/O region size in bytes.
-    pub fn io_bytes(&self) -> u64 {
-        self.io_pages * PAGE_SIZE_BYTES as u64
     }
 
     /// Whether the layout satisfies W^X by construction.
@@ -172,7 +162,7 @@ mod tests {
     fn major_heap_gets_the_bulk_of_memory() {
         let layout = MemoryLayout::standard(200, 64, 128, 64);
         let total = 128 * 1024 * 1024;
-        assert!(layout.major_heap_bytes() > total * 9 / 10);
+        assert!(layout.major_heap_pages * PAGE_SIZE_BYTES as u64 > total * 9 / 10);
     }
 
     #[test]
@@ -208,6 +198,6 @@ mod tests {
     fn io_region_sits_above_the_heaps() {
         let layout = MemoryLayout::standard(200, 64, 32, 16);
         assert!(layout.io_base() > layout.major_heap_base());
-        assert_eq!(layout.io_bytes(), 16 * PAGE_SIZE_BYTES as u64);
+        assert_eq!(layout.io_pages, 16);
     }
 }

@@ -63,7 +63,6 @@ pub struct SlabAllocator {
     classes: Vec<SizeClass>,
     page_budget: usize,
     pages_used: usize,
-    live: usize,
 }
 
 impl SlabAllocator {
@@ -73,7 +72,6 @@ impl SlabAllocator {
             classes: vec![SizeClass::default(); SIZE_CLASSES.len()],
             page_budget,
             pages_used: 0,
-            live: 0,
         }
     }
 
@@ -106,7 +104,6 @@ impl SlabAllocator {
             base
         };
         self.classes[class].slots[slot] = true;
-        self.live += 1;
         Ok(SlabObject { class, slot })
     }
 
@@ -124,16 +121,10 @@ impl SlabAllocator {
             Some(s) if *s => {
                 *s = false;
                 entry.free_list.push(obj.slot);
-                self.live -= 1;
                 Ok(())
             }
             _ => Err(SlabError::BadFree),
         }
-    }
-
-    /// Live object count.
-    pub fn live_objects(&self) -> usize {
-        self.live
     }
 
     /// Pages consumed so far.
@@ -201,7 +192,12 @@ mod tests {
                     let obj = live.remove(size % live.len());
                     slab.free(obj).unwrap();
                 }
-                assert_eq!(slab.live_objects(), live.len());
+                let taken: usize = slab
+                    .classes
+                    .iter()
+                    .map(|c| c.slots.iter().filter(|s| **s).count())
+                    .sum();
+                assert_eq!(taken, live.len(), "live slots match the model");
             }
         }
     }

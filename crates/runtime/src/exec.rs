@@ -24,13 +24,14 @@
 //! Every poll charges [`CostTable::thread_switch`] to the polling core's
 //! virtual time.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
+use mirage_testkit::hash::DetHashMap;
 use mirage_testkit::rng::Rng;
 use mirage_testkit::sync::Mutex;
 use mirage_testkit::wheel::{TimerId, TimerWheel};
@@ -84,7 +85,7 @@ impl CoreClock {
 
 pub(crate) struct Sched {
     cores: Vec<CoreState>,
-    tasks: HashMap<TaskId, TaskEntry>,
+    tasks: DetHashMap<TaskId, TaskEntry>,
     next_task: TaskId,
     pub(crate) spawned_total: u64,
     /// Seeded schedule source: which core with round-start work left polls
@@ -105,7 +106,7 @@ impl Sched {
                     timers: TimerWheel::new(),
                 })
                 .collect(),
-            tasks: HashMap::new(),
+            tasks: DetHashMap::default(),
             next_task: 0,
             spawned_total: 0,
             rng: Rng::for_stream(mirage_testkit::test_seed(), "smp-exec"),

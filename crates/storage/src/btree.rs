@@ -26,10 +26,11 @@
 //! matches the log-structured design where space is reclaimed by
 //! compaction ([`Tree::compact`]) rather than in-place merging.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mirage_runtime::channel::{self, Sender};
+use mirage_testkit::hash::DetHashMap;
 use mirage_testkit::sync::Mutex;
 
 use crate::block::{BlockError, BlockIo, BoxFuture};
@@ -683,8 +684,8 @@ pub struct TreeStats {
 /// dropped and `young` takes its place.
 #[derive(Default)]
 struct NodeCache {
-    young: HashMap<u64, Arc<Interior>>,
-    old: HashMap<u64, Arc<Interior>>,
+    young: DetHashMap<u64, Arc<Interior>>,
+    old: DetHashMap<u64, Arc<Interior>>,
 }
 
 impl NodeCache {

@@ -625,12 +625,6 @@ impl<B: BlockIo + 'static> Fat32<B> {
         self.flush_fat().await?;
         Ok(())
     }
-
-    /// Free clusters remaining.
-    pub fn free_clusters(&self) -> usize {
-        let state = self.state.lock();
-        state.fat.iter().skip(2).filter(|e| **e == 0).count()
-    }
 }
 
 /// Sector-at-a-time file reader (the §3.5.2 iterator).
@@ -683,6 +677,12 @@ mod tests {
     use mirage_hypervisor::Hypervisor;
     use mirage_runtime::{Runtime, UnikernelGuest};
 
+    /// Free clusters remaining.
+    fn free_clusters<B>(fs: &Fat32<B>) -> usize {
+        let state = fs.state.lock();
+        state.fat.iter().skip(2).filter(|e| **e == 0).count()
+    }
+
     fn run_case<F, Fut>(f: F)
     where
         F: FnOnce(Runtime) -> Fut + Send + 'static,
@@ -725,10 +725,10 @@ mod tests {
     fn overwrite_frees_old_clusters() {
         run_case(|_rt| async move {
             let fs = Fat32::format(MemDisk::new(4096)).await.unwrap();
-            let before = fs.free_clusters();
+            let before = free_clusters(&fs);
             fs.write_file("f.dat", &vec![1u8; 10 * CLUSTER_BYTES]).await.unwrap();
             fs.write_file("f.dat", &vec![2u8; CLUSTER_BYTES]).await.unwrap();
-            assert_eq!(fs.free_clusters(), before - 1, "old chain reclaimed");
+            assert_eq!(free_clusters(&fs), before - 1, "old chain reclaimed");
             assert_eq!(fs.read_file("f.dat").await.unwrap(), vec![2u8; CLUSTER_BYTES]);
             0
         });
@@ -756,10 +756,10 @@ mod tests {
     fn delete_reclaims_space_and_tombstones() {
         run_case(|_rt| async move {
             let fs = Fat32::format(MemDisk::new(4096)).await.unwrap();
-            let before = fs.free_clusters();
+            let before = free_clusters(&fs);
             fs.write_file("temp.bin", &vec![0u8; 3 * CLUSTER_BYTES]).await.unwrap();
             fs.delete("temp.bin").await.unwrap();
-            assert_eq!(fs.free_clusters(), before);
+            assert_eq!(free_clusters(&fs), before);
             assert!(fs.list("/").await.unwrap().is_empty());
             assert_eq!(fs.delete("temp.bin").await.err(), Some(FatError::NotFound));
             0
@@ -813,7 +813,7 @@ mod tests {
             let fs = Fat32::format(MemDisk::new(RESERVED_SECTORS + 1 + 4 * SECTORS_PER_CLUSTER))
                 .await
                 .unwrap();
-            let free = fs.free_clusters();
+            let free = free_clusters(&fs);
             let err = fs
                 .write_file("huge.bin", &vec![0u8; (free + 2) * CLUSTER_BYTES])
                 .await

@@ -1,9 +1,9 @@
 //! The simple key-value store and memcache-style interface (paper
 //! Table 1: "Simple key-value … Memcache").
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use mirage_testkit::hash::DetHashMap;
 use mirage_testkit::sync::Mutex;
 
 /// Store counters.
@@ -20,7 +20,7 @@ pub struct KvStats {
 }
 
 struct KvInner {
-    map: HashMap<Vec<u8>, (Vec<u8>, u64)>, // value, version
+    map: DetHashMap<Vec<u8>, (Vec<u8>, u64)>, // value, version
     stats: KvStats,
     version: u64,
 }
@@ -50,7 +50,7 @@ impl KvStore {
     pub fn new() -> KvStore {
         KvStore {
             inner: Arc::new(Mutex::new(KvInner {
-                map: HashMap::new(),
+                map: DetHashMap::default(),
                 stats: KvStats::default(),
                 version: 0,
             })),
@@ -85,6 +85,7 @@ impl KvStore {
     /// Compare-and-swap: writes only if the current version matches.
     ///
     /// Returns the new version on success.
+    #[cfg(test)]
     pub fn cas(&self, key: &[u8], expected_version: u64, value: Vec<u8>) -> Option<u64> {
         let mut inner = self.inner.lock();
         let current = inner.map.get(key).map(|(_, v)| *v)?;

@@ -8,10 +8,10 @@
 //! whose responses are a pure function of the request.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
+use mirage_testkit::hash::DetHashMap;
 use mirage_testkit::sync::Mutex;
 
 /// Memo counters.
@@ -44,7 +44,7 @@ struct MemoInner<K, V> {
     /// Key → position in `slots`. Keys come from whoever the caller
     /// serves, so the std hasher's per-process random key stays: the
     /// ring, not the map's iteration order, decides evictions.
-    index: HashMap<K, usize>,
+    index: DetHashMap<K, usize>,
     slots: Vec<Entry<K, V>>,
     hand: usize,
     capacity: usize,
@@ -98,7 +98,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memoizer<K, V> {
         assert!(capacity > 0, "memo table needs at least one slot");
         Memoizer {
             inner: Arc::new(Mutex::new(MemoInner {
-                index: HashMap::new(),
+                index: DetHashMap::default(),
                 slots: Vec::new(),
                 hand: 0,
                 capacity,
@@ -169,6 +169,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memoizer<K, V> {
     }
 
     /// Drops every entry (e.g. on zone reload).
+    #[cfg(test)]
     pub fn invalidate_all(&self) {
         let mut inner = self.inner.lock();
         inner.index.clear();

@@ -2,15 +2,27 @@
 //!
 //! `std::collections::HashMap`'s default hasher is randomly seeded per
 //! process, so iteration order — and anything derived from it, like LRU
-//! tie-breaks — varies run to run. Simulation paths that must be
-//! reproducible from a seed use [`DetHashMap`] instead:
-//! FNV-1a, fixed initial state, identical on every run and platform.
+//! tie-breaks, or when a table grows and so how often it allocates —
+//! varies run to run. Every map in the product is a [`DetHashMap`]
+//! instead: FNV-1a, fixed initial state, identical on every run and
+//! platform.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// FNV-1a, 64-bit. Not DoS-resistant — for deterministic simulations and
-/// tests, never for hostile input.
+/// FNV-1a, 64-bit. Not DoS-resistant: whoever picks the keys can make
+/// them collide. So a product map keyed by bytes from outside holds a
+/// bounded number of entries, and a collision costs at most a scan of
+/// that many:
+///
+/// * the switch's MAC table, at most 256 source MACs per port;
+/// * the DNS memo, its configured capacity;
+/// * a DNS label-compression table, the names of one message;
+/// * a virtqueue's in-flight ids, fewer than `QUEUE_SIZE` (128);
+/// * the ARP cache, `arp::MAX_ENTRIES` (1 024) addresses.
+///
+/// Two are not bounded yet: the OpenFlow learning switch's per-datapath
+/// MAC tables and the memcache responder's `KvStore`.
 #[derive(Debug, Clone)]
 pub struct DetHasher(u64);
 

@@ -6,22 +6,21 @@
 # Every performance gate is an assertion in Rust on the typed value where
 # it is computed: the SMP row and Xen/virtio parity in `cargo test`
 # (crates/bench/src/netsim.rs), the copy audit in the micro_zerocopy
-# bench, CUBIC >= NewReno and the C1M gates in the examples themselves.
-# This script only chooses seeds and sizes and diffs double runs.
+# bench and the C1M gates in the c1m example itself. This script only
+# chooses seeds and sizes and diffs double runs.
 #
 #   scripts/verify.sh                # build, test, gates, benches, examples,
 #                                    #   one traced benchmark run
 #   scripts/verify.sh --determinism  # + the whole test run and the figure
 #                                    #   binaries twice under one seed,
-#                                    #   stdout diffed
+#                                    #   stdout diffed, and two traced
+#                                    #   http_churn runs of the benchmark
+#                                    #   printing one host.allocs_per_op
 #   scripts/verify.sh --chaos        # + the chaos suite, seeded (see below)
 #   scripts/verify.sh --adversarial  # + the adversarial suite, seeded
 #   scripts/verify.sh --conformance  # + the cross-backend differential
 #                                    #   suite (Xen rings vs virtqueues),
 #                                    #   seeded
-#   scripts/verify.sh --cc           # + examples/cc_race (NewReno vs CUBIC,
-#                                    #   1 MiB transfers), seeded, then the
-#                                    #   full-size race once
 #   scripts/verify.sh --scale        # + a reduced (100k) examples/c1m double
 #                                    #   run diffed, the scale suite at 100k
 #                                    #   in release, then the full 1M run
@@ -186,10 +185,26 @@ exactly crates/runtime/src 0 "work stealing or a GC model in the executor" \
 echo "   ok"
 
 echo "== gate: a TCP setting is settable only where a caller sets it differently"
-# TcpConfig holds recv_buf, rto_max and congestion; every other setting is
-# a constant in tcp/config.rs, and congestion control has one spelling.
+# TcpConfig holds recv_buf and rto_max; every other setting is a constant
+# in tcp/config.rs, and congestion control is New Reno alone, with no
+# second algorithm, selector or trait to choose one.
 exactly crates/net/src/tcp 0 "a one-value TCP knob" \
-    'fn (mss|window_scale|rto_init|rto_min|time_wait|syn_retries|ooo_max_segments|ooo_max_bytes)\(|impl From<(NewReno|Cubic)> for CongAlg'
+    'fn (mss|window_scale|rto_init|rto_min|time_wait|syn_retries|ooo_max_segments|ooo_max_bytes)\('
+exactly crates/net/src 0 "a second congestion-control algorithm or its selector" \
+    'Cubic|CongAlg|CongestionControl'
+echo "   ok"
+
+echo "== gate: one hash map type in the product"
+# std's HashMap seeds its hasher per process, so anything that depends on
+# its layout (allocation counts, iteration order) moves run to run; the
+# product keys its maps with testkit::hash::DetHashMap, which wraps it.
+hashmaps="$(non_test_lines crates | grep -E '^crates/[a-z]+/src/' \
+    | grep -v '^crates/testkit/src/hash\.rs:' | grep -E '\bHashMap\b' || true)"
+if [[ -n "$hashmaps" ]]; then
+    echo "FAIL: a std HashMap in non-test product code; use testkit::hash::DetHashMap:" >&2
+    echo "$hashmaps" >&2
+    exit 1
+fi
 echo "   ok"
 
 echo "== gate: Mirage storage carries no kernel cache, and a map keeps its rights"
@@ -427,7 +442,7 @@ cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 lap tier1
 
 if want --all "$@"; then
-    set -- --all --determinism --chaos --adversarial --conformance --cc --scale --smp
+    set -- --all --determinism --chaos --adversarial --conformance --scale --smp
 fi
 
 # twice <name> <cmd...>: two runs of <cmd> under one seed print identical
@@ -466,14 +481,6 @@ for suite in chaos adversarial conformance; do
     fi
 done
 
-if want --cc "$@"; then
-    echo "== cc: NewReno vs CUBIC (1 MiB transfers), CUBIC >= NewReno on clean cells under every seed"
-    seeded cc env MIRAGE_CC_BYTES=1048576 ./target/release/examples/cc_race
-    echo "== cc: full-size race"
-    ./target/release/examples/cc_race
-    lap cc
-fi
-
 if want --scale "$@"; then
     echo "== scale: reduced c1m (100k connections) double run"
     twice c1m env MIRAGE_C1M_CONNS=100000 MIRAGE_C1M_HOT=512 MIRAGE_C1M_STORM=100 \
@@ -498,6 +505,14 @@ if want --determinism "$@"; then
     twice tests cargo test -q --offline --workspace
     echo "== determinism: the figure binaries twice"
     twice figures cargo bench -q --offline -p mirage-bench "${figures[@]}"
+    echo "== determinism: two traced http_churn runs of one benchmark binary, one host.allocs_per_op"
+    for run in 1 2; do
+        "${CARGO_TARGET_DIR:-benchmark/target}/release/mirage-benchmark" --out "$scratch/churn$run" \
+            --workload http_churn --seed 42 --seconds 6 --trace 1 \
+            | grep -E '^http_churn host\.allocs_per_op ' > "$scratch/churn-allocs$run"
+    done
+    diff "$scratch/churn-allocs1" "$scratch/churn-allocs2"
+    echo "   ok ($(cat "$scratch/churn-allocs1"))"
     lap determinism
 fi
 

@@ -106,13 +106,14 @@ fn syn_frame(src_port: u16, isn: u32) -> Vec<u8> {
     attacker_frame(src_port, &seg)
 }
 
-/// One ARP request teaching the server's stack the attacker's MAC, so
-/// its SYN+ACKs unicast straight back instead of queueing behind ARP.
-fn attacker_arp_frame() -> Vec<u8> {
+/// One broadcast ARP request from the attacker's MAC claiming `spa`. With
+/// `ATTACKER_IP` it teaches the server's stack the attacker's MAC, so its
+/// SYN+ACKs unicast straight back instead of queueing behind ARP.
+fn attacker_arp_frame(spa: Ipv4Addr) -> Vec<u8> {
     let req = arp::ArpPacket {
         op: arp::ArpOp::Request,
         sha: Mac(ATTACKER_MAC),
-        spa: ATTACKER_IP,
+        spa,
         tha: Mac::ZERO,
         tpa: SERVER_IP,
     };
@@ -233,7 +234,8 @@ fn syn_flood_cannot_starve_a_legitimate_client() {
     // 300 ms of virtual time, sustained across the client's transfer.
     let mut t = Time::ZERO + Dur::millis(2);
     rig.hv.run_until(t);
-    rig.tap.inject(PktBuf::from_vec(attacker_arp_frame()));
+    rig.tap
+        .inject(PktBuf::from_vec(attacker_arp_frame(ATTACKER_IP)));
     rig.hv.wake_external(rig.d0);
 
     let mut rng = Rng::for_stream(seed, "syn-flood");
@@ -285,6 +287,65 @@ fn syn_flood_cannot_starve_a_legitimate_client() {
     );
 }
 
+/// An ARP flood from thousands of source addresses, four times what the
+/// server's ARP cache holds, arrives before a legitimate client's first
+/// frame. The cache stays capped, and the server still learns the client
+/// it must answer: an address that frames wait for is always learned.
+#[test]
+fn an_arp_flood_cannot_stop_a_stack_answering_its_real_peer() {
+    let _guard = adversarial_lock().lock();
+    let seed = test_seed();
+    let mut rig = flood_rig();
+
+    let result_out: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
+    let result_in = Arc::clone(&result_out);
+    let (front_c, nh_c) =
+        Backend::XenRing.net(rig.xs.clone(), "cli", Mac::local(99).0, CopyDiscipline::ZeroCopy);
+    let mut client = UnikernelGuest::new(move |_env, rt| {
+        let stack = Stack::spawn(rt, nh_c, StackConfig::static_ip(CLIENT_IP));
+        let rt2 = rt.clone();
+        rt.spawn(async move {
+            // Connect once the flood has filled the server's cache.
+            rt2.sleep(Dur::millis(100)).await;
+            let mut conn = HttpConnection::open(&stack, SERVER_IP, 80).await.unwrap();
+            let resp = conn.request(&Request::get("/data")).await.unwrap();
+            let ok = resp.status == 200 && resp.body == pattern(8 * 1024);
+            *result_in.lock() = Some(ok);
+            conn.close().await;
+            if ok {
+                0
+            } else {
+                1
+            }
+        })
+    });
+    client.add_device(front_c);
+    let cdom = rig.hv.create_domain("legit-client", 32, Box::new(client));
+
+    // 64 requests a millisecond, each from a fresh seeded address in
+    // 10.128.0.0/9 (well away from the client's 10.0.0.99).
+    let mut t = Time::ZERO + Dur::millis(2);
+    rig.hv.run_until(t);
+    let mut rng = Rng::for_stream(seed, "arp-flood");
+    for _round in 0..4 * arp::MAX_ENTRIES / 64 {
+        for _ in 0..64 {
+            let spa = Ipv4Addr::from(0x0A80_0000 | (rng.next_u32() & 0x007F_FFFF));
+            rig.tap.inject(PktBuf::from_vec(attacker_arp_frame(spa)));
+        }
+        rig.hv.wake_external(rig.d0);
+        t += Dur::millis(1);
+        rig.hv.run_until(t);
+    }
+    rig.hv.run_until(Time::ZERO + Dur::secs(30));
+
+    assert_eq!(
+        rig.hv.exit_code(cdom),
+        Some(0),
+        "the client was answered beside the ARP flood; reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+    assert_eq!(result_out.lock().take(), Some(true));
+}
+
 /// Tentpole scenario 2 (connection-table exhaustion): an attacker who
 /// skips the SYN and sprays forged cookie ACKs — guessing the MAC —
 /// never materializes a connection. Every forged ACK draws a stateless
@@ -297,7 +358,8 @@ fn forged_cookie_acks_never_create_connection_state() {
 
     let mut t = Time::ZERO + Dur::millis(2);
     rig.hv.run_until(t);
-    rig.tap.inject(PktBuf::from_vec(attacker_arp_frame()));
+    rig.tap
+        .inject(PktBuf::from_vec(attacker_arp_frame(ATTACKER_IP)));
     rig.hv.wake_external(rig.d0);
 
     let mut rng = Rng::for_stream(seed, "forged-cookie");
