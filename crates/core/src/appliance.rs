@@ -4,7 +4,7 @@
 //! applications which must be connected together by configuration files,
 //! unikernels treat them as libraries within a single application." An
 //! [`Appliance`] is exactly that: a set of library roots, a typed
-//! configuration, a DCE level and a layout seed, compiled into an
+//! configuration, a sealing mode and a layout seed, compiled into an
 //! [`Image`] and bootable as a sealed single-address-space guest.
 
 use mirage_hypervisor::{CostTable, DomainEnv, Dur};
@@ -12,7 +12,7 @@ use mirage_pvboot::layout::MemoryLayout;
 use mirage_runtime::{Runtime, UnikernelGuest};
 
 use crate::config::Config;
-use crate::dce::{DceLevel, LinkSet};
+use crate::dce::LinkSet;
 use crate::image::Image;
 use crate::library::Library;
 
@@ -50,7 +50,6 @@ pub struct ApplianceBuilder {
     name: String,
     roots: Vec<Library>,
     config: Config,
-    dce: DceLevel,
     seal: SealMode,
     layout_seed: u64,
 }
@@ -71,12 +70,6 @@ impl ApplianceBuilder {
     /// Declares a boot-time configuration key (e.g. `ip` via DHCP).
     pub fn dynamic_config(mut self, key: &str) -> ApplianceBuilder {
         self.config.set_dynamic(key);
-        self
-    }
-
-    /// Selects the elimination level (default: function-level).
-    pub fn dce(mut self, level: DceLevel) -> ApplianceBuilder {
-        self.dce = level;
         self
     }
 
@@ -102,7 +95,7 @@ impl ApplianceBuilder {
             return Err(BuildError::NoRoots);
         }
         let set = LinkSet::close(&self.roots);
-        let image = Image::link(&self.name, &set, self.dce, &self.config, self.layout_seed);
+        let image = Image::link(&self.name, &set, &self.config, self.layout_seed);
         Ok(Appliance {
             name: self.name,
             roots: self.roots,
@@ -132,7 +125,6 @@ impl Appliance {
             name: name.to_owned(),
             roots: Vec::new(),
             config: Config::new(),
-            dce: DceLevel::FunctionLevel,
             seal: SealMode::Sealed,
             layout_seed: 0x4D49_5241_4745, // deterministic default
         }
@@ -331,7 +323,6 @@ mod tests {
             .library(Library::APP_XMPP)
             .library(Library::NET_OPENFLOW)
             .library(Library::STORE_FAT32)
-            .dce(DceLevel::Standard)
             .build()
             .unwrap();
         let costs = CostTable::defaults();

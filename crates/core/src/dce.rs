@@ -1,41 +1,17 @@
-//! Dead-code elimination (paper §2.2, §4.5, Table 2).
+//! Link closures (paper §2.2, §2.3.1).
 //!
-//! Two levels, exactly as the paper evaluates:
-//!
-//! * [`DceLevel::Standard`] — "the default OCaml dead-code elimination
-//!   which drops unused modules": the link closure over explicitly
-//!   referenced libraries; everything reachable is kept whole.
-//! * [`DceLevel::FunctionLevel`] — "`ocamlclean`, a more extensive custom
-//!   tool which performs dataflow analysis to drop unused functions within
-//!   a module if not otherwise referenced; this is safe due to the lack of
-//!   dynamic linking in Mirage": retained libraries shrink to their
-//!   per-library retention fraction.
+//! "Only modules explicitly referenced in configuration files are linked
+//! in the output": a [`LinkSet`] is the dependency closure of an
+//! appliance's library roots over the catalogue, and its object bytes are
+//! the Fig. 5/6 boot model's input. Table 2's two elimination levels are
+//! measured on the appliance binaries this workspace builds
+//! (`scripts/verify.sh`), not modelled here.
 
 use std::collections::BTreeSet;
 
 use crate::library::{Library, LibraryInfo};
 
-/// Elimination level (the two columns of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DceLevel {
-    /// Module-level: unreferenced libraries are dropped entirely.
-    Standard,
-    /// Function-level (`ocamlclean`): retained libraries also shrink.
-    FunctionLevel,
-}
-
-impl DceLevel {
-    /// The object bytes `lib` links in at this level.
-    pub(crate) fn object_bytes(self, lib: &LibraryInfo) -> u64 {
-        let bytes = lib.object_bytes as u64;
-        match self {
-            DceLevel::Standard => bytes,
-            DceLevel::FunctionLevel => bytes * lib.dce_retention_pct as u64 / 100,
-        }
-    }
-}
-
-/// The result of a link + eliminate pass.
+/// The result of a link pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSet {
     retained: Vec<&'static LibraryInfo>,
@@ -83,16 +59,6 @@ impl LinkSet {
     pub fn is_empty(&self) -> bool {
         self.retained.is_empty()
     }
-
-    /// Total object bytes at an elimination level.
-    pub fn object_bytes(&self, level: DceLevel) -> u64 {
-        self.retained.iter().map(|l| level.object_bytes(l)).sum()
-    }
-
-    /// Total source lines of the retained set (Figure 14 inventory).
-    pub fn total_loc(&self) -> u64 {
-        self.retained.iter().map(|l| l.loc as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -134,42 +100,6 @@ mod tests {
         assert!(!set.contains(Library::STORE_FAT32));
         assert!(!set.contains(Library::NET_TCP), "DNS/UDP appliance has no TCP");
         assert!(!set.contains(Library::APP_SSH));
-    }
-
-    #[test]
-    fn function_level_always_smaller_than_standard() {
-        for roots in [
-            vec![Library::APP_DNS],
-            vec![Library::APP_HTTP, Library::STORE_BTREE],
-            vec![Library::NET_OPENFLOW],
-        ] {
-            let set = LinkSet::close(&roots);
-            assert!(
-                set.object_bytes(DceLevel::FunctionLevel) < set.object_bytes(DceLevel::Standard),
-                "ocamlclean shrinks {roots:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn table2_ballpark_for_the_dns_appliance() {
-        // Paper Table 2: DNS 0.449 MB standard, 0.184 MB after elimination.
-        let set = LinkSet::close(&[
-            Library::APP_DNS,
-            Library::NET_DHCP,
-            Library::NET_ICMP,
-        ]);
-        let standard = set.object_bytes(DceLevel::Standard);
-        let cleaned = set.object_bytes(DceLevel::FunctionLevel);
-        assert!(
-            (250_000..650_000).contains(&standard),
-            "standard build in the hundreds of kB: {standard}"
-        );
-        assert!(
-            (100_000..300_000).contains(&cleaned),
-            "cleaned build well under standard: {cleaned}"
-        );
-        assert!(cleaned * 2 < standard + 100_000, "roughly the paper's ratio");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The compiled unikernel image and compile-time address-space
-//! randomisation (paper §2.3.4, Table 2).
+//! randomisation (paper §2.3.4).
 //!
 //! "The unikernel model means that reconfiguring an appliance means
 //! recompiling it, potentially for every deployment. We can thus perform
@@ -10,7 +10,7 @@
 use mirage_testkit::rng::Rng;
 
 use crate::config::Config;
-use crate::dce::{DceLevel, LinkSet};
+use crate::dce::LinkSet;
 use crate::library::Library;
 
 /// One section in the linked image.
@@ -30,8 +30,6 @@ pub struct Image {
     name: String,
     sections: Vec<Section>,
     size_bytes: u64,
-    loc: u64,
-    level: DceLevel,
     layout_seed: u64,
     cloneable: bool,
 }
@@ -42,16 +40,10 @@ const SECTION_ALIGN: u64 = 16;
 const MAX_GAP: u64 = 4096;
 
 impl Image {
-    /// Links `set` at `level` with configuration `cfg`, randomising the
-    /// section layout from `layout_seed` (a fresh seed per deployment —
+    /// Links `set` with configuration `cfg`, randomising the section
+    /// layout from `layout_seed` (a fresh seed per deployment —
     /// "potentially for every deployment").
-    pub fn link(
-        name: &str,
-        set: &LinkSet,
-        level: DceLevel,
-        cfg: &Config,
-        layout_seed: u64,
-    ) -> Image {
+    pub fn link(name: &str, set: &LinkSet, cfg: &Config, layout_seed: u64) -> Image {
         let mut rng = Rng::new(layout_seed ^ cfg.identity_hash());
         let mut libs: Vec<Library> = set.libraries().collect();
         // CT-ASR: shuffle section order...
@@ -63,7 +55,7 @@ impl Image {
             let gap = rng.gen_range(0..MAX_GAP);
             cursor += gap;
             cursor = cursor.div_ceil(SECTION_ALIGN) * SECTION_ALIGN;
-            let bytes = level.object_bytes(lib.info());
+            let bytes = lib.info().object_bytes as u64;
             sections.push(Section {
                 library: lib.name(),
                 address: cursor,
@@ -71,13 +63,11 @@ impl Image {
             });
             cursor += bytes;
         }
-        let size_bytes = set.object_bytes(level) + cfg.image_bytes() as u64;
+        let size_bytes = sections.iter().map(|s| s.bytes).sum::<u64>() + cfg.image_bytes() as u64;
         Image {
             name: name.to_owned(),
             sections,
             size_bytes,
-            loc: set.total_loc(),
-            level,
             layout_seed,
             cloneable: cfg.is_cloneable(),
         }
@@ -88,14 +78,9 @@ impl Image {
         &self.name
     }
 
-    /// Image size in bytes (drives Table 2 and the Figure 5 boot model).
+    /// Modelled image size in bytes (the Figure 5/6 boot model's input).
     pub fn size_bytes(&self) -> u64 {
         self.size_bytes
-    }
-
-    /// Active source lines linked in (Figure 14).
-    pub fn total_loc(&self) -> u64 {
-        self.loc
     }
 
     /// Whether instances of this image may be cloned (no static
@@ -139,25 +124,30 @@ mod tests {
     use super::*;
     use crate::library::Library;
 
-    fn dns_image(seed: u64, level: DceLevel) -> Image {
+    fn dns_image(seed: u64) -> Image {
         let set = LinkSet::close(&[Library::APP_DNS]);
         let mut cfg = Config::new();
         cfg.set_static("zone", "example.org");
-        Image::link("dns", &set, level, &cfg, seed)
+        Image::link("dns", &set, &cfg, seed)
     }
 
     #[test]
     fn layouts_are_valid_for_many_seeds() {
         for seed in 0..50 {
-            let img = dns_image(seed, DceLevel::FunctionLevel);
+            let img = dns_image(seed);
             assert!(img.layout_is_valid(), "seed {seed}");
+            assert!(
+                img.size_bytes() < 1 << 20,
+                "unikernels are sub-megabyte (Table 2): {}",
+                img.size_bytes()
+            );
         }
     }
 
     #[test]
     fn different_seeds_randomise_section_addresses() {
-        let a = dns_image(1, DceLevel::FunctionLevel);
-        let b = dns_image(2, DceLevel::FunctionLevel);
+        let a = dns_image(1);
+        let b = dns_image(2);
         // The attacker-relevant property: some library lands elsewhere.
         let moved = a
             .sections()
@@ -175,34 +165,22 @@ mod tests {
 
     #[test]
     fn same_seed_is_reproducible() {
-        let a = dns_image(7, DceLevel::Standard);
-        let b = dns_image(7, DceLevel::Standard);
+        let a = dns_image(7);
+        let b = dns_image(7);
         assert_eq!(a, b, "builds are deterministic given the seed");
-    }
-
-    #[test]
-    fn function_level_images_are_smaller() {
-        let std_img = dns_image(1, DceLevel::Standard);
-        let fn_img = dns_image(1, DceLevel::FunctionLevel);
-        assert!(fn_img.size_bytes() < std_img.size_bytes());
-        assert!(
-            fn_img.size_bytes() < 1 << 20,
-            "unikernels are sub-megabyte (Table 2): {}",
-            fn_img.size_bytes()
-        );
     }
 
     #[test]
     fn config_contributes_to_size_and_cloneability() {
         let set = LinkSet::close(&[Library::APP_DNS]);
-        let empty = Image::link("d", &set, DceLevel::Standard, &Config::new(), 0);
+        let empty = Image::link("d", &set, &Config::new(), 0);
         let mut cfg = Config::new();
         cfg.set_dynamic("ip");
-        let dynamic = Image::link("d", &set, DceLevel::Standard, &cfg, 0);
+        let dynamic = Image::link("d", &set, &cfg, 0);
         assert!(dynamic.size_bytes() > empty.size_bytes());
         assert!(dynamic.is_cloneable());
         cfg.set_static("ip-static", "10.0.0.1");
-        let pinned = Image::link("d", &set, DceLevel::Standard, &cfg, 0);
+        let pinned = Image::link("d", &set, &cfg, 0);
         assert!(!pinned.is_cloneable());
     }
 }

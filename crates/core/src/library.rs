@@ -4,13 +4,15 @@
 //! explicitly referenced in configuration files are linked in the output.
 //! The module dependency graph can be easily statically verified to only
 //! contain the desired services" (§2.3.1). This module is that catalogue:
-//! every system facility of Table 1, with its dependency edges, source
-//! size and compiled object size. The appliance builder computes link
-//! closures over it and the dead-code eliminator shrinks them.
+//! every system facility of Table 1, with its dependency edges and a
+//! modelled object size. The appliance builder computes link closures over
+//! it.
 //!
-//! Source/object sizes are calibrated against the paper's published
-//! appliance sizes (Table 2: e.g. the DNS appliance is 449 kB before and
-//! 184 kB after function-level elimination) and LoC figures (§4.5).
+//! `object_bytes` is the Fig. 5/6 boot model's input (and sizes the CT-ASR
+//! sections): one function-level size per library, set near the paper's
+//! published appliance sizes (Table 2: the DNS appliance is 184 kB after
+//! elimination). Table 2 and Fig. 14a themselves are measured on the
+//! appliance binaries this workspace builds, by `scripts/verify.sh`.
 
 use std::fmt;
 
@@ -49,13 +51,9 @@ pub struct LibraryInfo {
     pub name: &'static str,
     /// Table 1 subsystem.
     pub subsystem: Subsystem,
-    /// Source lines (drives the Figure 14 inventory and boot work).
-    pub loc: u32,
-    /// Compiled object size in bytes (standard module-level linking).
+    /// Modelled object size in bytes after function-level elimination:
+    /// the Fig. 5/6 boot model's input.
     pub object_bytes: u32,
-    /// Fraction of the object a *typical single appliance* actually
-    /// reaches — what function-level elimination (`ocamlclean`) retains.
-    pub dce_retention_pct: u32,
     /// Hard dependencies (always linked alongside).
     pub deps: &'static [&'static str],
 }
@@ -132,39 +130,39 @@ const fn const_str_eq(a: &str, b: &str) -> bool {
 /// The full Table 1 catalogue plus the base runtime pieces.
 pub const CATALOG: &[LibraryInfo] = &[
     // --- base (always linked) ---------------------------------------------
-    LibraryInfo { name: "runtime", subsystem: Subsystem::Core, loc: 9_200, object_bytes: 135_000, dce_retention_pct: 55, deps: &["pvboot"] },
-    LibraryInfo { name: "pvboot", subsystem: Subsystem::Core, loc: 1_900, object_bytes: 28_000, dce_retention_pct: 80, deps: &[] },
+    LibraryInfo { name: "runtime", subsystem: Subsystem::Core, object_bytes: 74_250, deps: &["pvboot"] },
+    LibraryInfo { name: "pvboot", subsystem: Subsystem::Core, object_bytes: 22_400, deps: &[] },
     // --- core libraries ----------------------------------------------------
-    LibraryInfo { name: "lwt", subsystem: Subsystem::Core, loc: 4_800, object_bytes: 52_000, dce_retention_pct: 45, deps: &["runtime"] },
-    LibraryInfo { name: "cstruct", subsystem: Subsystem::Core, loc: 1_400, object_bytes: 16_000, dce_retention_pct: 60, deps: &["runtime"] },
-    LibraryInfo { name: "regexp", subsystem: Subsystem::Core, loc: 2_300, object_bytes: 26_000, dce_retention_pct: 30, deps: &["runtime"] },
-    LibraryInfo { name: "utf8", subsystem: Subsystem::Core, loc: 900, object_bytes: 10_000, dce_retention_pct: 40, deps: &["runtime"] },
-    LibraryInfo { name: "cryptokit", subsystem: Subsystem::Core, loc: 5_600, object_bytes: 64_000, dce_retention_pct: 25, deps: &["runtime"] },
+    LibraryInfo { name: "lwt", subsystem: Subsystem::Core, object_bytes: 23_400, deps: &["runtime"] },
+    LibraryInfo { name: "cstruct", subsystem: Subsystem::Core, object_bytes: 9_600, deps: &["runtime"] },
+    LibraryInfo { name: "regexp", subsystem: Subsystem::Core, object_bytes: 7_800, deps: &["runtime"] },
+    LibraryInfo { name: "utf8", subsystem: Subsystem::Core, object_bytes: 4_000, deps: &["runtime"] },
+    LibraryInfo { name: "cryptokit", subsystem: Subsystem::Core, object_bytes: 16_000, deps: &["runtime"] },
     // --- network -----------------------------------------------------------
-    LibraryInfo { name: "ethernet", subsystem: Subsystem::Network, loc: 700, object_bytes: 9_000, dce_retention_pct: 70, deps: &["cstruct", "lwt"] },
-    LibraryInfo { name: "arp", subsystem: Subsystem::Network, loc: 600, object_bytes: 8_000, dce_retention_pct: 70, deps: &["ethernet"] },
-    LibraryInfo { name: "dhcp", subsystem: Subsystem::Network, loc: 1_100, object_bytes: 14_000, dce_retention_pct: 55, deps: &["udp"] },
-    LibraryInfo { name: "ipv4", subsystem: Subsystem::Network, loc: 1_300, object_bytes: 17_000, dce_retention_pct: 65, deps: &["arp"] },
-    LibraryInfo { name: "icmp", subsystem: Subsystem::Network, loc: 400, object_bytes: 6_000, dce_retention_pct: 70, deps: &["ipv4"] },
-    LibraryInfo { name: "udp", subsystem: Subsystem::Network, loc: 600, object_bytes: 8_000, dce_retention_pct: 70, deps: &["ipv4"] },
-    LibraryInfo { name: "tcp", subsystem: Subsystem::Network, loc: 5_200, object_bytes: 62_000, dce_retention_pct: 55, deps: &["ipv4"] },
-    LibraryInfo { name: "openflow", subsystem: Subsystem::Network, loc: 3_400, object_bytes: 41_000, dce_retention_pct: 45, deps: &["tcp"] },
+    LibraryInfo { name: "ethernet", subsystem: Subsystem::Network, object_bytes: 6_300, deps: &["cstruct", "lwt"] },
+    LibraryInfo { name: "arp", subsystem: Subsystem::Network, object_bytes: 5_600, deps: &["ethernet"] },
+    LibraryInfo { name: "dhcp", subsystem: Subsystem::Network, object_bytes: 7_700, deps: &["udp"] },
+    LibraryInfo { name: "ipv4", subsystem: Subsystem::Network, object_bytes: 11_050, deps: &["arp"] },
+    LibraryInfo { name: "icmp", subsystem: Subsystem::Network, object_bytes: 4_200, deps: &["ipv4"] },
+    LibraryInfo { name: "udp", subsystem: Subsystem::Network, object_bytes: 5_600, deps: &["ipv4"] },
+    LibraryInfo { name: "tcp", subsystem: Subsystem::Network, object_bytes: 34_100, deps: &["ipv4"] },
+    LibraryInfo { name: "openflow", subsystem: Subsystem::Network, object_bytes: 18_450, deps: &["tcp"] },
     // --- storage -----------------------------------------------------------
-    LibraryInfo { name: "kv", subsystem: Subsystem::Storage, loc: 800, object_bytes: 10_000, dce_retention_pct: 60, deps: &["lwt"] },
-    LibraryInfo { name: "fat32", subsystem: Subsystem::Storage, loc: 2_600, object_bytes: 31_000, dce_retention_pct: 40, deps: &["cstruct", "lwt"] },
-    LibraryInfo { name: "btree", subsystem: Subsystem::Storage, loc: 2_100, object_bytes: 26_000, dce_retention_pct: 45, deps: &["cstruct", "lwt"] },
-    LibraryInfo { name: "memcache", subsystem: Subsystem::Storage, loc: 1_200, object_bytes: 15_000, dce_retention_pct: 40, deps: &["tcp", "kv"] },
+    LibraryInfo { name: "kv", subsystem: Subsystem::Storage, object_bytes: 6_000, deps: &["lwt"] },
+    LibraryInfo { name: "fat32", subsystem: Subsystem::Storage, object_bytes: 12_400, deps: &["cstruct", "lwt"] },
+    LibraryInfo { name: "btree", subsystem: Subsystem::Storage, object_bytes: 11_700, deps: &["cstruct", "lwt"] },
+    LibraryInfo { name: "memcache", subsystem: Subsystem::Storage, object_bytes: 6_000, deps: &["tcp", "kv"] },
     // --- application -------------------------------------------------------
-    LibraryInfo { name: "dns", subsystem: Subsystem::Application, loc: 2_500, object_bytes: 30_000, dce_retention_pct: 50, deps: &["udp", "kv", "regexp"] },
-    LibraryInfo { name: "ssh", subsystem: Subsystem::Application, loc: 4_900, object_bytes: 58_000, dce_retention_pct: 35, deps: &["tcp", "cryptokit"] },
-    LibraryInfo { name: "http", subsystem: Subsystem::Application, loc: 3_100, object_bytes: 37_000, dce_retention_pct: 45, deps: &["tcp", "regexp", "utf8"] },
-    LibraryInfo { name: "xmpp", subsystem: Subsystem::Application, loc: 3_800, object_bytes: 45_000, dce_retention_pct: 30, deps: &["tcp", "xml"] },
-    LibraryInfo { name: "smtp", subsystem: Subsystem::Application, loc: 2_200, object_bytes: 26_000, dce_retention_pct: 35, deps: &["tcp", "regexp"] },
+    LibraryInfo { name: "dns", subsystem: Subsystem::Application, object_bytes: 15_000, deps: &["udp", "kv", "regexp"] },
+    LibraryInfo { name: "ssh", subsystem: Subsystem::Application, object_bytes: 20_300, deps: &["tcp", "cryptokit"] },
+    LibraryInfo { name: "http", subsystem: Subsystem::Application, object_bytes: 16_650, deps: &["tcp", "regexp", "utf8"] },
+    LibraryInfo { name: "xmpp", subsystem: Subsystem::Application, object_bytes: 13_500, deps: &["tcp", "xml"] },
+    LibraryInfo { name: "smtp", subsystem: Subsystem::Application, object_bytes: 9_100, deps: &["tcp", "regexp"] },
     // --- formats -----------------------------------------------------------
-    LibraryInfo { name: "json", subsystem: Subsystem::Formats, loc: 1_500, object_bytes: 18_000, dce_retention_pct: 40, deps: &["utf8"] },
-    LibraryInfo { name: "xml", subsystem: Subsystem::Formats, loc: 2_400, object_bytes: 28_000, dce_retention_pct: 35, deps: &["utf8"] },
-    LibraryInfo { name: "css", subsystem: Subsystem::Formats, loc: 1_100, object_bytes: 13_000, dce_retention_pct: 30, deps: &["utf8"] },
-    LibraryInfo { name: "sexp", subsystem: Subsystem::Formats, loc: 900, object_bytes: 11_000, dce_retention_pct: 40, deps: &["utf8"] },
+    LibraryInfo { name: "json", subsystem: Subsystem::Formats, object_bytes: 7_200, deps: &["utf8"] },
+    LibraryInfo { name: "xml", subsystem: Subsystem::Formats, object_bytes: 9_800, deps: &["utf8"] },
+    LibraryInfo { name: "css", subsystem: Subsystem::Formats, object_bytes: 3_900, deps: &["utf8"] },
+    LibraryInfo { name: "sexp", subsystem: Subsystem::Formats, object_bytes: 4_400, deps: &["utf8"] },
 ];
 
 lib_consts! {

@@ -34,12 +34,20 @@ pub trait ControllerApp: Send {
     ) -> Vec<OfMessage>;
 }
 
+/// Source MACs learned at most behind one (datapath, in_port), as behind
+/// one port of dom0's switch: a host that sends from ever-new sources
+/// cannot grow the controller without bound. Past it the port learns no
+/// source, new or moved, and traffic to an unlearned host floods.
+const MACS_PER_PORT: usize = 256;
+
 /// The learning-switch application — the standard controller benchmark
 /// workload (what cbench exercises, §4.3).
 #[derive(Debug, Default)]
 pub struct LearningSwitch {
     /// Per-datapath MAC→port tables.
     tables: DetHashMap<u64, DetHashMap<[u8; 6], u16>>,
+    /// Sources learned behind each (datapath, in_port).
+    learned: DetHashMap<(u64, u16), usize>,
     /// Flow-mods issued (stats).
     pub flows_installed: u64,
     /// Packets flooded (stats).
@@ -67,7 +75,15 @@ impl ControllerApp for LearningSwitch {
         let dst: [u8; 6] = data[0..6].try_into().expect("checked");
         let src: [u8; 6] = data[6..12].try_into().expect("checked");
         let table = self.tables.entry(datapath_id).or_default();
-        table.insert(src, in_port);
+        if table.get(&src) != Some(&in_port) {
+            let here = self.learned.entry((datapath_id, in_port)).or_default();
+            if *here < MACS_PER_PORT {
+                *here += 1;
+                if let Some(old) = table.insert(src, in_port) {
+                    *self.learned.get_mut(&(datapath_id, old)).expect("counted") -= 1;
+                }
+            }
+        }
         match table.get(&dst) {
             Some(&out_port) if dst != [0xFF; 6] => {
                 // Known destination: install a flow and release the packet.
@@ -283,6 +299,12 @@ mod tests {
         f
     }
 
+    /// A locally administered MAC numbered `i`.
+    fn mac(i: u32) -> [u8; 6] {
+        let [a, b, c, d] = i.to_be_bytes();
+        [0x06, 0, a, b, c, d]
+    }
+
     #[test]
     fn handshake_reaches_up() {
         let (mut conn, hello) = Connection::open(LearningSwitch::new());
@@ -381,6 +403,51 @@ mod tests {
         assert!(
             matches!(&replies[0], OfMessage::PacketOut { actions, .. }
                 if actions == &vec![OfAction::Output(PORT_FLOOD)])
+        );
+    }
+
+    #[test]
+    fn a_port_learns_at_most_macs_per_port_sources() {
+        let mut app = LearningSwitch::new();
+        let host = [0x02, 0, 0, 0, 0, 0xA];
+        // host is learned on port 1 before port 2 floods the table.
+        app.packet_in(1, NO_BUFFER, 1, &frame([0xFF; 6], host));
+        for i in 0..100_000 {
+            app.packet_in(1, NO_BUFFER, 2, &frame([0xFF; 6], mac(i)));
+        }
+        let on_port_2 = app.tables[&1].values().filter(|&&port| port == 2).count();
+        assert_eq!(on_port_2, MACS_PER_PORT);
+        // Past the cap a new source is not learned: traffic to it floods...
+        let late = mac(99_999);
+        let replies = app.packet_in(1, NO_BUFFER, 3, &frame(late, mac(200_000)));
+        assert!(
+            matches!(&replies[0], OfMessage::PacketOut { actions, .. }
+                if actions == &vec![OfAction::Output(PORT_FLOOD)])
+        );
+        // ...while the host learned before the flood still gets a flow.
+        let replies = app.packet_in(1, NO_BUFFER, 2, &frame(host, mac(100_000)));
+        assert!(
+            matches!(&replies[0], OfMessage::FlowMod { actions, .. }
+                if actions == &vec![OfAction::Output(1)]),
+            "{replies:?}"
+        );
+    }
+
+    #[test]
+    fn a_moved_source_frees_its_place_on_the_old_port() {
+        let mut app = LearningSwitch::new();
+        for i in 0..MACS_PER_PORT as u32 {
+            app.packet_in(1, NO_BUFFER, 1, &frame([0xFF; 6], mac(i)));
+        }
+        // mac(0) moves to port 2, so port 1 has room for one newcomer.
+        app.packet_in(1, NO_BUFFER, 2, &frame([0xFF; 6], mac(0)));
+        let newcomer = mac(1_000);
+        app.packet_in(1, NO_BUFFER, 1, &frame([0xFF; 6], newcomer));
+        let replies = app.packet_in(1, NO_BUFFER, 2, &frame(newcomer, mac(0)));
+        assert!(
+            matches!(&replies[0], OfMessage::FlowMod { actions, .. }
+                if actions == &vec![OfAction::Output(1)]),
+            "{replies:?}"
         );
     }
 }

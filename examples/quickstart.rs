@@ -7,7 +7,7 @@
 //! MIRAGE_BACKEND=virtio cargo run --example quickstart  # split virtqueues
 //! ```
 
-use mirage::core::{Appliance, DceLevel, Library};
+use mirage::core::{Appliance, Library};
 use mirage::cstruct::PktBuf;
 use mirage::devices::netfront::CopyDiscipline;
 use mirage::devices::{Backend, DriverDomain, Tap, Xenstore};
@@ -21,16 +21,14 @@ fn main() {
         .library(Library::NET_DHCP)
         .static_config("banner", "hello from a unikernel")
         .dynamic_config("ip")
-        .dce(DceLevel::FunctionLevel)
         .build()
         .expect("the library closure resolves");
 
     println!("appliance      : {}", appliance.name());
     println!(
-        "image size     : {} kB (dead-code eliminated)",
+        "image size     : {} kB (modelled: the boot model's input)",
         appliance.image().size_bytes() / 1000
     );
-    println!("active LoC     : {}", appliance.image().total_loc());
     println!(
         "libraries      : {}",
         appliance

@@ -16,8 +16,8 @@
 //! * [`net`] — Ethernet, ARP, IPv4, ICMP, UDP, TCP (New Reno), DHCP.
 //! * [`storage`] — block layer, FAT-32, append B-tree, KV, memoization.
 //! * [`dns`], [`http`], [`openflow`] — the appliance protocol suites.
-//! * [`core`] — the unikernel builder: configuration, dead-code
-//!   elimination, compile-time ASR, image sizing and sealing.
+//! * [`core`] — the unikernel builder: configuration, link closures,
+//!   compile-time ASR, the modelled image size and sealing.
 //! * [`baseline`] — the conventional-OS comparison stack (Linux-like VM
 //!   model plus BIND/NSD/Apache/nginx/NOX/Maestro analogues).
 //!

@@ -18,7 +18,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use mirage::core::{Appliance, DceLevel, Library};
+use mirage::core::{Appliance, Library};
 use mirage::devices::netfront::CopyDiscipline;
 use mirage::devices::Backend;
 use mirage::devices::{DriverDomain, Tap, Xenstore};
@@ -983,7 +983,6 @@ fn aslr_randomizes_layout_while_sealing_still_holds() {
     let build = |s: u64| {
         Appliance::builder("dns")
             .library(Library::APP_DNS)
-            .dce(DceLevel::FunctionLevel)
             .layout_seed(s)
             .build()
             .unwrap()

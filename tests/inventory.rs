@@ -83,16 +83,12 @@ fn implemented_facilities_are_really_implemented() {
 
 #[test]
 fn catalogue_sizes_are_self_consistent() {
+    // One modelled object size per library, the boot model's input: every
+    // library has one, and linking the whole catalogue into one image
+    // still gives a sub-megabyte unikernel (Table 2).
     for lib in CATALOG {
-        assert!(lib.loc > 0 && lib.object_bytes > 0, "{}", lib.name);
-        assert!(
-            (10..=95).contains(&lib.dce_retention_pct),
-            "{}: retention {}",
-            lib.name,
-            lib.dce_retention_pct
-        );
-        // Rough bytes-per-line sanity: compiled OCaml lands near 8-15 B/loc.
-        let bpl = lib.object_bytes / lib.loc;
-        assert!((5..=20).contains(&bpl), "{}: {bpl} bytes/loc", lib.name);
+        assert!(lib.object_bytes > 0, "{}", lib.name);
     }
+    let all: u64 = CATALOG.iter().map(|l| l.object_bytes as u64).sum();
+    assert!(all < 1 << 20, "the whole catalogue links to {all} bytes");
 }

@@ -3,7 +3,7 @@
 //! ROP targets per deployment, and the type-safe parsers absorb the
 //! malformed-input classes behind the BIND CVE taxonomy of §4.2.
 
-use mirage::core::{Appliance, DceLevel, Library, SealMode};
+use mirage::core::{Appliance, Library, SealMode};
 use mirage::dns::{DnsServer, ServerConfig, Zone};
 use mirage::hypervisor::memory::MemError;
 use mirage::hypervisor::{Dur, Hypervisor};
@@ -81,7 +81,6 @@ fn compile_time_asr_randomises_rop_targets_per_deployment() {
     let build = |seed: u64| {
         Appliance::builder("dns")
             .library(Library::APP_DNS)
-            .dce(DceLevel::FunctionLevel)
             .layout_seed(seed)
             .build()
             .unwrap()
