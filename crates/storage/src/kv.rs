@@ -25,9 +25,15 @@ struct KvInner {
     version: u64,
 }
 
-/// An in-memory key-value store with compare-and-swap — the smallest
-/// Table 1 storage backend (used directly by the dev-mode appliances and
-/// as the memcache protocol's state).
+/// Keys a store holds at most. Its keys come from outside (memcache
+/// clients), so a `set` of a new key past the cap is refused, as
+/// memcached refuses one when it is out of memory; overwriting a key it
+/// holds still succeeds.
+pub const MAX_KEYS: usize = 65_536;
+
+/// An in-memory key-value store — the smallest Table 1 storage backend
+/// (used directly by the dev-mode appliances and as the memcache
+/// protocol's state), holding at most [`MAX_KEYS`] keys.
 #[derive(Clone)]
 pub struct KvStore {
     inner: Arc<Mutex<KvInner>>,
@@ -57,7 +63,7 @@ impl KvStore {
         }
     }
 
-    /// Reads a key; returns the value and its version (for CAS).
+    /// Reads a key; returns the value and its version.
     pub fn get(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let mut inner = self.inner.lock();
         match inner.map.get(key).cloned() {
@@ -72,24 +78,11 @@ impl KvStore {
         }
     }
 
-    /// Writes a key, returning the new version.
-    pub fn set(&self, key: &[u8], value: Vec<u8>) -> u64 {
+    /// Writes a key, returning the new version, or `None` if the key is
+    /// new and the store already holds [`MAX_KEYS`].
+    pub fn set(&self, key: &[u8], value: Vec<u8>) -> Option<u64> {
         let mut inner = self.inner.lock();
-        inner.version += 1;
-        let v = inner.version;
-        inner.map.insert(key.to_vec(), (value, v));
-        inner.stats.sets += 1;
-        v
-    }
-
-    /// Compare-and-swap: writes only if the current version matches.
-    ///
-    /// Returns the new version on success.
-    #[cfg(test)]
-    pub fn cas(&self, key: &[u8], expected_version: u64, value: Vec<u8>) -> Option<u64> {
-        let mut inner = self.inner.lock();
-        let current = inner.map.get(key).map(|(_, v)| *v)?;
-        if current != expected_version {
+        if inner.map.len() >= MAX_KEYS && !inner.map.contains_key(key) {
             return None;
         }
         inner.version += 1;
@@ -147,16 +140,6 @@ mod tests {
         assert!(!kv.delete(b"a"));
         let st = kv.stats();
         assert_eq!((st.hits, st.misses, st.sets, st.deletes), (1, 1, 1, 1));
-    }
-
-    #[test]
-    fn cas_enforces_versions() {
-        let kv = KvStore::new();
-        let v1 = kv.set(b"counter", b"0".to_vec());
-        let v2 = kv.cas(b"counter", v1, b"1".to_vec()).expect("fresh version");
-        assert!(kv.cas(b"counter", v1, b"2".to_vec()).is_none(), "stale");
-        assert!(kv.cas(b"counter", v2, b"2".to_vec()).is_some());
-        assert_eq!(kv.get(b"counter").unwrap().0, b"2");
     }
 
     #[test]

@@ -38,8 +38,11 @@ impl MemcacheSession {
                 }
                 let body: Vec<u8> = self.buf.drain(..len).collect();
                 self.buf.drain(..2.min(self.buf.len())); // trailing CRLF
-                self.store.set(&key, body);
-                out.extend_from_slice(b"STORED\r\n");
+                let reply: &[u8] = match self.store.set(&key, body) {
+                    Some(_) => b"STORED\r\n",
+                    None => b"SERVER_ERROR out of memory storing object\r\n",
+                };
+                out.extend_from_slice(reply);
                 self.pending_set = None;
                 continue;
             }
@@ -175,6 +178,24 @@ mod tests {
         assert_eq!(roundtrip(&mut s, "frobnicate\r\n"), "ERROR\r\n");
         assert!(roundtrip(&mut s, "set k 0 0 notanumber\r\n").starts_with("CLIENT_ERROR"));
         assert!(roundtrip(&mut s, "set k 0 0 99999999\r\n").starts_with("CLIENT_ERROR"));
+    }
+
+    #[test]
+    fn sets_past_the_key_cap_are_refused() {
+        let store = KvStore::new();
+        let mut s = MemcacheSession::new(store.clone());
+        let mut refused = 0;
+        for i in 0..100_000 {
+            match roundtrip(&mut s, &format!("set k{i} 0 0 1\r\nv\r\n")).as_str() {
+                "STORED\r\n" => {}
+                "SERVER_ERROR out of memory storing object\r\n" => refused += 1,
+                other => panic!("set k{i}: {other:?}"),
+            }
+        }
+        assert_eq!(store.len(), crate::kv::MAX_KEYS);
+        assert_eq!(refused, 100_000 - crate::kv::MAX_KEYS);
+        assert_eq!(roundtrip(&mut s, "set k7 0 0 1\r\nw\r\n"), "STORED\r\n");
+        assert!(roundtrip(&mut s, "get k7\r\n").contains("\r\nw\r\n"));
     }
 
     #[test]

@@ -168,15 +168,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Memoizer<K, V> {
             .map(|&at| inner.slots[at].value.clone())
     }
 
-    /// Drops every entry (e.g. on zone reload).
-    #[cfg(test)]
-    pub fn invalidate_all(&self) {
-        let mut inner = self.inner.lock();
-        inner.index.clear();
-        inner.slots.clear();
-        inner.hand = 0;
-    }
-
     /// Counters.
     pub fn stats(&self) -> MemoStats {
         self.inner.lock().stats
@@ -268,16 +259,6 @@ mod tests {
         assert_eq!(memo.peek(&key.to_vec()), Some(8));
         let st = memo.stats();
         assert_eq!((st.hits, st.misses), (1, 1));
-    }
-
-    #[test]
-    fn invalidate_all_clears() {
-        let memo: Memoizer<u32, u32> = Memoizer::new(4);
-        memo.get_or_compute(1, |_| 1);
-        memo.invalidate_all();
-        assert!(memo.is_empty());
-        memo.get_or_compute(1, |_| 10);
-        assert_eq!(memo.peek(&1), Some(10), "recomputed after invalidation");
     }
 
     #[test]

@@ -16,13 +16,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// that many:
 ///
 /// * the switch's MAC table, at most 256 source MACs per port;
+/// * the OpenFlow learning switch's MAC tables, at most 256 per port;
 /// * the DNS memo, its configured capacity;
 /// * a DNS label-compression table, the names of one message;
 /// * a virtqueue's in-flight ids, fewer than `QUEUE_SIZE` (128);
-/// * the ARP cache, `arp::MAX_ENTRIES` (1 024) addresses.
-///
-/// Two are not bounded yet: the OpenFlow learning switch's per-datapath
-/// MAC tables and the memcache responder's `KvStore`.
+/// * the ARP cache, `arp::MAX_ENTRIES` (1 024) addresses;
+/// * the memcache responder's `KvStore`, `kv::MAX_KEYS` (65 536) keys.
 #[derive(Debug, Clone)]
 pub struct DetHasher(u64);
 

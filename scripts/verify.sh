@@ -11,8 +11,8 @@
 #
 #   scripts/verify.sh                # build, test, gates, benches, examples,
 #                                    #   Table 2 and Fig. 14a measured on the
-#                                    #   appliance binaries, one traced
-#                                    #   benchmark run
+#                                    #   appliance packages, the benchmark's
+#                                    #   unit tests and one traced run
 #   scripts/verify.sh --determinism  # + the whole test run and the figure
 #                                    #   binaries twice under one seed,
 #                                    #   stdout diffed, and two traced
@@ -394,18 +394,56 @@ fi
 echo "   ok"
 
 echo "== gate: a manifest names only crates its sources use"
+# A [dependencies] entry is named by the package's non-test source; a
+# crate only its tests or benches name is a [dev-dependencies] entry, and
+# that is named by some source file of the package.
 unused=""
-for manifest in crates/*/Cargo.toml; do
-    crate="$(dirname "$manifest")"
+for manifest in crates/*/Cargo.toml appliances/*/Cargo.toml; do
+    pkg="$(dirname "$manifest")"
     for dep in $(sed -n '/^\[dependencies\]/,/^\[/p' "$manifest" | grep -oE '^mirage-[a-z]+'); do
-        grep -rqw --include='*.rs' "${dep//-/_}" "$crate" || unused+="$manifest: $dep"$'\n'
+        non_test_lines "$pkg/src" | grep -w "${dep//-/_}" > /dev/null \
+            || unused+="$manifest: $dep in [dependencies], named by no non-test source"$'\n'
+    done
+    for dep in $(sed -n '/^\[dev-dependencies\]/,/^\[/p' "$manifest" | grep -oE '^mirage-[a-z]+'); do
+        grep -rqw --include='*.rs' "${dep//-/_}" "$pkg" \
+            || unused+="$manifest: $dep in [dev-dependencies], named by no source"$'\n'
     done
 done
 if [[ -n "$unused" ]]; then
-    echo "FAIL: a dependency no source file of its crate names:" >&2
+    echo "FAIL: a dependency its package's sources do not use as declared:" >&2
     echo -n "$unused" >&2
     exit 1
 fi
+echo "   ok"
+
+echo "== gate: an appliance's closure holds only its services"
+# An appliance is a package under appliances/, its binary named after it,
+# whose manifest names exactly the crates its main uses. Its closure is
+# what cargo resolves for it: the normal edges of `cargo tree`, without
+# the package itself and the hypervisor crate. §2.3.1: the closure "can
+# be easily statically verified to only contain the desired services",
+# so a closure that reaches a crate its appliance should not link fails
+# here, before anything links.
+appliances=()
+for dir in appliances/*/; do
+    appliances+=("$(basename "$dir")_appliance")
+done
+declare -A stray=(
+    [dns_appliance]='mirage_(http|openflow)'
+    [web_appliance]='mirage_(dns|openflow)'
+    [openflow_appliance]='mirage_(dns|http|storage)'
+)
+declare -A closure
+for app in "${appliances[@]}"; do
+    closure[$app]="$(cargo tree --offline -e normal --prefix none -p "$app" \
+        | awk -v app="$app" '$1 != app && $1 != "mirage-hypervisor" { print $1 }' | sort -u | xargs)"
+    echo "   $app: ${closure[$app]}"
+    hits="$(tr ' ' '\n' <<< "${closure[$app]//-/_}" | grep -xE "${stray[$app]}" || true)"
+    if [[ -n "$hits" ]]; then
+        echo "FAIL: $app's closure reaches a crate outside its services (${stray[$app]}):" $hits >&2
+        exit 1
+    fi
+done
 echo "   ok"
 
 echo "== clippy (offline, all targets): clippy's default deny set"
@@ -431,43 +469,43 @@ for bench in crates/bench/benches/*.rs; do
 done
 cargo bench -q --offline -p mirage-bench "${figures[@]}" > /dev/null
 
-echo "== examples"
-for ex in quickstart boot_storm dns_appliance web_appliance openflow_appliance; do
+echo "== examples and appliances"
+for ex in quickstart boot_storm; do
     echo "   -- $ex"
     cargo run --release --offline --example "$ex" > /dev/null
 done
+for app in "${appliances[@]}"; do
+    echo "   -- $app"
+    cargo run --release --offline -p "$app" > /dev/null
+done
 
-echo "== Table 2 and Figure 14a: measured on the three appliance binaries"
-# Table 2. Each appliance example is built twice, each build in its own
+echo "== Table 2 and Figure 14a: measured on the appliance packages"
+# Table 2. Each appliance package is built twice, each build in its own
 # target directory. Module level: `-C link-dead-code` keeps every section
 # of every object the link pulls in, as OCaml's default link keeps whole
 # modules. Function level: the release profile, whose --gc-sections drops
 # every unreferenced function, as ocamlclean does. `size` gives text+data;
 # `nm` splits the symbol bytes into the guest crates, dom0's modules, the
-# hypervisor and std/other (the example's own main included). The step
+# hypervisor and std/other (the appliance's own main included). The step
 # fails if a build fails, if a function-level binary is not smaller than
 # its module-level one, or if a function-level binary holds a symbol of a
-# crate its appliance should not link (§2.3.1: the closure "can be easily
-# statically verified to only contain the desired services"). The paper's
-# ratios are printed beside, not gated.
-appliances=(dns_appliance web_appliance openflow_appliance)
-declare -A stray=(
-    [dns_appliance]='mirage_(http|openflow)'
-    [web_appliance]='mirage_(dns|openflow)'
-    [openflow_appliance]='mirage_(dns|http|storage)'
-)
+# crate its appliance should not link (the backstop behind the closure
+# gate above). The paper's ratios are printed beside, not gated.
 for level in module function; do
     flags=""
     [[ "$level" == module ]] && flags="-C link-dead-code"
     if ! RUSTFLAGS="$flags" CARGO_TARGET_DIR="target/table2-$level" \
-        cargo build -q --release --offline "${appliances[@]/#/--example=}"; then
+        cargo build -q --release --offline "${appliances[@]/#/--package=}"; then
         echo "FAIL: the $level-level build of the appliances failed" >&2
         exit 1
     fi
 done
 text_data() { size "$1" | awk 'NR == 2 { print $1 + $2 }'; }
+# dom0's modules of mirage-devices (the switch, the backends, the link
+# emulator): neither guest symbols nor guest lines.
+dom0_modules='netback|switch|blkback|netem'
 symbol_split() {
-    nm --size-sort -S -C "$1" | awk '
+    nm --size-sort -S -C "$1" | awk -v dom0="mirage_devices::($dom0_modules)::" '
         function hex(s,   n, i) {
             n = 0
             for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
@@ -477,7 +515,7 @@ symbol_split() {
             name = $0
             sub(/^[^ ]+ [^ ]+ [^ ]+ /, "", name)
             part = 4
-            if (name ~ /mirage_devices::(netback|switch|blkback|netem)::/) part = 2
+            if (name ~ dom0) part = 2
             else if (match(name, /mirage_[a-z]+/)) part = substr(name, RSTART, RLENGTH) == "mirage_hypervisor" ? 3 : 1
             bytes[part] += hex($2)
         }
@@ -485,8 +523,8 @@ symbol_split() {
 }
 printf '   %-19s %14s %16s %6s\n' appliance module-level function-level cut
 for app in "${appliances[@]}"; do
-    fn_bin="target/table2-function/release/examples/$app"
-    m="$(text_data "target/table2-module/release/examples/$app")" f="$(text_data "$fn_bin")"
+    fn_bin="target/table2-function/release/$app"
+    m="$(text_data "target/table2-module/release/$app")" f="$(text_data "$fn_bin")"
     printf '   %-19s %14d %16d %5s\n' "$app" "$m" "$f" "$(awk -v m="$m" -v f="$f" 'BEGIN { printf "%+.0f%%", (f - m) * 100 / m }')"
     if (( f >= m )); then
         echo "FAIL: $app is no smaller at function level ($f >= $m bytes text+data)" >&2
@@ -503,55 +541,43 @@ echo "   paper (MB, standard -> ocamlclean): DNS 0.449 -> 0.184, web 0.673 -> 0.
 printf '   %-19s %-8s %10s %9s %11s %10s\n' "symbol bytes (nm)" level guest dom0 hypervisor std/other
 for app in "${appliances[@]}"; do
     for level in module function; do
-        read -r guest dom0 hv other < <(symbol_split "target/table2-$level/release/examples/$app")
+        read -r guest dom0 hv other < <(symbol_split "target/table2-$level/release/$app")
         printf '   %-19s %-8s %10d %9d %11d %10d\n' "$app" "$level" "$guest" "$dom0" "$hv" "$other"
     done
 done
 echo "   closure: no function-level binary holds a symbol of a crate outside its appliance"
 
 # Figure 14a. The guest lines an appliance reaches: non-test lines of the
-# [dependencies] closure of its root crates, without the hypervisor crate
-# and without dom0's modules. The Linux totals are reconstructions of the
-# paper's pruned inventories (kernel subset, libc subset, glue, pruned
-# server), not measured here.
-deps_of() {
-    sed -n '/^\[dependencies\]/,/^\[/p' "crates/$1/Cargo.toml" | grep -oE '^mirage-[a-z]+' | sed 's/^mirage-//'
-}
-guest_loc() {
-    local todo=("$@") seen=" " crate
-    while [[ ${#todo[@]} -gt 0 ]]; do
-        crate="${todo[0]}"
-        todo=("${todo[@]:1}")
-        [[ "$seen" == *" $crate "* ]] && continue
-        seen+="$crate "
-        todo+=($(deps_of "$crate"))
-    done
-    for crate in $seen; do
-        [[ "$crate" == hypervisor ]] || non_test_lines "crates/$crate/src"
-    done | grep -cvE '^crates/devices/src/(netback|switch|blkback|netem)(\.rs|/)'
-}
-dns_loc="$(guest_loc dns)" web_loc="$(guest_loc http storage)" of_loc="$(guest_loc openflow)"
-printf '   %-24s %10s   %-32s %6s\n' "appliance (root crates)" "guest LoC" "Linux appliance (reconstruction)" ratio
-while read -r app loc linux total; do
-    printf '   %-24s %10d   %-24s %7d %6s\n' "$app" "$loc" "$linux" "$total" \
-        "$(awk -v l="$total" -v m="$loc" 'BEGIN { printf "%.1fx", l / m }')"
+# crates in its closure (the gate above), without dom0's modules. The
+# Linux totals are reconstructions of the paper's pruned inventories
+# (kernel subset, libc subset, glue, pruned server), not measured here.
+declare -A loc
+for app in "${appliances[@]}"; do
+    loc[$app]="$(for crate in ${closure[$app]}; do non_test_lines "crates/${crate#mirage-}/src"; done \
+        | grep -cvE "^crates/devices/src/($dom0_modules)(\.rs|/)")"
+done
+printf '   %-24s %10s   %-32s %6s\n' appliance "guest LoC" "Linux appliance (reconstruction)" ratio
+while read -r app linux total; do
+    printf '   %-24s %10d   %-24s %7d %6s\n' "$app" "${loc[$app]}" "$linux" "$total" \
+        "$(awk -v l="$total" -v m="${loc[$app]}" 'BEGIN { printf "%.1fx", l / m }')"
 done <<EOT
-DNS(dns) $dns_loc BIND 170500
-web(http+storage) $web_loc static-web 184500
-web(http+storage) $web_loc dynamic-web 276500
-OpenFlow(openflow) $of_loc of-controller 160500
-OpenFlow(openflow) $of_loc of-switch 155500
+dns_appliance BIND 170500
+web_appliance static-web 184500
+web_appliance dynamic-web 276500
+openflow_appliance of-controller 160500
+openflow_appliance of-switch 155500
 EOT
 echo "   paper: \"a Linux appliance involves at least 4-5x more LoC than a Mirage appliance\""
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
-echo "== benchmark: builds offline, and one traced dns_udp run passes its own checks"
+echo "== benchmark: builds offline, its unit tests pass, and one traced dns_udp run passes its own checks"
 # The component pass of a traced run drives the public ring, virtqueue
 # and page-pool API the workspace's tests do not: a change of meaning
 # there fails here rather than in the benchmark's pipeline.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 "${CARGO_TARGET_DIR:-benchmark/target}/release/mirage-benchmark" --out "$scratch/bench" \
     --workload dns_udp --seed 42 --seconds 1 --trace 1 > /dev/null
 
