@@ -54,6 +54,8 @@ fn rst_for(seg: &TcpSegment) -> SegmentOut {
         window: 0,
         mss: None,
         wscale: None,
+        sack_permitted: false,
+        sack: None,
         payload: PktBuf::empty(),
     }
 }
@@ -192,6 +194,8 @@ impl Admission {
                 window: self.tcp_cfg.recv_buf.min(u16::MAX as usize) as u16,
                 mss: Some(COOKIE_MSS_TABLE[idx]),
                 wscale: None,
+                sack_permitted: false,
+                sack: None,
                 payload: PktBuf::empty(),
             }));
         }
@@ -248,6 +252,8 @@ mod tests {
             window: 0xFFFF,
             mss: None,
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::empty(),
         };
         for workers in [2usize, 4, 8] {

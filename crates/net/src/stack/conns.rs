@@ -78,9 +78,9 @@ impl FlowKeyed for ConnEntry {
 /// segments and arms no deadline, so this *is* its whole budget —
 /// the C1M scenario prints it next to the measured RSS delta.
 ///
-/// 456 B on x86-64: a 424 B `ConnEntry`, of which 360 B is the
-/// `Connection` TCB with its 16 B of New Reno state, plus 32 B of index
-/// entries. `idle_conn_budget_stays_within_512` pins the ceiling so TCB
+/// 488 B on x86-64: a 456 B `ConnEntry`, of which 392 B is the
+/// `Connection` TCB with its 32 B of New Reno state (the window and the
+/// pair saved for a D-SACK undo), plus 32 B of index entries. `idle_conn_budget_stays_within_512` pins the ceiling so TCB
 /// growth can't land silently.
 pub fn idle_conn_bytes() -> usize {
     std::mem::size_of::<ConnEntry>()

@@ -319,6 +319,8 @@ mod tests {
             window,
             mss: None,
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::empty(),
         }
     }
@@ -404,6 +406,8 @@ mod tests {
         let syn = SegmentOut {
             mss: Some(1460),
             wscale: Some(2),
+            sack_permitted: false,
+            sack: None,
             ..segment(74_000, 0, SYN_FLAG, 0xFFFF)
         };
         egress.tcp(49152, client, &syn);
@@ -461,6 +465,8 @@ mod tests {
                 window,
                 mss: bit(5).then_some(mss),
                 wscale: bit(6).then_some(wscale),
+                sack_permitted: bit(7),
+                sack: (window & 1 == 1).then_some((ack, seq)),
                 payload: PktBuf::from_vec(payload),
             };
             let (mut egress, mut rx) = resolved_egress();
@@ -477,6 +483,7 @@ mod tests {
             assert_eq!((parsed.src_port, parsed.dst_port), (local_port, peer_port));
             assert_eq!((parsed.seq, parsed.ack, parsed.window), (seq, ack, window));
             assert_eq!((parsed.flags, parsed.mss, parsed.wscale), (seg.flags, seg.mss, seg.wscale));
+            assert_eq!((parsed.sack_permitted, parsed.sack), (seg.sack_permitted, seg.sack));
             assert_eq!(parsed.payload, seg.payload);
         }
 

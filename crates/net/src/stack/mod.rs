@@ -306,8 +306,8 @@ impl Worker {
 mod tests {
     use super::*;
 
-    /// Satellite audit: the per-idle-connection heap budget. 456 B today
-    /// (see [`idle_conn_bytes`]); the assert leaves 56 B of headroom to
+    /// Satellite audit: the per-idle-connection heap budget. 488 B today
+    /// (see [`idle_conn_bytes`]); the assert leaves 24 B of headroom to
     /// 512 so a PR that bloats the TCB trips this test and has to argue
     /// for the growth explicitly.
     #[test]

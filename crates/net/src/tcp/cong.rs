@@ -1,6 +1,7 @@
 //! CongCtrl — RFC 5681 / RFC 6582 New Reno behind a narrow intent API.
 //!
-//! Write scope: `cwnd` / `ssthresh`, and nothing else. The component
+//! Write scope: `cwnd` / `ssthresh` and the pair saved before the last
+//! fast retransmit (for an RFC 3708 undo), and nothing else. The component
 //! never sees sequence numbers: the ROD component classifies every
 //! acknowledgement and loss into an [`AckSample`] or [`LossEvent`], and
 //! [`NewReno`] only adjusts windows in response (the mlwip discipline:
@@ -52,11 +53,17 @@ pub enum LossEvent {
 }
 
 /// RFC 5681/6582 New Reno. Extracted verbatim from the monolithic state
-/// machine: same IW10 start, same growth, same recovery arithmetic.
+/// machine: same IW10 start, same growth, same recovery arithmetic. A fast
+/// retransmit also saves the window it cuts, so that [`NewReno::undo`] can
+/// put it back when ROD learns the episode was spurious.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NewReno {
     cwnd: usize,
     ssthresh: usize,
+    /// `cwnd` and `ssthresh` before the last fast retransmit; zero after
+    /// a timeout, which leaves nothing to undo.
+    prior_cwnd: usize,
+    prior_ssthresh: usize,
 }
 
 impl NewReno {
@@ -65,6 +72,8 @@ impl NewReno {
         NewReno {
             cwnd: 10 * mss,
             ssthresh: usize::MAX / 2,
+            prior_cwnd: 0,
+            prior_ssthresh: 0,
         }
     }
 
@@ -95,12 +104,23 @@ impl NewReno {
             LossEvent::Timeout { flight, mss } => {
                 self.ssthresh = (flight / 2).max(2 * mss);
                 self.cwnd = mss;
+                self.prior_cwnd = 0;
+                self.prior_ssthresh = 0;
             }
             LossEvent::TripleDup { flight, mss } => {
+                self.prior_cwnd = self.cwnd;
+                self.prior_ssthresh = self.ssthresh;
                 self.ssthresh = (flight / 2).max(2 * mss);
                 self.cwnd = self.ssthresh + 3 * mss;
             }
         }
+    }
+
+    /// The last fast retransmit was spurious: restore the window it cut
+    /// (RFC 3708 §3.2 — never below what the connection has now).
+    pub fn undo(&mut self) {
+        self.cwnd = self.cwnd.max(self.prior_cwnd);
+        self.ssthresh = self.ssthresh.max(self.prior_ssthresh);
     }
 
     /// Current congestion window in bytes.
@@ -180,6 +200,34 @@ mod tests {
             mss: MSS,
         });
         assert_eq!(cc.cwnd(), MSS, "timeout collapses to one MSS");
+    }
+
+    #[test]
+    fn undo_restores_the_window_a_fast_retransmit_cut_and_no_other() {
+        let mut cc = NewReno::new(MSS);
+        for _ in 0..30 {
+            cc.on_ack(sample(AckKind::New, MSS));
+        }
+        let (cwnd, ssthresh) = (cc.cwnd(), cc.ssthresh());
+        cc.on_loss(LossEvent::TripleDup {
+            flight: cwnd,
+            mss: MSS,
+        });
+        cc.on_ack(sample(AckKind::RecoveryExit, 0));
+        assert!(cc.cwnd() < cwnd);
+        cc.undo();
+        assert_eq!((cc.cwnd(), cc.ssthresh()), (cwnd, ssthresh));
+        // A timeout leaves nothing to undo.
+        cc.on_loss(LossEvent::TripleDup {
+            flight: cwnd,
+            mss: MSS,
+        });
+        cc.on_loss(LossEvent::Timeout {
+            flight: cwnd,
+            mss: MSS,
+        });
+        cc.undo();
+        assert_eq!(cc.cwnd(), MSS);
     }
 
     mirage_testkit::property! {

@@ -2,8 +2,8 @@
 //!
 //! Write scope: the RFC 793 state machine position, handshake and
 //! teardown flags (SYN/FIN bookkeeping, TIME-WAIT), the options learned
-//! from the peer's SYN (MSS, window scale), and the RFC 6298 RTT/RTO
-//! estimator with its retransmission deadline. This component never
+//! from the peer's SYN (MSS, window scale, SACK-permitted), and the RFC
+//! 6298 RTT/RTO estimator with its retransmission deadline. This component never
 //! touches buffers, windows or `cwnd`: it answers "what state are we in,
 //! what did we negotiate, when does the retransmit timer fire".
 
@@ -72,6 +72,7 @@ pub(super) struct ConnMgmt {
     peer_mss: usize,
     peer_wscale: u8,
     ws_enabled: bool,
+    sack_ok: bool,
     // RTT estimation (RFC 6298) + the retransmission deadline.
     srtt: Option<Dur>,
     rttvar: Dur,
@@ -94,6 +95,7 @@ impl ConnMgmt {
             peer_mss: 536,
             peer_wscale: 0,
             ws_enabled: false,
+            sack_ok: false,
             srtt: None,
             rttvar: Dur::ZERO,
             rto: RTO_INIT,
@@ -229,15 +231,17 @@ impl ConnMgmt {
 
     // --- negotiated options ------------------------------------------------
 
-    /// Learns MSS/window-scale from a SYN (RFC 7323: we always offer
-    /// scaling, so it is on exactly when the peer offered it too). An MSS
-    /// below [`MIN_PEER_MSS`] is raised to it.
-    pub fn learn_options(&mut self, mss: Option<u16>, wscale: Option<u8>) {
+    /// Learns MSS/window-scale/SACK-permitted from a SYN (RFC 7323, RFC
+    /// 2018: we always offer scaling and SACK, so each is on exactly when
+    /// the peer offered it too). An MSS below [`MIN_PEER_MSS`] is raised
+    /// to it.
+    pub fn learn_options(&mut self, mss: Option<u16>, wscale: Option<u8>, sack_permitted: bool) {
         if let Some(mss) = mss {
             self.peer_mss = usize::from(mss).max(MIN_PEER_MSS);
         }
         self.ws_enabled = wscale.is_some();
         self.peer_wscale = wscale.map_or(0, |ws| ws.min(14));
+        self.sack_ok = sack_permitted;
     }
 
     pub fn peer_mss(&self) -> usize {
@@ -255,6 +259,12 @@ impl ConnMgmt {
 
     pub fn ws_enabled(&self) -> bool {
         self.ws_enabled
+    }
+
+    /// Whether both SYNs carried SACK-permitted: only then does a D-SACK
+    /// block go out or get read.
+    pub fn sack_ok(&self) -> bool {
+        self.sack_ok
     }
 
     // --- RTT estimation and the retransmission timer -----------------------
@@ -380,12 +390,14 @@ mod tests {
     #[test]
     fn options_fold_in_only_when_both_sides_scale() {
         let mut cm = ConnMgmt::new(State::Listen);
-        cm.learn_options(Some(1400), Some(20));
+        cm.learn_options(Some(1400), Some(20), true);
         assert_eq!(cm.peer_mss(), 1400);
         assert!(cm.ws_enabled());
+        assert!(cm.sack_ok());
         assert_eq!(cm.peer_wscale(), 14, "shift clamped at RFC 7323 max");
-        cm.learn_options(None, None);
+        cm.learn_options(None, None, false);
         assert!(!cm.ws_enabled(), "the peer did not offer scaling");
+        assert!(!cm.sack_ok(), "nor SACK");
         assert_eq!(cm.peer_wscale(), 0);
         assert_eq!(cm.peer_mss(), 1400, "absent MSS option leaves the old value");
     }

@@ -10,9 +10,17 @@
 //! * retransmission with RFC 6298 RTO estimation, Karn's rule and
 //!   exponential backoff;
 //! * fast retransmit on three duplicate ACKs with **New Reno** partial-ACK
-//!   recovery (RFC 6582), and **limited transmit** (RFC 3042): the first
-//!   two duplicates each release one new segment, so a window of three or
-//!   four full segments still produces the third;
+//!   recovery (RFC 6582), and **limited transmit** (RFC 3042): each
+//!   duplicate below the threshold releases one new segment, so a window
+//!   of three or four full segments still produces the third;
+//! * **D-SACK** (RFC 2883, negotiated by SACK-permitted on both SYNs): an
+//!   ACK answering data below `rcv_nxt` reports the duplicate range as its
+//!   one SACK block, and the sender undoes a fast-recovery episode all of
+//!   whose retransmissions were reported so (RFC 3708: `cwnd` and
+//!   `ssthresh` back to at least their pre-loss values);
+//! * an **adaptive duplicate-ACK threshold**: each undone episode raises
+//!   it by one, to at most one less than the full segments the peer's
+//!   window admits; an RTO puts it back to three;
 //! * sender-side **silly-window avoidance** (RFC 1122 §4.2.3.4): data
 //!   leaves in full-sized segments unless the segment empties the send
 //!   buffer or the pipe is empty;
@@ -30,10 +38,10 @@
 //!
 //! | Component | Module | Owns (writes) |
 //! |---|---|---|
-//! | ConnMgmt | [`conn`](self) | state machine, SYN/FIN flags, options, RTT/RTO, rtx + TIME-WAIT timers |
-//! | ROD | [`rod`](self) | `snd_una`/`snd_nxt`, send buffer, `rcv_nxt`, reassembly stash (and an early FIN), dup-ack counting |
+//! | ConnMgmt | [`conn`](self) | state machine, SYN/FIN flags, options (incl. SACK-permitted), RTT/RTO, rtx + TIME-WAIT timers |
+//! | ROD | [`rod`](self) | `snd_una`/`snd_nxt`, send buffer, `rcv_nxt`, reassembly stash (and an early FIN), dup-ack counting and threshold, the undo record (episode range, unreported retransmissions) and D-SACK matching |
 //! | FlowCtrl | [`flow`](self) | peer window `snd_wnd`, persist timer |
-//! | CongCtrl | [`cong`] | `cwnd`, `ssthresh` |
+//! | CongCtrl | [`cong`] | `cwnd`, `ssthresh`, the pair saved before a fast retransmit |
 //! | Demux | [`demux`] | one worker's id and flow indexes (used by the socket layer) |
 //!
 //! [`Connection`] is the orchestrator: it owns one instance of each
@@ -52,7 +60,10 @@
 //! immediate (no delayed-ACK timer), and there is no Nagle algorithm — a
 //! short write that empties the buffer is sent at once, whatever is in
 //! flight (the socket layer coalesces the writes of one poll iteration
-//! instead).
+//! instead). SACK is used for D-SACK only: the receiver sends no blocks for
+//! out-of-order data, knowingly not following RFC 2018's "SHOULD", because
+//! nothing here would read them — the sender keeps no scoreboard and
+//! recovers one hole per RTT, as New Reno does.
 
 use mirage_cstruct::PktBuf;
 use mirage_hypervisor::Time;
@@ -215,8 +226,11 @@ impl Connection {
             },
             window: self.cfg.recv_buf.min(u16::MAX as usize) as u16,
             mss: Some(MSS as u16),
-            // RFC 7323 §1.3: a SYN+ACK offers scaling only to a SYN that did.
+            // RFC 7323 §1.3: a SYN+ACK offers scaling only to a SYN that
+            // did, and RFC 2018 §2 SACK likewise.
             wscale: (!with_ack || self.cm.ws_enabled()).then_some(WINDOW_SCALE),
+            sack_permitted: !with_ack || self.cm.sack_ok(),
+            sack: None,
             payload: PktBuf::empty(),
         }
     }
@@ -231,6 +245,8 @@ impl Connection {
             window: self.my_window_field(),
             mss: None,
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload,
         }
     }
@@ -238,6 +254,14 @@ impl Connection {
     fn make_ack(&mut self) -> SegmentOut {
         self.stats.segs_out += 1;
         self.segment(self.rod.snd_nxt(), Flags::ACK, PktBuf::empty())
+    }
+
+    /// An ACK reporting `dup`, bytes received twice, as its one D-SACK
+    /// block (RFC 2883) — if the peer offered SACK.
+    fn make_dsack_ack(&mut self, dup: Option<(u32, u32)>) -> SegmentOut {
+        let mut ack = self.make_ack();
+        ack.sack = dup.filter(|_| self.cm.sack_ok());
+        ack
     }
 
     fn unacked_in_flight(&self) -> bool {

@@ -82,9 +82,12 @@ pub struct TcpStats {
     pub bytes_in: u64,
     /// Payload bytes sent (first transmission).
     pub bytes_out: u64,
-    /// RTO retransmissions.
+    /// Retransmission-timer firings that resent the segment at `snd_una`.
+    /// The go-back-N resends that later ACKs clock out are not counted.
     pub rto_retransmits: u64,
-    /// Fast retransmissions.
+    /// Fast-recovery entries, each resending the segment at `snd_una`.
+    /// The New Reno resends on partial ACKs inside an episode are not
+    /// counted, and an episode a D-SACK later proves spurious stays in.
     pub fast_retransmits: u64,
     /// Zero-window persist probes sent.
     pub persist_probes: u64,
@@ -103,7 +106,9 @@ pub struct TcpStats {
 }
 
 impl TcpStats {
-    /// Every segment the loss-recovery machinery emitted.
+    /// Loss-recovery episodes: RTO firings plus fast-recovery entries.
+    /// This is not a count of retransmitted segments — each episode may
+    /// resend more on partial ACKs, and those are counted nowhere.
     pub fn total_retransmits(&self) -> u64 {
         self.rto_retransmits + self.fast_retransmits
     }

@@ -102,7 +102,7 @@ impl Connection {
     }
 
     fn learn_options(&mut self, seg: &TcpSegment) {
-        self.cm.learn_options(seg.mss, seg.wscale);
+        self.cm.learn_options(seg.mss, seg.wscale, seg.sack_permitted);
     }
 
     fn scaled_window(&self, seg: &TcpSegment) -> usize {
@@ -138,6 +138,25 @@ impl Connection {
         if self.flow.snd_wnd() > 0 && self.flow.persist_armed() {
             self.flow.cancel_persist();
             self.transmit(now, out);
+        }
+
+        // A D-SACK block (one at or below the cumulative ACK) reports a
+        // retransmission the peer already had. ROD matches it against the
+        // last fast-recovery episode; once every retransmission of that
+        // episode is reported, the window cut was for reordering, not loss,
+        // and congestion control restores it (RFC 3708).
+        let dsack = seg
+            .sack
+            .filter(|&(_, right)| self.cm.sack_ok() && seq::le(right, ack));
+        let mut undone = false;
+        if let Some(block) = dsack {
+            // A threshold the peer's window cannot produce would turn
+            // every loss into a timeout.
+            let cap = (self.flow.snd_wnd() / self.effective_mss()).saturating_sub(1);
+            undone = self.rod.on_dsack(block, u32::try_from(cap).unwrap_or(u32::MAX));
+            if undone {
+                self.cc.undo();
+            }
         }
 
         if seq::gt(ack, self.rod.snd_una()) {
@@ -195,8 +214,10 @@ impl Connection {
             && seg.payload.is_empty()
             && !seg.flags.fin
             && self.rod.has_flight()
-            // ACKs elicited by persist probes are not loss signals.
+            // ACKs elicited by persist probes are not loss signals, nor
+            // those that answer a duplicate segment.
             && !self.flow.persist_armed()
+            && dsack.is_none()
         {
             match self.rod.on_dup_ack() {
                 DupSignal::EnterRecovery => {
@@ -214,16 +235,20 @@ impl Connection {
                     self.transmit(now, out);
                 }
                 DupSignal::LimitedTransmit => {
-                    // RFC 3042: the first two duplicates each release one
-                    // new segment (`transmit` widens its window by the
-                    // count), so a small window still produces the third.
+                    // RFC 3042: each duplicate below the threshold releases
+                    // one new segment (`transmit` widens its window by the
+                    // count), so a small window still produces the next.
                     self.transmit(now, out);
                 }
             }
+        } else if undone {
+            // The restored window may admit new data.
+            self.transmit(now, out);
         }
     }
 
     fn process_payload(&mut self, seg: &TcpSegment, now: Time, out: &mut Output) {
+        let dup = self.rod.duplicate_range(seg.seq, seg.payload.len());
         let (bytes_in, events) = (&mut self.stats.bytes_in, &mut out.events);
         let outcome = self.rod.accept_data(
             seg.seq,
@@ -240,7 +265,7 @@ impl Connection {
         );
         match outcome {
             RecvOutcome::Stale => {
-                out.segments.push(self.make_ack());
+                out.segments.push(self.make_dsack_ack(dup));
             }
             RecvOutcome::InOrder => {
                 // FIN processing: only once all data up to the FIN arrived,
@@ -252,7 +277,7 @@ impl Connection {
                     self.cm.on_peer_fin(now);
                     out.events.push(Event::PeerFin);
                 }
-                out.segments.push(self.make_ack());
+                out.segments.push(self.make_dsack_ack(dup));
             }
             RecvOutcome::OutOfOrder {
                 report,

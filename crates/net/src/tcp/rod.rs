@@ -3,8 +3,10 @@
 //! Write scope: the sequence-space bookkeeping on both sides of the
 //! connection — `iss`, `snd_una`, `snd_nxt` and the send buffer on the way
 //! out; `rcv_nxt` and the out-of-order reassembly stash on the way in —
-//! plus the loss-*detection* state (`dup_acks`, `in_recovery`, `recover`),
-//! which is sequence arithmetic and therefore lives here, not in CongCtrl.
+//! plus the loss-*detection* state (`dup_acks`, the duplicate-ACK
+//! threshold, `in_recovery`, `recover`, and the undo record that matches
+//! D-SACK blocks against a fast-recovery episode), which is sequence
+//! arithmetic and therefore lives here, not in CongCtrl.
 //! This component never touches timers, windows or `cwnd`: it classifies
 //! what happened ([`AckClass`], [`DupSignal`], [`RecvOutcome`]) and the
 //! orchestrator routes the classification to the right component.
@@ -14,6 +16,18 @@ use std::collections::BTreeMap;
 use mirage_cstruct::{PktBuf, PktQueue};
 
 use super::seq;
+
+/// Duplicate ACKs that first signal a loss (RFC 5681 §3.2).
+const DUPTHRESH: u32 = 3;
+
+/// A fast-recovery episode that a D-SACK may yet prove spurious: its
+/// range runs from `start` (`snd_una` at entry) to `recover`.
+#[derive(Debug, Clone, Copy)]
+struct Undo {
+    start: u32,
+    /// Retransmissions of the episode not yet reported as duplicates.
+    unreported: u32,
+}
 
 /// How an acceptable forward ACK relates to an open recovery episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +46,7 @@ pub(super) enum DupSignal {
     /// Below the dup-ack threshold, outside recovery: each one lets a new
     /// segment out (limited transmit), `cwnd` untouched.
     LimitedTransmit,
-    /// Third duplicate: enter fast retransmit / fast recovery.
+    /// The threshold's duplicate: enter fast retransmit / fast recovery.
     EnterRecovery,
     /// Extra duplicate inside recovery: inflate and transmit.
     Inflate,
@@ -85,8 +99,12 @@ pub(super) struct Rod {
     ooo_fin: Option<u32>,
     // Loss detection (sequence space).
     dup_acks: u32,
+    /// Duplicate ACKs that enter recovery: [`DUPTHRESH`], raised by one
+    /// per episode a D-SACK proves spurious, reset by an RTO.
+    dupthresh: u32,
     in_recovery: bool,
     recover: u32,
+    undo: Option<Undo>,
 }
 
 impl Rod {
@@ -100,8 +118,10 @@ impl Rod {
             ooo: BTreeMap::new(),
             ooo_fin: None,
             dup_acks: 0,
+            dupthresh: DUPTHRESH,
             in_recovery: false,
             recover: iss,
+            undo: None,
         }
     }
 
@@ -162,7 +182,8 @@ impl Rod {
 
     /// Segments of new data the duplicate ACKs seen so far entitle the
     /// sender to beyond `cwnd` (RFC 3042 limited transmit): one per
-    /// duplicate below the fast-retransmit threshold. Inside recovery the
+    /// duplicate below the fast-retransmit threshold, however far a
+    /// spurious episode has raised it. Inside recovery the
     /// congestion window itself inflates instead.
     pub fn limited_transmit_segments(&self) -> usize {
         if self.in_recovery {
@@ -249,7 +270,9 @@ impl Rod {
     }
 
     /// Classifies a forward ACK against the recovery episode, updating the
-    /// recovery bookkeeping (this component's own state).
+    /// recovery bookkeeping (this component's own state). A partial ACK
+    /// retransmits, so a fast-recovery episode counts one more
+    /// retransmission for a D-SACK to report.
     pub fn classify_ack(&mut self, ack: u32) -> AckClass {
         if self.in_recovery {
             if seq::ge(ack, self.recover) {
@@ -257,6 +280,9 @@ impl Rod {
                 self.dup_acks = 0;
                 AckClass::RecoveryFull
             } else {
+                if let Some(undo) = &mut self.undo {
+                    undo.unreported += 1;
+                }
                 AckClass::RecoveryPartial
             }
         } else {
@@ -265,25 +291,60 @@ impl Rod {
         }
     }
 
-    /// Counts a duplicate ACK and says what it means.
+    /// Counts a duplicate ACK and says what it means. Entering recovery
+    /// opens an undo record for the episode, its fast retransmit counted.
     pub fn on_dup_ack(&mut self) -> DupSignal {
         self.dup_acks += 1;
-        if self.dup_acks == 3 && !self.in_recovery {
+        if self.in_recovery {
+            DupSignal::Inflate
+        } else if self.dup_acks >= self.dupthresh {
             self.recover = self.snd_nxt;
             self.in_recovery = true;
+            self.undo = Some(Undo {
+                start: self.snd_una,
+                unreported: 1,
+            });
             DupSignal::EnterRecovery
-        } else if self.in_recovery {
-            DupSignal::Inflate
         } else {
             DupSignal::LimitedTransmit
         }
     }
 
+    /// A D-SACK block `(left, right)` arrived: a SACK block at or below
+    /// the cumulative ACK, as the orchestrator has checked. A block inside
+    /// the open undo record's episode reports one of its retransmissions
+    /// as needless; once all of them are, the episode was reordering, not
+    /// loss: recovery ends, the duplicate-ACK threshold rises by one (to
+    /// at most `thresh_cap`, but never below [`DUPTHRESH`]) and `true`
+    /// says congestion control should undo its cut (RFC 3708).
+    pub fn on_dsack(&mut self, (left, right): (u32, u32), thresh_cap: u32) -> bool {
+        let Some(undo) = &mut self.undo else {
+            return false;
+        };
+        let inside =
+            seq::le(undo.start, left) && seq::lt(left, right) && seq::le(right, self.recover);
+        if !inside {
+            return false;
+        }
+        undo.unreported = undo.unreported.saturating_sub(1);
+        if undo.unreported > 0 {
+            return false;
+        }
+        self.undo = None;
+        self.in_recovery = false;
+        self.dup_acks = 0;
+        self.dupthresh = (self.dupthresh + 1).min(thresh_cap.max(DUPTHRESH));
+        true
+    }
+
     /// An RTO abandons any fast-recovery episode (the retransmission path
-    /// takes over).
+    /// takes over), with its undo record, and forgets what reordering
+    /// taught the duplicate-ACK threshold.
     pub fn reset_recovery(&mut self) {
         self.in_recovery = false;
         self.dup_acks = 0;
+        self.dupthresh = DUPTHRESH;
+        self.undo = None;
     }
 
     /// An RTO fired with data outstanding: open a go-back-N recovery
@@ -300,6 +361,15 @@ impl Rod {
 
     pub fn rcv_nxt(&self) -> u32 {
         self.rcv_nxt
+    }
+
+    /// The part of a segment at `seg_seq` carrying `len` bytes that lies
+    /// below `rcv_nxt` — bytes already received, which the ACK reports as
+    /// a D-SACK block (RFC 2883).
+    pub fn duplicate_range(&self, seg_seq: u32, len: usize) -> Option<(u32, u32)> {
+        let end = seg_seq.wrapping_add(len as u32);
+        let dup_end = if seq::lt(end, self.rcv_nxt) { end } else { self.rcv_nxt };
+        (len > 0 && seq::lt(seg_seq, self.rcv_nxt)).then_some((seg_seq, dup_end))
     }
 
     /// Sets the initial receive sequence (SYN consumed).

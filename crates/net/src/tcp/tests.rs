@@ -80,6 +80,15 @@ fn pump(
 /// `peer_scales` the client's SYN loses its window-scale option in flight,
 /// so the server meets a peer without RFC 7323.
 fn handshake_with(peer_scales: bool) -> (Connection, Connection, Vec<SegmentOut>, Vec<SegmentOut>, Time) {
+    handshake_offering(peer_scales, true)
+}
+
+/// [`handshake_with`], and without `peer_sacks` the client's SYN loses
+/// its SACK-permitted option too.
+fn handshake_offering(
+    peer_scales: bool,
+    peer_sacks: bool,
+) -> (Connection, Connection, Vec<SegmentOut>, Vec<SegmentOut>, Time) {
     let mut now = Time::ZERO;
     let cfg = std::sync::Arc::new(TcpConfig::default());
     let (mut client, out) = Connection::connect(cfg.clone(), 100, now);
@@ -88,6 +97,7 @@ fn handshake_with(peer_scales: bool) -> (Connection, Connection, Vec<SegmentOut>
     if !peer_scales {
         c_out[0].wscale = None;
     }
+    c_out[0].sack_permitted &= peer_sacks;
     let mut s_out = Vec::new();
     let (ev_c, ev_s) = pump(&mut client, &mut server, &mut c_out, &mut s_out, &mut now, |_, _| true);
     assert!(ev_c.contains(&Event::Connected));
@@ -123,6 +133,8 @@ fn zero_window_persist_probes_with_backoff_until_reopen() {
             window: 0,
             mss: None,
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::empty(),
         },
         now,
@@ -164,6 +176,8 @@ fn zero_window_persist_probes_with_backoff_until_reopen() {
                 window: 0,
                 mss: None,
                 wscale: None,
+                sack_permitted: false,
+                sack: None,
                 payload: PktBuf::empty(),
             },
             now,
@@ -184,6 +198,8 @@ fn zero_window_persist_probes_with_backoff_until_reopen() {
             window: u16::MAX,
             mss: None,
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::empty(),
         },
         now,
@@ -345,6 +361,8 @@ fn rst_tears_down_immediately() {
         window: 0,
         mss: None,
         wscale: None,
+        sack_permitted: false,
+        sack: None,
         payload: PktBuf::empty(),
     };
     // A blind RST with an out-of-window sequence number is dropped.
@@ -407,6 +425,8 @@ fn a_syn_ack_with_a_tiny_mss_is_sent_to_at_the_floor() {
             window: u16::MAX,
             mss: Some(peer_mss),
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::empty(),
         };
         deliver_from_b(&mut client, &syn_ack, now);
@@ -429,6 +449,8 @@ fn a_syn_with_a_tiny_mss_is_sent_to_at_the_floor() {
             window: u16::MAX,
             mss: Some(peer_mss),
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::empty(),
         };
         let syn_ack = deliver_from_a(&mut server, &syn, now).segments;
@@ -440,6 +462,8 @@ fn a_syn_with_a_tiny_mss_is_sent_to_at_the_floor() {
             window: u16::MAX,
             mss: None,
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::empty(),
         };
         deliver_from_a(&mut server, &ack, now);
@@ -559,6 +583,8 @@ fn ack_from_b(client: &mut Connection, ack: u32, window: usize, now: Time) -> Ve
         window: window as u16,
         mss: None,
         wscale: None,
+        sack_permitted: false,
+        sack: None,
         payload: PktBuf::empty(),
     };
     deliver_from_b(client, &seg, now).segments
@@ -950,6 +976,8 @@ mirage_testkit::property! {
                 window: 0xFFFF,
                 mss: None,
                 wscale: None,
+                sack_permitted: false,
+                sack: None,
                 payload: PktBuf::from_vec(data[s..e].to_vec()),
             };
             let wire = PktBuf::from_vec(build_segment(A, 1000, B, 2000, &out));
@@ -978,4 +1006,251 @@ mirage_testkit::property! {
         assert_eq!(run.delivered, run.written, "stream delivered exactly once");
         assert_eq!(run, run_schedule(&sched), "same schedule, same trace");
     }
+}
+
+// --- D-SACK: telling reordering from loss -----------------------------------
+
+/// What one [`exchange`] saw.
+struct Exchange {
+    /// Bytes the server delivered.
+    delivered: Vec<u8>,
+    /// Every segment the client emitted, in order.
+    sent: Vec<SegmentOut>,
+    /// Every segment the server answered with, in order.
+    answers: Vec<SegmentOut>,
+}
+
+/// Carries `wire` (the client's segments) to the server one at a time and
+/// every answer straight back, queueing what the client emits in reply,
+/// until nothing is left. The client segment at `held` (an index into
+/// `wire`) is delivered after the `depth` segments behind it (reordered),
+/// or never if `lose`.
+fn exchange(
+    client: &mut Connection,
+    server: &mut Connection,
+    wire: Vec<SegmentOut>,
+    held: usize,
+    depth: usize,
+    lose: bool,
+    now: Time,
+) -> Exchange {
+    let mut queue = std::collections::VecDeque::from(wire);
+    let held_seg = queue.remove(held).expect("held segment in range");
+    let mut x = Exchange {
+        delivered: Vec::new(),
+        sent: Vec::new(),
+        answers: Vec::new(),
+    };
+    let mut passed = 0;
+    let mut held_seg = Some(held_seg);
+    while let Some(seg) = queue.pop_front() {
+        let mut carry = vec![seg];
+        passed += 1;
+        if passed == depth {
+            if let Some(h) = held_seg.take() {
+                if !lose {
+                    carry.push(h);
+                }
+            }
+        }
+        for seg in carry {
+            let out = deliver_from_a(server, &seg, now);
+            x.delivered.extend(collect_data(&out.events));
+            for ans in out.segments {
+                let back = deliver_from_b(client, &ans, now).segments;
+                x.sent.extend(back.iter().cloned());
+                queue.extend(back);
+                x.answers.push(ans);
+            }
+        }
+    }
+    x
+}
+
+/// A stream of `n` bytes to tell delivered bytes apart.
+fn stream(n: usize, salt: u8) -> Vec<u8> {
+    (0..n).map(|i| (i % 251) as u8 ^ salt).collect()
+}
+
+#[test]
+fn a_reordered_segment_is_undone_by_dsack_and_raises_the_threshold() {
+    let (mut client, mut server, _c, _s, now) = handshake_unscaled();
+    let pre = (client.cwnd(), client.cc.ssthresh());
+    let data = stream(30 * MSS, 0);
+    let wire = client.app_send(&data[..], now).segments;
+    assert_eq!(wire.len(), 10);
+    // The first segment arrives behind the next three: three duplicate
+    // ACKs, a fast retransmit, then the original after all.
+    let x = exchange(&mut client, &mut server, wire, 0, 3, false, now);
+    assert_eq!(x.delivered, data, "stream delivered exactly once");
+    assert_eq!(client.stats().fast_retransmits, 1);
+    let dsacks: Vec<_> = x.answers.iter().filter_map(|a| a.sack).collect();
+    assert!(!dsacks.is_empty(), "the duplicate drew a D-SACK");
+    assert!(dsacks.contains(&(101, 101 + MSS as u32)), "{dsacks:?}");
+    assert!(client.cwnd() >= pre.0, "cwnd back to its pre-loss value");
+    assert_eq!(client.cc.ssthresh(), pre.1, "and ssthresh");
+
+    // The same reordering again: three duplicates no longer mean loss.
+    let data = stream(12 * MSS, 0x5A);
+    let wire = client.app_send(&data[..], now).segments;
+    let first = wire[0].seq;
+    let x = exchange(&mut client, &mut server, wire, 0, 3, false, now);
+    assert_eq!(x.delivered, data);
+    assert_eq!(client.stats().fast_retransmits, 1, "no second fast retransmit");
+    assert!(
+        x.sent.iter().all(|s| seq::gt(s.seq, first) || s.payload.is_empty()),
+        "nothing was sent twice"
+    );
+    assert_eq!(client.stats().rto_retransmits, 0);
+}
+
+#[test]
+fn a_lost_segment_draws_no_dsack_and_nothing_is_undone() {
+    let (mut client, mut server, _c, _s, now) = handshake_unscaled();
+    let pre = client.cwnd();
+    let data = stream(30 * MSS, 0);
+    let wire = client.app_send(&data[..], now).segments;
+    let x = exchange(&mut client, &mut server, wire, 0, 3, true, now);
+    assert_eq!(x.delivered, data, "the fast retransmit filled the hole");
+    assert_eq!(client.stats().fast_retransmits, 1);
+    assert!(x.answers.iter().all(|a| a.sack.is_none()), "no duplicate, no D-SACK");
+    assert!(client.cwnd() < pre, "the window stays cut");
+    assert!(client.cc.ssthresh() < usize::MAX / 2);
+
+    // The threshold is still three: the next loss of the same depth is
+    // fast-retransmitted again.
+    let data = stream(12 * MSS, 0x5A);
+    let wire = client.app_send(&data[..], now).segments;
+    let x = exchange(&mut client, &mut server, wire, 0, 3, true, now);
+    assert_eq!(x.delivered, data);
+    assert_eq!(client.stats().fast_retransmits, 2);
+}
+
+/// A bare ACK from the peer carrying one SACK block.
+fn sack_from_b(client: &mut Connection, ack: u32, block: (u32, u32), now: Time) -> Vec<SegmentOut> {
+    let seg = SegmentOut {
+        seq: 9001,
+        ack,
+        flags: Flags::ACK,
+        window: u16::MAX,
+        mss: None,
+        wscale: None,
+        sack_permitted: false,
+        sack: Some(block),
+        payload: PktBuf::empty(),
+    };
+    deliver_from_b(client, &seg, now).segments
+}
+
+#[test]
+fn a_dsack_outside_the_episode_changes_nothing() {
+    let (mut client, _server, _c, _s, now) = handshake_unscaled();
+    let mss = MSS as u32;
+    client.app_send(vec![1u8; 30 * MSS], now);
+    // Two segments acked, then three duplicates: the episode starts at
+    // the third segment.
+    let una = 101 + 2 * mss;
+    ack_from_b(&mut client, una, u16::MAX as usize, now);
+    let pre = (client.cwnd(), client.cc.ssthresh());
+    for _ in 0..3 {
+        ack_from_b(&mut client, una, u16::MAX as usize, now);
+    }
+    assert_eq!(client.stats().fast_retransmits, 1);
+    let cut = client.cwnd();
+    assert!(cut + MSS < pre.0);
+
+    // Below the episode's first snd_una: a duplicate of an earlier
+    // segment, not of this episode's retransmission.
+    assert!(sack_from_b(&mut client, una, (101, 101 + mss), now).is_empty());
+    assert_eq!(client.cwnd(), cut, "not undone, and not a duplicate ACK");
+    // Above the cumulative ACK: an ordinary SACK block, not a D-SACK. It
+    // counts as a duplicate (window inflation), but undoes nothing.
+    sack_from_b(&mut client, una, (una, una + mss), now);
+    assert_eq!(client.cwnd(), cut + MSS, "inflated by one duplicate only");
+    // The episode's own retransmission, reported at or below the ACK.
+    sack_from_b(&mut client, una + mss, (una, una + mss), now);
+    assert!(client.cwnd() >= pre.0, "undone by the one D-SACK that matches");
+    assert_eq!(client.cc.ssthresh(), pre.1);
+}
+
+#[test]
+fn an_ack_carrying_a_dsack_is_not_a_duplicate_ack() {
+    let (mut client, _server, _c, _s, now) = handshake_unscaled();
+    let out = client.app_send(vec![2u8; 30 * MSS], now);
+    assert_eq!(out.segments.len(), 10);
+    for _ in 0..5 {
+        let segs = sack_from_b(&mut client, 101, (50, 101), now);
+        assert!(segs.is_empty(), "no limited transmit, no fast retransmit");
+    }
+    assert_eq!(client.stats().fast_retransmits, 0);
+    assert_eq!(client.cwnd(), 10 * MSS);
+    // The same ACKs without the block are duplicates.
+    ack_from_b(&mut client, 101, u16::MAX as usize, now);
+    ack_from_b(&mut client, 101, u16::MAX as usize, now);
+    let segs = ack_from_b(&mut client, 101, u16::MAX as usize, now);
+    assert_eq!(segs[0].seq, 101);
+    assert_eq!(client.stats().fast_retransmits, 1);
+}
+
+#[test]
+fn an_rto_drops_the_undo_record_and_resets_the_threshold() {
+    let (mut client, mut server, _c, _s, mut now) = handshake_unscaled();
+    let mss = MSS as u32;
+    // One spurious episode raises the threshold to four.
+    let wire = client.app_send(stream(30 * MSS, 0), now).segments;
+    exchange(&mut client, &mut server, wire, 0, 3, false, now);
+    assert_eq!(client.stats().fast_retransmits, 1);
+    let una = client.rod.snd_una();
+
+    // Four duplicates now enter recovery; then the timer fires.
+    client.app_send(vec![3u8; 30 * MSS], now);
+    for _ in 0..3 {
+        ack_from_b(&mut client, una, u16::MAX as usize, now);
+    }
+    assert_eq!(client.stats().fast_retransmits, 1, "three are below the threshold");
+    ack_from_b(&mut client, una, u16::MAX as usize, now);
+    assert_eq!(client.stats().fast_retransmits, 2);
+    now = client.next_deadline().expect("retransmit timer armed");
+    client.poll(now);
+    assert_eq!(client.stats().rto_retransmits, 1);
+    assert_eq!(client.cwnd(), MSS);
+
+    // The fast retransmit reported as a duplicate no longer undoes
+    // anything: the record went with the timeout.
+    sack_from_b(&mut client, una + mss, (una, una + mss), now);
+    assert!(client.cwnd() <= 2 * MSS, "no undo after an RTO: {}", client.cwnd());
+
+    // Finish the timeout's recovery, then three duplicates are a loss
+    // again.
+    let end = client.rod.snd_nxt();
+    ack_from_b(&mut client, end, u16::MAX as usize, now);
+    client.app_send(vec![4u8; 30 * MSS], now);
+    for _ in 0..3 {
+        ack_from_b(&mut client, end, u16::MAX as usize, now);
+    }
+    assert_eq!(client.stats().fast_retransmits, 3, "threshold back at three");
+}
+
+#[test]
+fn a_peer_without_sack_permitted_never_sees_a_sack_option() {
+    let (mut client, mut server, c_out, s_out, now) = handshake_offering(false, false);
+    assert!(c_out.is_empty() && s_out.is_empty());
+    assert!(!server.cm.sack_ok() && !client.cm.sack_ok());
+    // The server's SYN-ACK to such a SYN offers no SACK.
+    let mut listener = Connection::listen(TcpConfig::default(), 7);
+    let (_, syn) = Connection::connect(TcpConfig::default(), 100, now);
+    let mut syn = syn.segments[0].clone();
+    assert!(syn.sack_permitted, "a SYN offers SACK");
+    syn.sack_permitted = false;
+    let synack = deliver_from_a(&mut listener, &syn, now).segments;
+    assert!(synack[0].flags.syn && !synack[0].sack_permitted);
+
+    // Reordered and duplicated data draws plain ACKs only.
+    let data = stream(30 * MSS, 0);
+    let wire = client.app_send(&data[..], now).segments;
+    let dup = wire[1].clone();
+    let x = exchange(&mut client, &mut server, wire, 0, 3, false, now);
+    assert_eq!(x.delivered, data);
+    let again = deliver_from_a(&mut server, &dup, now).segments;
+    assert!(x.answers.iter().chain(&again).all(|a| a.sack.is_none()));
 }

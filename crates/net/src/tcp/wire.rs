@@ -2,7 +2,19 @@
 //!
 //! Pure functions of bytes — no connection state lives here. Parsing is
 //! checksum-verified and zero-copy: the payload of a [`TcpSegment`] is a
-//! [`PktBuf`] view over the received frame's page.
+//! [`PktBuf`] view over the received frame's page. The parser reads
+//! bytes from the wire, so this module's non-test code may not index,
+//! slice, unwrap or panic: every read is a `get` or a checked split.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
 
 use mirage_cstruct::PktBuf;
 
@@ -76,6 +88,11 @@ pub struct TcpSegment {
     pub mss: Option<u16>,
     /// Window-scale option, if present.
     pub wscale: Option<u8>,
+    /// SACK-permitted option (RFC 2018 kind 4) present.
+    pub sack_permitted: bool,
+    /// The first block `(left, right)` of a SACK option (kind 5), if any:
+    /// a block ending at or below `ack` is a D-SACK (RFC 2883).
+    pub sack: Option<(u32, u32)>,
     /// Payload (a view into the same page as the headers).
     pub payload: PktBuf,
 }
@@ -88,53 +105,64 @@ impl TcpSegment {
         buf: &PktBuf,
     ) -> Option<TcpSegment> {
         let data = buf.as_slice();
-        if data.len() < 20 {
-            return None;
-        }
+        let (header, _) = data.split_first_chunk::<20>()?;
         if !checksum::verify_pseudo(src, dst, protocol::TCP, data) {
             return None;
         }
-        let data_off = (data[12] >> 4) as usize * 4;
-        if data_off < 20 || data.len() < data_off {
-            return None;
-        }
-        let mut mss = None;
-        let mut wscale = None;
-        let mut opts = &data[20..data_off];
-        while let Some(&kind) = opts.first() {
-            match kind {
-                0 => break,
-                1 => opts = &opts[1..],
-                2 if opts.len() >= 4 && opts[1] == 4 => {
-                    mss = Some(u16::from_be_bytes([opts[2], opts[3]]));
-                    opts = &opts[4..];
-                }
-                3 if opts.len() >= 3 && opts[1] == 3 => {
-                    wscale = Some(opts[2]);
-                    opts = &opts[3..];
-                }
-                _ => {
-                    let len = *opts.get(1)? as usize;
-                    if len < 2 || opts.len() < len {
-                        return None;
-                    }
-                    opts = &opts[len..];
-                }
-            }
-        }
-        Some(TcpSegment {
-            src_port: u16::from_be_bytes([data[0], data[1]]),
-            dst_port: u16::from_be_bytes([data[2], data[3]]),
-            seq: u32::from_be_bytes(data[4..8].try_into().ok()?),
-            ack: u32::from_be_bytes(data[8..12].try_into().ok()?),
-            flags: Flags::from_byte(data[13]),
-            window: u16::from_be_bytes([data[14], data[15]]),
-            mss,
-            wscale,
+        let [sp0, sp1, dp0, dp1, s0, s1, s2, s3, a0, a1, a2, a3, off, flags, w0, w1, ..] = *header;
+        let data_off = usize::from(off >> 4) * 4;
+        let mut opts = data.get(20..data_off)?;
+        let mut seg = TcpSegment {
+            src_port: u16::from_be_bytes([sp0, sp1]),
+            dst_port: u16::from_be_bytes([dp0, dp1]),
+            seq: u32::from_be_bytes([s0, s1, s2, s3]),
+            ack: u32::from_be_bytes([a0, a1, a2, a3]),
+            flags: Flags::from_byte(flags),
+            window: u16::from_be_bytes([w0, w1]),
+            mss: None,
+            wscale: None,
+            sack_permitted: false,
+            sack: None,
             // The payload is a suffix of the TCP segment, so a sub-view
             // of the same page suffices — no copy.
             payload: buf.slice(data_off..),
-        })
+        };
+        while let Some((&kind, rest)) = opts.split_first() {
+            match kind {
+                0 => break,
+                1 => {
+                    opts = rest;
+                    continue;
+                }
+                _ => {}
+            }
+            // Every other option is kind, length, body; a length that
+            // runs past the header is malformed.
+            let len = usize::from(*rest.first()?);
+            if len < 2 {
+                return None;
+            }
+            let (opt, tail) = opts.split_at_checked(len)?;
+            opts = tail;
+            let (_, body) = opt.split_at_checked(2)?;
+            // A known kind at the wrong length is skipped, as an unknown one.
+            match (kind, body) {
+                (2, &[hi, lo]) => seg.mss = Some(u16::from_be_bytes([hi, lo])),
+                (3, &[shift]) => seg.wscale = Some(shift),
+                (4, []) => seg.sack_permitted = true,
+                (5, blocks) if blocks.len() % 8 == 0 => {
+                    if let Some((&[l0, l1, l2, l3, r0, r1, r2, r3], _)) = blocks.split_first_chunk()
+                    {
+                        seg.sack = Some((
+                            u32::from_be_bytes([l0, l1, l2, l3]),
+                            u32::from_be_bytes([r0, r1, r2, r3]),
+                        ));
+                    }
+                }
+                _ => {}
+            }
+        }
+        Some(seg)
     }
 }
 
@@ -153,14 +181,23 @@ pub struct SegmentOut {
     pub mss: Option<u16>,
     /// Window-scale option to include.
     pub wscale: Option<u8>,
+    /// Include the SACK-permitted option (SYN and SYN+ACK only).
+    pub sack_permitted: bool,
+    /// One SACK block `(left, right)` to include: the state machine sends
+    /// only D-SACK blocks (RFC 2883), reporting a duplicate it received.
+    pub sack: Option<(u32, u32)>,
     /// Payload bytes — a refcounted view into the send buffer, not a copy.
     pub payload: PktBuf,
 }
 
 /// Header length of `out` on the wire: the fixed 20 bytes plus its
-/// options (MSS: 4; window scale: 3 and a NOP pad).
+/// options (MSS: 4; window scale: 3 and a NOP pad; SACK-permitted: 2 and
+/// two NOPs; one SACK block: 10 and two NOPs).
 fn header_len(out: &SegmentOut) -> usize {
-    20 + 4 * usize::from(out.mss.is_some()) + 4 * usize::from(out.wscale.is_some())
+    20 + 4 * usize::from(out.mss.is_some())
+        + 4 * usize::from(out.wscale.is_some())
+        + 4 * usize::from(out.sack_permitted)
+        + 12 * usize::from(out.sack.is_some())
 }
 
 /// Length of `out` on the wire, header and payload.
@@ -172,6 +209,11 @@ pub fn segment_len(out: &SegmentOut) -> usize {
 /// start of `buf` ([`segment_len`] bytes) and returns that length — the
 /// only code that knows the TCP layout, and the one place payload is
 /// serialised into a frame.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`buf` holds at least `segment_len(out)` bytes (the caller's contract); \
+              every index below is under `header_len(out)`, which counts each option written"
+)]
 pub fn write_segment(
     buf: &mut [u8],
     src: std::net::Ipv4Addr,
@@ -191,14 +233,25 @@ pub fn write_segment(
     d[13] = out.flags.to_byte();
     d[14..16].copy_from_slice(&out.window.to_be_bytes());
     d[16..20].copy_from_slice(&[0, 0, 0, 0]); // checksum (filled below) + urgent
-    let mut opts = &mut d[20..data_off];
+    let mut at = 20;
+    let mut put = |bytes: &[u8]| {
+        d[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    };
     if let Some(mss) = out.mss {
-        opts[..2].copy_from_slice(&[2, 4]);
-        opts[2..4].copy_from_slice(&mss.to_be_bytes());
-        opts = &mut opts[4..];
+        put(&[2, 4]);
+        put(&mss.to_be_bytes());
     }
     if let Some(ws) = out.wscale {
-        opts.copy_from_slice(&[3, 3, ws, 1]); // + NOP pad
+        put(&[3, 3, ws, 1]); // + NOP pad
+    }
+    if out.sack_permitted {
+        put(&[1, 1, 4, 2]); // NOP pads + SACK-permitted
+    }
+    if let Some((left, right)) = out.sack {
+        put(&[1, 1, 5, 10]); // NOP pads + one block
+        put(&left.to_be_bytes());
+        put(&right.to_be_bytes());
     }
     d[data_off..].copy_from_slice(&out.payload);
     if !out.payload.is_empty() {
@@ -244,6 +297,8 @@ mod tests {
             window: 0xFFFF,
             mss: Some(1460),
             wscale: Some(7),
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::from_vec(b"hello".to_vec()),
         };
         let wire = PktBuf::from_vec(build_segment(A, 80, B, 1234, &out));
@@ -259,6 +314,78 @@ mod tests {
     }
 
     #[test]
+    fn sack_options_round_trip() {
+        let syn = SegmentOut {
+            seq: 1,
+            ack: 0,
+            flags: Flags {
+                syn: true,
+                ..Flags::default()
+            },
+            window: 0xFFFF,
+            mss: Some(1460),
+            wscale: Some(7),
+            sack_permitted: true,
+            sack: None,
+            payload: PktBuf::empty(),
+        };
+        let wire = build_segment(A, 80, B, 1234, &syn);
+        assert_eq!(wire.len(), 20 + 12, "SACK-permitted costs the SYN 4 bytes");
+        let seg = TcpSegment::parse(A, B, &PktBuf::from_vec(wire)).unwrap();
+        assert!(seg.sack_permitted);
+        assert_eq!((seg.mss, seg.wscale, seg.sack), (Some(1460), Some(7), None));
+
+        let dsack = SegmentOut {
+            seq: 9,
+            ack: 0x8000_0010,
+            flags: Flags::ACK,
+            window: 100,
+            mss: None,
+            wscale: None,
+            sack_permitted: false,
+            sack: Some((0xFFFF_FFF0, 0x0000_0010)), // wraps
+            payload: PktBuf::from_vec(b"x".to_vec()),
+        };
+        let wire = build_segment(A, 80, B, 1234, &dsack);
+        assert_eq!(wire.len(), 20 + 12 + 1);
+        let seg = TcpSegment::parse(A, B, &PktBuf::from_vec(wire)).unwrap();
+        assert!(!seg.sack_permitted);
+        assert_eq!(seg.sack, Some((0xFFFF_FFF0, 0x0000_0010)));
+        assert_eq!(seg.payload, b"x");
+    }
+
+    #[test]
+    fn only_the_first_of_several_sack_blocks_is_kept() {
+        let base = SegmentOut {
+            seq: 1,
+            ack: 2,
+            flags: Flags::ACK,
+            window: 100,
+            mss: None,
+            wscale: None,
+            sack_permitted: false,
+            sack: None,
+            payload: PktBuf::empty(),
+        };
+        // Three blocks (kind 5, length 26), then a misfit SACK (length 6)
+        // that is skipped like an unknown option.
+        let mut opts = vec![5u8, 26];
+        for b in 1..=6u32 {
+            opts.extend_from_slice(&(b * 1000).to_be_bytes());
+        }
+        opts.extend_from_slice(&[5, 6, 0, 0, 0, 0]);
+        let mut wire = build_segment(A, 80, B, 1234, &base);
+        wire.splice(20..20, opts);
+        wire[12] = ((wire.len() / 4) as u8) << 4;
+        wire[16..18].copy_from_slice(&[0, 0]);
+        let c = checksum::pseudo_checksum(A, B, protocol::TCP, &wire);
+        wire[16..18].copy_from_slice(&c.to_be_bytes());
+        let seg = TcpSegment::parse(A, B, &PktBuf::from_vec(wire)).unwrap();
+        assert_eq!(seg.sack, Some((1000, 2000)));
+        assert!(seg.payload.is_empty());
+    }
+
+    #[test]
     fn corrupted_segment_rejected() {
         let out = SegmentOut {
             seq: 1,
@@ -267,6 +394,8 @@ mod tests {
             window: 100,
             mss: None,
             wscale: None,
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::from_vec(b"data".to_vec()),
         };
         let mut wire = build_segment(A, 80, B, 1234, &out);
@@ -298,6 +427,8 @@ mod tests {
             window: 512,
             mss: Some(1460),
             wscale: Some(3),
+            sack_permitted: false,
+            sack: None,
             payload: PktBuf::from_vec(b"in place".to_vec()),
         };
         // A buffer with stale bytes in it, longer than the segment.
@@ -318,6 +449,8 @@ mod tests {
                 window: win,
                 mss: None,
                 wscale: None,
+                sack_permitted: win & 1 == 1,
+                sack: (win & 2 == 2).then_some((ack, seq)),
                 payload: PktBuf::from_vec(payload.clone()),
             };
             let wire = PktBuf::from_vec(build_segment(A, 1, B, 2, &out));
@@ -325,6 +458,7 @@ mod tests {
             assert_eq!(seg.seq, seq);
             assert_eq!(seg.ack, ack);
             assert_eq!(seg.window, win);
+            assert_eq!((seg.sack_permitted, seg.sack), (out.sack_permitted, out.sack));
             assert_eq!(seg.payload, &payload[..]);
         }
     }

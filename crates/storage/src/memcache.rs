@@ -11,7 +11,11 @@ use crate::kv::KvStore;
 #[derive(Debug)]
 pub struct MemcacheSession {
     store: KvStore,
+    /// Received bytes not yet consumed by a whole command.
     buf: Vec<u8>,
+    /// No CRLF starts in `buf` before this offset: a line that arrives in
+    /// pieces is scanned once, not once per piece.
+    scanned: usize,
     /// Pending `set` body: (key, bytes still expected).
     pending_set: Option<(Vec<u8>, usize)>,
 }
@@ -22,37 +26,49 @@ impl MemcacheSession {
         MemcacheSession {
             store,
             buf: Vec::new(),
+            scanned: 0,
             pending_set: None,
         }
     }
 
     /// Feeds received bytes; returns response bytes to transmit.
+    ///
+    /// Commands are parsed at a read offset and the consumed prefix is
+    /// dropped once per call, so N pipelined commands cost O(bytes), not
+    /// O(N × bytes).
     pub fn feed(&mut self, data: &[u8]) -> Vec<u8> {
-        self.buf.extend_from_slice(data);
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.extend_from_slice(data);
+        let mut read = 0;
         let mut out = Vec::new();
         loop {
             // A `set` command is followed by <bytes> of data + CRLF.
-            if let Some((key, len)) = self.pending_set.clone() {
-                if self.buf.len() < len + 2 {
+            if let Some((key, len)) = self.pending_set.take() {
+                let Some(body) = buf.get(read..read + len + 2) else {
+                    self.pending_set = Some((key, len));
                     break;
-                }
-                let body: Vec<u8> = self.buf.drain(..len).collect();
-                self.buf.drain(..2.min(self.buf.len())); // trailing CRLF
-                let reply: &[u8] = match self.store.set(&key, body) {
+                };
+                let reply: &[u8] = match self.store.set(&key, body[..len].to_vec()) {
                     Some(_) => b"STORED\r\n",
                     None => b"SERVER_ERROR out of memory storing object\r\n",
                 };
                 out.extend_from_slice(reply);
-                self.pending_set = None;
+                read += len + 2; // body + trailing CRLF
                 continue;
             }
-            let Some(eol) = self.buf.windows(2).position(|w| w == b"\r\n") else {
+            let from = self.scanned.max(read);
+            let Some(eol) = buf[from..].windows(2).position(|w| w == b"\r\n") else {
+                // A trailing CR may yet be completed by the next feed.
+                self.scanned = buf.len().saturating_sub(1).max(read);
                 break;
             };
-            let line: Vec<u8> = self.buf.drain(..eol).collect();
-            self.buf.drain(..2);
-            out.extend(self.dispatch(&line));
+            let eol = from + eol;
+            out.extend(self.dispatch(&buf[read..eol]));
+            read = eol + 2;
         }
+        buf.drain(..read);
+        self.scanned -= read.min(self.scanned);
+        self.buf = buf;
         out
     }
 
@@ -112,6 +128,7 @@ impl MemcacheSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mirage_testkit::prop::{any, collection};
 
     fn roundtrip(session: &mut MemcacheSession, input: &str) -> String {
         String::from_utf8(session.feed(input.as_bytes())).expect("utf8 responses")
@@ -156,6 +173,45 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("STORED\r\n"));
         assert!(text.contains("01234567"));
+    }
+
+    /// Feeds `stream` in the chunks `cuts` marks, concatenating replies.
+    fn feed_in_chunks(stream: &[u8], cuts: &[usize]) -> Vec<u8> {
+        let mut s = MemcacheSession::new(KvStore::new());
+        let mut points: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        points.extend([0, stream.len()]);
+        points.sort_unstable();
+        points.windows(2).flat_map(|w| s.feed(&stream[w[0]..w[1]])).collect()
+    }
+
+    mirage_testkit::property! {
+        /// Any chunking of a pipelined get/set/delete stream draws the
+        /// same reply bytes as the stream fed whole.
+        fn prop_chunking_never_changes_the_replies(
+            ops in collection::vec(
+                (0u8..3, 0u8..6, collection::vec(any::<u8>(), 0..12)),
+                1..60,
+            ),
+            cuts in collection::vec(any::<usize>(), 0..40),
+        ) {
+            let mut stream = Vec::new();
+            for (op, key, value) in ops {
+                let line = match op {
+                    0 => format!("get k{key} k{}\r\n", key / 2),
+                    1 => format!("set k{key} 0 0 {}\r\n", value.len()),
+                    _ => format!("delete k{key}\r\n"),
+                };
+                stream.extend_from_slice(line.as_bytes());
+                if op == 1 {
+                    stream.extend_from_slice(&value);
+                    stream.extend_from_slice(b"\r\n");
+                }
+            }
+            let whole = MemcacheSession::new(KvStore::new()).feed(&stream);
+            assert_eq!(feed_in_chunks(&stream, &cuts), whole);
+            let bytewise: Vec<usize> = (0..stream.len()).collect();
+            assert_eq!(feed_in_chunks(&stream, &bytewise), whole, "a byte at a time");
+        }
     }
 
     #[test]

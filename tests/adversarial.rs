@@ -101,6 +101,8 @@ fn syn_frame(src_port: u16, isn: u32) -> Vec<u8> {
         window: 65535,
         mss: Some(1460),
         wscale: None,
+        sack_permitted: false,
+        sack: None,
         payload: PktBuf::empty(),
     };
     attacker_frame(src_port, &seg)
@@ -373,6 +375,8 @@ fn forged_cookie_acks_never_create_connection_state() {
                 window: 65535,
                 mss: None,
                 wscale: None,
+                sack_permitted: false,
+                sack: None,
                 payload: PktBuf::empty(),
             };
             rig.tap
@@ -507,6 +511,8 @@ fn data_seg(seq: u32, payload: Vec<u8>) -> SegmentOut {
         window: 65535,
         mss: None,
         wscale: None,
+        sack_permitted: false,
+        sack: None,
         payload: PktBuf::from_vec(payload),
     }
 }
@@ -522,6 +528,8 @@ fn rst_seg(seq: u32) -> SegmentOut {
         window: 0,
         mss: None,
         wscale: None,
+        sack_permitted: false,
+        sack: None,
         payload: PktBuf::empty(),
     }
 }
@@ -772,6 +780,131 @@ fn of_exemplars() -> Vec<Vec<u8>> {
         }
         .encode(),
     ]
+}
+
+fn tcp_exemplars() -> Vec<Vec<u8>> {
+    let syn = SegmentOut {
+        seq: 100,
+        ack: 0,
+        flags: Flags {
+            syn: true,
+            ..Flags::default()
+        },
+        window: 0xFFFF,
+        mss: Some(1460),
+        wscale: Some(7),
+        sack_permitted: true,
+        sack: None,
+        payload: PktBuf::empty(),
+    };
+    let dsack = SegmentOut {
+        flags: Flags::ACK,
+        mss: None,
+        wscale: None,
+        sack_permitted: false,
+        sack: Some((101, 1561)),
+        ..syn.clone()
+    };
+    let data = SegmentOut {
+        sack: None,
+        payload: PktBuf::from_vec(pattern(48)),
+        ..dsack.clone()
+    };
+    [syn, dsack, data]
+        .iter()
+        .map(|seg| build_segment(A, 1000, B, 2000, seg))
+        .collect()
+}
+
+/// Writes `options` (at most 40 bytes, NOP-padded to a 4-byte multiple)
+/// into a bare ACK and makes its checksum valid, so the parser's option
+/// walk — not its checksum check — meets the bytes.
+fn with_options(options: &[u8]) -> Vec<u8> {
+    let mut opts = options.to_vec();
+    opts.resize(options.len().next_multiple_of(4), 1);
+    let mut seg = tcp_exemplars()[1][..20].to_vec();
+    seg.extend_from_slice(&opts);
+    seg[12] = ((seg.len() / 4) as u8) << 4;
+    resum(seg)
+}
+
+/// Recomputes a TCP segment's checksum (A to B) after it was mutated.
+fn resum(mut seg: Vec<u8>) -> Vec<u8> {
+    if seg.len() >= 20 {
+        seg[16..18].copy_from_slice(&[0, 0]);
+        let c = mirage::net::checksum::pseudo_checksum(A, B, ipv4::protocol::TCP, &seg);
+        seg[16..18].copy_from_slice(&c.to_be_bytes());
+    }
+    seg
+}
+
+/// Seeded mutations of valid segments carrying MSS, window-scale,
+/// SACK-permitted and D-SACK options, their checksums repaired so the
+/// header and option parsing sees every one; plus a SACK option of every
+/// length 0–40 and blocks cut short by the end of the header. The parser
+/// must return `None` or a segment — never panic — and a well-formed
+/// SACK option always yields its first block.
+#[test]
+fn tcp_parser_survives_a_seeded_hostile_corpus() {
+    let seed = test_seed();
+    let mut corpus: Vec<Vec<u8>> = CorpusGen::for_stream(seed, "fuzz-tcp")
+        .corpus(&tcp_exemplars(), FUZZ_CASES)
+        .into_iter()
+        .map(resum)
+        .collect();
+    // (length field, option bytes present): every length, whole where the
+    // 40-byte option area allows, then blocks cut short by the header end.
+    let blocks: Vec<u8> = (1..=32u8).collect();
+    let whole = (0..=40usize).map(|len| (len, 2 + len.saturating_sub(2).min(32)));
+    let cut = (10..=34usize).step_by(8).map(|len| (len, len - 4));
+    let sack_cases: Vec<(usize, usize, Vec<u8>)> = whole
+        .chain(cut)
+        .map(|(len, present)| {
+            let mut opt = vec![5u8, len as u8];
+            opt.extend_from_slice(&blocks[..present - 2]);
+            (len, present, with_options(&opt))
+        })
+        .collect();
+    corpus.extend(sack_cases.iter().map(|(.., case)| case.clone()));
+
+    let mut rejected = 0usize;
+    let mut panics = 0usize;
+    for case in &corpus {
+        let outcome = std::panic::catch_unwind(|| {
+            TcpSegment::parse(A, B, &PktBuf::from_vec(case.clone())).is_none()
+        });
+        match outcome {
+            Ok(true) => rejected += 1,
+            Ok(false) => {}
+            Err(_) => panics += 1,
+        }
+    }
+    assert_eq!(
+        panics,
+        0,
+        "zero panics across {} hostile TCP cases; reproduce with MIRAGE_TEST_SEED={seed}",
+        corpus.len()
+    );
+    assert!(
+        rejected > FUZZ_CASES / 20,
+        "the corpus was actually hostile ({rejected} rejected); \
+         reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+    for (len, present, case) in &sack_cases {
+        let seg = TcpSegment::parse(A, B, &PktBuf::from_vec(case.clone()));
+        let padded = present.next_multiple_of(4);
+        if *len < 2 || padded < *len {
+            assert!(seg.is_none(), "a SACK option of length {len} in {padded} bytes is malformed");
+        } else if len == present && (len - 2) % 8 == 0 && *len >= 10 {
+            assert_eq!(
+                seg.map(|s| s.sack),
+                Some(Some((0x0102_0304, 0x0506_0708))),
+                "a {len}-byte SACK option yields its first block"
+            );
+        } else {
+            assert_eq!(seg.map(|s| s.sack), Some(None), "no block from length {len}");
+        }
+    }
 }
 
 /// Tentpole scenario 6: ≥1000 seeded structure-aware mutations of valid

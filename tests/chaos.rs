@@ -334,6 +334,40 @@ fn same_seed_produces_byte_identical_fault_schedules_and_stats() {
     );
 }
 
+/// Reordering alone — 1 ms of independent jitter per frame, nothing
+/// dropped — is not loss: the payload arrives exactly once, no
+/// retransmission timer fires, and a second run under the same seed is
+/// indistinguishable from the first.
+#[test]
+fn reordering_without_loss_needs_no_rto() {
+    let _guard = chaos_lock().lock();
+    let seed = test_seed();
+    let cfg = NetemConfig {
+        jitter: Dur::millis(1),
+        ..NetemConfig::default()
+    };
+    let bytes = 256 * 1024;
+    let a = run_lossy_tcp(seed, "reorder-only", cfg.clone(), bytes);
+    assert!(
+        a.received == pattern(bytes) && a.extra_bytes == 0,
+        "payload delivered exactly once; reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+    assert!(
+        a.netem.total_lost() == 0 && a.netem.delayed > 0,
+        "frames were jittered, none dropped; reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+    assert_eq!(
+        a.sender.rto_retransmits, 0,
+        "reordering never waited out a timer ({:?}); reproduce with MIRAGE_TEST_SEED={seed}",
+        a.sender
+    );
+    let b = run_lossy_tcp(seed, "reorder-only", cfg, bytes);
+    assert!(
+        a.received == b.received && a.sender == b.sender && a.netem == b.netem,
+        "same seed, same run; reproduce with MIRAGE_TEST_SEED={seed}"
+    );
+}
+
 // ----------------------------------------------------------------- HTTP
 
 /// HTTP request/response over a 10%-lossy link: the transfer completes
